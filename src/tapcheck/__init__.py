@@ -19,13 +19,8 @@ from .detector import (
     ConflictKind,
     DetectionWindow,
     TriggeredAction,
-    check_c1,
-    check_c2,
-    check_c3,
-    check_c4,
-    check_c5,
-    check_c6,
     check_c7,
+    check_pairs,
     detect_at_tick,
     match_rules,
     new_window,
@@ -81,8 +76,7 @@ __all__ = [
     "PotentialConflict", "Registry", "Relation", "RoomState", "Rule",
     "RuleSet", "Scenario", "Sensor", "SourceSpec", "TapcheckError",
     "TraceReport", "TriggerCondition", "TriggeredAction", "action_relation",
-    "build", "builtin_scenarios", "check_c1", "check_c2", "check_c3",
-    "check_c4", "check_c5", "check_c6", "check_c7", "conflict_keys",
+    "build", "builtin_scenarios", "check_c7", "check_pairs", "conflict_keys",
     "dependent_features", "detect_at_tick", "humidity_step", "load_document",
     "luminance_of", "match_rules", "new_window", "oracle_detect",
     "oracle_static", "overlapping_events", "parse_ruleset", "run_scenario",

@@ -16,11 +16,12 @@ events and the actions they triggered:
 * C7: one sensor repeats the same reading within the duplicate window; the
   later event is marked suppressible.
 
-``detect_at_tick`` feeds a tick's events through rule matching, evaluates
-every check over the full window, and never stops at the first hit, so the
-returned list is exhaustive for the tick. Each violating pair is reported
-exactly once over the lifetime of a stream: checks only consider pairs that
-include at least one item inserted by the current call.
+``detect_at_tick`` feeds a tick's events through rule matching, classifies
+every candidate pair of firings against C1 to C6 in one pass over the
+window, runs C7, and never stops at the first hit, so the returned list is
+exhaustive for the tick. Each violating pair is reported exactly once over
+the lifetime of a stream: checks only consider pairs that include at least
+one item inserted by the current call.
 
 Policies C1 to C6 relate firings of two distinct rules. A single rule fired
 twice by duplicate readings is the duplicate-event case and is covered by
@@ -32,7 +33,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
-from .errors import OutOfOrderTickError, UnknownSensorKindError
+from .errors import (
+    DuplicateEventIdError,
+    OutOfOrderTickError,
+    UnknownSensorKindError,
+)
 from .model import (
     ActionSpec,
     DetectorConfig,
@@ -127,11 +132,8 @@ class DetectionWindow:
     Entries older than the config horizon (the farthest back any check
     looks) relative to the current tick are dropped as each tick begins.
     The window tracks which items arrived in the current call so a
-    violating pair is reported exactly once, and rebuilds three scope lists
-    per evaluation that jointly cover every in-window item:
-    ``scope_actions``, ``scope_controllers`` (one entry per in-scope
-    action), and ``scope_events``. Single writer; call ``detect_at_tick``
-    serially per stream.
+    violating pair is reported exactly once. Single writer; call
+    ``detect_at_tick`` serially per stream.
     """
 
     def __init__(self, horizon: int):
@@ -145,25 +147,35 @@ class DetectionWindow:
         self._events_by_sensor: dict[str, list[Event]] = {}
         self._fresh_actions: list[TriggeredAction] = []
         self._fresh_events: list[Event] = []
-        self.scope_actions: tuple[TriggeredAction, ...] = ()
-        self.scope_controllers: tuple[str, ...] = ()
-        self.scope_events: tuple[Event, ...] = ()
 
     def begin_tick(self, tick: Tick, events: list[Event],
                    actions: list[TriggeredAction]) -> None:
         """Stage a tick's arrivals for evaluation. Entries beyond the
-        horizon relative to this tick are dropped first, so the scope lists
-        cover exactly the in-window items."""
+        horizon relative to this tick are dropped first, so the pair
+        queries see exactly the in-window items."""
         if self.last_tick is not None and tick < self.last_tick:
             raise OutOfOrderTickError(
                 f"tick {tick} arrived after tick {self.last_tick}")
+        self._check_unique_ids(tick, events)
         self.last_tick = tick
         self._evict(tick)
         self._fresh_events = list(events)
         self._fresh_actions = list(actions)
-        self.scope_actions = tuple(self._actions) + tuple(actions)
-        self.scope_controllers = tuple(a.controller for a in self.scope_actions)
-        self.scope_events = tuple(self._events) + tuple(events)
+
+    def _check_unique_ids(self, tick: Tick, events: list[Event]) -> None:
+        """Reject an event id seen twice at one tick, in this batch or in
+        an earlier batch of the same tick: a firing is identified by (tick,
+        event id, rule), so a repeated id would report one pair twice."""
+        ids = set()
+        for event in reversed(self._events):
+            if event.time != tick:
+                break
+            ids.add(event.id)
+        for event in events:
+            if event.id in ids:
+                raise DuplicateEventIdError(
+                    f"event id {event.id!r} repeats at tick {event.time}")
+            ids.add(event.id)
 
     def commit_tick(self) -> None:
         """Absorb the staged arrivals into the window."""
@@ -179,7 +191,8 @@ class DetectionWindow:
     def seed(self, events: list[Event], actions: list[TriggeredAction],
              tick: Tick | None = None) -> None:
         """Load a window with everything fresh, so a check function sees all
-        unordered pairs. Intended for direct use of the check functions."""
+        unordered pairs. Intended for direct use of ``check_pairs`` and
+        ``check_c7``."""
         t = tick if tick is not None else max(
             [a.time for a in actions] + [e.time for e in events], default=0)
         self.begin_tick(t, events, actions)
@@ -234,75 +247,6 @@ def _ordered(a: TriggeredAction, b: TriggeredAction):
     return (a, b) if a.key() <= b.key() else (b, a)
 
 
-def _dt(a: TriggeredAction, b: TriggeredAction) -> int:
-    return abs(a.time - b.time)
-
-
-def _relation(a: TriggeredAction, b: TriggeredAction,
-              cfg: DetectorConfig) -> Relation:
-    return cfg.action_relations.relation(
-        a.actuator_kind, a.action.action, b.actuator_kind, b.action.action)
-
-
-def _stacked_commands(a, b, cfg) -> bool:
-    # Any non-identical command pair conflicts on a shared actuator; an
-    # identical command conflicts only when staggered inside the overlap
-    # window (the repeated-command case).
-    if _relation(a, b, cfg) is not Relation.SAME:
-        return True
-    return 0 < _dt(a, b) <= cfg.overlap_window
-
-
-def _c1_holds(a, b, cfg) -> bool:
-    return (a.rule != b.rule
-            and a.action.actuator == b.action.actuator
-            and a.controller != b.controller
-            and _dt(a, b) <= cfg.same_tick_epsilon)
-
-
-def _c2_holds(a, b, cfg) -> bool:
-    return (a.rule != b.rule
-            and a.action.actuator != b.action.actuator
-            and a.controller != b.controller
-            and _dt(a, b) <= cfg.same_tick_epsilon
-            and cfg.features_related(a.action.affected_features,
-                                     b.action.affected_features))
-
-
-def _c3_holds(a, b, cfg) -> bool:
-    return (a.rule != b.rule
-            and a.action.actuator == b.action.actuator
-            and overlapping_events(a.event, b.event, cfg)
-            and _stacked_commands(a, b, cfg))
-
-
-def _c4_holds(a, b, cfg) -> bool:
-    return (a.rule != b.rule
-            and overlapping_events(a.event, b.event, cfg)
-            and _relation(a, b, cfg) is Relation.OPPOSITE
-            and cfg.features_related(a.action.affected_features,
-                                     b.action.affected_features))
-
-
-def _c5_holds(a, b, cfg) -> bool:
-    return (a.rule != b.rule
-            and a.action.actuator == b.action.actuator
-            and a.event.id != b.event.id
-            and not overlapping_events(a.event, b.event, cfg)
-            and _dt(a, b) <= cfg.same_tick_epsilon
-            and _stacked_commands(a, b, cfg))
-
-
-def _c6_holds(a, b, cfg) -> bool:
-    return (a.rule != b.rule
-            and a.event.id != b.event.id
-            and not overlapping_events(a.event, b.event, cfg)
-            and _dt(a, b) <= cfg.same_tick_epsilon
-            and _relation(a, b, cfg) is Relation.OPPOSITE
-            and cfg.features_related(a.action.affected_features,
-                                     b.action.affected_features))
-
-
 def _pair_conflict(kind: ConflictKind, a: TriggeredAction,
                    b: TriggeredAction, note: str) -> Conflict:
     first, second = _ordered(a, b)
@@ -310,76 +254,74 @@ def _pair_conflict(kind: ConflictKind, a: TriggeredAction,
                     participants=(first, second), note=note)
 
 
-def check_c1(window: DetectionWindow, cfg: DetectorConfig) -> list[Conflict]:
-    """Same actuator commanded by two different controllers at once."""
+def classify_pair(a: TriggeredAction, b: TriggeredAction,
+                  cfg: DetectorConfig) -> list[Conflict]:
+    """Every conflict among C1 to C6 that one pair of firings forms, each
+    policy stated once.
+
+    C3/C5 and C4/C6 differ only in whether the events overlap. Only pairs
+    that share an actuator or push opposite actions on related features can
+    violate them, so only those pairs pay for the overlap test.
+    """
+    if a.rule == b.rule:
+        return []
+    dt = abs(a.time - b.time)
+    simultaneous = dt <= cfg.same_tick_epsilon
+    rival_controllers = a.controller != b.controller
+    same_actuator = a.action.actuator == b.action.actuator
+    relation = cfg.action_relations.relation(
+        a.actuator_kind, a.action.action, b.actuator_kind, b.action.action)
+    related = (((simultaneous and rival_controllers and not same_actuator)
+                or relation is Relation.OPPOSITE)
+               and cfg.features_related(a.action.affected_features,
+                                        b.action.affected_features))
     out = []
-    for a, b in window.action_pairs(cfg.same_tick_epsilon):
-        if _c1_holds(a, b, cfg):
+    if simultaneous and rival_controllers:
+        if same_actuator:
             out.append(_pair_conflict(
                 ConflictKind.C1, a, b,
                 f"controllers {a.controller} and {b.controller} both drive "
                 f"{a.action.actuator}"))
-    return out
-
-
-def check_c2(window: DetectionWindow, cfg: DetectorConfig) -> list[Conflict]:
-    """Different actuators under different controllers touch equal or
-    dependent features at once."""
-    out = []
-    for a, b in window.action_pairs(cfg.same_tick_epsilon):
-        if _c2_holds(a, b, cfg):
+        elif related:
             out.append(_pair_conflict(
                 ConflictKind.C2, a, b,
                 f"{a.action.actuator} and {b.action.actuator} touch related "
                 f"features under controllers {a.controller} and {b.controller}"))
+
+    # Any non-identical command pair conflicts on a shared actuator; an
+    # identical command conflicts only when staggered inside the overlap
+    # window (the repeated-command case).
+    stacked = same_actuator and (relation is not Relation.SAME
+                                 or 0 < dt <= cfg.overlap_window)
+    opposed = related and relation is Relation.OPPOSITE
+    if not (stacked or opposed):
+        return out
+    overlap = overlapping_events(a.event, b.event, cfg)
+    if not (overlap or (simultaneous and a.event.id != b.event.id)):
+        return out
+    how = "overlapping" if overlap else "disjoint"
+    if stacked:
+        out.append(_pair_conflict(
+            ConflictKind.C3 if overlap else ConflictKind.C5, a, b,
+            f"{how} events {a.event.id} and {b.event.id} command "
+            f"{a.action.actuator}: {a.action.action}/{b.action.action}"))
+    if opposed:
+        out.append(_pair_conflict(
+            ConflictKind.C4 if overlap else ConflictKind.C6, a, b,
+            f"{how} events push opposite actions "
+            f"{a.action.action}/{b.action.action} on related features"))
     return out
 
 
-def check_c3(window: DetectionWindow, cfg: DetectorConfig) -> list[Conflict]:
-    """Overlapping events stack conflicting commands on one actuator."""
+def check_pairs(window: DetectionWindow,
+                cfg: DetectorConfig) -> list[Conflict]:
+    """Policies C1 to C6 over the window's candidate pairs, in one pass.
+    No pair policy looks farther apart than the larger of the epsilon and
+    the overlap window."""
     out = []
-    for a, b in window.action_pairs(cfg.overlap_window):
-        if _c3_holds(a, b, cfg):
-            out.append(_pair_conflict(
-                ConflictKind.C3, a, b,
-                f"overlapping events {a.event.id} and {b.event.id} command "
-                f"{a.action.actuator}: {a.action.action}/{b.action.action}"))
-    return out
-
-
-def check_c4(window: DetectionWindow, cfg: DetectorConfig) -> list[Conflict]:
-    """Overlapping events drive opposite actions on related features."""
-    out = []
-    for a, b in window.action_pairs(cfg.overlap_window):
-        if _c4_holds(a, b, cfg):
-            out.append(_pair_conflict(
-                ConflictKind.C4, a, b,
-                f"overlapping events push opposite actions "
-                f"{a.action.action}/{b.action.action} on related features"))
-    return out
-
-
-def check_c5(window: DetectionWindow, cfg: DetectorConfig) -> list[Conflict]:
-    """Disjoint events stack conflicting commands on one actuator at once."""
-    out = []
-    for a, b in window.action_pairs(cfg.same_tick_epsilon):
-        if _c5_holds(a, b, cfg):
-            out.append(_pair_conflict(
-                ConflictKind.C5, a, b,
-                f"disjoint events {a.event.id} and {b.event.id} command "
-                f"{a.action.actuator}: {a.action.action}/{b.action.action}"))
-    return out
-
-
-def check_c6(window: DetectionWindow, cfg: DetectorConfig) -> list[Conflict]:
-    """Disjoint events drive opposite actions on related features at once."""
-    out = []
-    for a, b in window.action_pairs(cfg.same_tick_epsilon):
-        if _c6_holds(a, b, cfg):
-            out.append(_pair_conflict(
-                ConflictKind.C6, a, b,
-                f"disjoint events push opposite actions "
-                f"{a.action.action}/{b.action.action} on related features"))
+    for a, b in window.action_pairs(max(cfg.same_tick_epsilon,
+                                        cfg.overlap_window)):
+        out.extend(classify_pair(a, b, cfg))
     return out
 
 
@@ -404,20 +346,17 @@ def check_c7(window: DetectionWindow, cfg: DetectorConfig) -> list[Conflict]:
     return out
 
 
-_ALL_CHECKS = (check_c1, check_c2, check_c3, check_c4, check_c5, check_c6,
-               check_c7)
-
-
 def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
                    window: DetectionWindow,
                    cfg: DetectorConfig) -> list[Conflict]:
     """Process one tick of events and return every conflict they complete.
 
     Events must all share one tick, and successive calls must not go back in
-    time (equal ticks are allowed and behave like one larger batch). An
-    empty batch just ages the window by one tick. All seven checks run over
-    the full window on every call; the union of their findings is returned,
-    sorted canonically, with each (kind, pair) reported once.
+    time (equal ticks are allowed and behave like one larger batch). Event
+    ids must be unique within a tick, across all batches of that tick. An
+    empty batch just ages the window by one tick. C1 to C6 are evaluated
+    in one pass over the candidate pairs, then C7; their findings are
+    returned sorted canonically, with each (kind, pair) reported once.
     """
     if not new_events:
         tick = 0 if window.last_tick is None else window.last_tick + 1
@@ -435,14 +374,7 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
                for ta in match_rules(event, ruleset)]
     window.begin_tick(tick, new_events, actions)
 
-    conflicts: list[Conflict] = []
-    seen: set[tuple] = set()
-    for check in _ALL_CHECKS:
-        for conflict in check(window, cfg):
-            key = conflict.key()
-            if key not in seen:
-                seen.add(key)
-                conflicts.append(conflict)
+    conflicts = check_pairs(window, cfg) + check_c7(window, cfg)
     window.commit_tick()
     conflicts.sort(key=Conflict.key)
     return conflicts

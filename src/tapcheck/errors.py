@@ -60,6 +60,10 @@ class OutOfOrderTickError(TapcheckError):
     """Events were fed to the detector with a decreasing tick."""
 
 
+class DuplicateEventIdError(TapcheckError):
+    """Two events fed to the detector at one tick share an id."""
+
+
 class TraceError(TapcheckError):
     """An event-trace file is malformed.
 

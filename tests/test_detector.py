@@ -5,18 +5,17 @@ import pytest
 from conftest import build_home, ev
 from tapcheck.detector import (
     ConflictKind,
-    check_c1,
-    check_c2,
-    check_c3,
-    check_c4,
-    check_c5,
-    check_c6,
     check_c7,
+    check_pairs,
     detect_at_tick,
     match_rules,
     new_window,
 )
-from tapcheck.errors import OutOfOrderTickError, UnknownSensorKindError
+from tapcheck.errors import (
+    DuplicateEventIdError,
+    OutOfOrderTickError,
+    UnknownSensorKindError,
+)
 
 
 def seeded(rs, cfg, events):
@@ -25,6 +24,11 @@ def seeded(rs, cfg, events):
     actions = [ta for e in events for ta in match_rules(e, rs)]
     window.seed(events, actions)
     return window
+
+
+def pairs_of(kind, window, cfg):
+    """The ``check_pairs`` findings of one policy."""
+    return [c for c in check_pairs(window, cfg) if c.kind is kind]
 
 
 def kinds_of(conflicts):
@@ -85,7 +89,7 @@ class TestC1:
     def test_two_controllers_one_alarm(self, alarm_home):
         rs, cfg = alarm_home
         events = [ev(rs, "e1", "smoke1", 7, 1), ev(rs, "e2", "leak1", 7, 1)]
-        out = check_c1(seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C1, seeded(rs, cfg, events), cfg)
         assert len(out) == 1
         assert out[0].tick == 7
         a, b = out[0].participants
@@ -102,7 +106,7 @@ class TestC1:
                    ("r_leak", "home", ("leak", "==", 1),
                     ("alarm1", "sound", ["alert@room1"]))])
         events = [ev(rs, "e1", "smoke1", 7, 1), ev(rs, "e2", "leak1", 7, 1)]
-        assert check_c1(seeded(rs, cfg, events), cfg) == []
+        assert pairs_of(ConflictKind.C1, seeded(rs, cfg, events), cfg) == []
 
     def test_elevator_door_lock_vs_unlock(self):
         rs, cfg = build_home(
@@ -117,13 +121,13 @@ class TestC1:
                     ("door_e", "lock", ["access@elevator"]))],
             relations={"door": [("lock", "unlock", "opposite")]})
         events = [ev(rs, "e1", "motion_e", 4, 1), ev(rs, "e2", "alarm_s", 4, 1)]
-        out = check_c1(seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C1, seeded(rs, cfg, events), cfg)
         assert len(out) == 1
 
     def test_different_tick_not_simultaneous(self, alarm_home):
         rs, cfg = alarm_home
         events = [ev(rs, "e1", "smoke1", 7, 1), ev(rs, "e2", "leak1", 9, 1)]
-        assert check_c1(seeded(rs, cfg, events), cfg) == []
+        assert pairs_of(ConflictKind.C1, seeded(rs, cfg, events), cfg) == []
 
     def test_single_event_two_controllers(self):
         # One physical event routed to rules in two controllers still
@@ -136,7 +140,8 @@ class TestC1:
                     ("alarm1", "sound", ["alert@room1"])),
                    ("r2", "b", ("smoke", "==", 1),
                     ("alarm1", "flash", ["alert@room1"]))])
-        out = check_c1(seeded(rs, cfg, [ev(rs, "e1", "smoke1", 0, 1)]), cfg)
+        window = seeded(rs, cfg, [ev(rs, "e1", "smoke1", 0, 1)])
+        out = pairs_of(ConflictKind.C1, window, cfg)
         assert len(out) == 1
 
 
@@ -159,7 +164,7 @@ class TestC2:
     def test_shared_feature_two_actuators(self):
         rs, cfg = window_thermostat_home()
         events = [ev(rs, "e1", "occ1", 3, 1), ev(rs, "e2", "t1", 3, 60)]
-        out = check_c2(seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C2, seeded(rs, cfg, events), cfg)
         assert len(out) == 1
 
     def test_unrelated_features_no_conflict(self):
@@ -175,7 +180,7 @@ class TestC2:
                    ("r_warm", "ctrl_b", ("temperature", "<", 65),
                     ("th1", "heat", ["temperature@room1"]))])
         events = [ev(rs, "e1", "occ1", 3, 1), ev(rs, "e2", "t1", 3, 60)]
-        assert check_c2(seeded(rs, cfg, events), cfg) == []
+        assert pairs_of(ConflictKind.C2, seeded(rs, cfg, events), cfg) == []
 
     def test_dependent_feature_chain(self):
         rs, cfg = build_home(
@@ -191,7 +196,7 @@ class TestC2:
                     ("hum1", "on", ["humidity@room1"]))],
             edges=[("temperature@room1", "humidity@room1")])
         events = [ev(rs, "e1", "occ1", 3, 1), ev(rs, "e2", "h1", 3, 40)]
-        out = check_c2(seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C2, seeded(rs, cfg, events), cfg)
         assert len(out) == 1
 
 
@@ -218,7 +223,7 @@ class TestC3:
     def test_corridor_tug_of_war(self):
         rs, cfg = corridor_home()
         events = [ev(rs, "e1", "t1", 10, 60), ev(rs, "e2", "t2", 12, 75)]
-        out = check_c3(seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C3, seeded(rs, cfg, events), cfg)
         assert len(out) == 1
         assert out[0].tick == 12
 
@@ -234,26 +239,29 @@ class TestC3:
                    ("r_b", "hvac2", ("temperature", "<", 70),
                     ("th1", "increase", ["temperature@room1"]))])
         events = [ev(rs, "e1", "t1", 0, 60), ev(rs, "e2", "t2", 3, 60)]
-        out = check_c3(seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C3, seeded(rs, cfg, events), cfg)
         # Both rules fire on both events. The staggered cross-rule pairs
         # conflict (same command repeated on one actuator); same-event and
         # same-rule pairings do not.
-        assert all(c.kind is ConflictKind.C3 for c in out)
+        assert all(c.participants[0].time != c.participants[1].time
+                   for c in out)
         assert len(out) == 2
 
     def test_different_actuators_not_c3(self):
         rs, cfg = build_home(
             sensors=[("t1", "temperature", "F", "room1"),
                      ("t2", "temperature", "F", "room1")],
-            actuators=[("th1", "thermostat", "room1", ("increase",)),
-                       ("th2", "thermostat", "room1", ("decrease",))],
+            actuators=[("th1", "thermostat", "room1",
+                        ("increase", "decrease")),
+                       ("th2", "thermostat", "room1",
+                        ("increase", "decrease"))],
             controllers=["hvac"], features=["temperature@room1"],
             rules=[("r_a", "hvac", ("temperature", "<", 65),
                     ("th1", "increase", ["temperature@room1"])),
                    ("r_b", "hvac", ("temperature", "<", 70),
                     ("th2", "decrease", ["temperature@room1"]))])
         events = [ev(rs, "e1", "t1", 0, 60), ev(rs, "e2", "t2", 3, 60)]
-        assert check_c3(seeded(rs, cfg, events), cfg) == []
+        assert pairs_of(ConflictKind.C3, seeded(rs, cfg, events), cfg) == []
 
     def test_same_rule_twice_is_not_c3(self):
         rs, cfg = build_home(
@@ -264,7 +272,7 @@ class TestC3:
             rules=[("r_a", "hvac", ("temperature", "<", 65),
                     ("th1", "increase", ["temperature@room1"]))])
         events = [ev(rs, "e1", "t1", 0, 60), ev(rs, "e2", "t2", 3, 61)]
-        assert check_c3(seeded(rs, cfg, events), cfg) == []
+        assert pairs_of(ConflictKind.C3, seeded(rs, cfg, events), cfg) == []
 
 
 class TestC4:
@@ -282,7 +290,7 @@ class TestC4:
                     ("light1", "off", ["luminance@room1"]))],
             relations={"blind|light": [("open", "off", "opposite")]})
         events = [ev(rs, "e1", "occ1", 0, 1), ev(rs, "e2", "occ2", 2, 0)]
-        out = check_c4(seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C4, seeded(rs, cfg, events), cfg)
         assert len(out) == 1
 
     def test_opposite_but_unrelated_features(self):
@@ -299,7 +307,7 @@ class TestC4:
                     ("light1", "off", ["luminance@room1"]))],
             relations={"blind|light": [("open", "off", "opposite")]})
         events = [ev(rs, "e1", "occ1", 0, 1), ev(rs, "e2", "occ2", 2, 0)]
-        assert check_c4(seeded(rs, cfg, events), cfg) == []
+        assert pairs_of(ConflictKind.C4, seeded(rs, cfg, events), cfg) == []
 
     def test_shared_humidifier_chain(self):
         rs, cfg = build_home(
@@ -316,7 +324,7 @@ class TestC4:
             classes=[[("temperature", "==", "room1"),
                       ("temperature", "==", "room2")]])
         events = [ev(rs, "e1", "t1", 5, 78), ev(rs, "e2", "t2", 7, 70)]
-        out = check_c4(seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C4, seeded(rs, cfg, events), cfg)
         assert len(out) == 1  # also a C3 (same actuator), reported apart
 
 
@@ -342,13 +350,13 @@ class TestC5:
         rs, cfg = schedule_motion_home()
         events = [ev(rs, "e1", "clock1", 700, 700),
                   ev(rs, "e2", "occ1", 700, 1)]
-        out = check_c5(seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C5, seeded(rs, cfg, events), cfg)
         assert len(out) == 1
 
     def test_smoke_and_co_on_one_alarm(self, alarm_home):
         rs, cfg = alarm_home
         events = [ev(rs, "e1", "smoke1", 10, 1), ev(rs, "e2", "co1", 10, 60)]
-        out = check_c5(seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C5, seeded(rs, cfg, events), cfg)
         assert len(out) == 1  # sound vs flash on alarm1, disjoint events
 
     def test_different_actuators_no_c5(self):
@@ -364,7 +372,7 @@ class TestC5:
                    ("r_co", "home", ("co", ">", 50),
                     ("fan1", "on", ["air@room1"]))])
         events = [ev(rs, "e1", "smoke1", 10, 1), ev(rs, "e2", "co1", 10, 60)]
-        assert check_c5(seeded(rs, cfg, events), cfg) == []
+        assert pairs_of(ConflictKind.C5, seeded(rs, cfg, events), cfg) == []
 
 
 class TestC6:
@@ -383,14 +391,14 @@ class TestC6:
             relations={"window|thermostat": [("open", "off", "opposite")]})
         events = [ev(rs, "e1", "wc1", 650, 1),
                   ev(rs, "e2", "clock1", 650, 650)]
-        out = check_c6(seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C6, seeded(rs, cfg, events), cfg)
         assert len(out) == 1
 
     def test_dependent_humidity_flagged_too(self):
         rs, cfg = schedule_motion_home()
         events = [ev(rs, "e1", "clock1", 700, 700),
                   ev(rs, "e2", "occ1", 700, 1)]
-        out = check_c6(seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C6, seeded(rs, cfg, events), cfg)
         # heat/off are opposite and the features relate via the edge only
         assert len(out) == 1
 
@@ -398,7 +406,7 @@ class TestC6:
         rs, cfg = schedule_motion_home()
         events = [ev(rs, "e1", "clock1", 700, 700),
                   ev(rs, "e2", "occ1", 703, 1)]
-        assert check_c6(seeded(rs, cfg, events), cfg) == []
+        assert pairs_of(ConflictKind.C6, seeded(rs, cfg, events), cfg) == []
 
 
 class TestC7:
@@ -515,18 +523,28 @@ class TestDetectAtTick:
 
         assert run() == run()
 
-    def test_scope_lists_cover_window(self, alarm_home):
-        rs, cfg = alarm_home
-        window = new_window(cfg)
-        detect_at_tick([ev(rs, "e1", "smoke1", 0, 1)], rs, window, cfg)
-        detect_at_tick([ev(rs, "e2", "leak1", 1, 1)], rs, window, cfg)
-        assert [e.id for e in window.scope_events] == ["e1", "e2"]
-        assert len(window.scope_actions) == 2
-        assert len(window.scope_controllers) == 2
-
     def test_eviction_respects_horizon(self, alarm_home):
+        # An entry older than the horizon is dropped as a tick begins, so
+        # no pair query reaches it even with an unbounded gap.
         rs, cfg = alarm_home
         window = new_window(cfg)
         detect_at_tick([ev(rs, "e1", "smoke1", 0, 1)], rs, window, cfg)
-        detect_at_tick([ev(rs, "e2", "smoke1", 100, 1)], rs, window, cfg)
-        assert [e.id for e in window.scope_events] == ["e2"]
+        e2 = ev(rs, "e2", "smoke1", 100, 1)
+        window.begin_tick(100, [e2], match_rules(e2, rs))
+        assert list(window.event_pairs_same_sensor(1000)) == []
+        assert list(window.action_pairs(1000)) == []
+
+    def test_duplicate_id_in_batch_rejected(self, alarm_home):
+        rs, cfg = alarm_home
+        window = new_window(cfg)
+        events = [ev(rs, "e1", "smoke1", 5, 1), ev(rs, "e1", "smoke1", 5, 1),
+                  ev(rs, "e2", "leak1", 5, 1)]
+        with pytest.raises(DuplicateEventIdError):
+            detect_at_tick(events, rs, window, cfg)
+
+    def test_duplicate_id_across_split_batch_rejected(self, alarm_home):
+        rs, cfg = alarm_home
+        window = new_window(cfg)
+        detect_at_tick([ev(rs, "e1", "smoke1", 5, 1)], rs, window, cfg)
+        with pytest.raises(DuplicateEventIdError):
+            detect_at_tick([ev(rs, "e1", "leak1", 5, 1)], rs, window, cfg)

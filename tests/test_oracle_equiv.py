@@ -7,9 +7,14 @@ from hypothesis import strategies as st
 
 from conftest import ev
 from gen import group_by_tick, random_ruleset, random_trace
-from tapcheck.detector import detect_at_tick, new_window
+from tapcheck.detector import (
+    classify_pair,
+    detect_at_tick,
+    match_rules,
+    new_window,
+)
 from tapcheck.model import Event
-from tapcheck.oracle import conflict_keys, oracle_detect
+from tapcheck.oracle import _pair_kinds, conflict_keys, oracle_detect
 
 
 def run_detector(trace, rs, cfg):
@@ -58,6 +63,30 @@ class TestEquivalence:
         trace = random_trace(rng, rs, max_ticks=60, p_event=p_event)
         got = sorted(conflict_keys(run_detector(trace, rs, cfg)))
         assert got == sorted(oracle_detect(trace, rs, cfg))
+
+    def test_classifier_equals_oracle_per_pair(self):
+        # Every firing pair within max(epsilon, W) of each other, across
+        # rulesets with epsilon > W and with similarity classes.
+        seen = set()
+        for seed in range(300):
+            rng = np.random.default_rng(90_000 + seed)
+            rs, cfg = random_ruleset(rng)
+            trace = random_trace(rng, rs)
+            actions = [ta for e in trace for ta in match_rules(e, rs)]
+            reach = max(cfg.same_tick_epsilon, cfg.overlap_window)
+            for i, a in enumerate(actions):
+                for b in actions[i + 1:]:
+                    if b.time - a.time > reach:
+                        break
+                    got = [c.kind for c in classify_pair(a, b, cfg)]
+                    assert got == _pair_kinds(a, b, cfg), (seed, a, b)
+                    seen.update(got)
+                    if cfg.same_tick_epsilon > cfg.overlap_window:
+                        seen.add("epsilon > W")
+                    if cfg.similarity_classes:
+                        seen.add("similarity classes")
+        assert seen == {"C1", "C2", "C3", "C4", "C5", "C6", "epsilon > W",
+                        "similarity classes"}
 
     def test_per_tick_outputs_partition_the_oracle_set(self, alarm_home):
         # Each call's findings are exactly the oracle conflicts whose
