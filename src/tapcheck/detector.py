@@ -144,6 +144,7 @@ class DetectionWindow:
         self._actions: list[TriggeredAction] = []
         self._action_times: list[int] = []
         self._events: list[Event] = []
+        self._event_times: dict[str, Tick] = {}  # id -> tick, of _events
         self._events_by_sensor: dict[str, list[Event]] = {}
         self._fresh_actions: list[TriggeredAction] = []
         self._fresh_events: list[Event] = []
@@ -163,19 +164,18 @@ class DetectionWindow:
         self._fresh_actions = list(actions)
 
     def _check_unique_ids(self, tick: Tick, events: list[Event]) -> None:
-        """Reject an event id seen twice at one tick, in this batch or in
-        an earlier batch of the same tick: a firing is identified by (tick,
-        event id, rule), so a repeated id would report one pair twice."""
-        ids = set()
-        for event in reversed(self._events):
-            if event.time != tick:
-                break
-            ids.add(event.id)
+        """Reject an event id that repeats in the batch or matches an event
+        still in the window at this tick. Pairs tell their events apart by
+        id, so a reused id would hide the pair's overlap or disjointness."""
+        cutoff = tick - self.horizon
+        batch = set()
         for event in events:
-            if event.id in ids:
+            seen = self._event_times.get(event.id)
+            if event.id in batch or (seen is not None and seen >= cutoff):
                 raise DuplicateEventIdError(
-                    f"event id {event.id!r} repeats at tick {event.time}")
-            ids.add(event.id)
+                    f"event id {event.id!r} at tick {event.time} repeats an "
+                    "event id in the detection window")
+            batch.add(event.id)
 
     def commit_tick(self) -> None:
         """Absorb the staged arrivals into the window."""
@@ -184,6 +184,7 @@ class DetectionWindow:
             self._action_times.append(action.time)
         for event in self._fresh_events:
             self._events.append(event)
+            self._event_times[event.id] = event.time
             self._events_by_sensor.setdefault(event.sensor, []).append(event)
         self._fresh_actions = []
         self._fresh_events = []
@@ -204,6 +205,9 @@ class DetectionWindow:
             del self._actions[:keep]
             del self._action_times[:keep]
         if self._events and self._events[0].time < cutoff:
+            for e in self._events:
+                if e.time < cutoff:
+                    del self._event_times[e.id]
             self._events = [e for e in self._events if e.time >= cutoff]
             for sensor in list(self._events_by_sensor):
                 kept = [e for e in self._events_by_sensor[sensor]
@@ -353,7 +357,7 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
 
     Events must all share one tick, and successive calls must not go back in
     time (equal ticks are allowed and behave like one larger batch). Event
-    ids must be unique within a tick, across all batches of that tick. An
+    ids must be unique across the detection window (the config horizon). An
     empty batch just ages the window by one tick. C1 to C6 are evaluated
     in one pass over the candidate pairs, then C7; their findings are
     returned sorted canonically, with each (kind, pair) reported once.

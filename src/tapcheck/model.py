@@ -240,8 +240,12 @@ class FeatureDependencyGraph:
             closure[start] = frozenset(seen)
         return closure
 
+    def reachable(self, src: str) -> frozenset[str]:
+        """Features that ``src`` affects, directly or through a chain."""
+        return self._reachable.get(src, frozenset())
+
     def reaches(self, src: str, dst: str) -> bool:
-        return dst in self._reachable.get(src, frozenset())
+        return dst in self.reachable(src)
 
 
 def dependent_features(f1: str, f2: str, graph: FeatureDependencyGraph) -> bool:

@@ -92,6 +92,23 @@ def _as_number(value, path) -> float:
     return float(value)
 
 
+def _as_int(value, path) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError("expected an integer", path=path)
+    return value
+
+
+def _section(raw: dict, key: str, kind: type, path: str):
+    """An optional list or mapping; absent or null reads as empty."""
+    value = raw.get(key)
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        what = "a list" if kind is list else "a mapping"
+        raise ParseError(f"{key!r} must be {what}", path=path)
+    return value
+
+
 def _as_str(value, path) -> str:
     if not isinstance(value, str) or not value:
         raise ParseError("expected a non-empty string", path=path)
@@ -275,7 +292,7 @@ def _parse_rule(entry, i, registry: Registry, day_length: int) -> Rule:
 
 def _parse_feature_deps(raw, registry: Registry) -> FeatureDependencyGraph:
     edges: set[tuple[str, str]] = set()
-    for i, entry in enumerate(raw or []):
+    for i, entry in enumerate(raw):
         p = f"feature_deps[{i}]"
         if not isinstance(entry, list) or len(entry) != 2:
             raise ParseError("dependency edge must be [from, to]", path=p)
@@ -297,9 +314,9 @@ def _parse_action_relations(raw, registry: Registry) -> ActionRelationTable:
         vocabulary[actuator.kind] = frozenset(actuator.actions)
 
     entries: dict = {}
-    for key, triples in (raw or {}).items():
+    for key in raw:
         p = f"action_relations.{key}"
-        kinds = key.split("|")
+        kinds = _as_str(key, p).split("|")
         if len(kinds) == 1:
             kinds = [kinds[0], kinds[0]]
         if len(kinds) != 2:
@@ -311,7 +328,7 @@ def _parse_action_relations(raw, registry: Registry) -> ActionRelationTable:
                 raise ReferentialIntegrityError(
                     f"action relations declared for undeclared actuator "
                     f"kind {k!r}")
-        for j, triple in enumerate(triples or []):
+        for j, triple in enumerate(_section(raw, key, list, p)):
             tp = f"{p}[{j}]"
             if not isinstance(triple, list) or len(triple) != 3:
                 raise ParseError("entry must be [action, action, relation]",
@@ -365,7 +382,8 @@ def _parse_detector(raw, registry: Registry,
     if not isinstance(raw, dict):
         raise ParseError("detector must be a mapping", path="detector")
     classes = []
-    for i, group in enumerate(raw.get("similarity_classes") or []):
+    for i, group in enumerate(_section(
+            raw, "similarity_classes", list, "detector.similarity_classes")):
         p = f"detector.similarity_classes[{i}]"
         if not isinstance(group, list) or len(group) < 2:
             raise ParseError("similarity class needs >= 2 signatures", path=p)
@@ -376,9 +394,12 @@ def _parse_detector(raw, registry: Registry,
     return DetectorConfig(
         dependency_graph=graph,
         action_relations=relations,
-        overlap_window=int(raw.get("overlap_window", 5)),
-        duplicate_window=int(raw.get("duplicate_window", 30)),
-        same_tick_epsilon=int(raw.get("same_tick_epsilon", 0)),
+        overlap_window=_as_int(raw.get("overlap_window", 5),
+                               "detector.overlap_window"),
+        duplicate_window=_as_int(raw.get("duplicate_window", 30),
+                                 "detector.duplicate_window"),
+        same_tick_epsilon=_as_int(raw.get("same_tick_epsilon", 0),
+                                  "detector.same_tick_epsilon"),
         similarity_classes=tuple(classes),
         sensor_tolerance=tolerance,
     )
@@ -402,13 +423,15 @@ def load_document(text: str) -> Document:
 
     rules = []
     seen_rules: set[str] = set()
-    for i, entry in enumerate(raw.get("rules") or []):
+    for i, entry in enumerate(_section(raw, "rules", list, "rules")):
         rule = _parse_rule(entry, i, registry, day_length)
         _unique(seen_rules, rule.id, "rule id")
         rules.append(rule)
 
-    graph = _parse_feature_deps(raw.get("feature_deps"), registry)
-    relations = _parse_action_relations(raw.get("action_relations"), registry)
+    graph = _parse_feature_deps(_section(raw, "feature_deps", list,
+                                         "feature_deps"), registry)
+    relations = _parse_action_relations(
+        _section(raw, "action_relations", dict, "action_relations"), registry)
     config = _parse_detector(raw.get("detector"), registry, graph, relations)
 
     ruleset = RuleSet(registry=registry, rules=tuple(rules),

@@ -23,9 +23,11 @@ Co-satisfiability facts used throughout:
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from operator import attrgetter
+from typing import Iterator
 
 from .detector import ConflictKind
+from .errors import UnknownFeatureError
 from .model import (
     Cmp,
     DetectorConfig,
@@ -131,123 +133,208 @@ def _sig_choice_exists(s1: Sensor, s2: Sensor, want_similar: bool,
 _ANY, _SIMILAR, _DISSIMILAR = "any", "similar", "dissimilar"
 
 
-def _pair_sig_ok(s1: Sensor, s2: Sensor, mode: str,
-                 cfg: DetectorConfig) -> bool:
-    if mode == _ANY:
-        return True
-    return _sig_choice_exists(s1, s2, mode == _SIMILAR, cfg)
+class _Analysis:
+    """State of one ``static_check`` call: each rule's scope, actuator kind
+    and related features, and the memo of signature choices. The call drops
+    it on return, so nothing grows across calls."""
+
+    def __init__(self, ruleset: RuleSet, cfg: DetectorConfig):
+        self.rules = ruleset.rules
+        self.cfg = cfg
+        self.day = ruleset.day_length
+        registry = ruleset.registry
+        graph = cfg.dependency_graph
+        # Pruning skips pairs whose relation and feature tests would have
+        # rejected an undeclared action or feature, so check each rule once.
+        self.kinds = []
+        for rule in self.rules:
+            kind = registry.actuator_kind(rule.action.actuator)
+            cfg.action_relations.relation(kind, rule.action.action,
+                                          kind, rule.action.action)
+            for f in rule.action.affected_features:
+                if f not in graph.nodes:
+                    raise UnknownFeatureError(f"unknown feature {f!r}")
+            self.kinds.append(kind)
+        self.scopes = [_scope(rule, ruleset) for rule in self.rules]
+        self.scope_keys = [(r.trigger.sensor_kind, r.trigger.location_filter)
+                           for r in self.rules]
+        # Features equal or dependent to a feature: the symmetric closure of
+        # reachability, as in ``features_related``.
+        related = {f: {f} for f in graph.nodes}
+        for f in graph.nodes:
+            for g in graph.reachable(f):
+                related[f].add(g)
+                related[g].add(f)
+        self.near = [frozenset().union(*(related[f] for f in
+                                         rule.action.affected_features))
+                     for rule in self.rules]
+        self._sig_memo: dict[tuple, bool] = {}
+        self._scope_memo: dict[tuple, bool] = {}
+
+    def candidate_pairs(self) -> Iterator[tuple[int, int]]:
+        """Index pairs i < j, in declaration order, of rules that share an
+        actuator or touch related features. C1, C3 and C5 need the former,
+        C2, C4 and C6 the latter, so no other pair can be tagged."""
+        by_actuator: dict[str, list[int]] = {}
+        by_feature: dict[str, list[int]] = {}
+        for i, rule in enumerate(self.rules):
+            by_actuator.setdefault(rule.action.actuator, []).append(i)
+            for f in rule.action.affected_features:
+                by_feature.setdefault(f, []).append(i)
+        for i, rule in enumerate(self.rules):
+            partners = set(by_actuator[rule.action.actuator])
+            for f in self.near[i]:
+                partners.update(by_feature.get(f, ()))
+            for j in sorted(partners):
+                if j > i:
+                    yield i, j
+
+    def sig_ok(self, s1: Sensor, s2: Sensor, mode: str) -> bool:
+        """Can events from the two sensors meet the signature requirement?
+        Memoised per (kind, location) pair."""
+        if mode == _ANY:
+            return True
+        want_similar = mode == _SIMILAR
+        key = (s1.kind, s1.location, s2.kind, s2.location, want_similar)
+        ok = self._sig_memo.get(key)
+        if ok is None:
+            ok = self._sig_memo[key] = _sig_choice_exists(s1, s2, want_similar,
+                                                          self.cfg)
+        return ok
+
+    def scopes_meet(self, i: int, j: int, mode: str, distinct: bool) -> bool:
+        """Can a sensor in each rule's scope (two different sensors when
+        ``distinct``) give events meeting the signature requirement?
+        Memoised per pair of scopes, which rules share by trigger kind and
+        location filter."""
+        key = (self.scope_keys[i], self.scope_keys[j], mode, distinct)
+        ok = self._scope_memo.get(key)
+        if ok is None:
+            ok = self._scope_memo[key] = any(
+                self.sig_ok(a, b, mode)
+                for a in self.scopes[i] for b in self.scopes[j]
+                if not (distinct and a.id == b.id))
+        return ok
 
 
 class _PairAnalysis:
     """Co-satisfiability queries for one rule pair."""
 
-    def __init__(self, r1: Rule, r2: Rule, ruleset: RuleSet,
-                 cfg: DetectorConfig):
-        self.r1, self.r2 = r1, r2
-        self.cfg = cfg
-        self.day = ruleset.day_length
-        self.s1 = _scope(r1, ruleset)
-        self.s2 = _scope(r2, ruleset)
+    def __init__(self, analysis: _Analysis, i: int, j: int):
+        self.analysis, self.i, self.j = analysis, i, j
+        self.r1, self.r2 = analysis.rules[i], analysis.rules[j]
+        self.day = analysis.day
+        self.eps = analysis.cfg.same_tick_epsilon
+        self.win = analysis.cfg.overlap_window
 
     def same_tick(self, mode: str, distinct_events: bool) -> bool:
         """Both rules fire at one tick. Distinct events need two sensors;
         a lone shared sensor yields one event, which must satisfy both
         triggers at once."""
-        if not self.s1 or not self.s2:
-            return False
         if not gap_achievable(self.r1, self.r2, 0, 0, self.day):
             return False
-        for a in self.s1:
-            for b in self.s2:
-                if a.id == b.id:
-                    if distinct_events:
-                        continue
-                    if (mode == _ANY
-                            and _intervals_intersect(self.r1, self.r2)):
-                        return True
-                    continue
-                if _pair_sig_ok(a, b, mode, self.cfg):
-                    return True
-        return False
+        if self.analysis.scopes_meet(self.i, self.j, mode, distinct=True):
+            return True
+        if distinct_events or mode != _ANY:
+            return False
+        s1, s2 = self.analysis.scopes[self.i], self.analysis.scopes[self.j]
+        return (any(a.id == b.id for a in s1 for b in s2)
+                and _intervals_intersect(self.r1, self.r2))
 
     def staggered(self, dmin: int, dmax: int, mode: str) -> bool:
         """Both rules fire at ticks a nonzero gap apart: readings are
         independent and the events are always distinct."""
         dmin = max(dmin, 1)
-        if dmax < dmin or not self.s1 or not self.s2:
-            return False
-        if not gap_achievable(self.r1, self.r2, dmin, dmax, self.day):
-            return False
-        return any(_pair_sig_ok(a, b, mode, self.cfg)
-                   for a in self.s1 for b in self.s2)
+        return (dmax >= dmin
+                and gap_achievable(self.r1, self.r2, dmin, dmax, self.day)
+                and self.analysis.scopes_meet(self.i, self.j, mode,
+                                              distinct=False))
+
+    def simultaneous(self) -> bool:
+        return (self.same_tick(_ANY, distinct_events=False)
+                or self.staggered(1, self.eps, _ANY))
+
+    def overlap(self, repeat: bool) -> bool:
+        """Overlapping events can fire both rules. An identical command
+        stacks only when staggered (the repeated-command case)."""
+        if repeat:
+            return self.staggered(1, self.win, _SIMILAR)
+        return (self.same_tick(_SIMILAR, distinct_events=True)
+                or self.staggered(1, self.win, _SIMILAR))
+
+    def disjoint(self, repeat: bool) -> bool:
+        """Disjoint events can fire both rules: dissimilar within epsilon,
+        or similar but beyond the overlap window when epsilon reaches past
+        it. An identical command again needs a stagger."""
+        if repeat:
+            return self.staggered(1, min(self.eps, self.win), _DISSIMILAR)
+        return (self.same_tick(_DISSIMILAR, distinct_events=True)
+                or self.staggered(1, self.eps, _DISSIMILAR)
+                or self.staggered(self.win + 1, self.eps, _SIMILAR))
 
 
-def _pair_tags(r1: Rule, r2: Rule, ruleset: RuleSet,
-               cfg: DetectorConfig) -> list[tuple[ConflictKind, str]]:
-    pa = _PairAnalysis(r1, r2, ruleset, cfg)
-    eps = cfg.same_tick_epsilon
-    win = cfg.overlap_window
+def _pair_tags(analysis: _Analysis, i: int,
+               j: int) -> list[tuple[ConflictKind, str]]:
+    """The policies one candidate pair would violate. Each query runs only
+    when a tag that reads it can still fire, and at most once."""
+    r1, r2 = analysis.rules[i], analysis.rules[j]
+    pa = _PairAnalysis(analysis, i, j)
 
     same_actuator = r1.action.actuator == r2.action.actuator
     diff_controller = r1.controller != r2.controller
-    related = cfg.features_related(r1.action.affected_features,
-                                   r2.action.affected_features)
-    registry = ruleset.registry
-    relation = cfg.action_relations.relation(
-        registry.actuator_kind(r1.action.actuator), r1.action.action,
-        registry.actuator_kind(r2.action.actuator), r2.action.action)
-    repeat = relation is Relation.SAME  # identical command, only conflicts staggered
-
-    simultaneous = (pa.same_tick(_ANY, distinct_events=False)
-                    or pa.staggered(1, eps, _ANY))
-    overlap = (pa.same_tick(_SIMILAR, distinct_events=True)
-               or pa.staggered(1, win, _SIMILAR))
-    overlap_staggered = pa.staggered(1, win, _SIMILAR)
-    # Disjoint pairs are dissimilar within epsilon, or similar but beyond
-    # the overlap window when epsilon reaches past it.
-    disjoint = (pa.same_tick(_DISSIMILAR, distinct_events=True)
-                or pa.staggered(1, eps, _DISSIMILAR)
-                or pa.staggered(win + 1, eps, _SIMILAR))
-    disjoint_repeat = pa.staggered(1, min(eps, win), _DISSIMILAR)
+    related = not analysis.near[i].isdisjoint(r2.action.affected_features)
+    relation = analysis.cfg.action_relations.relation(
+        analysis.kinds[i], r1.action.action,
+        analysis.kinds[j], r2.action.action)
+    opposed = relation is Relation.OPPOSITE and related
 
     tags: list[tuple[ConflictKind, str]] = []
-    if same_actuator and diff_controller and simultaneous:
-        tags.append((ConflictKind.C1,
-                     f"controllers {r1.controller} and {r2.controller} can "
-                     f"drive {r1.action.actuator} at the same time"))
-    if (not same_actuator) and diff_controller and related and simultaneous:
-        tags.append((ConflictKind.C2,
-                     f"{r1.action.actuator} and {r2.action.actuator} can "
-                     "touch related features at the same time"))
-    if same_actuator and (overlap_staggered if repeat else overlap):
-        tags.append((ConflictKind.C3,
-                     f"overlapping events can stack "
-                     f"{r1.action.action}/{r2.action.action} on "
-                     f"{r1.action.actuator}"))
-    if relation is Relation.OPPOSITE and related and overlap:
-        tags.append((ConflictKind.C4,
-                     "overlapping events can push opposite actions on "
-                     "related features"))
-    if same_actuator and (disjoint_repeat if repeat else disjoint):
-        tags.append((ConflictKind.C5,
-                     f"disjoint events can stack "
-                     f"{r1.action.action}/{r2.action.action} on "
-                     f"{r1.action.actuator}"))
-    if relation is Relation.OPPOSITE and related and disjoint:
-        tags.append((ConflictKind.C6,
-                     "disjoint events can push opposite actions on "
-                     "related features"))
+    if diff_controller and (same_actuator or related) and pa.simultaneous():
+        if same_actuator:
+            tags.append((ConflictKind.C1,
+                         f"controllers {r1.controller} and {r2.controller} "
+                         f"can drive {r1.action.actuator} at the same time"))
+        else:
+            tags.append((ConflictKind.C2,
+                         f"{r1.action.actuator} and {r2.action.actuator} can "
+                         "touch related features at the same time"))
+    if not (same_actuator or opposed):
+        return tags
+    repeat = relation is Relation.SAME
+    if pa.overlap(repeat):
+        if same_actuator:
+            tags.append((ConflictKind.C3,
+                         f"overlapping events can stack "
+                         f"{r1.action.action}/{r2.action.action} on "
+                         f"{r1.action.actuator}"))
+        if opposed:
+            tags.append((ConflictKind.C4,
+                         "overlapping events can push opposite actions on "
+                         "related features"))
+    if pa.disjoint(repeat):
+        if same_actuator:
+            tags.append((ConflictKind.C5,
+                         f"disjoint events can stack "
+                         f"{r1.action.action}/{r2.action.action} on "
+                         f"{r1.action.actuator}"))
+        if opposed:
+            tags.append((ConflictKind.C6,
+                         "disjoint events can push opposite actions on "
+                         "related features"))
     return tags
 
 
 def static_check(ruleset: RuleSet, cfg: DetectorConfig) -> list[PotentialConflict]:
     """Flag every unordered pair of distinct rules that could violate a
-    policy, tagged with the policies it would violate."""
+    policy, tagged with the policies it would violate. Only rules that
+    share an actuator or touch related features are paired."""
+    analysis = _Analysis(ruleset, cfg)
     out: list[PotentialConflict] = []
-    for r1, r2 in combinations(ruleset.rules, 2):
-        a, b = sorted((r1.id, r2.id))
-        for kind, note in _pair_tags(r1, r2, ruleset, cfg):
+    for i, j in analysis.candidate_pairs():
+        a, b = sorted((ruleset.rules[i].id, ruleset.rules[j].id))
+        for kind, note in _pair_tags(analysis, i, j):
             out.append(PotentialConflict(kind=kind, rule_a=a, rule_b=b,
                                          note=note))
-    out.sort()
+    # The dataclass order, compared as plain tuples.
+    out.sort(key=attrgetter("kind", "rule_a", "rule_b"))
     return out

@@ -38,7 +38,8 @@ _RELATIONS = [Relation.DIFFERENT, Relation.OPPOSITE, Relation.DEPENDENT]
 
 
 def random_ruleset(rng: np.random.Generator, max_rules: int = 10,
-                   day_length: int = 48) -> tuple[RuleSet, DetectorConfig]:
+                   day_length: int = 48,
+                   max_actuators: int = 4) -> tuple[RuleSet, DetectorConfig]:
     locations = [f"loc{i}" for i in range(int(rng.integers(1, 4)))]
     kinds = list(rng.choice(_KINDS, size=int(rng.integers(2, 5)),
                             replace=False))
@@ -54,7 +55,7 @@ def random_ruleset(rng: np.random.Generator, max_rules: int = 10,
             tolerance=float(rng.choice([0.0, 0.0, 0.5])))
 
     actuators = {}
-    n_act = int(rng.integers(1, 5))
+    n_act = int(rng.integers(1, max_actuators + 1))
     act_kinds = list(_ACTUATOR_KINDS)
     for i in range(n_act):
         kind = str(rng.choice(act_kinds))

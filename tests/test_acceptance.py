@@ -18,6 +18,7 @@
 """
 
 import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -382,3 +383,12 @@ def test_acceptance_8_throughput_smoke():
     print(f"\nACCEPTANCE 8 PASS: 10,000 rules, 1,000 events/tick; "
           f"mean {mean * 1000:.0f} ms/tick, worst {worst * 1000:.0f} ms/tick "
           f"({1000 / mean:,.0f} events/s)")
+
+
+def test_static_check_on_scaling_fixture():
+    # Per kind, 100 rules stack "go" on one siren: all 4,950 pairs can do
+    # so staggered inside the overlap window (C3), and the 3,750 pairs on
+    # different controllers can fire together (C1). Kinds share nothing.
+    ruleset, cfg = _scaling_fixture(n_kinds=10)
+    counts = Counter(p.kind.value for p in static_check(ruleset, cfg))
+    assert counts == {"C1": 37_500, "C3": 49_500}

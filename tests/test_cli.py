@@ -59,6 +59,20 @@ class TestCheck:
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["check", "--ruleset", str(tmp_path / "nope.yaml")]) == 2
 
+    @pytest.mark.parametrize("section", [
+        "detector: {overlap_window: abc}",
+        "rules: 5",
+        "feature_deps: 3",
+        "action_relations: [[sound, 'off', opposite]]",
+    ])
+    def test_mistyped_section_exits_two(self, section, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        registry = CLEAN_DOC.split("rules:")[0]
+        bad.write_text(f"{registry}{section}\n", encoding="utf-8")
+        assert main(["check", "--ruleset", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestMonitor:
     def test_empty_trace_summary_of_zeros(self, alarm_ruleset, tmp_path,

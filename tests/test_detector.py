@@ -1,5 +1,7 @@
 """Policy checks and the tick-by-tick detection loop."""
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import build_home, ev
@@ -548,3 +550,27 @@ class TestDetectAtTick:
         detect_at_tick([ev(rs, "e1", "smoke1", 5, 1)], rs, window, cfg)
         with pytest.raises(DuplicateEventIdError):
             detect_at_tick([ev(rs, "e1", "leak1", 5, 1)], rs, window, cfg)
+
+    def test_duplicate_id_across_ticks_in_window_rejected(self, alarm_home):
+        # With epsilon 1, smoke e1@5 and leak e2@6 form C1 and C5. Pairs
+        # tell events apart by id, so a second e1 would hide the C5.
+        rs, cfg = alarm_home
+        cfg = replace(cfg, same_tick_epsilon=1)
+        window = new_window(cfg)
+        detect_at_tick([ev(rs, "e1", "smoke1", 5, 1)], rs, window, cfg)
+        assert kinds_of(detect_at_tick([ev(rs, "e2", "leak1", 6, 1)], rs,
+                                       window, cfg)) == ["C1", "C5"]
+        window = new_window(cfg)
+        detect_at_tick([ev(rs, "e1", "smoke1", 5, 1)], rs, window, cfg)
+        with pytest.raises(DuplicateEventIdError):
+            detect_at_tick([ev(rs, "e1", "leak1", 6, 1)], rs, window, cfg)
+
+    def test_id_reusable_once_evicted(self, alarm_home):
+        rs, cfg = alarm_home
+        window = new_window(cfg)
+        detect_at_tick([ev(rs, "e1", "smoke1", 5, 1)], rs, window, cfg)
+        with pytest.raises(DuplicateEventIdError):
+            detect_at_tick([ev(rs, "e1", "leak1", 5 + cfg.horizon, 1)], rs,
+                           window, cfg)
+        detect_at_tick([ev(rs, "e1", "leak1", 6 + cfg.horizon, 1)], rs,
+                       window, cfg)

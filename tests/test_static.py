@@ -6,8 +6,9 @@ import pytest
 from conftest import build_home
 from gen import group_by_tick, random_ruleset, random_trace
 from tapcheck.detector import ConflictKind, detect_at_tick, new_window
+from tapcheck.errors import UnknownActionError, UnknownFeatureError
 from tapcheck.oracle import oracle_static
-from tapcheck.static import gap_achievable, static_check
+from tapcheck.static import _Analysis, gap_achievable, static_check
 
 
 def tags(findings):
@@ -100,6 +101,53 @@ class TestStaticExamples:
         assert ("C1", "r_a", "r_b") in found
 
 
+class TestCandidatePruning:
+    @pytest.mark.parametrize("relation,kinds", [
+        ("opposite", {"C2", "C4", "C6"}),
+        ("different", {"C2"}),
+    ])
+    def test_reverse_multi_hop_dependency_is_paired(self, relation, kinds):
+        # f_a -> f_b -> f_c: the earlier rule touches only f_c and the later
+        # only f_a, on different actuators, so only reachability followed
+        # backwards over two hops relates them.
+        rs, cfg = build_home(
+            sensors=[("t1", "temperature", "F", "room1"),
+                     ("t2", "temperature", "F", "room1")],
+            actuators=[("heater1", "heater", "room1", ("heat", "idle")),
+                       ("fan1", "fan", "room1", ("cool", "idle"))],
+            controllers=["x", "y"],
+            features=["f_a", "f_b", "f_c"],
+            edges=[("f_a", "f_b"), ("f_b", "f_c")],
+            rules=[("r_c", "x", ("temperature", ">", 50),
+                    ("heater1", "heat", ["f_c"])),
+                   ("r_a", "y", ("temperature", ">", 50),
+                    ("fan1", "cool", ["f_a"]))],
+            relations={"heater|fan": [("heat", "cool", relation)]})
+        found = tags(static_check(rs, cfg))
+        assert found == {(k, "r_a", "r_c") for k in kinds}
+
+    @pytest.mark.parametrize("action,features,error", [
+        ("explode", ["f2"], UnknownActionError),
+        ("go", ["ghost"], UnknownFeatureError),
+    ])
+    def test_undeclared_name_raises_without_a_partner(self, action, features,
+                                                      error):
+        # No other rule shares r_bad's actuator or features, so no candidate
+        # pair reaches it; the check must still reject it.
+        rs, cfg = build_home(
+            sensors=[("t1", "temperature", "F", "room1")],
+            actuators=[("a1", "siren", "room1", ("go", "stop")),
+                       ("a2", "siren", "room1", ("go", "stop"))],
+            controllers=["x"],
+            features=["f1", "f2"],
+            rules=[("r_ok", "x", ("temperature", ">", 50),
+                    ("a1", "go", ["f1"])),
+                   ("r_bad", "x", ("temperature", ">", 50),
+                    ("a2", action, features))])
+        with pytest.raises(error):
+            static_check(rs, cfg)
+
+
 class TestScheduleGaps:
     def brute(self, s1, s2, dmin, dmax, day):
         rs, _ = build_home(
@@ -159,6 +207,22 @@ class TestAgainstBruteForce:
         want = {(p.kind.value, p.rule_a, p.rule_b)
                 for p in oracle_static(rs, cfg)}
         assert got == want
+
+    def test_matches_oracle_when_pairs_are_pruned(self):
+        # Up to eight actuators over several feature components, so many
+        # pairs share neither an actuator nor a related feature.
+        all_pairs = candidates = 0
+        for seed in range(60):
+            rng = np.random.default_rng(60_000 + seed)
+            rs, cfg = random_ruleset(rng, max_rules=16, max_actuators=8)
+            n = len(rs.rules)
+            all_pairs += n * (n - 1) // 2
+            candidates += sum(1 for _ in _Analysis(rs, cfg).candidate_pairs())
+            got = tags(static_check(rs, cfg))
+            want = {(p.kind.value, p.rule_a, p.rule_b)
+                    for p in oracle_static(rs, cfg)}
+            assert got == want, seed
+        assert candidates < 0.8 * all_pairs
 
     @pytest.mark.parametrize("seed", range(40))
     def test_covers_every_dynamic_pair_conflict(self, seed):
