@@ -18,6 +18,7 @@ File formats (UTF-8, LF, comma-separated, byte-stable for fixed inputs):
 """
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -79,6 +80,8 @@ def parse_trace(text: str, ruleset: RuleSet) -> list[Event]:
             value = float(value_s)
         except ValueError as exc:
             raise TraceError(f"bad number: {exc}", line=lineno) from exc
+        if not math.isfinite(value):
+            raise TraceError(f"value {value_s!r} is not finite", line=lineno)
         if tick < 0:
             raise TraceError("tick must be >= 0", line=lineno)
         if last_tick is not None and tick < last_tick:
@@ -270,14 +273,13 @@ def cmd_simulate(args) -> int:
         scenario = scen.build(args.scenario)
     base_seed = args.seed if args.seed is not None else scenario.seed
     bundle = scen.load_bundle(scenario.ruleset)
-    cfg = _apply_overrides(bundle.config, args)
+    bundle = replace(bundle, config=_apply_overrides(bundle.config, args))
 
     (out_dir / "ruleset.yaml").write_text(bundle.text, encoding="utf-8")
     reports = []
     any_conflict = False
     for seed in range(base_seed, base_seed + args.seeds):
-        report = scen.run_scenario(replace(scenario, seed=seed),
-                                   bundle.ruleset, cfg)
+        report = scen.run_scenario(replace(scenario, seed=seed), bundle)
         write_report_csvs(report, out_dir)
         reports.append(report)
         any_conflict = any_conflict or bool(report.conflicts)
@@ -298,9 +300,12 @@ def cmd_report(args) -> int:
         lines = log.read_text(encoding="utf-8").splitlines()
         if not lines or lines[0] != CONFLICT_HEADER:
             raise TapcheckError(f"{log} is not a conflict log")
-        for row in lines[1:]:
-            if row.strip():
-                counts[row.split(",")[1]] += 1
+        for lineno, row in enumerate(lines[1:], start=2):
+            fields = row.split(",")
+            if len(fields) == 8 and fields[1] in counts:
+                counts[fields[1]] += 1
+            elif row.strip():
+                raise TapcheckError(f"{log} line {lineno}: not a conflict row")
     print(f"{len(logs)} conflict log(s) in {out_dir}")
     _print_summary(counts)
     return 1 if sum(counts.values()) else 0

@@ -29,8 +29,10 @@ C7 alone.
 """
 
 from bisect import bisect_left
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Iterator
 
 from .errors import (
@@ -126,6 +128,9 @@ def _fire(rule: Rule, event: Event, ruleset: RuleSet) -> TriggeredAction:
     )
 
 
+_time = attrgetter("time")
+
+
 class DetectionWindow:
     """Sliding record of the recent triggered actions and raw events.
 
@@ -141,11 +146,10 @@ class DetectionWindow:
             raise ValueError("window horizon must be >= 1")
         self.horizon = horizon
         self.last_tick: Tick | None = None
-        self._actions: list[TriggeredAction] = []
-        self._action_times: list[int] = []
-        self._events: list[Event] = []
-        self._event_times: dict[str, Tick] = {}  # id -> tick, of _events
-        self._events_by_sensor: dict[str, list[Event]] = {}
+        self._actions: list[TriggeredAction] = []  # in tick order
+        # Each event is kept once, in its sensor's deque, and its id once.
+        self._event_times: dict[str, Tick] = {}  # id -> tick, in tick order
+        self._events_by_sensor = defaultdict(deque)
         self._fresh_actions: list[TriggeredAction] = []
         self._fresh_events: list[Event] = []
 
@@ -179,13 +183,10 @@ class DetectionWindow:
 
     def commit_tick(self) -> None:
         """Absorb the staged arrivals into the window."""
-        for action in self._fresh_actions:
-            self._actions.append(action)
-            self._action_times.append(action.time)
+        self._actions.extend(self._fresh_actions)
         for event in self._fresh_events:
-            self._events.append(event)
             self._event_times[event.id] = event.time
-            self._events_by_sensor.setdefault(event.sensor, []).append(event)
+            self._events_by_sensor[event.sensor].append(event)
         self._fresh_actions = []
         self._fresh_events = []
 
@@ -200,22 +201,17 @@ class DetectionWindow:
 
     def _evict(self, now: Tick) -> None:
         cutoff = now - self.horizon
-        keep = bisect_left(self._action_times, cutoff)
-        if keep:
-            del self._actions[:keep]
-            del self._action_times[:keep]
-        if self._events and self._events[0].time < cutoff:
-            for e in self._events:
-                if e.time < cutoff:
-                    del self._event_times[e.id]
-            self._events = [e for e in self._events if e.time >= cutoff]
-            for sensor in list(self._events_by_sensor):
-                kept = [e for e in self._events_by_sensor[sensor]
-                        if e.time >= cutoff]
-                if kept:
-                    self._events_by_sensor[sensor] = kept
-                else:
-                    del self._events_by_sensor[sensor]
+        del self._actions[:bisect_left(self._actions, cutoff, key=_time)]
+        # Ticks only grow, so the first id in ``_event_times`` is the
+        # oldest event and each sensor's deque is sorted by time.
+        times = self._event_times
+        if not times or next(iter(times.values())) >= cutoff:
+            return
+        for sensor, events in list(self._events_by_sensor.items()):
+            while events and events[0].time < cutoff:
+                del times[events.popleft().id]
+            if not events:
+                del self._events_by_sensor[sensor]
 
     def action_pairs(self, max_dt: int) -> Iterator[tuple]:
         """Unordered action pairs with at least one fresh member and a time
@@ -223,9 +219,8 @@ class DetectionWindow:
         caller's policy, so skipping them does not change results."""
         fresh = self._fresh_actions
         older = self._actions
-        times = self._action_times
         for i, a in enumerate(fresh):
-            start = bisect_left(times, a.time - max_dt)
+            start = bisect_left(older, a.time - max_dt, key=_time)
             for j in range(start, len(older)):
                 yield older[j], a
             for j in range(i + 1, len(fresh)):

@@ -13,7 +13,7 @@ decrease, and a single sensor emits at most one event per tick.
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
+from typing import Collection
 
 from .errors import (
     InvalidConfigError,
@@ -189,10 +189,6 @@ class RuleSet:
     day_length: int = DEFAULT_DAY_LENGTH
 
     @cached_property
-    def by_id(self) -> dict[str, Rule]:
-        return {r.id: r for r in self.rules}
-
-    @cached_property
     def rules_by_kind(self) -> dict[str, tuple[Rule, ...]]:
         """Rules bucketed by trigger sensor kind, declaration order kept."""
         out: dict[str, list[Rule]] = {}
@@ -207,7 +203,8 @@ class FeatureDependencyGraph:
 
     Reachability is transitive, and the dependency test applied by the
     policies is the symmetric closure of reachability: order does not matter
-    for deciding whether two features interact.
+    for deciding whether two features interact. The graph owns that closure,
+    ``related``, and every relatedness test reads it.
     """
 
     nodes: frozenset[str]
@@ -223,40 +220,40 @@ class FeatureDependencyGraph:
                     f"dependency edge references undeclared feature {missing!r}")
 
     @cached_property
-    def _reachable(self) -> dict[str, frozenset[str]]:
+    def related(self) -> dict[str, frozenset[str]]:
+        """Each declared feature mapped to the features equal or dependent
+        to it: itself, the features it reaches and those that reach it."""
         adjacency: dict[str, list[str]] = {}
         for src, dst in self.edges:
             adjacency.setdefault(src, []).append(dst)
-        closure: dict[str, frozenset[str]] = {}
-        for start, firsts in adjacency.items():
+        near = {f: {f} for f in self.nodes}
+        for start in adjacency:
             seen: set[str] = set()
-            stack = list(firsts)
+            stack = [start]
             while stack:
-                node = stack.pop()
-                if node in seen:
-                    continue
-                seen.add(node)
-                stack.extend(adjacency.get(node, ()))
-            closure[start] = frozenset(seen)
-        return closure
+                for node in adjacency.get(stack.pop(), ()):
+                    if node not in seen:
+                        seen.add(node)
+                        stack.append(node)
+            for node in seen:
+                near[start].add(node)
+                near[node].add(start)
+        return {f: frozenset(fs) for f, fs in near.items()}
 
-    def reachable(self, src: str) -> frozenset[str]:
-        """Features that ``src`` affects, directly or through a chain."""
-        return self._reachable.get(src, frozenset())
-
-    def reaches(self, src: str, dst: str) -> bool:
-        return dst in self.reachable(src)
+    def related_to(self, feature: str) -> frozenset[str]:
+        """Features equal or dependent to one declared feature."""
+        near = self.related.get(feature)
+        if near is None:
+            raise UnknownFeatureError(f"unknown feature {feature!r}")
+        return near
 
 
 def dependent_features(f1: str, f2: str, graph: FeatureDependencyGraph) -> bool:
     """True when two distinct declared features interact, directly or
     through a chain of "affects" edges in either direction."""
-    for f in (f1, f2):
-        if f not in graph.nodes:
-            raise UnknownFeatureError(f"unknown feature {f!r}")
-    if f1 == f2:
-        return False
-    return graph.reaches(f1, f2) or graph.reaches(f2, f1)
+    near = graph.related_to(f1)
+    graph.related_to(f2)  # an undeclared feature raises
+    return f1 != f2 and f2 in near
 
 
 RelationKey = tuple[tuple[str, str], tuple[str, str]]
@@ -344,14 +341,17 @@ class DetectorConfig:
         return any(a in group and b in group
                    for group in self.similarity_classes)
 
-    def features_related(self, fs1: Iterable[str], fs2: Iterable[str]) -> bool:
+    def features_related(self, fs1: Collection[str],
+                         fs2: Collection[str]) -> bool:
         """Existential feature test: some feature of one action equals or
-        depends on some feature of the other."""
-        fs2 = tuple(fs2)
-        for f1 in fs1:
-            for f2 in fs2:
-                if f1 == f2 or dependent_features(f1, f2, self.dependency_graph):
-                    return True
+        depends on some feature of the other. Looks each feature up in the
+        graph's closure and builds no set."""
+        graph = self.dependency_graph
+        for f in fs1:
+            if not graph.related_to(f).isdisjoint(fs2):
+                return True
+        for f in fs2:
+            graph.related_to(f)  # an undeclared feature raises
         return False
 
     def tolerance_for(self, sensor_id: str) -> float:

@@ -11,6 +11,7 @@ registry, and violations name the offending id.
 parse(serialize(parse(text))) equals parse(text).
 """
 
+import math
 from dataclasses import dataclass
 
 import yaml
@@ -89,7 +90,13 @@ def _opt(mapping, key, default=None):
 def _as_number(value, path) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError("expected a number", path=path)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError("expected a finite number", path=path)
+    return number
 
 
 def _as_int(value, path) -> int:

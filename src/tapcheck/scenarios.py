@@ -160,22 +160,24 @@ def _override_house(house: HouseModel, overrides: dict) -> HouseModel:
     return replace(house, **house_kwargs)
 
 
-def run_scenario(scenario: Scenario, ruleset: RuleSet | None = None,
-                 cfg: DetectorConfig | None = None) -> TraceReport:
+def run_scenario(scenario: Scenario,
+                 bundle: Bundle | None = None) -> TraceReport:
     """Run a scenario to its horizon and report.
 
-    The ruleset and detector config default to the scenario's fixture. For
-    paired scenarios the baseline arm runs with the same seed and the extra
-    house overrides, and the report carries its actuation counts.
+    ``bundle`` defaults to the scenario's fixture; a caller running many
+    seeds loads it once (changing its config with ``dataclasses.replace``)
+    and passes it to each run. For paired scenarios the baseline arm runs
+    with the same seed and the extra house overrides, and the report
+    carries its actuation counts.
     """
-    bundle = load_bundle(scenario.ruleset)
-    ruleset = ruleset if ruleset is not None else bundle.ruleset
-    cfg = cfg if cfg is not None else bundle.config
+    if bundle is None:
+        bundle = load_bundle(scenario.ruleset)
     house = _override_house(bundle.house, scenario.house_overrides)
-    report = run_arm(scenario, ruleset, cfg, house)
+    report = run_arm(scenario, bundle.ruleset, bundle.config, house)
     if scenario.baseline_overrides is not None:
         baseline_house = _override_house(house, scenario.baseline_overrides)
-        baseline = run_arm(scenario, ruleset, cfg, baseline_house)
+        baseline = run_arm(scenario, bundle.ruleset, bundle.config,
+                           baseline_house)
         report.baseline_actuations = baseline.actuations
     return report
 

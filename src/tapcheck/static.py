@@ -27,7 +27,6 @@ from operator import attrgetter
 from typing import Iterator
 
 from .detector import ConflictKind
-from .errors import UnknownFeatureError
 from .model import (
     Cmp,
     DetectorConfig,
@@ -144,30 +143,21 @@ class _Analysis:
         self.day = ruleset.day_length
         registry = ruleset.registry
         graph = cfg.dependency_graph
-        # Pruning skips pairs whose relation and feature tests would have
-        # rejected an undeclared action or feature, so check each rule once.
+        # Pruning skips pairs whose tests would have rejected an undeclared
+        # action or feature, so each rule's action is checked here, and
+        # ``related_to`` checks its features while ``near`` is built.
         self.kinds = []
+        self.near = []  # per rule, the features equal or dependent to its own
         for rule in self.rules:
             kind = registry.actuator_kind(rule.action.actuator)
             cfg.action_relations.relation(kind, rule.action.action,
                                           kind, rule.action.action)
-            for f in rule.action.affected_features:
-                if f not in graph.nodes:
-                    raise UnknownFeatureError(f"unknown feature {f!r}")
             self.kinds.append(kind)
+            self.near.append(frozenset().union(
+                *map(graph.related_to, rule.action.affected_features)))
         self.scopes = [_scope(rule, ruleset) for rule in self.rules]
         self.scope_keys = [(r.trigger.sensor_kind, r.trigger.location_filter)
                            for r in self.rules]
-        # Features equal or dependent to a feature: the symmetric closure of
-        # reachability, as in ``features_related``.
-        related = {f: {f} for f in graph.nodes}
-        for f in graph.nodes:
-            for g in graph.reachable(f):
-                related[f].add(g)
-                related[g].add(f)
-        self.near = [frozenset().union(*(related[f] for f in
-                                         rule.action.affected_features))
-                     for rule in self.rules]
         self._sig_memo: dict[tuple, bool] = {}
         self._scope_memo: dict[tuple, bool] = {}
 

@@ -3,7 +3,8 @@ consistency."""
 
 import pytest
 
-from tapcheck.cli import main
+from tapcheck import scenarios
+from tapcheck.cli import CONFLICT_HEADER, main
 from tapcheck.scenarios import fixture_text
 
 CLEAN_DOC = """
@@ -73,6 +74,14 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_non_finite_threshold_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "nan.yaml"
+        bad.write_text(fixture_text("s5_alarm").replace(
+            "threshold: 1}", "threshold: .nan}"), encoding="utf-8")
+        assert main(["check", "--ruleset", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestMonitor:
     def test_empty_trace_summary_of_zeros(self, alarm_ruleset, tmp_path,
@@ -118,6 +127,19 @@ class TestMonitor:
         assert main(["monitor", "--ruleset", str(alarm_ruleset),
                      "--trace", str(trace)]) == 2
         assert "ghost" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_reading_exits_two(self, alarm_ruleset, tmp_path,
+                                          value, capsys):
+        trace = tmp_path / "bad.csv"
+        trace.write_text(
+            "tick,sensor,kind,predicate,value,location\n"
+            "5,smoke1,smoke,==,1,room1\n"
+            f"6,leak1,leak,==,{value},room1\n", encoding="utf-8")
+        assert main(["monitor", "--ruleset", str(alarm_ruleset),
+                     "--trace", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and err.count("\n") == 1
 
 
 class TestSimulate:
@@ -169,6 +191,21 @@ class TestSimulate:
         assert mean == pytest.approx(sum(per_seed) / len(per_seed))
         assert 6.0 <= mean <= 8.0
 
+    def test_fixture_loaded_once_for_all_seeds(self, tmp_path,
+                                               monkeypatch):
+        calls = []
+        load = scenarios.load_bundle
+
+        def counted(name):
+            calls.append(name)
+            return load(name)
+
+        monkeypatch.setattr(scenarios, "load_bundle", counted)
+        main(["simulate", "--scenario", "S5", "--seeds", "3",
+              "--out", str(tmp_path / "out")])
+        assert calls == ["s5_alarm"]
+        assert len(list((tmp_path / "out").glob("conflicts_*.csv"))) == 3
+
     def test_zero_seed_count_rejected(self, tmp_path, capsys):
         assert main(["simulate", "--scenario", "S1", "--seeds", "0",
                      "--out", str(tmp_path / "x")]) == 2
@@ -209,6 +246,18 @@ class TestReport:
 
     def test_empty_directory_exits_two(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("row", [
+        "5,C9,r1,r2,e1,e2,alarm1,no such policy",
+        "5,C1",
+    ])
+    def test_malformed_row_exits_two(self, row, tmp_path, capsys):
+        log = tmp_path / "conflicts_0.csv"
+        log.write_text(f"{CONFLICT_HEADER}\n{row}\n", encoding="utf-8")
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "conflicts_0.csv line 2" in err
 
 
 class TestOverrides:

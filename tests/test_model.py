@@ -78,10 +78,14 @@ class TestDependentFeatures:
         for _ in range(n):
             closure = closure | (closure @ closure)
         sym = closure | closure.T
+        cfg = DetectorConfig(dependency_graph=g,
+                             action_relations=ActionRelationTable({}))
         for _ in range(30):
             i, j = int(rng.integers(n)), int(rng.integers(n))
             expected = bool(sym[i, j]) and i != j
             assert dependent_features(nodes[i], nodes[j], g) == expected
+            assert cfg.features_related({nodes[i]}, {nodes[j]}) == (
+                expected or i == j)
 
 
 def sig(kind="temperature", pred=">", loc="room1"):

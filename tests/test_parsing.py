@@ -120,6 +120,23 @@ detector:
             parse_ruleset(doc)
 
     @pytest.mark.parametrize("needle,bogus", [
+        ("threshold: 65", "threshold: .nan"),
+        ("threshold: 65", "threshold: -.inf"),
+        ("threshold: 65", "threshold: 1" + "0" * 400),
+        ("location: room1}\n  actuators",
+         "location: room1, range: [0, .inf]}\n  actuators"),
+        ("location: room1}\n  actuators",
+         "location: room1, tolerance: .nan}\n  actuators"),
+    ])
+    def test_non_finite_number_rejected(self, needle, bogus):
+        # A NaN threshold compares false with every reading, so its rule
+        # could never fire; an infinite range or tolerance is no bound.
+        doc = MINIMAL.replace(needle, bogus)
+        assert doc != MINIMAL
+        with pytest.raises(ParseError, match="finite"):
+            parse_ruleset(doc)
+
+    @pytest.mark.parametrize("needle,bogus", [
         ("controller: ctrl\n", "controller: ghost\n"),
         ("actuator: th1", "actuator: ghost"),
         ("action: heat", "action: ghost"),
