@@ -29,7 +29,7 @@ from . import scenarios as scen
 from .detector import Conflict, ConflictKind, detect_at_tick, new_window
 from .errors import TapcheckError, TraceError
 from .model import Cmp, DetectorConfig, Event, EventSignature, RuleSet
-from .parsing import load_document
+from .parsing import load_document, read_text
 from .simulator import THERMO_NAME, TraceReport
 from .static import static_check
 
@@ -38,14 +38,6 @@ CONFLICT_HEADER = "tick,kind,rule_a,rule_b,event_a,event_b,actuator,note"
 
 _DEVICE_COLUMNS = ("occupancy", "thermostat", "setpoint", "humidifier",
                    "light", "blind", "window", "door", "alarm")
-
-
-def _load_doc_file(path: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise TapcheckError(f"cannot read {path}: {exc}") from exc
-    return load_document(text)
 
 
 def _apply_overrides(cfg: DetectorConfig, args) -> DetectorConfig:
@@ -153,7 +145,7 @@ def _print_summary(counts: dict[str, int]) -> None:
 
 
 def cmd_check(args) -> int:
-    doc = _load_doc_file(args.ruleset)
+    doc = load_document(read_text(args.ruleset))
     cfg = _apply_overrides(doc.config, args)
     findings = static_check(doc.ruleset, cfg)
     by_kind: dict[str, list] = {}
@@ -168,13 +160,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_monitor(args) -> int:
-    doc = _load_doc_file(args.ruleset)
+    doc = load_document(read_text(args.ruleset))
     cfg = _apply_overrides(doc.config, args)
-    try:
-        text = Path(args.trace).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise TapcheckError(f"cannot read {args.trace}: {exc}") from exc
-    events = parse_trace(text, doc.ruleset)
+    events = parse_trace(read_text(args.trace), doc.ruleset)
 
     window = new_window(cfg)
     conflicts: list[Conflict] = []
@@ -268,11 +256,11 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if Path(args.scenario).suffix in (".yaml", ".yml"):
-        scenario = scen.load_scenario_file(args.scenario)
+        scenario, bundle = scen.load_scenario_bundle(args.scenario)
     else:
         scenario = scen.build(args.scenario)
+        bundle = scen.load_bundle(scenario.ruleset)
     base_seed = args.seed if args.seed is not None else scenario.seed
-    bundle = scen.load_bundle(scenario.ruleset)
     bundle = replace(bundle, config=_apply_overrides(bundle.config, args))
 
     (out_dir / "ruleset.yaml").write_text(bundle.text, encoding="utf-8")
@@ -297,7 +285,7 @@ def cmd_report(args) -> int:
         raise TapcheckError(f"no conflicts_*.csv files in {out_dir}")
     counts = {k.value: 0 for k in ConflictKind}
     for log in logs:
-        lines = log.read_text(encoding="utf-8").splitlines()
+        lines = read_text(log).splitlines()
         if not lines or lines[0] != CONFLICT_HEADER:
             raise TapcheckError(f"{log} is not a conflict log")
         for lineno, row in enumerate(lines[1:], start=2):

@@ -247,69 +247,98 @@ def _ordered(a: TriggeredAction, b: TriggeredAction):
 
 
 def _pair_conflict(kind: ConflictKind, a: TriggeredAction,
-                   b: TriggeredAction, note: str) -> Conflict:
+                   b: TriggeredAction) -> Conflict:
+    """The conflict of one kind that two firings form, with its note."""
+    if kind is ConflictKind.C1:
+        note = (f"controllers {a.controller} and {b.controller} both drive "
+                f"{a.action.actuator}")
+    elif kind is ConflictKind.C2:
+        note = (f"{a.action.actuator} and {b.action.actuator} touch related "
+                f"features under controllers {a.controller} and "
+                f"{b.controller}")
+    elif kind is ConflictKind.C3 or kind is ConflictKind.C5:
+        how = "overlapping" if kind is ConflictKind.C3 else "disjoint"
+        note = (f"{how} events {a.event.id} and {b.event.id} command "
+                f"{a.action.actuator}: {a.action.action}/{b.action.action}")
+    else:
+        how = "overlapping" if kind is ConflictKind.C4 else "disjoint"
+        note = (f"{how} events push opposite actions "
+                f"{a.action.action}/{b.action.action} on related features")
     first, second = _ordered(a, b)
     return Conflict(kind=kind, tick=max(a.time, b.time),
                     participants=(first, second), note=note)
 
 
-def classify_pair(a: TriggeredAction, b: TriggeredAction,
-                  cfg: DetectorConfig) -> list[Conflict]:
-    """Every conflict among C1 to C6 that one pair of firings forms, each
-    policy stated once.
+def policy_kinds(same_actuator: bool, rival_controllers: bool,
+                 relation: Relation, related: bool, dt: int, overlap: bool,
+                 distinct_events: bool,
+                 cfg: DetectorConfig) -> list[ConflictKind]:
+    """The C1 to C6 policies, in kind order, that two firings of distinct
+    rules violate, decided from the facts of the pair.
 
-    C3/C5 and C4/C6 differ only in whether the events overlap. Only pairs
-    that share an actuator or push opposite actions on related features can
-    violate them, so only those pairs pay for the overlap test.
+    The tick gap is read only against the epsilon and the overlap window W,
+    so the answer is the same for every gap in 0, in 1..min(eps, W) and in
+    min+1..max(eps, W), and empty past max(eps, W). The detector asks about
+    one firing pair; the static analyzer asks about one shape at a time: a
+    gap range with similar or dissimilar events, or one reading shared by
+    both rules at tick 0.
     """
-    if a.rule == b.rule:
-        return []
-    dt = abs(a.time - b.time)
     simultaneous = dt <= cfg.same_tick_epsilon
-    rival_controllers = a.controller != b.controller
-    same_actuator = a.action.actuator == b.action.actuator
-    relation = cfg.action_relations.relation(
-        a.actuator_kind, a.action.action, b.actuator_kind, b.action.action)
-    related = (((simultaneous and rival_controllers and not same_actuator)
-                or relation is Relation.OPPOSITE)
-               and cfg.features_related(a.action.affected_features,
-                                        b.action.affected_features))
-    out = []
+    kinds = []
     if simultaneous and rival_controllers:
         if same_actuator:
-            out.append(_pair_conflict(
-                ConflictKind.C1, a, b,
-                f"controllers {a.controller} and {b.controller} both drive "
-                f"{a.action.actuator}"))
+            kinds.append(ConflictKind.C1)
         elif related:
-            out.append(_pair_conflict(
-                ConflictKind.C2, a, b,
-                f"{a.action.actuator} and {b.action.actuator} touch related "
-                f"features under controllers {a.controller} and {b.controller}"))
-
+            kinds.append(ConflictKind.C2)
     # Any non-identical command pair conflicts on a shared actuator; an
     # identical command conflicts only when staggered inside the overlap
     # window (the repeated-command case).
     stacked = same_actuator and (relation is not Relation.SAME
                                  or 0 < dt <= cfg.overlap_window)
     opposed = related and relation is Relation.OPPOSITE
-    if not (stacked or opposed):
-        return out
-    overlap = overlapping_events(a.event, b.event, cfg)
-    if not (overlap or (simultaneous and a.event.id != b.event.id)):
-        return out
-    how = "overlapping" if overlap else "disjoint"
-    if stacked:
-        out.append(_pair_conflict(
-            ConflictKind.C3 if overlap else ConflictKind.C5, a, b,
-            f"{how} events {a.event.id} and {b.event.id} command "
-            f"{a.action.actuator}: {a.action.action}/{b.action.action}"))
-    if opposed:
-        out.append(_pair_conflict(
-            ConflictKind.C4 if overlap else ConflictKind.C6, a, b,
-            f"{how} events push opposite actions "
-            f"{a.action.action}/{b.action.action} on related features"))
-    return out
+    if overlap or (simultaneous and distinct_events):
+        if stacked:
+            kinds.append(ConflictKind.C3 if overlap else ConflictKind.C5)
+        if opposed:
+            kinds.append(ConflictKind.C4 if overlap else ConflictKind.C6)
+    return kinds
+
+
+def classify_pair(a: TriggeredAction, b: TriggeredAction,
+                  cfg: DetectorConfig) -> list[Conflict]:
+    """Every conflict among C1 to C6 that one pair of firings forms, as
+    ``policy_kinds`` decides from the facts of the pair (its gap, overlap
+    and distinctness are one point of the static analyzer's gap shapes),
+    each with a note.
+
+    Only simultaneous firings under rival controllers on one actuator or on
+    related features can violate C1 or C2, and only stacked commands on a
+    shared actuator or opposite actions on related features can violate C3
+    to C6. Any other pair returns early, and only the latter pay for the
+    overlap test.
+    """
+    if a.rule == b.rule:
+        return []
+    dt = abs(a.time - b.time)
+    rival = a.controller != b.controller
+    clash = rival and dt <= cfg.same_tick_epsilon
+    same_actuator = a.action.actuator == b.action.actuator
+    relation = cfg.action_relations.relation(
+        a.actuator_kind, a.action.action, b.actuator_kind, b.action.action)
+    related = ((clash and not same_actuator or relation is Relation.OPPOSITE)
+               and cfg.features_related(a.action.affected_features,
+                                        b.action.affected_features))
+    stacked = same_actuator and (relation is not Relation.SAME
+                                 or 0 < dt <= cfg.overlap_window)
+    opposed = related and relation is Relation.OPPOSITE
+    if not (stacked or opposed or clash and (same_actuator or related)):
+        return []
+    overlap = (stacked or opposed) and overlapping_events(a.event, b.event,
+                                                          cfg)
+    return [_pair_conflict(kind, a, b)
+            for kind in policy_kinds(same_actuator, rival, relation, related,
+                                     dt, overlap, a.event.id != b.event.id,
+                                     cfg)]
 
 
 def check_pairs(window: DetectionWindow,

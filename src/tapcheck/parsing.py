@@ -13,6 +13,7 @@ parse(serialize(parse(text))) equals parse(text).
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import yaml
 
@@ -20,6 +21,7 @@ from .errors import (
     DuplicateIdError,
     ParseError,
     ReferentialIntegrityError,
+    TapcheckError,
 )
 from .model import (
     ActionRelationTable,
@@ -59,6 +61,14 @@ class Document:
     house: dict | None = None
     sources: list | None = None
     scenario: dict | None = None
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file, or a ``TapcheckError`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TapcheckError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_yaml(text: str):

@@ -26,8 +26,15 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ParseError, SimulationError, UnknownScenarioError
-from .model import Cmp, DetectorConfig, RuleSet
-from .parsing import Document, load_document
+from .model import DetectorConfig, RuleSet
+from .parsing import (
+    Document,
+    _as_int,
+    _as_number,
+    _parse_cmp,
+    load_document,
+    read_text,
+)
 from .simulator import (
     HouseModel,
     HouseParams,
@@ -39,11 +46,19 @@ from .simulator import (
 )
 
 _PARAM_FIELDS = {f for f in HouseParams.__dataclass_fields__}
-_ROOM_DEVICE_DEFAULTS = {
+_ROOM_DEFAULTS = {
+    "temperature": 70.0, "humidity": 50.0, "occupancy": False,
     "thermostat": "off", "setpoint": 70.0, "humidifier": False,
     "light": False, "blind": False, "window": False, "door": False,
     "alarm": False,
 }
+
+
+def _series(value, path):
+    """A number, or a per-tick list of numbers as a tuple."""
+    if isinstance(value, list):
+        return tuple(_as_number(v, path) for v in value)
+    return _as_number(value, path)
 
 
 def parse_house(raw: dict, registry) -> HouseModel:
@@ -62,17 +77,14 @@ def parse_house(raw: dict, registry) -> HouseModel:
         kwargs = {
             "name": name,
             "outdoor_exposed": bool(entry.get("exposed", True)),
-            "temperature": float(entry.get("temperature", 70.0)),
-            "humidity": float(entry.get("humidity", 50.0)),
-            "occupancy": bool(entry.get("occupancy", False)),
         }
-        for dev, default in _ROOM_DEVICE_DEFAULTS.items():
-            value = entry.get(dev, default)
+        for key, default in _ROOM_DEFAULTS.items():
+            value = entry.get(key, default)
             if isinstance(default, bool):
                 value = bool(value)
             elif isinstance(default, float):
-                value = float(value)
-            kwargs[dev] = value
+                value = _as_number(value, f"{p}.{key}")
+            kwargs[key] = value
         rooms.append(RoomState(**kwargs))
 
     params_raw = raw.get("params") or {}
@@ -80,7 +92,8 @@ def parse_house(raw: dict, registry) -> HouseModel:
     if unknown:
         raise ParseError(f"unknown house parameter(s): {sorted(unknown)}",
                          path="house.params")
-    params = HouseParams(**{k: float(v) for k, v in params_raw.items()})
+    params = HouseParams(**{k: _as_number(v, f"house.params.{k}")
+                            for k, v in params_raw.items()})
 
     adjacency = []
     for i, pair in enumerate(raw.get("adjacency") or []):
@@ -90,12 +103,10 @@ def parse_house(raw: dict, registry) -> HouseModel:
         adjacency.append((pair[0], pair[1]))
 
     outdoor = raw.get("outdoor") or {}
-    temperature = outdoor.get("temperature", 70.0)
-    daylight = outdoor.get("daylight", 300.0)
-    if isinstance(temperature, list):
-        temperature = tuple(float(v) for v in temperature)
-    if isinstance(daylight, list):
-        daylight = tuple(float(v) for v in daylight)
+    temperature = _series(outdoor.get("temperature", 70.0),
+                          "house.outdoor.temperature")
+    daylight = _series(outdoor.get("daylight", 300.0),
+                       "house.outdoor.daylight")
 
     momentary = frozenset(raw.get("momentary") or [])
     for actuator_id in momentary:
@@ -123,7 +134,7 @@ def fixture_text(name: str) -> str:
     """Raw YAML of a bundled fixture, or of a file path."""
     candidate = Path(name)
     if candidate.suffix in (".yaml", ".yml") and candidate.exists():
-        return candidate.read_text(encoding="utf-8")
+        return read_text(candidate)
     ref = resources.files("tapcheck.fixtures").joinpath(f"{name}.yaml")
     if not ref.is_file():
         raise UnknownScenarioError(
@@ -131,14 +142,18 @@ def fixture_text(name: str) -> str:
     return ref.read_text(encoding="utf-8")
 
 
+def _bundle(doc: Document, text: str) -> Bundle:
+    return Bundle(ruleset=doc.ruleset, config=doc.config,
+                  house=parse_house(doc.house, doc.ruleset.registry),
+                  text=text)
+
+
 def load_bundle(name: str) -> Bundle:
     text = fixture_text(name)
-    doc: Document = load_document(text)
+    doc = load_document(text)
     if doc.house is None:
         raise SimulationError(f"fixture {name!r} has no house section")
-    house = parse_house(doc.house, doc.ruleset.registry)
-    return Bundle(ruleset=doc.ruleset, config=doc.config, house=house,
-                  text=text)
+    return _bundle(doc, text)
 
 
 def _override_house(house: HouseModel, overrides: dict) -> HouseModel:
@@ -205,20 +220,30 @@ def parse_sources(raw: list, registry) -> tuple[SourceSpec, ...]:
                 f"source {kwargs['name']!r} uses undeclared sensor "
                 f"{kwargs['sensor']!r}", path=p)
         if "predicate" in kwargs:
-            kwargs["predicate"] = Cmp(kwargs["predicate"])
+            kwargs["predicate"] = _parse_cmp(kwargs["predicate"],
+                                             f"{p}.predicate")
         if "choices" in kwargs and kwargs["choices"] is not None:
-            kwargs["choices"] = tuple(float(v) for v in kwargs["choices"])
+            kwargs["choices"] = tuple(_as_number(v, p)
+                                      for v in kwargs["choices"])
         if "at" in kwargs:
-            kwargs["at"] = tuple((int(t), float(v)) for t, v in kwargs["at"])
+            kwargs["at"] = tuple((_as_int(t, p), _as_number(v, p))
+                                 for t, v in kwargs["at"])
         out.append(SourceSpec(**kwargs))
     return tuple(out)
 
 
 def load_scenario_file(path: str) -> Scenario:
-    """Load a user scenario: one document holding the ruleset, detector
-    config, house, event sources, and a ``scenario`` section with the run
-    metadata (id, horizon, and optional seed/detector/baseline)."""
-    doc = load_document(fixture_text(path))
+    """The scenario of ``load_scenario_bundle``."""
+    return load_scenario_bundle(path)[0]
+
+
+def load_scenario_bundle(path: str) -> tuple[Scenario, Bundle]:
+    """Load a user scenario and its bundle from one parse of one document
+    holding the ruleset, detector config, house, event sources, and a
+    ``scenario`` section with the run metadata (id, horizon, and optional
+    seed/detector/baseline)."""
+    text = fixture_text(path)
+    doc = load_document(text)
     if doc.scenario is None:
         raise SimulationError(f"{path} has no scenario section")
     if doc.house is None:
@@ -232,16 +257,17 @@ def load_scenario_file(path: str) -> Scenario:
     for key in ("id", "horizon"):
         if key not in meta:
             raise ParseError(f"scenario needs {key!r}", path="scenario")
-    return Scenario(
+    scenario = Scenario(
         id=str(meta["id"]),
         ruleset=path,
         sources=parse_sources(doc.sources, doc.ruleset.registry),
-        horizon=int(meta["horizon"]),
-        seed=int(meta.get("seed", 0)),
+        horizon=_as_int(meta["horizon"], "scenario.horizon"),
+        seed=_as_int(meta.get("seed", 0), "scenario.seed"),
         detector=str(meta.get("detector", "off")),
         baseline_overrides=meta.get("baseline_overrides"),
         description=str(meta.get("description", "")),
     )
+    return scenario, _bundle(doc, text)
 
 
 def with_probability(scenario: Scenario, source_name: str,

@@ -1,12 +1,14 @@
 """Static pairwise misconfiguration analysis of a ruleset.
 
 Without seeing a single event, ``static_check`` flags every pair of rules
-that could fire together in a way that violates one of the safety policies.
-A pair is reported when its triggers are co-satisfiable (some assignment of
-sensor readings and ticks fires both inside the policy's time constraints)
-and the pair of commands would then violate the policy. The analysis
-over-approximates the dynamic checks: the rule pair behind any dynamically
-detected C1 to C6 conflict always appears in the static output.
+that could fire together in a way that violates one of the safety policies:
+it tags the pair with the union of the detector's ``policy_kinds`` over
+every shape its triggers can realise, so it over-approximates the dynamic
+checks. The policies read a tick gap only against the epsilon and the
+overlap window W, so the breakpoints 0 | 1..min(eps, W) | min+1..max(eps, W)
+cut the gaps into ranges inside which every policy answers alike, and past
+max(eps, W) none fires. A shape is one such range with similar or
+dissimilar firing events, or one reading shared by both rules at tick 0.
 
 Co-satisfiability facts used throughout:
 
@@ -26,12 +28,11 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterator
 
-from .detector import ConflictKind
+from .detector import ConflictKind, policy_kinds
 from .model import (
     Cmp,
     DetectorConfig,
     EventSignature,
-    Relation,
     Rule,
     RuleSet,
     Sensor,
@@ -128,14 +129,15 @@ def _sig_choice_exists(s1: Sensor, s2: Sensor, want_similar: bool,
 
 
 # Signature requirement on the firing event pair: no constraint, must be
-# similar, or must be dissimilar.
+# similar, or must be dissimilar; or one reading that fires both rules.
 _ANY, _SIMILAR, _DISSIMILAR = "any", "similar", "dissimilar"
+_SHARED = "shared"
 
 
 class _Analysis:
     """State of one ``static_check`` call: each rule's scope, actuator kind
-    and related features, and the memo of signature choices. The call drops
-    it on return, so nothing grows across calls."""
+    and related features, and the memos. The call drops it on return, so
+    nothing grows across calls."""
 
     def __init__(self, ruleset: RuleSet, cfg: DetectorConfig):
         self.rules = ruleset.rules
@@ -160,6 +162,11 @@ class _Analysis:
                            for r in self.rules]
         self._sig_memo: dict[tuple, bool] = {}
         self._scope_memo: dict[tuple, bool] = {}
+        self._shape_memo: dict[tuple, list] = {}
+        # The tick-gap ranges inside which every policy answers alike.
+        lo, hi = sorted((cfg.same_tick_epsilon, cfg.overlap_window))
+        self.gaps = [g for g in ((0, 0), (1, lo), (lo + 1, hi))
+                     if g[0] <= g[1]]
 
     def candidate_pairs(self) -> Iterator[tuple[int, int]]:
         """Index pairs i < j, in declaration order, of rules that share an
@@ -206,112 +213,75 @@ class _Analysis:
                 if not (distinct and a.id == b.id))
         return ok
 
+    def shapes(self, facts: tuple) -> list[tuple[tuple, frozenset]]:
+        """(shape, kinds) for each shape in which a pair with these facts
+        violates some policy, memoised per fact tuple. A range whose similar
+        and dissimilar events violate the same kinds is one shape, ``_ANY``."""
+        shapes = self._shape_memo.get(facts)
+        if shapes is None:
+            def kinds(dt, overlap, distinct_events):
+                return frozenset(policy_kinds(*facts, dt, overlap,
+                                              distinct_events, self.cfg))
 
-class _PairAnalysis:
-    """Co-satisfiability queries for one rule pair."""
+            shapes = []
+            for dmin, dmax in self.gaps:
+                similar = kinds(dmin, dmin <= self.cfg.overlap_window, True)
+                dissimilar = kinds(dmin, False, True)
+                if similar == dissimilar:
+                    shapes.append(((dmin, dmax, _ANY), similar))
+                else:
+                    shapes.append(((dmin, dmax, _SIMILAR), similar))
+                    shapes.append(((dmin, dmax, _DISSIMILAR), dissimilar))
+            shapes.append(((0, 0, _SHARED), kinds(0, False, False)))
+            shapes = self._shape_memo[facts] = [(shape, k)
+                                                for shape, k in shapes if k]
+        return shapes
 
-    def __init__(self, analysis: _Analysis, i: int, j: int):
-        self.analysis, self.i, self.j = analysis, i, j
-        self.r1, self.r2 = analysis.rules[i], analysis.rules[j]
-        self.day = analysis.day
-        self.eps = analysis.cfg.same_tick_epsilon
-        self.win = analysis.cfg.overlap_window
-
-    def same_tick(self, mode: str, distinct_events: bool) -> bool:
-        """Both rules fire at one tick. Distinct events need two sensors;
-        a lone shared sensor yields one event, which must satisfy both
-        triggers at once."""
-        if not gap_achievable(self.r1, self.r2, 0, 0, self.day):
+    def realisable(self, i: int, j: int, shape: tuple) -> bool:
+        """Can the two rules fire in this shape? Distinct events at one tick
+        need two sensors, and one shared reading must satisfy both
+        triggers; staggered events may come from one sensor."""
+        dmin, dmax, mode = shape
+        r1, r2 = self.rules[i], self.rules[j]
+        if not gap_achievable(r1, r2, dmin, dmax, self.day):
             return False
-        if self.analysis.scopes_meet(self.i, self.j, mode, distinct=True):
-            return True
-        if distinct_events or mode != _ANY:
-            return False
-        s1, s2 = self.analysis.scopes[self.i], self.analysis.scopes[self.j]
-        return (any(a.id == b.id for a in s1 for b in s2)
-                and _intervals_intersect(self.r1, self.r2))
+        if mode == _SHARED:
+            return (any(a.id == b.id for a in self.scopes[i]
+                        for b in self.scopes[j])
+                    and _intervals_intersect(r1, r2))
+        return self.scopes_meet(i, j, mode, distinct=dmin == 0)
 
-    def staggered(self, dmin: int, dmax: int, mode: str) -> bool:
-        """Both rules fire at ticks a nonzero gap apart: readings are
-        independent and the events are always distinct."""
-        dmin = max(dmin, 1)
-        return (dmax >= dmin
-                and gap_achievable(self.r1, self.r2, dmin, dmax, self.day)
-                and self.analysis.scopes_meet(self.i, self.j, mode,
-                                              distinct=False))
-
-    def simultaneous(self) -> bool:
-        return (self.same_tick(_ANY, distinct_events=False)
-                or self.staggered(1, self.eps, _ANY))
-
-    def overlap(self, repeat: bool) -> bool:
-        """Overlapping events can fire both rules. An identical command
-        stacks only when staggered (the repeated-command case)."""
-        if repeat:
-            return self.staggered(1, self.win, _SIMILAR)
-        return (self.same_tick(_SIMILAR, distinct_events=True)
-                or self.staggered(1, self.win, _SIMILAR))
-
-    def disjoint(self, repeat: bool) -> bool:
-        """Disjoint events can fire both rules: dissimilar within epsilon,
-        or similar but beyond the overlap window when epsilon reaches past
-        it. An identical command again needs a stagger."""
-        if repeat:
-            return self.staggered(1, min(self.eps, self.win), _DISSIMILAR)
-        return (self.same_tick(_DISSIMILAR, distinct_events=True)
-                or self.staggered(1, self.eps, _DISSIMILAR)
-                or self.staggered(self.win + 1, self.eps, _SIMILAR))
+    def pair_kinds(self, i: int, j: int) -> set[ConflictKind]:
+        """The policies one candidate pair would violate: the union of
+        ``policy_kinds`` over every shape the pair can realise. A shape is
+        tested only when it would add a kind."""
+        r1, r2 = self.rules[i], self.rules[j]
+        relation = self.cfg.action_relations.relation(
+            self.kinds[i], r1.action.action, self.kinds[j], r2.action.action)
+        facts = (r1.action.actuator == r2.action.actuator,
+                 r1.controller != r2.controller, relation,
+                 not self.near[i].isdisjoint(r2.action.affected_features))
+        found: set[ConflictKind] = set()
+        for shape, kinds in self.shapes(facts):
+            if not kinds <= found and self.realisable(i, j, shape):
+                found |= kinds
+        return found
 
 
-def _pair_tags(analysis: _Analysis, i: int,
-               j: int) -> list[tuple[ConflictKind, str]]:
-    """The policies one candidate pair would violate. Each query runs only
-    when a tag that reads it can still fire, and at most once."""
-    r1, r2 = analysis.rules[i], analysis.rules[j]
-    pa = _PairAnalysis(analysis, i, j)
-
-    same_actuator = r1.action.actuator == r2.action.actuator
-    diff_controller = r1.controller != r2.controller
-    related = not analysis.near[i].isdisjoint(r2.action.affected_features)
-    relation = analysis.cfg.action_relations.relation(
-        analysis.kinds[i], r1.action.action,
-        analysis.kinds[j], r2.action.action)
-    opposed = relation is Relation.OPPOSITE and related
-
-    tags: list[tuple[ConflictKind, str]] = []
-    if diff_controller and (same_actuator or related) and pa.simultaneous():
-        if same_actuator:
-            tags.append((ConflictKind.C1,
-                         f"controllers {r1.controller} and {r2.controller} "
-                         f"can drive {r1.action.actuator} at the same time"))
-        else:
-            tags.append((ConflictKind.C2,
-                         f"{r1.action.actuator} and {r2.action.actuator} can "
-                         "touch related features at the same time"))
-    if not (same_actuator or opposed):
-        return tags
-    repeat = relation is Relation.SAME
-    if pa.overlap(repeat):
-        if same_actuator:
-            tags.append((ConflictKind.C3,
-                         f"overlapping events can stack "
-                         f"{r1.action.action}/{r2.action.action} on "
-                         f"{r1.action.actuator}"))
-        if opposed:
-            tags.append((ConflictKind.C4,
-                         "overlapping events can push opposite actions on "
-                         "related features"))
-    if pa.disjoint(repeat):
-        if same_actuator:
-            tags.append((ConflictKind.C5,
-                         f"disjoint events can stack "
-                         f"{r1.action.action}/{r2.action.action} on "
-                         f"{r1.action.actuator}"))
-        if opposed:
-            tags.append((ConflictKind.C6,
-                         "disjoint events can push opposite actions on "
-                         "related features"))
-    return tags
+def _note(kind: ConflictKind, r1: Rule, r2: Rule) -> str:
+    if kind is ConflictKind.C1:
+        return (f"controllers {r1.controller} and {r2.controller} "
+                f"can drive {r1.action.actuator} at the same time")
+    if kind is ConflictKind.C2:
+        return (f"{r1.action.actuator} and {r2.action.actuator} can "
+                "touch related features at the same time")
+    how = ("overlapping" if kind in (ConflictKind.C3, ConflictKind.C4)
+           else "disjoint")
+    if kind in (ConflictKind.C3, ConflictKind.C5):
+        return (f"{how} events can stack "
+                f"{r1.action.action}/{r2.action.action} on "
+                f"{r1.action.actuator}")
+    return f"{how} events can push opposite actions on related features"
 
 
 def static_check(ruleset: RuleSet, cfg: DetectorConfig) -> list[PotentialConflict]:
@@ -321,10 +291,11 @@ def static_check(ruleset: RuleSet, cfg: DetectorConfig) -> list[PotentialConflic
     analysis = _Analysis(ruleset, cfg)
     out: list[PotentialConflict] = []
     for i, j in analysis.candidate_pairs():
-        a, b = sorted((ruleset.rules[i].id, ruleset.rules[j].id))
-        for kind, note in _pair_tags(analysis, i, j):
+        r1, r2 = ruleset.rules[i], ruleset.rules[j]
+        a, b = sorted((r1.id, r2.id))
+        for kind in analysis.pair_kinds(i, j):
             out.append(PotentialConflict(kind=kind, rule_a=a, rule_b=b,
-                                         note=note))
+                                         note=_note(kind, r1, r2)))
     # The dataclass order, compared as plain tuples.
     out.sort(key=attrgetter("kind", "rule_a", "rule_b"))
     return out

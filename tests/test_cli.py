@@ -74,6 +74,13 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "latin.yaml"
+        bad.write_bytes(b"\xff" + CLEAN_DOC.encode("utf-8"))
+        assert main(["check", "--ruleset", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
+
     def test_non_finite_threshold_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "nan.yaml"
         bad.write_text(fixture_text("s5_alarm").replace(
@@ -259,6 +266,15 @@ class TestReport:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "conflicts_0.csv line 2" in err
 
+    def test_non_utf8_row_exits_two(self, tmp_path, capsys):
+        log = tmp_path / "conflicts_0.csv"
+        log.write_bytes(f"{CONFLICT_HEADER}\n".encode("utf-8")
+                        + b"5,C1,r1,r2,e1,e2,alarm1,\xff\n")
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
+        assert "conflicts_0.csv" in err
+
 
 class TestOverrides:
     def test_dup_window_override_changes_monitor(self, tmp_path, capsys):
@@ -336,6 +352,37 @@ class TestUserScenarioFiles:
         assert scenario.horizon == 200
         report = run_scenario(scenario)
         assert report.conflict_counts["C2"] > 0
+
+    def test_scenario_file_parsed_once_for_all_seeds(self, tmp_path,
+                                                     monkeypatch):
+        doc = tmp_path / "race.yaml"
+        doc.write_text(USER_SCENARIO, encoding="utf-8")
+        calls = []
+        load = scenarios.load_document
+
+        def counted(text):
+            calls.append(text)
+            return load(text)
+
+        monkeypatch.setattr(scenarios, "load_document", counted)
+        main(["simulate", "--scenario", str(doc), "--seeds", "3",
+              "--out", str(tmp_path / "out")])
+        assert len(calls) == 1
+        assert len(list((tmp_path / "out").glob("conflicts_*.csv"))) == 3
+
+    @pytest.mark.parametrize("old,new", [
+        ("temperature: 70,", "temperature: abc,"),
+        ("horizon: 200", "horizon: abc"),
+        ("sensor: tap1, p: 0.2}", "sensor: tap1, p: 0.2, predicate: '!='}"),
+    ], ids=["room_temperature", "horizon", "source_predicate"])
+    def test_bad_scenario_value_exits_two(self, old, new, tmp_path, capsys):
+        doc = tmp_path / "bad.yaml"
+        assert old in USER_SCENARIO
+        doc.write_text(USER_SCENARIO.replace(old, new), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(doc),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_scenario_file_without_meta_rejected(self, tmp_path):
         from tapcheck.errors import SimulationError

@@ -1,5 +1,7 @@
 """Static misconfiguration analysis and its brute-force twin."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,30 @@ class TestStaticExamples:
         assert ("C1", "r_a", "r_b") in found
 
 
+class TestSimilarEventsPastWindow:
+    def test_one_similar_sensor_stacks_overlapping_and_disjoint(self):
+        # Every reading of t1 is similar to every other, so the events of a
+        # staggered pair overlap within W = 2 ticks and are disjoint at gaps
+        # 3..4, inside epsilon = 4. One sensor gives no two events at one
+        # tick, and one controller rules out C1.
+        rs, cfg = build_home(
+            sensors=[("t1", "temperature", "F", "room1")],
+            actuators=[("a1", "alarm", "room1", ("sound", "flash"))],
+            controllers=["x"],
+            features=["alert@room1"],
+            classes=[[("temperature", c, "room1") for c in (">", "<", "==")]],
+            overlap_window=2, epsilon=4,
+            rules=[("r_sound", "x", ("temperature", ">", 50),
+                    ("a1", "sound", ["alert@room1"])),
+                   ("r_flash", "x", ("temperature", ">", 50),
+                    ("a1", "flash", ["alert@room1"]))])
+        found = tags(static_check(rs, cfg))
+        assert found == {("C3", "r_flash", "r_sound"),
+                         ("C5", "r_flash", "r_sound")}
+        assert found == {(p.kind.value, p.rule_a, p.rule_b)
+                         for p in oracle_static(rs, cfg)}
+
+
 class TestCandidatePruning:
     @pytest.mark.parametrize("relation,kinds", [
         ("opposite", {"C2", "C4", "C6"}),
@@ -199,10 +225,19 @@ class TestScheduleGaps:
 
 
 class TestAgainstBruteForce:
-    @pytest.mark.parametrize("seed", range(60))
-    def test_matches_sampling_oracle(self, seed):
+    # random_ruleset rarely draws an epsilon past the overlap window, so
+    # the second set of seeds forces one.
+    @pytest.mark.parametrize(
+        "seed,eps_past_window",
+        [(s, False) for s in range(60)] + [(s, True) for s in range(30)],
+        ids=[str(s) for s in range(60)]
+        + [f"eps_past_window-{s}" for s in range(30)])
+    def test_matches_sampling_oracle(self, seed, eps_past_window):
         rng = np.random.default_rng(40_000 + seed)
         rs, cfg = random_ruleset(rng, max_rules=8)
+        if eps_past_window:
+            cfg = replace(cfg, same_tick_epsilon=cfg.overlap_window
+                          + 1 + seed % 3)
         got = tags(static_check(rs, cfg))
         want = {(p.kind.value, p.rule_a, p.rule_b)
                 for p in oracle_static(rs, cfg)}
