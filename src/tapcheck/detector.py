@@ -23,6 +23,17 @@ exhaustive for the tick. Each violating pair is reported exactly once over
 the lifetime of a stream: checks only consider pairs that include at least
 one item inserted by the current call.
 
+Matching reads the ruleset's trigger index: per sensor kind and
+comparator, thresholds sorted for bisection, then the location and
+schedule filters. The window files each firing under its actuator and
+under its action class (actuator kind plus action name), and the
+action-relation table lists each class's opposite classes. A fresh firing
+pairs with every firing within the epsilon; past it, up to the larger of
+the epsilon and the overlap window, only with firings on its actuator or
+of an opposite class on another actuator. C1, C2, C5 and C6 need a gap
+within the epsilon, and C3 and C4 need stacked commands on one actuator
+or opposite actions, so no other pair can violate a policy.
+
 Policies C1 to C6 relate firings of two distinct rules. A single rule fired
 twice by duplicate readings is the duplicate-event case and is covered by
 C7 alone.
@@ -105,16 +116,33 @@ class Conflict:
 
 
 def match_rules(event: Event, ruleset: RuleSet) -> list[TriggeredAction]:
-    """All rule firings for one event, in ruleset declaration order."""
+    """All rule firings for one event, in ruleset declaration order (the
+    order ``simulator.step`` applies them in), read from the ruleset's
+    trigger index."""
     kind = event.signature.sensor_kind
     if kind not in ruleset.registry.sensor_kinds:
         raise UnknownSensorKindError(
             f"event {event.id!r} has undeclared sensor kind {kind!r}")
-    out = []
-    for rule in ruleset.rules_by_kind.get(kind, ()):
-        if rule.trigger.matches(event, ruleset.day_length):
-            out.append(_fire(rule, event, ruleset))
-    return out
+    # Bisecting each comparator's thresholds leaves the triggers that hold
+    # on the value; the location and schedule filters finish the test of
+    # ``TriggerCondition.matches``.
+    location, day = event.signature.location, ruleset.day_length
+    rules = ruleset.rules
+    hits = []
+    for holding_range, thresholds, indexes in ruleset.trigger_index.get(
+            kind, ()):
+        lo, hi = holding_range(thresholds, event.value)
+        for i in indexes[lo:hi]:
+            trigger = rules[i].trigger
+            if ((trigger.location_filter is None
+                 or trigger.location_filter == location)
+                    and (trigger.schedule is None
+                         or trigger.active_at(event.time, day))):
+                hits.append(i)
+    if not hits:
+        return []
+    hits.sort()
+    return [_fire(rules[i], event, ruleset) for i in hits]
 
 
 def _fire(rule: Rule, event: Event, ruleset: RuleSet) -> TriggeredAction:
@@ -131,14 +159,35 @@ def _fire(rule: Rule, event: Event, ruleset: RuleSet) -> TriggeredAction:
 _time = attrgetter("time")
 
 
+def _between(actions: list[TriggeredAction] | None, start: Tick,
+             stop: Tick) -> list[TriggeredAction]:
+    """The actions of a tick-ordered list with start <= time < stop."""
+    if not actions or actions[0].time >= stop:
+        return []
+    return actions[bisect_left(actions, start, key=_time):
+                   bisect_left(actions, stop, key=_time)]
+
+
+def _drop_head(index: dict, name) -> None:
+    """Drop the oldest action of one bucket, and the bucket once empty."""
+    bucket = index[name]
+    del bucket[0]
+    if not bucket:
+        del index[name]
+
+
 class DetectionWindow:
     """Sliding record of the recent triggered actions and raw events.
 
     Entries older than the config horizon (the farthest back any check
     looks) relative to the current tick are dropped as each tick begins.
-    The window tracks which items arrived in the current call so a
-    violating pair is reported exactly once. Single writer; call
-    ``detect_at_tick`` serially per stream.
+    Each action is listed in tick order three times: with all actions,
+    under its actuator, and under its action class (actuator kind plus
+    action name), so ``candidate_pairs`` reaches the actions past the
+    epsilon that can still conflict without visiting the rest. The window
+    tracks which items arrived in the current call so a violating pair is
+    reported exactly once. Single writer; call ``detect_at_tick`` serially
+    per stream.
     """
 
     def __init__(self, horizon: int):
@@ -147,6 +196,8 @@ class DetectionWindow:
         self.horizon = horizon
         self.last_tick: Tick | None = None
         self._actions: list[TriggeredAction] = []  # in tick order
+        self._by_actuator = defaultdict(list)  # actuator -> actions
+        self._by_class = defaultdict(list)  # (kind, action) -> actions
         # Each event is kept once, in its sensor's deque, and its id once.
         self._event_times: dict[str, Tick] = {}  # id -> tick, in tick order
         self._events_by_sensor = defaultdict(deque)
@@ -183,6 +234,11 @@ class DetectionWindow:
 
     def commit_tick(self) -> None:
         """Absorb the staged arrivals into the window."""
+        by_actuator, by_class = self._by_actuator, self._by_class
+        for action in self._fresh_actions:
+            by_actuator[action.action.actuator].append(action)
+            by_class[action.actuator_kind, action.action.action].append(
+                action)
         self._actions.extend(self._fresh_actions)
         for event in self._fresh_events:
             self._event_times[event.id] = event.time
@@ -192,16 +248,23 @@ class DetectionWindow:
 
     def seed(self, events: list[Event], actions: list[TriggeredAction],
              tick: Tick | None = None) -> None:
-        """Load a window with everything fresh, so a check function sees all
-        unordered pairs. Intended for direct use of ``check_pairs`` and
-        ``check_c7``."""
+        """Load a window with everything fresh, so a check function sees
+        every unordered pair it could flag. Intended for direct use of
+        ``check_pairs`` and ``check_c7``."""
         t = tick if tick is not None else max(
             [a.time for a in actions] + [e.time for e in events], default=0)
         self.begin_tick(t, events, actions)
 
     def _evict(self, now: Tick) -> None:
         cutoff = now - self.horizon
-        del self._actions[:bisect_left(self._actions, cutoff, key=_time)]
+        expired = bisect_left(self._actions, cutoff, key=_time)
+        # Buckets keep the order of ``_actions``, so each expired action,
+        # taken oldest first, is at the head of its two buckets.
+        for action in self._actions[:expired]:
+            _drop_head(self._by_actuator, action.action.actuator)
+            _drop_head(self._by_class,
+                       (action.actuator_kind, action.action.action))
+        del self._actions[:expired]
         # Ticks only grow, so the first id in ``_event_times`` is the
         # oldest event and each sensor's deque is sorted by time.
         times = self._event_times
@@ -213,16 +276,35 @@ class DetectionWindow:
             if not events:
                 del self._events_by_sensor[sensor]
 
-    def action_pairs(self, max_dt: int) -> Iterator[tuple]:
-        """Unordered action pairs with at least one fresh member and a time
-        gap of at most ``max_dt``. Pairs outside the gap cannot satisfy the
-        caller's policy, so skipping them does not change results."""
-        fresh = self._fresh_actions
-        older = self._actions
+    def candidate_pairs(self, cfg: DetectorConfig) -> Iterator[tuple]:
+        """Unordered action pairs with at least one fresh member that some
+        pair policy can flag, each once, as (older, fresh) or as two fresh
+        actions in arrival order.
+
+        Within ``same_tick_epsilon`` of a fresh action every action pairs
+        with it. Past the epsilon, up to max(epsilon, overlap window), only
+        actions on its actuator (C3, C5) and actions of an opposite class
+        on another actuator (C4, C6) do: C1, C2, C5 and C6 need a gap
+        within the epsilon, and C3 and C4 need stacked commands on one
+        actuator or opposite actions. Farther pairs violate nothing."""
+        eps = cfg.same_tick_epsilon
+        reach = max(eps, cfg.overlap_window)
+        opposites = cfg.action_relations.opposites
+        fresh, older = self._fresh_actions, self._actions
         for i, a in enumerate(fresh):
-            start = bisect_left(older, a.time - max_dt, key=_time)
-            for j in range(start, len(older)):
+            near = a.time - eps
+            for j in range(bisect_left(older, near, key=_time), len(older)):
                 yield older[j], a
+            if reach > eps:
+                far = a.time - reach
+                actuator = a.action.actuator
+                for b in _between(self._by_actuator.get(actuator), far, near):
+                    yield b, a
+                for cls in opposites.get((a.actuator_kind, a.action.action),
+                                         ()):
+                    for b in _between(self._by_class.get(cls), far, near):
+                        if b.action.actuator != actuator:
+                            yield b, a
             for j in range(i + 1, len(fresh)):
                 yield a, fresh[j]
 
@@ -326,8 +408,8 @@ def classify_pair(a: TriggeredAction, b: TriggeredAction,
     relation = cfg.action_relations.relation(
         a.actuator_kind, a.action.action, b.actuator_kind, b.action.action)
     related = ((clash and not same_actuator or relation is Relation.OPPOSITE)
-               and cfg.features_related(a.action.affected_features,
-                                        b.action.affected_features))
+               and cfg.dependency_graph.any_related(
+                   a.action.affected_features, b.action.affected_features))
     stacked = same_actuator and (relation is not Relation.SAME
                                  or 0 < dt <= cfg.overlap_window)
     opposed = related and relation is Relation.OPPOSITE
@@ -343,12 +425,9 @@ def classify_pair(a: TriggeredAction, b: TriggeredAction,
 
 def check_pairs(window: DetectionWindow,
                 cfg: DetectorConfig) -> list[Conflict]:
-    """Policies C1 to C6 over the window's candidate pairs, in one pass.
-    No pair policy looks farther apart than the larger of the epsilon and
-    the overlap window."""
+    """Policies C1 to C6 over the window's candidate pairs, in one pass."""
     out = []
-    for a, b in window.action_pairs(max(cfg.same_tick_epsilon,
-                                        cfg.overlap_window)):
+    for a, b in window.candidate_pairs(cfg):
         out.extend(classify_pair(a, b, cfg))
     return out
 
@@ -359,10 +438,12 @@ def check_c7(window: DetectionWindow, cfg: DetectorConfig) -> list[Conflict]:
     out = []
     for earlier, later in window.event_pairs_same_sensor(cfg.duplicate_window):
         gap = later.time - earlier.time
+        # The value test is cheaper than comparing signatures, and on a
+        # chatty sensor most pairs fail it.
         if (0 < gap <= cfg.duplicate_window
-                and earlier.signature == later.signature
                 and abs(earlier.value - later.value)
-                <= cfg.tolerance_for(earlier.sensor)):
+                <= cfg.tolerance_for(earlier.sensor)
+                and earlier.signature == later.signature):
             out.append(Conflict(
                 kind=ConflictKind.C7,
                 tick=later.time,

@@ -4,16 +4,19 @@ Defines the vocabulary shared by the conflict checks, the static ruleset
 analyzer, and the house simulator: sensor events, trigger-action rules, the
 feature-dependency graph, the action-relation table, and the detector tuning
 knobs. Every type here is immutable after construction, so instances can be
-shared across threads without coordination.
+shared across threads without coordination. Facts derived from a frozen
+object (the trigger index, the action-class table, each feature closure)
+are cached on it at first use and never change afterwards.
 
 Time is a non-negative integer tick. Within one event stream ticks never
 decrease, and a single sensor emits at most one event per tick.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Collection
+from typing import Callable, Collection, Sequence
 
 from .errors import (
     InvalidConfigError,
@@ -39,6 +42,29 @@ class Cmp(str, Enum):
         if self is Cmp.LT:
             return value < threshold
         return value == threshold
+
+
+# For each comparator, the slice [lo, hi) of ascending thresholds at which
+# ``holds(value, threshold)``: a prefix for ``>``, a suffix for ``<``, the
+# run of equal thresholds for ``==``; empty for NaN. Plain functions, so the
+# matching loop makes no enum lookups.
+def _below_value(thresholds: Sequence[float], value: float) -> tuple:
+    return 0, bisect_left(thresholds, value)
+
+
+def _above_value(thresholds: Sequence[float], value: float) -> tuple:
+    return bisect_right(thresholds, value), len(thresholds)
+
+
+def _equal_to_value(thresholds: Sequence[float], value: float) -> tuple:
+    lo = bisect_left(thresholds, value)
+    if lo < len(thresholds) and thresholds[lo] == value:
+        return lo, bisect_right(thresholds, value)
+    return lo, lo
+
+
+_HOLDING_RANGE = {Cmp.GT: _below_value, Cmp.LT: _above_value,
+                  Cmp.EQ: _equal_to_value}
 
 
 class Relation(str, Enum):
@@ -189,12 +215,27 @@ class RuleSet:
     day_length: int = DEFAULT_DAY_LENGTH
 
     @cached_property
-    def rules_by_kind(self) -> dict[str, tuple[Rule, ...]]:
-        """Rules bucketed by trigger sensor kind, declaration order kept."""
-        out: dict[str, list[Rule]] = {}
-        for rule in self.rules:
-            out.setdefault(rule.trigger.sensor_kind, []).append(rule)
-        return {k: tuple(v) for k, v in out.items()}
+    def trigger_index(self) -> dict[str, tuple[tuple[
+            Callable, list[float], list[int]], ...]]:
+        """Triggers indexed for matching: per sensor kind, one entry per
+        comparator in use, holding the function that maps a value to the
+        slice of thresholds its comparator holds on, the thresholds in
+        ascending order and, at the same positions, the declaration
+        indexes of their rules."""
+        groups: dict[str, dict[Cmp, list[tuple[float, int]]]] = {}
+        for i, rule in enumerate(self.rules):
+            trigger = rule.trigger
+            groups.setdefault(trigger.sensor_kind, {}).setdefault(
+                trigger.comparator, []).append((trigger.threshold, i))
+        index = {}
+        for kind, by_cmp in groups.items():
+            entries = []
+            for cmp, found in by_cmp.items():
+                found.sort()
+                entries.append((_HOLDING_RANGE[cmp], [t for t, _ in found],
+                                [i for _, i in found]))
+            index[kind] = tuple(entries)
+        return index
 
 
 @dataclass(frozen=True)
@@ -247,6 +288,28 @@ class FeatureDependencyGraph:
             raise UnknownFeatureError(f"unknown feature {feature!r}")
         return near
 
+    @cached_property
+    def _related_to_any(self) -> dict[frozenset[str], frozenset[str]]:
+        return {}
+
+    def related_to_any(self, features: frozenset[str]) -> frozenset[str]:
+        """Features equal or dependent to some feature of ``features``,
+        such as an action's affected features. Each distinct set is
+        computed once per graph; an undeclared feature raises."""
+        near = self._related_to_any.get(features)
+        if near is None:
+            near = frozenset().union(*map(self.related_to, features))
+            self._related_to_any[features] = near
+        return near
+
+    def any_related(self, fs1: frozenset[str], fs2: frozenset[str]) -> bool:
+        """Some feature of one set equals or depends on some feature of
+        the other. An undeclared feature in either set raises."""
+        if not self.related_to_any(fs1).isdisjoint(fs2):
+            return True
+        self.related_to_any(fs2)  # an undeclared feature raises
+        return False
+
 
 def dependent_features(f1: str, f2: str, graph: FeatureDependencyGraph) -> bool:
     """True when two distinct declared features interact, directly or
@@ -256,7 +319,8 @@ def dependent_features(f1: str, f2: str, graph: FeatureDependencyGraph) -> bool:
     return f1 != f2 and f2 in near
 
 
-RelationKey = tuple[tuple[str, str], tuple[str, str]]
+ActionClass = tuple[str, str]  # (actuator kind, action name)
+RelationKey = tuple[ActionClass, ActionClass]
 
 
 @dataclass(frozen=True)
@@ -271,6 +335,10 @@ class ActionRelationTable:
     An identical (kind, name) always maps to ``same``; any undeclared pair
     defaults to ``different``, which keeps lookups total over the vocabulary
     without forcing configs to spell out every combination.
+
+    A (kind, name) pair is an action class. ``classes`` compiles the
+    vocabulary and entries once into a row per class, and ``relation``
+    reads it; ``opposites`` lists each class's opposite classes.
     """
 
     vocabulary: dict[str, frozenset[str]]
@@ -281,17 +349,36 @@ class ActionRelationTable:
         a, b = (kind1, n1), (kind2, n2)
         return (a, b) if a <= b else (b, a)
 
+    @cached_property
+    def classes(self) -> dict[ActionClass, dict[ActionClass, Relation]]:
+        """Each action class of the vocabulary mapped to the classes it has
+        an entry with, and to itself as ``same``; absent classes relate as
+        ``different``."""
+        rows = {(kind, name): {} for kind, names in self.vocabulary.items()
+                for name in names}
+        for (c1, c2), relation in self.entries.items():
+            if c1 in rows and c2 in rows:
+                rows[c1][c2] = rows[c2][c1] = relation
+        for cls, row in rows.items():
+            row[cls] = Relation.SAME
+        return rows
+
+    @cached_property
+    def opposites(self) -> dict[ActionClass, tuple[ActionClass, ...]]:
+        """Each action class mapped to its opposite classes, sorted."""
+        return {cls: tuple(sorted(other for other, relation in row.items()
+                                  if relation is Relation.OPPOSITE))
+                for cls, row in self.classes.items()}
+
     def relation(self, kind1: str, n1: str, kind2: str, n2: str) -> Relation:
-        for kind, name in ((kind1, n1), (kind2, n2)):
-            vocab = self.vocabulary.get(kind)
-            if vocab is None or name not in vocab:
-                raise UnknownActionError(
-                    f"action {name!r} is not in the vocabulary of "
-                    f"actuator kind {kind!r}")
-        if kind1 == kind2 and n1 == n2:
-            return Relation.SAME
-        return self.entries.get(self.key(kind1, n1, kind2, n2),
-                                Relation.DIFFERENT)
+        classes = self.classes
+        row = classes.get((kind1, n1))
+        if row is None or (kind2, n2) not in classes:
+            kind, name = (kind1, n1) if row is None else (kind2, n2)
+            raise UnknownActionError(
+                f"action {name!r} is not in the vocabulary of "
+                f"actuator kind {kind!r}")
+        return row.get((kind2, n2), Relation.DIFFERENT)
 
 
 def action_relation(actuator_kind: str, n1: str, n2: str,
@@ -344,15 +431,9 @@ class DetectorConfig:
     def features_related(self, fs1: Collection[str],
                          fs2: Collection[str]) -> bool:
         """Existential feature test: some feature of one action equals or
-        depends on some feature of the other. Looks each feature up in the
-        graph's closure and builds no set."""
-        graph = self.dependency_graph
-        for f in fs1:
-            if not graph.related_to(f).isdisjoint(fs2):
-                return True
-        for f in fs2:
-            graph.related_to(f)  # an undeclared feature raises
-        return False
+        depends on some feature of the other."""
+        return self.dependency_graph.any_related(frozenset(fs1),
+                                                 frozenset(fs2))
 
     def tolerance_for(self, sensor_id: str) -> float:
         return self.sensor_tolerance.get(sensor_id, 0.0)

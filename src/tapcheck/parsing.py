@@ -109,6 +109,12 @@ def _as_number(value, path) -> float:
     return number
 
 
+def _as_bool(value, path) -> bool:
+    if not isinstance(value, bool):
+        raise ParseError("expected true or false", path=path)
+    return value
+
+
 def _as_int(value, path) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError("expected an integer", path=path)
@@ -216,11 +222,12 @@ def _parse_registry(raw, path="registry") -> Registry:
 
 
 def _parse_cmp(token, path) -> Cmp:
-    if token not in _CMP_TOKENS:
+    cmp = _CMP_TOKENS.get(token) if isinstance(token, str) else None
+    if cmp is None:
         raise ParseError(
             f"comparator must be one of {sorted(_CMP_TOKENS)}, got {token!r}",
             path=path)
-    return _CMP_TOKENS[token]
+    return cmp
 
 
 def _parse_rule(entry, i, registry: Registry, day_length: int) -> Rule:

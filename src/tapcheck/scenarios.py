@@ -29,6 +29,7 @@ from .errors import ParseError, SimulationError, UnknownScenarioError
 from .model import DetectorConfig, RuleSet
 from .parsing import (
     Document,
+    _as_bool,
     _as_int,
     _as_number,
     _parse_cmp,
@@ -76,12 +77,13 @@ def parse_house(raw: dict, registry) -> HouseModel:
                              path=p)
         kwargs = {
             "name": name,
-            "outdoor_exposed": bool(entry.get("exposed", True)),
+            "outdoor_exposed": _as_bool(entry.get("exposed", True),
+                                        f"{p}.exposed"),
         }
         for key, default in _ROOM_DEFAULTS.items():
             value = entry.get(key, default)
             if isinstance(default, bool):
-                value = bool(value)
+                value = _as_bool(value, f"{p}.{key}")
             elif isinstance(default, float):
                 value = _as_number(value, f"{p}.{key}")
             kwargs[key] = value
@@ -222,13 +224,35 @@ def parse_sources(raw: list, registry) -> tuple[SourceSpec, ...]:
         if "predicate" in kwargs:
             kwargs["predicate"] = _parse_cmp(kwargs["predicate"],
                                              f"{p}.predicate")
+        for key in ("p", "value", "min_delta"):
+            if key in kwargs:
+                kwargs[key] = _as_number(kwargs[key], f"{p}.{key}")
+        if "emit_event" in kwargs:
+            kwargs["emit_event"] = _as_bool(kwargs["emit_event"],
+                                            f"{p}.emit_event")
         if "choices" in kwargs and kwargs["choices"] is not None:
-            kwargs["choices"] = tuple(_as_number(v, p)
+            if not isinstance(kwargs["choices"], list):
+                raise ParseError("choices must be a list of numbers",
+                                 path=f"{p}.choices")
+            kwargs["choices"] = tuple(_as_number(v, f"{p}.choices")
                                       for v in kwargs["choices"])
         if "at" in kwargs:
-            kwargs["at"] = tuple((_as_int(t, p), _as_number(v, p))
-                                 for t, v in kwargs["at"])
+            kwargs["at"] = _parse_at(kwargs["at"], f"{p}.at")
         out.append(SourceSpec(**kwargs))
+    return tuple(out)
+
+
+def _parse_at(raw, path) -> tuple[tuple[int, float], ...]:
+    """A script source's [tick, value] entries."""
+    if not isinstance(raw, list):
+        raise ParseError("at must be a list of [tick, value] entries",
+                         path=path)
+    out = []
+    for j, entry in enumerate(raw):
+        ep = f"{path}[{j}]"
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ParseError("at entry must be [tick, value]", path=ep)
+        out.append((_as_int(entry[0], ep), _as_number(entry[1], ep)))
     return tuple(out)
 
 

@@ -147,7 +147,7 @@ class _Analysis:
         graph = cfg.dependency_graph
         # Pruning skips pairs whose tests would have rejected an undeclared
         # action or feature, so each rule's action is checked here, and
-        # ``related_to`` checks its features while ``near`` is built.
+        # ``related_to_any`` checks its features while ``near`` is built.
         self.kinds = []
         self.near = []  # per rule, the features equal or dependent to its own
         for rule in self.rules:
@@ -155,8 +155,8 @@ class _Analysis:
             cfg.action_relations.relation(kind, rule.action.action,
                                           kind, rule.action.action)
             self.kinds.append(kind)
-            self.near.append(frozenset().union(
-                *map(graph.related_to, rule.action.affected_features)))
+            self.near.append(
+                graph.related_to_any(rule.action.affected_features))
         self.scopes = [_scope(rule, ruleset) for rule in self.rules]
         self.scope_keys = [(r.trigger.sensor_kind, r.trigger.location_filter)
                            for r in self.rules]

@@ -90,6 +90,18 @@ class TestCheck:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+    def test_unhashable_comparator_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "cmp.yaml"
+        text = fixture_text("s5_alarm")
+        assert 'comparator: "=="' in text
+        bad.write_text(text.replace('comparator: "=="', "comparator: []"),
+                       encoding="utf-8")
+        assert main(["check", "--ruleset", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "comparator must be one of" in err
+
+
 class TestMonitor:
     def test_empty_trace_summary_of_zeros(self, alarm_ruleset, tmp_path,
                                           capsys):
@@ -374,7 +386,24 @@ class TestUserScenarioFiles:
         ("temperature: 70,", "temperature: abc,"),
         ("horizon: 200", "horizon: abc"),
         ("sensor: tap1, p: 0.2}", "sensor: tap1, p: 0.2, predicate: '!='}"),
-    ], ids=["room_temperature", "horizon", "source_predicate"])
+        ("sensor: tap1, p: 0.2}", "sensor: tap1, p: 0.2, predicate: [1]}"),
+        ("sensor: tap1, p: 0.2}", "sensor: tap1, p: abc}"),
+        ("sensor: tap1, p: 0.2}", "sensor: tap1, p: 0.2, value: abc}"),
+        ("sensor: pir1, p: 0.2,", "sensor: pir1, mode: cov, "
+         "feature: temperature, min_delta: [1],"),
+        ("sensor: tap1, p: 0.2}", "sensor: tap1, mode: script, "
+         "at: [[1, 2, 3]]}"),
+        ("sensor: tap1, p: 0.2}", "sensor: tap1, mode: script, at: [5]}"),
+        ("sensor: tap1, p: 0.2}", "sensor: tap1, mode: script, at: 5}"),
+        ("sensor: tap1, p: 0.2}", "sensor: tap1, p: 0.2, choices: 5}"),
+        ("sensor: tap1, p: 0.2}", "sensor: tap1, p: 0.2, emit_event: 'no'}"),
+        ("exposed: true,", "exposed: 'no',"),
+        ("exposed: true,", "exposed: true, window: 1,"),
+    ], ids=["room_temperature", "horizon", "source_predicate",
+            "source_predicate_list", "source_p", "source_value",
+            "source_min_delta", "source_at_triple", "source_at_scalar_entry",
+            "source_at_scalar", "source_choices_scalar", "source_emit_string",
+            "room_exposed_string", "room_flag_number"])
     def test_bad_scenario_value_exits_two(self, old, new, tmp_path, capsys):
         doc = tmp_path / "bad.yaml"
         assert old in USER_SCENARIO

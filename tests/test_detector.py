@@ -527,14 +527,19 @@ class TestDetectAtTick:
 
     def test_eviction_respects_horizon(self, alarm_home):
         # An entry older than the horizon is dropped as a tick begins, so
-        # no pair query reaches it even with an unbounded gap.
+        # no pair query reaches it even with an unbounded gap: neither the
+        # scan within the epsilon nor the actuator and action-class buckets
+        # past it.
         rs, cfg = alarm_home
         window = new_window(cfg)
         detect_at_tick([ev(rs, "e1", "smoke1", 0, 1)], rs, window, cfg)
         e2 = ev(rs, "e2", "smoke1", 100, 1)
         window.begin_tick(100, [e2], match_rules(e2, rs))
         assert list(window.event_pairs_same_sensor(1000)) == []
-        assert list(window.action_pairs(1000)) == []
+        assert list(window.candidate_pairs(
+            replace(cfg, same_tick_epsilon=1000))) == []
+        assert list(window.candidate_pairs(
+            replace(cfg, overlap_window=1000))) == []
 
     def test_duplicate_id_in_batch_rejected(self, alarm_home):
         rs, cfg = alarm_home

@@ -86,6 +86,13 @@ class TestDependentFeatures:
             assert dependent_features(nodes[i], nodes[j], g) == expected
             assert cfg.features_related({nodes[i]}, {nodes[j]}) == (
                 expected or i == j)
+        for _ in range(30):
+            picked = frozenset(nodes[int(k)] for k in rng.choice(
+                n, size=int(rng.integers(0, min(n, 3) + 1)), replace=False))
+            want = {nodes[j] for j in range(n)
+                    if any(sym[nodes.index(f), j] or nodes[j] == f
+                           for f in picked)}
+            assert g.related_to_any(picked) == want
 
 
 def sig(kind="temperature", pred=">", loc="room1"):
@@ -225,6 +232,27 @@ class TestActionRelations:
                           "open") is Relation.OPPOSITE
         assert t.relation("blind", "open", "light",
                           "on") is Relation.DIFFERENT
+        assert t.opposites[("light", "off")] == (("blind", "open"),)
+        assert t.opposites[("light", "on")] == ()
+
+    @pytest.mark.parametrize("args,name,kind", [
+        (("door", "levitate", "door", "open"), "levitate", "door"),
+        (("door", "open", "door", "levitate"), "levitate", "door"),
+        (("door", "open", "lift", "up"), "up", "lift"),
+    ])
+    def test_unknown_action_names_the_unknown_one(self, args, name, kind):
+        with pytest.raises(UnknownActionError) as err:
+            self.table().relation(*args)
+        assert str(err.value) == (f"action {name!r} is not in the "
+                                  f"vocabulary of actuator kind {kind!r}")
+
+    def test_identical_class_is_same_whatever_the_entries(self):
+        t = ActionRelationTable(
+            vocabulary={"door": frozenset({"open", "close"})},
+            entries={ActionRelationTable.key("door", "open", "door", "open"):
+                     Relation.OPPOSITE})
+        assert t.relation("door", "open", "door", "open") is Relation.SAME
+        assert t.opposites[("door", "open")] == ()
 
 
 class TestTriggerMatching:

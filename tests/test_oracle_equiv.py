@@ -1,5 +1,7 @@
 """Detector-versus-oracle equivalence and stream-level invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,107 @@ class TestEquivalence:
         got = sorted(conflict_keys(run_detector(trace, rs, cfg)))
         want = sorted(oracle_detect(trace, rs, cfg))
         assert got == want
+
+
+def formed_pairs(trace, rs, cfg) -> list[frozenset]:
+    """Every firing pair the window's index forms over a stream, as the
+    set of the two firing keys, once per time it is formed."""
+    window = new_window(cfg)
+    formed = []
+    for batch in group_by_tick(trace):
+        actions = [ta for e in batch for ta in match_rules(e, rs)]
+        window.begin_tick(batch[0].time, batch, actions)
+        formed.extend(frozenset((a.key(), b.key()))
+                      for a, b in window.candidate_pairs(cfg))
+        window.commit_tick()
+    return formed
+
+
+class TestPairIndex:
+    """The window forms a pair past the epsilon only for a shared actuator
+    or opposite action classes; every pair it skips must violate nothing.
+    With eps >= W nothing lies past the epsilon, so nothing is skipped."""
+
+    @pytest.mark.parametrize("eps", ["0", "W", "W+2"])
+    def test_unformed_pairs_violate_nothing(self, eps):
+        seen = set()
+        for seed in range(150):
+            rng = np.random.default_rng(95_000 + seed)
+            rs, cfg = random_ruleset(rng)
+            w = cfg.overlap_window
+            cfg = replace(cfg, same_tick_epsilon={"0": 0, "W": w,
+                                                  "W+2": w + 2}[eps])
+            trace = random_trace(rng, rs)
+            formed = formed_pairs(trace, rs, cfg)
+            assert len(formed) == len(set(formed)), seed
+            formed = set(formed)
+            actions = [ta for e in trace for ta in match_rules(e, rs)]
+            reach = max(cfg.same_tick_epsilon, w)
+            for i, a in enumerate(actions):
+                for b in actions[i + 1:]:
+                    dt = b.time - a.time
+                    if dt > reach:
+                        break
+                    kinds = [c.kind for c in classify_pair(a, b, cfg)]
+                    if frozenset((a.key(), b.key())) not in formed:
+                        assert kinds == [], (seed, a, b)
+                        seen.add("skipped")
+                    elif kinds and dt > cfg.same_tick_epsilon:
+                        seen.add("same actuator past eps"
+                                 if a.action.actuator == b.action.actuator
+                                 else "opposite past eps")
+                    elif kinds and dt == cfg.same_tick_epsilon > 0:
+                        seen.add("gap of eps")
+            got = sorted(conflict_keys(run_detector(trace, rs, cfg)))
+            assert got == sorted(oracle_detect(trace, rs, cfg)), seed
+        assert seen == {"0": {"skipped", "same actuator past eps",
+                              "opposite past eps"},
+                        "W": {"gap of eps"},
+                        "W+2": {"gap of eps"}}[eps]
+
+
+class TestTriggerIndex:
+    def test_match_rules_equals_linear_scan(self):
+        # Readings on, next to and far from every threshold, with NaN and
+        # infinities, against a linear scan in declaration order.
+        seen = set()
+        for seed in range(30):
+            rng = np.random.default_rng(97_000 + seed)
+            rs, _ = random_ruleset(rng, max_rules=20)
+            trace = random_trace(rng, rs, max_ticks=100)
+            thresholds = sorted({r.trigger.threshold for r in rs.rules})
+            values = [v + d for v in thresholds for d in (-0.5, 0.0, 0.5)]
+            values += [-1.0, 101.0, float("nan"), float("inf"),
+                       -float("inf")]
+            for event in trace[:40]:
+                for value in values:
+                    e = replace(event, value=value)
+                    want = [r for r in rs.rules
+                            if r.trigger.matches(e, rs.day_length)]
+                    got = match_rules(e, rs)
+                    assert [f.rule for f in got] == [r.id for r in want]
+                    for r in rs.rules:
+                        t = r.trigger
+                        if t.sensor_kind != e.signature.sensor_kind:
+                            continue
+                        holds = t.comparator.holds(value, t.threshold)
+                        if holds and r in want and t.comparator.value == "==":
+                            seen.add("== hit")
+                        if value == t.threshold and not holds:
+                            seen.add("reading at a strict threshold")
+                        if holds and not t.active_at(e.time, rs.day_length):
+                            seen.add("outside schedule")
+                        if (holds and t.location_filter is not None
+                                and t.location_filter
+                                != e.signature.location):
+                            seen.add("other location")
+                    order = [(r.trigger.comparator.value,
+                              r.trigger.threshold) for r in want]
+                    if order != sorted(order):
+                        seen.add("declaration order is not index order")
+        assert seen == {"== hit", "reading at a strict threshold",
+                        "outside schedule", "other location",
+                        "declaration order is not index order"}
 
 
 def shift_trace(trace: list[Event], k: int) -> list[Event]:
