@@ -16,23 +16,17 @@ events and the actions they triggered:
 * C7: one sensor repeats the same reading within the duplicate window; the
   later event is marked suppressible.
 
-``detect_at_tick`` feeds a tick's events through rule matching, classifies
-every candidate pair of firings against C1 to C6 in one pass over the
-window, runs C7, and never stops at the first hit, so the returned list is
-exhaustive for the tick. Each violating pair is reported exactly once over
-the lifetime of a stream: checks only consider pairs that include at least
-one item inserted by the current call.
-
-Matching reads the ruleset's trigger index: per sensor kind and
-comparator, thresholds sorted for bisection, then the location and
-schedule filters. The window files each firing under its actuator and
-under its action class (actuator kind plus action name), and the
-action-relation table lists each class's opposite classes. A fresh firing
-pairs with every firing within the epsilon; past it, up to the larger of
-the epsilon and the overlap window, only with firings on its actuator or
-of an opposite class on another actuator. C1, C2, C5 and C6 need a gap
-within the epsilon, and C3 and C4 need stacked commands on one actuator
-or opposite actions, so no other pair can violate a policy.
+``detect_at_tick`` takes one tick's events per call, matches them against
+the ruleset's trigger index, classifies every candidate pair of firings
+against C1 to C6 in one pass over the window, runs C7, and never stops at
+the first hit, so the returned list is exhaustive for the tick. Checks
+only consider pairs with an item from the current call, so each violating
+pair is reported exactly once over the lifetime of a stream. The window
+enforces the stream's invariants at the boundary (ticks never decrease,
+unique event ids, one event per sensor per tick) and keeps each item only
+while a policy can read it: firings for max(eps, W) ticks, where
+``DetectionWindow.candidate_pairs`` forms only the pairs some policy can
+flag, and events for the config horizon.
 
 Policies C1 to C6 relate firings of two distinct rules. A single rule fired
 twice by duplicate readings is the duplicate-event case and is covered by
@@ -48,6 +42,7 @@ from typing import Iterator
 
 from .errors import (
     DuplicateEventIdError,
+    DuplicateSensorReadingError,
     OutOfOrderTickError,
     UnknownSensorKindError,
 )
@@ -55,6 +50,7 @@ from .model import (
     ActionSpec,
     DetectorConfig,
     Event,
+    Registry,
     Relation,
     Rule,
     RuleSet,
@@ -120,9 +116,11 @@ def match_rules(event: Event, ruleset: RuleSet) -> list[TriggeredAction]:
     order ``simulator.step`` applies them in), read from the ruleset's
     trigger index."""
     kind = event.signature.sensor_kind
-    if kind not in ruleset.registry.sensor_kinds:
+    sensor = ruleset.registry.sensors.get(event.sensor)
+    if sensor is None or sensor.kind != kind:
         raise UnknownSensorKindError(
-            f"event {event.id!r} has undeclared sensor kind {kind!r}")
+            f"event {event.id!r} has undeclared sensor {event.sensor!r} "
+            f"of kind {kind!r}")
     # Bisecting each comparator's thresholds leaves the triggers that hold
     # on the value; the location and schedule filters finish the test of
     # ``TriggerCondition.matches``.
@@ -179,21 +177,21 @@ def _drop_head(index: dict, name) -> None:
 class DetectionWindow:
     """Sliding record of the recent triggered actions and raw events.
 
-    Entries older than the config horizon (the farthest back any check
-    looks) relative to the current tick are dropped as each tick begins.
-    Each action is listed in tick order three times: with all actions,
-    under its actuator, and under its action class (actuator kind plus
-    action name), so ``candidate_pairs`` reaches the actions past the
-    epsilon that can still conflict without visiting the rest. The window
-    tracks which items arrived in the current call so a violating pair is
-    reported exactly once. Single writer; call ``detect_at_tick`` serially
-    per stream.
+    Firings are kept for ``reach`` ticks (max(eps, W), the farthest a pair
+    policy looks), events and their ids for ``horizon`` ticks (C7 and the
+    unique-id check). Each firing is listed in tick order with all
+    firings, under its actuator, and under its action class (actuator kind
+    plus action name), so ``candidate_pairs`` reaches the firings past the
+    epsilon that can still conflict without visiting the rest. Only the
+    arrivals staged by ``begin_tick`` are fresh. Single writer; call
+    ``detect_at_tick`` serially per stream.
     """
 
-    def __init__(self, horizon: int):
-        if horizon < 1:
-            raise ValueError("window horizon must be >= 1")
+    def __init__(self, horizon: int, reach: int):
+        if min(horizon, reach) < 1:
+            raise ValueError("window horizon and reach must be >= 1")
         self.horizon = horizon
+        self.reach = reach
         self.last_tick: Tick | None = None
         self._actions: list[TriggeredAction] = []  # in tick order
         self._by_actuator = defaultdict(list)  # actuator -> actions
@@ -206,31 +204,42 @@ class DetectionWindow:
 
     def begin_tick(self, tick: Tick, events: list[Event],
                    actions: list[TriggeredAction]) -> None:
-        """Stage a tick's arrivals for evaluation. Entries beyond the
-        horizon relative to this tick are dropped first, so the pair
-        queries see exactly the in-window items."""
+        """Stage one tick's arrivals for evaluation, after dropping the
+        items past their reach. A later call may stage more arrivals at the
+        same tick, never at an earlier one."""
         if self.last_tick is not None and tick < self.last_tick:
             raise OutOfOrderTickError(
                 f"tick {tick} arrived after tick {self.last_tick}")
-        self._check_unique_ids(tick, events)
+        self._check_arrivals(tick, events)
         self.last_tick = tick
         self._evict(tick)
         self._fresh_events = list(events)
         self._fresh_actions = list(actions)
 
-    def _check_unique_ids(self, tick: Tick, events: list[Event]) -> None:
-        """Reject an event id that repeats in the batch or matches an event
-        still in the window at this tick. Pairs tell their events apart by
-        id, so a reused id would hide the pair's overlap or disjointness."""
+    def _check_arrivals(self, tick: Tick, events: list[Event]) -> None:
+        """Reject an event off the batch's tick, an event id still in the
+        window or repeated in the batch (pairs tell events apart by id),
+        and a second event of one sensor at this tick, in this batch or an
+        earlier one (C7 tells one sensor's readings apart by tick)."""
         cutoff = tick - self.horizon
-        batch = set()
+        history = self._events_by_sensor
+        ids, sensors = set(), set()
         for event in events:
+            if event.time != tick:
+                raise OutOfOrderTickError(
+                    f"events in one batch span ticks {tick} and {event.time}")
             seen = self._event_times.get(event.id)
-            if event.id in batch or (seen is not None and seen >= cutoff):
+            if event.id in ids or (seen is not None and seen >= cutoff):
                 raise DuplicateEventIdError(
                     f"event id {event.id!r} at tick {event.time} repeats an "
                     "event id in the detection window")
-            batch.add(event.id)
+            ids.add(event.id)
+            earlier = history.get(event.sensor)
+            if event.sensor in sensors or (earlier
+                                           and earlier[-1].time == tick):
+                raise DuplicateSensorReadingError(
+                    f"sensor {event.sensor!r} emits twice at tick {tick}")
+            sensors.add(event.sensor)
 
     def commit_tick(self) -> None:
         """Absorb the staged arrivals into the window."""
@@ -246,18 +255,8 @@ class DetectionWindow:
         self._fresh_actions = []
         self._fresh_events = []
 
-    def seed(self, events: list[Event], actions: list[TriggeredAction],
-             tick: Tick | None = None) -> None:
-        """Load a window with everything fresh, so a check function sees
-        every unordered pair it could flag. Intended for direct use of
-        ``check_pairs`` and ``check_c7``."""
-        t = tick if tick is not None else max(
-            [a.time for a in actions] + [e.time for e in events], default=0)
-        self.begin_tick(t, events, actions)
-
     def _evict(self, now: Tick) -> None:
-        cutoff = now - self.horizon
-        expired = bisect_left(self._actions, cutoff, key=_time)
+        expired = bisect_left(self._actions, now - self.reach, key=_time)
         # Buckets keep the order of ``_actions``, so each expired action,
         # taken oldest first, is at the head of its two buckets.
         for action in self._actions[:expired]:
@@ -267,6 +266,7 @@ class DetectionWindow:
         del self._actions[:expired]
         # Ticks only grow, so the first id in ``_event_times`` is the
         # oldest event and each sensor's deque is sorted by time.
+        cutoff = now - self.horizon
         times = self._event_times
         if not times or next(iter(times.values())) >= cutoff:
             return
@@ -288,7 +288,7 @@ class DetectionWindow:
         within the epsilon, and C3 and C4 need stacked commands on one
         actuator or opposite actions. Farther pairs violate nothing."""
         eps = cfg.same_tick_epsilon
-        reach = max(eps, cfg.overlap_window)
+        reach = cfg.pair_reach
         opposites = cfg.action_relations.opposites
         fresh, older = self._fresh_actions, self._actions
         for i, a in enumerate(fresh):
@@ -308,20 +308,13 @@ class DetectionWindow:
             for j in range(i + 1, len(fresh)):
                 yield a, fresh[j]
 
-    def event_pairs_same_sensor(self, max_dt: int) -> Iterator[tuple]:
-        """(earlier, later) same-sensor event pairs involving a fresh event
-        within ``max_dt`` ticks."""
-        fresh = self._fresh_events
-        for i, e in enumerate(fresh):
-            for old in self._events_by_sensor.get(e.sensor, ()):
-                if e.time - old.time <= max_dt:
-                    yield old, e
-            for j in range(i + 1, len(fresh)):
-                other = fresh[j]
-                if other.sensor == e.sensor and abs(e.time - other.time) <= max_dt:
-                    earlier, later = ((e, other) if e.time <= other.time
-                                      else (other, e))
-                    yield earlier, later
+    def sensor_histories(self) -> Iterator[tuple[Event, deque]]:
+        """Each fresh event with the earlier events of its sensor in the
+        window. One sensor emits once per tick, so fresh events never
+        pair with each other."""
+        history = self._events_by_sensor
+        for event in self._fresh_events:
+            yield event, history.get(event.sensor, ())
 
 
 def _ordered(a: TriggeredAction, b: TriggeredAction):
@@ -432,26 +425,31 @@ def check_pairs(window: DetectionWindow,
     return out
 
 
-def check_c7(window: DetectionWindow, cfg: DetectorConfig) -> list[Conflict]:
-    """One sensor repeats a reading within the duplicate window. The later
-    event is marked suppressible so enforcement can drop its actions."""
+def check_c7(window: DetectionWindow, cfg: DetectorConfig,
+             registry: Registry) -> list[Conflict]:
+    """One sensor repeats a reading within the duplicate window, up to the
+    sensor's declared tolerance. The later event is marked suppressible so
+    enforcement can drop its actions."""
     out = []
-    for earlier, later in window.event_pairs_same_sensor(cfg.duplicate_window):
-        gap = later.time - earlier.time
-        # The value test is cheaper than comparing signatures, and on a
-        # chatty sensor most pairs fail it.
-        if (0 < gap <= cfg.duplicate_window
-                and abs(earlier.value - later.value)
-                <= cfg.tolerance_for(earlier.sensor)
-                and earlier.signature == later.signature):
-            out.append(Conflict(
-                kind=ConflictKind.C7,
-                tick=later.time,
-                participants=(earlier, later),
-                note=(f"sensor {earlier.sensor} repeated value "
-                      f"{earlier.value:g} after {gap} tick(s)"),
-                suppressible=(later.id,),
-            ))
+    span = cfg.duplicate_window
+    sensors = registry.sensors
+    for later, history in window.sensor_histories():
+        tolerance = sensors[later.sensor].tolerance
+        for earlier in history:
+            gap = later.time - earlier.time
+            # The value test is cheaper than comparing signatures, and on a
+            # chatty sensor most pairs fail it.
+            if (gap <= span
+                    and abs(earlier.value - later.value) <= tolerance
+                    and earlier.signature == later.signature):
+                out.append(Conflict(
+                    kind=ConflictKind.C7,
+                    tick=later.time,
+                    participants=(earlier, later),
+                    note=(f"sensor {later.sensor} repeated value "
+                          f"{earlier.value:g} after {gap} tick(s)"),
+                    suppressible=(later.id,),
+                ))
     return out
 
 
@@ -460,30 +458,21 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
                    cfg: DetectorConfig) -> list[Conflict]:
     """Process one tick of events and return every conflict they complete.
 
-    Events must all share one tick, and successive calls must not go back in
-    time (equal ticks are allowed and behave like one larger batch). Event
-    ids must be unique across the detection window (the config horizon). An
-    empty batch just ages the window by one tick. C1 to C6 are evaluated
-    in one pass over the candidate pairs, then C7; their findings are
-    returned sorted canonically, with each (kind, pair) reported once.
+    One call takes the events of one tick. Successive calls must not go
+    back in time; a later call at the same tick behaves like one larger
+    batch. Each sensor emits at most once per tick, and event ids must be
+    unique across the detection window (the config horizon). An empty
+    batch is a no-op. C1 to C6 are evaluated in one pass over the
+    candidate pairs, then C7; their findings are returned sorted
+    canonically, with each (kind, pair) reported once.
     """
     if not new_events:
-        tick = 0 if window.last_tick is None else window.last_tick + 1
-        window.begin_tick(tick, [], [])
-        window.commit_tick()
         return []
-
-    tick = new_events[0].time
-    for event in new_events:
-        if event.time != tick:
-            raise OutOfOrderTickError(
-                f"events in one batch span ticks {tick} and {event.time}")
-
     actions = [ta for event in new_events
                for ta in match_rules(event, ruleset)]
-    window.begin_tick(tick, new_events, actions)
-
-    conflicts = check_pairs(window, cfg) + check_c7(window, cfg)
+    window.begin_tick(new_events[0].time, new_events, actions)
+    conflicts = (check_pairs(window, cfg)
+                 + check_c7(window, cfg, ruleset.registry))
     window.commit_tick()
     conflicts.sort(key=Conflict.key)
     return conflicts
@@ -491,4 +480,4 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
 
 def new_window(cfg: DetectorConfig) -> DetectionWindow:
     """A detection window sized for the given config."""
-    return DetectionWindow(horizon=cfg.horizon)
+    return DetectionWindow(horizon=cfg.horizon, reach=cfg.pair_reach)

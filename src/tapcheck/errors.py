@@ -53,7 +53,7 @@ class UnknownActionError(TapcheckError):
 
 
 class UnknownSensorKindError(TapcheckError):
-    """An event's sensor kind is not declared in the ruleset registry."""
+    """An event's sensor or its kind is not declared in the registry."""
 
 
 class OutOfOrderTickError(TapcheckError):
@@ -62,6 +62,10 @@ class OutOfOrderTickError(TapcheckError):
 
 class DuplicateEventIdError(TapcheckError):
     """Two events fed to the detector at one tick share an id."""
+
+
+class DuplicateSensorReadingError(TapcheckError):
+    """One sensor emitted two events fed to the detector at one tick."""
 
 
 class TraceError(TapcheckError):

@@ -406,7 +406,6 @@ class DetectorConfig:
     duplicate_window: int = 30
     same_tick_epsilon: int = 0
     similarity_classes: tuple[frozenset[EventSignature], ...] = ()
-    sensor_tolerance: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.overlap_window < 1:
@@ -417,10 +416,14 @@ class DetectorConfig:
             raise InvalidConfigError("same_tick_epsilon must be >= 0")
 
     @property
+    def pair_reach(self) -> int:
+        """How many ticks back a pair policy (C1 to C6) can look."""
+        return max(self.same_tick_epsilon, self.overlap_window)
+
+    @property
     def horizon(self) -> int:
         """How many ticks back any check can possibly look."""
-        return max(self.overlap_window, self.duplicate_window,
-                   self.same_tick_epsilon)
+        return max(self.pair_reach, self.duplicate_window)
 
     def similar(self, a: EventSignature, b: EventSignature) -> bool:
         if a == b:
@@ -434,9 +437,6 @@ class DetectorConfig:
         depends on some feature of the other."""
         return self.dependency_graph.any_related(frozenset(fs1),
                                                  frozenset(fs2))
-
-    def tolerance_for(self, sensor_id: str) -> float:
-        return self.sensor_tolerance.get(sensor_id, 0.0)
 
 
 def overlapping_events(e1: Event, e2: Event, cfg: DetectorConfig) -> bool:

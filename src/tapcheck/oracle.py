@@ -99,6 +99,7 @@ def oracle_detect(trace: list[Event], ruleset: RuleSet,
             for kind in _pair_kinds(a, b, cfg):
                 found.add(_pair_key(kind, a, b))
 
+    sensors = ruleset.registry.sensors
     for i, e1 in enumerate(trace):
         for e2 in trace[i + 1:]:
             if e2.time - e1.time > cfg.duplicate_window:
@@ -107,7 +108,7 @@ def oracle_detect(trace: list[Event], ruleset: RuleSet,
                     and 0 < e2.time - e1.time
                     and e1.signature == e2.signature
                     and abs(e1.value - e2.value)
-                    <= cfg.tolerance_for(e1.sensor)):
+                    <= sensors[e1.sensor].tolerance):
                 found.add((ConflictKind.C7.value, e2.time,
                            ((e1.time, e1.id), (e2.time, e2.id))))
     return found

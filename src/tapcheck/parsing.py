@@ -413,8 +413,6 @@ def _parse_detector(raw, registry: Registry,
             raise ParseError("similarity class needs >= 2 signatures", path=p)
         classes.append(frozenset(_parse_signature(tok, registry, p)
                                  for tok in group))
-    tolerance = {sid: s.tolerance for sid, s in registry.sensors.items()
-                 if s.tolerance}
     return DetectorConfig(
         dependency_graph=graph,
         action_relations=relations,
@@ -425,7 +423,6 @@ def _parse_detector(raw, registry: Registry,
         same_tick_epsilon=_as_int(raw.get("same_tick_epsilon", 0),
                                   "detector.same_tick_epsilon"),
         similarity_classes=tuple(classes),
-        sensor_tolerance=tolerance,
     )
 
 

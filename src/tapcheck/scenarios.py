@@ -32,11 +32,14 @@ from .parsing import (
     _as_bool,
     _as_int,
     _as_number,
+    _as_str,
     _parse_cmp,
+    _section,
     load_document,
     read_text,
 )
 from .simulator import (
+    THERMO_NAME,
     HouseModel,
     HouseParams,
     RoomState,
@@ -56,8 +59,8 @@ _ROOM_DEFAULTS = {
 
 
 def _series(value, path):
-    """A number, or a per-tick list of numbers as a tuple."""
-    if isinstance(value, list):
+    """A number, or a non-empty per-tick list of numbers as a tuple."""
+    if isinstance(value, (list, tuple)) and value:
         return tuple(_as_number(v, path) for v in value)
     return _as_number(value, path)
 
@@ -67,7 +70,7 @@ def parse_house(raw: dict, registry) -> HouseModel:
     if not isinstance(raw, dict):
         raise ParseError("house must be a mapping", path="house")
     rooms = []
-    for i, entry in enumerate(raw.get("rooms") or []):
+    for i, entry in enumerate(_section(raw, "rooms", list, "house.rooms")):
         p = f"house.rooms[{i}]"
         if not isinstance(entry, dict) or "id" not in entry:
             raise ParseError("room needs an id", path=p)
@@ -86,10 +89,13 @@ def parse_house(raw: dict, registry) -> HouseModel:
                 value = _as_bool(value, f"{p}.{key}")
             elif isinstance(default, float):
                 value = _as_number(value, f"{p}.{key}")
+            elif value not in THERMO_NAME.values():
+                raise ParseError("expected off, heat or cool",
+                                 path=f"{p}.{key}")
             kwargs[key] = value
         rooms.append(RoomState(**kwargs))
 
-    params_raw = raw.get("params") or {}
+    params_raw = _section(raw, "params", dict, "house.params")
     unknown = set(params_raw) - _PARAM_FIELDS
     if unknown:
         raise ParseError(f"unknown house parameter(s): {sorted(unknown)}",
@@ -98,19 +104,21 @@ def parse_house(raw: dict, registry) -> HouseModel:
                             for k, v in params_raw.items()})
 
     adjacency = []
-    for i, pair in enumerate(raw.get("adjacency") or []):
+    for i, pair in enumerate(_section(raw, "adjacency", list,
+                                      "house.adjacency")):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError("adjacency entry must be [roomA, roomB]",
                              path=f"house.adjacency[{i}]")
         adjacency.append((pair[0], pair[1]))
 
-    outdoor = raw.get("outdoor") or {}
+    outdoor = _section(raw, "outdoor", dict, "house.outdoor")
     temperature = _series(outdoor.get("temperature", 70.0),
                           "house.outdoor.temperature")
     daylight = _series(outdoor.get("daylight", 300.0),
                        "house.outdoor.daylight")
 
-    momentary = frozenset(raw.get("momentary") or [])
+    momentary = frozenset(_as_str(a, "house.momentary") for a in _section(
+        raw, "momentary", list, "house.momentary"))
     for actuator_id in momentary:
         if actuator_id not in registry.actuators:
             raise ParseError(
@@ -163,13 +171,15 @@ def _override_house(house: HouseModel, overrides: dict) -> HouseModel:
     an ``outdoor_temperature``/``daylight`` key replaces the trace."""
     if not overrides:
         return house
+    if not isinstance(overrides, dict):
+        raise ParseError("house overrides must be a mapping")
     params_kwargs = {}
     house_kwargs = {}
     for key, value in overrides.items():
         if key in _PARAM_FIELDS:
-            params_kwargs[key] = value
+            params_kwargs[key] = _as_number(value, f"overrides.{key}")
         elif key in ("outdoor_temperature", "daylight"):
-            house_kwargs[key] = value
+            house_kwargs[key] = _series(value, f"overrides.{key}")
         else:
             raise SimulationError(f"unknown house override {key!r}")
     if params_kwargs:
@@ -204,7 +214,10 @@ _SOURCE_FIELDS = set(SourceSpec.__dataclass_fields__)
 
 def parse_sources(raw: list, registry) -> tuple[SourceSpec, ...]:
     """Validate the ``sources`` section of a scenario document."""
+    if not isinstance(raw or [], list):
+        raise ParseError("sources must be a list", path="sources")
     out = []
+    names = set()
     for i, entry in enumerate(raw or []):
         p = f"sources[{i}]"
         if not isinstance(entry, dict):
@@ -217,6 +230,10 @@ def parse_sources(raw: list, registry) -> tuple[SourceSpec, ...]:
         for key in ("name", "sensor"):
             if key not in kwargs:
                 raise ParseError(f"source needs a {key!r}", path=p)
+        name = _as_str(kwargs["name"], f"{p}.name")
+        if name in names:
+            raise ParseError(f"duplicate source name {name!r}", path=p)
+        names.add(name)
         if kwargs["sensor"] not in registry.sensors:
             raise ParseError(
                 f"source {kwargs['name']!r} uses undeclared sensor "
@@ -273,6 +290,8 @@ def load_scenario_bundle(path: str) -> tuple[Scenario, Bundle]:
     if doc.house is None:
         raise SimulationError(f"{path} has no house section")
     meta = doc.scenario
+    if not isinstance(meta, dict):
+        raise ParseError("scenario must be a mapping", path="scenario")
     unknown = set(meta) - {"id", "horizon", "seed", "detector",
                            "baseline_overrides", "description"}
     if unknown:

@@ -107,8 +107,6 @@ def build_home(*, sensors, actuators, controllers, features, rules,
         similarity_classes=tuple(
             frozenset(EventSignature(k, Cmp(c), loc) for k, c, loc in group)
             for group in classes),
-        sensor_tolerance={sid: s.tolerance
-                          for sid, s in sensor_map.items() if s.tolerance},
     )
     return RuleSet(registry=registry, rules=tuple(rule_objs),
                    day_length=day_length), cfg

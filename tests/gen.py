@@ -108,8 +108,6 @@ def random_ruleset(rng: np.random.Generator, max_rules: int = 10,
         duplicate_window=int(rng.integers(1, 31)),
         same_tick_epsilon=int(rng.choice([0, 0, 0, 1, 2])),
         similarity_classes=tuple(classes),
-        sensor_tolerance={sid: s.tolerance for sid, s in sensors.items()
-                          if s.tolerance},
     )
 
     rules = []

@@ -138,6 +138,20 @@ class TestMonitor:
                      "--trace", str(trace)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_two_readings_of_one_sensor_at_one_tick_exit_two(
+            self, alarm_ruleset, tmp_path, capsys):
+        trace = tmp_path / "bad.csv"
+        trace.write_text(
+            "tick,sensor,kind,predicate,value,location\n"
+            "5,smoke1,smoke,==,1,room1\n"
+            "5,leak1,leak,==,1,room1\n"
+            "5,smoke1,smoke,==,0,room1\n", encoding="utf-8")
+        assert main(["monitor", "--ruleset", str(alarm_ruleset),
+                     "--trace", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "smoke1" in err and "tick 5" in err
+
     def test_unknown_sensor_rejected(self, alarm_ruleset, tmp_path, capsys):
         trace = tmp_path / "bad.csv"
         trace.write_text(
@@ -231,25 +245,19 @@ class TestSimulate:
 
 
 class TestMonitorReplaysSimulate:
-    def test_same_conflict_counts(self, tmp_path, capsys):
+    @pytest.mark.parametrize("sid", [f"S{i}" for i in range(1, 9)])
+    def test_same_conflict_log(self, sid, tmp_path, capsys):
+        # The events a simulation logs replay through ``monitor`` to the
+        # same conflict log, byte for byte.
         out = tmp_path / "sim"
-        main(["simulate", "--scenario", "S5", "--seed", "5",
+        main(["simulate", "--scenario", sid, "--seed", "5",
               "--out", str(out)])
-        sim_logged = (out / "conflicts_5.csv").read_text().splitlines()[1:]
+        sim_log = (out / "conflicts_5.csv").read_bytes()
         code = main(["monitor", "--ruleset", str(out / "ruleset.yaml"),
                      "--trace", str(out / "events_5.csv"),
                      "--out", str(tmp_path / "mon")])
-        mon_logged = (tmp_path / "mon" / "conflicts.csv"
-                      ).read_text().splitlines()[1:]
-        assert code == 1
-
-        def counts(rows):
-            kinds = {}
-            for row in rows:
-                kinds[row.split(",")[1]] = kinds.get(row.split(",")[1], 0) + 1
-            return kinds
-
-        assert counts(sim_logged) == counts(mon_logged)
+        assert (tmp_path / "mon" / "conflicts.csv").read_bytes() == sim_log
+        assert code == (1 if sim_log.count(b"\n") > 1 else 0)
 
 
 class TestReport:
@@ -399,11 +407,35 @@ class TestUserScenarioFiles:
         ("sensor: tap1, p: 0.2}", "sensor: tap1, p: 0.2, emit_event: 'no'}"),
         ("exposed: true,", "exposed: 'no',"),
         ("exposed: true,", "exposed: true, window: 1,"),
+        ("temperature: 70,", "temperature: 70, thermostat: warm,"),
+        ("  momentary:", "  outdoor: [1, 2]\n  momentary:"),
+        ("  momentary:", "  outdoor: {daylight: []}\n  momentary:"),
+        ("  seed: 4\n", "  seed: 4\n  baseline_overrides: {k_loss: abc}\n"),
+        ("  seed: 4\n", "  seed: 4\n  baseline_overrides: [1]\n"),
+        ("{name: walkers,", "{name: taps,"),
+        ("{name: walkers,", "{name: 5,"),
+        ("momentary: [lampA, lampB]", "momentary: 5"),
+        ("momentary: [lampA, lampB]", "momentary: [[1]]"),
+        ("  momentary:", "  params: 5\n  momentary:"),
+        ("  momentary:", "  adjacency: 5\n  momentary:"),
+        ("  rooms:\n    - {id: hall, exposed: true, temperature: 70, "
+         "humidity: 50}\n", "  rooms: 5\n"),
+        ("sources:\n  - {name: taps, sensor: tap1, p: 0.2}\n"
+         "  - {name: walkers, sensor: pir1, p: 0.2, occupancy_room: hall}\n",
+         "sources: 5\n"),
+        ("scenario:\n  id: night_light_race\n  horizon: 200\n  seed: 4\n"
+         "  detector: \"off\"\n  description: two lamps race on one "
+         "hallway\n", "scenario: 5\n"),
     ], ids=["room_temperature", "horizon", "source_predicate",
             "source_predicate_list", "source_p", "source_value",
             "source_min_delta", "source_at_triple", "source_at_scalar_entry",
             "source_at_scalar", "source_choices_scalar", "source_emit_string",
-            "room_exposed_string", "room_flag_number"])
+            "room_exposed_string", "room_flag_number", "room_thermostat",
+            "outdoor_list", "outdoor_empty_series", "baseline_value",
+            "baseline_list", "source_name_repeated", "source_name_number",
+            "momentary_scalar", "momentary_nested", "params_scalar",
+            "adjacency_scalar", "rooms_scalar", "sources_scalar",
+            "scenario_scalar"])
     def test_bad_scenario_value_exits_two(self, old, new, tmp_path, capsys):
         doc = tmp_path / "bad.yaml"
         assert old in USER_SCENARIO
@@ -412,6 +444,30 @@ class TestUserScenarioFiles:
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_two_readings_of_one_sensor_at_one_tick_exit_two(self, tmp_path,
+                                                            capsys):
+        # Two script sources on tap1 emit at tick 3. ``monitor`` rejects a
+        # trace with two readings of one sensor at one tick, and so does
+        # the detector that ``simulate`` runs.
+        text = USER_SCENARIO.replace(
+            "  - {name: taps, sensor: tap1, p: 0.2}\n",
+            "  - {name: taps, sensor: tap1, mode: script, at: [[3, 1]]}\n"
+            "  - {name: dims, sensor: tap1, mode: script, at: [[3, 0.5]]}\n"
+        ).replace("\ndetector:", """  - id: r_dim
+    controller: auto
+    trigger: {sensor_kind: lamp_cmd, comparator: "==", threshold: 0.5}
+    action: {actuator: lampA, action: "on", affected_features: [luminance@hall]}
+
+detector:""")
+        assert text.count("mode: script") == 2 and "r_dim" in text
+        doc = tmp_path / "twice.yaml"
+        doc.write_text(text, encoding="utf-8")
+        assert main(["simulate", "--scenario", str(doc),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "tap1" in err and "tick 3" in err
 
     def test_scenario_file_without_meta_rejected(self, tmp_path):
         from tapcheck.errors import SimulationError

@@ -5,32 +5,28 @@ from dataclasses import replace
 import pytest
 
 from conftest import build_home, ev
+from gen import group_by_tick
 from tapcheck.detector import (
     ConflictKind,
     check_c7,
-    check_pairs,
     detect_at_tick,
     match_rules,
     new_window,
 )
 from tapcheck.errors import (
     DuplicateEventIdError,
+    DuplicateSensorReadingError,
     OutOfOrderTickError,
     UnknownSensorKindError,
 )
 
 
-def seeded(rs, cfg, events):
-    """A window loaded with the events' firings, everything fresh."""
+def pairs_of(kind, rs, cfg, events):
+    """The findings of one policy over a stream of tick-sorted events, fed
+    to ``detect_at_tick`` one tick per call."""
     window = new_window(cfg)
-    actions = [ta for e in events for ta in match_rules(e, rs)]
-    window.seed(events, actions)
-    return window
-
-
-def pairs_of(kind, window, cfg):
-    """The ``check_pairs`` findings of one policy."""
-    return [c for c in check_pairs(window, cfg) if c.kind is kind]
+    return [c for batch in group_by_tick(events)
+            for c in detect_at_tick(batch, rs, window, cfg) if c.kind is kind]
 
 
 def kinds_of(conflicts):
@@ -91,7 +87,7 @@ class TestC1:
     def test_two_controllers_one_alarm(self, alarm_home):
         rs, cfg = alarm_home
         events = [ev(rs, "e1", "smoke1", 7, 1), ev(rs, "e2", "leak1", 7, 1)]
-        out = pairs_of(ConflictKind.C1, seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C1, rs, cfg, events)
         assert len(out) == 1
         assert out[0].tick == 7
         a, b = out[0].participants
@@ -108,7 +104,7 @@ class TestC1:
                    ("r_leak", "home", ("leak", "==", 1),
                     ("alarm1", "sound", ["alert@room1"]))])
         events = [ev(rs, "e1", "smoke1", 7, 1), ev(rs, "e2", "leak1", 7, 1)]
-        assert pairs_of(ConflictKind.C1, seeded(rs, cfg, events), cfg) == []
+        assert pairs_of(ConflictKind.C1, rs, cfg, events) == []
 
     def test_elevator_door_lock_vs_unlock(self):
         rs, cfg = build_home(
@@ -123,13 +119,13 @@ class TestC1:
                     ("door_e", "lock", ["access@elevator"]))],
             relations={"door": [("lock", "unlock", "opposite")]})
         events = [ev(rs, "e1", "motion_e", 4, 1), ev(rs, "e2", "alarm_s", 4, 1)]
-        out = pairs_of(ConflictKind.C1, seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C1, rs, cfg, events)
         assert len(out) == 1
 
     def test_different_tick_not_simultaneous(self, alarm_home):
         rs, cfg = alarm_home
         events = [ev(rs, "e1", "smoke1", 7, 1), ev(rs, "e2", "leak1", 9, 1)]
-        assert pairs_of(ConflictKind.C1, seeded(rs, cfg, events), cfg) == []
+        assert pairs_of(ConflictKind.C1, rs, cfg, events) == []
 
     def test_single_event_two_controllers(self):
         # One physical event routed to rules in two controllers still
@@ -142,8 +138,8 @@ class TestC1:
                     ("alarm1", "sound", ["alert@room1"])),
                    ("r2", "b", ("smoke", "==", 1),
                     ("alarm1", "flash", ["alert@room1"]))])
-        window = seeded(rs, cfg, [ev(rs, "e1", "smoke1", 0, 1)])
-        out = pairs_of(ConflictKind.C1, window, cfg)
+        out = pairs_of(ConflictKind.C1, rs, cfg,
+                       [ev(rs, "e1", "smoke1", 0, 1)])
         assert len(out) == 1
 
 
@@ -166,7 +162,7 @@ class TestC2:
     def test_shared_feature_two_actuators(self):
         rs, cfg = window_thermostat_home()
         events = [ev(rs, "e1", "occ1", 3, 1), ev(rs, "e2", "t1", 3, 60)]
-        out = pairs_of(ConflictKind.C2, seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C2, rs, cfg, events)
         assert len(out) == 1
 
     def test_unrelated_features_no_conflict(self):
@@ -182,7 +178,7 @@ class TestC2:
                    ("r_warm", "ctrl_b", ("temperature", "<", 65),
                     ("th1", "heat", ["temperature@room1"]))])
         events = [ev(rs, "e1", "occ1", 3, 1), ev(rs, "e2", "t1", 3, 60)]
-        assert pairs_of(ConflictKind.C2, seeded(rs, cfg, events), cfg) == []
+        assert pairs_of(ConflictKind.C2, rs, cfg, events) == []
 
     def test_dependent_feature_chain(self):
         rs, cfg = build_home(
@@ -198,7 +194,7 @@ class TestC2:
                     ("hum1", "on", ["humidity@room1"]))],
             edges=[("temperature@room1", "humidity@room1")])
         events = [ev(rs, "e1", "occ1", 3, 1), ev(rs, "e2", "h1", 3, 40)]
-        out = pairs_of(ConflictKind.C2, seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C2, rs, cfg, events)
         assert len(out) == 1
 
 
@@ -225,7 +221,7 @@ class TestC3:
     def test_corridor_tug_of_war(self):
         rs, cfg = corridor_home()
         events = [ev(rs, "e1", "t1", 10, 60), ev(rs, "e2", "t2", 12, 75)]
-        out = pairs_of(ConflictKind.C3, seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C3, rs, cfg, events)
         assert len(out) == 1
         assert out[0].tick == 12
 
@@ -241,7 +237,7 @@ class TestC3:
                    ("r_b", "hvac2", ("temperature", "<", 70),
                     ("th1", "increase", ["temperature@room1"]))])
         events = [ev(rs, "e1", "t1", 0, 60), ev(rs, "e2", "t2", 3, 60)]
-        out = pairs_of(ConflictKind.C3, seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C3, rs, cfg, events)
         # Both rules fire on both events. The staggered cross-rule pairs
         # conflict (same command repeated on one actuator); same-event and
         # same-rule pairings do not.
@@ -263,7 +259,7 @@ class TestC3:
                    ("r_b", "hvac", ("temperature", "<", 70),
                     ("th2", "decrease", ["temperature@room1"]))])
         events = [ev(rs, "e1", "t1", 0, 60), ev(rs, "e2", "t2", 3, 60)]
-        assert pairs_of(ConflictKind.C3, seeded(rs, cfg, events), cfg) == []
+        assert pairs_of(ConflictKind.C3, rs, cfg, events) == []
 
     def test_same_rule_twice_is_not_c3(self):
         rs, cfg = build_home(
@@ -274,7 +270,7 @@ class TestC3:
             rules=[("r_a", "hvac", ("temperature", "<", 65),
                     ("th1", "increase", ["temperature@room1"]))])
         events = [ev(rs, "e1", "t1", 0, 60), ev(rs, "e2", "t2", 3, 61)]
-        assert pairs_of(ConflictKind.C3, seeded(rs, cfg, events), cfg) == []
+        assert pairs_of(ConflictKind.C3, rs, cfg, events) == []
 
 
 class TestC4:
@@ -292,7 +288,7 @@ class TestC4:
                     ("light1", "off", ["luminance@room1"]))],
             relations={"blind|light": [("open", "off", "opposite")]})
         events = [ev(rs, "e1", "occ1", 0, 1), ev(rs, "e2", "occ2", 2, 0)]
-        out = pairs_of(ConflictKind.C4, seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C4, rs, cfg, events)
         assert len(out) == 1
 
     def test_opposite_but_unrelated_features(self):
@@ -309,7 +305,7 @@ class TestC4:
                     ("light1", "off", ["luminance@room1"]))],
             relations={"blind|light": [("open", "off", "opposite")]})
         events = [ev(rs, "e1", "occ1", 0, 1), ev(rs, "e2", "occ2", 2, 0)]
-        assert pairs_of(ConflictKind.C4, seeded(rs, cfg, events), cfg) == []
+        assert pairs_of(ConflictKind.C4, rs, cfg, events) == []
 
     def test_shared_humidifier_chain(self):
         rs, cfg = build_home(
@@ -326,7 +322,7 @@ class TestC4:
             classes=[[("temperature", "==", "room1"),
                       ("temperature", "==", "room2")]])
         events = [ev(rs, "e1", "t1", 5, 78), ev(rs, "e2", "t2", 7, 70)]
-        out = pairs_of(ConflictKind.C4, seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C4, rs, cfg, events)
         assert len(out) == 1  # also a C3 (same actuator), reported apart
 
 
@@ -352,13 +348,13 @@ class TestC5:
         rs, cfg = schedule_motion_home()
         events = [ev(rs, "e1", "clock1", 700, 700),
                   ev(rs, "e2", "occ1", 700, 1)]
-        out = pairs_of(ConflictKind.C5, seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C5, rs, cfg, events)
         assert len(out) == 1
 
     def test_smoke_and_co_on_one_alarm(self, alarm_home):
         rs, cfg = alarm_home
         events = [ev(rs, "e1", "smoke1", 10, 1), ev(rs, "e2", "co1", 10, 60)]
-        out = pairs_of(ConflictKind.C5, seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C5, rs, cfg, events)
         assert len(out) == 1  # sound vs flash on alarm1, disjoint events
 
     def test_different_actuators_no_c5(self):
@@ -374,7 +370,7 @@ class TestC5:
                    ("r_co", "home", ("co", ">", 50),
                     ("fan1", "on", ["air@room1"]))])
         events = [ev(rs, "e1", "smoke1", 10, 1), ev(rs, "e2", "co1", 10, 60)]
-        assert pairs_of(ConflictKind.C5, seeded(rs, cfg, events), cfg) == []
+        assert pairs_of(ConflictKind.C5, rs, cfg, events) == []
 
 
 class TestC6:
@@ -393,14 +389,14 @@ class TestC6:
             relations={"window|thermostat": [("open", "off", "opposite")]})
         events = [ev(rs, "e1", "wc1", 650, 1),
                   ev(rs, "e2", "clock1", 650, 650)]
-        out = pairs_of(ConflictKind.C6, seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C6, rs, cfg, events)
         assert len(out) == 1
 
     def test_dependent_humidity_flagged_too(self):
         rs, cfg = schedule_motion_home()
         events = [ev(rs, "e1", "clock1", 700, 700),
                   ev(rs, "e2", "occ1", 700, 1)]
-        out = pairs_of(ConflictKind.C6, seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C6, rs, cfg, events)
         # heat/off are opposite and the features relate via the edge only
         assert len(out) == 1
 
@@ -408,7 +404,7 @@ class TestC6:
         rs, cfg = schedule_motion_home()
         events = [ev(rs, "e1", "clock1", 700, 700),
                   ev(rs, "e2", "occ1", 703, 1)]
-        assert pairs_of(ConflictKind.C6, seeded(rs, cfg, events), cfg) == []
+        assert pairs_of(ConflictKind.C6, rs, cfg, events) == []
 
 
 class TestC7:
@@ -423,7 +419,7 @@ class TestC7:
     def test_repeated_reading_flagged(self):
         rs, cfg = self.home()
         events = [ev(rs, "e1", "t1", 0, 60), ev(rs, "e2", "t1", 20, 60)]
-        out = check_c7(seeded(rs, cfg, events), cfg)
+        out = pairs_of(ConflictKind.C7, rs, cfg, events)
         assert len(out) == 1
         assert out[0].suppressible == ("e2",)
         assert out[0].tick == 20
@@ -431,17 +427,17 @@ class TestC7:
     def test_outside_duplicate_window(self):
         rs, cfg = self.home()
         events = [ev(rs, "e1", "t1", 0, 60), ev(rs, "e2", "t1", 31, 60)]
-        assert check_c7(seeded(rs, cfg, events), cfg) == []
+        assert pairs_of(ConflictKind.C7, rs, cfg, events) == []
 
     def test_different_values_not_duplicates(self):
         rs, cfg = self.home()
         events = [ev(rs, "e1", "t1", 0, 60), ev(rs, "e2", "t1", 20, 64)]
-        assert check_c7(seeded(rs, cfg, events), cfg) == []
+        assert pairs_of(ConflictKind.C7, rs, cfg, events) == []
 
     def test_tolerance_widens_equality(self):
         rs, cfg = self.home(tolerance=0.5)
         events = [ev(rs, "e1", "t1", 0, 60), ev(rs, "e2", "t1", 20, 60.4)]
-        assert len(check_c7(seeded(rs, cfg, events), cfg)) == 1
+        assert len(pairs_of(ConflictKind.C7, rs, cfg, events)) == 1
 
     def test_different_sensors_never_duplicates(self):
         rs, cfg = build_home(
@@ -450,15 +446,22 @@ class TestC7:
             actuators=[("th1", "thermostat", "room1", ("increase",))],
             controllers=["hvac"], features=["temperature@room1"], rules=[])
         events = [ev(rs, "e1", "t1", 0, 60), ev(rs, "e2", "t2", 20, 60)]
-        assert check_c7(seeded(rs, cfg, events), cfg) == []
+        assert pairs_of(ConflictKind.C7, rs, cfg, events) == []
 
 
 class TestDetectAtTick:
-    def test_empty_tick_ages_window(self, alarm_home):
+    def test_empty_batch_is_a_no_op(self, alarm_home):
+        # An empty batch invents no tick, so a later batch at the last
+        # tick seen is still accepted and pairs with that tick's firings.
         rs, cfg = alarm_home
         window = new_window(cfg)
         assert detect_at_tick([], rs, window, cfg) == []
-        assert window.last_tick == 0
+        assert window.last_tick is None
+        detect_at_tick([ev(rs, "e1", "smoke1", 5, 1)], rs, window, cfg)
+        assert detect_at_tick([], rs, window, cfg) == []
+        assert window.last_tick == 5
+        out = detect_at_tick([ev(rs, "e2", "leak1", 5, 1)], rs, window, cfg)
+        assert kinds_of(out) == ["C1"]
 
     def test_batches_must_share_tick(self, alarm_home):
         rs, cfg = alarm_home
@@ -535,11 +538,49 @@ class TestDetectAtTick:
         detect_at_tick([ev(rs, "e1", "smoke1", 0, 1)], rs, window, cfg)
         e2 = ev(rs, "e2", "smoke1", 100, 1)
         window.begin_tick(100, [e2], match_rules(e2, rs))
-        assert list(window.event_pairs_same_sensor(1000)) == []
+        assert check_c7(window, replace(cfg, duplicate_window=1000),
+                        rs.registry) == []
         assert list(window.candidate_pairs(
             replace(cfg, same_tick_epsilon=1000))) == []
         assert list(window.candidate_pairs(
             replace(cfg, overlap_window=1000))) == []
+
+    @pytest.mark.parametrize("beyond", [0, 1])
+    def test_firings_kept_for_pair_reach_only(self, alarm_home, beyond):
+        # Firings are dropped once past max(eps, W), the farthest a pair
+        # policy looks, though events stay for the longer C7 horizon. A
+        # query with an unbounded gap reaches only what the window holds.
+        rs, cfg = alarm_home
+        reach = max(cfg.same_tick_epsilon, cfg.overlap_window)
+        assert reach < cfg.horizon
+        window = new_window(cfg)
+        detect_at_tick([ev(rs, "e1", "smoke1", 0, 1)], rs, window, cfg)
+        e2 = ev(rs, "e2", "leak1", reach + beyond, 1)
+        window.begin_tick(e2.time, [e2], match_rules(e2, rs))
+        held = 1 - beyond
+        assert len(list(window.candidate_pairs(
+            replace(cfg, same_tick_epsilon=1000)))) == held
+        assert len(list(window.candidate_pairs(
+            replace(cfg, overlap_window=1000)))) == held
+
+    def test_two_readings_of_one_sensor_in_batch_rejected(self, alarm_home):
+        rs, cfg = alarm_home
+        window = new_window(cfg)
+        events = [ev(rs, "e1", "smoke1", 5, 1), ev(rs, "e2", "leak1", 5, 1),
+                  ev(rs, "e3", "smoke1", 5, 0)]
+        with pytest.raises(DuplicateSensorReadingError, match="smoke1"):
+            detect_at_tick(events, rs, window, cfg)
+        assert window.last_tick is None
+
+    def test_two_readings_of_one_sensor_across_split_batch_rejected(
+            self, alarm_home):
+        rs, cfg = alarm_home
+        window = new_window(cfg)
+        detect_at_tick([ev(rs, "e1", "smoke1", 5, 1)], rs, window, cfg)
+        detect_at_tick([ev(rs, "e2", "leak1", 5, 1)], rs, window, cfg)
+        with pytest.raises(DuplicateSensorReadingError, match="smoke1"):
+            detect_at_tick([ev(rs, "e3", "smoke1", 5, 0)], rs, window, cfg)
+        detect_at_tick([ev(rs, "e3", "smoke1", 6, 0)], rs, window, cfg)
 
     def test_duplicate_id_in_batch_rejected(self, alarm_home):
         rs, cfg = alarm_home
