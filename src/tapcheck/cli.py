@@ -60,6 +60,7 @@ def parse_trace(text: str, ruleset: RuleSet) -> list[Event]:
         raise TraceError(f"trace header must be {TRACE_HEADER!r}", line=1)
     events: list[Event] = []
     last_tick: int | None = None
+    seen_sensor_tick: set[tuple[str, int]] = set()
     cmp_tokens = {c.value: c for c in Cmp}
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -94,6 +95,11 @@ def parse_trace(text: str, ruleset: RuleSet) -> list[Event]:
                 f"not {location!r}", line=lineno)
         if predicate not in cmp_tokens:
             raise TraceError(f"bad predicate {predicate!r}", line=lineno)
+        if (sensor_id, tick) in seen_sensor_tick:
+            raise TraceError(
+                f"sensor {sensor_id!r} emits twice at tick {tick}",
+                line=lineno)
+        seen_sensor_tick.add((sensor_id, tick))
         events.append(Event(
             id=f"e{lineno - 1}",
             sensor=sensor_id,
@@ -161,10 +167,9 @@ def cmd_monitor(args) -> int:
     events = parse_trace(read_text(args.trace), doc.ruleset)
 
     window = new_window(cfg)
-    conflicts: list[Conflict] = []
-    for _, batch in groupby(events, key=attrgetter("time")):
-        conflicts.extend(detect_at_tick(list(batch), doc.ruleset, window,
-                                        cfg))
+    conflicts = [c for _, batch in groupby(events, key=attrgetter("time"))
+                 for c in detect_at_tick(list(batch), doc.ruleset, window,
+                                         cfg)]
     lines = [CONFLICT_HEADER] + [format_conflict_row(c) for c in conflicts]
     log_text = "\n".join(lines) + "\n"
     if args.out:

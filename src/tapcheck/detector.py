@@ -175,23 +175,18 @@ def _drop_head(index: dict, name) -> None:
 
 
 class DetectionWindow:
-    """Sliding record of the recent triggered actions and raw events.
-
-    Firings are kept for ``reach`` ticks (max(eps, W), the farthest a pair
-    policy looks), events and their ids for ``horizon`` ticks (C7 and the
-    unique-id check). Each firing is listed in tick order with all
-    firings, under its actuator, and under its action class (actuator kind
-    plus action name), so ``candidate_pairs`` reaches the firings past the
-    epsilon that can still conflict without visiting the rest. Only the
-    arrivals staged by ``begin_tick`` are fresh. Single writer; call
-    ``detect_at_tick`` serially per stream.
+    """Sliding record of recent firings and raw events, sized by one
+    detector config: firings are kept for its ``pair_reach`` (max(eps, W),
+    the farthest a pair policy looks), events and their ids for its
+    ``horizon`` (C7 and the unique-id check). Each firing is listed in
+    tick order with all firings, under its actuator, and under its action
+    class (actuator kind plus action name), so ``candidate_pairs`` reaches
+    the firings past the epsilon that can still conflict without visiting
+    the rest. Single writer; call ``detect_at_tick`` serially per stream.
     """
 
-    def __init__(self, horizon: int, reach: int):
-        if min(horizon, reach) < 1:
-            raise ValueError("window horizon and reach must be >= 1")
-        self.horizon = horizon
-        self.reach = reach
+    def __init__(self, cfg: DetectorConfig):
+        self._cfg = cfg
         self.last_tick: Tick | None = None
         self._actions: list[TriggeredAction] = []  # in tick order
         self._by_actuator = defaultdict(list)  # actuator -> actions
@@ -204,24 +199,16 @@ class DetectionWindow:
 
     def begin_tick(self, tick: Tick, events: list[Event],
                    actions: list[TriggeredAction]) -> None:
-        """Stage one tick's arrivals for evaluation, after dropping the
-        items past their reach. A later call may stage more arrivals at the
-        same tick, never at an earlier one."""
+        """Stage one tick's arrivals as the fresh items, after dropping the
+        items past their reach. A later call may add arrivals at this tick,
+        never at an earlier one. Rejects, before the window changes, an
+        event off the tick, an event id still in the window (pairs tell
+        events apart by id) and a second event of one sensor at this tick
+        (C7 tells one sensor's readings apart by tick)."""
         if self.last_tick is not None and tick < self.last_tick:
             raise OutOfOrderTickError(
                 f"tick {tick} arrived after tick {self.last_tick}")
-        self._check_arrivals(tick, events)
-        self.last_tick = tick
-        self._evict(tick)
-        self._fresh_events = list(events)
-        self._fresh_actions = list(actions)
-
-    def _check_arrivals(self, tick: Tick, events: list[Event]) -> None:
-        """Reject an event off the batch's tick, an event id still in the
-        window or repeated in the batch (pairs tell events apart by id),
-        and a second event of one sensor at this tick, in this batch or an
-        earlier one (C7 tells one sensor's readings apart by tick)."""
-        cutoff = tick - self.horizon
+        cutoff = tick - self._cfg.horizon
         history = self._events_by_sensor
         ids, sensors = set(), set()
         for event in events:
@@ -240,6 +227,10 @@ class DetectionWindow:
                 raise DuplicateSensorReadingError(
                     f"sensor {event.sensor!r} emits twice at tick {tick}")
             sensors.add(event.sensor)
+        self.last_tick = tick
+        self._evict(tick)
+        self._fresh_events = list(events)
+        self._fresh_actions = list(actions)
 
     def commit_tick(self) -> None:
         """Absorb the staged arrivals into the window."""
@@ -256,7 +247,8 @@ class DetectionWindow:
         self._fresh_events = []
 
     def _evict(self, now: Tick) -> None:
-        expired = bisect_left(self._actions, now - self.reach, key=_time)
+        expired = bisect_left(self._actions, now - self._cfg.pair_reach,
+                              key=_time)
         # Buckets keep the order of ``_actions``, so each expired action,
         # taken oldest first, is at the head of its two buckets.
         for action in self._actions[:expired]:
@@ -266,7 +258,7 @@ class DetectionWindow:
         del self._actions[:expired]
         # Ticks only grow, so the first id in ``_event_times`` is the
         # oldest event and each sensor's deque is sorted by time.
-        cutoff = now - self.horizon
+        cutoff = now - self._cfg.horizon
         times = self._event_times
         if not times or next(iter(times.values())) >= cutoff:
             return
@@ -432,9 +424,8 @@ def check_c7(window: DetectionWindow, cfg: DetectorConfig,
     enforcement can drop its actions."""
     out = []
     span = cfg.duplicate_window
-    sensors = registry.sensors
     for later, history in window.sensor_histories():
-        tolerance = sensors[later.sensor].tolerance
+        tolerance = registry.sensors[later.sensor].tolerance
         for earlier in history:
             gap = later.time - earlier.time
             # The value test is cheaper than comparing signatures, and on a
@@ -458,13 +449,12 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
                    cfg: DetectorConfig) -> list[Conflict]:
     """Process one tick of events and return every conflict they complete.
 
-    One call takes the events of one tick. Successive calls must not go
-    back in time; a later call at the same tick behaves like one larger
-    batch. Each sensor emits at most once per tick, and event ids must be
-    unique across the detection window (the config horizon). An empty
-    batch is a no-op. C1 to C6 are evaluated in one pass over the
-    candidate pairs, then C7; their findings are returned sorted
-    canonically, with each (kind, pair) reported once.
+    One call takes the events of one tick; a later call may add events at
+    that tick but never go back. Each sensor emits at most once per tick,
+    and event ids are unique within the config horizon. An empty batch is
+    a no-op. C1 to C6 are evaluated in one pass over the candidate pairs,
+    then C7; findings come back sorted canonically, each (kind, pair)
+    once.
     """
     if not new_events:
         return []
@@ -478,6 +468,4 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
     return conflicts
 
 
-def new_window(cfg: DetectorConfig) -> DetectionWindow:
-    """A detection window sized for the given config."""
-    return DetectionWindow(horizon=cfg.horizon, reach=cfg.pair_reach)
+new_window = DetectionWindow  # a detection window sized for a config

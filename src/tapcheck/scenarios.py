@@ -166,25 +166,31 @@ def load_bundle(name: str) -> Bundle:
     return _bundle(doc, text)
 
 
+_OUTDOOR_OVERRIDES = {"outdoor_temperature", "daylight"}
+
+
+def _parse_overrides(raw, path: str) -> dict | None:
+    """House overrides read from a scenario file (None when absent): a
+    mapping of physics parameters to numbers and of outdoor traces to
+    series."""
+    if raw is None:
+        return None
+    if not isinstance(raw, dict):
+        raise ParseError("house overrides must be a mapping", path=path)
+    unknown = set(raw) - _PARAM_FIELDS - _OUTDOOR_OVERRIDES
+    if unknown:
+        raise ParseError(f"unknown house override(s): {sorted(unknown)}",
+                         path=path)
+    return {k: (_as_number if k in _PARAM_FIELDS else _series)(
+        v, f"{path}.{k}") for k, v in raw.items()}
+
+
 def _override_house(house: HouseModel, overrides: dict) -> HouseModel:
     """Apply {param: value} overrides onto the house physics parameters;
     an ``outdoor_temperature``/``daylight`` key replaces the trace."""
-    if not overrides:
-        return house
-    if not isinstance(overrides, dict):
-        raise ParseError("house overrides must be a mapping")
-    params_kwargs = {}
-    house_kwargs = {}
-    for key, value in overrides.items():
-        if key in _PARAM_FIELDS:
-            params_kwargs[key] = _as_number(value, f"overrides.{key}")
-        elif key in ("outdoor_temperature", "daylight"):
-            house_kwargs[key] = _series(value, f"overrides.{key}")
-        else:
-            raise SimulationError(f"unknown house override {key!r}")
-    if params_kwargs:
-        house_kwargs["params"] = replace(house.params, **params_kwargs)
-    return replace(house, **house_kwargs)
+    params = {k: v for k, v in overrides.items() if k in _PARAM_FIELDS}
+    outdoor = {k: v for k, v in overrides.items() if k not in _PARAM_FIELDS}
+    return replace(house, params=replace(house.params, **params), **outdoor)
 
 
 def run_scenario(scenario: Scenario,
@@ -307,7 +313,8 @@ def load_scenario_bundle(path: str) -> tuple[Scenario, Bundle]:
         horizon=_as_int(meta["horizon"], "scenario.horizon"),
         seed=_as_int(meta.get("seed", 0), "scenario.seed"),
         detector=str(meta.get("detector", "off")),
-        baseline_overrides=meta.get("baseline_overrides"),
+        baseline_overrides=_parse_overrides(
+            meta.get("baseline_overrides"), "scenario.baseline_overrides"),
         description=str(meta.get("description", "")),
     )
     return scenario, _bundle(doc, text)

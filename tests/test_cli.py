@@ -150,7 +150,7 @@ class TestMonitor:
                      "--trace", str(trace)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "smoke1" in err and "tick 5" in err
+        assert "smoke1" in err and "tick 5" in err and "line 4" in err
 
     def test_unknown_sensor_rejected(self, alarm_ruleset, tmp_path, capsys):
         trace = tmp_path / "bad.csv"
@@ -412,6 +412,8 @@ class TestUserScenarioFiles:
         ("  momentary:", "  outdoor: {daylight: []}\n  momentary:"),
         ("  seed: 4\n", "  seed: 4\n  baseline_overrides: {k_loss: abc}\n"),
         ("  seed: 4\n", "  seed: 4\n  baseline_overrides: [1]\n"),
+        ("  seed: 4\n", "  seed: 4\n  baseline_overrides: 0\n"),
+        ("  seed: 4\n", "  seed: 4\n  baseline_overrides: {k_los: 1}\n"),
         ("{name: walkers,", "{name: taps,"),
         ("{name: walkers,", "{name: 5,"),
         ("momentary: [lampA, lampB]", "momentary: 5"),
@@ -432,7 +434,8 @@ class TestUserScenarioFiles:
             "source_at_scalar", "source_choices_scalar", "source_emit_string",
             "room_exposed_string", "room_flag_number", "room_thermostat",
             "outdoor_list", "outdoor_empty_series", "baseline_value",
-            "baseline_list", "source_name_repeated", "source_name_number",
+            "baseline_list", "baseline_zero", "baseline_unknown_key",
+            "source_name_repeated", "source_name_number",
             "momentary_scalar", "momentary_nested", "params_scalar",
             "adjacency_scalar", "rooms_scalar", "sources_scalar",
             "scenario_scalar"])
@@ -444,6 +447,19 @@ class TestUserScenarioFiles:
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("overrides", ["{k_loss: abc}", "[1]", "0",
+                                           "{k_los: 1}"])
+    def test_bad_baseline_overrides_rejected_on_load(self, overrides,
+                                                     tmp_path):
+        # Rejected as the file is read, before either arm simulates.
+        from tapcheck.errors import ParseError
+        doc = tmp_path / "bad.yaml"
+        doc.write_text(USER_SCENARIO.replace(
+            "  seed: 4\n", f"  seed: 4\n  baseline_overrides: {overrides}\n"),
+            encoding="utf-8")
+        with pytest.raises(ParseError, match="baseline_overrides"):
+            scenarios.load_scenario_bundle(str(doc))
 
     def test_two_readings_of_one_sensor_at_one_tick_exit_two(self, tmp_path,
                                                             capsys):
