@@ -20,6 +20,7 @@ File formats (UTF-8, LF, comma-separated, byte-stable for fixed inputs):
 import argparse
 import math
 import sys
+from collections import Counter
 from dataclasses import replace
 from itertools import groupby
 from operator import attrgetter
@@ -133,13 +134,6 @@ def format_conflict_row(conflict: Conflict) -> str:
             f"{a.event.id},{b.event.id},{actuator},{note}")
 
 
-def _count_by_kind(conflicts) -> dict[str, int]:
-    counts = {k.value: 0 for k in ConflictKind}
-    for c in conflicts:
-        counts[c.kind.value] += 1
-    return counts
-
-
 def _print_summary(counts: dict[str, int]) -> None:
     total = sum(counts.values())
     line = "  ".join(f"{kind}={counts[kind]}" for kind in sorted(counts))
@@ -166,11 +160,15 @@ def cmd_monitor(args) -> int:
     cfg = _apply_overrides(doc.config, args)
     events = parse_trace(read_text(args.trace), doc.ruleset)
 
+    # Each tick's findings become log rows and counts as they arrive, so
+    # no finding, nor the firings it holds, outlives its tick.
     window = new_window(cfg)
-    conflicts = [c for _, batch in groupby(events, key=attrgetter("time"))
-                 for c in detect_at_tick(list(batch), doc.ruleset, window,
-                                         cfg)]
-    lines = [CONFLICT_HEADER] + [format_conflict_row(c) for c in conflicts]
+    lines = [CONFLICT_HEADER]
+    counts = Counter({k.value: 0 for k in ConflictKind})
+    for _, batch in groupby(events, key=attrgetter("time")):
+        found = detect_at_tick(list(batch), doc.ruleset, window, cfg)
+        lines.extend(map(format_conflict_row, found))
+        counts.update(c.kind.value for c in found)
     log_text = "\n".join(lines) + "\n"
     if args.out:
         out_dir = Path(args.out)
@@ -178,8 +176,8 @@ def cmd_monitor(args) -> int:
         (out_dir / "conflicts.csv").write_text(log_text, encoding="utf-8")
     else:
         sys.stdout.write(log_text)
-    _print_summary(_count_by_kind(conflicts))
-    return 1 if conflicts else 0
+    _print_summary(counts)
+    return 1 if sum(counts.values()) else 0
 
 
 def _series_value(report: TraceReport, room: str, fieldname: str,
@@ -343,6 +341,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "seeds", 1) < 1:
         print("error: --seeds must be >= 1", file=sys.stderr)
+        return 2
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
         return 2
     try:
         return args.func(args)

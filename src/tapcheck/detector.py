@@ -104,11 +104,11 @@ class Conflict:
     def key(self) -> tuple:
         """Identity used to compare detector output against reference
         implementations: kind, detection tick, and participant keys."""
+        a, b = self.participants
         if self.kind is ConflictKind.C7:
-            parts = tuple((e.time, e.id) for e in self.participants)
-        else:
-            parts = tuple(a.key() for a in self.participants)
-        return (self.kind.value, self.tick, parts)
+            return (self.kind.value, self.tick,
+                    ((a.time, a.id), (b.time, b.id)))
+        return (self.kind.value, self.tick, (a.key(), b.key()))
 
 
 def match_rules(event: Event, ruleset: RuleSet) -> list[TriggeredAction]:
@@ -444,6 +444,12 @@ def check_c7(window: DetectionWindow, cfg: DetectorConfig,
     return out
 
 
+def _earlier_reading(conflict: Conflict) -> tuple:
+    """The C7 order within one tick: the earlier reading's (time, id)."""
+    earlier = conflict.participants[0]
+    return (earlier.time, earlier.id)
+
+
 def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
                    window: DetectionWindow,
                    cfg: DetectorConfig) -> list[Conflict]:
@@ -453,19 +459,29 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
     that tick but never go back. Each sensor emits at most once per tick,
     and event ids are unique within the config horizon. An empty batch is
     a no-op. C1 to C6 are evaluated in one pass over the candidate pairs,
-    then C7; findings come back sorted canonically, each (kind, pair)
-    once.
+    then C7; findings come back each (kind, pair) once, in the canonical
+    order of ``Conflict.key``.
+
+    That order is reached without a key tuple per C7 finding. Every
+    finding of one call has the call's tick, and the kind names sort C7
+    after C1 to C6, so the sorted C1 to C6 findings come first. Each C7
+    finding pairs a fresh reading, at this tick, with an earlier reading
+    of the same sensor; a sensor emits once per tick and ids are unique in
+    the window (both checked by ``begin_tick``), so the earlier reading
+    names the finding, and its (time, id) orders the C7 findings as their
+    keys would. Ids compare as strings, as in the key: "e10" < "e9".
     """
     if not new_events:
         return []
     actions = [ta for event in new_events
                for ta in match_rules(event, ruleset)]
     window.begin_tick(new_events[0].time, new_events, actions)
-    conflicts = (check_pairs(window, cfg)
-                 + check_c7(window, cfg, ruleset.registry))
+    conflicts = check_pairs(window, cfg)
+    repeats = check_c7(window, cfg, ruleset.registry)
     window.commit_tick()
     conflicts.sort(key=Conflict.key)
-    return conflicts
+    repeats.sort(key=_earlier_reading)
+    return conflicts + repeats
 
 
 new_window = DetectionWindow  # a detection window sized for a config

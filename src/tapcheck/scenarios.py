@@ -306,12 +306,15 @@ def load_scenario_bundle(path: str) -> tuple[Scenario, Bundle]:
     for key in ("id", "horizon"):
         if key not in meta:
             raise ParseError(f"scenario needs {key!r}", path="scenario")
+    seed = _as_int(meta.get("seed", 0), "scenario.seed")
+    if seed < 0:
+        raise ParseError("seed must be >= 0", path="scenario.seed")
     scenario = Scenario(
         id=str(meta["id"]),
         ruleset=path,
         sources=parse_sources(doc.sources, doc.ruleset.registry),
         horizon=_as_int(meta["horizon"], "scenario.horizon"),
-        seed=_as_int(meta.get("seed", 0), "scenario.seed"),
+        seed=seed,
         detector=str(meta.get("detector", "off")),
         baseline_overrides=_parse_overrides(
             meta.get("baseline_overrides"), "scenario.baseline_overrides"),

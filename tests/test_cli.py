@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, file formats, cross-command
 consistency."""
 
+import weakref
+from itertools import groupby
+
 import pytest
 
-from tapcheck import scenarios
+from tapcheck import cli, scenarios
 from tapcheck.cli import CONFLICT_HEADER, main
+from tapcheck.parsing import load_document
 from tapcheck.scenarios import fixture_text
 
 CLEAN_DOC = """
@@ -152,6 +156,43 @@ class TestMonitor:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "smoke1" in err and "tick 5" in err and "line 4" in err
 
+    def test_no_finding_outlives_its_tick(self, alarm_ruleset, tmp_path,
+                                          monkeypatch):
+        # Smoke and leak read 1 at every tick: rival rules collide on the
+        # alarm and each reading repeats the last. A finding is logged and
+        # counted as its tick ends, so at each call every finding of two or
+        # more calls back is gone.
+        trace = tmp_path / "trace.csv"
+        trace.write_text(
+            "tick,sensor,kind,predicate,value,location\n" + "".join(
+                f"{t},smoke1,smoke,==,1,room1\n{t},leak1,leak,==,1,room1\n"
+                for t in range(12)), encoding="utf-8")
+        calls = []
+        detect = cli.detect_at_tick
+
+        def recorded(*args):
+            assert all(ref() is None for refs in calls[:-1] for ref in refs)
+            found = detect(*args)
+            calls.append([weakref.ref(c) for c in found])
+            return found
+
+        monkeypatch.setattr(cli, "detect_at_tick", recorded)
+        assert main(["monitor", "--ruleset", str(alarm_ruleset),
+                     "--trace", str(trace), "--out", str(tmp_path)]) == 1
+        assert len(calls) == 12 and all(calls)
+
+        doc = load_document(alarm_ruleset.read_text(encoding="utf-8"))
+        window = cli.new_window(doc.config)
+        rows = [CONFLICT_HEADER]
+        events = cli.parse_trace(trace.read_text(encoding="utf-8"),
+                                 doc.ruleset)
+        for _, batch in groupby(events, key=lambda e: e.time):
+            rows += [cli.format_conflict_row(c) for c in detect(
+                list(batch), doc.ruleset, window, doc.config)]
+        assert any(",C7," in row for row in rows)
+        assert ((tmp_path / "conflicts.csv").read_text(encoding="utf-8")
+                == "\n".join(rows) + "\n")
+
     def test_unknown_sensor_rejected(self, alarm_ruleset, tmp_path, capsys):
         trace = tmp_path / "bad.csv"
         trace.write_text(
@@ -242,6 +283,13 @@ class TestSimulate:
     def test_zero_seed_count_rejected(self, tmp_path, capsys):
         assert main(["simulate", "--scenario", "S1", "--seeds", "0",
                      "--out", str(tmp_path / "x")]) == 2
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        assert main(["simulate", "--scenario", "S1", "--seed", "-5",
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--seed" in err
 
 
 class TestMonitorReplaysSimulate:
@@ -393,6 +441,7 @@ class TestUserScenarioFiles:
     @pytest.mark.parametrize("old,new", [
         ("temperature: 70,", "temperature: abc,"),
         ("horizon: 200", "horizon: abc"),
+        ("seed: 4", "seed: -4"),
         ("sensor: tap1, p: 0.2}", "sensor: tap1, p: 0.2, predicate: '!='}"),
         ("sensor: tap1, p: 0.2}", "sensor: tap1, p: 0.2, predicate: [1]}"),
         ("sensor: tap1, p: 0.2}", "sensor: tap1, p: abc}"),
@@ -428,7 +477,8 @@ class TestUserScenarioFiles:
         ("scenario:\n  id: night_light_race\n  horizon: 200\n  seed: 4\n"
          "  detector: \"off\"\n  description: two lamps race on one "
          "hallway\n", "scenario: 5\n"),
-    ], ids=["room_temperature", "horizon", "source_predicate",
+    ], ids=["room_temperature", "horizon", "seed_negative",
+            "source_predicate",
             "source_predicate_list", "source_p", "source_value",
             "source_min_delta", "source_at_triple", "source_at_scalar_entry",
             "source_at_scalar", "source_choices_scalar", "source_emit_string",

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ev
+from conftest import build_home, ev
 from gen import group_by_tick, random_ruleset, random_trace
 from tapcheck.detector import (
+    Conflict,
     classify_pair,
     detect_at_tick,
     match_rules,
@@ -20,10 +21,14 @@ from tapcheck.oracle import _pair_kinds, conflict_keys, oracle_detect
 
 
 def run_detector(trace, rs, cfg):
+    """The detector's findings over a stream, checking that each call
+    returns its findings in canonical order."""
     window = new_window(cfg)
     out = []
     for batch in group_by_tick(trace):
-        out.extend(detect_at_tick(batch, rs, window, cfg))
+        found = detect_at_tick(batch, rs, window, cfg)
+        assert found == sorted(found, key=Conflict.key)
+        out.extend(found)
     return out
 
 
@@ -272,6 +277,43 @@ class TestTimeShift:
         got = sorted(conflict_keys(run_detector(shift_trace(trace, k),
                                                 rs, cfg)))
         assert got == sorted(moved)
+
+
+class TestOutputOrder:
+    def test_pair_and_repeat_findings_of_one_tick_in_key_order(self):
+        # Twelve sensors read twice, so the earlier readings' ids (e1..e12)
+        # sort as strings ("e10" < "e2"), not as numbers. Both readings of
+        # every sensor fire rival rules on one actuator (C1, C3), and s0
+        # drifts within its tolerance yet still repeats (C7).
+        sensors = [(f"s{i}", "temperature", "F", "room1", 0.5 if i == 0
+                    else 0.0) for i in range(12)]
+        rs, cfg = build_home(
+            sensors=sensors,
+            actuators=[("th1", "thermostat", "room1", ("heat", "off"))],
+            controllers=["app", "auto"],
+            features=["temperature@room1"],
+            rules=[("r_heat", "app", ("temperature", ">", 50),
+                    ("th1", "heat", ["temperature@room1"])),
+                   ("r_off", "auto", ("temperature", ">", 50),
+                    ("th1", "off", ["temperature@room1"]))],
+            relations={"thermostat": [("heat", "off", "different")]})
+        trace = [ev(rs, f"e{12 * tick + i + 1}", f"s{i}", tick,
+                    60.3 if tick and i == 0 else 60) for tick in (0, 1)
+                 for i in range(12)]
+        window = new_window(cfg)
+        detect_at_tick(trace[:12], rs, window, cfg)
+        found = detect_at_tick(trace[12:], rs, window, cfg)
+        assert found == sorted(found, key=Conflict.key)
+        kinds = {c.kind.value for c in found}
+        assert {"C1", "C3", "C7"} <= kinds
+        repeats = [c.participants for c in found if c.kind.value == "C7"]
+        earlier = [a.id for a, _ in repeats]
+        assert len(earlier) == 12
+        assert earlier != sorted(earlier, key=lambda eid: int(eid[1:]))
+        assert any(a.value != b.value for a, b in repeats)
+        assert ({c.key() for c in found}
+                == {key for key in oracle_detect(trace, rs, cfg)
+                    if key[1] == 1})
 
 
 class TestSameTickBatches:
