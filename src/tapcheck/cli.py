@@ -33,14 +33,11 @@ from .detector import Conflict, ConflictKind, detect_at_tick, new_window
 from .errors import TapcheckError, TraceError
 from .model import Cmp, DetectorConfig, Event, EventSignature, RuleSet
 from .parsing import load_document, read_text
-from .simulator import THERMO_NAME, TraceReport
+from .simulator import SERIES_FIELDS, THERMO_NAME, RoomState, TraceReport
 from .static import static_check
 
 TRACE_HEADER = "tick,sensor,kind,predicate,value,location"
 CONFLICT_HEADER = "tick,kind,rule_a,rule_b,event_a,event_b,actuator,note"
-
-_DEVICE_COLUMNS = ("occupancy", "thermostat", "setpoint", "humidifier",
-                   "light", "blind", "window", "door", "alarm")
 
 
 def _apply_overrides(cfg: DetectorConfig, args) -> DetectorConfig:
@@ -180,27 +177,28 @@ def cmd_monitor(args) -> int:
     return 1 if sum(counts.values()) else 0
 
 
-def _series_value(report: TraceReport, room: str, fieldname: str,
-                  tick: int) -> str:
-    value = report.series[room][fieldname][tick]
+def _format_column(fieldname: str, values: list[float]) -> list[str]:
+    """One recorded series as trace-CSV cells: the thermostat's mode name,
+    a float field to four places, a flag as 0 or 1."""
     if fieldname == "thermostat":
-        return THERMO_NAME[int(value)]
-    if fieldname in ("temperature", "humidity", "luminance", "setpoint"):
-        return f"{value:.4f}"
-    return str(int(value))
+        return [THERMO_NAME[int(v)] for v in values]
+    if RoomState.__dataclass_fields__[fieldname].type is float:
+        return [f"{v:.4f}" for v in values]
+    return [str(int(v)) for v in values]
 
 
 def write_report_csvs(report: TraceReport, out_dir: Path) -> None:
     seed = report.seed
-    rows = ["tick,room," + ",".join(
-        ("temperature", "humidity", "luminance") + _DEVICE_COLUMNS)]
-    for tick in range(report.horizon):
-        for room in report.rooms:
-            cells = [str(tick), room]
-            for fieldname in ("temperature", "humidity", "luminance",
-                              *_DEVICE_COLUMNS):
-                cells.append(_series_value(report, room, fieldname, tick))
-            rows.append(",".join(cells))
+    # Rows per room, formatted a column at a time, then interleaved so the
+    # rooms of one tick sit together.
+    room_rows = [
+        [f"{room}," + ",".join(cells) for cells in zip(*(
+            _format_column(f, report.series[room][f].tolist())
+            for f in SERIES_FIELDS))]
+        for room in report.rooms]
+    rows = ["tick,room," + ",".join(SERIES_FIELDS)]
+    for tick, tick_rows in enumerate(zip(*room_rows)):
+        rows.extend(f"{tick},{row}" for row in tick_rows)
     (out_dir / f"trace_{seed}.csv").write_text("\n".join(rows) + "\n",
                                                encoding="utf-8")
 

@@ -21,7 +21,7 @@ Scenario ids, seeds, horizons, and source probabilities are plain data;
 use :func:`with_probability` or ``dataclasses.replace`` to build sweeps.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -39,6 +39,7 @@ from .parsing import (
     read_text,
 )
 from .simulator import (
+    DEVICE_ACTIONS,
     THERMO_NAME,
     HouseModel,
     HouseParams,
@@ -50,12 +51,11 @@ from .simulator import (
 )
 
 _PARAM_FIELDS = {f for f in HouseParams.__dataclass_fields__}
-_ROOM_DEFAULTS = {
-    "temperature": 70.0, "humidity": 50.0, "occupancy": False,
-    "thermostat": "off", "setpoint": 70.0, "humidifier": False,
-    "light": False, "blind": False, "window": False, "door": False,
-    "alarm": False,
-}
+# The keys a room entry may set besides ``id`` and ``exposed``, with their
+# types, read from RoomState. Luminance is left out: the blind, the lamp and
+# the daylight set it every tick.
+_ROOM_FIELDS = {f.name: f.type for f in fields(RoomState)
+                if f.name not in ("name", "outdoor_exposed", "luminance")}
 
 
 def _series(value, path):
@@ -83,11 +83,15 @@ def parse_house(raw: dict, registry) -> HouseModel:
             "outdoor_exposed": _as_bool(entry.get("exposed", True),
                                         f"{p}.exposed"),
         }
-        for key, default in _ROOM_DEFAULTS.items():
-            value = entry.get(key, default)
-            if isinstance(default, bool):
+        for key, value in entry.items():
+            kind = _ROOM_FIELDS.get(key)
+            if key in ("id", "exposed"):
+                continue
+            if kind is None:
+                raise ParseError(f"unknown room key {key!r}", path=p)
+            if kind is bool:
                 value = _as_bool(value, f"{p}.{key}")
-            elif isinstance(default, float):
+            elif kind is float:
                 value = _as_number(value, f"{p}.{key}")
             elif value not in THERMO_NAME.values():
                 raise ParseError("expected off, heat or cool",
@@ -119,11 +123,19 @@ def parse_house(raw: dict, registry) -> HouseModel:
 
     momentary = frozenset(_as_str(a, "house.momentary") for a in _section(
         raw, "momentary", list, "house.momentary"))
-    for actuator_id in momentary:
-        if actuator_id not in registry.actuators:
-            raise ParseError(
-                f"momentary actuator {actuator_id!r} is not declared",
-                path="house.momentary")
+    room_names = {room.name for room in rooms}
+    for actuator_id in sorted(momentary):
+        actuator = registry.actuators.get(actuator_id)
+        if actuator is None:
+            problem = "is not declared"
+        elif actuator.kind not in DEVICE_ACTIONS:
+            problem = f"is kind {actuator.kind!r}, which is not simulated"
+        elif actuator.location not in room_names:
+            problem = f"sits in {actuator.location!r}, not in a house room"
+        else:
+            continue
+        raise ParseError(f"momentary actuator {actuator_id!r} {problem}",
+                         path="house.momentary")
 
     return HouseModel(rooms=tuple(rooms), adjacency=tuple(adjacency),
                       params=params, outdoor_temperature=temperature,
@@ -218,7 +230,7 @@ def run_scenario(scenario: Scenario,
 _SOURCE_FIELDS = set(SourceSpec.__dataclass_fields__)
 
 
-def parse_sources(raw: list, registry) -> tuple[SourceSpec, ...]:
+def parse_sources(raw: list) -> tuple[SourceSpec, ...]:
     """Validate the ``sources`` section of a scenario document."""
     if not isinstance(raw or [], list):
         raise ParseError("sources must be a list", path="sources")
@@ -240,10 +252,10 @@ def parse_sources(raw: list, registry) -> tuple[SourceSpec, ...]:
         if name in names:
             raise ParseError(f"duplicate source name {name!r}", path=p)
         names.add(name)
-        if kwargs["sensor"] not in registry.sensors:
-            raise ParseError(
-                f"source {kwargs['name']!r} uses undeclared sensor "
-                f"{kwargs['sensor']!r}", path=p)
+        kwargs["sensor"] = _as_str(kwargs["sensor"], f"{p}.sensor")
+        if kwargs.get("occupancy_room") is not None:
+            kwargs["occupancy_room"] = _as_str(kwargs["occupancy_room"],
+                                               f"{p}.occupancy_room")
         if "predicate" in kwargs:
             kwargs["predicate"] = _parse_cmp(kwargs["predicate"],
                                              f"{p}.predicate")
@@ -312,7 +324,7 @@ def load_scenario_bundle(path: str) -> tuple[Scenario, Bundle]:
     scenario = Scenario(
         id=str(meta["id"]),
         ruleset=path,
-        sources=parse_sources(doc.sources, doc.ruleset.registry),
+        sources=parse_sources(doc.sources),
         horizon=_as_int(meta["horizon"], "scenario.horizon"),
         seed=seed,
         detector=str(meta.get("detector", "off")),

@@ -24,7 +24,7 @@ action is dropped as well.
 """
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .detector import (
     Conflict,
     ConflictKind,
     DetectionWindow,
-    TriggeredAction,
     detect_at_tick,
     match_rules,
     new_window,
@@ -287,9 +286,10 @@ class TraceReport:
                 for k in sorted(keys)}
 
 
-_SERIES_FIELDS = ("temperature", "humidity", "luminance", "occupancy",
-                  "thermostat", "setpoint", "humidifier", "light", "blind",
-                  "window", "door", "alarm")
+# The room fields a run records each tick, in trace-CSV column order:
+# every field of RoomState but its name and exposure.
+SERIES_FIELDS = tuple(f.name for f in fields(RoomState)
+                      if f.name not in ("name", "outdoor_exposed"))
 
 _THERMO_CODE = {THERMOSTAT_OFF: 0, THERMOSTAT_HEAT: 1, THERMOSTAT_COOL: 2}
 THERMO_NAME = {v: k for k, v in _THERMO_CODE.items()}
@@ -302,65 +302,50 @@ def _source_rng(seed: int, name: str) -> np.random.Generator:
         np.random.SeedSequence([seed, int.from_bytes(digest[:8], "big")]))
 
 
+# Each simulated actuator kind drives the room field of its own name; per
+# action, the value that field takes. A thermostat's value is its mode and
+# the setpoint steps (of ``HouseParams.setpoint_step``) it moves, so it
+# drives the setpoint too.
+DEVICE_ACTIONS: dict[str, dict[str, object]] = {
+    "thermostat": {
+        "on": (THERMOSTAT_HEAT, 0), "heat": (THERMOSTAT_HEAT, 0),
+        "cool": (THERMOSTAT_COOL, 0), "off": (THERMOSTAT_OFF, 0),
+        "increase": (THERMOSTAT_HEAT, 1), "decrease": (THERMOSTAT_COOL, -1),
+    },
+    "humidifier": {"on": True, "off": False},
+    "light": {"on": True, "off": False},
+    "blind": {"open": True, "close": False},
+    "window": {"open": True, "close": False},
+    "door": {"open": True, "unlock": True, "close": False, "lock": False},
+    "alarm": {"on": True, "sound": True, "beep": True, "flash": True,
+              "off": False},
+}
+
+
+def driven_fields(actuator_kind: str) -> tuple[str, ...]:
+    """The room fields an actuator kind of ``DEVICE_ACTIONS`` sets."""
+    if actuator_kind == "thermostat":
+        return ("thermostat", "setpoint")
+    return (actuator_kind,)
+
+
 def apply_action(room: RoomState, actuator_kind: str, action: str,
                  step: float) -> None:
     """Mutate a room's device state according to one actuation command."""
-    if actuator_kind == "thermostat":
-        if action in ("on", "heat"):
-            room.thermostat = THERMOSTAT_HEAT
-        elif action == "cool":
-            room.thermostat = THERMOSTAT_COOL
-        elif action == "off":
-            room.thermostat = THERMOSTAT_OFF
-        elif action == "increase":
-            room.thermostat = THERMOSTAT_HEAT
-            room.setpoint += step
-        elif action == "decrease":
-            room.thermostat = THERMOSTAT_COOL
-            room.setpoint -= step
-        else:
-            raise SimulationError(f"unsupported thermostat action {action!r}")
-    elif actuator_kind == "humidifier":
-        room.humidifier = _on_off(actuator_kind, action)
-    elif actuator_kind == "light":
-        room.light = _on_off(actuator_kind, action)
-    elif actuator_kind == "blind":
-        room.blind = _open_close(actuator_kind, action)
-    elif actuator_kind == "window":
-        room.window = _open_close(actuator_kind, action)
-    elif actuator_kind == "door":
-        if action in ("open", "unlock"):
-            room.door = True
-        elif action in ("close", "lock"):
-            room.door = False
-        else:
-            raise SimulationError(f"unsupported door action {action!r}")
-    elif actuator_kind == "alarm":
-        if action in ("on", "sound", "beep", "flash"):
-            room.alarm = True
-        elif action == "off":
-            room.alarm = False
-        else:
-            raise SimulationError(f"unsupported alarm action {action!r}")
-    else:
+    effects = DEVICE_ACTIONS.get(actuator_kind)
+    if effects is None:
         raise SimulationError(
             f"actuator kind {actuator_kind!r} has no simulation effects")
-
-
-def _on_off(kind: str, action: str) -> bool:
-    if action == "on":
-        return True
-    if action == "off":
-        return False
-    raise SimulationError(f"unsupported {kind} action {action!r}")
-
-
-def _open_close(kind: str, action: str) -> bool:
-    if action == "open":
-        return True
-    if action == "close":
-        return False
-    raise SimulationError(f"unsupported {kind} action {action!r}")
+    if action not in effects:
+        raise SimulationError(
+            f"unsupported {actuator_kind} action {action!r}")
+    value = effects[action]
+    if actuator_kind == "thermostat":
+        room.thermostat, steps = value
+        if steps:
+            room.setpoint += steps * step
+    else:
+        setattr(room, actuator_kind, value)
 
 
 class _Run:
@@ -373,7 +358,6 @@ class _Run:
         self.cfg = cfg
         self.house = house
         self.rooms = {r.name: replace(r) for r in house.rooms}
-        self.initial = {r.name: replace(r) for r in house.rooms}
         self.window: DetectionWindow = new_window(cfg)
         self.events: list[Event] = []
         self.conflicts: list[Conflict] = []
@@ -385,25 +369,43 @@ class _Run:
         self._cov_last: dict[str, float] = {}
         horizon = scenario.horizon
         self.series = {
-            name: {f: np.zeros(horizon) for f in _SERIES_FIELDS}
+            name: {f: np.zeros(horizon) for f in SERIES_FIELDS}
             for name in self.rooms
         }
+        # Per room, its attribute dict and the columns read from it each tick.
+        self._records = [(room.__dict__, tuple(self.series[name].items()))
+                         for name, room in self.rooms.items()]
+        self._sensor = ruleset.registry.sensors
         self._fire_masks: dict[str, np.ndarray] = {}
         self._choice_draws: dict[str, np.ndarray] = {}
         for src in scenario.sources:
+            # Every reference of a source is checked here, before any tick.
+            sensor = self._sensor.get(src.sensor)
+            if sensor is None:
+                raise SimulationError(
+                    f"source {src.name!r} uses undeclared sensor "
+                    f"{src.sensor!r}")
+            if src.occupancy_room and src.occupancy_room not in self.rooms:
+                raise SimulationError(
+                    f"source {src.name!r} marks {src.occupancy_room!r} "
+                    f"occupied, which is not a simulated room")
+            if src.mode == "cov" and sensor.location not in self.rooms:
+                raise SimulationError(
+                    f"cov source {src.name!r} watches sensor {sensor.id!r} "
+                    f"in {sensor.location!r}, which is not a simulated room")
             if src.mode == "bernoulli":
                 rng = _source_rng(scenario.seed, src.name)
                 self._fire_masks[src.name] = rng.random(horizon) < src.p
                 if src.choices:
                     self._choice_draws[src.name] = rng.integers(
                         0, len(src.choices), size=horizon)
-        registry = ruleset.registry
-        for src in scenario.sources:
-            if src.sensor not in registry.sensors:
-                raise SimulationError(
-                    f"source {src.name!r} uses undeclared sensor "
-                    f"{src.sensor!r}")
-        self._sensor = registry.sensors
+        # Momentary actuators restore the fields their kind drives to the
+        # room's initial values at the end of every tick.
+        initial = {r.name: r for r in house.rooms}
+        momentary = [ruleset.registry.actuators[a] for a in house.momentary]
+        self._resets = [(self.rooms[a.location], name,
+                         getattr(initial[a.location], name))
+                        for a in momentary for name in driven_fields(a.kind)]
 
     def _emit(self, src: SourceSpec, tick: int, value: float) -> Event:
         sensor = self._sensor[src.sensor]
@@ -452,23 +454,21 @@ class _Run:
                             self.rooms[src.occupancy_room].occupancy = True
         return out
 
-    def _suppressed_keys(self, conflicts: list[Conflict],
-                         actions: list[TriggeredAction]) -> tuple[set, set]:
+    def _suppressed_keys(self, conflicts: list[Conflict]) -> tuple[set, set]:
         """(event ids, action keys) to drop under enforcement. For a pair
-        conflict the canonically later action is dropped; it is always the
-        one completed by the current tick."""
+        conflict the canonically later action is dropped. It is always a
+        firing of the current tick: the run hands the detector one batch
+        per tick, ``detect_at_tick`` reports only pairs with a member from
+        that batch, and participants are ordered by (time, event, rule), so
+        the later one carries the batch's tick."""
         drop_events: set[str] = set()
         drop_actions: set[tuple] = set()
         if self.scenario.detector != "on":
             return drop_events, drop_actions
-        current = {a.key() for a in actions}
         for conflict in conflicts:
             drop_events.update(conflict.suppressible)
-            if conflict.kind is ConflictKind.C7:
-                continue
-            _, second = conflict.participants
-            if second.key() in current:
-                drop_actions.add(second.key())
+            if conflict.kind is not ConflictKind.C7:
+                drop_actions.add(conflict.participants[1].key())
         return drop_events, drop_actions
 
     def step(self, tick: int) -> None:
@@ -485,7 +485,7 @@ class _Run:
         self.conflicts.extend(conflicts)
 
         actions = [ta for e in events for ta in match_rules(e, self.ruleset)]
-        drop_events, drop_actions = self._suppressed_keys(conflicts, actions)
+        drop_events, drop_actions = self._suppressed_keys(conflicts)
         for ta in actions:
             if ta.event.id in drop_events:
                 self.suppressed_actions += 1
@@ -519,28 +519,14 @@ class _Run:
             room.humidity = humidity_step(room, house, d_temp)
             room.luminance = luminance_of(room, house, daylight)
 
-        for name, room in rooms.items():
-            rec = self.series[name]
-            rec["temperature"][tick] = room.temperature
-            rec["humidity"][tick] = room.humidity
-            rec["luminance"][tick] = room.luminance
-            rec["occupancy"][tick] = float(room.occupancy)
-            rec["thermostat"][tick] = _THERMO_CODE[room.thermostat]
-            rec["setpoint"][tick] = room.setpoint
-            for dev in ("humidifier", "light", "blind", "window", "door",
-                        "alarm"):
-                rec[dev][tick] = float(getattr(room, dev))
+        for state, columns in self._records:
+            for name, column in columns:
+                value = state[name]
+                column[tick] = (_THERMO_CODE[value] if name == "thermostat"
+                                else value)
 
-        for actuator_id in house.momentary:
-            actuator = self.ruleset.registry.actuators[actuator_id]
-            room = rooms[actuator.location]
-            baseline = self.initial[actuator.location]
-            if actuator.kind == "thermostat":
-                room.thermostat = baseline.thermostat
-                room.setpoint = baseline.setpoint
-            else:
-                attr = actuator.kind
-                setattr(room, attr, getattr(baseline, attr))
+        for room, name, value in self._resets:
+            setattr(room, name, value)
 
     def report(self) -> TraceReport:
         counts = {kind.value: 0 for kind in ConflictKind}

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file formats, cross-command
 consistency."""
 
+import hashlib
 import weakref
 from itertools import groupby
 
@@ -216,6 +217,61 @@ class TestMonitor:
         assert "line 3" in err and err.count("\n") == 1
 
 
+# sha256 of each simulate output file, per built-in scenario at seed 1.
+SIMULATE_FILES = ("trace_1.csv", "events_1.csv", "conflicts_1.csv",
+                  "summary.csv")
+SIMULATE_DIGESTS = {
+    "S1": (
+        "d3e80bd29abfee1ce363c39995ce68a8c41b4f5d16b9b7097f502ce4be5c45ca",
+        "171867c7a99615027a2d82aa65c4c1fa764e2b20706637b7411721412d58f34d",
+        "3e146e02c4c5cdcd512695e3bab519d6e35ea73fb23cd6aa89962397c1706b15",
+        "ddc22fb64998d5bfdb08353e77ddf8a6f5e9190dde3621173e4d79d139c3bd93",
+    ),
+    "S2": (
+        "dcfd688af98eff7c5206ac606242d81b4a47f2e7581349239a963336fe5fd87b",
+        "c5b5941822b231655a555a14a74218699e1912fef53f07bacf0349ea433083b3",
+        "fe3c052c37996bceccb0e8abf4d99c6ab95b751179f9e375d1b84741cec50b9f",
+        "7ff5c589274df2303ff8cc052f44359a846cd914e376413bf98097930edd4440",
+    ),
+    "S3": (
+        "5f291109317251a7c5d4c5e16d009b7767a39fe8945bc1c7f1d959487c9f455a",
+        "f1667f7459089d676684d1c0676531fac62442eda7ca83efe239cb120dc1db18",
+        "da97fd24ae323cf8618a8c7e8d5b4c0bb604a361a0e355d1e8eb6acb64b2304f",
+        "26f7f5145ee49361fb02e3a1d33c61c2018b3eaef685d33f2f8718acbd3d2285",
+    ),
+    "S4": (
+        "7247398f10118bf5c9534ef41fd3026e4573f8b3b7aa1e8216311a45131d80b9",
+        "1269f3f5cd4cbe5b64a6f4e84e7b39d209d6f3cb9395510205e647c848b9a367",
+        "5d2f4cfd87cff97c977485c6c13a1c7454e7b728520fb05d86778a24f7c1764c",
+        "79046dbbb910414fd3eb913163c0bd7aa85e495bb04baa78b31aa46bb92c09d1",
+    ),
+    "S5": (
+        "71ebb0afa847326195c3125fd3de4dd46f0aaffc666cb22786c341c5abbffc29",
+        "94ef73d89c4ba70da40681ea0028fd4e2ad3d38ce2ed2cf4c901f4c529c89b6b",
+        "055bfd1f0af2ae6aef2b36eb8b28569cb916aa84adde35cd702bb936156fe04d",
+        "074907f00bfed045cb746f43533f25900298c084d034b32621ddd148e9a1c178",
+    ),
+    "S6": (
+        "7b96f01b0fb8773cb2d9fc5c0ac0e01f8c50e03f17cffe7aaaa9b86ada97fbf8",
+        "26985e49d6f7e39f7d7a5e6f0aef37ff3a8fb6e1098fc7d1c1843ef9aab243cb",
+        "96ada006ebade8e404b479d17fa97596198bc91c5b85a60bf06e1a5c7c1d691e",
+        "206c24568ebe1085da1295c5bdb4164f73a2eae7b679c2751cf93759c34c515a",
+    ),
+    "S7": (
+        "b5d80580ea674884cc8ec4720e89e5bfa07881336679c8df34dc4c5c556626f9",
+        "9d5244518c86d1a9ace7d0612b88a4b2aa434313b4a2f126cc90647f6ffbc438",
+        "31b70fd6822a2888a9d3774e8da7aeb7727ba76bd912bfae1289ca425a1bf678",
+        "10b30b30fe65db5947a6dc1ac5892cd00662ac04f0a32d08a5214e242e8115b1",
+    ),
+    "S8": (
+        "3b12931b91b131368a1de7ffbe4688cf70b92ae172ed26f93dfef86248427e13",
+        "148836570ace821d5cb3eea50efd12ba2299d0c5d2f207b9d9f835ff10fd8057",
+        "eaffffe92327af61fee5764938b2160b0dc260c48a5750dc9874d554424966f4",
+        "d0d63a371aaba49ea10039f4971d79e014ca2d3324963ec6b6d4b3522ef34fe6",
+    ),
+}
+
+
 class TestSimulate:
     def test_s1_writes_expected_files(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -240,6 +296,15 @@ class TestSimulate:
         for name in ("trace_7.csv", "events_7.csv", "conflicts_7.csv",
                      "summary.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("sid", sorted(SIMULATE_DIGESTS))
+    def test_outputs_match_pinned_digests(self, sid, tmp_path):
+        out = tmp_path / "out"
+        main(["simulate", "--scenario", sid, "--seed", "1",
+              "--out", str(out)])
+        got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in SIMULATE_FILES)
+        assert got == SIMULATE_DIGESTS[sid]
 
     def test_summary_has_extra_actuations_column(self, tmp_path):
         out = tmp_path / "out"
@@ -477,6 +542,11 @@ class TestUserScenarioFiles:
         ("scenario:\n  id: night_light_race\n  horizon: 200\n  seed: 4\n"
          "  detector: \"off\"\n  description: two lamps race on one "
          "hallway\n", "scenario: 5\n"),
+        ("occupancy_room: hall}", "occupancy_room: nowhere}"),
+        ("occupancy_room: hall}", "occupancy_room: [a]}"),
+        ("sensor: tap1, p: 0.2}", "sensor: [tap1], p: 0.2}"),
+        ("{id: lampB, kind: light,", "{id: lampB, kind: sprinkler,"),
+        ("temperature: 70,", "temprature: 10,"),
     ], ids=["room_temperature", "horizon", "seed_negative",
             "source_predicate",
             "source_predicate_list", "source_p", "source_value",
@@ -488,7 +558,9 @@ class TestUserScenarioFiles:
             "source_name_repeated", "source_name_number",
             "momentary_scalar", "momentary_nested", "params_scalar",
             "adjacency_scalar", "rooms_scalar", "sources_scalar",
-            "scenario_scalar"])
+            "scenario_scalar", "occupancy_room_unknown",
+            "occupancy_room_list", "source_sensor_list",
+            "momentary_kind_unsimulated", "room_key_unknown"])
     def test_bad_scenario_value_exits_two(self, old, new, tmp_path, capsys):
         doc = tmp_path / "bad.yaml"
         assert old in USER_SCENARIO
@@ -497,6 +569,40 @@ class TestUserScenarioFiles:
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("{id: lampB, kind: light,", "{id: lampB, kind: sprinkler,",
+         "which is not simulated"),
+        ("temperature: 70,", "temprature: 10,",
+         "unknown room key 'temprature'"),
+    ])
+    def test_bad_house_entry_rejected_on_load(self, old, new, message,
+                                              tmp_path):
+        # Rejected as the file is read, even if no rule ever fires.
+        from tapcheck.errors import ParseError
+        doc = tmp_path / "bad.yaml"
+        doc.write_text(USER_SCENARIO.replace(old, new), encoding="utf-8")
+        with pytest.raises(ParseError, match=message):
+            scenarios.load_scenario_bundle(str(doc))
+
+    def test_cov_source_outside_the_house_exits_two(self, tmp_path,
+                                                     capsys):
+        # pir1 sits in a declared location that is not a house room, so
+        # there is no room reading for its change-of-value source to watch.
+        text = USER_SCENARIO.replace(
+            "locations: [hall]", "locations: [hall, attic]").replace(
+            "pir1, kind: motion, unit: bool, location: hall",
+            "pir1, kind: motion, unit: bool, location: attic").replace(
+            "sensor: pir1, p: 0.2,", "sensor: pir1, mode: cov, "
+            "feature: temperature,")
+        assert "location: attic" in text and "mode: cov" in text
+        doc = tmp_path / "attic.yaml"
+        doc.write_text(text, encoding="utf-8")
+        assert main(["simulate", "--scenario", str(doc),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "attic" in err
 
     @pytest.mark.parametrize("overrides", ["{k_loss: abc}", "[1]", "0",
                                            "{k_los: 1}"])

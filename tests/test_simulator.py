@@ -1,6 +1,6 @@
 """House physics, event sources, suppression, and determinism."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -124,7 +124,45 @@ class TestLuminance:
         assert luminance_of(r, h, daylight=80.0) == 180.0
 
 
+# Every (kind, action) the simulator handles, the room it starts from, and
+# the fields the action must leave changed.
+_ACTION_CASES = [
+    ("thermostat", "on", {}, {"thermostat": "heat"}),
+    ("thermostat", "heat", {}, {"thermostat": "heat"}),
+    ("thermostat", "cool", {}, {"thermostat": "cool"}),
+    ("thermostat", "off", {"thermostat": "heat"}, {"thermostat": "off"}),
+    ("thermostat", "increase", {}, {"thermostat": "heat", "setpoint": 72.5}),
+    ("thermostat", "decrease", {}, {"thermostat": "cool", "setpoint": 67.5}),
+    ("humidifier", "on", {}, {"humidifier": True}),
+    ("humidifier", "off", {"humidifier": True}, {"humidifier": False}),
+    ("light", "on", {}, {"light": True}),
+    ("light", "off", {"light": True}, {"light": False}),
+    ("blind", "open", {}, {"blind": True}),
+    ("blind", "close", {"blind": True}, {"blind": False}),
+    ("window", "open", {}, {"window": True}),
+    ("window", "close", {"window": True}, {"window": False}),
+    ("door", "open", {}, {"door": True}),
+    ("door", "unlock", {}, {"door": True}),
+    ("door", "close", {"door": True}, {"door": False}),
+    ("door", "lock", {"door": True}, {"door": False}),
+    ("alarm", "on", {}, {"alarm": True}),
+    ("alarm", "sound", {}, {"alarm": True}),
+    ("alarm", "beep", {}, {"alarm": True}),
+    ("alarm", "flash", {}, {"alarm": True}),
+    ("alarm", "off", {"alarm": True}, {"alarm": False}),
+]
+
+
 class TestApplyAction:
+    @pytest.mark.parametrize("kind,action,start,changed", _ACTION_CASES,
+                             ids=[f"{k}-{a}" for k, a, *_ in _ACTION_CASES])
+    def test_action_sets_exactly_its_fields(self, kind, action, start,
+                                            changed):
+        r = room(**start)
+        expected = {**asdict(r), **changed}
+        apply_action(r, kind, action, step=2.5)
+        assert asdict(r) == expected
+
     def test_thermostat_setpoint_steps(self):
         r = room(setpoint=60.0)
         apply_action(r, "thermostat", "increase", step=10.0)
@@ -136,9 +174,14 @@ class TestApplyAction:
         assert r.thermostat == "cool"
 
     def test_unsupported_action_raises(self):
-        with pytest.raises(SimulationError):
-            apply_action(room(), "thermostat", "explode", step=1.0)
-        with pytest.raises(SimulationError):
+        for kind, action in [("thermostat", "explode"), ("humidifier", "open"),
+                             ("light", "open"), ("blind", "on"),
+                             ("window", "on"), ("door", "on"),
+                             ("alarm", "open")]:
+            with pytest.raises(SimulationError,
+                               match=f"unsupported {kind} action '{action}'"):
+                apply_action(room(), kind, action, step=1.0)
+        with pytest.raises(SimulationError, match="has no simulation effects"):
             apply_action(room(), "rocket", "launch", step=1.0)
 
 
@@ -194,6 +237,22 @@ class TestScenarioPlumbing:
                        if actuator == "light1"}
         assert {int(t) for t in np.flatnonzero(blind)} == blind_ticks
         assert {int(t) for t in np.flatnonzero(light)} == light_ticks
+
+    def test_momentary_thermostat_springs_back(self):
+        # A pulse on a momentary thermostat shows its mode and stepped
+        # setpoint in its own tick's record; the next tick both are back
+        # at the room's initial values.
+        bundle = load_bundle("c7_duplicate")
+        scenario = Scenario(
+            id="probe", ruleset="c7_duplicate",
+            sources=(SourceSpec(name="readings", sensor="temp1",
+                                mode="script", at=((3, 60.0),)),),
+            horizon=6)
+        house = replace(bundle.house, momentary=frozenset({"thermostat1"}))
+        report = run_arm(scenario, bundle.ruleset, bundle.config, house)
+        series = report.series["room1"]
+        assert series["thermostat"].tolist() == [0, 0, 0, 1, 0, 0]
+        assert series["setpoint"].tolist() == [60, 60, 60, 70, 60, 60]
 
 
 class TestDeterminismAndBounds:
