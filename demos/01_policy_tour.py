@@ -11,6 +11,7 @@ from tapcheck import (
     ActionSpec,
     Actuator,
     Cmp,
+    DetectionWindow,
     DetectorConfig,
     Event,
     EventSignature,
@@ -22,7 +23,6 @@ from tapcheck import (
     Sensor,
     TriggerCondition,
     detect_at_tick,
-    new_window,
 )
 
 # ----------------------------------------------------------------------
@@ -123,7 +123,7 @@ def event(eid, sensor_id, tick, value):
 def show(title, narration, batches):
     print(f"\n=== {title}")
     print(f"    {narration}")
-    window = new_window(config)
+    window = DetectionWindow(config)
     found = []
     for batch in batches:
         found.extend(detect_at_tick(batch, ruleset, window, config))

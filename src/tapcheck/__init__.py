@@ -20,10 +20,8 @@ from .detector import (
     DetectionWindow,
     TriggeredAction,
     check_c7,
-    check_pairs,
     detect_at_tick,
     match_rules,
-    new_window,
 )
 from .errors import TapcheckError
 from .model import (
@@ -41,18 +39,10 @@ from .model import (
     RuleSet,
     Sensor,
     TriggerCondition,
-    action_relation,
-    dependent_features,
     overlapping_events,
 )
-from .oracle import conflict_keys, oracle_detect, oracle_static
-from .parsing import (
-    Document,
-    load_document,
-    parse_ruleset,
-    serialize_document,
-    serialize_ruleset,
-)
+from .oracle import oracle_detect, oracle_static
+from .parsing import Document, load_document, serialize_document
 from .scenarios import build, builtin_scenarios, run_scenario, with_probability
 from .simulator import (
     HouseModel,
@@ -75,11 +65,9 @@ __all__ = [
     "EventSignature", "FeatureDependencyGraph", "HouseModel", "HouseParams",
     "PotentialConflict", "Registry", "Relation", "RoomState", "Rule",
     "RuleSet", "Scenario", "Sensor", "SourceSpec", "TapcheckError",
-    "TraceReport", "TriggerCondition", "TriggeredAction", "action_relation",
-    "build", "builtin_scenarios", "check_c7", "check_pairs", "conflict_keys",
-    "dependent_features", "detect_at_tick", "humidity_step", "load_document",
-    "luminance_of", "match_rules", "new_window", "oracle_detect",
-    "oracle_static", "overlapping_events", "parse_ruleset", "run_scenario",
-    "serialize_document", "serialize_ruleset", "static_check",
-    "thermal_step", "with_probability",
+    "TraceReport", "TriggerCondition", "TriggeredAction", "build",
+    "builtin_scenarios", "check_c7", "detect_at_tick", "humidity_step",
+    "load_document", "luminance_of", "match_rules", "oracle_detect",
+    "oracle_static", "overlapping_events", "run_scenario",
+    "serialize_document", "static_check", "thermal_step", "with_probability",
 ]

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import scenarios as scen
-from .detector import Conflict, ConflictKind, detect_at_tick, new_window
+from .detector import Conflict, ConflictKind, DetectionWindow, detect_at_tick
 from .errors import TapcheckError, TraceError
 from .model import Cmp, DetectorConfig, Event, EventSignature, RuleSet
 from .parsing import load_document, read_text
@@ -58,7 +58,8 @@ def parse_trace(text: str, ruleset: RuleSet) -> list[Event]:
         raise TraceError(f"trace header must be {TRACE_HEADER!r}", line=1)
     events: list[Event] = []
     last_tick: int | None = None
-    seen_sensor_tick: set[tuple[str, int]] = set()
+    # Ticks never decrease, so only this tick's sensors can repeat.
+    tick_sensors: set[str] = set()
     cmp_tokens = {c.value: c for c in Cmp}
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -79,6 +80,8 @@ def parse_trace(text: str, ruleset: RuleSet) -> list[Event]:
         if last_tick is not None and tick < last_tick:
             raise TraceError(
                 f"tick {tick} decreases after {last_tick}", line=lineno)
+        if tick != last_tick:
+            tick_sensors.clear()
         last_tick = tick
         sensor = ruleset.registry.sensors.get(sensor_id)
         if sensor is None:
@@ -93,11 +96,11 @@ def parse_trace(text: str, ruleset: RuleSet) -> list[Event]:
                 f"not {location!r}", line=lineno)
         if predicate not in cmp_tokens:
             raise TraceError(f"bad predicate {predicate!r}", line=lineno)
-        if (sensor_id, tick) in seen_sensor_tick:
+        if sensor_id in tick_sensors:
             raise TraceError(
                 f"sensor {sensor_id!r} emits twice at tick {tick}",
                 line=lineno)
-        seen_sensor_tick.add((sensor_id, tick))
+        tick_sensors.add(sensor_id)
         events.append(Event(
             id=f"e{lineno - 1}",
             sensor=sensor_id,
@@ -159,7 +162,7 @@ def cmd_monitor(args) -> int:
 
     # Each tick's findings become log rows and counts as they arrive, so
     # no finding, nor the firings it holds, outlives its tick.
-    window = new_window(cfg)
+    window = DetectionWindow(cfg)
     lines = [CONFLICT_HEADER]
     counts = Counter({k.value: 0 for k in ConflictKind})
     for _, batch in groupby(events, key=attrgetter("time")):

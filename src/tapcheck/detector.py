@@ -43,6 +43,7 @@ from typing import Iterator
 from .errors import (
     DuplicateEventIdError,
     DuplicateSensorReadingError,
+    InvalidConfigError,
     OutOfOrderTickError,
     UnknownSensorKindError,
 )
@@ -183,10 +184,13 @@ class DetectionWindow:
     class (actuator kind plus action name), so ``candidate_pairs`` reaches
     the firings past the epsilon that can still conflict without visiting
     the rest. Single writer; call ``detect_at_tick`` serially per stream.
+
+    ``cfg`` is the stream's one detector config: the window's reach, its
+    candidate pairs, C7 and every ``detect_at_tick`` call read it.
     """
 
     def __init__(self, cfg: DetectorConfig):
-        self._cfg = cfg
+        self.cfg = cfg
         self.last_tick: Tick | None = None
         self._actions: list[TriggeredAction] = []  # in tick order
         self._by_actuator = defaultdict(list)  # actuator -> actions
@@ -208,7 +212,7 @@ class DetectionWindow:
         if self.last_tick is not None and tick < self.last_tick:
             raise OutOfOrderTickError(
                 f"tick {tick} arrived after tick {self.last_tick}")
-        cutoff = tick - self._cfg.horizon
+        cutoff = tick - self.cfg.horizon
         history = self._events_by_sensor
         ids, sensors = set(), set()
         for event in events:
@@ -247,7 +251,7 @@ class DetectionWindow:
         self._fresh_events = []
 
     def _evict(self, now: Tick) -> None:
-        expired = bisect_left(self._actions, now - self._cfg.pair_reach,
+        expired = bisect_left(self._actions, now - self.cfg.pair_reach,
                               key=_time)
         # Buckets keep the order of ``_actions``, so each expired action,
         # taken oldest first, is at the head of its two buckets.
@@ -258,7 +262,7 @@ class DetectionWindow:
         del self._actions[:expired]
         # Ticks only grow, so the first id in ``_event_times`` is the
         # oldest event and each sensor's deque is sorted by time.
-        cutoff = now - self._cfg.horizon
+        cutoff = now - self.cfg.horizon
         times = self._event_times
         if not times or next(iter(times.values())) >= cutoff:
             return
@@ -268,7 +272,7 @@ class DetectionWindow:
             if not events:
                 del self._events_by_sensor[sensor]
 
-    def candidate_pairs(self, cfg: DetectorConfig) -> Iterator[tuple]:
+    def candidate_pairs(self) -> Iterator[tuple]:
         """Unordered action pairs with at least one fresh member that some
         pair policy can flag, each once, as (older, fresh) or as two fresh
         actions in arrival order.
@@ -279,6 +283,7 @@ class DetectionWindow:
         on another actuator (C4, C6) do: C1, C2, C5 and C6 need a gap
         within the epsilon, and C3 and C4 need stacked commands on one
         actuator or opposite actions. Farther pairs violate nothing."""
+        cfg = self.cfg
         eps = cfg.same_tick_epsilon
         reach = cfg.pair_reach
         opposites = cfg.action_relations.opposites
@@ -408,22 +413,12 @@ def classify_pair(a: TriggeredAction, b: TriggeredAction,
                                      cfg)]
 
 
-def check_pairs(window: DetectionWindow,
-                cfg: DetectorConfig) -> list[Conflict]:
-    """Policies C1 to C6 over the window's candidate pairs, in one pass."""
+def check_c7(window: DetectionWindow, registry: Registry) -> list[Conflict]:
+    """One sensor repeats a reading within the window config's duplicate
+    window, up to the sensor's declared tolerance. The later event is
+    marked suppressible so enforcement can drop its actions."""
     out = []
-    for a, b in window.candidate_pairs(cfg):
-        out.extend(classify_pair(a, b, cfg))
-    return out
-
-
-def check_c7(window: DetectionWindow, cfg: DetectorConfig,
-             registry: Registry) -> list[Conflict]:
-    """One sensor repeats a reading within the duplicate window, up to the
-    sensor's declared tolerance. The later event is marked suppressible so
-    enforcement can drop its actions."""
-    out = []
-    span = cfg.duplicate_window
+    span = window.cfg.duplicate_window
     for later, history in window.sensor_histories():
         tolerance = registry.sensors[later.sensor].tolerance
         for earlier in history:
@@ -458,9 +453,11 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
     One call takes the events of one tick; a later call may add events at
     that tick but never go back. Each sensor emits at most once per tick,
     and event ids are unique within the config horizon. An empty batch is
-    a no-op. C1 to C6 are evaluated in one pass over the candidate pairs,
-    then C7; findings come back each (kind, pair) once, in the canonical
-    order of ``Conflict.key``.
+    a no-op. ``cfg`` must be the window's config, or equal to it: a
+    stream has one config, and any other raises ``InvalidConfigError``.
+    C1 to C6 are evaluated in one pass over the candidate pairs, then C7;
+    findings come back each (kind, pair) once, in the canonical order of
+    ``Conflict.key``.
 
     That order is reached without a key tuple per C7 finding. Every
     finding of one call has the call's tick, and the kind names sort C7
@@ -471,17 +468,20 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
     names the finding, and its (time, id) orders the C7 findings as their
     keys would. Ids compare as strings, as in the key: "e10" < "e9".
     """
+    if cfg is not window.cfg and cfg != window.cfg:
+        raise InvalidConfigError(
+            "detect_at_tick got a detector config other than its window's")
     if not new_events:
         return []
     actions = [ta for event in new_events
                for ta in match_rules(event, ruleset)]
     window.begin_tick(new_events[0].time, new_events, actions)
-    conflicts = check_pairs(window, cfg)
-    repeats = check_c7(window, cfg, ruleset.registry)
+    conflicts = []
+    for a, b in window.candidate_pairs():
+        conflicts.extend(classify_pair(a, b, cfg))
+    repeats = check_c7(window, ruleset.registry)
     window.commit_tick()
     conflicts.sort(key=Conflict.key)
     repeats.sort(key=_earlier_reading)
     return conflicts + repeats
 
-
-new_window = DetectionWindow  # a detection window sized for a config

@@ -311,14 +311,6 @@ class FeatureDependencyGraph:
         return False
 
 
-def dependent_features(f1: str, f2: str, graph: FeatureDependencyGraph) -> bool:
-    """True when two distinct declared features interact, directly or
-    through a chain of "affects" edges in either direction."""
-    near = graph.related_to(f1)
-    graph.related_to(f2)  # an undeclared feature raises
-    return f1 != f2 and f2 in near
-
-
 ActionClass = tuple[str, str]  # (actuator kind, action name)
 RelationKey = tuple[ActionClass, ActionClass]
 
@@ -379,12 +371,6 @@ class ActionRelationTable:
                 f"action {name!r} is not in the vocabulary of "
                 f"actuator kind {kind!r}")
         return row.get((kind2, n2), Relation.DIFFERENT)
-
-
-def action_relation(actuator_kind: str, n1: str, n2: str,
-                    table: ActionRelationTable) -> Relation:
-    """Relation between two action names of one actuator kind."""
-    return table.relation(actuator_kind, n1, actuator_kind, n2)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ Property tests require the optimized paths to agree with these exactly.
 
 from itertools import combinations
 
-from .detector import Conflict, ConflictKind, TriggeredAction, match_rules
+from .detector import ConflictKind, TriggeredAction, match_rules
 from .model import (
     Cmp,
     DetectorConfig,
@@ -112,12 +112,6 @@ def oracle_detect(trace: list[Event], ruleset: RuleSet,
                 found.add((ConflictKind.C7.value, e2.time,
                            ((e1.time, e1.id), (e2.time, e2.id))))
     return found
-
-
-def conflict_keys(conflicts: list[Conflict]) -> list[tuple]:
-    """Canonical keys of a detector result, for comparison against
-    ``oracle_detect`` output."""
-    return [c.key() for c in conflicts]
 
 
 def _grid(sensor: Sensor, thresholds: list[float]) -> list[float]:

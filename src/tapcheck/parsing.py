@@ -7,8 +7,9 @@ sections that are validated by the simulator. Parsing enforces referential
 integrity: every id a rule mentions must be declared exactly once in the
 registry, and violations name the offending id.
 
-``parse_ruleset``/``serialize_ruleset`` round-trip through a canonical form:
-parse(serialize(parse(text))) equals parse(text).
+``load_document``/``serialize_document`` round-trip through a canonical
+form: a serialized document loads back to an equal ruleset and detector
+config, and serializing that again gives the same text.
 """
 
 import math
@@ -462,11 +463,6 @@ def load_document(text: str) -> Document:
                     scenario=raw.get("scenario"))
 
 
-def parse_ruleset(text: str) -> RuleSet:
-    """Parse a document and return its validated ruleset."""
-    return load_document(text).ruleset
-
-
 def _sensor_dict(s: Sensor) -> dict:
     out = {"id": s.id, "kind": s.kind, "unit": s.unit, "location": s.location,
            "range": [s.range[0], s.range[1]]}
@@ -545,15 +541,3 @@ def serialize_document(ruleset: RuleSet, config: DetectorConfig) -> str:
         },
     }
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
-
-
-def serialize_ruleset(ruleset: RuleSet) -> str:
-    """Canonical form of a ruleset with an empty detector config."""
-    empty = DetectorConfig(
-        dependency_graph=FeatureDependencyGraph(
-            nodes=ruleset.registry.features, edges=frozenset()),
-        action_relations=ActionRelationTable(vocabulary={
-            a.kind: frozenset(a.actions)
-            for a in ruleset.registry.actuators.values()}),
-    )
-    return serialize_document(ruleset, empty)

@@ -291,11 +291,6 @@ def _parse_at(raw, path) -> tuple[tuple[int, float], ...]:
     return tuple(out)
 
 
-def load_scenario_file(path: str) -> Scenario:
-    """The scenario of ``load_scenario_bundle``."""
-    return load_scenario_bundle(path)[0]
-
-
 def load_scenario_bundle(path: str) -> tuple[Scenario, Bundle]:
     """Load a user scenario and its bundle from one parse of one document
     holding the ruleset, detector config, house, event sources, and a

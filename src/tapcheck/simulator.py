@@ -34,7 +34,6 @@ from .detector import (
     DetectionWindow,
     detect_at_tick,
     match_rules,
-    new_window,
 )
 from .errors import SimulationError
 from .model import Cmp, DetectorConfig, Event, EventSignature, RuleSet
@@ -358,7 +357,7 @@ class _Run:
         self.cfg = cfg
         self.house = house
         self.rooms = {r.name: replace(r) for r in house.rooms}
-        self.window: DetectionWindow = new_window(cfg)
+        self.window = DetectionWindow(cfg)
         self.events: list[Event] = []
         self.conflicts: list[Conflict] = []
         self.actuations: dict[str, int] = {}
@@ -399,6 +398,24 @@ class _Run:
                 if src.choices:
                     self._choice_draws[src.name] = rng.integers(
                         0, len(src.choices), size=horizon)
+        # So is the actuator of every rule, firing or not.
+        actuators = ruleset.registry.actuators
+        for rule in ruleset.rules:
+            actuator = actuators[rule.action.actuator]
+            effects = DEVICE_ACTIONS.get(actuator.kind)
+            if effects is None:
+                raise SimulationError(
+                    f"rule {rule.id!r} drives {actuator.id!r} of kind "
+                    f"{actuator.kind!r}, which has no simulation effects")
+            if actuator.location not in self.rooms:
+                raise SimulationError(
+                    f"rule {rule.id!r} drives {actuator.id!r} in "
+                    f"{actuator.location!r}, which is not a simulated room")
+            if rule.action.action not in effects:
+                raise SimulationError(
+                    f"rule {rule.id!r} drives {actuator.id!r} with "
+                    f"unsupported {actuator.kind} action "
+                    f"{rule.action.action!r}")
         # Momentary actuators restore the fields their kind drives to the
         # room's initial values at the end of every tick.
         initial = {r.name: r for r in house.rooms}
@@ -495,13 +512,8 @@ class _Run:
                 self.suppressed_actions += 1
                 continue
             actuator = self.ruleset.registry.actuators[ta.action.actuator]
-            room = rooms.get(actuator.location)
-            if room is None:
-                raise SimulationError(
-                    f"actuator {actuator.id!r} sits in location "
-                    f"{actuator.location!r} which is not a simulated room")
-            apply_action(room, actuator.kind, ta.action.action,
-                         house.params.setpoint_step)
+            apply_action(rooms[actuator.location], actuator.kind,
+                         ta.action.action, house.params.setpoint_step)
             self.actuations[actuator.id] = self.actuations.get(
                 actuator.id, 0) + 1
             self.actuation_log.append(

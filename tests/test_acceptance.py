@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import gen
-from tapcheck.detector import detect_at_tick, new_window
+from tapcheck.detector import DetectionWindow, detect_at_tick
 from tapcheck.model import (
     ActionRelationTable,
     ActionSpec,
@@ -42,7 +42,7 @@ from tapcheck.model import (
     Sensor,
     TriggerCondition,
 )
-from tapcheck.oracle import conflict_keys, oracle_detect, oracle_static
+from tapcheck.oracle import oracle_detect, oracle_static
 from tapcheck.scenarios import build, load_bundle, run_scenario, with_probability
 from tapcheck.simulator import Scenario, SourceSpec, run_arm
 from tapcheck.static import static_check
@@ -73,11 +73,11 @@ def test_acceptance_1_oracle_equivalence():
         rng = np.random.default_rng(100_000 + case)
         rs, cfg = gen.random_ruleset(rng, max_rules=10)
         trace = gen.random_trace(rng, rs, max_ticks=200)
-        window = new_window(cfg)
+        window = DetectionWindow(cfg)
         got = []
         for batch in gen.group_by_tick(trace):
             got.extend(detect_at_tick(batch, rs, window, cfg))
-        got_keys = conflict_keys(got)
+        got_keys = [c.key() for c in got]
         assert sorted(got_keys) == sorted(oracle_detect(trace, rs, cfg)), (
             f"case {case} diverged from the oracle")
         assert len(got_keys) == len(set(got_keys))
@@ -358,7 +358,7 @@ def test_acceptance_8_throughput_smoke():
                          key=lambda s: s.id)
     assert len(sensor_list) == 1000
     rng = np.random.default_rng(0)
-    window = new_window(cfg)
+    window = DetectionWindow(cfg)
     ticks = 10
     seq = 0
     per_tick = []

@@ -43,7 +43,7 @@ def test_tracer_installs_counts_and_restores(alarm_home):
     recorder = tracer.Tracer()
     with recorder.installed():
         assert all(now is not then for now, then in zip(current(), before))
-        window = detector.new_window(cfg)
+        window = detector.DetectionWindow(cfg)
         out = cli.detect_at_tick([ev(rs, "e1", "smoke1", 5, 1),
                                   ev(rs, "e2", "leak1", 5, 1)],
                                  rs, window, cfg)

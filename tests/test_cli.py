@@ -183,7 +183,7 @@ class TestMonitor:
         assert len(calls) == 12 and all(calls)
 
         doc = load_document(alarm_ruleset.read_text(encoding="utf-8"))
-        window = cli.new_window(doc.config)
+        window = cli.DetectionWindow(doc.config)
         rows = [CONFLICT_HEADER]
         events = cli.parse_trace(trace.read_text(encoding="utf-8"),
                                  doc.ruleset)
@@ -477,10 +477,10 @@ class TestUserScenarioFiles:
         assert any(",C2," in r for r in rows[1:])
 
     def test_library_loader_round_trip(self, tmp_path):
-        from tapcheck.scenarios import load_scenario_file, run_scenario
+        from tapcheck.scenarios import load_scenario_bundle, run_scenario
         doc = tmp_path / "race.yaml"
         doc.write_text(USER_SCENARIO, encoding="utf-8")
-        scenario = load_scenario_file(str(doc))
+        scenario = load_scenario_bundle(str(doc))[0]
         assert scenario.id == "night_light_race"
         assert scenario.horizon == 200
         report = run_scenario(scenario)
@@ -604,6 +604,48 @@ class TestUserScenarioFiles:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "attic" in err
 
+    @pytest.mark.parametrize("kind,location,action,actions", [
+        ("sprinkler", "hall", "on", '["on"]'),
+        ("light", "attic", "on", '["on", "off"]'),
+        ("light", "hall", "dim", '["on", "off", "dim"]'),
+    ], ids=["kind_unsimulated", "location_not_a_room", "action_unsupported"])
+    def test_rule_actuator_checked_before_tick_zero(self, kind, location,
+                                                    action, actions,
+                                                    tmp_path, capsys):
+        # No source feeds leak1, so r_spare never fires. Its actuator has
+        # no simulated effect all the same, and no seed writes a file.
+        # Actuators of one kind share one vocabulary, the lamps' included.
+        text = USER_SCENARIO
+        if kind == "light":
+            text = text.replace('actions: ["on", "off"]', f"actions: {actions}")
+        text = text.replace(
+            "locations: [hall]", "locations: [hall, attic]").replace(
+            "  actuators:\n",
+            "    - {id: leak1, kind: leak, unit: bool, location: hall, "
+            "range: [0, 1]}\n  actuators:\n").replace(
+            "  features:",
+            f"    - {{id: spare, kind: {kind}, location: {location}, "
+            f"actions: {actions}}}\n  features:").replace(
+            "\ndetector:", f"""  - id: r_spare
+    controller: auto
+    trigger: {{sensor_kind: leak, comparator: "==", threshold: 1}}
+    action: {{actuator: spare, action: "{action}", affected_features: [luminance@hall]}}
+
+detector:""")
+        assert "r_spare" in text and "id: leak1" in text
+        doc = tmp_path / "spare.yaml"
+        doc.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(doc), "--seeds", "2",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "r_spare" in err
+        written = [p.name for pattern in ("trace_*", "events_*",
+                                          "conflicts_*", "summary.csv")
+                   for p in out.glob(pattern)]
+        assert written == []
+
     @pytest.mark.parametrize("overrides", ["{k_loss: abc}", "[1]", "0",
                                            "{k_los: 1}"])
     def test_bad_baseline_overrides_rejected_on_load(self, overrides,
@@ -643,9 +685,9 @@ detector:""")
 
     def test_scenario_file_without_meta_rejected(self, tmp_path):
         from tapcheck.errors import SimulationError
-        from tapcheck.scenarios import load_scenario_file
+        from tapcheck.scenarios import load_scenario_bundle
         doc = tmp_path / "bad.yaml"
         doc.write_text("registry:" + USER_SCENARIO.split("registry:", 1)[1],
                        encoding="utf-8")
         with pytest.raises(SimulationError, match="no scenario section"):
-            load_scenario_file(str(doc))
+            load_scenario_bundle(str(doc))

@@ -1,5 +1,6 @@
 """Policy checks and the tick-by-tick detection loop."""
 
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -8,14 +9,15 @@ from conftest import build_home, ev
 from gen import group_by_tick
 from tapcheck.detector import (
     ConflictKind,
+    DetectionWindow,
     check_c7,
     detect_at_tick,
     match_rules,
-    new_window,
 )
 from tapcheck.errors import (
     DuplicateEventIdError,
     DuplicateSensorReadingError,
+    InvalidConfigError,
     OutOfOrderTickError,
     UnknownSensorKindError,
 )
@@ -24,13 +26,25 @@ from tapcheck.errors import (
 def pairs_of(kind, rs, cfg, events):
     """The findings of one policy over a stream of tick-sorted events, fed
     to ``detect_at_tick`` one tick per call."""
-    window = new_window(cfg)
+    window = DetectionWindow(cfg)
     return [c for batch in group_by_tick(events)
             for c in detect_at_tick(batch, rs, window, cfg) if c.kind is kind]
 
 
 def kinds_of(conflicts):
     return sorted(c.kind.value for c in conflicts)
+
+
+def staged_at_zero(rs, cfg):
+    """A window holding one smoke reading at tick 0 and its one firing,
+    staged and committed without a detector call, with weak references to
+    the two: the window holds the only strong ones."""
+    window = DetectionWindow(cfg)
+    event = ev(rs, "e1", "smoke1", 0, 1)
+    (firing,) = match_rules(event, rs)
+    window.begin_tick(0, [event], [firing])
+    window.commit_tick()
+    return window, weakref.ref(firing), weakref.ref(event)
 
 
 class TestMatchRules:
@@ -454,7 +468,7 @@ class TestDetectAtTick:
         # An empty batch invents no tick, so a later batch at the last
         # tick seen is still accepted and pairs with that tick's firings.
         rs, cfg = alarm_home
-        window = new_window(cfg)
+        window = DetectionWindow(cfg)
         assert detect_at_tick([], rs, window, cfg) == []
         assert window.last_tick is None
         detect_at_tick([ev(rs, "e1", "smoke1", 5, 1)], rs, window, cfg)
@@ -465,14 +479,14 @@ class TestDetectAtTick:
 
     def test_batches_must_share_tick(self, alarm_home):
         rs, cfg = alarm_home
-        window = new_window(cfg)
+        window = DetectionWindow(cfg)
         events = [ev(rs, "e1", "smoke1", 1, 1), ev(rs, "e2", "leak1", 2, 1)]
         with pytest.raises(OutOfOrderTickError):
             detect_at_tick(events, rs, window, cfg)
 
     def test_out_of_order_tick_rejected(self, alarm_home):
         rs, cfg = alarm_home
-        window = new_window(cfg)
+        window = DetectionWindow(cfg)
         detect_at_tick([ev(rs, "e1", "smoke1", 5, 1)], rs, window, cfg)
         with pytest.raises(OutOfOrderTickError):
             detect_at_tick([ev(rs, "e2", "leak1", 4, 1)], rs, window, cfg)
@@ -499,7 +513,7 @@ class TestDetectAtTick:
                    ("r_light", "home", ("motion", "==", 0),
                     ("light1", "off", ["luminance@room1"]))],
             relations={"blind|light": [("open", "off", "opposite")]})
-        window = new_window(cfg)
+        window = DetectionWindow(cfg)
         detect_at_tick([ev(rs, "e0", "occ1", 4, 1)], rs, window, cfg)
         out = detect_at_tick(
             [ev(rs, "e1", "smoke1", 6, 1), ev(rs, "e2", "leak1", 6, 1),
@@ -508,7 +522,7 @@ class TestDetectAtTick:
 
     def test_pair_reported_exactly_once_across_ticks(self):
         rs, cfg = corridor_home()
-        window = new_window(cfg)
+        window = DetectionWindow(cfg)
         all_out = []
         all_out += detect_at_tick([ev(rs, "e1", "t1", 10, 60)], rs, window, cfg)
         all_out += detect_at_tick([ev(rs, "e2", "t2", 12, 75)], rs, window, cfg)
@@ -523,49 +537,65 @@ class TestDetectAtTick:
                   ev(rs, "e3", "co1", 7, 80)]
 
         def run():
-            window = new_window(cfg)
+            window = DetectionWindow(cfg)
             return [c.key() for c in detect_at_tick(events, rs, window, cfg)]
 
         assert run() == run()
 
     def test_eviction_respects_horizon(self, alarm_home):
-        # An entry older than the horizon is dropped as a tick begins, so
-        # no pair query reaches it even with an unbounded gap: neither the
-        # scan within the epsilon nor the actuator and action-class buckets
-        # past it.
+        # A reading stays for the horizon, so a repeat at the horizon is
+        # still C7. One tick later the window holds nothing of tick 0, so
+        # no pair or C7 query can reach it whatever the gap.
         rs, cfg = alarm_home
-        window = new_window(cfg)
-        detect_at_tick([ev(rs, "e1", "smoke1", 0, 1)], rs, window, cfg)
-        e2 = ev(rs, "e2", "smoke1", 100, 1)
-        window.begin_tick(100, [e2], match_rules(e2, rs))
-        assert check_c7(window, replace(cfg, duplicate_window=1000),
-                        rs.registry) == []
-        assert list(window.candidate_pairs(
-            replace(cfg, same_tick_epsilon=1000))) == []
-        assert list(window.candidate_pairs(
-            replace(cfg, overlap_window=1000))) == []
+        window, firing, event = staged_at_zero(rs, cfg)
+        e2 = ev(rs, "e2", "smoke1", cfg.horizon, 1)
+        window.begin_tick(e2.time, [e2], match_rules(e2, rs))
+        assert firing() is None and event() is not None
+        assert len(check_c7(window, rs.registry)) == 1
+        window.commit_tick()
+        e3 = ev(rs, "e3", "leak1", cfg.horizon + 1, 1)
+        window.begin_tick(e3.time, [e3], match_rules(e3, rs))
+        assert event() is None
 
     @pytest.mark.parametrize("beyond", [0, 1])
     def test_firings_kept_for_pair_reach_only(self, alarm_home, beyond):
         # Firings are dropped once past max(eps, W), the farthest a pair
-        # policy looks, though events stay for the longer C7 horizon. A
-        # query with an unbounded gap reaches only what the window holds.
+        # policy looks, though their events stay for the longer C7
+        # horizon.
         rs, cfg = alarm_home
-        reach = max(cfg.same_tick_epsilon, cfg.overlap_window)
-        assert reach < cfg.horizon
-        window = new_window(cfg)
-        detect_at_tick([ev(rs, "e1", "smoke1", 0, 1)], rs, window, cfg)
-        e2 = ev(rs, "e2", "leak1", reach + beyond, 1)
+        assert cfg.pair_reach < cfg.horizon
+        window, firing, event = staged_at_zero(rs, cfg)
+        e2 = ev(rs, "e2", "leak1", cfg.pair_reach + beyond, 1)
         window.begin_tick(e2.time, [e2], match_rules(e2, rs))
-        held = 1 - beyond
-        assert len(list(window.candidate_pairs(
-            replace(cfg, same_tick_epsilon=1000)))) == held
-        assert len(list(window.candidate_pairs(
-            replace(cfg, overlap_window=1000)))) == held
+        assert (firing() is None) == bool(beyond)
+        assert event() is not None
+        assert len(list(window.candidate_pairs())) == 1 - beyond
+
+    def test_config_other_than_the_windows_rejected(self):
+        # A window built at W=1 keeps each firing for one tick, so a call
+        # asking for W=5 would miss the C3 and C4 two ticks apart that a
+        # window built at W=5 finds.
+        rs, cfg = corridor_home()
+        events = [ev(rs, "e1", "t1", 10, 60), ev(rs, "e2", "t2", 12, 75)]
+        window = DetectionWindow(cfg)
+        assert kinds_of([c for e in events for c in detect_at_tick(
+            [e], rs, window, cfg)]) == ["C3", "C4"]
+        window = DetectionWindow(replace(cfg, overlap_window=1))
+        with pytest.raises(InvalidConfigError, match="window"):
+            detect_at_tick(events[:1], rs, window, cfg)
+        assert window.last_tick is None
+
+    def test_equal_copy_of_the_windows_config_accepted(self, alarm_home):
+        rs, cfg = alarm_home
+        window = DetectionWindow(cfg)
+        out = detect_at_tick([ev(rs, "e1", "smoke1", 5, 1),
+                              ev(rs, "e2", "leak1", 5, 1)],
+                             rs, window, replace(cfg))
+        assert kinds_of(out) == ["C1"]
 
     def test_two_readings_of_one_sensor_in_batch_rejected(self, alarm_home):
         rs, cfg = alarm_home
-        window = new_window(cfg)
+        window = DetectionWindow(cfg)
         events = [ev(rs, "e1", "smoke1", 5, 1), ev(rs, "e2", "leak1", 5, 1),
                   ev(rs, "e3", "smoke1", 5, 0)]
         with pytest.raises(DuplicateSensorReadingError, match="smoke1"):
@@ -575,7 +605,7 @@ class TestDetectAtTick:
     def test_two_readings_of_one_sensor_across_split_batch_rejected(
             self, alarm_home):
         rs, cfg = alarm_home
-        window = new_window(cfg)
+        window = DetectionWindow(cfg)
         detect_at_tick([ev(rs, "e1", "smoke1", 5, 1)], rs, window, cfg)
         detect_at_tick([ev(rs, "e2", "leak1", 5, 1)], rs, window, cfg)
         with pytest.raises(DuplicateSensorReadingError, match="smoke1"):
@@ -584,7 +614,7 @@ class TestDetectAtTick:
 
     def test_duplicate_id_in_batch_rejected(self, alarm_home):
         rs, cfg = alarm_home
-        window = new_window(cfg)
+        window = DetectionWindow(cfg)
         events = [ev(rs, "e1", "smoke1", 5, 1), ev(rs, "e1", "smoke1", 5, 1),
                   ev(rs, "e2", "leak1", 5, 1)]
         with pytest.raises(DuplicateEventIdError):
@@ -592,7 +622,7 @@ class TestDetectAtTick:
 
     def test_duplicate_id_across_split_batch_rejected(self, alarm_home):
         rs, cfg = alarm_home
-        window = new_window(cfg)
+        window = DetectionWindow(cfg)
         detect_at_tick([ev(rs, "e1", "smoke1", 5, 1)], rs, window, cfg)
         with pytest.raises(DuplicateEventIdError):
             detect_at_tick([ev(rs, "e1", "leak1", 5, 1)], rs, window, cfg)
@@ -602,18 +632,18 @@ class TestDetectAtTick:
         # tell events apart by id, so a second e1 would hide the C5.
         rs, cfg = alarm_home
         cfg = replace(cfg, same_tick_epsilon=1)
-        window = new_window(cfg)
+        window = DetectionWindow(cfg)
         detect_at_tick([ev(rs, "e1", "smoke1", 5, 1)], rs, window, cfg)
         assert kinds_of(detect_at_tick([ev(rs, "e2", "leak1", 6, 1)], rs,
                                        window, cfg)) == ["C1", "C5"]
-        window = new_window(cfg)
+        window = DetectionWindow(cfg)
         detect_at_tick([ev(rs, "e1", "smoke1", 5, 1)], rs, window, cfg)
         with pytest.raises(DuplicateEventIdError):
             detect_at_tick([ev(rs, "e1", "leak1", 6, 1)], rs, window, cfg)
 
     def test_id_reusable_once_evicted(self, alarm_home):
         rs, cfg = alarm_home
-        window = new_window(cfg)
+        window = DetectionWindow(cfg)
         detect_at_tick([ev(rs, "e1", "smoke1", 5, 1)], rs, window, cfg)
         with pytest.raises(DuplicateEventIdError):
             detect_at_tick([ev(rs, "e1", "leak1", 5 + cfg.horizon, 1)], rs,

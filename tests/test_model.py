@@ -20,8 +20,6 @@ from tapcheck.model import (
     FeatureDependencyGraph,
     Relation,
     TriggerCondition,
-    action_relation,
-    dependent_features,
     overlapping_events,
 )
 
@@ -35,28 +33,30 @@ class TestDependentFeatures:
     def test_direct_edge(self):
         g = graph_of(["temperature", "humidity"],
                      [("temperature", "humidity")])
-        assert dependent_features("temperature", "humidity", g)
+        assert "humidity" in g.related_to("temperature")
 
     def test_transitive_chain(self):
         g = graph_of("abc", [("a", "b"), ("b", "c")])
-        assert dependent_features("a", "c", g)
+        assert "c" in g.related_to("a")
 
     def test_empty_graph(self):
         g = graph_of(["luminance", "humidity"], [])
-        assert not dependent_features("luminance", "humidity", g)
+        assert "humidity" not in g.related_to("luminance")
 
     def test_symmetric_closure(self):
         g = graph_of("ab", [("a", "b")])
-        assert dependent_features("b", "a", g)
+        assert "a" in g.related_to("b")
 
-    def test_irreflexive(self):
+    def test_reflexive(self):
+        # Related means equal or dependent, so each feature relates to
+        # itself though the graph holds no self-loop.
         g = graph_of("ab", [("a", "b")])
-        assert not dependent_features("a", "a", g)
+        assert g.related_to("a") == {"a", "b"}
 
     def test_unknown_feature(self):
         g = graph_of("ab", [("a", "b")])
         with pytest.raises(UnknownFeatureError):
-            dependent_features("a", "zzz", g)
+            g.related_to("zzz")
 
     def test_self_loop_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -82,10 +82,9 @@ class TestDependentFeatures:
                              action_relations=ActionRelationTable({}))
         for _ in range(30):
             i, j = int(rng.integers(n)), int(rng.integers(n))
-            expected = bool(sym[i, j]) and i != j
-            assert dependent_features(nodes[i], nodes[j], g) == expected
-            assert cfg.features_related({nodes[i]}, {nodes[j]}) == (
-                expected or i == j)
+            expected = bool(sym[i, j]) or i == j
+            assert (nodes[j] in g.related_to(nodes[i])) == expected
+            assert cfg.features_related({nodes[i]}, {nodes[j]}) == expected
         for _ in range(30):
             picked = frozenset(nodes[int(k)] for k in rng.choice(
                 n, size=int(rng.integers(0, min(n, 3) + 1)), replace=False))
@@ -193,32 +192,32 @@ class TestActionRelations:
 
     def test_opposite_pair(self):
         t = self.table()
-        assert action_relation("thermostat", "increase", "decrease",
-                               t) is Relation.OPPOSITE
+        assert t.relation("thermostat", "increase", "thermostat",
+                          "decrease") is Relation.OPPOSITE
 
     def test_dependent_pair(self):
         t = self.table()
-        assert action_relation("alarm", "beep", "flash",
-                               t) is Relation.DEPENDENT
+        assert t.relation("alarm", "beep", "alarm",
+                          "flash") is Relation.DEPENDENT
 
     def test_identity_is_same(self):
         t = self.table()
-        assert action_relation("door", "open", "open", t) is Relation.SAME
+        assert t.relation("door", "open", "door", "open") is Relation.SAME
 
     def test_symmetric(self):
         t = self.table()
-        assert (action_relation("thermostat", "decrease", "increase", t)
+        assert (t.relation("thermostat", "decrease", "thermostat", "increase")
                 is Relation.OPPOSITE)
 
     def test_undeclared_pair_defaults_to_different(self):
         t = self.table()
-        assert action_relation("door", "open", "close",
-                               t) is Relation.DIFFERENT
+        assert t.relation("door", "open", "door",
+                          "close") is Relation.DIFFERENT
 
     def test_unknown_action(self):
         t = self.table()
         with pytest.raises(UnknownActionError):
-            action_relation("door", "open", "levitate", t)
+            t.relation("door", "open", "door", "levitate")
 
     def test_cross_kind_lookup(self):
         t = ActionRelationTable(

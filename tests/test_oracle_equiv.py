@@ -11,19 +11,19 @@ from conftest import build_home, ev
 from gen import group_by_tick, random_ruleset, random_trace
 from tapcheck.detector import (
     Conflict,
+    DetectionWindow,
     classify_pair,
     detect_at_tick,
     match_rules,
-    new_window,
 )
 from tapcheck.model import Event
-from tapcheck.oracle import _pair_kinds, conflict_keys, oracle_detect
+from tapcheck.oracle import _pair_kinds, oracle_detect
 
 
 def run_detector(trace, rs, cfg):
     """The detector's findings over a stream, checking that each call
     returns its findings in canonical order."""
-    window = new_window(cfg)
+    window = DetectionWindow(cfg)
     out = []
     for batch in group_by_tick(trace):
         found = detect_at_tick(batch, rs, window, cfg)
@@ -56,7 +56,7 @@ class TestEquivalence:
         rng = np.random.default_rng(60_000 + seed)
         rs, cfg = random_ruleset(rng)
         trace = random_trace(rng, rs)
-        got = sorted(conflict_keys(run_detector(trace, rs, cfg)))
+        got = sorted(c.key() for c in run_detector(trace, rs, cfg))
         want = sorted(oracle_detect(trace, rs, cfg))
         assert got == want
         # Exactly-once reporting: no duplicate keys in the detector output.
@@ -68,7 +68,7 @@ class TestEquivalence:
         rng = np.random.default_rng(seed)
         rs, cfg = random_ruleset(rng, max_rules=6)
         trace = random_trace(rng, rs, max_ticks=60, p_event=p_event)
-        got = sorted(conflict_keys(run_detector(trace, rs, cfg)))
+        got = sorted(c.key() for c in run_detector(trace, rs, cfg))
         assert got == sorted(oracle_detect(trace, rs, cfg))
 
     def test_classifier_equals_oracle_per_pair(self):
@@ -110,7 +110,7 @@ class TestEquivalence:
                     value = 1 if sensor_id != "co1" else 80
                     trace.append(ev(rs, f"e{seq}", sensor_id, tick, value))
         want = oracle_detect(trace, rs, cfg)
-        window = new_window(cfg)
+        window = DetectionWindow(cfg)
         for batch in group_by_tick(trace):
             tick = batch[0].time
             got_now = {c.key() for c in detect_at_tick(batch, rs, window,
@@ -129,7 +129,7 @@ class TestEquivalence:
                 if rng.random() < p:
                     seq += 1
                     trace.append(ev(rs, f"e{seq}", sensor_id, tick, 1))
-        got = sorted(conflict_keys(run_detector(trace, rs, cfg)))
+        got = sorted(c.key() for c in run_detector(trace, rs, cfg))
         want = sorted(oracle_detect(trace, rs, cfg))
         assert got == want
 
@@ -137,13 +137,13 @@ class TestEquivalence:
 def formed_pairs(trace, rs, cfg) -> list[frozenset]:
     """Every firing pair the window's index forms over a stream, as the
     set of the two firing keys, once per time it is formed."""
-    window = new_window(cfg)
+    window = DetectionWindow(cfg)
     formed = []
     for batch in group_by_tick(trace):
         actions = [ta for e in batch for ta in match_rules(e, rs)]
         window.begin_tick(batch[0].time, batch, actions)
         formed.extend(frozenset((a.key(), b.key()))
-                      for a, b in window.candidate_pairs(cfg))
+                      for a, b in window.candidate_pairs())
         window.commit_tick()
     return formed
 
@@ -183,7 +183,7 @@ class TestPairIndex:
                                  else "opposite past eps")
                     elif kinds and dt == cfg.same_tick_epsilon > 0:
                         seen.add("gap of eps")
-            got = sorted(conflict_keys(run_detector(trace, rs, cfg)))
+            got = sorted(c.key() for c in run_detector(trace, rs, cfg))
             assert got == sorted(oracle_detect(trace, rs, cfg)), seed
         assert seen == {"0": {"skipped", "same actuator past eps",
                               "opposite past eps"},
@@ -274,8 +274,8 @@ class TestTimeShift:
                 for key in oracle_detect(trace, rs, cfg)}
         moved = oracle_detect(shift_trace(trace, k), rs, cfg)
         assert base == moved
-        got = sorted(conflict_keys(run_detector(shift_trace(trace, k),
-                                                rs, cfg)))
+        got = sorted(c.key() for c in run_detector(shift_trace(trace, k),
+                                                   rs, cfg))
         assert got == sorted(moved)
 
 
@@ -300,7 +300,7 @@ class TestOutputOrder:
         trace = [ev(rs, f"e{12 * tick + i + 1}", f"s{i}", tick,
                     60.3 if tick and i == 0 else 60) for tick in (0, 1)
                  for i in range(12)]
-        window = new_window(cfg)
+        window = DetectionWindow(cfg)
         detect_at_tick(trace[:12], rs, window, cfg)
         found = detect_at_tick(trace[12:], rs, window, cfg)
         assert found == sorted(found, key=Conflict.key)
@@ -322,8 +322,8 @@ class TestSameTickBatches:
         rs, cfg = alarm_home
         e1 = ev(rs, "e1", "smoke1", 5, 1)
         e2 = ev(rs, "e2", "leak1", 5, 1)
-        window = new_window(cfg)
+        window = DetectionWindow(cfg)
         out = detect_at_tick([e1], rs, window, cfg)
         out += detect_at_tick([e2], rs, window, cfg)
-        assert sorted(conflict_keys(out)) == sorted(
+        assert sorted([c.key() for c in out]) == sorted(
             oracle_detect([e1, e2], rs, cfg))

@@ -9,11 +9,7 @@ from tapcheck.errors import (
     ParseError,
     ReferentialIntegrityError,
 )
-from tapcheck.parsing import (
-    load_document,
-    parse_ruleset,
-    serialize_document,
-)
+from tapcheck.parsing import load_document, serialize_document
 from tapcheck.scenarios import fixture_text
 
 MINIMAL = """
@@ -35,7 +31,7 @@ rules:
 
 class TestParseRuleset:
     def test_minimal_document(self):
-        rs = parse_ruleset(MINIMAL)
+        rs = load_document(MINIMAL).ruleset
         assert len(rs.rules) == 1
         assert rs.rules[0].trigger.unit == "F"
         assert rs.registry.sensors["t1"].kind == "temperature"
@@ -43,18 +39,18 @@ class TestParseRuleset:
     def test_dangling_actuator_named(self):
         doc = MINIMAL.replace("actuator: th1", "actuator: thermo9")
         with pytest.raises(ReferentialIntegrityError, match="thermo9"):
-            parse_ruleset(doc)
+            load_document(doc)
 
     def test_dangling_controller_named(self):
         doc = MINIMAL.replace("controller: ctrl\n", "controller: ghost\n")
         with pytest.raises(ReferentialIntegrityError, match="ghost"):
-            parse_ruleset(doc)
+            load_document(doc)
 
     def test_dangling_feature_named(self):
         doc = MINIMAL.replace("affected_features: [temperature@room1]",
                               "affected_features: [temperature@room9]")
         with pytest.raises(ReferentialIntegrityError, match="temperature@room9"):
-            parse_ruleset(doc)
+            load_document(doc)
 
     def test_duplicate_rule_id(self):
         extra = MINIMAL + """
@@ -64,7 +60,7 @@ class TestParseRuleset:
     action: {actuator: th1, action: "off", affected_features: [temperature@room1]}
 """
         with pytest.raises(DuplicateIdError, match="r1"):
-            parse_ruleset(extra)
+            load_document(extra)
 
     def test_duplicate_sensor_id(self):
         doc = MINIMAL.replace(
@@ -72,26 +68,26 @@ class TestParseRuleset:
             "- {id: t1, kind: temperature, unit: F, location: room1}\n"
             "    - {id: t1, kind: humidity, unit: pct, location: room1}")
         with pytest.raises(DuplicateIdError, match="t1"):
-            parse_ruleset(doc)
+            load_document(doc)
 
     def test_yaml_syntax_error_reports_position(self):
         with pytest.raises(ParseError) as err:
-            parse_ruleset("registry: [\n  oops")
+            load_document("registry: [\n  oops")
         assert err.value.line is not None
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ParseError, match="unknown top-level"):
-            parse_ruleset(MINIMAL + "\nmystery: 1\n")
+            load_document(MINIMAL + "\nmystery: 1\n")
 
     def test_threshold_unit_mismatch(self):
         doc = MINIMAL.replace("threshold: 65", "threshold: 65, unit: C")
         with pytest.raises(ParseError, match="unit"):
-            parse_ruleset(doc)
+            load_document(doc)
 
     def test_action_outside_vocabulary(self):
         doc = MINIMAL.replace("action: heat", "action: explode")
         with pytest.raises(ReferentialIntegrityError, match="explode"):
-            parse_ruleset(doc)
+            load_document(doc)
 
     def test_bad_schedule_rejected(self):
         doc = MINIMAL.replace(
@@ -99,7 +95,7 @@ class TestParseRuleset:
             "trigger: {sensor_kind: temperature, comparator: \"<\", "
             "threshold: 65, schedule: [900, 100]}")
         with pytest.raises(ParseError, match="schedule"):
-            parse_ruleset(doc)
+            load_document(doc)
 
     def test_identity_relation_must_be_same(self):
         doc = MINIMAL + """
@@ -108,7 +104,7 @@ action_relations:
     - [heat, heat, opposite]
 """
         with pytest.raises(ParseError, match="same"):
-            parse_ruleset(doc)
+            load_document(doc)
 
     def test_similarity_class_checks_registry(self):
         doc = MINIMAL + """
@@ -117,7 +113,7 @@ detector:
     - ["temperature:==:room1", "pressure:==:room1"]
 """
         with pytest.raises(ReferentialIntegrityError, match="pressure"):
-            parse_ruleset(doc)
+            load_document(doc)
 
     @pytest.mark.parametrize("needle,bogus", [
         ("threshold: 65", "threshold: .nan"),
@@ -134,7 +130,7 @@ detector:
         doc = MINIMAL.replace(needle, bogus)
         assert doc != MINIMAL
         with pytest.raises(ParseError, match="finite"):
-            parse_ruleset(doc)
+            load_document(doc)
 
     @pytest.mark.parametrize("needle,bogus", [
         ("controller: ctrl\n", "controller: ghost\n"),
@@ -152,7 +148,7 @@ detector:
         assert doc != MINIMAL
         with pytest.raises((ReferentialIntegrityError, ParseError),
                            match="ghost"):
-            parse_ruleset(doc)
+            load_document(doc)
 
 
 class TestBundledFixtures:

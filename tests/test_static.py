@@ -7,7 +7,7 @@ import pytest
 
 from conftest import build_home
 from gen import group_by_tick, random_ruleset, random_trace
-from tapcheck.detector import ConflictKind, detect_at_tick, new_window
+from tapcheck.detector import ConflictKind, DetectionWindow, detect_at_tick
 from tapcheck.errors import UnknownActionError, UnknownFeatureError
 from tapcheck.oracle import oracle_static
 from tapcheck.static import _Analysis, gap_achievable, static_check
@@ -264,7 +264,7 @@ class TestAgainstBruteForce:
         rng = np.random.default_rng(50_000 + seed)
         rs, cfg = random_ruleset(rng)
         trace = random_trace(rng, rs)
-        window = new_window(cfg)
+        window = DetectionWindow(cfg)
         dynamic = []
         for batch in group_by_tick(trace):
             dynamic.extend(detect_at_tick(batch, rs, window, cfg))
