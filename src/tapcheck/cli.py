@@ -245,8 +245,6 @@ def cmd_simulate(args) -> int:
     if args.out is None:
         raise TapcheckError("simulate needs --out DIR")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if Path(args.scenario).suffix in (".yaml", ".yml"):
         scenario, bundle = scen.load_scenario_bundle(args.scenario)
     else:
@@ -255,11 +253,16 @@ def cmd_simulate(args) -> int:
     base_seed = args.seed if args.seed is not None else scenario.seed
     bundle = replace(bundle, config=_apply_overrides(bundle.config, args))
 
-    (out_dir / "ruleset.yaml").write_text(bundle.text, encoding="utf-8")
     reports = []
     any_conflict = False
     for seed in range(base_seed, base_seed + args.seeds):
         report = scen.run_scenario(replace(scenario, seed=seed), bundle)
+        # Nothing is written before one run returns, so a scenario
+        # rejected before tick 0 leaves no output behind.
+        if not reports:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / "ruleset.yaml").write_text(bundle.text,
+                                                  encoding="utf-8")
         write_report_csvs(report, out_dir)
         reports.append(report)
         any_conflict = any_conflict or bool(report.conflicts)

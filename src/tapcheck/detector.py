@@ -24,9 +24,11 @@ only consider pairs with an item from the current call, so each violating
 pair is reported exactly once over the lifetime of a stream. The window
 enforces the stream's invariants at the boundary (ticks never decrease,
 unique event ids, one event per sensor per tick) and keeps each item only
-while a policy can read it: firings for max(eps, W) ticks, where
-``DetectionWindow.candidate_pairs`` forms only the pairs some policy can
-flag, and events for the config horizon.
+while a policy can read it: firings for max(eps, W) ticks, filed by event
+signature, and events for the config horizon. Past the epsilon only
+similar events pair: C1, C2, C5 and C6 need a gap within the epsilon, and
+C3 and C4 need overlapping events, so ``DetectionWindow.candidate_pairs``
+forms only the pairs some policy can flag.
 
 Policies C1 to C6 relate firings of two distinct rules. A single rule fired
 twice by duplicate readings is the duplicate-event case and is covered by
@@ -167,23 +169,17 @@ def _between(actions: list[TriggeredAction] | None, start: Tick,
                    bisect_left(actions, stop, key=_time)]
 
 
-def _drop_head(index: dict, name) -> None:
-    """Drop the oldest action of one bucket, and the bucket once empty."""
-    bucket = index[name]
-    del bucket[0]
-    if not bucket:
-        del index[name]
-
-
 class DetectionWindow:
     """Sliding record of recent firings and raw events, sized by one
     detector config: firings are kept for its ``pair_reach`` (max(eps, W),
     the farthest a pair policy looks), events and their ids for its
     ``horizon`` (C7 and the unique-id check). Each firing is listed in
-    tick order with all firings, under its actuator, and under its action
-    class (actuator kind plus action name), so ``candidate_pairs`` reaches
-    the firings past the epsilon that can still conflict without visiting
-    the rest. Single writer; call ``detect_at_tick`` serially per stream.
+    tick order with all firings and with the firings of its exact event
+    signature, so ``candidate_pairs`` reaches the firings past the epsilon
+    whose events are similar without visiting the rest. Buckets are keyed
+    by signature, not by similarity class: classes may share signatures,
+    and a firing filed under two classes would pair twice. Single writer;
+    call ``detect_at_tick`` serially per stream.
 
     ``cfg`` is the stream's one detector config: the window's reach, its
     candidate pairs, C7 and every ``detect_at_tick`` call read it.
@@ -193,8 +189,7 @@ class DetectionWindow:
         self.cfg = cfg
         self.last_tick: Tick | None = None
         self._actions: list[TriggeredAction] = []  # in tick order
-        self._by_actuator = defaultdict(list)  # actuator -> actions
-        self._by_class = defaultdict(list)  # (kind, action) -> actions
+        self._by_signature = defaultdict(list)  # signature -> actions
         # Each event is kept once, in its sensor's deque, and its id once.
         self._event_times: dict[str, Tick] = {}  # id -> tick, in tick order
         self._events_by_sensor = defaultdict(deque)
@@ -238,11 +233,9 @@ class DetectionWindow:
 
     def commit_tick(self) -> None:
         """Absorb the staged arrivals into the window."""
-        by_actuator, by_class = self._by_actuator, self._by_class
+        by_signature = self._by_signature
         for action in self._fresh_actions:
-            by_actuator[action.action.actuator].append(action)
-            by_class[action.actuator_kind, action.action.action].append(
-                action)
+            by_signature[action.event.signature].append(action)
         self._actions.extend(self._fresh_actions)
         for event in self._fresh_events:
             self._event_times[event.id] = event.time
@@ -254,11 +247,13 @@ class DetectionWindow:
         expired = bisect_left(self._actions, now - self.cfg.pair_reach,
                               key=_time)
         # Buckets keep the order of ``_actions``, so each expired action,
-        # taken oldest first, is at the head of its two buckets.
+        # taken oldest first, is at the head of its bucket.
+        by_signature = self._by_signature
         for action in self._actions[:expired]:
-            _drop_head(self._by_actuator, action.action.actuator)
-            _drop_head(self._by_class,
-                       (action.actuator_kind, action.action.action))
+            bucket = by_signature[action.event.signature]
+            del bucket[0]
+            if not bucket:
+                del by_signature[action.event.signature]
         del self._actions[:expired]
         # Ticks only grow, so the first id in ``_event_times`` is the
         # oldest event and each sensor's deque is sorted by time.
@@ -279,14 +274,15 @@ class DetectionWindow:
 
         Within ``same_tick_epsilon`` of a fresh action every action pairs
         with it. Past the epsilon, up to max(epsilon, overlap window), only
-        actions on its actuator (C3, C5) and actions of an opposite class
-        on another actuator (C4, C6) do: C1, C2, C5 and C6 need a gap
-        within the epsilon, and C3 and C4 need stacked commands on one
-        actuator or opposite actions. Farther pairs violate nothing."""
+        actions whose events are similar to its event do, read from the
+        buckets of the signatures in ``DetectorConfig.similar_signatures``:
+        C1, C2, C5 and C6 need a gap within the epsilon, and C3 and C4
+        need overlapping events. Farther pairs violate nothing."""
         cfg = self.cfg
         eps = cfg.same_tick_epsilon
         reach = cfg.pair_reach
-        opposites = cfg.action_relations.opposites
+        similar = cfg.similar_signatures
+        by_signature = self._by_signature
         fresh, older = self._fresh_actions, self._actions
         for i, a in enumerate(fresh):
             near = a.time - eps
@@ -294,14 +290,10 @@ class DetectionWindow:
                 yield older[j], a
             if reach > eps:
                 far = a.time - reach
-                actuator = a.action.actuator
-                for b in _between(self._by_actuator.get(actuator), far, near):
-                    yield b, a
-                for cls in opposites.get((a.actuator_kind, a.action.action),
-                                         ()):
-                    for b in _between(self._by_class.get(cls), far, near):
-                        if b.action.actuator != actuator:
-                            yield b, a
+                signature = a.event.signature
+                for sig in similar.get(signature, (signature,)):
+                    for b in _between(by_signature.get(sig), far, near):
+                        yield b, a
             for j in range(i + 1, len(fresh)):
                 yield a, fresh[j]
 

@@ -5,8 +5,9 @@ analyzer, and the house simulator: sensor events, trigger-action rules, the
 feature-dependency graph, the action-relation table, and the detector tuning
 knobs. Every type here is immutable after construction, so instances can be
 shared across threads without coordination. Facts derived from a frozen
-object (the trigger index, the action-class table, each feature closure)
-are cached on it at first use and never change afterwards.
+object (the trigger index, the action-class table, each feature closure,
+the similar signatures) are cached on it at first use and never change
+afterwards.
 
 Time is a non-negative integer tick. Within one event stream ticks never
 decrease, and a single sensor emits at most one event per tick.
@@ -330,7 +331,7 @@ class ActionRelationTable:
 
     A (kind, name) pair is an action class. ``classes`` compiles the
     vocabulary and entries once into a row per class, and ``relation``
-    reads it; ``opposites`` lists each class's opposite classes.
+    reads it.
     """
 
     vocabulary: dict[str, frozenset[str]]
@@ -355,13 +356,6 @@ class ActionRelationTable:
             row[cls] = Relation.SAME
         return rows
 
-    @cached_property
-    def opposites(self) -> dict[ActionClass, tuple[ActionClass, ...]]:
-        """Each action class mapped to its opposite classes, sorted."""
-        return {cls: tuple(sorted(other for other, relation in row.items()
-                                  if relation is Relation.OPPOSITE))
-                for cls, row in self.classes.items()}
-
     def relation(self, kind1: str, n1: str, kind2: str, n2: str) -> Relation:
         classes = self.classes
         row = classes.get((kind1, n1))
@@ -383,7 +377,8 @@ class DetectorConfig:
     controller and disjoint-event policies (0 means exact tick equality).
     ``similarity_classes`` optionally widens signature similarity beyond
     plain equality, e.g. to treat temperature readings from two rooms that
-    share a thermostat as the same kind of event.
+    share a thermostat as the same kind of event. Classes may share
+    signatures, so similarity need not be transitive.
     """
 
     dependency_graph: FeatureDependencyGraph
@@ -411,11 +406,20 @@ class DetectorConfig:
         """How many ticks back any check can possibly look."""
         return max(self.pair_reach, self.duplicate_window)
 
+    @cached_property
+    def similar_signatures(self) -> dict[EventSignature,
+                                         frozenset[EventSignature]]:
+        """Each signature of a similarity class mapped to the union of its
+        classes, itself included. A signature in no class is similar only
+        to itself and has no entry."""
+        out: dict[EventSignature, frozenset[EventSignature]] = {}
+        for group in self.similarity_classes:
+            for signature in group:
+                out[signature] = out.get(signature, frozenset()) | group
+        return out
+
     def similar(self, a: EventSignature, b: EventSignature) -> bool:
-        if a == b:
-            return True
-        return any(a in group and b in group
-                   for group in self.similarity_classes)
+        return a == b or b in self.similar_signatures.get(a, ())
 
     def features_related(self, fs1: Collection[str],
                          fs2: Collection[str]) -> bool:

@@ -641,10 +641,38 @@ detector:""")
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "r_spare" in err
-        written = [p.name for pattern in ("trace_*", "events_*",
-                                          "conflicts_*", "summary.csv")
-                   for p in out.glob(pattern)]
-        assert written == []
+        assert not out.exists()
+
+    def test_rejected_scenario_leaves_no_out_directory(self, tmp_path,
+                                                       capsys):
+        # The lamp sits in the attic, which is no house room, so both arms
+        # are rejected before tick 0: no ruleset.yaml, no directory.
+        doc = tmp_path / "attic.yaml"
+        doc.write_text("""\
+scenario: {id: attic_lamp, horizon: 20}
+registry:
+  locations: [hall, attic]
+  controllers: [app]
+  sensors:
+    - {id: tap1, kind: lamp_cmd, unit: cmd, location: hall, range: [0, 1]}
+  actuators:
+    - {id: lamp1, kind: light, location: attic, actions: ['on', 'off']}
+  features: [luminance@attic]
+rules:
+  - id: r_tap
+    controller: app
+    trigger: {sensor_kind: lamp_cmd, comparator: '==', threshold: 1}
+    action: {actuator: lamp1, action: 'on', affected_features: [luminance@attic]}
+house:
+  rooms: [{id: hall}]
+sources: []
+""", encoding="utf-8")
+        out = tmp_path / "attic"
+        assert main(["simulate", "--scenario", str(doc), "--seeds", "2",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("overrides", ["{k_loss: abc}", "[1]", "0",
                                            "{k_los: 1}"])

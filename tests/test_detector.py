@@ -561,11 +561,12 @@ class TestDetectAtTick:
     def test_firings_kept_for_pair_reach_only(self, alarm_home, beyond):
         # Firings are dropped once past max(eps, W), the farthest a pair
         # policy looks, though their events stay for the longer C7
-        # horizon.
+        # horizon. Past the epsilon only similar events pair, so the
+        # second reading is another smoke reading.
         rs, cfg = alarm_home
         assert cfg.pair_reach < cfg.horizon
         window, firing, event = staged_at_zero(rs, cfg)
-        e2 = ev(rs, "e2", "leak1", cfg.pair_reach + beyond, 1)
+        e2 = ev(rs, "e2", "smoke1", cfg.pair_reach + beyond, 1)
         window.begin_tick(e2.time, [e2], match_rules(e2, rs))
         assert (firing() is None) == bool(beyond)
         assert event() is not None

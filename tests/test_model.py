@@ -1,6 +1,8 @@
 """Model-level predicates: feature dependency, overlap, action relations,
 trigger matching."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,6 +161,24 @@ class TestOverlappingEvents:
         e3 = ev(rs, "e3", "t2", 2, 71, ">")
         assert not overlapping_events(e1, e3, cfg)
 
+    def test_similar_is_equal_or_one_class(self):
+        # Two classes share b, so a ~ b and b ~ c but not a ~ c: similarity
+        # is not transitive.
+        a, b, c = sig(loc="room1"), sig(loc="room2"), sig("humidity",
+                                                          loc="room2")
+        classes = [[a, b], [b, c], [sig("humidity", "<", "room1"),
+                                    sig("humidity", "==", "room1")]]
+        cfg = replace(config()[1],
+                      similarity_classes=tuple(map(frozenset, classes)))
+        sigs = [sig(kind, pred, loc) for kind in ("temperature", "humidity")
+                for pred in (">", "<", "==") for loc in ("room1", "room2")]
+        for x in sigs:
+            for y in sigs:
+                assert cfg.similar(x, y) == (x == y or any(
+                    x in group and y in group for group in classes)), (x, y)
+        assert cfg.similar(a, b) and cfg.similar(b, c)
+        assert not cfg.similar(a, c)
+
     @given(st.integers(0, 40), st.integers(0, 40),
            st.sampled_from([">", "<", "=="]), st.sampled_from([">", "<", "=="]),
            st.sampled_from(["room1", "room2"]))
@@ -231,8 +251,6 @@ class TestActionRelations:
                           "open") is Relation.OPPOSITE
         assert t.relation("blind", "open", "light",
                           "on") is Relation.DIFFERENT
-        assert t.opposites[("light", "off")] == (("blind", "open"),)
-        assert t.opposites[("light", "on")] == ()
 
     @pytest.mark.parametrize("args,name,kind", [
         (("door", "levitate", "door", "open"), "levitate", "door"),
@@ -251,7 +269,6 @@ class TestActionRelations:
             entries={ActionRelationTable.key("door", "open", "door", "open"):
                      Relation.OPPOSITE})
         assert t.relation("door", "open", "door", "open") is Relation.SAME
-        assert t.opposites[("door", "open")] == ()
 
 
 class TestTriggerMatching:

@@ -16,7 +16,7 @@ from tapcheck.detector import (
     detect_at_tick,
     match_rules,
 )
-from tapcheck.model import Event
+from tapcheck.model import Cmp, Event, EventSignature
 from tapcheck.oracle import _pair_kinds, oracle_detect
 
 
@@ -148,13 +148,36 @@ def formed_pairs(trace, rs, cfg) -> list[frozenset]:
     return formed
 
 
+def overlapping_classes(rs) -> tuple[frozenset, frozenset]:
+    """Two similarity classes over every signature the ruleset's sensors
+    can emit, sharing one signature: the first signature is similar to the
+    shared one and the shared one to the last, but not the first to the
+    last."""
+    sigs = sorted({EventSignature(s.kind, cmp, s.location)
+                   for s in rs.registry.sensors.values() for cmp in Cmp},
+                  key=EventSignature.compact)
+    mid = len(sigs) // 2
+    return frozenset(sigs[:mid + 1]), frozenset(sigs[mid:])
+
+
 class TestPairIndex:
-    """The window forms a pair past the epsilon only for a shared actuator
-    or opposite action classes; every pair it skips must violate nothing.
-    With eps >= W nothing lies past the epsilon, so nothing is skipped."""
+    """The window files firings by event signature, so past the epsilon
+    only similar events pair; every pair it skips must violate nothing.
+    With eps >= W nothing lies past the epsilon, so nothing is skipped.
+    Similarity classes that share a signature must not make a pair form
+    twice."""
 
     @pytest.mark.parametrize("eps", ["0", "W", "W+2"])
     def test_unformed_pairs_violate_nothing(self, eps):
+        self.check_index(eps, overlapping=False)
+
+    @pytest.mark.parametrize("eps", ["0", "W", "W+2"])
+    def test_overlapping_classes_form_each_pair_once(self, eps):
+        self.check_index(eps, overlapping=True)
+
+    def check_index(self, eps, overlapping):
+        """Over the generated cases, no pair forms twice, every unformed
+        pair violates nothing and the detector equals the oracle."""
         seen = set()
         for seed in range(150):
             rng = np.random.default_rng(95_000 + seed)
@@ -162,6 +185,8 @@ class TestPairIndex:
             w = cfg.overlap_window
             cfg = replace(cfg, same_tick_epsilon={"0": 0, "W": w,
                                                   "W+2": w + 2}[eps])
+            if overlapping:
+                cfg = replace(cfg, similarity_classes=overlapping_classes(rs))
             trace = random_trace(rng, rs)
             formed = formed_pairs(trace, rs, cfg)
             assert len(formed) == len(set(formed)), seed
@@ -181,12 +206,15 @@ class TestPairIndex:
                         seen.add("same actuator past eps"
                                  if a.action.actuator == b.action.actuator
                                  else "opposite past eps")
+                        if a.event.signature != b.event.signature:
+                            seen.add("similar signatures past eps")
                     elif kinds and dt == cfg.same_tick_epsilon > 0:
                         seen.add("gap of eps")
             got = sorted(c.key() for c in run_detector(trace, rs, cfg))
             assert got == sorted(oracle_detect(trace, rs, cfg)), seed
         assert seen == {"0": {"skipped", "same actuator past eps",
-                              "opposite past eps"},
+                              "opposite past eps",
+                              "similar signatures past eps"},
                         "W": {"gap of eps"},
                         "W+2": {"gap of eps"}}[eps]
 
