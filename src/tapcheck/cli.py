@@ -9,6 +9,13 @@ found, 1 when any were, 2 on usage or input errors.
   reports (feature traces, event traces, conflict logs, and a summary).
 * ``report``: aggregate the conflict logs in a simulate output directory.
 
+``monitor`` writes each tick's log rows as the detector returns them, so
+besides the parsed trace its live state is the detection window plus one
+tick's rows. Every output file appears only once it is complete: it is
+written beside its target and renamed into place, so none is left
+half-written and a failed ``monitor`` run leaves no log. An ``--out`` that
+cannot be written is an input error.
+
 File formats (UTF-8, LF, comma-separated, byte-stable for fixed inputs):
 
 * event trace: ``tick,sensor,kind,predicate,value,location``
@@ -19,8 +26,10 @@ File formats (UTF-8, LF, comma-separated, byte-stable for fixed inputs):
 
 import argparse
 import math
+import os
 import sys
 from collections import Counter
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from itertools import groupby
 from operator import attrgetter
@@ -38,6 +47,34 @@ from .static import static_check
 
 TRACE_HEADER = "tick,sensor,kind,predicate,value,location"
 CONFLICT_HEADER = "tick,kind,rule_a,rule_b,event_a,event_b,actuator,note"
+
+
+@contextmanager
+def _output_file(path: Path):
+    """A UTF-8 text stream whose bytes become the file ``path`` once the
+    block ends without error. Parent directories are created first. The
+    text goes to a temporary file beside ``path``, renamed into place at the
+    end and removed on any failure, so ``path`` is either complete or
+    untouched. An ``OSError`` becomes a one-line ``TapcheckError``."""
+    tmp = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path.with_name(f".{path.name}.{os.getpid()}.tmp"), "w",
+                  encoding="utf-8", newline="") as out:
+            tmp = Path(out.name)
+            yield out
+        os.replace(tmp, path)
+        tmp = None
+    except OSError as exc:
+        raise TapcheckError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None:
+            tmp.unlink(missing_ok=True)
+
+
+def _write_rows(out, rows) -> None:
+    """Write each row as one LF-terminated line."""
+    out.write("".join([f"{row}\n" for row in rows]))
 
 
 def _apply_overrides(cfg: DetectorConfig, args) -> DetectorConfig:
@@ -144,12 +181,11 @@ def cmd_check(args) -> int:
     doc = load_document(read_text(args.ruleset))
     cfg = _apply_overrides(doc.config, args)
     findings = static_check(doc.ruleset, cfg)
-    by_kind: dict[str, list] = {}
-    for f in findings:
-        by_kind.setdefault(f.kind.value, []).append(f)
-    for kind in sorted(by_kind):
-        print(f"{kind}: {len(by_kind[kind])} potential conflict(s)")
-        for f in by_kind[kind]:
+    # static_check sorts its findings by kind first.
+    for kind, group in groupby(findings, key=attrgetter("kind")):
+        of_kind = list(group)
+        print(f"{kind.value}: {len(of_kind)} potential conflict(s)")
+        for f in of_kind:
             print(f"  {f.rule_a} + {f.rule_b}: {f.note}")
     print(f"{len(findings)} potential conflict(s)")
     return 1 if findings else 0
@@ -160,22 +196,17 @@ def cmd_monitor(args) -> int:
     cfg = _apply_overrides(doc.config, args)
     events = parse_trace(read_text(args.trace), doc.ruleset)
 
-    # Each tick's findings become log rows and counts as they arrive, so
-    # no finding, nor the firings it holds, outlives its tick.
+    # Each tick's findings are written and counted as they arrive, so no
+    # finding, nor the firings it holds, outlives its tick.
     window = DetectionWindow(cfg)
-    lines = [CONFLICT_HEADER]
     counts = Counter({k.value: 0 for k in ConflictKind})
-    for _, batch in groupby(events, key=attrgetter("time")):
-        found = detect_at_tick(list(batch), doc.ruleset, window, cfg)
-        lines.extend(map(format_conflict_row, found))
-        counts.update(c.kind.value for c in found)
-    log_text = "\n".join(lines) + "\n"
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "conflicts.csv").write_text(log_text, encoding="utf-8")
-    else:
-        sys.stdout.write(log_text)
+    with (_output_file(Path(args.out) / "conflicts.csv") if args.out
+          else nullcontext(sys.stdout)) as log:
+        _write_rows(log, [CONFLICT_HEADER])
+        for _, batch in groupby(events, key=attrgetter("time")):
+            found = detect_at_tick(list(batch), doc.ruleset, window, cfg)
+            _write_rows(log, map(format_conflict_row, found))
+            counts.update(c.kind.value for c in found)
     _print_summary(counts)
     return 1 if sum(counts.values()) else 0
 
@@ -199,21 +230,19 @@ def write_report_csvs(report: TraceReport, out_dir: Path) -> None:
             _format_column(f, report.series[room][f].tolist())
             for f in SERIES_FIELDS))]
         for room in report.rooms]
-    rows = ["tick,room," + ",".join(SERIES_FIELDS)]
-    for tick, tick_rows in enumerate(zip(*room_rows)):
-        rows.extend(f"{tick},{row}" for row in tick_rows)
-    (out_dir / f"trace_{seed}.csv").write_text("\n".join(rows) + "\n",
-                                               encoding="utf-8")
+    with _output_file(out_dir / f"trace_{seed}.csv") as out:
+        _write_rows(out, ["tick,room," + ",".join(SERIES_FIELDS)])
+        _write_rows(out, (f"{tick},{row}"
+                          for tick, tick_rows in enumerate(zip(*room_rows))
+                          for row in tick_rows))
 
-    event_rows = [TRACE_HEADER]
-    event_rows += [format_event_row(e) for e in report.events]
-    (out_dir / f"events_{seed}.csv").write_text("\n".join(event_rows) + "\n",
-                                                encoding="utf-8")
+    with _output_file(out_dir / f"events_{seed}.csv") as out:
+        _write_rows(out, [TRACE_HEADER])
+        _write_rows(out, map(format_event_row, report.events))
 
-    conflict_rows = [CONFLICT_HEADER]
-    conflict_rows += [format_conflict_row(c) for c in report.conflicts]
-    (out_dir / f"conflicts_{seed}.csv").write_text(
-        "\n".join(conflict_rows) + "\n", encoding="utf-8")
+    with _output_file(out_dir / f"conflicts_{seed}.csv") as out:
+        _write_rows(out, [CONFLICT_HEADER])
+        _write_rows(out, map(format_conflict_row, report.conflicts))
 
 
 def write_summary_csv(reports: list[TraceReport], out_dir: Path) -> None:
@@ -237,13 +266,11 @@ def write_summary_csv(reports: list[TraceReport], out_dir: Path) -> None:
     if table:
         means = np.asarray(table).mean(axis=0)
         lines.append(",".join(["mean"] + [f"{v:g}" for v in means]))
-    (out_dir / "summary.csv").write_text("\n".join(lines) + "\n",
-                                         encoding="utf-8")
+    with _output_file(out_dir / "summary.csv") as out:
+        _write_rows(out, lines)
 
 
 def cmd_simulate(args) -> int:
-    if args.out is None:
-        raise TapcheckError("simulate needs --out DIR")
     out_dir = Path(args.out)
     if Path(args.scenario).suffix in (".yaml", ".yml"):
         scenario, bundle = scen.load_scenario_bundle(args.scenario)
@@ -260,9 +287,8 @@ def cmd_simulate(args) -> int:
         # Nothing is written before one run returns, so a scenario
         # rejected before tick 0 leaves no output behind.
         if not reports:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "ruleset.yaml").write_text(bundle.text,
-                                                  encoding="utf-8")
+            with _output_file(out_dir / "ruleset.yaml") as out:
+                out.write(bundle.text)
         write_report_csvs(report, out_dir)
         reports.append(report)
         any_conflict = any_conflict or bool(report.conflicts)
@@ -272,8 +298,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if args.out is None:
-        raise TapcheckError("report needs --out DIR")
     out_dir = Path(args.out)
     logs = sorted(out_dir.glob("conflicts_*.csv"))
     if not logs:

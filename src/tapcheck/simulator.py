@@ -138,8 +138,8 @@ def _trace_at(trace, tick: int) -> float:
 
 
 def thermal_step(room: RoomState, house: HouseModel, t_out: float,
-                 neighbor_temps: tuple[float, ...], dt: int = 1) -> float:
-    """Next temperature of a room.
+                 neighbor_temps: tuple[float, ...]) -> float:
+    """Next temperature of a room, one tick on.
 
     Outdoor pull and window coupling apply only to rooms exposed to the
     outside; an interior corridor is driven purely by its neighbors and its
@@ -160,7 +160,7 @@ def thermal_step(room: RoomState, house: HouseModel, t_out: float,
         delta += p.k_adj * (tn - t)
     if room.occupancy:
         delta += p.occupant_heat
-    return t + delta * dt
+    return t + delta
 
 
 def humidity_step(room: RoomState, house: HouseModel,

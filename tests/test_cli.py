@@ -9,6 +9,7 @@ import pytest
 
 from tapcheck import cli, scenarios
 from tapcheck.cli import CONFLICT_HEADER, main
+from tapcheck.errors import TapcheckError
 from tapcheck.parsing import load_document
 from tapcheck.scenarios import fixture_text
 
@@ -107,6 +108,18 @@ class TestCheck:
         assert "comparator must be one of" in err
 
 
+@pytest.fixture
+def alarm_trace(tmp_path):
+    # Smoke and leak read 1 at every tick: rival rules collide on the
+    # alarm and each reading repeats the last.
+    path = tmp_path / "trace.csv"
+    path.write_text(
+        "tick,sensor,kind,predicate,value,location\n" + "".join(
+            f"{t},smoke1,smoke,==,1,room1\n{t},leak1,leak,==,1,room1\n"
+            for t in range(12)), encoding="utf-8")
+    return path
+
+
 class TestMonitor:
     def test_empty_trace_summary_of_zeros(self, alarm_ruleset, tmp_path,
                                           capsys):
@@ -157,17 +170,10 @@ class TestMonitor:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "smoke1" in err and "tick 5" in err and "line 4" in err
 
-    def test_no_finding_outlives_its_tick(self, alarm_ruleset, tmp_path,
-                                          monkeypatch):
-        # Smoke and leak read 1 at every tick: rival rules collide on the
-        # alarm and each reading repeats the last. A finding is logged and
-        # counted as its tick ends, so at each call every finding of two or
-        # more calls back is gone.
-        trace = tmp_path / "trace.csv"
-        trace.write_text(
-            "tick,sensor,kind,predicate,value,location\n" + "".join(
-                f"{t},smoke1,smoke,==,1,room1\n{t},leak1,leak,==,1,room1\n"
-                for t in range(12)), encoding="utf-8")
+    def test_no_finding_outlives_its_tick(self, alarm_ruleset, alarm_trace,
+                                          tmp_path, monkeypatch):
+        # A finding is logged and counted as its tick ends, so at each call
+        # every finding of two or more calls back is gone.
         calls = []
         detect = cli.detect_at_tick
 
@@ -179,13 +185,13 @@ class TestMonitor:
 
         monkeypatch.setattr(cli, "detect_at_tick", recorded)
         assert main(["monitor", "--ruleset", str(alarm_ruleset),
-                     "--trace", str(trace), "--out", str(tmp_path)]) == 1
+                     "--trace", str(alarm_trace), "--out", str(tmp_path)]) == 1
         assert len(calls) == 12 and all(calls)
 
         doc = load_document(alarm_ruleset.read_text(encoding="utf-8"))
         window = cli.DetectionWindow(doc.config)
         rows = [CONFLICT_HEADER]
-        events = cli.parse_trace(trace.read_text(encoding="utf-8"),
+        events = cli.parse_trace(alarm_trace.read_text(encoding="utf-8"),
                                  doc.ruleset)
         for _, batch in groupby(events, key=lambda e: e.time):
             rows += [cli.format_conflict_row(c) for c in detect(
@@ -270,6 +276,62 @@ SIMULATE_DIGESTS = {
         "d0d63a371aaba49ea10039f4971d79e014ca2d3324963ec6b6d4b3522ef34fe6",
     ),
 }
+
+
+class TestOutputFiles:
+    """Every file the CLI writes appears whole or not at all, and one that
+    cannot be written is an input error."""
+
+    @pytest.mark.parametrize("command", ["monitor", "simulate"])
+    def test_out_naming_a_file_exits_two(self, command, alarm_ruleset,
+                                         alarm_trace, tmp_path, capsys):
+        target = tmp_path / "not_a_dir"
+        target.write_bytes(b"kept\n")
+        argv = (["monitor", "--ruleset", str(alarm_ruleset),
+                 "--trace", str(alarm_trace)] if command == "monitor"
+                else ["simulate", "--scenario", "S5", "--seeds", "1"])
+        capsys.readouterr()
+        assert main(argv + ["--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert target.read_bytes() == b"kept\n"
+
+    def test_failed_monitor_keeps_the_old_log(self, alarm_ruleset,
+                                              alarm_trace, tmp_path,
+                                              monkeypatch, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "conflicts.csv").write_bytes(b"old log\n")
+        calls = []
+        detect = cli.detect_at_tick
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise TapcheckError("detector failed at the third tick")
+            return detect(*args)
+
+        monkeypatch.setattr(cli, "detect_at_tick", failing)
+        assert main(["monitor", "--ruleset", str(alarm_ruleset),
+                     "--trace", str(alarm_trace), "--out", str(out)]) == 2
+        assert len(calls) == 3
+        assert "third tick" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["conflicts.csv"]
+        assert (out / "conflicts.csv").read_bytes() == b"old log\n"
+
+    def test_stdout_log_equals_out_log(self, alarm_ruleset, alarm_trace,
+                                       tmp_path, capsys):
+        args = ["monitor", "--ruleset", str(alarm_ruleset),
+                "--trace", str(alarm_trace)]
+        capsys.readouterr()
+        assert main(args) == 1
+        printed = capsys.readouterr().out.encode("utf-8")
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == 1
+        summary = capsys.readouterr().out.encode("utf-8")
+        assert [p.name for p in out.iterdir()] == ["conflicts.csv"]
+        log = (out / "conflicts.csv").read_bytes()
+        assert log.count(b"\n") > 12 and printed == log + summary
 
 
 class TestSimulate:
