@@ -13,8 +13,8 @@ found, 1 when any were, 2 on usage or input errors.
 besides the parsed trace its live state is the detection window plus one
 tick's rows. Every output file appears only once it is complete: it is
 written beside its target and renamed into place, so none is left
-half-written and a failed ``monitor`` run leaves no log. An ``--out`` that
-cannot be written is an input error.
+half-written and a failed ``monitor`` run leaves no log, nor a directory
+it created. An ``--out`` that cannot be written is an input error.
 
 File formats (UTF-8, LF, comma-separated, byte-stable for fixed inputs):
 
@@ -31,7 +31,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
-from itertools import groupby
+from itertools import groupby, takewhile
 from operator import attrgetter
 from pathlib import Path
 
@@ -55,21 +55,29 @@ def _output_file(path: Path):
     block ends without error. Parent directories are created first. The
     text goes to a temporary file beside ``path``, renamed into place at the
     end and removed on any failure, so ``path`` is either complete or
-    untouched. An ``OSError`` becomes a one-line ``TapcheckError``."""
-    tmp = None
+    untouched. On failure the directories this call created are removed
+    too, deepest first, up to the first that is not empty. An ``OSError``
+    becomes a one-line ``TapcheckError``."""
+    tmp, made = None, []
     try:
+        made = list(takewhile(lambda d: not d.exists(), path.parents))
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path.with_name(f".{path.name}.{os.getpid()}.tmp"), "w",
                   encoding="utf-8", newline="") as out:
             tmp = Path(out.name)
             yield out
         os.replace(tmp, path)
-        tmp = None
+        tmp, made = None, []
     except OSError as exc:
         raise TapcheckError(f"cannot write {path}: {exc}") from exc
     finally:
         if tmp is not None:
             tmp.unlink(missing_ok=True)
+        for directory in made:
+            try:
+                directory.rmdir()
+            except OSError:  # holds other files, or was never made
+                break
 
 
 def _write_rows(out, rows) -> None:

@@ -5,7 +5,8 @@ A document is a single YAML file with sections ``registry``, ``rules``,
 ``day_length`` and, for simulation fixtures, ``house`` and ``sources``
 sections that are validated by the simulator. Parsing enforces referential
 integrity: every id a rule mentions must be declared exactly once in the
-registry, and violations name the offending id.
+registry, and violations name the offending id. Every mapping of a document
+goes through ``_keys``, so a key it does not declare is an error.
 
 ``load_document``/``serialize_document`` round-trip through a canonical
 form: a serialized document loads back to an equal ruleset and detector
@@ -41,10 +42,8 @@ from .model import (
     TriggerCondition,
 )
 
-_TOP_LEVEL_KEYS = {
-    "registry", "rules", "feature_deps", "action_relations", "detector",
-    "day_length", "house", "sources", "scenario",
-}
+_SECTIONS = ("rules", "feature_deps", "action_relations", "detector",
+             "day_length", "house", "sources", "scenario")
 
 _CMP_TOKENS = {c.value: c for c in Cmp}
 _RELATION_TOKENS = {r.value: r for r in Relation}
@@ -83,19 +82,25 @@ def _load_yaml(text: str):
         raise ParseError(f"invalid YAML: {exc}") from exc
 
 
-def _require(mapping, key, path, kind=None):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ParseError(f"missing required key {key!r}", path=path)
-    value = mapping[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ParseError(
-            f"key {key!r} must be of type {getattr(kind, '__name__', kind)}",
-            path=path)
-    return value
+def _keys(raw, what, path, required=(), optional=()) -> dict:
+    """``raw`` itself, once it is known to be a mapping that holds every
+    ``required`` key and no key outside ``required`` and ``optional``.
 
-
-def _opt(mapping, key, default=None):
-    return mapping.get(key, default) if isinstance(mapping, dict) else default
+    Every mapping of a ruleset or scenario document passes through here, so
+    a misspelled key is an error rather than a silently applied default.
+    """
+    if not isinstance(raw, dict):
+        raise ParseError("expected a mapping", path=path)
+    # A misspelled required key is reported as unknown, not as missing.
+    # YAML keys need not be strings, so the first is chosen by its text.
+    unknown = set(raw).difference(required, optional)
+    if unknown:
+        raise ParseError(f"unknown {what} key {min(unknown, key=str)!r}",
+                         path=path)
+    for key in required:
+        if key not in raw:
+            raise ParseError(f"missing required key {key!r}", path=path)
+    return raw
 
 
 def _as_number(value, path) -> float:
@@ -123,7 +128,7 @@ def _as_int(value, path) -> int:
 
 
 def _section(raw: dict, key: str, kind: type, path: str):
-    """An optional list or mapping; absent or null reads as empty."""
+    """A list or mapping; absent or null reads as empty."""
     value = raw.get(key)
     if value is None:
         return kind()
@@ -146,30 +151,32 @@ def _unique(seen: set, value: str, what: str):
 
 
 def _parse_registry(raw, path="registry") -> Registry:
-    if not isinstance(raw, dict):
-        raise ParseError("registry must be a mapping", path=path)
+    _keys(raw, "registry", path, required=(
+        "locations", "controllers", "sensors", "actuators", "features"))
     locations = tuple(_as_str(x, f"{path}.locations")
-                      for x in _require(raw, "locations", path, list))
+                      for x in _section(raw, "locations", list, path))
     seen_loc: set[str] = set()
     for loc in locations:
         _unique(seen_loc, loc, "location")
 
     controllers = tuple(_as_str(x, f"{path}.controllers")
-                        for x in _require(raw, "controllers", path, list))
+                        for x in _section(raw, "controllers", list, path))
     seen_ctrl: set[str] = set()
     for ctrl in controllers:
         _unique(seen_ctrl, ctrl, "controller")
 
     sensors: dict[str, Sensor] = {}
     kind_unit: dict[str, str] = {}
-    for i, entry in enumerate(_require(raw, "sensors", path, list)):
+    for i, entry in enumerate(_section(raw, "sensors", list, path)):
         p = f"{path}.sensors[{i}]"
-        sid = _as_str(_require(entry, "id", p), f"{p}.id")
+        _keys(entry, "sensor", p, required=("id", "kind", "unit", "location"),
+              optional=("range", "tolerance"))
+        sid = _as_str(entry["id"], f"{p}.id")
         if sid in sensors:
             raise DuplicateIdError(f"duplicate sensor {sid!r}")
-        kind = _as_str(_require(entry, "kind", p), f"{p}.kind")
-        unit = _as_str(_require(entry, "unit", p), f"{p}.unit")
-        location = _as_str(_require(entry, "location", p), f"{p}.location")
+        kind = _as_str(entry["kind"], f"{p}.kind")
+        unit = _as_str(entry["unit"], f"{p}.unit")
+        location = _as_str(entry["location"], f"{p}.location")
         if location not in seen_loc:
             raise ReferentialIntegrityError(
                 f"sensor {sid!r} placed in undeclared location {location!r}")
@@ -178,29 +185,31 @@ def _parse_registry(raw, path="registry") -> Registry:
                 f"sensor kind {kind!r} declared with conflicting units "
                 f"{kind_unit[kind]!r} and {unit!r}", path=p)
         kind_unit[kind] = unit
-        rng = _opt(entry, "range", [0, 100])
+        rng = entry.get("range", [0, 100])
         if (not isinstance(rng, list) or len(rng) != 2):
             raise ParseError("range must be [low, high]", path=f"{p}.range")
         low, high = (_as_number(v, f"{p}.range") for v in rng)
         if not low < high:
             raise ParseError("range low must be < high", path=f"{p}.range")
-        tolerance = _as_number(_opt(entry, "tolerance", 0), f"{p}.tolerance")
+        tolerance = _as_number(entry.get("tolerance", 0), f"{p}.tolerance")
         sensors[sid] = Sensor(id=sid, kind=kind, unit=unit, location=location,
                               range=(low, high), tolerance=tolerance)
 
     actuators: dict[str, Actuator] = {}
-    for i, entry in enumerate(_require(raw, "actuators", path, list)):
+    for i, entry in enumerate(_section(raw, "actuators", list, path)):
         p = f"{path}.actuators[{i}]"
-        aid = _as_str(_require(entry, "id", p), f"{p}.id")
+        _keys(entry, "actuator", p,
+              required=("id", "kind", "location", "actions"))
+        aid = _as_str(entry["id"], f"{p}.id")
         if aid in actuators:
             raise DuplicateIdError(f"duplicate actuator {aid!r}")
-        kind = _as_str(_require(entry, "kind", p), f"{p}.kind")
-        location = _as_str(_require(entry, "location", p), f"{p}.location")
+        kind = _as_str(entry["kind"], f"{p}.kind")
+        location = _as_str(entry["location"], f"{p}.location")
         if location not in seen_loc:
             raise ReferentialIntegrityError(
                 f"actuator {aid!r} placed in undeclared location {location!r}")
         actions = tuple(_as_str(x, f"{p}.actions")
-                        for x in _require(entry, "actions", p, list))
+                        for x in _section(entry, "actions", list, p))
         if not actions:
             raise ParseError("actuator needs at least one action", path=p)
         if len(set(actions)) != len(actions):
@@ -213,9 +222,8 @@ def _parse_registry(raw, path="registry") -> Registry:
         actuators[aid] = Actuator(id=aid, kind=kind, location=location,
                                   actions=actions)
 
-    features = _require(raw, "features", path, list)
     seen_feat: set[str] = set()
-    for f in features:
+    for f in _section(raw, "features", list, path):
         _unique(seen_feat, _as_str(f, f"{path}.features"), "feature")
 
     return Registry(locations=locations, sensors=sensors, actuators=actuators,
@@ -233,21 +241,24 @@ def _parse_cmp(token, path) -> Cmp:
 
 def _parse_rule(entry, i, registry: Registry, day_length: int) -> Rule:
     p = f"rules[{i}]"
-    rid = _as_str(_require(entry, "id", p), f"{p}.id")
-    controller = _as_str(_require(entry, "controller", p), f"{p}.controller")
+    _keys(entry, "rule", p, required=("id", "controller", "trigger", "action"))
+    rid = _as_str(entry["id"], f"{p}.id")
+    controller = _as_str(entry["controller"], f"{p}.controller")
     if controller not in registry.controllers:
         raise ReferentialIntegrityError(
             f"rule {rid!r} references undeclared controller {controller!r}")
 
-    traw = _require(entry, "trigger", p, dict)
     tp = f"{p}.trigger"
-    kind = _as_str(_require(traw, "sensor_kind", tp), f"{tp}.sensor_kind")
+    traw = _keys(entry["trigger"], "trigger", tp,
+                 required=("sensor_kind", "comparator", "threshold"),
+                 optional=("unit", "location_filter", "schedule"))
+    kind = _as_str(traw["sensor_kind"], f"{tp}.sensor_kind")
     if kind not in registry.sensor_kinds:
         raise ReferentialIntegrityError(
             f"rule {rid!r} triggers on undeclared sensor kind {kind!r}")
-    comparator = _parse_cmp(_require(traw, "comparator", tp), f"{tp}.comparator")
-    threshold = _as_number(_require(traw, "threshold", tp), f"{tp}.threshold")
-    unit = _opt(traw, "unit")
+    comparator = _parse_cmp(traw["comparator"], f"{tp}.comparator")
+    threshold = _as_number(traw["threshold"], f"{tp}.threshold")
+    unit = traw.get("unit")
     kind_unit = registry.kind_unit[kind]
     if unit is None:
         unit = kind_unit
@@ -255,44 +266,44 @@ def _parse_rule(entry, i, registry: Registry, day_length: int) -> Rule:
         raise ParseError(
             f"threshold unit {unit!r} does not match sensor kind "
             f"{kind!r} unit {kind_unit!r}", path=tp)
-    location_filter = _opt(traw, "location_filter")
+    location_filter = traw.get("location_filter")
     if location_filter is not None:
         location_filter = _as_str(location_filter, f"{tp}.location_filter")
         if location_filter not in registry.locations:
             raise ReferentialIntegrityError(
                 f"rule {rid!r} filters on undeclared location "
                 f"{location_filter!r}")
-    schedule = _opt(traw, "schedule")
+    schedule = traw.get("schedule")
     if schedule is not None:
         if not isinstance(schedule, list) or len(schedule) != 2:
             raise ParseError("schedule must be [start, end]", path=tp)
-        start, end = schedule
-        if not (isinstance(start, int) and isinstance(end, int)):
-            raise ParseError("schedule bounds must be integers", path=tp)
+        start, end = (_as_int(v, f"{tp}.schedule") for v in schedule)
         if not 0 <= start < end <= day_length:
             raise ParseError(
                 f"schedule must satisfy 0 <= start < end <= {day_length}",
                 path=tp)
         schedule = (start, end)
 
-    araw = _require(entry, "action", p, dict)
     ap = f"{p}.action"
-    actuator_id = _as_str(_require(araw, "actuator", ap), f"{ap}.actuator")
+    araw = _keys(entry["action"], "action", ap,
+                 required=("actuator", "action", "affected_features"),
+                 optional=("location",))
+    actuator_id = _as_str(araw["actuator"], f"{ap}.actuator")
     actuator = registry.actuators.get(actuator_id)
     if actuator is None:
         raise ReferentialIntegrityError(
             f"rule {rid!r} references undeclared actuator {actuator_id!r}")
-    action = _as_str(_require(araw, "action", ap), f"{ap}.action")
+    action = _as_str(araw["action"], f"{ap}.action")
     if action not in actuator.actions:
         raise ReferentialIntegrityError(
             f"rule {rid!r} uses action {action!r} not declared for "
             f"actuator {actuator_id!r}")
-    location = _opt(araw, "location", actuator.location)
+    location = araw.get("location", actuator.location)
     if location != actuator.location:
         raise ParseError(
             f"action location {location!r} does not match actuator "
             f"{actuator_id!r} location {actuator.location!r}", path=ap)
-    feats = _require(araw, "affected_features", ap, list)
+    feats = _section(araw, "affected_features", list, ap)
     if not feats:
         raise ParseError("affected_features must be non-empty", path=ap)
     affected = []
@@ -403,9 +414,9 @@ def _parse_signature(token, registry: Registry, path) -> EventSignature:
 def _parse_detector(raw, registry: Registry,
                     graph: FeatureDependencyGraph,
                     relations: ActionRelationTable) -> DetectorConfig:
-    raw = raw or {}
-    if not isinstance(raw, dict):
-        raise ParseError("detector must be a mapping", path="detector")
+    _keys(raw, "detector", "detector", optional=(
+        "similarity_classes", "overlap_window", "duplicate_window",
+        "same_tick_epsilon"))
     classes = []
     for i, group in enumerate(_section(
             raw, "similarity_classes", list, "detector.similarity_classes")):
@@ -429,19 +440,15 @@ def _parse_detector(raw, registry: Registry,
 
 def load_document(text: str) -> Document:
     """Parse and validate a full configuration document."""
-    raw = _load_yaml(text)
-    if not isinstance(raw, dict):
-        raise ParseError("document must be a mapping of sections")
-    unknown = set(raw) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ParseError(f"unknown top-level section(s): {sorted(unknown)}")
+    raw = _keys(_load_yaml(text), "top-level", "document",
+                required=("registry",), optional=_SECTIONS)
 
     day_length = raw.get("day_length", DEFAULT_DAY_LENGTH)
     if not isinstance(day_length, int) or day_length < 2:
         raise ParseError("day_length must be an integer >= 2",
                          path="day_length")
 
-    registry = _parse_registry(_require(raw, "registry", "document"))
+    registry = _parse_registry(raw["registry"])
 
     rules = []
     seen_rules: set[str] = set()
@@ -454,7 +461,8 @@ def load_document(text: str) -> Document:
                                          "feature_deps"), registry)
     relations = _parse_action_relations(
         _section(raw, "action_relations", dict, "action_relations"), registry)
-    config = _parse_detector(raw.get("detector"), registry, graph, relations)
+    config = _parse_detector(_section(raw, "detector", dict, "detector"),
+                             registry, graph, relations)
 
     ruleset = RuleSet(registry=registry, rules=tuple(rules),
                       day_length=day_length)

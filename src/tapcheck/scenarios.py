@@ -33,6 +33,7 @@ from .parsing import (
     _as_int,
     _as_number,
     _as_str,
+    _keys,
     _parse_cmp,
     _section,
     load_document,
@@ -67,13 +68,13 @@ def _series(value, path):
 
 def parse_house(raw: dict, registry) -> HouseModel:
     """Validate the ``house`` section of a fixture document."""
-    if not isinstance(raw, dict):
-        raise ParseError("house must be a mapping", path="house")
+    _keys(raw, "house", "house", optional=(
+        "rooms", "params", "adjacency", "outdoor", "momentary"))
     rooms = []
     for i, entry in enumerate(_section(raw, "rooms", list, "house.rooms")):
         p = f"house.rooms[{i}]"
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise ParseError("room needs an id", path=p)
+        _keys(entry, "room", p, required=("id",),
+              optional=("exposed", *_ROOM_FIELDS))
         name = entry["id"]
         if name not in registry.locations:
             raise ParseError(f"room {name!r} is not a declared location",
@@ -85,10 +86,8 @@ def parse_house(raw: dict, registry) -> HouseModel:
         }
         for key, value in entry.items():
             kind = _ROOM_FIELDS.get(key)
-            if key in ("id", "exposed"):
+            if kind is None:  # id and exposed, read above
                 continue
-            if kind is None:
-                raise ParseError(f"unknown room key {key!r}", path=p)
             if kind is bool:
                 value = _as_bool(value, f"{p}.{key}")
             elif kind is float:
@@ -99,11 +98,8 @@ def parse_house(raw: dict, registry) -> HouseModel:
             kwargs[key] = value
         rooms.append(RoomState(**kwargs))
 
-    params_raw = _section(raw, "params", dict, "house.params")
-    unknown = set(params_raw) - _PARAM_FIELDS
-    if unknown:
-        raise ParseError(f"unknown house parameter(s): {sorted(unknown)}",
-                         path="house.params")
+    params_raw = _keys(_section(raw, "params", dict, "house.params"),
+                       "params", "house.params", optional=_PARAM_FIELDS)
     params = HouseParams(**{k: _as_number(v, f"house.params.{k}")
                             for k, v in params_raw.items()})
 
@@ -115,7 +111,9 @@ def parse_house(raw: dict, registry) -> HouseModel:
                              path=f"house.adjacency[{i}]")
         adjacency.append((pair[0], pair[1]))
 
-    outdoor = _section(raw, "outdoor", dict, "house.outdoor")
+    outdoor = _keys(_section(raw, "outdoor", dict, "house.outdoor"),
+                    "outdoor", "house.outdoor",
+                    optional=("temperature", "daylight"))
     temperature = _series(outdoor.get("temperature", 70.0),
                           "house.outdoor.temperature")
     daylight = _series(outdoor.get("daylight", 300.0),
@@ -187,12 +185,7 @@ def _parse_overrides(raw, path: str) -> dict | None:
     series."""
     if raw is None:
         return None
-    if not isinstance(raw, dict):
-        raise ParseError("house overrides must be a mapping", path=path)
-    unknown = set(raw) - _PARAM_FIELDS - _OUTDOOR_OVERRIDES
-    if unknown:
-        raise ParseError(f"unknown house override(s): {sorted(unknown)}",
-                         path=path)
+    _keys(raw, "override", path, optional=_PARAM_FIELDS | _OUTDOOR_OVERRIDES)
     return {k: (_as_number if k in _PARAM_FIELDS else _series)(
         v, f"{path}.{k}") for k, v in raw.items()}
 
@@ -232,22 +225,16 @@ _SOURCE_FIELDS = set(SourceSpec.__dataclass_fields__)
 
 def parse_sources(raw: list) -> tuple[SourceSpec, ...]:
     """Validate the ``sources`` section of a scenario document."""
-    if not isinstance(raw or [], list):
+    if raw is None:
+        return ()
+    if not isinstance(raw, list):
         raise ParseError("sources must be a list", path="sources")
     out = []
     names = set()
-    for i, entry in enumerate(raw or []):
+    for i, entry in enumerate(raw):
         p = f"sources[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError("source must be a mapping", path=p)
-        unknown = set(entry) - _SOURCE_FIELDS
-        if unknown:
-            raise ParseError(f"unknown source key(s): {sorted(unknown)}",
-                             path=p)
-        kwargs = dict(entry)
-        for key in ("name", "sensor"):
-            if key not in kwargs:
-                raise ParseError(f"source needs a {key!r}", path=p)
+        kwargs = dict(_keys(entry, "source", p, required=("name", "sensor"),
+                            optional=_SOURCE_FIELDS))
         name = _as_str(kwargs["name"], f"{p}.name")
         if name in names:
             raise ParseError(f"duplicate source name {name!r}", path=p)
@@ -302,30 +289,28 @@ def load_scenario_bundle(path: str) -> tuple[Scenario, Bundle]:
         raise SimulationError(f"{path} has no scenario section")
     if doc.house is None:
         raise SimulationError(f"{path} has no house section")
-    meta = doc.scenario
-    if not isinstance(meta, dict):
-        raise ParseError("scenario must be a mapping", path="scenario")
-    unknown = set(meta) - {"id", "horizon", "seed", "detector",
-                           "baseline_overrides", "description"}
-    if unknown:
-        raise ParseError(f"unknown scenario key(s): {sorted(unknown)}",
-                         path="scenario")
-    for key in ("id", "horizon"):
-        if key not in meta:
-            raise ParseError(f"scenario needs {key!r}", path="scenario")
+    meta = _keys(doc.scenario, "scenario", "scenario",
+                 required=("id", "horizon"), optional=(
+                     "seed", "detector", "baseline_overrides", "description"))
     seed = _as_int(meta.get("seed", 0), "scenario.seed")
     if seed < 0:
         raise ParseError("seed must be >= 0", path="scenario.seed")
+    detector = meta.get("detector", "off")
+    if isinstance(detector, bool):  # YAML 1.1 reads bare on/off as booleans
+        detector = "on" if detector else "off"
+    description = meta.get("description", "")
+    if description != "":
+        description = _as_str(description, "scenario.description")
     scenario = Scenario(
-        id=str(meta["id"]),
+        id=_as_str(meta["id"], "scenario.id"),
         ruleset=path,
         sources=parse_sources(doc.sources),
         horizon=_as_int(meta["horizon"], "scenario.horizon"),
         seed=seed,
-        detector=str(meta.get("detector", "off")),
+        detector=detector,
         baseline_overrides=_parse_overrides(
             meta.get("baseline_overrides"), "scenario.baseline_overrides"),
-        description=str(meta.get("description", "")),
+        description=description,
     )
     return scenario, _bundle(doc, text)
 

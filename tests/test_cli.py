@@ -2,10 +2,17 @@
 consistency."""
 
 import hashlib
+import io
+import tempfile
 import weakref
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import groupby
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tapcheck import cli, scenarios
 from tapcheck.cli import CONFLICT_HEADER, main
@@ -319,6 +326,48 @@ class TestOutputFiles:
         assert [p.name for p in out.iterdir()] == ["conflicts.csv"]
         assert (out / "conflicts.csv").read_bytes() == b"old log\n"
 
+    def test_failed_monitor_removes_the_directories_it_made(
+            self, alarm_ruleset, alarm_trace, tmp_path, monkeypatch, capsys):
+        calls = []
+        detect = cli.detect_at_tick
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise TapcheckError("detector failed at the third tick")
+            return detect(*args)
+
+        monkeypatch.setattr(cli, "detect_at_tick", failing)
+        # An empty directory that was there before is not this run's.
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        assert main(["monitor", "--ruleset", str(alarm_ruleset),
+                     "--trace", str(alarm_trace),
+                     "--out", str(kept / "new" / "sub")]) == 2
+        assert len(calls) == 3
+        assert "third tick" in capsys.readouterr().err
+        assert kept.is_dir() and not any(kept.iterdir())
+
+    def test_failed_simulate_keeps_finished_files(self, tmp_path,
+                                                  monkeypatch, capsys):
+        # The summary, written last, fails: the directory this run made
+        # holds each seed's finished files, so it stays.
+        write = cli._write_rows
+
+        def failing(out, rows):
+            if Path(out.name).name.startswith(".summary.csv"):
+                raise TapcheckError("summary failed")
+            write(out, rows)
+
+        monkeypatch.setattr(cli, "_write_rows", failing)
+        out = tmp_path / "new" / "sub"
+        assert main(["simulate", "--scenario", "S5", "--seeds", "2",
+                     "--out", str(out)]) == 2
+        assert "summary failed" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [f"{kind}_{seed}.csv" for kind in ("conflicts", "events", "trace")
+             for seed in (0, 1)] + ["ruleset.yaml"])
+
     def test_stdout_log_equals_out_log(self, alarm_ruleset, alarm_trace,
                                        tmp_path, capsys):
         args = ["monitor", "--ruleset", str(alarm_ruleset),
@@ -526,6 +575,19 @@ sources:
 """
 
 
+def _mutation_spots(node):
+    """Every (container, key, is_key) of a loaded document: each mapping
+    key, to rename, and each scalar leaf, to replace."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        if isinstance(node, dict):
+            yield node, key, True
+        if isinstance(value, (dict, list)):
+            yield from _mutation_spots(value)
+        else:
+            yield node, key, False
+
+
 class TestUserScenarioFiles:
     def test_simulate_accepts_scenario_file(self, tmp_path):
         doc = tmp_path / "race.yaml"
@@ -609,6 +671,18 @@ class TestUserScenarioFiles:
         ("sensor: tap1, p: 0.2}", "sensor: [tap1], p: 0.2}"),
         ("{id: lampB, kind: light,", "{id: lampB, kind: sprinkler,"),
         ("temperature: 70,", "temprature: 10,"),
+        ("  id: night_light_race\n", "  id: [1]\n"),
+        ("  description: two lamps race on one hallway\n",
+         "  description: {}\n"),
+        ('  detector: "off"\n', "  detector: enforce\n"),
+        ("detector: {overlap_window: 5, duplicate_window: 30, "
+         "same_tick_epsilon: 0}", "detector: false"),
+        ("sources:\n  - {name: taps, sensor: tap1, p: 0.2}\n"
+         "  - {name: walkers, sensor: pir1, p: 0.2, occupancy_room: hall}\n",
+         "sources: {}\n"),
+        ("sources:\n  - {name: taps, sensor: tap1, p: 0.2}\n"
+         "  - {name: walkers, sensor: pir1, p: 0.2, occupancy_room: hall}\n",
+         "sources: 0\n"),
     ], ids=["room_temperature", "horizon", "seed_negative",
             "source_predicate",
             "source_predicate_list", "source_p", "source_value",
@@ -622,7 +696,9 @@ class TestUserScenarioFiles:
             "adjacency_scalar", "rooms_scalar", "sources_scalar",
             "scenario_scalar", "occupancy_room_unknown",
             "occupancy_room_list", "source_sensor_list",
-            "momentary_kind_unsimulated", "room_key_unknown"])
+            "momentary_kind_unsimulated", "room_key_unknown",
+            "scenario_id_list", "description_mapping", "detector_word",
+            "detector_false", "sources_mapping", "sources_zero"])
     def test_bad_scenario_value_exits_two(self, old, new, tmp_path, capsys):
         doc = tmp_path / "bad.yaml"
         assert old in USER_SCENARIO
@@ -646,6 +722,51 @@ class TestUserScenarioFiles:
         doc.write_text(USER_SCENARIO.replace(old, new), encoding="utf-8")
         with pytest.raises(ParseError, match=message):
             scenarios.load_scenario_bundle(str(doc))
+
+    def test_bare_detector_word_reads_as_quoted(self, tmp_path):
+        # YAML 1.1 reads a bare on as true; the scenario still enforces.
+        outputs = []
+        for word in ('"on"', "on"):
+            doc = tmp_path / "race.yaml"
+            doc.write_text(USER_SCENARIO.replace('detector: "off"',
+                                                 f"detector: {word}"),
+                           encoding="utf-8")
+            out = tmp_path / f"out{len(outputs)}"
+            assert main(["simulate", "--scenario", str(doc),
+                         "--out", str(out)]) == 1
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "ruleset.yaml"})
+        assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
+        assert scenarios.load_scenario_bundle(str(doc))[0].detector == "on"
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_scenario_exits_cleanly(self, data, tmp_path):
+        # One renamed key or one replaced leaf anywhere in the document:
+        # the run succeeds, finds conflicts, or is an input error reported
+        # on one line. It never ends in a traceback.
+        doc = yaml.safe_load(USER_SCENARIO)
+        doc["scenario"]["horizon"] = 20
+        spots = list(_mutation_spots(doc))
+        parent, key, is_key = data.draw(st.sampled_from(spots))
+        if is_key:
+            parent[data.draw(st.sampled_from(
+                [f"{key}_", key[:-1], "id", 5]))] = parent.pop(key)
+        else:
+            parent[key] = data.draw(st.sampled_from(
+                [None, True, False, 0, -1, 2.5, "", "x", [], {}, [1],
+                 {"a": 1}]))
+        path = tmp_path / "mutant.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out, \
+                redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["simulate", "--scenario", str(path), "--out", out])
+        assert code in (0, 1, 2)
+        if code == 2:
+            text = err.getvalue()
+            assert text.startswith("error: ") and text.count("\n") == 1
 
     def test_cov_source_outside_the_house_exits_two(self, tmp_path,
                                                      capsys):

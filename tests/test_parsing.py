@@ -10,7 +10,7 @@ from tapcheck.errors import (
     ReferentialIntegrityError,
 )
 from tapcheck.parsing import load_document, serialize_document
-from tapcheck.scenarios import fixture_text
+from tapcheck.scenarios import fixture_text, load_scenario_bundle
 
 MINIMAL = """
 registry:
@@ -97,6 +97,14 @@ class TestParseRuleset:
         with pytest.raises(ParseError, match="schedule"):
             load_document(doc)
 
+    def test_schedule_bounds_must_be_integers(self):
+        # A bool is an int to Python, so [false, true] once read as [0, 1).
+        doc = MINIMAL.replace("threshold: 65}",
+                              "threshold: 65, schedule: [false, true]}")
+        with pytest.raises(ParseError, match="integer") as err:
+            load_document(doc)
+        assert err.value.path == "rules[0].trigger.schedule"
+
     def test_identity_relation_must_be_same(self):
         doc = MINIMAL + """
 action_relations:
@@ -149,6 +157,67 @@ detector:
         with pytest.raises((ReferentialIntegrityError, ParseError),
                            match="ghost"):
             load_document(doc)
+
+
+SCENARIO_TAIL = """
+house:
+  rooms: [{id: room1}]
+  outdoor: {temperature: 60}
+scenario: {id: typo, horizon: 5}
+"""
+
+
+class TestUndeclaredKeys:
+    """Every mapping of a document rejects a key it does not declare, so a
+    misspelled optional key is an error, not a silently applied default."""
+
+    @pytest.mark.parametrize("needle,typo,key,path", [
+        ("  features:", "  featurs:", "featurs", "registry"),
+        ("unit: F,", "unit: F, tolerence: 1,", "tolerence",
+         "registry.sensors[0]"),
+        ("location: room1, actions:", "locaton: room1, actions:", "locaton",
+         "registry.actuators[0]"),
+        ("controller: ctrl\n", "controler: ctrl\n", "controler", "rules[0]"),
+        ("threshold: 65}", "threshold: 65, locaton_filter: room1}",
+         "locaton_filter", "rules[0].trigger"),
+        ("action: heat,", "action: heat, locaton: room1,", "locaton",
+         "rules[0].action"),
+        ("rules:", "detector: {overlap_windw: 2}\nrules:", "overlap_windw",
+         "detector"),
+        ("  rooms:", "  roms:", "roms", "house"),
+        ("{temperature: 60}", "{temprature: 60}", "temprature",
+         "house.outdoor"),
+    ], ids=["registry", "sensor", "actuator", "rule", "trigger", "action",
+            "detector", "house", "outdoor"])
+    def test_misspelled_key_named_with_its_path(self, needle, typo, key,
+                                                path, tmp_path):
+        text = MINIMAL + SCENARIO_TAIL
+        assert text.count(needle) == 1
+        doc = tmp_path / "typo.yaml"
+        doc.write_text(text.replace(needle, typo), encoding="utf-8")
+        with pytest.raises(ParseError, match=f"unknown .* key '{key}'") as err:
+            load_scenario_bundle(str(doc))
+        assert err.value.path == path
+
+    def test_correct_document_loads(self, tmp_path):
+        doc = tmp_path / "ok.yaml"
+        doc.write_text(MINIMAL + SCENARIO_TAIL, encoding="utf-8")
+        scenario, bundle = load_scenario_bundle(str(doc))
+        assert scenario.id == "typo"
+        assert bundle.house.outdoor_temperature == 60.0
+
+    @pytest.mark.parametrize("text,message", [
+        ("[1, 2]", "expected a mapping"),
+        (MINIMAL.replace("    controller: ctrl\n", ""),
+         "missing required key 'controller'"),
+        (MINIMAL + "\n5: 1\n", "unknown top-level key 5"),
+        (MINIMAL.replace("trigger: {", "trigger: [").replace(
+            "threshold: 65}", "threshold: 65]"), "expected a mapping"),
+    ], ids=["document_list", "rule_missing_key", "integer_key",
+            "trigger_list"])
+    def test_one_message_per_problem(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            load_document(text)
 
 
 class TestBundledFixtures:
