@@ -11,6 +11,19 @@ goes through ``_keys``, so a key it does not declare is an error.
 ``load_document``/``serialize_document`` round-trip through a canonical
 form: a serialized document loads back to an equal ruleset and detector
 config, and serializing that again gives the same text.
+
+Documents are read and written with libyaml when PyYAML was built with it,
+and with PyYAML's pure-Python classes otherwise; both write the same bytes.
+When libyaml rejects a document, the pure parser reads it again, so every
+document the pure parser accepts loads to the same object and every YAML
+error carries the pure parser's text, line and column. The two parsers build
+the same object from a document both accept, except that libyaml skips a
+byte-order mark at the start of any line: a text holding one past its first
+character goes to the pure parser alone. A few documents the pure parser
+rejects load under libyaml, for example a tab after a colon (``a:\tb``) or a
+``?`` inside a flow plain scalar (``[temperature?room1]``); the checks that
+follow the load judge their content as usual. A character YAML forbids, such
+as NUL, is reported on one line with its line and column.
 """
 
 import math
@@ -71,9 +84,34 @@ def read_text(path) -> str:
         raise TapcheckError(f"cannot read {path}: {exc}") from exc
 
 
+# libyaml when PyYAML was built with it, the pure-Python classes otherwise.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
 def _load_yaml(text: str):
+    # libyaml skips a byte-order mark that starts any line; the pure parser
+    # skips only a leading one and reads the others as text.
+    if text.find("\ufeff", 1) < 0:
+        try:
+            return yaml.load(text, Loader=_LOADER)
+        except (yaml.YAMLError, UnicodeEncodeError):
+            # libyaml words its errors differently, rejects a few documents
+            # the pure parser reads and cannot encode a lone surrogate, so
+            # the pure parser has the last word.
+            pass
     try:
         return yaml.safe_load(text)
+    except yaml.reader.ReaderError as exc:
+        # A character YAML forbids; PyYAML's own text spans two lines. The
+        # characters before it are all allowed, so ``splitlines`` breaks
+        # them where YAML does. Like YAML's marks, the column skips
+        # byte-order marks; the appended character makes it 1-based.
+        lines = (text[:exc.position] + "x").splitlines()
+        raise ParseError(
+            f"invalid YAML: unacceptable character #x{exc.character:04x}"
+            f": {exc.reason}", line=len(lines),
+            column=len(lines[-1]) - lines[-1].count("\ufeff")) from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
@@ -548,4 +586,5 @@ def serialize_document(ruleset: RuleSet, config: DetectorConfig) -> str:
                 for group in config.similarity_classes],
         },
     }
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
+    return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False,
+                     default_flow_style=False)

@@ -6,6 +6,8 @@ the sensor registry. Values are drawn from a small palette so repeated
 readings (the duplicate-event case) actually occur.
 """
 
+from importlib import resources
+
 import numpy as np
 
 from tapcheck.model import (
@@ -24,6 +26,11 @@ from tapcheck.model import (
     Sensor,
     TriggerCondition,
 )
+
+# The bundled fixtures by name, as ``scenarios.fixture_text`` takes them.
+FIXTURES = sorted(ref.name.removesuffix(".yaml")
+                  for ref in resources.files("tapcheck.fixtures").iterdir()
+                  if ref.name.endswith(".yaml"))
 
 _KINDS = ["temperature", "humidity", "luminance", "motion", "smoke", "co"]
 _UNITS = {"temperature": "F", "humidity": "pct", "luminance": "lux",

@@ -14,11 +14,16 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tapcheck import cli, scenarios
+from gen import FIXTURES
+from tapcheck import cli, parsing, scenarios
 from tapcheck.cli import CONFLICT_HEADER, main
 from tapcheck.errors import TapcheckError
 from tapcheck.parsing import load_document
 from tapcheck.scenarios import fixture_text
+
+# YAML's indicators and whitespace, plus characters YAML forbids or treats
+# specially, for character-level mutations of a document.
+MUTATION_ALPHABET = list("\t?:{}[],\x00\ufeff -#'\"|>&*!\n") + ["a", "1"]
 
 CLEAN_DOC = """
 registry:
@@ -113,6 +118,41 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "comparator must be one of" in err
+
+    @pytest.mark.parametrize("loader", ["libyaml", "pure"])
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_fixture_exits_cleanly(self, loader, data, tmp_path,
+                                           monkeypatch):
+        # A few characters inserted, deleted or replaced anywhere in a
+        # bundled fixture: the check passes, finds conflicts, or reports an
+        # input error on one line. It never ends in a traceback. "pure" is
+        # the loader tapcheck picks when PyYAML lacks libyaml.
+        if loader == "pure":
+            monkeypatch.setattr(parsing, "_LOADER", yaml.SafeLoader)
+        text = list(fixture_text(data.draw(st.sampled_from(FIXTURES))))
+        for _ in range(data.draw(st.integers(1, 4))):
+            op = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+            at = data.draw(st.integers(0, len(text) - 1))
+            char = data.draw(st.sampled_from(MUTATION_ALPHABET))
+            if op == "insert":
+                text.insert(at, char)
+            elif op == "delete":
+                del text[at]
+            else:
+                text[at] = char
+        path = tmp_path / "mutant.yaml"
+        path.write_text("".join(text), encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["check", "--ruleset", str(path)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""
 
 
 @pytest.fixture

@@ -1,16 +1,28 @@
 """Document loading, validation errors, and canonical round-trips."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
-from gen import random_ruleset
+from gen import FIXTURES, random_ruleset
+from tapcheck import parsing
 from tapcheck.errors import (
     DuplicateIdError,
     ParseError,
     ReferentialIntegrityError,
 )
-from tapcheck.parsing import load_document, serialize_document
+from tapcheck.parsing import _load_yaml, load_document, serialize_document
 from tapcheck.scenarios import fixture_text, load_scenario_bundle
+
+GENERATED = [f"generated{seed}" for seed in range(10)]
+needs_libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                                   reason="PyYAML is built without libyaml")
 
 MINIMAL = """
 registry:
@@ -73,7 +85,9 @@ class TestParseRuleset:
     def test_yaml_syntax_error_reports_position(self):
         with pytest.raises(ParseError) as err:
             load_document("registry: [\n  oops")
-        assert err.value.line is not None
+        assert str(err.value) == ("invalid YAML: expected ',' or ']', but "
+                                  "got '<stream end>' (line 2, column 7)")
+        assert (err.value.line, err.value.column) == (2, 7)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ParseError, match="unknown top-level"):
@@ -230,11 +244,7 @@ class TestBundledFixtures:
         assert doc.config.overlap_window == 5
         assert doc.config.duplicate_window == 30
 
-    @pytest.mark.parametrize("name", [
-        "s1_luminance", "s2_window_thermostat", "s3_corridor", "s4_humidity",
-        "s5_alarm", "s7_thermostat_management", "s8_humidifier_management",
-        "c7_duplicate", "house",
-    ])
+    @pytest.mark.parametrize("name", FIXTURES)
     def test_all_fixtures_parse(self, name):
         doc = load_document(fixture_text(name))
         assert doc.ruleset.rules
@@ -258,3 +268,154 @@ class TestRoundTrip:
         assert doc.ruleset == rs
         assert doc.config == cfg
         assert serialize_document(doc.ruleset, doc.config) == text
+
+
+def _source_text(source: str) -> str:
+    """A bundled fixture, or the serialized ``generatedN`` ruleset."""
+    if source in GENERATED:
+        rng = np.random.default_rng(int(source.removeprefix("generated")))
+        return serialize_document(*random_ruleset(rng))
+    return fixture_text(source)
+
+
+def _pure_error(text: str) -> tuple:
+    """The message, line and column of the pure parser's error."""
+    with pytest.raises(yaml.MarkedYAMLError) as err:
+        yaml.safe_load(text)
+    mark = err.value.problem_mark
+    return f"invalid YAML: {err.value.problem}", mark.line + 1, mark.column + 1
+
+
+# Run with PyYAML's C classes deleted before tapcheck picks its loader.
+WITHOUT_LIBYAML = """
+import json, sys
+import yaml
+libyaml = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+for name in ("CSafeLoader", "CSafeDumper"):
+    if hasattr(yaml, name):
+        delattr(yaml, name)
+from tapcheck import parsing
+from tapcheck.scenarios import fixture_text
+assert parsing._LOADER is yaml.SafeLoader
+assert parsing._DUMPER is yaml.SafeDumper
+out = {}
+for name in sys.argv[1:]:
+    text = fixture_text(name)
+    assert parsing._load_yaml(text) == yaml.load(text, Loader=libyaml), name
+    doc = parsing.load_document(text)
+    out[name] = parsing.serialize_document(doc.ruleset, doc.config)
+print(json.dumps(out))
+"""
+
+
+class TestYamlLoaders:
+    """Documents are read and written with libyaml when PyYAML has it; what
+    a document loads to, the bytes written and every YAML error's text and
+    position are those of PyYAML's pure-Python classes."""
+
+    @pytest.mark.parametrize("source", FIXTURES + GENERATED)
+    def test_loads_what_the_pure_parser_loads(self, source):
+        text = _source_text(source)
+        assert _load_yaml(text) == yaml.safe_load(text)
+
+    @pytest.mark.parametrize("text", [
+        "a: [\n\ufeffb]",
+        "a: b\n\ufeffc: d",
+        "\ufeff\ufeffa: b",
+        "x: {a:[b, c]}",
+    ], ids=["bom_in_flow", "bom_at_line_start", "two_leading_boms",
+            "flow_colon_without_space"])
+    def test_where_libyaml_differs_the_pure_parser_decides(self, text):
+        # libyaml skips a byte-order mark that starts a line, and rejects a
+        # flow mapping's ':' that no space follows.
+        expected = yaml.safe_load(text)
+        assert _load_yaml(text) == expected
+        if hasattr(yaml, "CSafeLoader"):
+            try:
+                assert yaml.load(text, Loader=yaml.CSafeLoader) != expected
+            except yaml.YAMLError:
+                pass
+
+    @pytest.mark.parametrize("text", [
+        "registry: [\n  oops",
+        "x: y: z",
+        "a: b\n\tc: d",
+        "a: b\n  c: d",
+        "{a: 1",
+        "[a, b]]",
+        "- a\nb: c",
+        '"unterminated',
+        "a: &x 1\nb: *y",
+        "a: !!python/object:os.system x",
+    ], ids=["unclosed_flow", "nested_mapping_value", "tab_indent",
+            "indented_key", "unclosed_mapping", "extra_bracket",
+            "sequence_then_mapping", "unterminated_quote", "unknown_alias",
+            "unsafe_tag"])
+    def test_errors_are_the_pure_parsers(self, text):
+        with pytest.raises(ParseError) as err:
+            _load_yaml(text)
+        message, line, column = _pure_error(text)
+        assert str(err.value) == f"{message} (line {line}, column {column})"
+        assert (err.value.line, err.value.column) == (line, column)
+        if hasattr(yaml, "CSafeLoader"):
+            with pytest.raises(yaml.YAMLError):
+                yaml.load(text, Loader=yaml.CSafeLoader)
+
+    @pytest.mark.parametrize("text", [
+        "a: \x00",
+        "a: b\r\nc: \x01",
+        "\ufeffa: \x02",
+        "a:\u2028 \x1b",
+        "a: \ud800",
+    ], ids=["nul", "crlf", "leading_bom", "line_separator", "surrogate"])
+    def test_forbidden_character_named_on_one_line(self, text):
+        with pytest.raises(ParseError) as err:
+            _load_yaml(text)
+        # The same place as the pure parser's mark for a stray '`' there.
+        _, line, column = _pure_error(text[:-1] + "`")
+        assert str(err.value) == (
+            f"invalid YAML: unacceptable character #x{ord(text[-1]):04x}: "
+            f"special characters are not allowed (line {line}, "
+            f"column {column})")
+
+    @needs_libyaml
+    @pytest.mark.parametrize("text,loaded", [
+        ("a:\tb", {"a": "b"}),
+        ("features: [temperature?room1]",
+         {"features": ["temperature?room1"]}),
+    ], ids=["tab_after_colon", "question_mark_in_flow_scalar"])
+    def test_libyaml_reads_what_the_pure_parser_rejects(self, text, loaded):
+        with pytest.raises(yaml.YAMLError):
+            yaml.safe_load(text)
+        assert _load_yaml(text) == loaded
+
+    @needs_libyaml
+    def test_documents_libyaml_reads_are_checked_as_usual(self):
+        tabbed = MINIMAL.replace("threshold: 65", "threshold:\t65")
+        assert load_document(tabbed) == load_document(MINIMAL)
+        needle = "features: [temperature@room1]\n"
+        assert MINIMAL.count(needle) == 1
+        with pytest.raises(ReferentialIntegrityError,
+                           match="temperature@room1"):
+            load_document(MINIMAL.replace(
+                needle, "features: [temperature?room1]\n"))
+
+    @pytest.mark.parametrize("source", FIXTURES + GENERATED)
+    def test_dumpers_write_equal_bytes(self, source, monkeypatch):
+        doc = load_document(_source_text(source))
+        text = serialize_document(doc.ruleset, doc.config)
+        monkeypatch.setattr(parsing, "_DUMPER", yaml.SafeDumper)
+        assert serialize_document(doc.ruleset, doc.config) == text
+
+    def test_pure_classes_when_libyaml_is_absent(self):
+        src = str(Path(parsing.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", WITHOUT_LIBYAML, *FIXTURES],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        written = json.loads(proc.stdout)
+        for name in FIXTURES:
+            doc = load_document(fixture_text(name))
+            assert written[name] == serialize_document(doc.ruleset,
+                                                       doc.config)
