@@ -14,7 +14,9 @@ besides the parsed trace its live state is the detection window plus one
 tick's rows. Every output file appears only once it is complete: it is
 written beside its target and renamed into place, so none is left
 half-written and a failed ``monitor`` run leaves no log, nor a directory
-it created. An ``--out`` that cannot be written is an input error.
+it created. ``simulate`` runs every seed before it writes anything, so a
+seed that fails leaves no output behind. An ``--out`` that cannot be
+written is an input error.
 
 File formats (UTF-8, LF, comma-separated, byte-stable for fixed inputs):
 
@@ -288,21 +290,17 @@ def cmd_simulate(args) -> int:
     base_seed = args.seed if args.seed is not None else scenario.seed
     bundle = replace(bundle, config=_apply_overrides(bundle.config, args))
 
-    reports = []
-    any_conflict = False
-    for seed in range(base_seed, base_seed + args.seeds):
-        report = scen.run_scenario(replace(scenario, seed=seed), bundle)
-        # Nothing is written before one run returns, so a scenario
-        # rejected before tick 0 leaves no output behind.
-        if not reports:
-            with _output_file(out_dir / "ruleset.yaml") as out:
-                out.write(bundle.text)
+    # Every seed runs before anything is written, so a run that fails at
+    # any seed leaves no output behind.
+    reports = [scen.run_scenario(replace(scenario, seed=seed), bundle)
+               for seed in range(base_seed, base_seed + args.seeds)]
+    with _output_file(out_dir / "ruleset.yaml") as out:
+        out.write(bundle.text)
+    for report in reports:
         write_report_csvs(report, out_dir)
-        reports.append(report)
-        any_conflict = any_conflict or bool(report.conflicts)
     write_summary_csv(reports, out_dir)
     print(f"{scenario.id}: {len(reports)} run(s) written to {out_dir}")
-    return 1 if any_conflict else 0
+    return 1 if any(report.conflicts for report in reports) else 0
 
 
 def cmd_report(args) -> int:

@@ -40,14 +40,13 @@ from .parsing import (
     read_text,
 )
 from .simulator import (
-    DEVICE_ACTIONS,
-    THERMO_NAME,
     HouseModel,
     HouseParams,
     RoomState,
     Scenario,
     SourceSpec,
     TraceReport,
+    momentary_actuators,
     run_arm,
 )
 
@@ -92,9 +91,8 @@ def parse_house(raw: dict, registry) -> HouseModel:
                 value = _as_bool(value, f"{p}.{key}")
             elif kind is float:
                 value = _as_number(value, f"{p}.{key}")
-            elif value not in THERMO_NAME.values():
-                raise ParseError("expected off, heat or cool",
-                                 path=f"{p}.{key}")
+            else:
+                value = _as_str(value, f"{p}.{key}")
             kwargs[key] = value
         rooms.append(RoomState(**kwargs))
 
@@ -121,23 +119,15 @@ def parse_house(raw: dict, registry) -> HouseModel:
 
     momentary = frozenset(_as_str(a, "house.momentary") for a in _section(
         raw, "momentary", list, "house.momentary"))
-    room_names = {room.name for room in rooms}
-    for actuator_id in sorted(momentary):
-        actuator = registry.actuators.get(actuator_id)
-        if actuator is None:
-            problem = "is not declared"
-        elif actuator.kind not in DEVICE_ACTIONS:
-            problem = f"is kind {actuator.kind!r}, which is not simulated"
-        elif actuator.location not in room_names:
-            problem = f"sits in {actuator.location!r}, not in a house room"
-        else:
-            continue
-        raise ParseError(f"momentary actuator {actuator_id!r} {problem}",
-                         path="house.momentary")
-
-    return HouseModel(rooms=tuple(rooms), adjacency=tuple(adjacency),
-                      params=params, outdoor_temperature=temperature,
-                      daylight=daylight, momentary=momentary)
+    house = HouseModel(rooms=tuple(rooms), adjacency=tuple(adjacency),
+                       params=params, outdoor_temperature=temperature,
+                       daylight=daylight, momentary=momentary)
+    # Checked on load, even if no rule ever drives the actuator.
+    try:
+        momentary_actuators(house, registry.actuators)
+    except SimulationError as exc:
+        raise ParseError(str(exc), path="house.momentary") from exc
+    return house
 
 
 @dataclass(frozen=True)
@@ -230,15 +220,11 @@ def parse_sources(raw: list) -> tuple[SourceSpec, ...]:
     if not isinstance(raw, list):
         raise ParseError("sources must be a list", path="sources")
     out = []
-    names = set()
     for i, entry in enumerate(raw):
         p = f"sources[{i}]"
         kwargs = dict(_keys(entry, "source", p, required=("name", "sensor"),
                             optional=_SOURCE_FIELDS))
-        name = _as_str(kwargs["name"], f"{p}.name")
-        if name in names:
-            raise ParseError(f"duplicate source name {name!r}", path=p)
-        names.add(name)
+        _as_str(kwargs["name"], f"{p}.name")
         kwargs["sensor"] = _as_str(kwargs["sensor"], f"{p}.sensor")
         if kwargs.get("occupancy_room") is not None:
             kwargs["occupancy_room"] = _as_str(kwargs["occupancy_room"],
@@ -331,8 +317,9 @@ def with_probability(scenario: Scenario, source_name: str,
     return replace(scenario, sources=tuple(sources))
 
 
-def _s1(seed: int) -> Scenario:
-    return Scenario(
+# The built-in scenarios at seed 0; ``build`` hands out copies.
+_BUILTIN = {scenario.id: scenario for scenario in (
+    Scenario(
         id="S1",
         ruleset="s1_luminance",
         sources=(
@@ -341,13 +328,9 @@ def _s1(seed: int) -> Scenario:
                        occupancy_room="room1"),
         ),
         horizon=500,
-        seed=seed,
         description="blind and lamp pulses race on room luminance",
-    )
-
-
-def _s2(seed: int) -> Scenario:
-    return Scenario(
+    ),
+    Scenario(
         id="S2",
         ruleset="s2_window_thermostat",
         sources=(
@@ -357,13 +340,9 @@ def _s2(seed: int) -> Scenario:
                        feature="temperature"),
         ),
         horizon=500,
-        seed=seed,
         description="window commands fight the heating on a cold day",
-    )
-
-
-def _s3(seed: int) -> Scenario:
-    return Scenario(
+    ),
+    Scenario(
         id="S3",
         ruleset="s3_corridor",
         sources=(
@@ -375,13 +354,9 @@ def _s3(seed: int) -> Scenario:
                        occupancy_room="room2", emit_event=False),
         ),
         horizon=500,
-        seed=seed,
         description="two rooms thrash a shared corridor thermostat",
-    )
-
-
-def _s4(seed: int) -> Scenario:
-    return Scenario(
+    ),
+    Scenario(
         id="S4",
         ruleset="s4_humidity",
         sources=(
@@ -391,13 +366,9 @@ def _s4(seed: int) -> Scenario:
                        feature="humidity"),
         ),
         horizon=500,
-        seed=seed,
         description="temperature-humidity coupling pulls the humidifier in",
-    )
-
-
-def _s5(seed: int) -> Scenario:
-    return Scenario(
+    ),
+    Scenario(
         id="S5",
         ruleset="s5_alarm",
         sources=(
@@ -405,29 +376,9 @@ def _s5(seed: int) -> Scenario:
             SourceSpec(name="leak", sensor="leak1", p=0.07),
         ),
         horizon=2000,
-        seed=seed,
         description="smoke and leak detections collide on a shared alarm",
-    )
-
-
-def _s6(seed: int) -> Scenario:
-    return Scenario(
-        id="S6",
-        ruleset="s2_window_thermostat",
-        sources=(
-            SourceSpec(name="window_taps", sensor="app1", p=0.10,
-                       choices=(1.0, 0.0)),
-            SourceSpec(name="room_temp", sensor="temp1", mode="cov",
-                       feature="temperature"),
-        ),
-        horizon=2000,
-        seed=seed,
-        description="counting window-versus-thermostat collisions",
-    )
-
-
-def _s7(seed: int) -> Scenario:
-    return Scenario(
+    ),
+    Scenario(
         id="S7",
         ruleset="s7_thermostat_management",
         sources=(
@@ -438,15 +389,11 @@ def _s7(seed: int) -> Scenario:
                        feature="temperature"),
         ),
         horizon=2000,
-        seed=seed,
         house_overrides={"occupant_heat": 0.3},
         baseline_overrides={"occupant_heat": 0.0},
         description="occupancy heat versus an evening thermostat policy",
-    )
-
-
-def _s8(seed: int) -> Scenario:
-    return Scenario(
+    ),
+    Scenario(
         id="S8",
         ruleset="s8_humidifier_management",
         sources=(
@@ -457,27 +404,31 @@ def _s8(seed: int) -> Scenario:
                        feature="humidity"),
         ),
         horizon=2000,
-        seed=seed,
         house_overrides={"occupant_heat": 0.3},
         baseline_overrides={"occupant_heat": 0.0},
         description="occupancy humidity impact versus an evening policy",
-    )
-
-
-_BUILDERS = {"S1": _s1, "S2": _s2, "S3": _s3, "S4": _s4, "S5": _s5,
-             "S6": _s6, "S7": _s7, "S8": _s8}
+    ),
+)}
+_BUILTIN["S6"] = replace(_BUILTIN["S2"], id="S6", horizon=2000,
+                         description="counting window-versus-thermostat "
+                                     "collisions")
 
 
 def builtin_scenarios(seed: int = 0) -> list[Scenario]:
     """The eight built-in scenarios, S1 through S8."""
-    return [build(sid, seed) for sid in sorted(_BUILDERS)]
+    return [build(sid, seed) for sid in sorted(_BUILTIN)]
 
 
 def build(scenario_id: str, seed: int = 0) -> Scenario:
-    """One built-in scenario by id."""
-    builder = _BUILDERS.get(scenario_id)
-    if builder is None:
+    """One built-in scenario by id, sharing no mutable object with any
+    other call's."""
+    scenario = _BUILTIN.get(scenario_id)
+    if scenario is None:
         raise UnknownScenarioError(
             f"unknown scenario {scenario_id!r}; expected one of "
-            f"{sorted(_BUILDERS)}")
-    return builder(seed)
+            f"{sorted(_BUILTIN)}")
+    baseline = scenario.baseline_overrides
+    return replace(scenario, seed=seed,
+                   house_overrides=dict(scenario.house_overrides),
+                   baseline_overrides=None if baseline is None
+                   else dict(baseline))

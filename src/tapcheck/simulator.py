@@ -21,6 +21,14 @@ The detector always runs and its findings are always counted; the
 ``on``, actions triggered by a suppressible duplicate event are dropped, and
 for every conflict completed within the current tick the canonically later
 action is dropped as well.
+
+Each setup rule is checked once, by the type it constrains: a room's
+humidity range and thermostat mode by :class:`RoomState`, non-negative
+coefficients by :class:`HouseParams`, unique source names by
+:class:`Scenario`. A run checks every reference between scenario, ruleset
+and house (source sensors, rule and momentary actuators) before tick 0. A
+house or scenario built in code therefore meets the same checks as one
+read from a document, and each failure is a :class:`SimulationError`.
 """
 
 import hashlib
@@ -64,6 +72,11 @@ class RoomState:
         if not 0.0 <= self.humidity <= 100.0:
             raise SimulationError(
                 f"room {self.name!r} humidity must start in [0, 100]")
+        if self.thermostat not in (THERMOSTAT_OFF, THERMOSTAT_HEAT,
+                                   THERMOSTAT_COOL):
+            raise SimulationError(
+                f"room {self.name!r} thermostat must be off, heat or cool, "
+                f"not {self.thermostat!r}")
 
 
 @dataclass(frozen=True)
@@ -83,10 +96,10 @@ class HouseParams:
     occupant_heat: float = 0.0   # degrees F per occupied tick
 
     def __post_init__(self):
-        for name in ("k_loss", "k_adj", "g_heat", "k_win", "k_h", "g_hum",
-                     "l_base", "l_window", "l_lamp"):
-            if getattr(self, name) < 0:
-                raise SimulationError(f"house parameter {name} must be >= 0")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise SimulationError(
+                    f"house parameter {f.name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -255,6 +268,11 @@ class Scenario:
             raise SimulationError("horizon must be >= 0")
         if self.detector not in ("off", "on"):
             raise SimulationError("detector flag must be 'off' or 'on'")
+        names = set()
+        for src in self.sources:
+            if src.name in names:
+                raise SimulationError(f"duplicate source name {src.name!r}")
+            names.add(src.name)
 
 
 @dataclass
@@ -347,6 +365,27 @@ def apply_action(room: RoomState, actuator_kind: str, action: str,
         setattr(room, actuator_kind, value)
 
 
+def momentary_actuators(house: HouseModel, actuators: dict) -> list:
+    """The actuators ``house.momentary`` names, looked up by id in
+    ``actuators``; each must be declared, of a simulated kind and in a
+    house room."""
+    rooms = {room.name for room in house.rooms}
+    out = []
+    for actuator_id in sorted(house.momentary):
+        actuator = actuators.get(actuator_id)
+        if actuator is None:
+            problem = "is not declared"
+        elif actuator.kind not in DEVICE_ACTIONS:
+            problem = f"is kind {actuator.kind!r}, which is not simulated"
+        elif actuator.location not in rooms:
+            problem = f"sits in {actuator.location!r}, not in a house room"
+        else:
+            out.append(actuator)
+            continue
+        raise SimulationError(f"momentary actuator {actuator_id!r} {problem}")
+    return out
+
+
 class _Run:
     """State of one simulation arm."""
 
@@ -419,10 +458,10 @@ class _Run:
         # Momentary actuators restore the fields their kind drives to the
         # room's initial values at the end of every tick.
         initial = {r.name: r for r in house.rooms}
-        momentary = [ruleset.registry.actuators[a] for a in house.momentary]
         self._resets = [(self.rooms[a.location], name,
                          getattr(initial[a.location], name))
-                        for a in momentary for name in driven_fields(a.kind)]
+                        for a in momentary_actuators(house, actuators)
+                        for name in driven_fields(a.kind)]
 
     def _emit(self, src: SourceSpec, tick: int, value: float) -> Event:
         sensor = self._sensor[src.sensor]

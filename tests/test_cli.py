@@ -934,6 +934,30 @@ detector:""")
         assert err.startswith("error:") and err.count("\n") == 1
         assert "tap1" in err and "tick 3" in err
 
+    def test_failing_later_seed_writes_nothing(self, tmp_path, capsys):
+        # Sources a and b both read tap1. Seeds 2 to 4 never draw them at
+        # one tick, seed 5 does at tick 17. Every seed runs before any
+        # file is written, so the failure leaves no --out directory.
+        text = USER_SCENARIO.replace("horizon: 200", "horizon: 50").replace(
+            "  - {name: taps, sensor: tap1, p: 0.2}\n",
+            "  - {name: a, sensor: tap1, p: 0.1}\n"
+            "  - {name: b, sensor: tap1, p: 0.1}\n")
+        assert "name: b, sensor: tap1" in text and "horizon: 50" in text
+        doc = tmp_path / "later.yaml"
+        doc.write_text(text, encoding="utf-8")
+        clean = tmp_path / "clean"
+        assert main(["simulate", "--scenario", str(doc), "--seed", "2",
+                     "--seeds", "3", "--out", str(clean)]) in (0, 1)
+        assert (clean / "summary.csv").exists()
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(doc), "--seed", "2",
+                     "--seeds", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "tap1" in err and "tick 17" in err
+        assert not out.exists()
+
     def test_scenario_file_without_meta_rejected(self, tmp_path):
         from tapcheck.errors import SimulationError
         from tapcheck.scenarios import load_scenario_bundle

@@ -255,6 +255,49 @@ class TestScenarioPlumbing:
         assert series["setpoint"].tolist() == [60, 60, 60, 70, 60, 60]
 
 
+class TestLibrarySetupChecks:
+    """A scenario or house built in code meets the checks a document
+    does, before tick 0."""
+
+    def test_repeated_source_name_rejected(self):
+        s5 = build("S5")
+        twin = SourceSpec(name="smoke", sensor="leak1", p=0.05)
+        with pytest.raises(SimulationError,
+                           match="duplicate source name 'smoke'"):
+            replace(s5, sources=(*s5.sources, twin))
+
+    def test_unknown_thermostat_mode_rejected(self):
+        with pytest.raises(SimulationError,
+                           match="room 'room1' thermostat must be off, "
+                                 "heat or cool, not 'hot'"):
+            room(thermostat="hot")
+
+    @pytest.mark.parametrize("name,value", [("occupant_heat", -1.0),
+                                            ("setpoint_step", -10.0)])
+    def test_negative_house_parameter_rejected(self, name, value):
+        with pytest.raises(SimulationError,
+                           match=f"house parameter {name} must be >= 0"):
+            HouseParams(**{name: value})
+
+    def test_undeclared_momentary_actuator_rejected(self):
+        bundle = load_bundle("c7_duplicate")
+        house = replace(bundle.house, momentary=frozenset({"lamp9"}))
+        scenario = Scenario(id="probe", ruleset="c7_duplicate", sources=(),
+                            horizon=1)
+        with pytest.raises(SimulationError,
+                           match="momentary actuator 'lamp9' is not "
+                                 "declared"):
+            run_arm(scenario, bundle.ruleset, bundle.config, house)
+
+    def test_built_scenario_owns_its_overrides(self):
+        first = build("S7")
+        first.house_overrides["occupant_heat"] = 9.0
+        first.baseline_overrides["occupant_heat"] = 9.0
+        again = build("S7")
+        assert again.house_overrides == {"occupant_heat": 0.3}
+        assert again.baseline_overrides == {"occupant_heat": 0.0}
+
+
 class TestDeterminismAndBounds:
     def test_identical_seeds_identical_reports(self):
         a = run_scenario(build("S2", seed=11))
