@@ -19,7 +19,12 @@ events and the actions they triggered:
 ``detect_at_tick`` takes one tick's events per call, matches them against
 the ruleset's trigger index, classifies every candidate pair of firings
 against C1 to C6 in one pass over the window, runs C7, and never stops at
-the first hit, so the returned list is exhaustive for the tick. Checks
+the first hit, so the returned list is exhaustive for the tick. Each rule
+is compiled once per stream, the first time it fires, into a
+``RuleProfile``: what the policies read of it. ``policy_kinds`` is the one
+statement of C1 to C6, and one ``PolicyTable`` per config holds its
+answers per tuple of pair facts (read off two profiles) and gap class, so
+classifying a pair takes two profile reads and one table read. Checks
 only consider pairs with an item from the current call, so each violating
 pair is reported exactly once over the lifetime of a stream. The window
 enforces the stream's invariants at the boundary (ticks never decrease,
@@ -75,7 +80,8 @@ class ConflictKind(str, Enum):
 @dataclass(frozen=True)
 class TriggeredAction:
     """One rule firing: the event, the rule that matched it, and the command
-    the owning controller would issue."""
+    the owning controller would issue. ``index`` is the rule's position in
+    its ruleset, where the detector finds the rule's profile."""
 
     event: Event
     rule: str
@@ -83,9 +89,16 @@ class TriggeredAction:
     action: ActionSpec
     actuator_kind: str
     time: Tick
+    index: int
+    _key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_key", (self.time, self.event.id, self.rule))
 
     def key(self) -> tuple:
-        return (self.time, self.event.id, self.rule)
+        """The firing's identity and canonical order: (time, event id, rule
+        id), built once."""
+        return self._key
 
 
 @dataclass(frozen=True)
@@ -111,7 +124,7 @@ class Conflict:
         if self.kind is ConflictKind.C7:
             return (self.kind.value, self.tick,
                     ((a.time, a.id), (b.time, b.id)))
-        return (self.kind.value, self.tick, (a.key(), b.key()))
+        return (self.kind.value, self.tick, (a._key, b._key))
 
 
 def match_rules(event: Event, ruleset: RuleSet) -> list[TriggeredAction]:
@@ -143,10 +156,11 @@ def match_rules(event: Event, ruleset: RuleSet) -> list[TriggeredAction]:
     if not hits:
         return []
     hits.sort()
-    return [_fire(rules[i], event, ruleset) for i in hits]
+    return [_fire(i, rules[i], event, ruleset) for i in hits]
 
 
-def _fire(rule: Rule, event: Event, ruleset: RuleSet) -> TriggeredAction:
+def _fire(i: int, rule: Rule, event: Event,
+          ruleset: RuleSet) -> TriggeredAction:
     return TriggeredAction(
         event=event,
         rule=rule.id,
@@ -154,7 +168,41 @@ def _fire(rule: Rule, event: Event, ruleset: RuleSet) -> TriggeredAction:
         action=rule.action,
         actuator_kind=ruleset.registry.actuator_kind(rule.action.actuator),
         time=event.time,
+        index=i,
     )
+
+
+class RuleProfile:
+    """What the pair policies read of one rule under one detector config:
+    its actuator and controller, its action class (actuator kind, action)
+    with that class's row of ``ActionRelationTable.classes``, and its
+    affected features with the features equal or dependent to them.
+    Building one rejects an undeclared action or feature."""
+
+    __slots__ = ("actuator", "controller", "action_class", "relations",
+                 "features", "near")
+
+    def __init__(self, controller: str, action: ActionSpec,
+                 actuator_kind: str, cfg: DetectorConfig):
+        self.actuator = action.actuator
+        self.controller = controller
+        self.action_class = (actuator_kind, action.action)
+        self.relations = cfg.action_relations.row(actuator_kind, action.action)
+        self.features = action.affected_features
+        self.near = cfg.dependency_graph.related_to_any(self.features)
+
+    @classmethod
+    def of(cls, firing: TriggeredAction, cfg: DetectorConfig) -> "RuleProfile":
+        return cls(firing.controller, firing.action, firing.actuator_kind, cfg)
+
+    def facts(self, other: "RuleProfile") -> tuple:
+        """The facts ``policy_kinds`` reads of a pair of these two rules,
+        besides its gap and events: same actuator, rival controllers, the
+        relation of their actions, and related features."""
+        return (self.actuator == other.actuator,
+                self.controller != other.controller,
+                self.relations.get(other.action_class, Relation.DIFFERENT),
+                not self.near.isdisjoint(other.features))
 
 
 _time = attrgetter("time")
@@ -183,10 +231,17 @@ class DetectionWindow:
 
     ``cfg`` is the stream's one detector config: the window's reach, its
     candidate pairs, C7 and every ``detect_at_tick`` call read it.
+    ``ruleset`` is the stream's one ruleset, set by the first
+    ``detect_at_tick`` call; ``profiles`` holds a ``RuleProfile`` per rule
+    that has fired, at the rule's index, and ``table`` is the config's
+    ``PolicyTable``.
     """
 
     def __init__(self, cfg: DetectorConfig):
         self.cfg = cfg
+        self.table = PolicyTable(cfg)
+        self.ruleset: RuleSet | None = None
+        self.profiles: list[RuleProfile | None] = []
         self.last_tick: Tick | None = None
         self._actions: list[TriggeredAction] = []  # in tick order
         self._by_signature = defaultdict(list)  # signature -> actions
@@ -195,6 +250,26 @@ class DetectionWindow:
         self._events_by_sensor = defaultdict(deque)
         self._fresh_actions: list[TriggeredAction] = []
         self._fresh_events: list[Event] = []
+
+    def compile_rules(self, ruleset: RuleSet,
+                      actions: list[TriggeredAction]
+                      ) -> list[RuleProfile | None]:
+        """The stream's rule profiles, after building those of the rules
+        that fire in ``actions`` for the first time. Rejects a ruleset other
+        than the stream's, and an undeclared action or feature of a firing
+        rule, before the window changes."""
+        if ruleset is not self.ruleset:
+            if self.ruleset is None:
+                self.ruleset = ruleset
+                self.profiles = [None] * len(ruleset.rules)
+            elif ruleset != self.ruleset:
+                raise InvalidConfigError(
+                    "detect_at_tick got a ruleset other than its window's")
+        profiles, cfg = self.profiles, self.cfg
+        for action in actions:
+            if profiles[action.index] is None:
+                profiles[action.index] = RuleProfile.of(action, cfg)
+        return profiles
 
     def begin_tick(self, tick: Tick, events: list[Event],
                    actions: list[TriggeredAction]) -> None:
@@ -307,7 +382,7 @@ class DetectionWindow:
 
 
 def _ordered(a: TriggeredAction, b: TriggeredAction):
-    return (a, b) if a.key() <= b.key() else (b, a)
+    return (a, b) if a._key <= b._key else (b, a)
 
 
 def _pair_conflict(kind: ConflictKind, a: TriggeredAction,
@@ -368,41 +443,83 @@ def policy_kinds(same_actuator: bool, rival_controllers: bool,
     return kinds
 
 
-def classify_pair(a: TriggeredAction, b: TriggeredAction,
-                  cfg: DetectorConfig) -> list[Conflict]:
-    """Every conflict among C1 to C6 that one pair of firings forms, as
-    ``policy_kinds`` decides from the facts of the pair (its gap, overlap
-    and distinctness are one point of the static analyzer's gap shapes),
-    each with a note.
+class PolicyTable(dict):
+    """``policy_kinds`` compiled for one detector config, filled as pairs
+    ask for it: each fact tuple (``RuleProfile.facts``) maps to its rows.
 
-    Only simultaneous firings under rival controllers on one actuator or on
-    related features can violate C1 or C2, and only stacked commands on a
-    shared actuator or opposite actions on related features can violate C3
-    to C6. Any other pair returns early, and only the latter pay for the
-    overlap test.
-    """
+    The policies read a tick gap only against the epsilon and the overlap
+    window W, so the gaps up to max(eps, W) fall into three classes inside
+    which every policy answers alike: 0, 1..min(eps, W) and
+    min+1..max(eps, W) (``gaps``; the second is empty at eps = 0, the third
+    at eps = W, and an empty class has no rows). Per gap class a fact tuple
+    has three rows of kinds: for overlapping events, for disjoint distinct
+    events, and for one event shared by both firings. Past W no events
+    overlap, so there the first row is the second. Where the two are equal
+    they are one object, and a pair needs no overlap test."""
+
+    def __init__(self, cfg: DetectorConfig):
+        super().__init__()
+        self.cfg = cfg
+        self.lo, self.hi = sorted((cfg.same_tick_epsilon, cfg.overlap_window))
+        self.gaps = ((0, 0), (1, self.lo), (self.lo + 1, self.hi))
+
+    def __missing__(self, facts: tuple) -> tuple:
+        entry = self[facts] = tuple(self._rows(facts, dmin) if dmin <= dmax
+                                    else None for dmin, dmax in self.gaps)
+        return entry
+
+    def _rows(self, facts: tuple, dt: int) -> tuple:
+        cfg = self.cfg
+
+        def kinds(overlap, distinct_events):
+            return tuple(policy_kinds(*facts, dt, overlap, distinct_events,
+                                      cfg))
+
+        disjoint = kinds(False, True)
+        overlapping = (kinds(True, True) if dt <= cfg.overlap_window
+                       else disjoint)
+        if overlapping == disjoint:
+            overlapping = disjoint
+        return overlapping, disjoint, kinds(False, False)
+
+
+def _classify(a: TriggeredAction, b: TriggeredAction, pa: RuleProfile,
+              pb: RuleProfile, table: PolicyTable) -> list[Conflict]:
+    """``classify_pair`` given the firings' rule profiles and the config's
+    policy table."""
     if a.rule == b.rule:
         return []
     dt = abs(a.time - b.time)
-    rival = a.controller != b.controller
-    clash = rival and dt <= cfg.same_tick_epsilon
-    same_actuator = a.action.actuator == b.action.actuator
-    relation = cfg.action_relations.relation(
-        a.actuator_kind, a.action.action, b.actuator_kind, b.action.action)
-    related = ((clash and not same_actuator or relation is Relation.OPPOSITE)
-               and cfg.dependency_graph.any_related(
-                   a.action.affected_features, b.action.affected_features))
-    stacked = same_actuator and (relation is not Relation.SAME
-                                 or 0 < dt <= cfg.overlap_window)
-    opposed = related and relation is Relation.OPPOSITE
-    if not (stacked or opposed or clash and (same_actuator or related)):
+    if dt == 0:
+        gap_class = 0
+    elif dt <= table.lo:
+        gap_class = 1
+    elif dt <= table.hi:
+        gap_class = 2
+    else:
         return []
-    overlap = (stacked or opposed) and overlapping_events(a.event, b.event,
-                                                          cfg)
-    return [_pair_conflict(kind, a, b)
-            for kind in policy_kinds(same_actuator, rival, relation, related,
-                                     dt, overlap, a.event.id != b.event.id,
-                                     cfg)]
+    overlapping, disjoint, shared = table[pa.facts(pb)][gap_class]
+    if dt == 0 and a.event.id == b.event.id:
+        kinds = shared
+    elif overlapping is disjoint or not overlapping_events(a.event, b.event,
+                                                           table.cfg):
+        kinds = disjoint
+    else:
+        kinds = overlapping
+    if not kinds:
+        return []
+    return [_pair_conflict(kind, a, b) for kind in kinds]
+
+
+def classify_pair(a: TriggeredAction, b: TriggeredAction,
+                  cfg: DetectorConfig) -> list[Conflict]:
+    """Every conflict among C1 to C6 that one pair of firings forms, each
+    with a note: the row of the config's ``PolicyTable`` for the facts of
+    the two rules, the gap class of the pair and its events (one shared
+    event, or distinct events, overlapping or not). The overlap test runs
+    only when the overlapping and disjoint rows differ."""
+    return _classify(a, b, RuleProfile.of(a, cfg), RuleProfile.of(b, cfg),
+                     PolicyTable(cfg))
 
 
 def check_c7(window: DetectionWindow, registry: Registry) -> list[Conflict]:
@@ -431,6 +548,13 @@ def check_c7(window: DetectionWindow, registry: Registry) -> list[Conflict]:
     return out
 
 
+def _pair_order(conflict: Conflict) -> tuple:
+    """The C1 to C6 order within one tick: the kind, then the participants'
+    keys. Kinds are strings, so the members compare as their names."""
+    a, b = conflict.participants
+    return (conflict.kind, a._key, b._key)
+
+
 def _earlier_reading(conflict: Conflict) -> tuple:
     """The C7 order within one tick: the earlier reading's (time, id)."""
     earlier = conflict.participants[0]
@@ -445,15 +569,20 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
     One call takes the events of one tick; a later call may add events at
     that tick but never go back. Each sensor emits at most once per tick,
     and event ids are unique within the config horizon. An empty batch is
-    a no-op. ``cfg`` must be the window's config, or equal to it: a
-    stream has one config, and any other raises ``InvalidConfigError``.
-    C1 to C6 are evaluated in one pass over the candidate pairs, then C7;
-    findings come back each (kind, pair) once, in the canonical order of
+    a no-op. ``cfg`` must be the window's config, or equal to it, and
+    ``ruleset`` the ruleset of the window's first call, or equal to it: a
+    stream has one config and one ruleset, and any other raises
+    ``InvalidConfigError``. A rule's profile is built the first time the
+    rule fires, before the window changes, so an undeclared action or
+    feature raises at that call whether or not the firing pairs. C1 to C6
+    are evaluated in one pass over the candidate pairs, then C7; findings
+    come back each (kind, pair) once, in the canonical order of
     ``Conflict.key``.
 
-    That order is reached without a key tuple per C7 finding. Every
-    finding of one call has the call's tick, and the kind names sort C7
-    after C1 to C6, so the sorted C1 to C6 findings come first. Each C7
+    That order is reached without a ``Conflict.key`` tuple per finding.
+    Every finding of one call has the call's tick, and the kind names sort
+    C7 after C1 to C6, so the C1 to C6 findings, sorted by kind and
+    participant keys, come first. Each C7
     finding pairs a fresh reading, at this tick, with an earlier reading
     of the same sensor; a sensor emits once per tick and ids are unique in
     the window (both checked by ``begin_tick``), so the earlier reading
@@ -467,13 +596,16 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
         return []
     actions = [ta for event in new_events
                for ta in match_rules(event, ruleset)]
+    profiles = window.compile_rules(ruleset, actions)
     window.begin_tick(new_events[0].time, new_events, actions)
+    table = window.table
     conflicts = []
     for a, b in window.candidate_pairs():
-        conflicts.extend(classify_pair(a, b, cfg))
+        conflicts.extend(_classify(a, b, profiles[a.index], profiles[b.index],
+                                   table))
     repeats = check_c7(window, ruleset.registry)
     window.commit_tick()
-    conflicts.sort(key=Conflict.key)
+    conflicts.sort(key=_pair_order)
     repeats.sort(key=_earlier_reading)
     return conflicts + repeats
 

@@ -330,8 +330,8 @@ class ActionRelationTable:
     without forcing configs to spell out every combination.
 
     A (kind, name) pair is an action class. ``classes`` compiles the
-    vocabulary and entries once into a row per class, and ``relation``
-    reads it.
+    vocabulary and entries once into a row per class, and ``relation`` and
+    ``row`` read it.
     """
 
     vocabulary: dict[str, frozenset[str]]
@@ -356,14 +356,19 @@ class ActionRelationTable:
             row[cls] = Relation.SAME
         return rows
 
-    def relation(self, kind1: str, n1: str, kind2: str, n2: str) -> Relation:
-        classes = self.classes
-        row = classes.get((kind1, n1))
-        if row is None or (kind2, n2) not in classes:
-            kind, name = (kind1, n1) if row is None else (kind2, n2)
+    def row(self, kind: str, name: str) -> dict[ActionClass, Relation]:
+        """The row of ``classes`` for one action class; an undeclared
+        action raises."""
+        row = self.classes.get((kind, name))
+        if row is None:
             raise UnknownActionError(
                 f"action {name!r} is not in the vocabulary of "
                 f"actuator kind {kind!r}")
+        return row
+
+    def relation(self, kind1: str, n1: str, kind2: str, n2: str) -> Relation:
+        row = self.row(kind1, n1)
+        self.row(kind2, n2)  # an undeclared action raises
         return row.get((kind2, n2), Relation.DIFFERENT)
 
 

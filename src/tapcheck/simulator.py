@@ -23,8 +23,10 @@ for every conflict completed within the current tick the canonically later
 action is dropped as well.
 
 Each setup rule is checked once, by the type it constrains: a room's
-humidity range and thermostat mode by :class:`RoomState`, non-negative
-coefficients by :class:`HouseParams`, unique source names by
+humidity range, thermostat mode and finite temperatures by
+:class:`RoomState`, finite non-negative coefficients by
+:class:`HouseParams`, finite outdoor traces by :class:`HouseModel`,
+unique source names by
 :class:`Scenario`. A run checks every reference between scenario, ruleset
 and house (source sensors, rule and momentary actuators) before tick 0. A
 house or scenario built in code therefore meets the same checks as one
@@ -32,6 +34,7 @@ read from a document, and each failure is a :class:`SimulationError`.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -72,6 +75,10 @@ class RoomState:
         if not 0.0 <= self.humidity <= 100.0:
             raise SimulationError(
                 f"room {self.name!r} humidity must start in [0, 100]")
+        for name in ("temperature", "setpoint"):
+            if not math.isfinite(getattr(self, name)):
+                raise SimulationError(
+                    f"room {self.name!r} {name} must be finite")
         if self.thermostat not in (THERMOSTAT_OFF, THERMOSTAT_HEAT,
                                    THERMOSTAT_COOL):
             raise SimulationError(
@@ -81,7 +88,7 @@ class RoomState:
 
 @dataclass(frozen=True)
 class HouseParams:
-    """Physics coefficients, all per tick and non-negative."""
+    """Physics coefficients, all per tick, finite and non-negative."""
 
     k_loss: float = 0.05    # outdoor pull
     k_adj: float = 0.1      # neighbor pull
@@ -97,7 +104,11 @@ class HouseParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise SimulationError(
+                    f"house parameter {f.name} must be finite")
+            if value < 0:
                 raise SimulationError(
                     f"house parameter {f.name} must be >= 0")
 
@@ -107,7 +118,8 @@ class HouseModel:
     """Rooms, their adjacency, physics parameters, and the outdoor trace.
 
     ``outdoor_temperature`` and ``daylight`` may be scalars or per-tick
-    sequences (cycled when shorter than the horizon). ``momentary`` lists
+    sequences (cycled when shorter than the horizon) of finite numbers.
+    ``momentary`` lists
     actuators that spring back to their initial position at the end of each
     tick, for devices modeled as pulses rather than latched state.
     """
@@ -127,6 +139,13 @@ class HouseModel:
             if a not in names or b not in names:
                 raise SimulationError(
                     f"adjacency references unknown room in ({a}, {b})")
+        for name in ("outdoor_temperature", "daylight"):
+            trace = getattr(self, name)
+            values = (trace,) if isinstance(trace, (int, float)) else trace
+            if not values or not all(map(math.isfinite, values)):
+                raise SimulationError(
+                    f"house {name} must be a finite number or a non-empty "
+                    "sequence of them")
 
     def neighbors(self, room: str) -> tuple[str, ...]:
         out = []

@@ -2,13 +2,15 @@
 
 Without seeing a single event, ``static_check`` flags every pair of rules
 that could fire together in a way that violates one of the safety policies:
-it tags the pair with the union of the detector's ``policy_kinds`` over
-every shape its triggers can realise, so it over-approximates the dynamic
-checks. The policies read a tick gap only against the epsilon and the
-overlap window W, so the breakpoints 0 | 1..min(eps, W) | min+1..max(eps, W)
-cut the gaps into ranges inside which every policy answers alike, and past
-max(eps, W) none fires. A shape is one such range with similar or
-dissimilar firing events, or one reading shared by both rules at tick 0.
+it tags the pair with the union of the policy kinds over every shape its
+triggers can realise, so it over-approximates the dynamic checks. The
+kinds come from the detector itself: each rule's ``RuleProfile`` gives the
+facts of a pair, and the config's ``PolicyTable`` gives the kinds per gap
+class (the breakpoints 0 | 1..min(eps, W) | min+1..max(eps, W) cut the
+gaps into ranges inside which every policy answers alike, and past
+max(eps, W) none fires) for overlapping, disjoint and shared events. A
+shape is one such range with similar or dissimilar firing events, or one
+reading shared by both rules at tick 0.
 
 Co-satisfiability facts used throughout:
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterator
 
-from .detector import ConflictKind, policy_kinds
+from .detector import ConflictKind, PolicyTable, RuleProfile
 from .model import (
     Cmp,
     DetectorConfig,
@@ -132,41 +134,37 @@ def _sig_choice_exists(s1: Sensor, s2: Sensor, want_similar: bool,
 # similar, or must be dissimilar; or one reading that fires both rules.
 _ANY, _SIMILAR, _DISSIMILAR = "any", "similar", "dissimilar"
 _SHARED = "shared"
+_SHARED_SHAPE = (0, 0, _SHARED)
 
 
 class _Analysis:
-    """State of one ``static_check`` call: each rule's scope, actuator kind
-    and related features, and the memos. The call drops it on return, so
-    nothing grows across calls."""
+    """State of one ``static_check`` call: each rule's scope and profile,
+    the policy table of the config, and the memos. The call drops it on
+    return, so nothing grows across calls."""
 
     def __init__(self, ruleset: RuleSet, cfg: DetectorConfig):
         self.rules = ruleset.rules
         self.cfg = cfg
         self.day = ruleset.day_length
         registry = ruleset.registry
-        graph = cfg.dependency_graph
         # Pruning skips pairs whose tests would have rejected an undeclared
-        # action or feature, so each rule's action is checked here, and
-        # ``related_to_any`` checks its features while ``near`` is built.
-        self.kinds = []
-        self.near = []  # per rule, the features equal or dependent to its own
-        for rule in self.rules:
-            kind = registry.actuator_kind(rule.action.actuator)
-            cfg.action_relations.relation(kind, rule.action.action,
-                                          kind, rule.action.action)
-            self.kinds.append(kind)
-            self.near.append(
-                graph.related_to_any(rule.action.affected_features))
+        # action or feature; building every rule's profile rejects them.
+        self.profiles = [
+            RuleProfile(rule.controller, rule.action,
+                        registry.actuator_kind(rule.action.actuator), cfg)
+            for rule in self.rules]
         self.scopes = [_scope(rule, ruleset) for rule in self.rules]
         self.scope_keys = [(r.trigger.sensor_kind, r.trigger.location_filter)
                            for r in self.rules]
         self._sig_memo: dict[tuple, bool] = {}
         self._scope_memo: dict[tuple, bool] = {}
-        self._shape_memo: dict[tuple, list] = {}
-        # The tick-gap ranges inside which every policy answers alike.
-        lo, hi = sorted((cfg.same_tick_epsilon, cfg.overlap_window))
-        self.gaps = [g for g in ((0, 0), (1, lo), (lo + 1, hi))
-                     if g[0] <= g[1]]
+        self.table = PolicyTable(cfg)
+        # The shapes of each non-empty gap class: any events, similar
+        # events, dissimilar events.
+        self.gap_shapes = [
+            (g, (dmin, dmax, _ANY), (dmin, dmax, _SIMILAR),
+             (dmin, dmax, _DISSIMILAR))
+            for g, (dmin, dmax) in enumerate(self.table.gaps) if dmin <= dmax]
 
     def candidate_pairs(self) -> Iterator[tuple[int, int]]:
         """Index pairs i < j, in declaration order, of rules that share an
@@ -180,7 +178,7 @@ class _Analysis:
                 by_feature.setdefault(f, []).append(i)
         for i, rule in enumerate(self.rules):
             partners = set(by_actuator[rule.action.actuator])
-            for f in self.near[i]:
+            for f in self.profiles[i].near:
                 partners.update(by_feature.get(f, ()))
             for j in sorted(partners):
                 if j > i:
@@ -213,29 +211,20 @@ class _Analysis:
                 if not (distinct and a.id == b.id))
         return ok
 
-    def shapes(self, facts: tuple) -> list[tuple[tuple, frozenset]]:
-        """(shape, kinds) for each shape in which a pair with these facts
-        violates some policy, memoised per fact tuple. A range whose similar
-        and dissimilar events violate the same kinds is one shape, ``_ANY``."""
-        shapes = self._shape_memo.get(facts)
-        if shapes is None:
-            def kinds(dt, overlap, distinct_events):
-                return frozenset(policy_kinds(*facts, dt, overlap,
-                                              distinct_events, self.cfg))
-
-            shapes = []
-            for dmin, dmax in self.gaps:
-                similar = kinds(dmin, dmin <= self.cfg.overlap_window, True)
-                dissimilar = kinds(dmin, False, True)
-                if similar == dissimilar:
-                    shapes.append(((dmin, dmax, _ANY), similar))
-                else:
-                    shapes.append(((dmin, dmax, _SIMILAR), similar))
-                    shapes.append(((dmin, dmax, _DISSIMILAR), dissimilar))
-            shapes.append(((0, 0, _SHARED), kinds(0, False, False)))
-            shapes = self._shape_memo[facts] = [(shape, k)
-                                                for shape, k in shapes if k]
-        return shapes
+    def shapes(self, facts: tuple) -> Iterator[tuple[tuple, tuple]]:
+        """(shape, kinds) for each shape of a pair with these facts, read
+        from the policy table. A gap range whose similar and dissimilar
+        events violate the same kinds is one shape, ``_ANY``; similar
+        events overlap up to W and are disjoint past it."""
+        entry = self.table[facts]
+        for g, either, similar, dissimilar in self.gap_shapes:
+            overlapping, disjoint, _ = entry[g]
+            if overlapping is disjoint:
+                yield either, disjoint
+            else:
+                yield similar, overlapping
+                yield dissimilar, disjoint
+        yield _SHARED_SHAPE, entry[0][2]
 
     def realisable(self, i: int, j: int, shape: tuple) -> bool:
         """Can the two rules fire in this shape? Distinct events at one tick
@@ -255,16 +244,12 @@ class _Analysis:
         """The policies one candidate pair would violate: the union of
         ``policy_kinds`` over every shape the pair can realise. A shape is
         tested only when it would add a kind."""
-        r1, r2 = self.rules[i], self.rules[j]
-        relation = self.cfg.action_relations.relation(
-            self.kinds[i], r1.action.action, self.kinds[j], r2.action.action)
-        facts = (r1.action.actuator == r2.action.actuator,
-                 r1.controller != r2.controller, relation,
-                 not self.near[i].isdisjoint(r2.action.affected_features))
         found: set[ConflictKind] = set()
-        for shape, kinds in self.shapes(facts):
-            if not kinds <= found and self.realisable(i, j, shape):
-                found |= kinds
+        for shape, kinds in self.shapes(
+                self.profiles[i].facts(self.profiles[j])):
+            if (not found.issuperset(kinds)
+                    and self.realisable(i, j, shape)):
+                found.update(kinds)
         return found
 
 

@@ -19,6 +19,8 @@ from tapcheck.errors import (
     DuplicateSensorReadingError,
     InvalidConfigError,
     OutOfOrderTickError,
+    UnknownActionError,
+    UnknownFeatureError,
     UnknownSensorKindError,
 )
 
@@ -593,6 +595,51 @@ class TestDetectAtTick:
                               ev(rs, "e2", "leak1", 5, 1)],
                              rs, window, replace(cfg))
         assert kinds_of(out) == ["C1"]
+
+    def test_ruleset_other_than_the_windows_rejected(self, alarm_home):
+        # Firings find their rule profiles by rule index, so a stream keeps
+        # the ruleset of its first call; an equal copy is the same ruleset.
+        rs, cfg = alarm_home
+        window = DetectionWindow(cfg)
+        detect_at_tick([ev(rs, "e1", "smoke1", 5, 1)], rs, window, cfg)
+        with pytest.raises(InvalidConfigError, match="ruleset"):
+            detect_at_tick([ev(rs, "e2", "leak1", 5, 1)],
+                           replace(rs, rules=rs.rules[1:]), window, cfg)
+        assert window.last_tick == 5
+        out = detect_at_tick([ev(rs, "e2", "leak1", 5, 1)], replace(rs),
+                             window, cfg)
+        assert kinds_of(out) == ["C1"]
+
+    @pytest.mark.parametrize("action,features,error", [
+        ("explode", ["alert@room1"], UnknownActionError),
+        ("sound", ["ghost"], UnknownFeatureError)])
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_undeclared_name_raises_when_its_rule_first_fires(
+            self, action, features, error, paired):
+        # r_bad fires on CO readings only. A tick without one passes; the
+        # first CO reading raises before the window changes, whether or not
+        # another firing pairs with it.
+        rs, cfg = build_home(
+            sensors=[("smoke1", "smoke", "bool", "room1"),
+                     ("leak1", "leak", "bool", "room1"),
+                     ("co1", "co", "ppm", "room1")],
+            actuators=[("alarm1", "alarm", "room1", ("sound", "off"))],
+            controllers=["fire_ctrl", "water_ctrl", "air_ctrl"],
+            features=["alert@room1"],
+            rules=[("r_smoke", "fire_ctrl", ("smoke", "==", 1),
+                    ("alarm1", "sound", ["alert@room1"])),
+                   ("r_leak", "water_ctrl", ("leak", "==", 1),
+                    ("alarm1", "sound", ["alert@room1"])),
+                   ("r_bad", "air_ctrl", ("co", ">", 50),
+                    ("alarm1", action, features))])
+        window = DetectionWindow(cfg)
+        detect_at_tick([ev(rs, "e1", "smoke1", 5, 1)], rs, window, cfg)
+        batch = [ev(rs, "e2", "co1", 9, 80)]
+        if paired:
+            batch.append(ev(rs, "e3", "leak1", 9, 1))
+        with pytest.raises(error):
+            detect_at_tick(batch, rs, window, cfg)
+        assert window.last_tick == 5
 
     def test_two_readings_of_one_sensor_in_batch_rejected(self, alarm_home):
         rs, cfg = alarm_home

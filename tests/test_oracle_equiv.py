@@ -12,11 +12,13 @@ from gen import group_by_tick, random_ruleset, random_trace
 from tapcheck.detector import (
     Conflict,
     DetectionWindow,
+    PolicyTable,
+    RuleProfile,
     classify_pair,
     detect_at_tick,
     match_rules,
 )
-from tapcheck.model import Cmp, Event, EventSignature
+from tapcheck.model import Cmp, Event, EventSignature, Relation
 from tapcheck.oracle import _pair_kinds, oracle_detect
 
 
@@ -132,6 +134,81 @@ class TestEquivalence:
         got = sorted(c.key() for c in run_detector(trace, rs, cfg))
         want = sorted(oracle_detect(trace, rs, cfg))
         assert got == want
+
+
+# The action of r_b that relates to r_a's "x" as each relation.
+_ACTION_AT = {Relation.SAME: "x", Relation.OPPOSITE: "y",
+              Relation.DEPENDENT: "z", Relation.DIFFERENT: "w"}
+
+
+def fact_home(same_actuator, rival, relation, related, eps, w):
+    """Rules r_a and r_b, both fired by any temperature reading, whose
+    pair has the given facts. s1 and s2 read with one signature."""
+    return build_home(
+        sensors=[("s1", "temperature", "F", "room1"),
+                 ("s2", "temperature", "F", "room1")],
+        actuators=[("d1", "dev", "room1", ("x", "y", "z", "w")),
+                   ("d2", "dev", "room1", ("x", "y", "z", "w"))],
+        controllers=["c1", "c2"],
+        features=["f1", "f2", "f3"],
+        edges=[("f1", "f2")],
+        rules=[("r_a", "c1", ("temperature", ">", 0), ("d1", "x", ["f1"])),
+               ("r_b", "c2" if rival else "c1", ("temperature", ">", 0),
+                ("d1" if same_actuator else "d2", _ACTION_AT[relation],
+                 ["f2" if related else "f3"]))],
+        relations={"dev": [("x", "y", "opposite"), ("x", "z", "dependent")]},
+        overlap_window=w, epsilon=eps)
+
+
+def firing(rs, rule, event):
+    return next(f for f in match_rules(event, rs) if f.rule == rule)
+
+
+class TestPolicyRows:
+    @pytest.mark.parametrize("eps", range(4))
+    @pytest.mark.parametrize("w", range(1, 4))
+    def test_every_row_equals_the_oracle(self, eps, w):
+        # One firing pair for every fact tuple, every gap up to one past
+        # max(eps, W) (so every gap class that exists), and every event
+        # shape: one shared event, overlapping events, and disjoint
+        # distinct events (dissimilar, or similar past W).
+        gap_classes = [(lo, hi) for lo, hi in PolicyTable(
+            fact_home(True, True, Relation.SAME, True, eps, w)[1]).gaps
+            if lo <= hi]
+        seen = set()
+        for same_actuator in (False, True):
+            for rival in (False, True):
+                for relation in Relation:
+                    for related in (False, True):
+                        facts = (same_actuator, rival, relation, related)
+                        rs, cfg = fact_home(*facts, eps, w)
+                        for dt in range(max(eps, w) + 2):
+                            e1 = ev(rs, "e1", "s1", 10, 50)
+                            shapes = {
+                                "similar": ev(rs, "e2", "s2", 10 + dt, 50),
+                                "dissimilar": ev(rs, "e2", "s2", 10 + dt, 50,
+                                                 pred=">")}
+                            if dt == 0:
+                                shapes["shared"] = e1
+                            for shape, e2 in shapes.items():
+                                a = firing(rs, "r_a", e1)
+                                b = firing(rs, "r_b", e2)
+                                assert RuleProfile.of(a, cfg).facts(
+                                    RuleProfile.of(b, cfg)) == facts
+                                for x, y in ((a, b), (b, a)):
+                                    got = [c.kind
+                                           for c in classify_pair(x, y, cfg)]
+                                    assert got == _pair_kinds(x, y, cfg), (
+                                        facts, dt, shape)
+                                    seen.update(got)
+                                seen.update(
+                                    (shape, g) for g, (lo, hi)
+                                    in enumerate(gap_classes)
+                                    if lo <= dt <= hi)
+        assert {"C1", "C2", "C3", "C4", "C5", "C6"} <= seen
+        assert ("shared", 0) in seen
+        for g in range(len(gap_classes)):
+            assert {("similar", g), ("dissimilar", g)} <= seen
 
 
 def formed_pairs(trace, rs, cfg) -> list[frozenset]:
@@ -355,3 +432,30 @@ class TestSameTickBatches:
         out += detect_at_tick([e2], rs, window, cfg)
         assert sorted([c.key() for c in out]) == sorted(
             oracle_detect([e1, e2], rs, cfg))
+
+    def test_random_split_batches_equal_the_oracle(self):
+        # Each tick's batch split at a random point into two calls, over
+        # rulesets a third of which have eps > W: the findings equal the
+        # oracle's, none twice, while rule profiles compile across calls.
+        seen = set()
+        for seed in range(400):
+            rng = np.random.default_rng(120_000 + seed)
+            rs, cfg = random_ruleset(rng)
+            if seed % 3 == 0:
+                cfg = replace(cfg, same_tick_epsilon=cfg.overlap_window
+                              + int(rng.integers(1, 4)))
+            trace = random_trace(rng, rs)
+            window = DetectionWindow(cfg)
+            got = []
+            for batch in group_by_tick(trace):
+                cut = int(rng.integers(0, len(batch) + 1))
+                for part in (batch[:cut], batch[cut:]):
+                    got.extend(c.key() for c in detect_at_tick(
+                        part, rs, window, cfg))
+                if 0 < cut < len(batch):
+                    seen.add("split")
+            assert len(got) == len(set(got)), seed
+            assert sorted(got) == sorted(oracle_detect(trace, rs, cfg)), seed
+            if got and cfg.same_tick_epsilon > cfg.overlap_window:
+                seen.add("findings at eps > W")
+        assert seen == {"split", "findings at eps > W"}

@@ -279,6 +279,30 @@ class TestLibrarySetupChecks:
                            match=f"house parameter {name} must be >= 0"):
             HouseParams(**{name: value})
 
+    @pytest.mark.parametrize("name", ["k_loss", "occupant_heat"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_house_parameter_rejected(self, name, value):
+        with pytest.raises(SimulationError,
+                           match=f"house parameter {name} must be finite"):
+            HouseParams(**{name: value})
+
+    @pytest.mark.parametrize("name", ["temperature", "setpoint"])
+    @pytest.mark.parametrize("value", [float("nan"), -float("inf")])
+    def test_non_finite_room_temperature_rejected(self, name, value):
+        with pytest.raises(SimulationError,
+                           match=f"room 'room1' {name} must be finite"):
+            room(**{name: value})
+
+    @pytest.mark.parametrize("name,trace", [
+        ("outdoor_temperature", float("nan")),
+        ("outdoor_temperature", (60.0, float("inf"))),
+        ("outdoor_temperature", ()),
+        ("daylight", (300.0, float("nan")))])
+    def test_non_finite_outdoor_trace_rejected(self, name, trace):
+        with pytest.raises(SimulationError,
+                           match=f"house {name} must be a finite number"):
+            HouseModel(rooms=(room(),), **{name: trace})
+
     def test_undeclared_momentary_actuator_rejected(self):
         bundle = load_bundle("c7_duplicate")
         house = replace(bundle.house, momentary=frozenset({"lamp9"}))
