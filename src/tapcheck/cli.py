@@ -27,7 +27,6 @@ File formats (UTF-8, LF, comma-separated, byte-stable for fixed inputs):
 """
 
 import argparse
-import math
 import os
 import sys
 from collections import Counter
@@ -41,14 +40,29 @@ import numpy as np
 
 from . import scenarios as scen
 from .detector import Conflict, ConflictKind, DetectionWindow, detect_at_tick
-from .errors import TapcheckError, TraceError
-from .model import Cmp, DetectorConfig, Event, EventSignature, RuleSet
+from .errors import (
+    InvalidEventError,
+    TapcheckError,
+    TraceError,
+    UnknownSensorKindError,
+)
+from .model import (
+    Cmp,
+    DetectorConfig,
+    Event,
+    EventSignature,
+    RuleSet,
+    check_reading,
+)
 from .parsing import load_document, read_text
 from .simulator import SERIES_FIELDS, THERMO_NAME, RoomState, TraceReport
 from .static import static_check
 
 TRACE_HEADER = "tick,sensor,kind,predicate,value,location"
 CONFLICT_HEADER = "tick,kind,rule_a,rule_b,event_a,event_b,actuator,note"
+# Each kind's text, read per row without a call to the enum's ``value``
+# descriptor.
+KIND_TEXT = {kind: kind.value for kind in ConflictKind}
 
 
 @contextmanager
@@ -120,27 +134,21 @@ def parse_trace(text: str, ruleset: RuleSet) -> list[Event]:
             value = float(value_s)
         except ValueError as exc:
             raise TraceError(f"bad number: {exc}", line=lineno) from exc
-        if not math.isfinite(value):
-            raise TraceError(f"value {value_s!r} is not finite", line=lineno)
-        if tick < 0:
-            raise TraceError("tick must be >= 0", line=lineno)
+        try:
+            check_reading(tick, value)
+        except InvalidEventError as exc:
+            raise TraceError(str(exc), line=lineno) from exc
         if last_tick is not None and tick < last_tick:
             raise TraceError(
                 f"tick {tick} decreases after {last_tick}", line=lineno)
         if tick != last_tick:
             tick_sensors.clear()
         last_tick = tick
-        sensor = ruleset.registry.sensors.get(sensor_id)
-        if sensor is None:
-            raise TraceError(f"undeclared sensor {sensor_id!r}", line=lineno)
-        if kind != sensor.kind:
-            raise TraceError(
-                f"sensor {sensor_id!r} is kind {sensor.kind!r}, not {kind!r}",
-                line=lineno)
-        if location != sensor.location:
-            raise TraceError(
-                f"sensor {sensor_id!r} sits in {sensor.location!r}, "
-                f"not {location!r}", line=lineno)
+        try:
+            sensor = ruleset.registry.reading_sensor(sensor_id, kind,
+                                                     location)
+        except UnknownSensorKindError as exc:
+            raise TraceError(str(exc), line=lineno) from exc
         if predicate not in cmp_tokens:
             raise TraceError(f"bad predicate {predicate!r}", line=lineno)
         if sensor_id in tick_sensors:
@@ -169,15 +177,15 @@ def format_event_row(event: Event) -> str:
 
 def format_conflict_row(conflict: Conflict) -> str:
     note = conflict.note.replace(",", ";")
-    if conflict.kind is ConflictKind.C7:
+    kind = conflict.kind
+    if kind is ConflictKind.C7:
         e1, e2 = conflict.participants
-        return (f"{conflict.tick},{conflict.kind.value},,,"
-                f"{e1.id},{e2.id},,{note}")
+        return f"{conflict.tick},{KIND_TEXT[kind]},,,{e1.id},{e2.id},,{note}"
     a, b = conflict.participants
     actuator = a.action.actuator
     if b.action.actuator != actuator:
         actuator = f"{actuator}/{b.action.actuator}"
-    return (f"{conflict.tick},{conflict.kind.value},{a.rule},{b.rule},"
+    return (f"{conflict.tick},{KIND_TEXT[kind]},{a.rule},{b.rule},"
             f"{a.event.id},{b.event.id},{actuator},{note}")
 
 
@@ -216,7 +224,7 @@ def cmd_monitor(args) -> int:
         for _, batch in groupby(events, key=attrgetter("time")):
             found = detect_at_tick(list(batch), doc.ruleset, window, cfg)
             _write_rows(log, map(format_conflict_row, found))
-            counts.update(c.kind.value for c in found)
+            counts.update(KIND_TEXT[c.kind] for c in found)
     _print_summary(counts)
     return 1 if sum(counts.values()) else 0
 

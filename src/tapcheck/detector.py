@@ -26,14 +26,18 @@ statement of C1 to C6, and one ``PolicyTable`` per config holds its
 answers per tuple of pair facts (read off two profiles) and gap class, so
 classifying a pair takes two profile reads and one table read. Checks
 only consider pairs with an item from the current call, so each violating
-pair is reported exactly once over the lifetime of a stream. The window
-enforces the stream's invariants at the boundary (ticks never decrease,
-unique event ids, one event per sensor per tick) and keeps each item only
-while a policy can read it: firings for max(eps, W) ticks, filed by event
-signature, and events for the config horizon. Past the epsilon only
-similar events pair: C1, C2, C5 and C6 need a gap within the epsilon, and
-C3 and C4 need overlapping events, so ``DetectionWindow.candidate_pairs``
-forms only the pairs some policy can flag.
+pair is reported exactly once over the lifetime of a stream. Each event
+meets the model's reading facts at the boundary: ``match_rules`` checks
+its sensor, kind and location (``Registry.reading_sensor``), and the
+window its tick and value (``check_reading``). The window also enforces
+the stream's invariants (ticks never decrease, unique event ids, one
+event per sensor per tick), all before it changes, and keeps each item
+only while a policy can read it: firings for max(eps, W) ticks, filed by
+event signature, and events for the config horizon, in tick order. Past
+the epsilon only similar events pair: C1, C2, C5 and C6 need a gap within
+the epsilon, and C3 and C4 need overlapping events, so
+``DetectionWindow.candidate_pairs`` forms only the pairs some policy can
+flag.
 
 Policies C1 to C6 relate firings of two distinct rules. A single rule fired
 twice by duplicate readings is the duplicate-event case and is covered by
@@ -52,7 +56,6 @@ from .errors import (
     DuplicateSensorReadingError,
     InvalidConfigError,
     OutOfOrderTickError,
-    UnknownSensorKindError,
 )
 from .model import (
     ActionSpec,
@@ -63,6 +66,7 @@ from .model import (
     Rule,
     RuleSet,
     Tick,
+    check_reading,
     overlapping_events,
 )
 
@@ -131,16 +135,12 @@ def match_rules(event: Event, ruleset: RuleSet) -> list[TriggeredAction]:
     """All rule firings for one event, in ruleset declaration order (the
     order ``simulator.step`` applies them in), read from the ruleset's
     trigger index."""
-    kind = event.signature.sensor_kind
-    sensor = ruleset.registry.sensors.get(event.sensor)
-    if sensor is None or sensor.kind != kind:
-        raise UnknownSensorKindError(
-            f"event {event.id!r} has undeclared sensor {event.sensor!r} "
-            f"of kind {kind!r}")
+    kind, location = event.signature.sensor_kind, event.signature.location
+    ruleset.registry.reading_sensor(event.sensor, kind, location)
     # Bisecting each comparator's thresholds leaves the triggers that hold
     # on the value; the location and schedule filters finish the test of
     # ``TriggerCondition.matches``.
-    location, day = event.signature.location, ruleset.day_length
+    day = ruleset.day_length
     rules = ruleset.rules
     hits = []
     for holding_range, thresholds, indexes in ruleset.trigger_index.get(
@@ -245,9 +245,11 @@ class DetectionWindow:
         self.last_tick: Tick | None = None
         self._actions: list[TriggeredAction] = []  # in tick order
         self._by_signature = defaultdict(list)  # signature -> actions
-        # Each event is kept once, in its sensor's deque, and its id once.
-        self._event_times: dict[str, Tick] = {}  # id -> tick, in tick order
+        # Each event is kept in tick order twice, with all events and with
+        # its sensor's events, and its id once.
+        self._events: deque[Event] = deque()
         self._events_by_sensor = defaultdict(deque)
+        self._event_times: dict[str, Tick] = {}  # id -> tick
         self._fresh_actions: list[TriggeredAction] = []
         self._fresh_events: list[Event] = []
 
@@ -276,9 +278,10 @@ class DetectionWindow:
         """Stage one tick's arrivals as the fresh items, after dropping the
         items past their reach. A later call may add arrivals at this tick,
         never at an earlier one. Rejects, before the window changes, an
-        event off the tick, an event id still in the window (pairs tell
-        events apart by id) and a second event of one sensor at this tick
-        (C7 tells one sensor's readings apart by tick)."""
+        event outside the model's domain (``check_reading``), an event off
+        the tick, an event id still in the window (pairs tell events apart
+        by id) and a second event of one sensor at this tick (C7 tells one
+        sensor's readings apart by tick)."""
         if self.last_tick is not None and tick < self.last_tick:
             raise OutOfOrderTickError(
                 f"tick {tick} arrived after tick {self.last_tick}")
@@ -286,6 +289,7 @@ class DetectionWindow:
         history = self._events_by_sensor
         ids, sensors = set(), set()
         for event in events:
+            check_reading(event.time, event.value)
             if event.time != tick:
                 raise OutOfOrderTickError(
                     f"events in one batch span ticks {tick} and {event.time}")
@@ -312,6 +316,7 @@ class DetectionWindow:
         for action in self._fresh_actions:
             by_signature[action.event.signature].append(action)
         self._actions.extend(self._fresh_actions)
+        self._events.extend(self._fresh_events)
         for event in self._fresh_events:
             self._event_times[event.id] = event.time
             self._events_by_sensor[event.sensor].append(event)
@@ -330,17 +335,14 @@ class DetectionWindow:
             if not bucket:
                 del by_signature[action.event.signature]
         del self._actions[:expired]
-        # Ticks only grow, so the first id in ``_event_times`` is the
-        # oldest event and each sensor's deque is sorted by time.
+        # Likewise each expired event, taken oldest first, is at the head of
+        # its sensor's deque.
         cutoff = now - self.cfg.horizon
-        times = self._event_times
-        if not times or next(iter(times.values())) >= cutoff:
-            return
-        for sensor, events in list(self._events_by_sensor.items()):
-            while events and events[0].time < cutoff:
-                del times[events.popleft().id]
-            if not events:
-                del self._events_by_sensor[sensor]
+        events, history = self._events, self._events_by_sensor
+        while events and events[0].time < cutoff:
+            event = events.popleft()
+            del self._event_times[event.id]
+            history[event.sensor].popleft()
 
     def candidate_pairs(self) -> Iterator[tuple]:
         """Unordered action pairs with at least one fresh member that some
@@ -371,14 +373,6 @@ class DetectionWindow:
                         yield b, a
             for j in range(i + 1, len(fresh)):
                 yield a, fresh[j]
-
-    def sensor_histories(self) -> Iterator[tuple[Event, deque]]:
-        """Each fresh event with the earlier events of its sensor in the
-        window. One sensor emits once per tick, so fresh events never
-        pair with each other."""
-        history = self._events_by_sensor
-        for event in self._fresh_events:
-            yield event, history.get(event.sensor, ())
 
 
 def _ordered(a: TriggeredAction, b: TriggeredAction):
@@ -525,12 +519,16 @@ def classify_pair(a: TriggeredAction, b: TriggeredAction,
 def check_c7(window: DetectionWindow, registry: Registry) -> list[Conflict]:
     """One sensor repeats a reading within the window config's duplicate
     window, up to the sensor's declared tolerance. The later event is
-    marked suppressible so enforcement can drop its actions."""
+    marked suppressible so enforcement can drop its actions. Each fresh
+    event is compared with the earlier events of its sensor in the window;
+    one sensor emits once per tick, so fresh events never pair with each
+    other."""
     out = []
     span = window.cfg.duplicate_window
-    for later, history in window.sensor_histories():
+    history = window._events_by_sensor
+    for later in window._fresh_events:
         tolerance = registry.sensors[later.sensor].tolerance
-        for earlier in history:
+        for earlier in history.get(later.sensor, ()):
             gap = later.time - earlier.time
             # The value test is cheaper than comparing signatures, and on a
             # chatty sensor most pairs fail it.

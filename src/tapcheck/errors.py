@@ -53,7 +53,13 @@ class UnknownActionError(TapcheckError):
 
 
 class UnknownSensorKindError(TapcheckError):
-    """An event's sensor or its kind is not declared in the registry."""
+    """An event's sensor is not declared in the registry, or the event names
+    a kind or location other than its sensor's."""
+
+
+class InvalidEventError(TapcheckError):
+    """An event's tick is not an integer >= 0, or its value is not
+    finite."""
 
 
 class OutOfOrderTickError(TapcheckError):

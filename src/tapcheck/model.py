@@ -6,13 +6,18 @@ feature-dependency graph, the action-relation table, and the detector tuning
 knobs. Every type here is immutable after construction, so instances can be
 shared across threads without coordination. Facts derived from a frozen
 object (the trigger index, the action-class table, each feature closure,
-the similar signatures) are cached on it at first use and never change
-afterwards.
+the similar signatures, the config's pair reach and horizon) are cached on
+it at first use and never change afterwards.
 
 Time is a non-negative integer tick. Within one event stream ticks never
-decrease, and a single sensor emits at most one event per tick.
+decrease, and a single sensor emits at most one event per tick. Each
+reading meets two statements here, which the trace parser and the
+detector both call: ``check_reading`` (an ``int`` tick >= 0, a finite
+value) and ``Registry.reading_sensor`` (a declared sensor, named with its
+own kind and location).
 """
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -21,8 +26,10 @@ from typing import Callable, Collection, Sequence
 
 from .errors import (
     InvalidConfigError,
+    InvalidEventError,
     UnknownActionError,
     UnknownFeatureError,
+    UnknownSensorKindError,
 )
 
 Tick = int
@@ -107,6 +114,17 @@ class Event:
     value: float
     unit: str
     signature: EventSignature
+
+
+def check_reading(time: Tick, value: float) -> None:
+    """Reject a reading outside the model's domain: its tick must be an
+    ``int`` (not a ``bool``) >= 0, and its value finite."""
+    if not math.isfinite(value):
+        raise InvalidEventError(f"value {value!r} is not finite")
+    if not isinstance(time, int) or isinstance(time, bool):
+        raise InvalidEventError(f"tick {time!r} is not an integer")
+    if time < 0:
+        raise InvalidEventError("tick must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -203,6 +221,23 @@ class Registry:
             out.setdefault(sensor.kind, []).append(sensor)
         return {k: tuple(v) for k, v in out.items()}
 
+    def reading_sensor(self, sensor_id: str, kind: str,
+                       location: str) -> Sensor:
+        """The sensor of a reading that names ``sensor_id``, ``kind`` and
+        ``location``, after checking that the sensor is declared, of that
+        kind and at that location."""
+        sensor = self.sensors.get(sensor_id)
+        if sensor is None:
+            raise UnknownSensorKindError(f"undeclared sensor {sensor_id!r}")
+        if kind != sensor.kind:
+            raise UnknownSensorKindError(
+                f"sensor {sensor_id!r} is kind {sensor.kind!r}, not {kind!r}")
+        if location != sensor.location:
+            raise UnknownSensorKindError(
+                f"sensor {sensor_id!r} sits in {sensor.location!r}, "
+                f"not {location!r}")
+        return sensor
+
     def actuator_kind(self, actuator_id: str) -> str:
         return self.actuators[actuator_id].kind
 
@@ -289,27 +324,11 @@ class FeatureDependencyGraph:
             raise UnknownFeatureError(f"unknown feature {feature!r}")
         return near
 
-    @cached_property
-    def _related_to_any(self) -> dict[frozenset[str], frozenset[str]]:
-        return {}
-
-    def related_to_any(self, features: frozenset[str]) -> frozenset[str]:
+    def related_to_any(self, features: Collection[str]) -> frozenset[str]:
         """Features equal or dependent to some feature of ``features``,
-        such as an action's affected features. Each distinct set is
-        computed once per graph; an undeclared feature raises."""
-        near = self._related_to_any.get(features)
-        if near is None:
-            near = frozenset().union(*map(self.related_to, features))
-            self._related_to_any[features] = near
-        return near
-
-    def any_related(self, fs1: frozenset[str], fs2: frozenset[str]) -> bool:
-        """Some feature of one set equals or depends on some feature of
-        the other. An undeclared feature in either set raises."""
-        if not self.related_to_any(fs1).isdisjoint(fs2):
-            return True
-        self.related_to_any(fs2)  # an undeclared feature raises
-        return False
+        such as an action's affected features; an undeclared feature
+        raises."""
+        return frozenset().union(*map(self.related_to, features))
 
 
 ActionClass = tuple[str, str]  # (actuator kind, action name)
@@ -401,12 +420,12 @@ class DetectorConfig:
         if self.same_tick_epsilon < 0:
             raise InvalidConfigError("same_tick_epsilon must be >= 0")
 
-    @property
+    @cached_property
     def pair_reach(self) -> int:
         """How many ticks back a pair policy (C1 to C6) can look."""
         return max(self.same_tick_epsilon, self.overlap_window)
 
-    @property
+    @cached_property
     def horizon(self) -> int:
         """How many ticks back any check can possibly look."""
         return max(self.pair_reach, self.duplicate_window)
@@ -429,9 +448,12 @@ class DetectorConfig:
     def features_related(self, fs1: Collection[str],
                          fs2: Collection[str]) -> bool:
         """Existential feature test: some feature of one action equals or
-        depends on some feature of the other."""
-        return self.dependency_graph.any_related(frozenset(fs1),
-                                                 frozenset(fs2))
+        depends on some feature of the other. An undeclared feature in
+        either set raises."""
+        graph = self.dependency_graph
+        near = graph.related_to_any(fs1)
+        graph.related_to_any(fs2)  # an undeclared feature raises
+        return not near.isdisjoint(fs2)
 
 
 def overlapping_events(e1: Event, e2: Event, cfg: DetectorConfig) -> bool:

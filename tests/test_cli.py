@@ -256,6 +256,22 @@ class TestMonitor:
                      "--trace", str(trace)]) == 2
         assert "ghost" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row,message", [
+        ("6,leak1,smoke,==,1,room1",
+         "sensor 'leak1' is kind 'leak', not 'smoke'"),
+        ("6,leak1,leak,==,1,room2",
+         "sensor 'leak1' sits in 'room1', not 'room2'"),
+        ("-6,leak1,leak,==,1,room1", "tick must be >= 0")])
+    def test_reading_off_its_sensor_names_its_line(
+            self, alarm_ruleset, tmp_path, row, message, capsys):
+        trace = tmp_path / "bad.csv"
+        trace.write_text(
+            "tick,sensor,kind,predicate,value,location\n"
+            f"5,smoke1,smoke,==,1,room1\n{row}\n", encoding="utf-8")
+        assert main(["monitor", "--ruleset", str(alarm_ruleset),
+                     "--trace", str(trace)]) == 2
+        assert capsys.readouterr().err == f"error: {message} (line 3)\n"
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_reading_exits_two(self, alarm_ruleset, tmp_path,
                                           value, capsys):

@@ -1,5 +1,6 @@
 """Policy checks and the tick-by-tick detection loop."""
 
+import math
 import weakref
 from dataclasses import replace
 
@@ -18,11 +19,13 @@ from tapcheck.errors import (
     DuplicateEventIdError,
     DuplicateSensorReadingError,
     InvalidConfigError,
+    InvalidEventError,
     OutOfOrderTickError,
     UnknownActionError,
     UnknownFeatureError,
     UnknownSensorKindError,
 )
+from tapcheck.model import Cmp, EventSignature
 
 
 def pairs_of(kind, rs, cfg, events):
@@ -698,3 +701,47 @@ class TestDetectAtTick:
                            window, cfg)
         detect_at_tick([ev(rs, "e1", "leak1", 6 + cfg.horizon, 1)], rs,
                        window, cfg)
+
+    @pytest.mark.parametrize("fault,error", [
+        ({"signature": EventSignature("smoke", Cmp.EQ, "room2")},
+         UnknownSensorKindError),
+        ({"signature": EventSignature("leak", Cmp.EQ, "room1")},
+         UnknownSensorKindError),
+        ({"sensor": "ghost"}, UnknownSensorKindError),
+        ({"time": -5}, InvalidEventError),
+        ({"time": 2.5}, InvalidEventError),
+        ({"time": True}, InvalidEventError),
+        ({"value": math.nan}, InvalidEventError),
+        ({"value": math.inf}, InvalidEventError),
+        ({"value": -math.inf}, InvalidEventError)],
+        ids=["location", "kind", "undeclared", "negative", "fraction",
+             "bool", "nan", "inf", "-inf"])
+    def test_reading_off_its_sensor_or_domain_rejected(self, alarm_home,
+                                                       fault, error):
+        # The same checks a trace file's rows meet: each raises before the
+        # window changes, so the stream goes on as if the batch never came.
+        rs, cfg = alarm_home
+        window = DetectionWindow(cfg)
+        bad = replace(ev(rs, "e1", "smoke1", 0, 1), **fault)
+        with pytest.raises(error):
+            detect_at_tick([bad], rs, window, cfg)
+        assert window.last_tick is None
+        assert kinds_of(detect_at_tick([ev(rs, "e1", "smoke1", 0, 1),
+                                        ev(rs, "e2", "leak1", 0, 1)],
+                                       rs, window, cfg)) == ["C1"]
+
+    def test_each_event_dropped_exactly_past_the_horizon(self, alarm_home):
+        # Sensors report on different ticks, so the oldest event often
+        # belongs to a sensor that is silent at the tick that expires it.
+        rs, cfg = alarm_home
+        window = DetectionWindow(cfg)
+        fed = []  # (tick, weak reference) per event
+        for tick in range(3 * cfg.horizon):
+            batch = [ev(rs, f"{sensor}@{tick}", sensor, tick, tick % 2)
+                     for sensor, reports in (
+                         ("smoke1", tick % 2 == 0), ("co1", tick % 2 == 1),
+                         ("leak1", tick % 3 == 0)) if reports]
+            detect_at_tick(batch, rs, window, cfg)
+            fed += [(tick, weakref.ref(event)) for event in batch]
+            assert all((ref() is None) == (time < tick - cfg.horizon)
+                       for time, ref in fed)

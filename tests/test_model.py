@@ -60,6 +60,14 @@ class TestDependentFeatures:
         with pytest.raises(UnknownFeatureError):
             g.related_to("zzz")
 
+    @pytest.mark.parametrize("fs1,fs2", [
+        ({"zzz"}, {"a"}), ({"a"}, {"zzz"}), ({"a"}, {"b", "zzz"})])
+    def test_features_related_rejects_either_side(self, fs1, fs2):
+        cfg = DetectorConfig(dependency_graph=graph_of("ab", [("a", "b")]),
+                             action_relations=ActionRelationTable({}))
+        with pytest.raises(UnknownFeatureError):
+            cfg.features_related(fs1, fs2)
+
     def test_self_loop_rejected(self):
         with pytest.raises(InvalidConfigError):
             graph_of("ab", [("a", "a")])
