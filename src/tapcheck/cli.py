@@ -105,7 +105,7 @@ def _apply_overrides(cfg: DetectorConfig, args) -> DetectorConfig:
     updates = {}
     if args.overlap_window is not None:
         updates["overlap_window"] = args.overlap_window
-    if args.dup_window is not None:
+    if getattr(args, "dup_window", None) is not None:
         updates["duplicate_window"] = args.dup_window
     if args.epsilon is not None:
         updates["same_tick_epsilon"] = args.epsilon
@@ -339,17 +339,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "rulesets.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, detects=True):
+        # Static analysis never reads the duplicate-reading window (C7).
         p.add_argument("--overlap-window", type=int, default=None,
                        help="override the overlapping-events window")
-        p.add_argument("--dup-window", type=int, default=None,
-                       help="override the duplicate-reading window")
+        if detects:
+            p.add_argument("--dup-window", type=int, default=None,
+                           help="override the duplicate-reading window")
         p.add_argument("--epsilon", type=int, default=None,
                        help="override same-tick simultaneity slack")
 
     p_check = sub.add_parser("check", help="static ruleset analysis")
     p_check.add_argument("--ruleset", required=True)
-    common(p_check)
+    common(p_check, detects=False)
     p_check.set_defaults(func=cmd_check)
 
     p_mon = sub.add_parser("monitor", help="run a trace through the detector")

@@ -24,18 +24,17 @@ is compiled once per stream, the first time it fires, into a
 ``RuleProfile``: what the policies read of it. ``policy_kinds`` is the one
 statement of C1 to C6, and one ``PolicyTable`` per config holds its
 answers per tuple of pair facts (read off two profiles) and gap class, so
-classifying a pair takes two profile reads and one table read. Checks
-only consider pairs with an item from the current call, so each violating
-pair is reported exactly once over the lifetime of a stream. Each event
-meets the model's reading facts at the boundary: ``match_rules`` checks
-its sensor, kind and location (``Registry.reading_sensor``), and the
-window its tick and value (``check_reading``). The window also enforces
-the stream's invariants (ticks never decrease, unique event ids, one
-event per sensor per tick), all before it changes, and keeps each item
-only while a policy can read it: firings for max(eps, W) ticks, filed by
-event signature, and events for the config horizon, in tick order. Past
-the epsilon only similar events pair: C1, C2, C5 and C6 need a gap within
-the epsilon, and C3 and C4 need overlapping events, so
+classifying a pair takes two profile reads and one table read.
+``DetectionWindow.admit`` takes each batch in one step: it checks the
+events against the model's reading facts and the stream's invariants,
+matches them and compiles the profiles of rules firing for the first time,
+all before the window changes. Checks only consider pairs with an item
+from the current call, so each violating pair is reported exactly once
+over the lifetime of a stream. The window keeps each item only while a
+policy can read it: firings for max(eps, W) ticks, filed by event
+signature, and events for the config horizon, in tick order. Past the
+epsilon only similar events pair: C1, C2, C5 and C6 need a gap within the
+epsilon, and C3 and C4 need overlapping events, so
 ``DetectionWindow.candidate_pairs`` forms only the pairs some policy can
 flag.
 
@@ -48,6 +47,7 @@ from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from operator import attrgetter
 from typing import Iterator
 
@@ -231,10 +231,9 @@ class DetectionWindow:
 
     ``cfg`` is the stream's one detector config: the window's reach, its
     candidate pairs, C7 and every ``detect_at_tick`` call read it.
-    ``ruleset`` is the stream's one ruleset, set by the first
-    ``detect_at_tick`` call; ``profiles`` holds a ``RuleProfile`` per rule
-    that has fired, at the rule's index, and ``table`` is the config's
-    ``PolicyTable``.
+    ``ruleset`` is the stream's one ruleset, set by the first ``admit``;
+    ``profiles`` holds a ``RuleProfile`` per rule that has fired, at the
+    rule's index, and ``table`` is the config's ``PolicyTable``.
     """
 
     def __init__(self, cfg: DetectorConfig):
@@ -250,38 +249,22 @@ class DetectionWindow:
         self._events: deque[Event] = deque()
         self._events_by_sensor = defaultdict(deque)
         self._event_times: dict[str, Tick] = {}  # id -> tick
-        self._fresh_actions: list[TriggeredAction] = []
-        self._fresh_events: list[Event] = []
 
-    def compile_rules(self, ruleset: RuleSet,
-                      actions: list[TriggeredAction]
-                      ) -> list[RuleProfile | None]:
-        """The stream's rule profiles, after building those of the rules
-        that fire in ``actions`` for the first time. Rejects a ruleset other
-        than the stream's, and an undeclared action or feature of a firing
-        rule, before the window changes."""
-        if ruleset is not self.ruleset:
-            if self.ruleset is None:
-                self.ruleset = ruleset
-                self.profiles = [None] * len(ruleset.rules)
-            elif ruleset != self.ruleset:
-                raise InvalidConfigError(
-                    "detect_at_tick got a ruleset other than its window's")
-        profiles, cfg = self.profiles, self.cfg
-        for action in actions:
-            if profiles[action.index] is None:
-                profiles[action.index] = RuleProfile.of(action, cfg)
-        return profiles
-
-    def begin_tick(self, tick: Tick, events: list[Event],
-                   actions: list[TriggeredAction]) -> None:
-        """Stage one tick's arrivals as the fresh items, after dropping the
-        items past their reach. A later call may add arrivals at this tick,
-        never at an earlier one. Rejects, before the window changes, an
-        event outside the model's domain (``check_reading``), an event off
-        the tick, an event id still in the window (pairs tell events apart
-        by id) and a second event of one sensor at this tick (C7 tells one
-        sensor's readings apart by tick)."""
+    def admit(self, events: list[Event], ruleset: RuleSet) -> int:
+        """Take in one tick's events, at least one, with the rule firings
+        they trigger, after dropping the items past their reach; return the
+        position in ``_actions`` of the first new firing. A later call may
+        add events at this tick, never at an earlier one. Every check runs
+        before the window changes, in this order: each event's tick and
+        value (``check_reading``); the stream's invariants (ticks never
+        decrease, one tick per batch, event ids unique in the window since
+        pairs tell events apart by id, one reading per sensor per tick since
+        C7 tells a sensor's readings apart by tick); each event's sensor,
+        kind and location (``match_rules``); the stream's ruleset; and the
+        profile of each rule firing for the first time."""
+        for event in events:
+            check_reading(event.time, event.value)
+        tick = events[0].time
         if self.last_tick is not None and tick < self.last_tick:
             raise OutOfOrderTickError(
                 f"tick {tick} arrived after tick {self.last_tick}")
@@ -289,7 +272,6 @@ class DetectionWindow:
         history = self._events_by_sensor
         ids, sensors = set(), set()
         for event in events:
-            check_reading(event.time, event.value)
             if event.time != tick:
                 raise OutOfOrderTickError(
                     f"events in one batch span ticks {tick} and {event.time}")
@@ -305,23 +287,31 @@ class DetectionWindow:
                 raise DuplicateSensorReadingError(
                     f"sensor {event.sensor!r} emits twice at tick {tick}")
             sensors.add(event.sensor)
+        actions = [ta for event in events
+                   for ta in match_rules(event, ruleset)]
+        if ruleset is not self.ruleset:
+            if self.ruleset is None:
+                self.ruleset = ruleset
+                self.profiles = [None] * len(ruleset.rules)
+            elif ruleset != self.ruleset:
+                raise InvalidConfigError(
+                    "detect_at_tick got a ruleset other than its window's")
+        profiles, cfg = self.profiles, self.cfg
+        for action in actions:
+            if profiles[action.index] is None:
+                profiles[action.index] = RuleProfile.of(action, cfg)
         self.last_tick = tick
         self._evict(tick)
-        self._fresh_events = list(events)
-        self._fresh_actions = list(actions)
-
-    def commit_tick(self) -> None:
-        """Absorb the staged arrivals into the window."""
+        start = len(self._actions)
+        self._actions.extend(actions)
         by_signature = self._by_signature
-        for action in self._fresh_actions:
+        for action in actions:
             by_signature[action.event.signature].append(action)
-        self._actions.extend(self._fresh_actions)
-        self._events.extend(self._fresh_events)
-        for event in self._fresh_events:
+        self._events.extend(events)
+        for event in events:
             self._event_times[event.id] = event.time
-            self._events_by_sensor[event.sensor].append(event)
-        self._fresh_actions = []
-        self._fresh_events = []
+            history[event.sensor].append(event)
+        return start
 
     def _evict(self, now: Tick) -> None:
         expired = bisect_left(self._actions, now - self.cfg.pair_reach,
@@ -344,12 +334,12 @@ class DetectionWindow:
             del self._event_times[event.id]
             history[event.sensor].popleft()
 
-    def candidate_pairs(self) -> Iterator[tuple]:
-        """Unordered action pairs with at least one fresh member that some
-        pair policy can flag, each once, as (older, fresh) or as two fresh
-        actions in arrival order.
+    def candidate_pairs(self, start: int) -> Iterator[tuple]:
+        """Unordered action pairs with at least one new member, the actions
+        from ``start`` on, that some pair policy can flag, each once, as
+        (older, new) or as two new actions in arrival order.
 
-        Within ``same_tick_epsilon`` of a fresh action every action pairs
+        Within ``same_tick_epsilon`` of a new action every action pairs
         with it. Past the epsilon, up to max(epsilon, overlap window), only
         actions whose events are similar to its event do, read from the
         buckets of the signatures in ``DetectorConfig.similar_signatures``:
@@ -360,19 +350,24 @@ class DetectionWindow:
         reach = cfg.pair_reach
         similar = cfg.similar_signatures
         by_signature = self._by_signature
-        fresh, older = self._fresh_actions, self._actions
-        for i, a in enumerate(fresh):
+        actions = self._actions
+        end = len(actions)
+        for i in range(start, end):
+            a = actions[i]
             near = a.time - eps
-            for j in range(bisect_left(older, near, key=_time), len(older)):
-                yield older[j], a
+            for j in range(bisect_left(actions, near, 0, start, key=_time),
+                           start):
+                yield actions[j], a
             if reach > eps:
+                # The buckets hold the new actions too, at the tick, so at
+                # or past ``near``: ``_between`` leaves them out.
                 far = a.time - reach
                 signature = a.event.signature
                 for sig in similar.get(signature, (signature,)):
                     for b in _between(by_signature.get(sig), far, near):
                         yield b, a
-            for j in range(i + 1, len(fresh)):
-                yield a, fresh[j]
+            for j in range(i + 1, end):
+                yield a, actions[j]
 
 
 def _ordered(a: TriggeredAction, b: TriggeredAction):
@@ -516,19 +511,22 @@ def classify_pair(a: TriggeredAction, b: TriggeredAction,
                      PolicyTable(cfg))
 
 
-def check_c7(window: DetectionWindow, registry: Registry) -> list[Conflict]:
+def check_c7(window: DetectionWindow, events: list[Event],
+             registry: Registry) -> list[Conflict]:
     """One sensor repeats a reading within the window config's duplicate
     window, up to the sensor's declared tolerance. The later event is
-    marked suppressible so enforcement can drop its actions. Each fresh
-    event is compared with the earlier events of its sensor in the window;
-    one sensor emits once per tick, so fresh events never pair with each
-    other."""
+    marked suppressible so enforcement can drop its actions. Each of
+    ``events``, the batch the window last admitted, is compared with the
+    earlier events of its sensor in the window: its sensor's deque but the
+    last entry, the event itself. One sensor emits once per tick, so the
+    batch's events never pair with each other."""
     out = []
     span = window.cfg.duplicate_window
     history = window._events_by_sensor
-    for later in window._fresh_events:
+    for later in events:
         tolerance = registry.sensors[later.sensor].tolerance
-        for earlier in history.get(later.sensor, ()):
+        readings = history[later.sensor]
+        for earlier in islice(readings, len(readings) - 1):
             gap = later.time - earlier.time
             # The value test is cheaper than comparing signatures, and on a
             # chatty sensor most pairs fail it.
@@ -581,9 +579,9 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
     Every finding of one call has the call's tick, and the kind names sort
     C7 after C1 to C6, so the C1 to C6 findings, sorted by kind and
     participant keys, come first. Each C7
-    finding pairs a fresh reading, at this tick, with an earlier reading
+    finding pairs a new reading, at this tick, with an earlier reading
     of the same sensor; a sensor emits once per tick and ids are unique in
-    the window (both checked by ``begin_tick``), so the earlier reading
+    the window (both checked by ``admit``), so the earlier reading
     names the finding, and its (time, id) orders the C7 findings as their
     keys would. Ids compare as strings, as in the key: "e10" < "e9".
     """
@@ -592,17 +590,13 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
             "detect_at_tick got a detector config other than its window's")
     if not new_events:
         return []
-    actions = [ta for event in new_events
-               for ta in match_rules(event, ruleset)]
-    profiles = window.compile_rules(ruleset, actions)
-    window.begin_tick(new_events[0].time, new_events, actions)
-    table = window.table
+    start = window.admit(new_events, ruleset)
+    profiles, table = window.profiles, window.table
     conflicts = []
-    for a, b in window.candidate_pairs():
+    for a, b in window.candidate_pairs(start):
         conflicts.extend(_classify(a, b, profiles[a.index], profiles[b.index],
                                    table))
-    repeats = check_c7(window, ruleset.registry)
-    window.commit_tick()
+    repeats = check_c7(window, new_events, ruleset.registry)
     conflicts.sort(key=_pair_order)
     repeats.sort(key=_earlier_reading)
     return conflicts + repeats

@@ -118,8 +118,12 @@ class Event:
 
 def check_reading(time: Tick, value: float) -> None:
     """Reject a reading outside the model's domain: its tick must be an
-    ``int`` (not a ``bool``) >= 0, and its value finite."""
-    if not math.isfinite(value):
+    ``int`` (not a ``bool``) >= 0, and its value a finite number."""
+    try:
+        finite = math.isfinite(value)
+    except TypeError as exc:
+        raise InvalidEventError(f"value {value!r} is not a number") from exc
+    if not finite:
         raise InvalidEventError(f"value {value!r} is not finite")
     if not isinstance(time, int) or isinstance(time, bool):
         raise InvalidEventError(f"tick {time!r} is not an integer")

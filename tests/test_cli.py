@@ -24,6 +24,65 @@ from tapcheck.scenarios import fixture_text
 # YAML's indicators and whitespace, plus characters YAML forbids or treats
 # specially, for character-level mutations of a document.
 MUTATION_ALPHABET = list("\t?:{}[],\x00\ufeff -#'\"|>&*!\n") + ["a", "1"]
+# CSV separators, number syntax and names the simulated logs use, for
+# mutations of a trace or a conflict log.
+CSV_ALPHABET = list(",\n\r\t .-+e019\x00\ufeff\"") + [
+    "nan", "inf", "1e999", "smoke1", "room2", "==", "C7", "C9"]
+
+
+def mutated(data, text, alphabet, lines=False):
+    """``text`` with a few characters inserted, deleted or replaced, drawn
+    from ``alphabet``. With ``lines`` the header line is kept, and the rows
+    are first cut to the opening ones, and maybe one row copied to another
+    place, so row order, repeats and the end of the file vary too."""
+    header = ""
+    if lines:
+        header, *rows = text.splitlines(keepends=True)
+        rows = rows[:data.draw(st.integers(1, min(len(rows), 40)))]
+        if data.draw(st.booleans()):
+            rows.insert(data.draw(st.integers(0, len(rows))),
+                        data.draw(st.sampled_from(rows)))
+        text = "".join(rows)
+    text = list(text)
+    for _ in range(data.draw(st.integers(1, 4))):
+        op = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+        at = data.draw(st.integers(0, len(text) - 1))
+        char = data.draw(st.sampled_from(alphabet))
+        if op == "insert":
+            text.insert(at, char)
+        elif op == "delete":
+            del text[at]
+        else:
+            text[at] = char
+    return header + "".join(text)
+
+
+def exits_cleanly(argv):
+    """Run the CLI: it passes or finds conflicts with nothing on stderr, or
+    reports an input error on exactly one line. It never ends in a
+    traceback."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    """The output directories of one S3 and one S5 run at seed 1: their
+    ruleset, event trace and conflict log."""
+    out = tmp_path_factory.mktemp("simulated")
+    with redirect_stdout(io.StringIO()):
+        for sid in ("S3", "S5"):
+            main(["simulate", "--scenario", sid, "--seed", "1",
+                  "--out", str(out / sid)])
+    return out
+
 
 CLEAN_DOC = """
 registry:
@@ -131,28 +190,11 @@ class TestCheck:
         # the loader tapcheck picks when PyYAML lacks libyaml.
         if loader == "pure":
             monkeypatch.setattr(parsing, "_LOADER", yaml.SafeLoader)
-        text = list(fixture_text(data.draw(st.sampled_from(FIXTURES))))
-        for _ in range(data.draw(st.integers(1, 4))):
-            op = data.draw(st.sampled_from(["insert", "delete", "replace"]))
-            at = data.draw(st.integers(0, len(text) - 1))
-            char = data.draw(st.sampled_from(MUTATION_ALPHABET))
-            if op == "insert":
-                text.insert(at, char)
-            elif op == "delete":
-                del text[at]
-            else:
-                text[at] = char
+        text = fixture_text(data.draw(st.sampled_from(FIXTURES)))
         path = tmp_path / "mutant.yaml"
-        path.write_text("".join(text), encoding="utf-8")
-        err = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
-            code = main(["check", "--ruleset", str(path)])
-        assert code in (0, 1, 2)
-        if code == 2:
-            assert err.getvalue().startswith("error: ")
-            assert err.getvalue().count("\n") == 1
-        else:
-            assert err.getvalue() == ""
+        path.write_text(mutated(data, text, MUTATION_ALPHABET),
+                        encoding="utf-8")
+        exits_cleanly(["check", "--ruleset", str(path)])
 
 
 @pytest.fixture
@@ -284,6 +326,22 @@ class TestMonitor:
                      "--trace", str(trace)]) == 2
         err = capsys.readouterr().err
         assert "line 3" in err and err.count("\n") == 1
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_trace_exits_cleanly(self, data, simulated, tmp_path):
+        # A simulated event trace, cut, maybe with a row copied elsewhere,
+        # and with a few characters changed: the row parser, the stream
+        # checks and the detector's checks each end in one error line,
+        # never a traceback.
+        run = simulated / data.draw(st.sampled_from(["S3", "S5"]))
+        text = (run / "events_1.csv").read_text(encoding="utf-8")
+        path = tmp_path / "mutant.csv"
+        path.write_text(mutated(data, text, CSV_ALPHABET, lines=True),
+                        encoding="utf-8")
+        exits_cleanly(["monitor", "--ruleset", str(run / "ruleset.yaml"),
+                       "--trace", str(path)])
 
 
 # sha256 of each simulate output file, per built-in scenario at seed 1.
@@ -575,6 +633,16 @@ class TestReport:
         assert err.startswith("error: cannot read") and err.count("\n") == 1
         assert "conflicts_0.csv" in err
 
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_log_exits_cleanly(self, data, simulated, tmp_path):
+        run = simulated / data.draw(st.sampled_from(["S3", "S5"]))
+        text = (run / "conflicts_1.csv").read_text(encoding="utf-8")
+        (tmp_path / "conflicts_1.csv").write_text(
+            mutated(data, text, CSV_ALPHABET, lines=True), encoding="utf-8")
+        exits_cleanly(["report", "--out", str(tmp_path)])
+
 
 class TestOverrides:
     def test_dup_window_override_changes_monitor(self, tmp_path, capsys):
@@ -587,6 +655,16 @@ class TestOverrides:
             "20,temp1,temperature,==,60.0,room1\n", encoding="utf-8")
         assert main(["monitor", "--ruleset", str(doc), "--trace", str(trace),
                      "--dup-window", "10"]) == 0
+
+    def test_check_takes_no_dup_window(self, clean_ruleset, capsys):
+        # Static analysis never reads the duplicate-reading window, so
+        # ``check`` has no flag to set it.
+        with pytest.raises(SystemExit) as exit_:
+            main(["check", "--ruleset", str(clean_ruleset),
+                  "--dup-window", "3"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --dup-window 3" in (
+            capsys.readouterr().err)
 
 
 USER_SCENARIO = """

@@ -42,13 +42,12 @@ def kinds_of(conflicts):
 
 def staged_at_zero(rs, cfg):
     """A window holding one smoke reading at tick 0 and its one firing,
-    staged and committed without a detector call, with weak references to
-    the two: the window holds the only strong ones."""
+    admitted without a detector call, with weak references to the two: the
+    window holds the only strong ones."""
     window = DetectionWindow(cfg)
     event = ev(rs, "e1", "smoke1", 0, 1)
-    (firing,) = match_rules(event, rs)
-    window.begin_tick(0, [event], [firing])
-    window.commit_tick()
+    assert window.admit([event], rs) == 0
+    (firing,) = window._actions
     return window, weakref.ref(firing), weakref.ref(event)
 
 
@@ -554,12 +553,11 @@ class TestDetectAtTick:
         rs, cfg = alarm_home
         window, firing, event = staged_at_zero(rs, cfg)
         e2 = ev(rs, "e2", "smoke1", cfg.horizon, 1)
-        window.begin_tick(e2.time, [e2], match_rules(e2, rs))
+        window.admit([e2], rs)
         assert firing() is None and event() is not None
-        assert len(check_c7(window, rs.registry)) == 1
-        window.commit_tick()
+        assert len(check_c7(window, [e2], rs.registry)) == 1
         e3 = ev(rs, "e3", "leak1", cfg.horizon + 1, 1)
-        window.begin_tick(e3.time, [e3], match_rules(e3, rs))
+        window.admit([e3], rs)
         assert event() is None
 
     @pytest.mark.parametrize("beyond", [0, 1])
@@ -572,10 +570,10 @@ class TestDetectAtTick:
         assert cfg.pair_reach < cfg.horizon
         window, firing, event = staged_at_zero(rs, cfg)
         e2 = ev(rs, "e2", "smoke1", cfg.pair_reach + beyond, 1)
-        window.begin_tick(e2.time, [e2], match_rules(e2, rs))
+        start = window.admit([e2], rs)
         assert (firing() is None) == bool(beyond)
         assert event() is not None
-        assert len(list(window.candidate_pairs())) == 1 - beyond
+        assert len(list(window.candidate_pairs(start))) == 1 - beyond
 
     def test_config_other_than_the_windows_rejected(self):
         # A window built at W=1 keeps each firing for one tick, so a call
@@ -713,9 +711,13 @@ class TestDetectAtTick:
         ({"time": True}, InvalidEventError),
         ({"value": math.nan}, InvalidEventError),
         ({"value": math.inf}, InvalidEventError),
-        ({"value": -math.inf}, InvalidEventError)],
+        ({"value": -math.inf}, InvalidEventError),
+        ({"value": "1"}, InvalidEventError),
+        ({"value": None}, InvalidEventError),
+        ({"time": "3"}, InvalidEventError)],
         ids=["location", "kind", "undeclared", "negative", "fraction",
-             "bool", "nan", "inf", "-inf"])
+             "bool", "nan", "inf", "-inf", "str-value", "none-value",
+             "str-tick"])
     def test_reading_off_its_sensor_or_domain_rejected(self, alarm_home,
                                                        fault, error):
         # The same checks a trace file's rows meet: each raises before the

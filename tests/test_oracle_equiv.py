@@ -18,6 +18,13 @@ from tapcheck.detector import (
     detect_at_tick,
     match_rules,
 )
+from tapcheck.errors import (
+    DuplicateEventIdError,
+    DuplicateSensorReadingError,
+    InvalidEventError,
+    OutOfOrderTickError,
+    UnknownSensorKindError,
+)
 from tapcheck.model import Cmp, Event, EventSignature, Relation
 from tapcheck.oracle import _pair_kinds, oracle_detect
 
@@ -217,11 +224,9 @@ def formed_pairs(trace, rs, cfg) -> list[frozenset]:
     window = DetectionWindow(cfg)
     formed = []
     for batch in group_by_tick(trace):
-        actions = [ta for e in batch for ta in match_rules(e, rs)]
-        window.begin_tick(batch[0].time, batch, actions)
+        start = window.admit(batch, rs)
         formed.extend(frozenset((a.key(), b.key()))
-                      for a, b in window.candidate_pairs())
-        window.commit_tick()
+                      for a, b in window.candidate_pairs(start))
     return formed
 
 
@@ -459,3 +464,63 @@ class TestSameTickBatches:
             if got and cfg.same_tick_epsilon > cfg.overlap_window:
                 seen.add("findings at eps > W")
         assert seen == {"split", "findings at eps > W"}
+
+
+def bad_batch(fault, batches, cut, cfg):
+    """The batch at ``batches[cut]`` with one fault, rejected by the window
+    after the batches before it, or None when this cut cannot hold it. The
+    fault sits in the batch's last event, after the good ones."""
+    batch, last = batches[cut], batches[cut - 1][-1]
+    *good, event = batch
+    if fault == "str value":
+        return good + [replace(event, value="1")]
+    if fault == "nan value":
+        return good + [replace(event, value=float("nan"))]
+    if fault == "undeclared sensor":
+        return good + [replace(event, sensor="ghost")]
+    if fault == "live id":
+        if event.time - cfg.horizon > last.time:
+            return None
+        return good + [replace(event, id=last.id)]
+    if fault == "second reading":
+        return batch + [replace(batch[0], id="again")]
+    if cut < 2:  # "lower tick": before the last tick, yet a valid one
+        return None
+    return [replace(e, time=batches[0][0].time) for e in batch]
+
+
+class TestRejectedBatches:
+    @pytest.mark.parametrize("fault,error", [
+        ("str value", InvalidEventError),
+        ("nan value", InvalidEventError),
+        ("undeclared sensor", UnknownSensorKindError),
+        ("live id", DuplicateEventIdError),
+        ("second reading", DuplicateSensorReadingError),
+        ("lower tick", OutOfOrderTickError)])
+    def test_rejected_batch_leaves_the_stream_as_it_was(self, fault, error):
+        # One bad batch inserted mid-stream, into a populated window, raises
+        # and changes nothing: the stream then goes on to the same findings
+        # as the stream without it.
+        tried = 0
+        for seed in range(60):
+            rng = np.random.default_rng(180_000 + seed)
+            rs, cfg = random_ruleset(rng)
+            batches = group_by_tick(random_trace(rng, rs))
+            if len(batches) < 3:
+                continue
+            cut = int(rng.integers(1, len(batches)))
+            bad = bad_batch(fault, batches, cut, cfg)
+            if bad is None:
+                continue
+            tried += 1
+            window = DetectionWindow(cfg)
+            got = []
+            for i, batch in enumerate(batches):
+                if i == cut:
+                    with pytest.raises(error):
+                        detect_at_tick(bad, rs, window, cfg)
+                got.extend(detect_at_tick(batch, rs, window, cfg))
+            want = run_detector([e for b in batches for e in b], rs, cfg)
+            assert got == want, seed
+            assert [c.note for c in got] == [c.note for c in want], seed
+        assert tried >= 30
