@@ -55,12 +55,15 @@ from .errors import (
     DuplicateEventIdError,
     DuplicateSensorReadingError,
     InvalidConfigError,
+    InvalidEventError,
     OutOfOrderTickError,
 )
 from .model import (
     ActionSpec,
+    Cmp,
     DetectorConfig,
     Event,
+    EventSignature,
     Registry,
     Relation,
     Rule,
@@ -134,9 +137,13 @@ class Conflict:
 def match_rules(event: Event, ruleset: RuleSet) -> list[TriggeredAction]:
     """All rule firings for one event, in ruleset declaration order (the
     order ``simulator.step`` applies them in), read from the ruleset's
-    trigger index."""
+    trigger index. The event's sensor must be declared with the event's
+    kind, location and unit."""
     kind, location = event.signature.sensor_kind, event.signature.location
-    ruleset.registry.reading_sensor(event.sensor, kind, location)
+    sensor = ruleset.registry.reading_sensor(event.sensor, kind, location)
+    if event.unit != sensor.unit:
+        raise InvalidEventError(f"sensor {sensor.id!r} reads in "
+                                f"{sensor.unit!r}, not {event.unit!r}")
     # Bisecting each comparator's thresholds leaves the triggers that hold
     # on the value; the location and schedule filters finish the test of
     # ``TriggerCondition.matches``.
@@ -256,14 +263,30 @@ class DetectionWindow:
         position in ``_actions`` of the first new firing. A later call may
         add events at this tick, never at an earlier one. Every check runs
         before the window changes, in this order: each event's tick and
-        value (``check_reading``); the stream's invariants (ticks never
-        decrease, one tick per batch, event ids unique in the window since
-        pairs tell events apart by id, one reading per sensor per tick since
-        C7 tells a sensor's readings apart by tick); each event's sensor,
-        kind and location (``match_rules``); the stream's ruleset; and the
-        profile of each rule firing for the first time."""
+        value (``check_reading``), and the types of its id and sensor (str)
+        and signature (an ``EventSignature`` with a ``Cmp`` predicate),
+        before anything hashes or compares them; the stream's invariants
+        (ticks never decrease, one tick per batch, event ids unique in the
+        window since pairs tell events apart by id, one reading per sensor
+        per tick since C7 tells a sensor's readings apart by tick); each
+        event's sensor, kind, location and unit (``match_rules``); the
+        stream's ruleset; and the profile of each rule firing for the first
+        time."""
         for event in events:
             check_reading(event.time, event.value)
+            if not isinstance(event.id, str):
+                raise InvalidEventError(
+                    f"event id {event.id!r} is not a string")
+            if not isinstance(event.sensor, str):
+                raise InvalidEventError(
+                    f"event {event.id!r} sensor {event.sensor!r} is not a "
+                    "string")
+            signature = event.signature
+            if not (isinstance(signature, EventSignature)
+                    and isinstance(signature.predicate, Cmp)):
+                raise InvalidEventError(
+                    f"event {event.id!r} signature {signature!r} is not an "
+                    "EventSignature with a Cmp predicate")
         tick = events[0].time
         if self.last_tick is not None and tick < self.last_tick:
             raise OutOfOrderTickError(

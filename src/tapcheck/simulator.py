@@ -135,10 +135,17 @@ class HouseModel:
         names = [r.name for r in self.rooms]
         if len(set(names)) != len(names):
             raise SimulationError("duplicate room name in house model")
+        pairs = set()
         for a, b in self.adjacency:
             if a not in names or b not in names:
                 raise SimulationError(
                     f"adjacency references unknown room in ({a}, {b})")
+            # Each listing of a neighbour adds one more k_adj pull toward it.
+            if a == b:
+                raise SimulationError(f"adjacency joins room {a} to itself")
+            if frozenset((a, b)) in pairs:
+                raise SimulationError(f"adjacency lists ({a}, {b}) twice")
+            pairs.add(frozenset((a, b)))
         for name in ("outdoor_temperature", "daylight"):
             trace = getattr(self, name)
             values = (trace,) if isinstance(trace, (int, float)) else trace
@@ -221,19 +228,22 @@ def luminance_of(room: RoomState, house: HouseModel,
 class SourceSpec:
     """One event source.
 
-    Modes:
+    The mode says when the source fires and what it reads:
 
-    * ``bernoulli``: fires with probability ``p`` per tick; the value is
-      ``value`` or drawn uniformly from ``choices``.
+    * ``bernoulli``: fires with probability ``p`` per tick and reads
+      ``value``, or a value drawn uniformly from ``choices``.
     * ``cov``: change-of-value reporting of a room feature
-      (``temperature``/``humidity``/``luminance``); emits whenever the
-      reading moved more than ``min_delta`` since the last report.
-    * ``clock``: emits the tick of day every tick.
-    * ``script``: emits exactly at the (tick, value) pairs of ``at``.
+      (``temperature``/``humidity``/``luminance``) of its sensor's room;
+      fires at its first tick and then whenever the reading moved more
+      than ``min_delta`` since the last time it fired.
+    * ``clock``: fires every tick and reads the tick of day.
+    * ``script``: fires exactly at the (tick, value) pairs of ``at``; the
+      ticks must be distinct integers >= 0.
 
-    ``occupancy_room``, when set, marks that room occupied for each tick the
-    source fires. With ``emit_event`` false the source only drives occupancy
-    and puts no event on the wire.
+    In every mode, ``occupancy_room``, when set, marks that room occupied
+    for each tick the source fires, and the source puts its reading on the
+    wire only when ``emit_event`` is true (with it false the source only
+    drives occupancy).
     """
 
     name: str
@@ -259,6 +269,18 @@ class SourceSpec:
                 "temperature", "humidity", "luminance"):
             raise SimulationError(
                 f"cov source {self.name!r} needs a feature to watch")
+        if self.mode == "script":
+            ticks = set()
+            for tick, _ in self.at:
+                if (not isinstance(tick, int) or isinstance(tick, bool)
+                        or tick < 0):
+                    raise SimulationError(
+                        f"script source {self.name!r} tick {tick!r} is not "
+                        "an integer >= 0")
+                if tick in ticks:
+                    raise SimulationError(
+                        f"script source {self.name!r} lists tick {tick} twice")
+                ticks.add(tick)
 
 
 @dataclass(frozen=True)
@@ -433,8 +455,9 @@ class _Run:
         self._records = [(room.__dict__, tuple(self.series[name].items()))
                          for name, room in self.rooms.items()]
         self._sensor = ruleset.registry.sensors
-        self._fire_masks: dict[str, np.ndarray] = {}
-        self._choice_draws: dict[str, np.ndarray] = {}
+        # Each source with its readings by tick; a cov source's (None)
+        # depend on the room and are taken as the run goes.
+        self._sources: list[tuple[SourceSpec, dict[int, float] | None]] = []
         for src in scenario.sources:
             # Every reference of a source is checked here, before any tick.
             sensor = self._sensor.get(src.sensor)
@@ -450,12 +473,8 @@ class _Run:
                 raise SimulationError(
                     f"cov source {src.name!r} watches sensor {sensor.id!r} "
                     f"in {sensor.location!r}, which is not a simulated room")
-            if src.mode == "bernoulli":
-                rng = _source_rng(scenario.seed, src.name)
-                self._fire_masks[src.name] = rng.random(horizon) < src.p
-                if src.choices:
-                    self._choice_draws[src.name] = rng.integers(
-                        0, len(src.choices), size=horizon)
+            self._sources.append((src, None if src.mode == "cov"
+                                  else self._schedule(src, horizon)))
         # So is the actuator of every rule, firing or not.
         actuators = ruleset.registry.actuators
         for rule in ruleset.rules:
@@ -482,6 +501,20 @@ class _Run:
                         for a in momentary_actuators(house, actuators)
                         for name in driven_fields(a.kind)]
 
+    def _schedule(self, src: SourceSpec, horizon: int) -> dict[int, float]:
+        """A bernoulli, clock or script source's readings by tick."""
+        if src.mode == "clock":
+            day = self.ruleset.day_length
+            return {tick: tick % day for tick in range(horizon)}
+        if src.mode == "script":
+            return dict(src.at)
+        rng = _source_rng(self.scenario.seed, src.name)
+        ticks = np.flatnonzero(rng.random(horizon) < src.p).tolist()
+        if not src.choices:
+            return dict.fromkeys(ticks, src.value)
+        draws = rng.integers(0, len(src.choices), size=horizon)
+        return {tick: src.choices[draws[tick]] for tick in ticks}
+
     def _emit(self, src: SourceSpec, tick: int, value: float) -> Event:
         sensor = self._sensor[src.sensor]
         self._event_seq += 1
@@ -498,35 +531,22 @@ class _Run:
 
     def _sample_events(self, tick: int) -> list[Event]:
         out: list[Event] = []
-        for src in self.scenario.sources:
-            if src.mode == "bernoulli":
-                if not self._fire_masks[src.name][tick]:
+        for src, schedule in self._sources:
+            if schedule is not None:
+                value = schedule.get(tick)
+                if value is None:
                     continue
-                if src.choices:
-                    idx = self._choice_draws[src.name][tick]
-                    value = src.choices[int(idx)]
-                else:
-                    value = src.value
-                if src.emit_event:
-                    out.append(self._emit(src, tick, value))
-                if src.occupancy_room:
-                    self.rooms[src.occupancy_room].occupancy = True
-            elif src.mode == "clock":
-                out.append(self._emit(
-                    src, tick, tick % self.ruleset.day_length))
-            elif src.mode == "cov":
-                room = self.rooms[self._sensor[src.sensor].location]
-                reading = getattr(room, src.feature)
+            else:
+                value = getattr(self.rooms[self._sensor[src.sensor].location],
+                                src.feature)
                 last = self._cov_last.get(src.name)
-                if last is None or abs(reading - last) > src.min_delta:
-                    self._cov_last[src.name] = reading
-                    out.append(self._emit(src, tick, reading))
-            elif src.mode == "script":
-                for at_tick, value in src.at:
-                    if at_tick == tick:
-                        out.append(self._emit(src, tick, value))
-                        if src.occupancy_room:
-                            self.rooms[src.occupancy_room].occupancy = True
+                if last is not None and not abs(value - last) > src.min_delta:
+                    continue
+                self._cov_last[src.name] = value
+            if src.occupancy_room:
+                self.rooms[src.occupancy_room].occupancy = True
+            if src.emit_event:
+                out.append(self._emit(src, tick, value))
         return out
 
     def _suppressed_keys(self, conflicts: list[Conflict]) -> tuple[set, set]:

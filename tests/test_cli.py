@@ -775,6 +775,10 @@ class TestUserScenarioFiles:
          "at: [[1, 2, 3]]}"),
         ("sensor: tap1, p: 0.2}", "sensor: tap1, mode: script, at: [5]}"),
         ("sensor: tap1, p: 0.2}", "sensor: tap1, mode: script, at: 5}"),
+        ("sensor: tap1, p: 0.2}", "sensor: tap1, mode: script, "
+         "at: [[-1, 1]]}"),
+        ("sensor: tap1, p: 0.2}", "sensor: tap1, mode: script, "
+         "at: [[3, 1], [3, 0]]}"),
         ("sensor: tap1, p: 0.2}", "sensor: tap1, p: 0.2, choices: 5}"),
         ("sensor: tap1, p: 0.2}", "sensor: tap1, p: 0.2, emit_event: 'no'}"),
         ("exposed: true,", "exposed: 'no',"),
@@ -821,7 +825,8 @@ class TestUserScenarioFiles:
             "source_predicate",
             "source_predicate_list", "source_p", "source_value",
             "source_min_delta", "source_at_triple", "source_at_scalar_entry",
-            "source_at_scalar", "source_choices_scalar", "source_emit_string",
+            "source_at_scalar", "source_at_negative", "source_at_repeated",
+            "source_choices_scalar", "source_emit_string",
             "room_exposed_string", "room_flag_number", "room_thermostat",
             "outdoor_list", "outdoor_empty_series", "baseline_value",
             "baseline_list", "baseline_zero", "baseline_unknown_key",
@@ -841,6 +846,21 @@ class TestUserScenarioFiles:
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("adjacency,message", [
+        ("[[hall, den], [hall, hall]]", "adjacency joins room hall to itself"),
+        ("[[hall, den], [den, hall]]", "adjacency lists (den, hall) twice")])
+    def test_bad_adjacency_exits_two(self, adjacency, message, tmp_path,
+                                     capsys):
+        # Each listing of a pair would pull its rooms together once more.
+        doc = tmp_path / "bad.yaml"
+        doc.write_text(USER_SCENARIO.replace(
+            "locations: [hall]", "locations: [hall, den]").replace(
+            "  momentary:", "    - {id: den}\n"
+            f"  adjacency: {adjacency}\n  momentary:"), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(doc),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("old,new,message", [
         ("{id: lampB, kind: light,", "{id: lampB, kind: sprinkler,",

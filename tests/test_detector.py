@@ -714,10 +714,18 @@ class TestDetectAtTick:
         ({"value": -math.inf}, InvalidEventError),
         ({"value": "1"}, InvalidEventError),
         ({"value": None}, InvalidEventError),
-        ({"time": "3"}, InvalidEventError)],
+        ({"time": "3"}, InvalidEventError),
+        ({"id": 5}, InvalidEventError),
+        ({"id": ["e1"]}, InvalidEventError),
+        ({"sensor": ["smoke1"]}, InvalidEventError),
+        ({"signature": None}, InvalidEventError),
+        ({"signature": EventSignature("smoke", "==", "room1")},
+         InvalidEventError),
+        ({"unit": "F"}, InvalidEventError)],
         ids=["location", "kind", "undeclared", "negative", "fraction",
              "bool", "nan", "inf", "-inf", "str-value", "none-value",
-             "str-tick"])
+             "str-tick", "int-id", "list-id", "list-sensor",
+             "none-signature", "str-predicate", "unit"])
     def test_reading_off_its_sensor_or_domain_rejected(self, alarm_home,
                                                        fault, error):
         # The same checks a trace file's rows meet: each raises before the

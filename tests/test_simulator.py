@@ -13,6 +13,7 @@ from tapcheck.simulator import (
     RoomState,
     Scenario,
     SourceSpec,
+    _source_rng,
     apply_action,
     humidity_step,
     luminance_of,
@@ -219,7 +220,8 @@ class TestScenarioPlumbing:
         scenario = Scenario(
             id="probe", ruleset="c7_duplicate",
             sources=(SourceSpec(name="readings", sensor="temp1",
-                                mode="script", at=((0, 60.0), (20, 60.0))),),
+                                mode="script",
+                                at=((0, 60.0), (20, 60.0), (45, 60.0))),),
             horizon=40)
         report = run_arm(scenario, bundle.ruleset, bundle.config,
                          bundle.house)
@@ -255,6 +257,78 @@ class TestScenarioPlumbing:
         assert series["setpoint"].tolist() == [60, 60, 60, 70, 60, 60]
 
 
+def _probe_sources(*sources, horizon=30):
+    """Run ``sources`` for ``horizon`` ticks in S7's room, which cools from
+    70 F toward a 40 F outdoors, under a 10-tick day. No rule fires: the
+    clock never passes 647 and the room never passes 72 F."""
+    bundle = load_bundle("s7_thermostat_management")
+    scenario = Scenario(id="probe", ruleset="s7_thermostat_management",
+                        sources=sources, horizon=horizon, seed=3)
+    return run_arm(scenario, replace(bundle.ruleset, day_length=10),
+                   bundle.config,
+                   replace(bundle.house, outdoor_temperature=40.0))
+
+
+def _readings(report):
+    return [(e.time, e.value) for e in report.events]
+
+
+_EVERY_MODE = {
+    "bernoulli": SourceSpec(name="crowd", sensor="occ1", p=0.3),
+    "clock": SourceSpec(name="wall_clock", sensor="clock1", mode="clock"),
+    "cov": SourceSpec(name="room_temp", sensor="temp1", mode="cov",
+                      feature="temperature", min_delta=1.0),
+    "script": SourceSpec(name="readings", sensor="occ1", mode="script",
+                         at=((2, 1.0), (5, 0.0), (40, 1.0))),
+}
+
+
+class TestSourceModes:
+    """What each source mode reads, and when it fires."""
+
+    @pytest.mark.parametrize("choices", [None, (0.0, 1.0, 0.5)])
+    def test_bernoulli_reads_on_its_draw_ticks(self, choices):
+        src = SourceSpec(name="crowd", sensor="occ1", p=0.3, value=0.7,
+                         choices=choices)
+        rng = _source_rng(3, "crowd")
+        ticks = np.flatnonzero(rng.random(30) < 0.3)
+        values = ([choices[i] for i in rng.integers(0, len(choices), 30)]
+                  if choices else [0.7] * 30)
+        assert 0 < len(ticks) < 30
+        assert _readings(_probe_sources(src)) == [(t, values[t])
+                                                   for t in ticks]
+
+    def test_clock_reads_the_tick_of_day_every_tick(self):
+        report = _probe_sources(_EVERY_MODE["clock"], horizon=25)
+        assert _readings(report) == [(t, t % 10) for t in range(25)]
+
+    def test_cov_reads_at_its_first_tick_then_on_each_move(self):
+        report = _probe_sources(_EVERY_MODE["cov"])
+        # A tick's reading is the temperature the previous tick recorded.
+        temps = [70.0, *report.series["room1"]["temperature"][:-1]]
+        expected, last = [], None
+        for tick, temp in enumerate(temps):
+            if last is None or abs(temp - last) > 1.0:
+                expected.append((tick, temp))
+                last = temp
+        assert 1 < len(expected) < 30
+        assert _readings(report) == expected
+
+    @pytest.mark.parametrize("mode", sorted(_EVERY_MODE))
+    def test_occupancy_and_emission_hold_for_every_mode(self, mode):
+        # The room is occupied exactly on the ticks the source fires, and
+        # a source that does not emit only drives occupancy.
+        src = replace(_EVERY_MODE[mode], occupancy_room="room1")
+        emitting = _probe_sources(src)
+        fired = [e.time for e in emitting.events]
+        assert fired
+        silent = _probe_sources(replace(src, emit_event=False))
+        assert silent.events == []
+        for report in (emitting, silent):
+            occupied = report.series["room1"]["occupancy"]
+            assert np.flatnonzero(occupied).tolist() == fired
+
+
 class TestLibrarySetupChecks:
     """A scenario or house built in code meets the checks a document
     does, before tick 0."""
@@ -265,6 +339,25 @@ class TestLibrarySetupChecks:
         with pytest.raises(SimulationError,
                            match="duplicate source name 'smoke'"):
             replace(s5, sources=(*s5.sources, twin))
+
+    @pytest.mark.parametrize("at,problem", [
+        (((3, 1.0), (-1, 0.0)), "tick -1 is not an integer >= 0"),
+        ((("3", 1.0),), "tick '3' is not an integer >= 0"),
+        (((True, 1.0),), "tick True is not an integer >= 0"),
+        (((3, 1.0), (5, 1.0), (3, 0.0)), "lists tick 3 twice")])
+    def test_bad_script_tick_rejected(self, at, problem):
+        with pytest.raises(SimulationError,
+                           match=f"script source 'x' {problem}"):
+            SourceSpec(name="x", sensor="s", mode="script", at=at)
+
+    @pytest.mark.parametrize("adjacency,problem", [
+        ((("a", "b"), ("a", "a")), r"joins room a to itself"),
+        ((("a", "b"), ("b", "a")), r"lists \(b, a\) twice"),
+        ((("a", "b"), ("a", "b")), r"lists \(a, b\) twice")])
+    def test_bad_adjacency_rejected(self, adjacency, problem):
+        with pytest.raises(SimulationError, match=f"adjacency {problem}"):
+            HouseModel(rooms=(room(name="a"), room(name="b")),
+                       adjacency=adjacency)
 
     def test_unknown_thermostat_mode_rejected(self):
         with pytest.raises(SimulationError,
