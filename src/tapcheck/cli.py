@@ -113,7 +113,9 @@ def _apply_overrides(cfg: DetectorConfig, args) -> DetectorConfig:
 
 
 def parse_trace(text: str, ruleset: RuleSet) -> list[Event]:
-    """Parse and validate an event-trace CSV against a ruleset registry."""
+    """Parse and validate an event-trace CSV against a ruleset registry.
+    Events with one (kind, predicate, location) share one signature
+    object, so the detector compares their signatures by identity."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != TRACE_HEADER:
         raise TraceError(f"trace header must be {TRACE_HEADER!r}", line=1)
@@ -122,6 +124,7 @@ def parse_trace(text: str, ruleset: RuleSet) -> list[Event]:
     # Ticks never decrease, so only this tick's sensors can repeat.
     tick_sensors: set[str] = set()
     cmp_tokens = {c.value: c for c in Cmp}
+    signatures: dict[tuple[str, str, str], EventSignature] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -156,15 +159,19 @@ def parse_trace(text: str, ruleset: RuleSet) -> list[Event]:
                 f"sensor {sensor_id!r} emits twice at tick {tick}",
                 line=lineno)
         tick_sensors.add(sensor_id)
+        signature = signatures.get((kind, predicate, location))
+        if signature is None:
+            signature = signatures[kind, predicate, location] = (
+                EventSignature(sensor_kind=kind,
+                               predicate=cmp_tokens[predicate],
+                               location=location))
         events.append(Event(
             id=f"e{lineno - 1}",
             sensor=sensor_id,
             time=tick,
             value=value,
             unit=sensor.unit,
-            signature=EventSignature(sensor_kind=kind,
-                                     predicate=cmp_tokens[predicate],
-                                     location=location),
+            signature=signature,
         ))
     return events
 

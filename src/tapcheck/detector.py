@@ -32,11 +32,19 @@ all before the window changes. Checks only consider pairs with an item
 from the current call, so each violating pair is reported exactly once
 over the lifetime of a stream. The window keeps each item only while a
 policy can read it: firings for max(eps, W) ticks, filed by event
-signature, and events for the config horizon, in tick order. Past the
-epsilon only similar events pair: C1, C2, C5 and C6 need a gap within the
-epsilon, and C3 and C4 need overlapping events, so
+signature, and events for the config horizon, in (tick, id) order. Past
+the epsilon only similar events pair: C1, C2, C5 and C6 need a gap within
+the epsilon, and C3 and C4 need overlapping events, so
 ``DetectionWindow.candidate_pairs`` forms only the pairs some policy can
-flag.
+flag. C7 walks the window's events once per call, in the order its
+findings are reported in, so they need no sort.
+
+A finding costs about what its output costs: a ``Conflict`` is a slotted,
+immutable record of its kind, tick and participants, and its ``note`` and
+``suppressible`` are derived from those when read, so a caller that only
+counts findings renders no text. Event signatures built once per trace
+kind (``cli.parse_trace``) or per source (the simulator) compare by
+identity before equality.
 
 Policies C1 to C6 relate firings of two distinct rules. A single rule fired
 twice by duplicate readings is the duplicate-event case and is covered by
@@ -47,7 +55,7 @@ from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
+from itertools import islice, takewhile
 from operator import attrgetter
 from typing import Iterator
 
@@ -108,21 +116,85 @@ class TriggeredAction:
         return self._key
 
 
-@dataclass(frozen=True)
 class Conflict:
-    """A detected policy violation.
+    """A detected policy violation: an immutable record of ``kind``,
+    ``tick`` and ``participants``, which alone make its identity
+    (``==`` and ``hash``).
 
     ``participants`` holds the two triggered actions involved (two raw
     events for C7), stored in canonical order so a violation has a single
-    identity. ``suppressible`` lists event ids whose actions a downstream
-    enforcement point may drop (only C7 marks any).
+    identity. ``note`` and ``suppressible`` are derived from them when
+    read. A pair's note names its firings in the order the detector met
+    them, which ``_swapped`` records: true when that order is the reverse
+    of ``participants``.
     """
 
-    kind: ConflictKind
-    tick: Tick
-    participants: tuple
-    note: str = field(compare=False)
-    suppressible: tuple[str, ...] = ()
+    __slots__ = ("kind", "tick", "participants", "_swapped", "__weakref__")
+
+    def __init__(self, kind: ConflictKind, tick: Tick, participants: tuple,
+                 _swapped: bool = False):
+        # The slot descriptors write past ``__setattr__``, which refuses.
+        _set_kind(self, kind)
+        _set_tick(self, tick)
+        _set_participants(self, participants)
+        _set_swapped(self, _swapped)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of Conflict")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of Conflict")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind is other.kind and self.tick == other.tick
+                and self.participants == other.participants)
+
+    def __hash__(self):
+        return hash((self.kind, self.tick, self.participants))
+
+    def __reduce__(self):
+        return (Conflict, (self.kind, self.tick, self.participants,
+                           self._swapped))
+
+    def __repr__(self):
+        return (f"Conflict(kind={self.kind!r}, tick={self.tick!r}, "
+                f"participants={self.participants!r}, note={self.note!r})")
+
+    @property
+    def suppressible(self) -> tuple[str, ...]:
+        """Event ids whose actions a downstream enforcement point may drop:
+        the later event of a C7, none for C1 to C6."""
+        if self.kind is ConflictKind.C7:
+            return (self.participants[1].id,)
+        return ()
+
+    @property
+    def note(self) -> str:
+        """One line saying what the participants did."""
+        kind = self.kind
+        a, b = self.participants
+        if kind is ConflictKind.C7:
+            return (f"sensor {b.sensor} repeated value {a.value:g} after "
+                    f"{b.time - a.time} tick(s)")
+        if self._swapped:
+            a, b = b, a
+        if kind is ConflictKind.C1:
+            return (f"controllers {a.controller} and {b.controller} both "
+                    f"drive {a.action.actuator}")
+        if kind is ConflictKind.C2:
+            return (f"{a.action.actuator} and {b.action.actuator} touch "
+                    f"related features under controllers {a.controller} "
+                    f"and {b.controller}")
+        if kind is ConflictKind.C3 or kind is ConflictKind.C5:
+            how = "overlapping" if kind is ConflictKind.C3 else "disjoint"
+            return (f"{how} events {a.event.id} and {b.event.id} command "
+                    f"{a.action.actuator}: {a.action.action}/"
+                    f"{b.action.action}")
+        how = "overlapping" if kind is ConflictKind.C4 else "disjoint"
+        return (f"{how} events push opposite actions "
+                f"{a.action.action}/{b.action.action} on related features")
 
     def key(self) -> tuple:
         """Identity used to compare detector output against reference
@@ -132,6 +204,12 @@ class Conflict:
             return (self.kind.value, self.tick,
                     ((a.time, a.id), (b.time, b.id)))
         return (self.kind.value, self.tick, (a._key, b._key))
+
+
+_set_kind = Conflict.kind.__set__
+_set_tick = Conflict.tick.__set__
+_set_participants = Conflict.participants.__set__
+_set_swapped = Conflict._swapped.__set__
 
 
 def match_rules(event: Event, ruleset: RuleSet) -> list[TriggeredAction]:
@@ -213,6 +291,7 @@ class RuleProfile:
 
 
 _time = attrgetter("time")
+_id = attrgetter("id")
 
 
 def _between(actions: list[TriggeredAction] | None, start: Tick,
@@ -251,10 +330,9 @@ class DetectionWindow:
         self.last_tick: Tick | None = None
         self._actions: list[TriggeredAction] = []  # in tick order
         self._by_signature = defaultdict(list)  # signature -> actions
-        # Each event is kept in tick order twice, with all events and with
-        # its sensor's events, and its id once.
+        # Events in (tick, id) order, the order C7 reports them in, and each
+        # id with its tick.
         self._events: deque[Event] = deque()
-        self._events_by_sensor = defaultdict(deque)
         self._event_times: dict[str, Tick] = {}  # id -> tick
 
     def admit(self, events: list[Event], ruleset: RuleSet) -> int:
@@ -271,7 +349,9 @@ class DetectionWindow:
         per tick since C7 tells a sensor's readings apart by tick); each
         event's sensor, kind, location and unit (``match_rules``); the
         stream's ruleset; and the profile of each rule firing for the first
-        time."""
+        time. The batch's events join ``_events`` in id order, and with the
+        events an earlier call admitted at this tick they are sorted
+        again."""
         for event in events:
             check_reading(event.time, event.value)
             if not isinstance(event.id, str):
@@ -292,8 +372,14 @@ class DetectionWindow:
             raise OutOfOrderTickError(
                 f"tick {tick} arrived after tick {self.last_tick}")
         cutoff = tick - self.cfg.horizon
-        history = self._events_by_sensor
-        ids, sensors = set(), set()
+        # The events an earlier call admitted at this tick, the tail of
+        # ``_events``, one per sensor.
+        sensors = set()
+        if tick == self.last_tick:
+            sensors.update(event.sensor for event in takewhile(
+                lambda event: event.time == tick, reversed(self._events)))
+        tail = len(sensors)
+        ids = set()
         for event in events:
             if event.time != tick:
                 raise OutOfOrderTickError(
@@ -304,9 +390,7 @@ class DetectionWindow:
                     f"event id {event.id!r} at tick {event.time} repeats an "
                     "event id in the detection window")
             ids.add(event.id)
-            earlier = history.get(event.sensor)
-            if event.sensor in sensors or (earlier
-                                           and earlier[-1].time == tick):
+            if event.sensor in sensors:
                 raise DuplicateSensorReadingError(
                     f"sensor {event.sensor!r} emits twice at tick {tick}")
             sensors.add(event.sensor)
@@ -330,10 +414,12 @@ class DetectionWindow:
         by_signature = self._by_signature
         for action in actions:
             by_signature[action.event.signature].append(action)
-        self._events.extend(events)
+        fresh = [self._events.pop() for _ in range(tail)]
+        fresh.extend(events)
+        fresh.sort(key=_id)
+        self._events.extend(fresh)
         for event in events:
             self._event_times[event.id] = event.time
-            history[event.sensor].append(event)
         return start
 
     def _evict(self, now: Tick) -> None:
@@ -348,14 +434,10 @@ class DetectionWindow:
             if not bucket:
                 del by_signature[action.event.signature]
         del self._actions[:expired]
-        # Likewise each expired event, taken oldest first, is at the head of
-        # its sensor's deque.
         cutoff = now - self.cfg.horizon
-        events, history = self._events, self._events_by_sensor
+        events = self._events
         while events and events[0].time < cutoff:
-            event = events.popleft()
-            del self._event_times[event.id]
-            history[event.sensor].popleft()
+            del self._event_times[events.popleft().id]
 
     def candidate_pairs(self, start: int) -> Iterator[tuple]:
         """Unordered action pairs with at least one new member, the actions
@@ -391,33 +473,6 @@ class DetectionWindow:
                         yield b, a
             for j in range(i + 1, end):
                 yield a, actions[j]
-
-
-def _ordered(a: TriggeredAction, b: TriggeredAction):
-    return (a, b) if a._key <= b._key else (b, a)
-
-
-def _pair_conflict(kind: ConflictKind, a: TriggeredAction,
-                   b: TriggeredAction) -> Conflict:
-    """The conflict of one kind that two firings form, with its note."""
-    if kind is ConflictKind.C1:
-        note = (f"controllers {a.controller} and {b.controller} both drive "
-                f"{a.action.actuator}")
-    elif kind is ConflictKind.C2:
-        note = (f"{a.action.actuator} and {b.action.actuator} touch related "
-                f"features under controllers {a.controller} and "
-                f"{b.controller}")
-    elif kind is ConflictKind.C3 or kind is ConflictKind.C5:
-        how = "overlapping" if kind is ConflictKind.C3 else "disjoint"
-        note = (f"{how} events {a.event.id} and {b.event.id} command "
-                f"{a.action.actuator}: {a.action.action}/{b.action.action}")
-    else:
-        how = "overlapping" if kind is ConflictKind.C4 else "disjoint"
-        note = (f"{how} events push opposite actions "
-                f"{a.action.action}/{b.action.action} on related features")
-    first, second = _ordered(a, b)
-    return Conflict(kind=kind, tick=max(a.time, b.time),
-                    participants=(first, second), note=note)
 
 
 def policy_kinds(same_actuator: bool, rival_controllers: bool,
@@ -520,16 +575,19 @@ def _classify(a: TriggeredAction, b: TriggeredAction, pa: RuleProfile,
         kinds = overlapping
     if not kinds:
         return []
-    return [_pair_conflict(kind, a, b) for kind in kinds]
+    tick = max(a.time, b.time)
+    if b._key < a._key:
+        return [Conflict(kind, tick, (b, a), True) for kind in kinds]
+    return [Conflict(kind, tick, (a, b)) for kind in kinds]
 
 
 def classify_pair(a: TriggeredAction, b: TriggeredAction,
                   cfg: DetectorConfig) -> list[Conflict]:
-    """Every conflict among C1 to C6 that one pair of firings forms, each
-    with a note: the row of the config's ``PolicyTable`` for the facts of
-    the two rules, the gap class of the pair and its events (one shared
-    event, or distinct events, overlapping or not). The overlap test runs
-    only when the overlapping and disjoint rows differ."""
+    """Every conflict among C1 to C6 that one pair of firings forms: the
+    row of the config's ``PolicyTable`` for the facts of the two rules, the
+    gap class of the pair and its events (one shared event, or distinct
+    events, overlapping or not). The overlap test runs only when the
+    overlapping and disjoint rows differ."""
     return _classify(a, b, RuleProfile.of(a, cfg), RuleProfile.of(b, cfg),
                      PolicyTable(cfg))
 
@@ -538,32 +596,37 @@ def check_c7(window: DetectionWindow, events: list[Event],
              registry: Registry) -> list[Conflict]:
     """One sensor repeats a reading within the window config's duplicate
     window, up to the sensor's declared tolerance. The later event is
-    marked suppressible so enforcement can drop its actions. Each of
-    ``events``, the batch the window last admitted, is compared with the
-    earlier events of its sensor in the window: its sensor's deque but the
-    last entry, the event itself. One sensor emits once per tick, so the
-    batch's events never pair with each other."""
-    out = []
+    marked suppressible so enforcement can drop its actions. ``events``,
+    the batch the window last admitted, is compared in one walk over the
+    window's events: each meets the batch's reading of its sensor, if any.
+    One sensor emits once per tick, so the events at the batch's tick
+    never pair with each other. The walk visits the events in (tick, id)
+    order, so the findings come out in the canonical order of
+    ``Conflict.key``."""
+    if not events:
+        return []
+    tick = events[0].time
     span = window.cfg.duplicate_window
-    history = window._events_by_sensor
-    for later in events:
-        tolerance = registry.sensors[later.sensor].tolerance
-        readings = history[later.sensor]
-        for earlier in islice(readings, len(readings) - 1):
-            gap = later.time - earlier.time
-            # The value test is cheaper than comparing signatures, and on a
-            # chatty sensor most pairs fail it.
-            if (gap <= span
-                    and abs(earlier.value - later.value) <= tolerance
-                    and earlier.signature == later.signature):
-                out.append(Conflict(
-                    kind=ConflictKind.C7,
-                    tick=later.time,
-                    participants=(earlier, later),
-                    note=(f"sensor {later.sensor} repeated value "
-                          f"{earlier.value:g} after {gap} tick(s)"),
-                    suppressible=(later.id,),
-                ))
+    sensors = registry.sensors
+    fresh = {later.sensor: (later, sensors[later.sensor].tolerance)
+             for later in events}
+    c7 = ConflictKind.C7
+    out = []
+    # The events at this tick end the window: the walk leaves out as many
+    # as the batch holds, and the gap test rejects the others (those an
+    # earlier call admitted at this tick).
+    history = window._events
+    for earlier in islice(history, len(history) - len(events)):
+        sensor = earlier.sensor
+        if sensor in fresh:
+            later, tolerance = fresh[sensor]
+            # On a chatty sensor most pairs fail the value test, the
+            # cheapest. Interned signatures compare by identity.
+            if (abs(earlier.value - later.value) <= tolerance
+                    and 0 < tick - earlier.time <= span
+                    and (earlier.signature is later.signature
+                         or earlier.signature == later.signature)):
+                out.append(Conflict(c7, tick, (earlier, later)))
     return out
 
 
@@ -572,12 +635,6 @@ def _pair_order(conflict: Conflict) -> tuple:
     keys. Kinds are strings, so the members compare as their names."""
     a, b = conflict.participants
     return (conflict.kind, a._key, b._key)
-
-
-def _earlier_reading(conflict: Conflict) -> tuple:
-    """The C7 order within one tick: the earlier reading's (time, id)."""
-    earlier = conflict.participants[0]
-    return (earlier.time, earlier.id)
 
 
 def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
@@ -601,12 +658,13 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
     That order is reached without a ``Conflict.key`` tuple per finding.
     Every finding of one call has the call's tick, and the kind names sort
     C7 after C1 to C6, so the C1 to C6 findings, sorted by kind and
-    participant keys, come first. Each C7
-    finding pairs a new reading, at this tick, with an earlier reading
-    of the same sensor; a sensor emits once per tick and ids are unique in
-    the window (both checked by ``admit``), so the earlier reading
-    names the finding, and its (time, id) orders the C7 findings as their
-    keys would. Ids compare as strings, as in the key: "e10" < "e9".
+    participant keys, come first. Each C7 finding pairs a new reading, at
+    this tick, with an earlier reading of the same sensor; a sensor emits
+    once per tick and ids are unique in the window (both checked by
+    ``admit``), so the earlier reading names the finding, and its (time,
+    id) orders the C7 findings as their keys would. Ids compare as
+    strings, as in the key: "e10" < "e9". The window keeps its events in
+    that order, so ``check_c7`` meets them in it and needs no sort.
     """
     if cfg is not window.cfg and cfg != window.cfg:
         raise InvalidConfigError(
@@ -619,8 +677,7 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
     for a, b in window.candidate_pairs(start):
         conflicts.extend(_classify(a, b, profiles[a.index], profiles[b.index],
                                    table))
-    repeats = check_c7(window, new_events, ruleset.registry)
     conflicts.sort(key=_pair_order)
-    repeats.sort(key=_earlier_reading)
-    return conflicts + repeats
+    conflicts += check_c7(window, new_events, ruleset.registry)
+    return conflicts
 

@@ -229,8 +229,13 @@ class Registry:
                        location: str) -> Sensor:
         """The sensor of a reading that names ``sensor_id``, ``kind`` and
         ``location``, after checking that the sensor is declared, of that
-        kind and at that location."""
-        sensor = self.sensors.get(sensor_id)
+        kind and at that location. An id that cannot be looked up (a list,
+        say) raises ``InvalidEventError``."""
+        try:
+            sensor = self.sensors.get(sensor_id)
+        except TypeError as exc:
+            raise InvalidEventError(
+                f"sensor {sensor_id!r} is not a sensor id") from exc
         if sensor is None:
             raise UnknownSensorKindError(f"undeclared sensor {sensor_id!r}")
         if kind != sensor.kind:

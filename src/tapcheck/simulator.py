@@ -269,6 +269,9 @@ class SourceSpec:
                 "temperature", "humidity", "luminance"):
             raise SimulationError(
                 f"cov source {self.name!r} needs a feature to watch")
+        if not 0.0 <= self.min_delta < math.inf:
+            raise SimulationError(
+                f"source {self.name!r} min_delta must be finite and >= 0")
         if self.mode == "script":
             ticks = set()
             for tick, _ in self.at:
@@ -455,9 +458,11 @@ class _Run:
         self._records = [(room.__dict__, tuple(self.series[name].items()))
                          for name, room in self.rooms.items()]
         self._sensor = ruleset.registry.sensors
-        # Each source with its readings by tick; a cov source's (None)
-        # depend on the room and are taken as the run goes.
-        self._sources: list[tuple[SourceSpec, dict[int, float] | None]] = []
+        # Each source with its readings by tick (a cov source's, None,
+        # depend on the room and are taken as the run goes) and the one
+        # signature of its events.
+        self._sources: list[tuple[SourceSpec, dict[int, float] | None,
+                                  EventSignature]] = []
         for src in scenario.sources:
             # Every reference of a source is checked here, before any tick.
             sensor = self._sensor.get(src.sensor)
@@ -473,8 +478,12 @@ class _Run:
                 raise SimulationError(
                     f"cov source {src.name!r} watches sensor {sensor.id!r} "
                     f"in {sensor.location!r}, which is not a simulated room")
-            self._sources.append((src, None if src.mode == "cov"
-                                  else self._schedule(src, horizon)))
+            self._sources.append((
+                src,
+                None if src.mode == "cov" else self._schedule(src, horizon),
+                EventSignature(sensor_kind=sensor.kind,
+                               predicate=src.predicate,
+                               location=sensor.location)))
         # So is the actuator of every rule, firing or not.
         actuators = ruleset.registry.actuators
         for rule in ruleset.rules:
@@ -515,7 +524,8 @@ class _Run:
         draws = rng.integers(0, len(src.choices), size=horizon)
         return {tick: src.choices[draws[tick]] for tick in ticks}
 
-    def _emit(self, src: SourceSpec, tick: int, value: float) -> Event:
+    def _emit(self, src: SourceSpec, tick: int, value: float,
+              signature: EventSignature) -> Event:
         sensor = self._sensor[src.sensor]
         self._event_seq += 1
         return Event(
@@ -524,14 +534,12 @@ class _Run:
             time=tick,
             value=float(value),
             unit=sensor.unit,
-            signature=EventSignature(sensor_kind=sensor.kind,
-                                     predicate=src.predicate,
-                                     location=sensor.location),
+            signature=signature,
         )
 
     def _sample_events(self, tick: int) -> list[Event]:
         out: list[Event] = []
-        for src, schedule in self._sources:
+        for src, schedule, signature in self._sources:
             if schedule is not None:
                 value = schedule.get(tick)
                 if value is None:
@@ -546,7 +554,7 @@ class _Run:
             if src.occupancy_room:
                 self.rooms[src.occupancy_room].occupancy = True
             if src.emit_event:
-                out.append(self._emit(src, tick, value))
+                out.append(self._emit(src, tick, value, signature))
         return out
 
     def _suppressed_keys(self, conflicts: list[Conflict]) -> tuple[set, set]:

@@ -289,6 +289,17 @@ class TestMonitor:
         assert ((tmp_path / "conflicts.csv").read_text(encoding="utf-8")
                 == "\n".join(rows) + "\n")
 
+    def test_parse_trace_builds_one_signature_per_kind(self, alarm_ruleset,
+                                                        alarm_trace):
+        doc = load_document(alarm_ruleset.read_text(encoding="utf-8"))
+        events = cli.parse_trace(alarm_trace.read_text(encoding="utf-8"),
+                                 doc.ruleset)
+        first = {}
+        for event in events:
+            assert first.setdefault(event.signature,
+                                    event.signature) is event.signature
+        assert len(first) == len({id(e.signature) for e in events}) == 2
+
     def test_unknown_sensor_rejected(self, alarm_ruleset, tmp_path, capsys):
         trace = tmp_path / "bad.csv"
         trace.write_text(

@@ -1,6 +1,8 @@
 """Policy checks and the tick-by-tick detection loop."""
 
+import copy
 import math
+import pickle
 import weakref
 from dataclasses import replace
 
@@ -9,6 +11,7 @@ import pytest
 from conftest import build_home, ev
 from gen import group_by_tick
 from tapcheck.detector import (
+    Conflict,
     ConflictKind,
     DetectionWindow,
     check_c7,
@@ -99,6 +102,12 @@ class TestMatchRules:
                                 "room1"))
         with pytest.raises(UnknownSensorKindError):
             match_rules(bogus, rs)
+
+    def test_unhashable_sensor_raises_tapcheck_error(self, alarm_home):
+        rs, _ = alarm_home
+        bad = replace(ev(rs, "e1", "smoke1", 0, 1), sensor=["smoke1"])
+        with pytest.raises(InvalidEventError, match="not a sensor id"):
+            match_rules(bad, rs)
 
 
 class TestC1:
@@ -465,6 +474,121 @@ class TestC7:
             controllers=["hvac"], features=["temperature@room1"], rules=[])
         events = [ev(rs, "e1", "t1", 0, 60), ev(rs, "e2", "t2", 20, 60)]
         assert pairs_of(ConflictKind.C7, rs, cfg, events) == []
+
+    def test_equal_but_distinct_signatures_repeat(self):
+        rs, cfg = self.home()
+        first, later = ev(rs, "e1", "t1", 0, 60), ev(rs, "e2", "t1", 20, 60)
+        assert first.signature == later.signature
+        assert first.signature is not later.signature
+        (repeat,) = pairs_of(ConflictKind.C7, rs, cfg, [first, later])
+        assert repeat.participants == (first, later)
+
+    def test_tick_split_over_calls_reports_in_key_order(self):
+        # Ids e9, e10 and e100 sort as strings, not in arrival order, and
+        # tick 0 arrives in two calls.
+        rs, cfg = build_home(
+            sensors=[(f"t{i}", "temperature", "F", "room1")
+                     for i in range(3)],
+            actuators=[("th1", "thermostat", "room1", ("increase",))],
+            controllers=["hvac"], features=["temperature@room1"], rules=[])
+        window = DetectionWindow(cfg)
+        assert detect_at_tick([ev(rs, "e9", "t0", 0, 60)], rs, window,
+                              cfg) == []
+        assert detect_at_tick([ev(rs, "e100", "t1", 0, 60),
+                               ev(rs, "e10", "t2", 0, 60)], rs, window,
+                              cfg) == []
+        found = detect_at_tick([ev(rs, f"e{200 + i}", f"t{i}", 4, 60)
+                                for i in range(3)], rs, window, cfg)
+        assert found == sorted(found, key=Conflict.key)
+        assert [c.participants[0].id for c in found] == ["e10", "e100",
+                                                         "e9"]
+
+
+def _notes_of(rs, cfg, events, kind):
+    return [(c.note, c.suppressible)
+            for c in pairs_of(kind, rs, cfg, events)]
+
+
+class TestConflictRecord:
+    def test_immutable_weakly_referable_and_hashable(self, alarm_home):
+        rs, cfg = alarm_home
+        (c1,) = pairs_of(ConflictKind.C1, rs, cfg,
+                         [ev(rs, "e1", "smoke1", 5, 1),
+                          ev(rs, "e2", "leak1", 5, 1)])
+        for name in ("kind", "tick", "participants", "note", "suppressible",
+                     "_swapped", "other"):
+            with pytest.raises(AttributeError):
+                setattr(c1, name, None)
+        with pytest.raises(AttributeError):
+            del c1.tick
+        assert weakref.ref(c1)() is c1
+        assert c1 in {c1}
+        for twin in (copy.copy(c1), pickle.loads(pickle.dumps(c1))):
+            assert twin == c1 and hash(twin) == hash(c1)
+            assert twin.note == c1.note
+
+    def test_equal_by_kind_tick_and_participants(self, alarm_home):
+        # Two streams of equal, not identical, events give equal findings.
+        rs, cfg = alarm_home
+        first, second = (
+            detect_at_tick([ev(rs, "e9", "smoke1", 10, 1),
+                            ev(rs, "e10", "co1", 10, 60)],
+                           rs, DetectionWindow(cfg), cfg)
+            for _ in range(2))
+        assert first == second
+        assert [hash(c) for c in first] == [hash(c) for c in second]
+        assert all(a is not b for a, b in zip(first, second))
+        c1, c5 = first
+        assert (c1.kind, c5.kind) == (ConflictKind.C1, ConflictKind.C5)
+        assert c1.participants == c5.participants and c1 != c5
+        assert c1 != c1.key()
+
+    @pytest.mark.parametrize("kind,home,events,want", [
+        (ConflictKind.C1, "alarm", [("e9", "smoke1", 10, 1),
+                                    ("e10", "co1", 10, 60)],
+         "controllers fire_ctrl and air_ctrl both drive alarm1"),
+        (ConflictKind.C5, "alarm", [("e9", "smoke1", 10, 1),
+                                    ("e10", "co1", 10, 60)],
+         "disjoint events e9 and e10 command alarm1: sound/flash"),
+        (ConflictKind.C2, "window_thermostat", [("e1", "occ1", 3, 1),
+                                                ("e2", "t1", 3, 60)],
+         "window1 and th1 touch related features under controllers ctrl_a "
+         "and ctrl_b"),
+        (ConflictKind.C3, "corridor", [("e1", "t1", 10, 60),
+                                       ("e2", "t2", 12, 75)],
+         "overlapping events e1 and e2 command th_c: increase/decrease"),
+        (ConflictKind.C4, "corridor", [("e1", "t1", 10, 60),
+                                       ("e2", "t2", 12, 75)],
+         "overlapping events push opposite actions increase/decrease on "
+         "related features"),
+        (ConflictKind.C6, "schedule_motion", [("e1", "clock1", 700, 700),
+                                              ("e2", "occ1", 700, 1)],
+         "disjoint events push opposite actions off/heat on related "
+         "features")],
+        ids=["C1", "C5-crossed-ids", "C2", "C3", "C4", "C6"])
+    def test_pair_note_names_firings_in_detection_order(
+            self, alarm_home, kind, home, events, want):
+        rs, cfg = {"alarm": lambda: alarm_home,
+                   "window_thermostat": window_thermostat_home,
+                   "corridor": corridor_home,
+                   "schedule_motion": schedule_motion_home}[home]()
+        stream = [ev(rs, *spec) for spec in events]
+        assert _notes_of(rs, cfg, stream, kind) == [(want, ())]
+
+    def test_crossed_ids_are_stored_in_time_order(self, alarm_home):
+        # e10 sorts before e9, so the record holds the pair reversed from
+        # the order its note names it in.
+        rs, cfg = alarm_home
+        (c5,) = pairs_of(ConflictKind.C5, rs, cfg,
+                         [ev(rs, "e9", "smoke1", 10, 1),
+                          ev(rs, "e10", "co1", 10, 60)])
+        assert [p.event.id for p in c5.participants] == ["e10", "e9"]
+
+    def test_c7_note_and_suppressible(self):
+        rs, cfg = TestC7().home()
+        events = [ev(rs, "e1", "t1", 0, 60.5), ev(rs, "e2", "t1", 20, 60.5)]
+        assert _notes_of(rs, cfg, events, ConflictKind.C7) == [
+            ("sensor t1 repeated value 60.5 after 20 tick(s)", ("e2",))]
 
 
 class TestDetectAtTick:

@@ -1,5 +1,6 @@
 """House physics, event sources, suppression, and determinism."""
 
+import math
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -214,6 +215,14 @@ class TestScenarioPlumbing:
     def test_bad_probability_rejected(self):
         with pytest.raises(SimulationError):
             SourceSpec(name="x", sensor="s", p=1.5)
+
+    @pytest.mark.parametrize("min_delta", [math.nan, math.inf, -1.0])
+    def test_bad_min_delta_rejected(self, min_delta):
+        # With NaN a cov source would fire only once, and with -1 at every
+        # tick.
+        with pytest.raises(SimulationError, match="min_delta"):
+            SourceSpec(name="x", sensor="s", mode="cov",
+                       feature="temperature", min_delta=min_delta)
 
     def test_script_source_fires_exactly_when_told(self):
         bundle = load_bundle("c7_duplicate")
