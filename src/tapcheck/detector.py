@@ -28,11 +28,13 @@ classifying a pair takes two profile reads and one table read.
 ``DetectionWindow.admit`` takes each batch in one step: it checks the
 events against the model's reading facts and the stream's invariants,
 matches them and compiles the profiles of rules firing for the first time,
-all before the window changes. Checks only consider pairs with an item
-from the current call, so each violating pair is reported exactly once
-over the lifetime of a stream. The window keeps each item only while a
-policy can read it: firings for max(eps, W) ticks, filed by event
-signature, and events for the config horizon, in (tick, id) order. Past
+all before the window changes. ``DetectionWindow.firings_at`` hands a
+tick's firings on, so the simulator applies the detector's own firings
+and matches no event twice. Checks only consider pairs with an item from
+the current call, so each violating pair is reported exactly once over
+the lifetime of a stream. The window keeps each item only while a policy
+can read it: firings for max(eps, W) ticks, filed by event signature,
+and events for the config horizon, in (tick, id) order. Past
 the epsilon only similar events pair: C1, C2, C5 and C6 need a gap within
 the epsilon, and C3 and C4 need overlapping events, so
 ``DetectionWindow.candidate_pairs`` forms only the pairs some policy can
@@ -213,10 +215,10 @@ _set_swapped = Conflict._swapped.__set__
 
 
 def match_rules(event: Event, ruleset: RuleSet) -> list[TriggeredAction]:
-    """All rule firings for one event, in ruleset declaration order (the
-    order ``simulator.step`` applies them in), read from the ruleset's
-    trigger index. The event's sensor must be declared with the event's
-    kind, location and unit."""
+    """All rule firings for one event, in ruleset declaration order, read
+    from the ruleset's trigger index. The event's sensor must be declared
+    with the event's kind, location and unit, and each firing rule's
+    actuator declared in the registry."""
     kind, location = event.signature.sensor_kind, event.signature.location
     sensor = ruleset.registry.reading_sensor(event.sensor, kind, location)
     if event.unit != sensor.unit:
@@ -421,6 +423,13 @@ class DetectionWindow:
         for event in events:
             self._event_times[event.id] = event.time
         return start
+
+    def firings_at(self, tick: Tick) -> list[TriggeredAction]:
+        """The firings admitted at ``tick``, in the order they were
+        admitted: per batch, event by event in batch order, each event's in
+        ruleset declaration order. Empty for a tick nothing fired at, and
+        for one past ``pair_reach``, whose firings have left the window."""
+        return _between(self._actions, tick, tick + 1)
 
     def _evict(self, now: Tick) -> None:
         expired = bisect_left(self._actions, now - self.cfg.pair_reach,

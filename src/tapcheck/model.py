@@ -27,6 +27,7 @@ from typing import Callable, Collection, Sequence
 from .errors import (
     InvalidConfigError,
     InvalidEventError,
+    ReferentialIntegrityError,
     UnknownActionError,
     UnknownFeatureError,
     UnknownSensorKindError,
@@ -248,7 +249,13 @@ class Registry:
         return sensor
 
     def actuator_kind(self, actuator_id: str) -> str:
-        return self.actuators[actuator_id].kind
+        """The kind of a declared actuator; an undeclared one raises
+        ``ReferentialIntegrityError``."""
+        actuator = self.actuators.get(actuator_id)
+        if actuator is None:
+            raise ReferentialIntegrityError(
+                f"undeclared actuator {actuator_id!r}")
+        return actuator.kind
 
 
 @dataclass(frozen=True)
@@ -422,6 +429,12 @@ class DetectorConfig:
     similarity_classes: tuple[frozenset[EventSignature], ...] = ()
 
     def __post_init__(self):
+        for name in ("overlap_window", "duplicate_window",
+                     "same_tick_epsilon"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidConfigError(
+                    f"{name} must be an integer, not {value!r}")
         if self.overlap_window < 1:
             raise InvalidConfigError("overlap_window must be >= 1")
         if self.duplicate_window < 1:

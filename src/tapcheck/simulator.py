@@ -12,8 +12,9 @@ with first-order lumped-parameter physics:
 
 Each tick the engine samples event sources (seeded per source, so adding a
 source never perturbs the draws of another), feeds the events through the
-conflict detector, applies the actuations that survive suppression, steps
-the physics, and records everything. Identical seeds give byte-identical
+conflict detector, applies the firings the detector matched (read back
+with ``DetectionWindow.firings_at``) that survive suppression, steps the
+physics, and records everything. Identical seeds give byte-identical
 runs.
 
 The detector always runs and its findings are always counted; the
@@ -26,7 +27,7 @@ Each setup rule is checked once, by the type it constrains: a room's
 humidity range, thermostat mode and finite temperatures by
 :class:`RoomState`, finite non-negative coefficients by
 :class:`HouseParams`, finite outdoor traces by :class:`HouseModel`,
-unique source names by
+integer horizon and seed >= 0 and unique source names by
 :class:`Scenario`. A run checks every reference between scenario, ruleset
 and house (source sensors, rule and momentary actuators) before tick 0. A
 house or scenario built in code therefore meets the same checks as one
@@ -44,8 +45,10 @@ from .detector import (
     ConflictKind,
     DetectionWindow,
     detect_at_tick,
-    match_rules,
 )
+# Not called here; kept because the benchmark tracer (bench/tracer.py)
+# patches ``simulator.match_rules`` by name.
+from .detector import match_rules  # noqa: F401
 from .errors import SimulationError
 from .model import Cmp, DetectorConfig, Event, EventSignature, RuleSet
 
@@ -308,8 +311,12 @@ class Scenario:
     description: str = ""
 
     def __post_init__(self):
-        if self.horizon < 0:
-            raise SimulationError("horizon must be >= 0")
+        for name in ("horizon", "seed"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or value < 0):
+                raise SimulationError(
+                    f"{name} must be an integer >= 0, not {value!r}")
         if self.detector not in ("off", "on"):
             raise SimulationError("detector flag must be 'off' or 'on'")
         names = set()
@@ -484,10 +491,16 @@ class _Run:
                 EventSignature(sensor_kind=sensor.kind,
                                predicate=src.predicate,
                                location=sensor.location)))
-        # So is the actuator of every rule, firing or not.
+        # So is the actuator of every rule, firing or not; its room, id and
+        # kind are kept by rule index for ``step``.
         actuators = ruleset.registry.actuators
+        self._targets: list[tuple[RoomState, str, str]] = []
         for rule in ruleset.rules:
-            actuator = actuators[rule.action.actuator]
+            actuator = actuators.get(rule.action.actuator)
+            if actuator is None:
+                raise SimulationError(
+                    f"rule {rule.id!r} drives undeclared actuator "
+                    f"{rule.action.actuator!r}")
             effects = DEVICE_ACTIONS.get(actuator.kind)
             if effects is None:
                 raise SimulationError(
@@ -502,6 +515,8 @@ class _Run:
                     f"rule {rule.id!r} drives {actuator.id!r} with "
                     f"unsupported {actuator.kind} action "
                     f"{rule.action.action!r}")
+            self._targets.append((self.rooms[actuator.location], actuator.id,
+                                  actuator.kind))
         # Momentary actuators restore the fields their kind drives to the
         # room's initial values at the end of every tick.
         initial = {r.name: r for r in house.rooms}
@@ -558,7 +573,8 @@ class _Run:
         return out
 
     def _suppressed_keys(self, conflicts: list[Conflict]) -> tuple[set, set]:
-        """(event ids, action keys) to drop under enforcement. For a pair
+        """(event ids, action keys) to drop under enforcement, from among
+        the tick's firings (``DetectionWindow.firings_at``). For a pair
         conflict the canonically later action is dropped. It is always a
         firing of the current tick: the run hands the detector one batch
         per tick, ``detect_at_tick`` reports only pairs with a member from
@@ -583,13 +599,16 @@ class _Run:
         events = self._sample_events(tick)
         self.events.extend(events)
 
+        # The benchmark tracer's detect hook fails on an empty batch, so an
+        # idle tick skips the call; its ``firings_at`` is empty either way.
         conflicts = detect_at_tick(events, self.ruleset, self.window,
                                    self.cfg) if events else []
         self.conflicts.extend(conflicts)
 
-        actions = [ta for e in events for ta in match_rules(e, self.ruleset)]
         drop_events, drop_actions = self._suppressed_keys(conflicts)
-        for ta in actions:
+        setpoint_step = house.params.setpoint_step
+        targets = self._targets
+        for ta in self.window.firings_at(tick):
             if ta.event.id in drop_events:
                 self.suppressed_actions += 1
                 self.suppressed_duplicates += 1
@@ -597,13 +616,12 @@ class _Run:
             if ta.key() in drop_actions:
                 self.suppressed_actions += 1
                 continue
-            actuator = self.ruleset.registry.actuators[ta.action.actuator]
-            apply_action(rooms[actuator.location], actuator.kind,
-                         ta.action.action, house.params.setpoint_step)
-            self.actuations[actuator.id] = self.actuations.get(
-                actuator.id, 0) + 1
+            room, actuator_id, kind = targets[ta.index]
+            apply_action(room, kind, ta.action.action, setpoint_step)
+            self.actuations[actuator_id] = self.actuations.get(
+                actuator_id, 0) + 1
             self.actuation_log.append(
-                (tick, actuator.id, ta.action.action, ta.rule))
+                (tick, actuator_id, ta.action.action, ta.rule))
 
         t_out = house.outdoor_at(tick)
         daylight = house.daylight_at(tick)

@@ -5,8 +5,10 @@ in a benchmark run."""
 import sys
 from pathlib import Path
 
+from dataclasses import replace
+
 from conftest import ev
-from tapcheck import cli, detector, model, simulator
+from tapcheck import cli, detector, model, scenarios, simulator
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import tracer  # noqa: E402
@@ -53,3 +55,22 @@ def test_tracer_installs_counts_and_restores(alarm_home):
     assert metrics["detector.ticks"] == 1
     assert metrics["detector.firings"] == 2
     assert metrics["detector.conflicts.C1"] == 1
+
+
+def test_traced_simulation_counts_every_firing():
+    # The run applies the detector's own firings, so the traced mode counts
+    # each one once, at the detector: applied plus suppressed.
+    scenario = replace(scenarios.build("S5", seed=1), horizon=300,
+                       detector="on")
+    bundle = scenarios.load_bundle(scenario.ruleset)
+    before = current()
+    recorder = tracer.Tracer()
+    with recorder.installed():
+        report = scenarios.run_arm(scenario, bundle.ruleset, bundle.config,
+                                   bundle.house)
+    assert current() == before
+    metrics = recorder.layer_metrics()
+    assert report.suppressed_actions > 0
+    assert metrics["detector.firings"] == (sum(report.actuations.values())
+                                           + report.suppressed_actions)
+    assert metrics["simulator.arms"] == 1

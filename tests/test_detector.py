@@ -24,6 +24,7 @@ from tapcheck.errors import (
     InvalidConfigError,
     InvalidEventError,
     OutOfOrderTickError,
+    ReferentialIntegrityError,
     UnknownActionError,
     UnknownFeatureError,
     UnknownSensorKindError,
@@ -509,6 +510,42 @@ def _notes_of(rs, cfg, events, kind):
             for c in pairs_of(kind, rs, cfg, events)]
 
 
+class TestFiringsAt:
+    def test_split_tick_gives_both_batches_in_admission_order(
+            self, alarm_home):
+        rs, cfg = alarm_home
+        window = DetectionWindow(cfg)
+        detect_at_tick([ev(rs, "e0", "smoke1", 4, 1)], rs, window, cfg)
+        first = [ev(rs, "e1", "leak1", 5, 1)]
+        second = [ev(rs, "e3", "smoke1", 5, 1), ev(rs, "e2", "co1", 5, 80)]
+        detect_at_tick(first, rs, window, cfg)
+        detect_at_tick(second, rs, window, cfg)
+        got = window.firings_at(5)
+        assert [(ta.event.id, ta.rule) for ta in got] == [
+            ("e1", "r_leak"), ("e3", "r_smoke"), ("e2", "r_co")]
+        assert got == [ta for e in first + second
+                       for ta in match_rules(e, rs)]
+
+    def test_idle_tick_gives_nothing(self, alarm_home):
+        rs, cfg = alarm_home
+        window = DetectionWindow(cfg)
+        assert window.firings_at(0) == []
+        detect_at_tick([ev(rs, "e1", "smoke1", 5, 1)], rs, window, cfg)
+        assert window.firings_at(4) == []
+        assert window.firings_at(6) == []
+        # A reading that fires no rule leaves its tick idle too.
+        detect_at_tick([ev(rs, "e2", "co1", 6, 10)], rs, window, cfg)
+        assert window.firings_at(6) == []
+
+    def test_tick_past_pair_reach_gives_nothing(self, alarm_home):
+        rs, cfg = alarm_home
+        window, _, _ = staged_at_zero(rs, cfg)
+        assert len(window.firings_at(0)) == 1
+        window.admit([ev(rs, "e2", "leak1", cfg.pair_reach + 1, 1)], rs)
+        assert window.firings_at(0) == []
+        assert len(window.firings_at(cfg.pair_reach + 1)) == 1
+
+
 class TestConflictRecord:
     def test_immutable_weakly_referable_and_hashable(self, alarm_home):
         rs, cfg = alarm_home
@@ -765,6 +802,20 @@ class TestDetectAtTick:
         with pytest.raises(error):
             detect_at_tick(batch, rs, window, cfg)
         assert window.last_tick == 5
+
+    def test_undeclared_actuator_raises_before_the_window_changes(
+            self, alarm_home):
+        rs, cfg = alarm_home
+        rule = rs.rules[2]  # r_co
+        rs = replace(rs, rules=rs.rules[:2] + (replace(
+            rule, action=replace(rule.action, actuator="nope")),))
+        window = DetectionWindow(cfg)
+        detect_at_tick([ev(rs, "e1", "smoke1", 5, 1)], rs, window, cfg)
+        with pytest.raises(ReferentialIntegrityError,
+                           match="undeclared actuator 'nope'"):
+            detect_at_tick([ev(rs, "e2", "co1", 9, 80)], rs, window, cfg)
+        assert window.last_tick == 5
+        assert window.firings_at(9) == []
 
     def test_two_readings_of_one_sensor_in_batch_rejected(self, alarm_home):
         rs, cfg = alarm_home

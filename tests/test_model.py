@@ -328,6 +328,18 @@ class TestDetectorConfig:
             DetectorConfig(dependency_graph=g, action_relations=t,
                            same_tick_epsilon=-1)
 
+    @pytest.mark.parametrize("name", ["overlap_window", "duplicate_window",
+                                      "same_tick_epsilon"])
+    @pytest.mark.parametrize("value", ["5", None, 2.5, True,
+                                       float("nan")])
+    def test_window_that_is_not_an_integer_rejected(self, name, value):
+        g = graph_of([], [])
+        t = ActionRelationTable(vocabulary={})
+        with pytest.raises(InvalidConfigError,
+                           match=f"{name} must be an integer"):
+            DetectorConfig(dependency_graph=g, action_relations=t,
+                           **{name: value})
+
     def test_horizon_covers_all_windows(self):
         g = graph_of([], [])
         t = ActionRelationTable(vocabulary={})

@@ -6,6 +6,8 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from tapcheck import detector, simulator
+from tapcheck.detector import match_rules
 from tapcheck.errors import SimulationError, UnknownScenarioError
 from tapcheck.scenarios import build, load_bundle, run_scenario, with_probability
 from tapcheck.simulator import (
@@ -415,6 +417,28 @@ class TestLibrarySetupChecks:
                                  "declared"):
             run_arm(scenario, bundle.ruleset, bundle.config, house)
 
+    def test_undeclared_rule_actuator_rejected(self):
+        bundle = load_bundle("s5_alarm")
+        rs = bundle.ruleset
+        rule = rs.rules[1]  # r_alarm_leak
+        rs = replace(rs, rules=(rs.rules[0], replace(
+            rule, action=replace(rule.action, actuator="nope"))))
+        scenario = Scenario(id="probe", ruleset="s5_alarm", sources=(),
+                            horizon=1)
+        with pytest.raises(SimulationError,
+                           match="rule 'r_alarm_leak' drives undeclared "
+                                 "actuator 'nope'"):
+            run_arm(scenario, rs, bundle.config, bundle.house)
+
+    @pytest.mark.parametrize("name,value", [
+        ("horizon", 2.5), ("horizon", "10"), ("horizon", True),
+        ("horizon", -1), ("seed", -1), ("seed", 1.5), ("seed", False)])
+    def test_bad_horizon_or_seed_rejected(self, name, value):
+        with pytest.raises(SimulationError,
+                           match=f"{name} must be an integer >= 0"):
+            Scenario(id="probe", ruleset="s5_alarm", sources=(),
+                     **{"horizon": 1, name: value})
+
     def test_built_scenario_owns_its_overrides(self):
         first = build("S7")
         first.house_overrides["occupant_heat"] = 9.0
@@ -471,6 +495,37 @@ class TestSuppression:
                                            detector="on"))
             for actuator, count in enforce.actuations.items():
                 assert count <= observe.actuations.get(actuator, 0)
+
+    # Per scenario at seed 1: total actuations, suppressed actions, and
+    # those suppressed as duplicates.
+    @pytest.mark.parametrize("sid,expected", [
+        ("S1", (9, 77, 77)), ("S2", (196, 79, 54)), ("S3", (487, 21, 0)),
+        ("S4", (33, 25, 20)), ("S5", (37, 204, 203)),
+        ("S6", (1097, 321, 177)), ("S7", (440, 315, 0)),
+        ("S8", (1987, 435, 0))])
+    def test_enforcement_counts_pinned(self, sid, expected):
+        report = run_scenario(replace(build(sid, seed=1), detector="on"))
+        assert (sum(report.actuations.values()), report.suppressed_actions,
+                report.suppressed_duplicates) == expected
+
+    def test_each_event_matched_once(self, monkeypatch):
+        # The run applies the firings the detector matched; nothing in the
+        # simulator matches an event again.
+        calls = 0
+
+        def counted(event, ruleset):
+            nonlocal calls
+            calls += 1
+            return match_rules(event, ruleset)
+
+        monkeypatch.setattr(detector, "match_rules", counted)
+        monkeypatch.setattr(simulator, "match_rules", counted)
+        scenario = replace(build("S5", seed=1), horizon=300, detector="on")
+        bundle = load_bundle(scenario.ruleset)
+        report = run_arm(scenario, bundle.ruleset, bundle.config,
+                         bundle.house)
+        assert report.events and report.suppressed_actions
+        assert calls == len(report.events)
 
     def test_detection_identical_under_enforcement(self):
         observe = run_scenario(build("S5", seed=8))

@@ -8,7 +8,11 @@ import pytest
 from conftest import build_home
 from gen import group_by_tick, random_ruleset, random_trace
 from tapcheck.detector import ConflictKind, DetectionWindow, detect_at_tick
-from tapcheck.errors import UnknownActionError, UnknownFeatureError
+from tapcheck.errors import (
+    ReferentialIntegrityError,
+    UnknownActionError,
+    UnknownFeatureError,
+)
 from tapcheck.oracle import oracle_static
 from tapcheck.static import _Analysis, gap_achievable, static_check
 
@@ -171,6 +175,15 @@ class TestCandidatePruning:
                    ("r_bad", "x", ("temperature", ">", 50),
                     ("a2", action, features))])
         with pytest.raises(error):
+            static_check(rs, cfg)
+
+    def test_undeclared_actuator_raises(self, alarm_home):
+        rs, cfg = alarm_home
+        rule = rs.rules[2]  # r_co
+        rs = replace(rs, rules=rs.rules[:2] + (replace(
+            rule, action=replace(rule.action, actuator="nope")),))
+        with pytest.raises(ReferentialIntegrityError,
+                           match="undeclared actuator 'nope'"):
             static_check(rs, cfg)
 
 
