@@ -141,6 +141,17 @@ class Sensor:
     range: tuple[float, float] = (0.0, 100.0)
     tolerance: float = 0.0  # max value gap still treated as a repeat reading
 
+    def __post_init__(self):
+        # A negative or NaN tolerance holds no value gap, so C7 could
+        # never fire for this sensor; an infinite one is no bound.
+        tolerance = self.tolerance
+        if (isinstance(tolerance, bool)
+                or not isinstance(tolerance, (int, float))
+                or not 0 <= tolerance < math.inf):
+            raise InvalidConfigError(
+                f"sensor {self.id!r} tolerance must be a finite number "
+                f">= 0, not {tolerance!r}")
+
 
 @dataclass(frozen=True)
 class Actuator:
@@ -441,6 +452,14 @@ class DetectorConfig:
             raise InvalidConfigError("duplicate_window must be >= 1")
         if self.same_tick_epsilon < 0:
             raise InvalidConfigError("same_tick_epsilon must be >= 0")
+        classes = self.similarity_classes
+        if not isinstance(classes, tuple) or not all(
+                isinstance(group, frozenset)
+                and all(isinstance(s, EventSignature) for s in group)
+                for group in classes):
+            raise InvalidConfigError(
+                "similarity_classes must be a tuple of frozensets of "
+                f"EventSignature, not {classes!r}")
 
     @cached_property
     def pair_reach(self) -> int:

@@ -230,6 +230,8 @@ def _parse_registry(raw, path="registry") -> Registry:
         if not low < high:
             raise ParseError("range low must be < high", path=f"{p}.range")
         tolerance = _as_number(entry.get("tolerance", 0), f"{p}.tolerance")
+        if tolerance < 0:
+            raise ParseError("tolerance must be >= 0", path=f"{p}.tolerance")
         sensors[sid] = Sensor(id=sid, kind=kind, unit=unit, location=location,
                               range=(low, high), tolerance=tolerance)
 

@@ -19,6 +19,13 @@ Eight ready-to-run experiments, each backed by a bundled ruleset fixture:
 
 Scenario ids, seeds, horizons, and source probabilities are plain data;
 use :func:`with_probability` or ``dataclasses.replace`` to build sweeps.
+
+The document readers here (:func:`parse_house`, :func:`parse_sources`,
+:func:`load_scenario_bundle`) check only a document's shape: known keys,
+lists and mappings, comparator tokens, room ids among the declared
+locations, and momentary actuators. They turn lists into tuples and pass
+every value on as it is to the setup types of :mod:`tapcheck.simulator`,
+which check it as a value built in code is checked.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -29,9 +36,6 @@ from .errors import ParseError, SimulationError, UnknownScenarioError
 from .model import DetectorConfig, RuleSet
 from .parsing import (
     Document,
-    _as_bool,
-    _as_int,
-    _as_number,
     _as_str,
     _keys,
     _parse_cmp,
@@ -40,6 +44,8 @@ from .parsing import (
     read_text,
 )
 from .simulator import (
+    HOUSE_PARAMETERS,
+    OUTDOOR_TRACES,
     HouseModel,
     HouseParams,
     RoomState,
@@ -50,23 +56,22 @@ from .simulator import (
     run_arm,
 )
 
-_PARAM_FIELDS = {f for f in HouseParams.__dataclass_fields__}
-# The keys a room entry may set besides ``id`` and ``exposed``, with their
-# types, read from RoomState. Luminance is left out: the blind, the lamp and
-# the daylight set it every tick.
-_ROOM_FIELDS = {f.name: f.type for f in fields(RoomState)
+# The keys a room entry may set besides ``id`` and ``exposed``, read from
+# RoomState. Luminance is left out: the blind, the lamp and the daylight
+# set it every tick.
+_ROOM_FIELDS = {f.name for f in fields(RoomState)
                 if f.name not in ("name", "outdoor_exposed", "luminance")}
 
 
-def _series(value, path):
-    """A number, or a non-empty per-tick list of numbers as a tuple."""
-    if isinstance(value, (list, tuple)) and value:
-        return tuple(_as_number(v, path) for v in value)
-    return _as_number(value, path)
+def _tuple(value):
+    """A document list as a tuple; any other value as it is, for the type
+    it sets to check."""
+    return tuple(value) if isinstance(value, list) else value
 
 
 def parse_house(raw: dict, registry) -> HouseModel:
-    """Validate the ``house`` section of a fixture document."""
+    """Read the ``house`` section of a fixture document; ``HouseModel`` and
+    the types it holds check the values."""
     _keys(raw, "house", "house", optional=(
         "rooms", "params", "adjacency", "outdoor", "momentary"))
     rooms = []
@@ -78,50 +83,25 @@ def parse_house(raw: dict, registry) -> HouseModel:
         if name not in registry.locations:
             raise ParseError(f"room {name!r} is not a declared location",
                              path=p)
-        kwargs = {
-            "name": name,
-            "outdoor_exposed": _as_bool(entry.get("exposed", True),
-                                        f"{p}.exposed"),
-        }
-        for key, value in entry.items():
-            kind = _ROOM_FIELDS.get(key)
-            if kind is None:  # id and exposed, read above
-                continue
-            if kind is bool:
-                value = _as_bool(value, f"{p}.{key}")
-            elif kind is float:
-                value = _as_number(value, f"{p}.{key}")
-            else:
-                value = _as_str(value, f"{p}.{key}")
-            kwargs[key] = value
-        rooms.append(RoomState(**kwargs))
+        rooms.append(RoomState(
+            name=name, outdoor_exposed=entry.get("exposed", True),
+            **{k: v for k, v in entry.items() if k in _ROOM_FIELDS}))
 
-    params_raw = _keys(_section(raw, "params", dict, "house.params"),
-                       "params", "house.params", optional=_PARAM_FIELDS)
-    params = HouseParams(**{k: _as_number(v, f"house.params.{k}")
-                            for k, v in params_raw.items()})
-
-    adjacency = []
-    for i, pair in enumerate(_section(raw, "adjacency", list,
-                                      "house.adjacency")):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError("adjacency entry must be [roomA, roomB]",
-                             path=f"house.adjacency[{i}]")
-        adjacency.append((pair[0], pair[1]))
-
+    params = HouseParams(**_keys(
+        _section(raw, "params", dict, "house.params"), "params",
+        "house.params", optional=HOUSE_PARAMETERS))
+    adjacency = tuple(map(_tuple, _section(raw, "adjacency", list,
+                                           "house.adjacency")))
     outdoor = _keys(_section(raw, "outdoor", dict, "house.outdoor"),
                     "outdoor", "house.outdoor",
                     optional=("temperature", "daylight"))
-    temperature = _series(outdoor.get("temperature", 70.0),
-                          "house.outdoor.temperature")
-    daylight = _series(outdoor.get("daylight", 300.0),
-                       "house.outdoor.daylight")
-
+    # Ids must be hashable to build the set.
     momentary = frozenset(_as_str(a, "house.momentary") for a in _section(
         raw, "momentary", list, "house.momentary"))
-    house = HouseModel(rooms=tuple(rooms), adjacency=tuple(adjacency),
-                       params=params, outdoor_temperature=temperature,
-                       daylight=daylight, momentary=momentary)
+    house = HouseModel(
+        rooms=tuple(rooms), adjacency=adjacency, params=params,
+        outdoor_temperature=_tuple(outdoor.get("temperature", 70.0)),
+        daylight=_tuple(outdoor.get("daylight", 300.0)), momentary=momentary)
     # Checked on load, even if no rule ever drives the actuator.
     try:
         momentary_actuators(house, registry.actuators)
@@ -166,25 +146,22 @@ def load_bundle(name: str) -> Bundle:
     return _bundle(doc, text)
 
 
-_OUTDOOR_OVERRIDES = {"outdoor_temperature", "daylight"}
-
-
 def _parse_overrides(raw, path: str) -> dict | None:
     """House overrides read from a scenario file (None when absent): a
-    mapping of physics parameters to numbers and of outdoor traces to
-    series."""
+    mapping of physics parameters and outdoor traces, whose values
+    ``Scenario`` checks."""
     if raw is None:
         return None
-    _keys(raw, "override", path, optional=_PARAM_FIELDS | _OUTDOOR_OVERRIDES)
-    return {k: (_as_number if k in _PARAM_FIELDS else _series)(
-        v, f"{path}.{k}") for k, v in raw.items()}
+    _keys(raw, "override", path, optional=HOUSE_PARAMETERS | {*OUTDOOR_TRACES})
+    return {k: _tuple(v) for k, v in raw.items()}
 
 
 def _override_house(house: HouseModel, overrides: dict) -> HouseModel:
     """Apply {param: value} overrides onto the house physics parameters;
     an ``outdoor_temperature``/``daylight`` key replaces the trace."""
-    params = {k: v for k, v in overrides.items() if k in _PARAM_FIELDS}
-    outdoor = {k: v for k, v in overrides.items() if k not in _PARAM_FIELDS}
+    params = {k: v for k, v in overrides.items() if k in HOUSE_PARAMETERS}
+    outdoor = {k: v for k, v in overrides.items()
+               if k not in HOUSE_PARAMETERS}
     return replace(house, params=replace(house.params, **params), **outdoor)
 
 
@@ -210,11 +187,12 @@ def run_scenario(scenario: Scenario,
     return report
 
 
-_SOURCE_FIELDS = set(SourceSpec.__dataclass_fields__)
+_SOURCE_FIELDS = {f.name for f in fields(SourceSpec)}
 
 
 def parse_sources(raw: list) -> tuple[SourceSpec, ...]:
-    """Validate the ``sources`` section of a scenario document."""
+    """Read the ``sources`` section of a scenario document; ``SourceSpec``
+    checks the values."""
     if raw is None:
         return ()
     if not isinstance(raw, list):
@@ -224,51 +202,27 @@ def parse_sources(raw: list) -> tuple[SourceSpec, ...]:
         p = f"sources[{i}]"
         kwargs = dict(_keys(entry, "source", p, required=("name", "sensor"),
                             optional=_SOURCE_FIELDS))
-        _as_str(kwargs["name"], f"{p}.name")
-        kwargs["sensor"] = _as_str(kwargs["sensor"], f"{p}.sensor")
-        if kwargs.get("occupancy_room") is not None:
-            kwargs["occupancy_room"] = _as_str(kwargs["occupancy_room"],
-                                               f"{p}.occupancy_room")
         if "predicate" in kwargs:
             kwargs["predicate"] = _parse_cmp(kwargs["predicate"],
                                              f"{p}.predicate")
-        for key in ("p", "value", "min_delta"):
-            if key in kwargs:
-                kwargs[key] = _as_number(kwargs[key], f"{p}.{key}")
-        if "emit_event" in kwargs:
-            kwargs["emit_event"] = _as_bool(kwargs["emit_event"],
-                                            f"{p}.emit_event")
-        if "choices" in kwargs and kwargs["choices"] is not None:
-            if not isinstance(kwargs["choices"], list):
-                raise ParseError("choices must be a list of numbers",
-                                 path=f"{p}.choices")
-            kwargs["choices"] = tuple(_as_number(v, f"{p}.choices")
-                                      for v in kwargs["choices"])
+        if "choices" in kwargs:
+            kwargs["choices"] = _tuple(kwargs["choices"])
         if "at" in kwargs:
-            kwargs["at"] = _parse_at(kwargs["at"], f"{p}.at")
+            kwargs["at"] = _parse_at(kwargs["at"])
         out.append(SourceSpec(**kwargs))
     return tuple(out)
 
 
-def _parse_at(raw, path) -> tuple[tuple[int, float], ...]:
-    """A script source's [tick, value] entries."""
-    if not isinstance(raw, list):
-        raise ParseError("at must be a list of [tick, value] entries",
-                         path=path)
-    out = []
-    for j, entry in enumerate(raw):
-        ep = f"{path}[{j}]"
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ParseError("at entry must be [tick, value]", path=ep)
-        out.append((_as_int(entry[0], ep), _as_number(entry[1], ep)))
-    return tuple(out)
+def _parse_at(raw):
+    """A script source's [tick, value] entries as (tick, value) tuples."""
+    return tuple(map(_tuple, raw)) if isinstance(raw, list) else raw
 
 
 def load_scenario_bundle(path: str) -> tuple[Scenario, Bundle]:
     """Load a user scenario and its bundle from one parse of one document
     holding the ruleset, detector config, house, event sources, and a
     ``scenario`` section with the run metadata (id, horizon, and optional
-    seed/detector/baseline)."""
+    seed/detector/baseline). ``Scenario`` checks the values."""
     text = fixture_text(path)
     doc = load_document(text)
     if doc.scenario is None:
@@ -278,25 +232,19 @@ def load_scenario_bundle(path: str) -> tuple[Scenario, Bundle]:
     meta = _keys(doc.scenario, "scenario", "scenario",
                  required=("id", "horizon"), optional=(
                      "seed", "detector", "baseline_overrides", "description"))
-    seed = _as_int(meta.get("seed", 0), "scenario.seed")
-    if seed < 0:
-        raise ParseError("seed must be >= 0", path="scenario.seed")
     detector = meta.get("detector", "off")
     if isinstance(detector, bool):  # YAML 1.1 reads bare on/off as booleans
         detector = "on" if detector else "off"
-    description = meta.get("description", "")
-    if description != "":
-        description = _as_str(description, "scenario.description")
     scenario = Scenario(
-        id=_as_str(meta["id"], "scenario.id"),
+        id=meta["id"],
         ruleset=path,
         sources=parse_sources(doc.sources),
-        horizon=_as_int(meta["horizon"], "scenario.horizon"),
-        seed=seed,
+        horizon=meta["horizon"],
+        seed=meta.get("seed", 0),
         detector=detector,
         baseline_overrides=_parse_overrides(
             meta.get("baseline_overrides"), "scenario.baseline_overrides"),
-        description=description,
+        description=meta.get("description", ""),
     )
     return scenario, _bundle(doc, text)
 

@@ -23,20 +23,27 @@ The detector always runs and its findings are always counted; the
 for every conflict completed within the current tick the canonically later
 action is dropped as well.
 
-Each setup rule is checked once, by the type it constrains: a room's
-humidity range, thermostat mode and finite temperatures by
-:class:`RoomState`, finite non-negative coefficients by
-:class:`HouseParams`, finite outdoor traces by :class:`HouseModel`,
-integer horizon and seed >= 0 and unique source names by
-:class:`Scenario`. A run checks every reference between scenario, ruleset
-and house (source sensors, rule and momentary actuators) before tick 0. A
-house or scenario built in code therefore meets the same checks as one
-read from a document, and each failure is a :class:`SimulationError`.
+Each setup value is checked once, by the type it sets, as that type is
+constructed: :class:`RoomState`, :class:`HouseParams`, :class:`HouseModel`,
+:class:`SourceSpec` and :class:`Scenario`. A field annotated ``float``,
+``int``, ``bool``, ``str`` or ``Cmp`` (or one of them ``| None``) must hold
+a value of that type: a finite number that is not a bool, an integer >= 0,
+a bool, a non-empty string (empty only where the default is), or a
+comparator. Each type then checks its own ranges and its composite fields,
+and house overrides meet the rules of the parameter or trace they replace.
+A scenario document is read into these same types, so a value built in code
+and one read from a document meet the same checks, and each failure is a
+:class:`SimulationError` naming the record and the field. A run checks
+every reference between scenario, ruleset and house (source sensors, rule
+and momentary actuators) before tick 0.
 """
 
 import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
+from types import UnionType
+from typing import get_args
 
 import numpy as np
 
@@ -53,6 +60,84 @@ from .errors import SimulationError
 from .model import Cmp, DetectorConfig, Event, EventSignature, RuleSet
 
 THERMOSTAT_OFF, THERMOSTAT_HEAT, THERMOSTAT_COOL = "off", "heat", "cool"
+
+
+def _problem(value, kind) -> str | None:
+    """What ``value`` must be and is not, as a setup value of ``kind``, or
+    None when it is one. A bool is not a number, and an integer too large
+    for a float is not finite. Every integer of a setup counts ticks, so it
+    is >= 0."""
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return f"a number, not {value!r}"
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        return None if finite else "finite"
+    if kind is int:
+        if (isinstance(value, bool) or not isinstance(value, int)
+                or value < 0):
+            return f"an integer >= 0, not {value!r}"
+        return None
+    if kind is str:
+        return None if isinstance(value, str) and value else (
+            f"a non-empty string, not {value!r}")
+    if kind is bool:
+        return None if isinstance(value, bool) else (
+            f"true or false, not {value!r}")
+    return None if isinstance(value, kind) else (
+        f"a {kind.__name__}, not {value!r}")
+
+
+@cache
+def _scalar_fields(cls) -> tuple[tuple[str, type, bool, bool], ...]:
+    """(name, kind, may be None, may be empty) of each field of ``cls``
+    annotated with a scalar kind, or with one ``| None``. A text field may
+    be empty when its default is. The other fields are composite, and
+    their record checks them itself."""
+    out = []
+    for f in fields(cls):
+        kinds = set(get_args(f.type) if isinstance(f.type, UnionType)
+                    else (f.type,))
+        optional = type(None) in kinds
+        kinds.discard(type(None))
+        if len(kinds) == 1 and (kind := kinds.pop()) in (
+                float, int, bool, str, Cmp):
+            out.append((f.name, kind, optional, f.default == ""))
+    return tuple(out)
+
+
+def _check_fields(record, prefix: str) -> None:
+    """Check each scalar field of a setup ``record`` against its
+    annotation, in field order; a failure reads ``<prefix><field> must be
+    ...``."""
+    for name, kind, optional, blank in _scalar_fields(type(record)):
+        value = getattr(record, name)
+        if (value is None and optional) or (blank and isinstance(value, str)):
+            continue
+        problem = _problem(value, kind)
+        if problem:
+            raise SimulationError(f"{prefix}{name} must be {problem}")
+
+
+def _check_param(value, what: str) -> None:
+    """The rule of a house parameter, set in :class:`HouseParams` or in an
+    override: a finite number >= 0."""
+    problem = _problem(value, float)
+    if problem is None and value < 0:
+        problem = ">= 0"
+    if problem:
+        raise SimulationError(f"{what} must be {problem}")
+
+
+def _check_trace(value, what: str) -> None:
+    """The rule of an outdoor trace, set in :class:`HouseModel` or in an
+    override: a finite number or a non-empty tuple of them."""
+    values = value if isinstance(value, tuple) else (value,)
+    if not values or any(_problem(v, float) for v in values):
+        raise SimulationError(
+            f"{what} must be a finite number or a non-empty tuple of them")
 
 
 @dataclass
@@ -75,13 +160,10 @@ class RoomState:
     alarm: bool = False
 
     def __post_init__(self):
+        _check_fields(self, f"room {self.name!r} ")
         if not 0.0 <= self.humidity <= 100.0:
             raise SimulationError(
                 f"room {self.name!r} humidity must start in [0, 100]")
-        for name in ("temperature", "setpoint"):
-            if not math.isfinite(getattr(self, name)):
-                raise SimulationError(
-                    f"room {self.name!r} {name} must be finite")
         if self.thermostat not in (THERMOSTAT_OFF, THERMOSTAT_HEAT,
                                    THERMOSTAT_COOL):
             raise SimulationError(
@@ -107,13 +189,12 @@ class HouseParams:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise SimulationError(
-                    f"house parameter {f.name} must be finite")
-            if value < 0:
-                raise SimulationError(
-                    f"house parameter {f.name} must be >= 0")
+            _check_param(getattr(self, f.name), f"house parameter {f.name}")
+
+
+# The house parameters and outdoor traces a scenario may override.
+HOUSE_PARAMETERS = frozenset(f.name for f in fields(HouseParams))
+OUTDOOR_TRACES = ("outdoor_temperature", "daylight")
 
 
 @dataclass(frozen=True)
@@ -121,7 +202,7 @@ class HouseModel:
     """Rooms, their adjacency, physics parameters, and the outdoor trace.
 
     ``outdoor_temperature`` and ``daylight`` may be scalars or per-tick
-    sequences (cycled when shorter than the horizon) of finite numbers.
+    tuples (cycled when shorter than the horizon) of finite numbers.
     ``momentary`` lists
     actuators that spring back to their initial position at the end of each
     tick, for devices modeled as pulses rather than latched state.
@@ -135,11 +216,25 @@ class HouseModel:
     momentary: frozenset[str] = frozenset()
 
     def __post_init__(self):
+        if not isinstance(self.rooms, tuple) or not all(
+                isinstance(r, RoomState) for r in self.rooms):
+            raise SimulationError(
+                f"house rooms must be a tuple of RoomState, not "
+                f"{self.rooms!r}")
         names = [r.name for r in self.rooms]
         if len(set(names)) != len(names):
             raise SimulationError("duplicate room name in house model")
+        if not isinstance(self.adjacency, tuple):
+            raise SimulationError(
+                f"house adjacency must be a tuple of (room, room) pairs, "
+                f"not {self.adjacency!r}")
         pairs = set()
-        for a, b in self.adjacency:
+        for pair in self.adjacency:
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise SimulationError(
+                    f"house adjacency entry {pair!r} is not a (room, room) "
+                    "pair")
+            a, b = pair
             if a not in names or b not in names:
                 raise SimulationError(
                     f"adjacency references unknown room in ({a}, {b})")
@@ -149,13 +244,16 @@ class HouseModel:
             if frozenset((a, b)) in pairs:
                 raise SimulationError(f"adjacency lists ({a}, {b}) twice")
             pairs.add(frozenset((a, b)))
-        for name in ("outdoor_temperature", "daylight"):
-            trace = getattr(self, name)
-            values = (trace,) if isinstance(trace, (int, float)) else trace
-            if not values or not all(map(math.isfinite, values)):
-                raise SimulationError(
-                    f"house {name} must be a finite number or a non-empty "
-                    "sequence of them")
+        if not isinstance(self.params, HouseParams):
+            raise SimulationError(
+                f"house params must be a HouseParams, not {self.params!r}")
+        for name in OUTDOOR_TRACES:
+            _check_trace(getattr(self, name), f"house {name}")
+        if not isinstance(self.momentary, frozenset) or not all(
+                isinstance(a, str) and a for a in self.momentary):
+            raise SimulationError(
+                f"house momentary must be a frozenset of actuator ids, not "
+                f"{self.momentary!r}")
 
     def neighbors(self, room: str) -> tuple[str, ...]:
         out = []
@@ -263,30 +361,54 @@ class SourceSpec:
     emit_event: bool = True
 
     def __post_init__(self):
+        # Every field is checked whatever the mode.
+        what = f"source {self.name!r}"
+        _check_fields(self, f"{what} ")
         if self.mode not in ("bernoulli", "cov", "clock", "script"):
-            raise SimulationError(f"unknown source mode {self.mode!r}")
-        if self.mode == "bernoulli" and not 0.0 <= self.p <= 1.0:
             raise SimulationError(
-                f"source {self.name!r} probability must be in [0, 1]")
-        if self.mode == "cov" and self.feature not in (
-                "temperature", "humidity", "luminance"):
+                f"{what} mode must be bernoulli, cov, clock or script, not "
+                f"{self.mode!r}")
+        if not 0.0 <= self.p <= 1.0:
+            raise SimulationError(f"{what} p must be in [0, 1], not {self.p}")
+        if self.mode == "cov" and self.feature is None:
             raise SimulationError(
                 f"cov source {self.name!r} needs a feature to watch")
-        if not 0.0 <= self.min_delta < math.inf:
+        if self.feature not in (None, "temperature", "humidity", "luminance"):
             raise SimulationError(
-                f"source {self.name!r} min_delta must be finite and >= 0")
-        if self.mode == "script":
-            ticks = set()
-            for tick, _ in self.at:
-                if (not isinstance(tick, int) or isinstance(tick, bool)
-                        or tick < 0):
-                    raise SimulationError(
-                        f"script source {self.name!r} tick {tick!r} is not "
-                        "an integer >= 0")
-                if tick in ticks:
-                    raise SimulationError(
-                        f"script source {self.name!r} lists tick {tick} twice")
-                ticks.add(tick)
+                f"{what} feature must be temperature, humidity or "
+                f"luminance, not {self.feature!r}")
+        if self.min_delta < 0:
+            raise SimulationError(f"{what} min_delta must be >= 0")
+        choices = self.choices
+        if choices is not None and (
+                not isinstance(choices, tuple) or not choices
+                or any(_problem(c, float) for c in choices)):
+            raise SimulationError(
+                f"{what} choices must be None or a non-empty tuple of finite "
+                f"numbers, not {choices!r}")
+        if not isinstance(self.at, tuple):
+            raise SimulationError(
+                f"{what} at must be a tuple of (tick, value) pairs, not "
+                f"{self.at!r}")
+        ticks = set()
+        for entry in self.at:
+            if not isinstance(entry, tuple) or len(entry) != 2:
+                raise SimulationError(
+                    f"{what} at entry {entry!r} is not a (tick, value) pair")
+            tick, value = entry
+            if _problem(tick, int):
+                raise SimulationError(
+                    f"script source {self.name!r} tick {tick!r} is not "
+                    "an integer >= 0")
+            if tick in ticks:
+                raise SimulationError(
+                    f"script source {self.name!r} lists tick {tick} twice")
+            ticks.add(tick)
+            problem = _problem(value, float)
+            if problem:
+                raise SimulationError(
+                    f"script source {self.name!r} tick {tick} value must be "
+                    f"{problem}")
 
 
 @dataclass(frozen=True)
@@ -311,19 +433,45 @@ class Scenario:
     description: str = ""
 
     def __post_init__(self):
-        for name in ("horizon", "seed"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, int)
-                    or value < 0):
-                raise SimulationError(
-                    f"{name} must be an integer >= 0, not {value!r}")
+        what = f"scenario {self.id!r}"
+        _check_fields(self, f"{what} ")
         if self.detector not in ("off", "on"):
-            raise SimulationError("detector flag must be 'off' or 'on'")
+            raise SimulationError(
+                f"{what} detector must be 'off' or 'on', not "
+                f"{self.detector!r}")
+        if not isinstance(self.sources, tuple):
+            raise SimulationError(
+                f"{what} sources must be a tuple of SourceSpec, not "
+                f"{self.sources!r}")
+        # Each source checked itself when it was built; ``replace`` runs
+        # this again for every seed and arm.
         names = set()
         for src in self.sources:
+            if not isinstance(src, SourceSpec):
+                raise SimulationError(
+                    f"{what} source {src!r} is not a SourceSpec")
             if src.name in names:
                 raise SimulationError(f"duplicate source name {src.name!r}")
             names.add(src.name)
+        _check_overrides(self.house_overrides, f"{what} house_overrides")
+        if self.baseline_overrides is not None:
+            _check_overrides(self.baseline_overrides,
+                             f"{what} baseline_overrides")
+
+
+def _check_overrides(overrides, what: str) -> None:
+    """House overrides: a dict whose physics parameters meet the rule of
+    :class:`HouseParams` and whose outdoor traces meet that of
+    :class:`HouseModel`."""
+    if not isinstance(overrides, dict):
+        raise SimulationError(f"{what} must be a dict, not {overrides!r}")
+    for key, value in overrides.items():
+        if key in HOUSE_PARAMETERS:
+            _check_param(value, f"{what} {key}")
+        elif key in OUTDOOR_TRACES:
+            _check_trace(value, f"{what} {key}")
+        else:
+            raise SimulationError(f"{what} has unknown key {key!r}")
 
 
 @dataclass

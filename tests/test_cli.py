@@ -3,6 +3,7 @@ consistency."""
 
 import hashlib
 import io
+import math
 import tempfile
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,9 +18,10 @@ from hypothesis import strategies as st
 from gen import FIXTURES
 from tapcheck import cli, parsing, scenarios
 from tapcheck.cli import CONFLICT_HEADER, main
-from tapcheck.errors import TapcheckError
+from tapcheck.errors import ParseError, SimulationError, TapcheckError
 from tapcheck.parsing import load_document
 from tapcheck.scenarios import fixture_text
+from tapcheck.simulator import HouseModel, RoomState, Scenario, SourceSpec
 
 # YAML's indicators and whitespace, plus characters YAML forbids or treats
 # specially, for character-level mutations of a document.
@@ -858,6 +860,37 @@ class TestUserScenarioFiles:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("old,new,build", [
+        ("sensor: tap1, p: 0.2}", "sensor: tap1, p: abc}",
+         lambda: SourceSpec(name="taps", sensor="tap1", p="abc")),
+        ("sensor: tap1, p: 0.2}", "sensor: tap1, p: 0.2, emit_event: 'no'}",
+         lambda: SourceSpec(name="taps", sensor="tap1", emit_event="no")),
+        ("temperature: 70,", "temperature: abc,",
+         lambda: RoomState(name="hall", temperature="abc")),
+        ("horizon: 200", "horizon: abc",
+         lambda: Scenario(id="night_light_race", ruleset="r", sources=(),
+                          horizon="abc")),
+        ("  seed: 4\n", "  seed: 4\n  baseline_overrides: {k_loss: abc}\n",
+         lambda: Scenario(id="night_light_race", ruleset="r", sources=(),
+                          horizon=1, baseline_overrides={"k_loss": "abc"})),
+        ("  momentary:", "  outdoor: {daylight: [300, .nan]}\n  momentary:",
+         lambda: HouseModel(rooms=(RoomState(name="hall"),),
+                            daylight=(300, math.nan))),
+    ], ids=["source_p", "source_emit", "room_temperature", "horizon",
+            "baseline_value", "outdoor_series"])
+    def test_bad_value_reads_the_same_from_document_and_code(
+            self, old, new, build, tmp_path, capsys):
+        # A document is read into the setup types, so one bad leaf value
+        # fails with the error the type gives when built in code.
+        doc = tmp_path / "bad.yaml"
+        assert old in USER_SCENARIO
+        doc.write_text(USER_SCENARIO.replace(old, new), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(doc),
+                     "--out", str(tmp_path / "out")]) == 2
+        with pytest.raises(SimulationError) as raised:
+            build()
+        assert capsys.readouterr().err == f"error: {raised.value}\n"
+
     @pytest.mark.parametrize("adjacency,message", [
         ("[[hall, den], [hall, hall]]", "adjacency joins room hall to itself"),
         ("[[hall, den], [den, hall]]", "adjacency lists (den, hall) twice")])
@@ -882,7 +915,6 @@ class TestUserScenarioFiles:
     def test_bad_house_entry_rejected_on_load(self, old, new, message,
                                               tmp_path):
         # Rejected as the file is read, even if no rule ever fires.
-        from tapcheck.errors import ParseError
         doc = tmp_path / "bad.yaml"
         doc.write_text(USER_SCENARIO.replace(old, new), encoding="utf-8")
         with pytest.raises(ParseError, match=message):
@@ -1022,17 +1054,19 @@ sources: []
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("overrides", ["{k_loss: abc}", "[1]", "0",
-                                           "{k_los: 1}"])
-    def test_bad_baseline_overrides_rejected_on_load(self, overrides,
+    @pytest.mark.parametrize("overrides,error", [
+        ("{k_loss: abc}", SimulationError), ("[1]", ParseError),
+        ("0", ParseError), ("{k_los: 1}", ParseError)],
+        ids=["{k_loss: abc}", "[1]", "0", "{k_los: 1}"])
+    def test_bad_baseline_overrides_rejected_on_load(self, overrides, error,
                                                      tmp_path):
-        # Rejected as the file is read, before either arm simulates.
-        from tapcheck.errors import ParseError
+        # Rejected as the file is read, before either arm simulates: the
+        # document's shape by the reader, a value by Scenario.
         doc = tmp_path / "bad.yaml"
         doc.write_text(USER_SCENARIO.replace(
             "  seed: 4\n", f"  seed: 4\n  baseline_overrides: {overrides}\n"),
             encoding="utf-8")
-        with pytest.raises(ParseError, match="baseline_overrides"):
+        with pytest.raises(error, match="baseline_overrides"):
             scenarios.load_scenario_bundle(str(doc))
 
     def test_two_readings_of_one_sensor_at_one_tick_exit_two(self, tmp_path,
@@ -1084,7 +1118,6 @@ detector:""")
         assert not out.exists()
 
     def test_scenario_file_without_meta_rejected(self, tmp_path):
-        from tapcheck.errors import SimulationError
         from tapcheck.scenarios import load_scenario_bundle
         doc = tmp_path / "bad.yaml"
         doc.write_text("registry:" + USER_SCENARIO.split("registry:", 1)[1],

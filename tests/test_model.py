@@ -21,6 +21,7 @@ from tapcheck.model import (
     EventSignature,
     FeatureDependencyGraph,
     Relation,
+    Sensor,
     TriggerCondition,
     overlapping_events,
 )
@@ -340,6 +341,19 @@ class TestDetectorConfig:
             DetectorConfig(dependency_graph=g, action_relations=t,
                            **{name: value})
 
+    @pytest.mark.parametrize("classes", [
+        ("ab",), [frozenset({EventSignature("t", Cmp.EQ, "r")})],
+        (frozenset({"t:==:r"}),), ({EventSignature("t", Cmp.EQ, "r")},)],
+        ids=["strings", "list", "frozenset_of_strings", "set"])
+    def test_bad_similarity_classes_rejected(self, classes):
+        # Unchecked, the first similarity lookup failed with a bare
+        # TypeError.
+        g = graph_of([], [])
+        t = ActionRelationTable(vocabulary={})
+        with pytest.raises(InvalidConfigError, match="similarity_classes"):
+            DetectorConfig(dependency_graph=g, action_relations=t,
+                           similarity_classes=classes)
+
     def test_horizon_covers_all_windows(self):
         g = graph_of([], [])
         t = ActionRelationTable(vocabulary={})
@@ -347,3 +361,14 @@ class TestDetectorConfig:
                              overlap_window=5, duplicate_window=30,
                              same_tick_epsilon=40)
         assert cfg.horizon == 40
+
+
+class TestSensor:
+    @pytest.mark.parametrize("tolerance", [-1.0, -1, float("nan"),
+                                           float("inf"), "0.5", True])
+    def test_bad_tolerance_rejected(self, tolerance):
+        # A negative or NaN tolerance holds no value gap, so C7 would
+        # silently never fire for the sensor.
+        with pytest.raises(InvalidConfigError,
+                           match="sensor 't1' tolerance must be"):
+            Sensor("t1", "temperature", "F", "room1", tolerance=tolerance)

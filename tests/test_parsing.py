@@ -154,6 +154,17 @@ detector:
         with pytest.raises(ParseError, match="finite"):
             load_document(doc)
 
+    def test_negative_tolerance_rejected(self):
+        # With tolerance -1 no two readings are within tolerance, so the
+        # sensor's repeats would never be C7 duplicates.
+        text = fixture_text("c7_duplicate")
+        needle = "location: room1, range: [30, 100]}"
+        assert needle in text
+        with pytest.raises(ParseError, match=r"tolerance must be >= 0 "
+                           r"\(at registry\.sensors\[0\]\.tolerance\)"):
+            load_document(text.replace(
+                needle, "location: room1, range: [30, 100], tolerance: -1}"))
+
     @pytest.mark.parametrize("needle,bogus", [
         ("controller: ctrl\n", "controller: ghost\n"),
         ("actuator: th1", "actuator: ghost"),

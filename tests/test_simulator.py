@@ -1,7 +1,9 @@
 """House physics, event sources, suppression, and determinism."""
 
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
+from types import UnionType
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from tapcheck import detector, simulator
 from tapcheck.detector import match_rules
 from tapcheck.errors import SimulationError, UnknownScenarioError
+from tapcheck.model import Cmp
 from tapcheck.scenarios import build, load_bundle, run_scenario, with_probability
 from tapcheck.simulator import (
     HouseModel,
@@ -446,6 +449,153 @@ class TestLibrarySetupChecks:
         again = build("S7")
         assert again.house_overrides == {"occupant_heat": 0.3}
         assert again.baseline_overrides == {"occupant_heat": 0.0}
+
+
+# Valid arguments for each setup type; each case replaces one of them.
+_SETUP = {
+    RoomState: {"name": "room1"},
+    HouseParams: {},
+    HouseModel: {"rooms": (RoomState(name="room1"),)},
+    SourceSpec: {"name": "x", "sensor": "s"},
+    Scenario: {"id": "probe", "ruleset": "s5_alarm", "sources": (),
+               "horizon": 1},
+}
+# Fields that are not one scalar kind, each checked by its type itself
+# and covered by ``TestSetupValueTypes.test_listed_value_rejected``.
+_COMPOSITE = {
+    "HouseModel": {"rooms", "adjacency", "params", "outdoor_temperature",
+                   "daylight", "momentary"},
+    "SourceSpec": {"choices", "at"},
+    "Scenario": {"sources", "house_overrides", "baseline_overrides"},
+}
+# Values of the wrong type for each scalar kind, with a label each.
+_WRONG = {
+    float: {"text": "x", "list": [1], "none": None, "bool": True,
+            "nan": math.nan, "huge_int": 10**400},
+    int: {"text": "x", "list": [1], "none": None, "bool": True,
+          "nan": math.nan, "float": 2.5, "negative": -1},
+    bool: {"text": "x", "list": [1], "none": None, "int": 1},
+    str: {"empty": "", "list": [1], "none": None, "number": 5,
+          "bool": True},
+    Cmp: {"token": "==", "list": [1], "none": None},
+}
+
+
+def _scalar_field_cases():
+    """A case (type, field, wrong value) for every scalar field of every
+    setup type, read from the annotations, and every wrong value of its
+    kind. A field of no scalar kind must be listed in ``_COMPOSITE``."""
+    for cls in _SETUP:
+        for f in fields(cls):
+            kinds = set(get_args(f.type) if isinstance(f.type, UnionType)
+                        else (f.type,))
+            optional = type(None) in kinds
+            kinds.discard(type(None))
+            kind = kinds.pop() if len(kinds) == 1 else None
+            if kind not in _WRONG:
+                assert f.name in _COMPOSITE.get(cls.__name__, ()), f.name
+                continue
+            for label, value in _WRONG[kind].items():
+                if (label == "none" and optional
+                        or label == "empty" and f.default == ""):
+                    continue
+                yield pytest.param(cls, f.name, value,
+                                   id=f"{cls.__name__}.{f.name}-{label}")
+
+
+class TestSetupValueTypes:
+    """Each setup type checks the type of every value it holds as it is
+    built, whether the value comes from code or from a document."""
+
+    @pytest.mark.parametrize("cls,name,value", list(_scalar_field_cases()))
+    def test_wrong_scalar_type_rejected(self, cls, name, value):
+        with pytest.raises(SimulationError, match=rf"\b{name} must be "):
+            cls(**{**_SETUP[cls], name: value})
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: SourceSpec(name="x", sensor="s", p="0.5"),
+         "source 'x' p must be a number, not '0.5'"),
+        (lambda: room(humidity="50"),
+         "room 'room1' humidity must be a number, not '50'"),
+        (lambda: HouseParams(k_loss="x"),
+         "house parameter k_loss must be a number, not 'x'"),
+        (lambda: HouseModel(rooms=(room(),), outdoor_temperature="70"),
+         "house outdoor_temperature must be a finite number"),
+        (lambda: Scenario(id="p", ruleset="s5_alarm", sources=(),
+                          horizon=1, house_overrides={"nope": 1}),
+         "scenario 'p' house_overrides has unknown key 'nope'"),
+        (lambda: Scenario(id="p", ruleset="s5_alarm", sources=(),
+                          horizon=1, house_overrides={"k_loss": "x"}),
+         "scenario 'p' house_overrides k_loss must be a number, not 'x'"),
+        (lambda: Scenario(id="p", ruleset="s5_alarm", sources=(),
+                          horizon=1, baseline_overrides={"k_loss": -1}),
+         "scenario 'p' baseline_overrides k_loss must be >= 0"),
+        (lambda: Scenario(id="p", ruleset="s5_alarm", sources=(),
+                          horizon=1, house_overrides={"daylight": [1.0]}),
+         "scenario 'p' house_overrides daylight must be a finite number "
+         "or a non-empty tuple of them"),
+        (lambda: Scenario(id="p", ruleset="s5_alarm", sources=(),
+                          horizon=1, house_overrides=[("k_loss", 1.0)]),
+         "scenario 'p' house_overrides must be a dict"),
+        (lambda: SourceSpec(name="x", sensor=["smoke1"]),
+         r"source 'x' sensor must be a non-empty string, not \['smoke1'\]"),
+        (lambda: SourceSpec(name="x", sensor="s", mode="script",
+                            at=((1, 1.0, 2),)),
+         r"source 'x' at entry \(1, 1.0, 2\) is not a \(tick, value\) "
+         "pair"),
+        (lambda: SourceSpec(name="x", sensor="s", at=5),
+         r"source 'x' at must be a tuple of \(tick, value\) pairs"),
+        (lambda: SourceSpec(name="x", sensor="s", at=((-1, 1.0),)),
+         "script source 'x' tick -1 is not an integer >= 0"),
+        (lambda: SourceSpec(name="x", sensor="s", mode="script",
+                            at=((1, "x"),)),
+         "script source 'x' tick 1 value must be a number, not 'x'"),
+        (lambda: HouseModel(rooms=(room(name="r"),), adjacency=(("r",),)),
+         r"house adjacency entry \('r',\) is not a \(room, room\) pair"),
+        (lambda: HouseModel(rooms=({"name": "r"},)),
+         "house rooms must be a tuple of RoomState"),
+        (lambda: Scenario(id="p", ruleset="s5_alarm",
+                          sources=({"name": "a"},), horizon=1),
+         r"scenario 'p' source \{'name': 'a'\} is not a SourceSpec"),
+        (lambda: SourceSpec(name="x", sensor="s", predicate="=="),
+         "source 'x' predicate must be a Cmp, not '=='"),
+        (lambda: room(light="yes"),
+         "room 'room1' light must be true or false, not 'yes'"),
+        (lambda: HouseModel(rooms=(room(),), outdoor_temperature=True),
+         "house outdoor_temperature must be a finite number"),
+        (lambda: HouseModel(rooms=(room(),), momentary=["x"]),
+         "house momentary must be a frozenset of actuator ids"),
+        (lambda: SourceSpec(name="x", sensor="s", emit_event="no"),
+         "source 'x' emit_event must be true or false, not 'no'"),
+        (lambda: SourceSpec(name="x", sensor="s", value="1"),
+         "source 'x' value must be a number, not '1'"),
+        (lambda: Scenario(id=5, ruleset="s5_alarm", sources=(), horizon=1),
+         "scenario 5 id must be a non-empty string, not 5"),
+        (lambda: SourceSpec(name="x", sensor="s", choices=()),
+         r"source 'x' choices must be None or a non-empty tuple"),
+        (lambda: SourceSpec(name="x", sensor="s", choices=(1.0, math.inf)),
+         r"source 'x' choices must be None or a non-empty tuple"),
+        (lambda: SourceSpec(name="x", sensor="s", mode="clock", p=2.0),
+         r"source 'x' p must be in \[0, 1\], not 2.0"),
+        (lambda: SourceSpec(name="x", sensor="s", feature="pressure"),
+         "source 'x' feature must be temperature, humidity or luminance"),
+        (lambda: SourceSpec(name="x", sensor="s", mode="poll"),
+         "source 'x' mode must be bernoulli, cov, clock or script"),
+    ], ids=["source_p_text", "room_humidity_text", "param_text",
+            "outdoor_text", "override_unknown_key", "override_text",
+            "baseline_negative", "override_trace_list", "overrides_pairs",
+            "source_sensor_list", "at_triple", "at_scalar_any_mode",
+            "at_negative_any_mode", "script_value_text", "adjacency_single",
+            "rooms_dicts", "sources_dicts", "predicate_token",
+            "room_flag_text", "outdoor_bool", "momentary_list",
+            "emit_event_text", "source_value_text", "scenario_id_number",
+            "choices_empty", "choices_infinite", "p_range_any_mode",
+            "feature_unknown", "mode_unknown"])
+    def test_listed_value_rejected(self, build, message):
+        # Each of these once ended in a bare TypeError, ValueError or
+        # AttributeError, failed only mid-run, or was accepted.
+        with pytest.raises(SimulationError, match=message):
+            build()
 
 
 class TestDeterminismAndBounds:
