@@ -24,6 +24,13 @@ rejects load under libyaml, for example a tab after a colon (``a:\tb``) or a
 ``?`` inside a flow plain scalar (``[temperature?room1]``); the checks that
 follow the load judge their content as usual. A character YAML forbids, such
 as NUL, is reported on one line with its line and column.
+
+A document is first built straight from the loader's event stream into
+dicts and lists, skipping PyYAML's node graph; plain scalars still go
+through the loader's own resolver and constructor. The walk steps aside for
+``yaml.load`` on an anchor, an alias, an explicit tag, a merge (``<<``) or
+value (``=``) key, an unhashable key, a second document and any error, so
+what it cannot build, and every error, comes out as it did without it.
 """
 
 import math
@@ -31,6 +38,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
+from yaml import (
+    AliasEvent,
+    DocumentStartEvent,
+    MappingEndEvent,
+    MappingStartEvent,
+    ScalarEvent,
+    ScalarNode,
+    SequenceEndEvent,
+    SequenceStartEvent,
+)
 
 from .errors import (
     DuplicateIdError,
@@ -89,10 +106,91 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
+_MISSING = object()
+# The tags of a plain ``<<`` and ``=``: as keys, ``flatten_mapping`` treats
+# them specially; as values, ``SafeConstructor`` cannot construct them.
+_MERGE_AND_VALUE = ("tag:yaml.org,2002:merge", "tag:yaml.org,2002:value")
+
+
+class _Declined(Exception):
+    """The event walk met a construct it leaves to ``yaml.load``."""
+
+
+def _walk_events(text: str):
+    """What ``yaml.load(text, Loader=_LOADER)`` returns, built from the
+    loader's event stream into dicts and lists without composing nodes.
+
+    A quoted or block scalar is its text. A plain scalar goes through the
+    loader's own ``resolve`` and ``construct_object``, once per distinct
+    text. A repeated key keeps its first position and its last value, as in
+    ``SafeLoader``. Raises on an anchor, an alias, an explicit tag, a plain
+    ``<<`` or ``=``, an unhashable key, a second document and any YAML error.
+    """
+    loader = _LOADER(text)
+    try:
+        plain = {}
+        built, keys = [], []  # open collections; each one's parent's key
+        key, root, documents = _MISSING, None, 0
+        for event in iter(loader.get_event, None):
+            kind = type(event)
+            if kind is ScalarEvent:
+                if event.anchor is not None or event.tag is not None:
+                    raise _Declined
+                if not event.implicit[0]:
+                    value = event.value
+                else:
+                    value = plain.get(event.value, _MISSING)
+                    if value is _MISSING:
+                        node = ScalarNode(loader.resolve(
+                            ScalarNode, event.value, (True, False)),
+                            event.value)
+                        if node.tag in _MERGE_AND_VALUE:
+                            raise _Declined
+                        value = plain[event.value] = \
+                            loader.construct_object(node)
+            elif kind is MappingStartEvent or kind is SequenceStartEvent:
+                if event.anchor is not None or event.tag is not None:
+                    raise _Declined
+                keys.append(key)
+                key = _MISSING
+                built.append({} if kind is MappingStartEvent else [])
+                continue
+            elif kind is MappingEndEvent or kind is SequenceEndEvent:
+                value = built.pop()
+                key = keys.pop()
+            elif kind is DocumentStartEvent:
+                documents += 1
+                if documents > 1:
+                    raise _Declined
+                continue
+            elif kind is AliasEvent:
+                raise _Declined
+            else:  # the stream's start and end, a document's end
+                continue
+            if not built:
+                root = value
+            elif type(built[-1]) is list:
+                built[-1].append(value)
+            elif key is _MISSING:
+                key = value
+            else:
+                built[-1][key] = value  # TypeError for an unhashable key
+                key = _MISSING
+        return root
+    finally:
+        loader.dispose()
+
+
 def _load_yaml(text: str):
     # libyaml skips a byte-order mark that starts any line; the pure parser
     # skips only a leading one and reads the others as text.
     if text.find("\ufeff", 1) < 0:
+        try:
+            return _walk_events(text)
+        except Exception:
+            # Whatever the walk cannot answer, including every error,
+            # ``yaml.load`` reads again, so it fails exactly as before.
+            pass
         try:
             return yaml.load(text, Loader=_LOADER)
         except (yaml.YAMLError, UnicodeEncodeError):

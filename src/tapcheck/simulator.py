@@ -605,10 +605,15 @@ class _Run:
         self._event_seq = 0
         self._cov_last: dict[str, float] = {}
         horizon = scenario.horizon
-        self.series = {
-            name: {f: np.zeros(horizon) for f in SERIES_FIELDS}
-            for name in self.rooms
-        }
+        try:
+            self.series = {
+                name: {f: np.zeros(horizon) for f in SERIES_FIELDS}
+                for name in self.rooms
+            }
+        except (ValueError, MemoryError) as exc:
+            raise SimulationError(
+                f"scenario {scenario.id!r} horizon {horizon} is too long "
+                f"to simulate: {exc}") from exc
         # Per room, its attribute dict and the columns read from it each tick.
         self._records = [(room.__dict__, tuple(self.series[name].items()))
                          for name, room in self.rooms.items()]

@@ -1117,6 +1117,25 @@ detector:""")
         assert "tap1" in err and "tick 17" in err
         assert not out.exists()
 
+    # Both horizons fail in numpy before any memory is taken; a horizon
+    # that could be allocated is never tried here.
+    @pytest.mark.parametrize("horizon", [10**400, 2**62],
+                             ids=["ten_to_400", "two_to_62"])
+    def test_horizon_too_long_to_allocate_exits_two(self, horizon, tmp_path,
+                                                    capsys):
+        doc = tmp_path / "long.yaml"
+        doc.write_text(USER_SCENARIO.replace("horizon: 200",
+                                             f"horizon: {horizon}"),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(doc),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario 'night_light_race' horizon "
+                              f"{horizon} is too long to simulate: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_scenario_file_without_meta_rejected(self, tmp_path):
         from tapcheck.scenarios import load_scenario_bundle
         doc = tmp_path / "bad.yaml"

@@ -1,16 +1,21 @@
 """Document loading, validation errors, and canonical round-trips."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gen import FIXTURES, random_ruleset
+from test_cli import MUTATION_ALPHABET, mutated
 from tapcheck import parsing
 from tapcheck.errors import (
     DuplicateIdError,
@@ -430,3 +435,115 @@ class TestYamlLoaders:
             doc = load_document(fixture_text(name))
             assert written[name] == serialize_document(doc.ruleset,
                                                        doc.config)
+
+
+def _same(a, b) -> bool:
+    """Equal in values, types and key order, a NaN included."""
+    return repr(a) == repr(b)
+
+
+def _walked(text: str):
+    """A 1-tuple of what the event walk builds (``None`` for an empty
+    document), or ``None`` where the walk declines."""
+    try:
+        return (parsing._walk_events(text),)
+    except Exception:
+        return None
+
+
+# Each scalar as a mapping value and as a list item.
+YAML11_SCALARS = ["on", "yes", "0o12", "012", "1_000", "1e3", "1.0e3",
+                  ".inf", "-.nan", "~", "", "2001-12-14", "1:20", "0x1f",
+                  "'on'", '"1"']
+
+
+class TestEventWalk:
+    """``_load_yaml`` first builds a document from the loader's event
+    stream. Where the walk answers, it gives what ``yaml.load`` gives; where
+    it declines, ``yaml.load`` and then the pure parser decide as before."""
+
+    @needs_libyaml
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_walk_agrees_with_both_parsers(self, data):
+        source = data.draw(st.sampled_from(FIXTURES + GENERATED))
+        text = mutated(data, _source_text(source), MUTATION_ALPHABET)
+        walked = _walked(text)
+        if walked is not None:
+            assert _same(walked[0], yaml.load(text, Loader=yaml.CSafeLoader))
+        try:
+            pure = yaml.safe_load(text)
+            yaml.load(text, Loader=yaml.CSafeLoader)
+        except Exception:
+            return  # TestYamlLoaders pins what one parser alone accepts
+        assert _same(_load_yaml(text), pure)
+
+    @pytest.mark.parametrize("source", FIXTURES + GENERATED)
+    def test_walk_answers_every_fixture(self, source):
+        text = _source_text(source)
+        walked = _walked(text)
+        assert walked is not None
+        assert _same(walked[0], yaml.load(text, Loader=parsing._LOADER))
+
+    @pytest.mark.parametrize("loader", ["libyaml", "pure"])
+    @pytest.mark.parametrize("scalar", YAML11_SCALARS)
+    def test_yaml11_scalars(self, scalar, loader, monkeypatch):
+        if loader == "pure":
+            monkeypatch.setattr(parsing, "_LOADER", yaml.SafeLoader)
+        text = f"a: {scalar}\nb:\n  - {scalar}\n"
+        walked = _walked(text)
+        assert walked is not None
+        assert _same(walked[0], yaml.load(text, Loader=parsing._LOADER))
+        assert _same(_load_yaml(text), yaml.safe_load(text))
+
+    @pytest.mark.parametrize("text", ["a: 1\nb: 2\na: 3\n",
+                                      "{a: 1, b: 2, a: 3}"],
+                             ids=["block", "flow"])
+    def test_repeated_key_keeps_first_place_and_last_value(self, text):
+        walked = _walked(text)
+        assert walked is not None
+        assert list(walked[0].items()) == [("a", 3), ("b", 2)]
+        assert _same(_load_yaml(text), yaml.safe_load(text))
+
+    @pytest.mark.parametrize("text", [
+        "a: &x 1\nb: 2\n",
+        "a: &x 1\nb: *x\n",
+        "a: !!str 1\n",
+        "<<: {x: 1}\ny: 2\n",
+        "=: 1\n",
+        "? [a]\n: 1\n",
+        "a: 1\n---\nb: 2\n",
+    ], ids=["anchor", "alias", "explicit_tag", "merge_key", "value_key",
+            "unhashable_key", "two_documents"])
+    def test_declines_what_yaml_load_decides(self, text):
+        assert _walked(text) is None
+        try:
+            expected = yaml.safe_load(text)
+        except yaml.MarkedYAMLError:
+            with pytest.raises(ParseError) as err:
+                _load_yaml(text)
+            message, line, column = _pure_error(text)
+            assert str(err.value) == (f"{message} (line {line}, "
+                                      f"column {column})")
+        else:
+            assert _same(_load_yaml(text), expected)
+
+    def test_repeated_loads_keep_no_memory(self):
+        # Every load has its own loader; one shared across loads would keep
+        # each plain scalar it constructed.
+        text = fixture_text("house")
+        _load_yaml(text)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(50):
+                _load_yaml(text)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert grown < 256 * 1024
