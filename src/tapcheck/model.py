@@ -25,6 +25,7 @@ from functools import cached_property
 from typing import Callable, Collection, Sequence
 
 from .errors import (
+    DuplicateIdError,
     InvalidConfigError,
     InvalidEventError,
     ReferentialIntegrityError,
@@ -271,11 +272,29 @@ class Registry:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """A validated bundle of rules plus the registry they refer to."""
+    """A validated bundle of rules plus the registry they refer to.
+
+    Rule ids are unique, and every threshold is a finite number, so each
+    comparator holds on a slice of the sorted thresholds.
+    """
 
     registry: Registry
     rules: tuple[Rule, ...]
     day_length: int = DEFAULT_DAY_LENGTH
+
+    def __post_init__(self):
+        seen: set[str] = set()
+        for rule in self.rules:
+            if rule.id in seen:
+                raise DuplicateIdError(f"duplicate rule id {rule.id!r}")
+            seen.add(rule.id)
+            threshold = rule.trigger.threshold
+            if (isinstance(threshold, bool)
+                    or not isinstance(threshold, (int, float))
+                    or not -math.inf < threshold < math.inf):
+                raise InvalidConfigError(
+                    f"rule {rule.id!r} threshold must be a finite number, "
+                    f"not {threshold!r}")
 
     @cached_property
     def trigger_index(self) -> dict[str, tuple[tuple[
@@ -315,13 +334,16 @@ class FeatureDependencyGraph:
     edges: frozenset[tuple[str, str]]
 
     def __post_init__(self):
-        for src, dst in self.edges:
+        # Sorted, so the first bad edge reported does not hang on the hash
+        # seed.
+        for src, dst in sorted(self.edges):
+            for feature in (src, dst):
+                if feature not in self.nodes:
+                    raise ReferentialIntegrityError(
+                        "dependency edge references undeclared feature "
+                        f"{feature!r}")
             if src == dst:
                 raise InvalidConfigError(f"self-loop on feature {src!r}")
-            if src not in self.nodes or dst not in self.nodes:
-                missing = src if src not in self.nodes else dst
-                raise UnknownFeatureError(
-                    f"dependency edge references undeclared feature {missing!r}")
 
     @cached_property
     def related(self) -> dict[str, frozenset[str]]:

@@ -14,23 +14,24 @@ config, and serializing that again gives the same text.
 
 Documents are read and written with libyaml when PyYAML was built with it,
 and with PyYAML's pure-Python classes otherwise; both write the same bytes.
-When libyaml rejects a document, the pure parser reads it again, so every
-document the pure parser accepts loads to the same object and every YAML
-error carries the pure parser's text, line and column. The two parsers build
-the same object from a document both accept, except that libyaml skips a
-byte-order mark at the start of any line: a text holding one past its first
-character goes to the pure parser alone. A few documents the pure parser
-rejects load under libyaml, for example a tab after a colon (``a:\tb``) or a
-``?`` inside a flow plain scalar (``[temperature?room1]``); the checks that
-follow the load judge their content as usual. A character YAML forbids, such
-as NUL, is reported on one line with its line and column.
-
-A document is first built straight from the loader's event stream into
-dicts and lists, skipping PyYAML's node graph; plain scalars still go
-through the loader's own resolver and constructor. The walk steps aside for
-``yaml.load`` on an anchor, an alias, an explicit tag, a merge (``<<``) or
-value (``=``) key, an unhashable key, a second document and any error, so
-what it cannot build, and every error, comes out as it did without it.
+A document has two readers. The first builds it straight from the loader's
+event stream into dicts and lists, skipping PyYAML's node graph; plain
+scalars still go through the loader's own resolver and constructor. It
+steps aside on an anchor, an alias, an explicit tag, a merge (``<<``) or
+value (``=``) key, an unhashable key, a second document, nesting deeper
+than ``_MAX_DEPTH`` and any error, and for a text holding a byte-order mark
+past its first character, which libyaml skips at the start of any line.
+The pure parser (``yaml.safe_load``) then reads the document, so every YAML
+error carries the pure parser's text, line and column, and a document that
+nests too deeply or a scalar that cannot be built (``0b_``, ``2001-13-01``)
+is one ``ParseError`` too. Both readers build the same object from a
+document both accept. Under libyaml the walk reads a few documents the pure
+parser rejects, for example a tab after a colon (``a:\tb``) or a ``?``
+inside a flow plain scalar (``[temperature?room1]``); the checks that
+follow the load judge their content as usual. With an anchor, a tag or a
+merge key in it, such a document goes to the pure parser, which rejects it.
+A character YAML forbids, such as NUL, is reported on one line with its line
+and column.
 """
 
 import math
@@ -75,6 +76,7 @@ from .model import (
 _SECTIONS = ("rules", "feature_deps", "action_relations", "detector",
              "day_length", "house", "sources", "scenario")
 
+_WINDOWS = ("overlap_window", "duplicate_window", "same_tick_epsilon")
 _CMP_TOKENS = {c.value: c for c in Cmp}
 _RELATION_TOKENS = {r.value: r for r in Relation}
 
@@ -110,21 +112,27 @@ _MISSING = object()
 # The tags of a plain ``<<`` and ``=``: as keys, ``flatten_mapping`` treats
 # them specially; as values, ``SafeConstructor`` cannot construct them.
 _MERGE_AND_VALUE = ("tag:yaml.org,2002:merge", "tag:yaml.org,2002:value")
+# Documents nest about six levels deep: a trigger's schedule is the fifth,
+# inside the trigger, the rule, the rule list and the top-level mapping.
+# Past this depth the walk leaves a document to the pure parser, whose
+# recursive composer reports it as too deep if its stack runs out.
+_MAX_DEPTH = 64
 
 
 class _Declined(Exception):
-    """The event walk met a construct it leaves to ``yaml.load``."""
+    """The event walk met a construct it leaves to the pure parser."""
 
 
 def _walk_events(text: str):
-    """What ``yaml.load(text, Loader=_LOADER)`` returns, built from the
+    """The object ``_LOADER`` constructs from ``text``, built from the
     loader's event stream into dicts and lists without composing nodes.
 
     A quoted or block scalar is its text. A plain scalar goes through the
     loader's own ``resolve`` and ``construct_object``, once per distinct
     text. A repeated key keeps its first position and its last value, as in
     ``SafeLoader``. Raises on an anchor, an alias, an explicit tag, a plain
-    ``<<`` or ``=``, an unhashable key, a second document and any YAML error.
+    ``<<`` or ``=``, an unhashable key, a second document, a collection
+    nested deeper than ``_MAX_DEPTH`` and any YAML error.
     """
     loader = _LOADER(text)
     try:
@@ -149,7 +157,8 @@ def _walk_events(text: str):
                         value = plain[event.value] = \
                             loader.construct_object(node)
             elif kind is MappingStartEvent or kind is SequenceStartEvent:
-                if event.anchor is not None or event.tag is not None:
+                if (event.anchor is not None or event.tag is not None
+                        or len(built) >= _MAX_DEPTH):
                     raise _Declined
                 keys.append(key)
                 key = _MISSING
@@ -188,15 +197,8 @@ def _load_yaml(text: str):
         try:
             return _walk_events(text)
         except Exception:
-            # Whatever the walk cannot answer, including every error,
-            # ``yaml.load`` reads again, so it fails exactly as before.
-            pass
-        try:
-            return yaml.load(text, Loader=_LOADER)
-        except (yaml.YAMLError, UnicodeEncodeError):
-            # libyaml words its errors differently, rejects a few documents
-            # the pure parser reads and cannot encode a lone surrogate, so
-            # the pure parser has the last word.
+            # Whatever the walk cannot answer, including every error, the
+            # pure parser reads again and has the last word.
             pass
     try:
         return yaml.safe_load(text)
@@ -215,6 +217,14 @@ def _load_yaml(text: str):
         if mark is not None:
             raise ParseError(f"invalid YAML: {getattr(exc, 'problem', exc)}",
                              line=mark.line + 1, column=mark.column + 1) from exc
+        raise ParseError(f"invalid YAML: {exc}") from exc
+    except RecursionError as exc:
+        # PyYAML composes nested collections recursively.
+        raise ParseError("invalid YAML: collections nested too deeply") \
+            from exc
+    except ValueError as exc:
+        # A plain scalar that looks like an int, float or timestamp but
+        # cannot be built, such as ``0b_`` or ``2001-13-01``.
         raise ParseError(f"invalid YAML: {exc}") from exc
 
 
@@ -249,12 +259,6 @@ def _as_number(value, path) -> float:
     if not math.isfinite(number):
         raise ParseError("expected a finite number", path=path)
     return number
-
-
-def _as_bool(value, path) -> bool:
-    if not isinstance(value, bool):
-        raise ParseError("expected true or false", path=path)
-    return value
 
 
 def _as_int(value, path) -> int:
@@ -465,19 +469,14 @@ def _parse_rule(entry, i, registry: Registry, day_length: int) -> Rule:
 
 
 def _parse_feature_deps(raw, registry: Registry) -> FeatureDependencyGraph:
+    # The graph checks that each edge joins two declared features and is no
+    # self-loop.
     edges: set[tuple[str, str]] = set()
     for i, entry in enumerate(raw):
         p = f"feature_deps[{i}]"
         if not isinstance(entry, list) or len(entry) != 2:
             raise ParseError("dependency edge must be [from, to]", path=p)
-        src, dst = (_as_str(x, p) for x in entry)
-        for f in (src, dst):
-            if f not in registry.features:
-                raise ReferentialIntegrityError(
-                    f"dependency edge references undeclared feature {f!r}")
-        if src == dst:
-            raise ParseError("self-dependency is not allowed", path=p)
-        edges.add((src, dst))
+        edges.add(tuple(_as_str(x, p) for x in entry))
     return FeatureDependencyGraph(nodes=registry.features,
                                   edges=frozenset(edges))
 
@@ -552,9 +551,8 @@ def _parse_signature(token, registry: Registry, path) -> EventSignature:
 def _parse_detector(raw, registry: Registry,
                     graph: FeatureDependencyGraph,
                     relations: ActionRelationTable) -> DetectorConfig:
-    _keys(raw, "detector", "detector", optional=(
-        "similarity_classes", "overlap_window", "duplicate_window",
-        "same_tick_epsilon"))
+    _keys(raw, "detector", "detector",
+          optional=("similarity_classes",) + _WINDOWS)
     classes = []
     for i, group in enumerate(_section(
             raw, "similarity_classes", list, "detector.similarity_classes")):
@@ -563,17 +561,10 @@ def _parse_detector(raw, registry: Registry,
             raise ParseError("similarity class needs >= 2 signatures", path=p)
         classes.append(frozenset(_parse_signature(tok, registry, p)
                                  for tok in group))
-    return DetectorConfig(
-        dependency_graph=graph,
-        action_relations=relations,
-        overlap_window=_as_int(raw.get("overlap_window", 5),
-                               "detector.overlap_window"),
-        duplicate_window=_as_int(raw.get("duplicate_window", 30),
-                                 "detector.duplicate_window"),
-        same_tick_epsilon=_as_int(raw.get("same_tick_epsilon", 0),
-                                  "detector.same_tick_epsilon"),
-        similarity_classes=tuple(classes),
-    )
+    # ``DetectorConfig`` checks the windows and holds their defaults.
+    windows = {key: raw[key] for key in _WINDOWS if key in raw}
+    return DetectorConfig(dependency_graph=graph, action_relations=relations,
+                          similarity_classes=tuple(classes), **windows)
 
 
 def load_document(text: str) -> Document:
@@ -588,12 +579,9 @@ def load_document(text: str) -> Document:
 
     registry = _parse_registry(raw["registry"])
 
-    rules = []
-    seen_rules: set[str] = set()
-    for i, entry in enumerate(_section(raw, "rules", list, "rules")):
-        rule = _parse_rule(entry, i, registry, day_length)
-        _unique(seen_rules, rule.id, "rule id")
-        rules.append(rule)
+    rules = tuple(_parse_rule(entry, i, registry, day_length) for i, entry
+                  in enumerate(_section(raw, "rules", list, "rules")))
+    ruleset = RuleSet(registry=registry, rules=rules, day_length=day_length)
 
     graph = _parse_feature_deps(_section(raw, "feature_deps", list,
                                          "feature_deps"), registry)
@@ -601,9 +589,6 @@ def load_document(text: str) -> Document:
         _section(raw, "action_relations", dict, "action_relations"), registry)
     config = _parse_detector(_section(raw, "detector", dict, "detector"),
                              registry, graph, relations)
-
-    ruleset = RuleSet(registry=registry, rules=tuple(rules),
-                      day_length=day_length)
     return Document(ruleset=ruleset, config=config,
                     house=raw.get("house"), sources=raw.get("sources"),
                     scenario=raw.get("scenario"))

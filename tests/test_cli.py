@@ -180,6 +180,31 @@ class TestCheck:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "comparator must be one of" in err
 
+    @pytest.mark.parametrize("text", [
+        "registry: 0b_\n",
+        "registry: 2001-13-01\n",
+        "registry: 0000-01-01\n",
+        "registry: !!float abc\n",
+        "registry: " + "7" * 5000 + "\n",
+        "registry: " + "[" * 3000 + "\n",
+        fixture_text("s5_alarm").replace(
+            'comparator: "=="',
+            "comparator: " + "[" * 3000 + "]" * 3000, 1),
+    ], ids=["binary_without_digits", "month_13", "year_0", "float_tag",
+            "5000_digit_integer", "3000_open_brackets",
+            "3000_deep_comparator"])
+    def test_unbuildable_or_deep_document_exits_two(self, text, tmp_path,
+                                                    capsys):
+        # A scalar that matches an int, float or timestamp pattern but
+        # cannot be built, and collections nested too deeply for PyYAML's
+        # recursive composer, once ended in a traceback.
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["check", "--ruleset", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid YAML: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("loader", ["libyaml", "pure"])
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import build_home, ev
 from tapcheck.errors import (
+    DuplicateIdError,
     InvalidConfigError,
+    ReferentialIntegrityError,
     UnknownActionError,
     UnknownFeatureError,
 )
@@ -70,8 +72,22 @@ class TestDependentFeatures:
             cfg.features_related(fs1, fs2)
 
     def test_self_loop_rejected(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError,
+                           match="^self-loop on feature 'a'$"):
             graph_of("ab", [("a", "a")])
+
+    @pytest.mark.parametrize("edges,missing", [
+        ([("a", "ghost")], "ghost"),
+        ([("ghost", "a")], "ghost"),
+        ([("b", "zz"), ("a", "yy"), ("c", "c")], "yy"),
+    ], ids=["to", "from", "first_in_sorted_order"])
+    def test_undeclared_endpoint_rejected(self, edges, missing):
+        # Edges are checked in sorted order, so which bad edge is reported
+        # does not hang on the hash seed.
+        with pytest.raises(ReferentialIntegrityError,
+                           match="^dependency edge references undeclared "
+                                 f"feature '{missing}'$"):
+            graph_of("abc", edges)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -313,6 +329,39 @@ class TestTriggerMatching:
         rs, _ = config()
         trig = TriggerCondition("temperature", Cmp.LT, 65.0, "F")
         assert trig.matches(ev(rs, "e", "t1", 0, 60, ">"), 864)
+
+
+class TestRuleSet:
+    def test_duplicate_rule_id_rejected(self, alarm_home):
+        # Unchecked, static_check reported conflicts between two rules of
+        # one id, which detect_at_tick and oracle_detect never pair.
+        rs, _ = alarm_home
+        twin = replace(rs.rules[1], id="r_smoke")
+        with pytest.raises(DuplicateIdError,
+                           match="^duplicate rule id 'r_smoke'$"):
+            replace(rs, rules=rs.rules + (twin,))
+
+    @pytest.mark.parametrize("threshold", [
+        float("nan"), float("inf"), -float("inf"), "50", True, None])
+    def test_threshold_that_is_not_a_finite_number_rejected(
+            self, alarm_home, threshold):
+        # Unchecked, a NaN threshold sorted anywhere in the trigger index,
+        # so a '>' rule fired on values Cmp.GT.holds rejects, and "50"
+        # ended in a bare TypeError.
+        rs, _ = alarm_home
+        rule = rs.rules[2]
+        bad = replace(rule, trigger=replace(rule.trigger,
+                                            threshold=threshold))
+        with pytest.raises(InvalidConfigError,
+                           match="^rule 'r_co' threshold must be a finite "
+                                 "number, not "):
+            replace(rs, rules=rs.rules[:2] + (bad,))
+
+    def test_integer_threshold_accepted(self, alarm_home):
+        rs, _ = alarm_home
+        rule = rs.rules[2]
+        whole = replace(rule, trigger=replace(rule.trigger, threshold=50))
+        assert replace(rs, rules=(whole,)).rules == (whole,)
 
 
 class TestDetectorConfig:

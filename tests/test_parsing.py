@@ -19,6 +19,7 @@ from test_cli import MUTATION_ALPHABET, mutated
 from tapcheck import parsing
 from tapcheck.errors import (
     DuplicateIdError,
+    InvalidConfigError,
     ParseError,
     ReferentialIntegrityError,
 )
@@ -76,7 +77,7 @@ class TestParseRuleset:
     trigger: {sensor_kind: temperature, comparator: ">", threshold: 75}
     action: {actuator: th1, action: "off", affected_features: [temperature@room1]}
 """
-        with pytest.raises(DuplicateIdError, match="r1"):
+        with pytest.raises(DuplicateIdError, match="^duplicate rule id 'r1'$"):
             load_document(extra)
 
     def test_duplicate_sensor_id(self):
@@ -141,6 +142,42 @@ detector:
 """
         with pytest.raises(ReferentialIntegrityError, match="pressure"):
             load_document(doc)
+
+    @pytest.mark.parametrize("deps,error,message", [
+        ("[[temperature@room1, temperature@room1]]", InvalidConfigError,
+         "self-loop on feature 'temperature@room1'"),
+        ("[[temperature@room1, ghost]]", ReferentialIntegrityError,
+         "dependency edge references undeclared feature 'ghost'"),
+        ("[[ghost, temperature@room1]]", ReferentialIntegrityError,
+         "dependency edge references undeclared feature 'ghost'"),
+    ], ids=["self_loop", "undeclared_to", "undeclared_from"])
+    def test_bad_dependency_edge_rejected_by_the_graph(self, deps, error,
+                                                       message):
+        with pytest.raises(error, match=f"^{message}$"):
+            load_document(f"{MINIMAL}feature_deps: {deps}\n")
+
+    @pytest.mark.parametrize("deps", ["[[temperature@room1]]", "[temp]",
+                                      "[[temperature@room1, 5]]"])
+    def test_malformed_dependency_edge_rejected(self, deps):
+        with pytest.raises(ParseError, match=r"at feature_deps\[0\]"):
+            load_document(f"{MINIMAL}feature_deps: {deps}\n")
+
+    @pytest.mark.parametrize("detector,windows", [
+        ("{}", (5, 30, 0)),
+        ("{overlap_window: 7}", (7, 30, 0)),
+        ("{duplicate_window: 9, same_tick_epsilon: 2}", (5, 9, 2)),
+    ])
+    def test_unset_windows_take_the_config_defaults(self, detector,
+                                                    windows):
+        cfg = load_document(f"{MINIMAL}detector: {detector}\n").config
+        assert (cfg.overlap_window, cfg.duplicate_window,
+                cfg.same_tick_epsilon) == windows
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "true", "null"])
+    def test_window_type_checked_by_the_config(self, value):
+        with pytest.raises(InvalidConfigError,
+                           match="^overlap_window must be an integer, not "):
+            load_document(f"{MINIMAL}detector: {{overlap_window: {value}}}\n")
 
     @pytest.mark.parametrize("needle,bogus", [
         ("threshold: 65", "threshold: .nan"),
@@ -460,7 +497,7 @@ YAML11_SCALARS = ["on", "yes", "0o12", "012", "1_000", "1e3", "1.0e3",
 class TestEventWalk:
     """``_load_yaml`` first builds a document from the loader's event
     stream. Where the walk answers, it gives what ``yaml.load`` gives; where
-    it declines, ``yaml.load`` and then the pure parser decide as before."""
+    it declines, the pure parser decides."""
 
     @needs_libyaml
     @settings(max_examples=150, deadline=None)
@@ -513,9 +550,15 @@ class TestEventWalk:
         "=: 1\n",
         "? [a]\n: 1\n",
         "a: 1\n---\nb: 2\n",
+        "a: " + "[" * (parsing._MAX_DEPTH + 1)
+        + "]" * (parsing._MAX_DEPTH + 1),
+        "a: &x b\nc:\td\n",
     ], ids=["anchor", "alias", "explicit_tag", "merge_key", "value_key",
-            "unhashable_key", "two_documents"])
+            "unhashable_key", "two_documents", "too_deep",
+            "tab_after_colon_anchored"])
     def test_declines_what_yaml_load_decides(self, text):
+        # Where the walk declines, ``yaml.safe_load`` decides. libyaml reads
+        # a tab after a colon, but the pure parser rejects it.
         assert _walked(text) is None
         try:
             expected = yaml.safe_load(text)
@@ -527,6 +570,13 @@ class TestEventWalk:
                                       f"column {column})")
         else:
             assert _same(_load_yaml(text), expected)
+
+    def test_walks_as_deep_as_its_limit(self):
+        depth = parsing._MAX_DEPTH
+        text = "[" * depth + "]" * depth
+        walked = _walked(text)
+        assert walked is not None
+        assert _same(walked[0], yaml.safe_load(text))
 
     def test_repeated_loads_keep_no_memory(self):
         # Every load has its own loader; one shared across loads would keep
