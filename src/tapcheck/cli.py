@@ -32,9 +32,10 @@ import sys
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
-from itertools import groupby, takewhile
+from itertools import groupby, islice, takewhile
 from operator import attrgetter
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -63,6 +64,9 @@ CONFLICT_HEADER = "tick,kind,rule_a,rule_b,event_a,event_b,actuator,note"
 # Each kind's text, read per row without a call to the enum's ``value``
 # descriptor.
 KIND_TEXT = {kind: kind.value for kind in ConflictKind}
+# Lines of ``check``'s report joined into one write, which bounds the text
+# held at once.
+_CHECK_LINES_PER_WRITE = 1024
 
 
 @contextmanager
@@ -202,17 +206,24 @@ def _print_summary(counts: dict[str, int]) -> None:
     print(f"{line}  total={total}")
 
 
+def _check_report(findings: list) -> Iterator[str]:
+    """The lines of ``check``'s report: per kind, its count and then its
+    findings (static_check sorts them by kind first), and the total."""
+    for kind, group in groupby(findings, key=attrgetter("kind")):
+        of_kind = list(group)
+        yield f"{kind.value}: {len(of_kind)} potential conflict(s)"
+        for f in of_kind:
+            yield f"  {f.rule_a} + {f.rule_b}: {f.note}"
+    yield f"{len(findings)} potential conflict(s)"
+
+
 def cmd_check(args) -> int:
     doc = load_document(read_text(args.ruleset))
     cfg = _apply_overrides(doc.config, args)
     findings = static_check(doc.ruleset, cfg)
-    # static_check sorts its findings by kind first.
-    for kind, group in groupby(findings, key=attrgetter("kind")):
-        of_kind = list(group)
-        print(f"{kind.value}: {len(of_kind)} potential conflict(s)")
-        for f in of_kind:
-            print(f"  {f.rule_a} + {f.rule_b}: {f.note}")
-    print(f"{len(findings)} potential conflict(s)")
+    lines = _check_report(findings)
+    while chunk := list(islice(lines, _CHECK_LINES_PER_WRITE)):
+        _write_rows(sys.stdout, chunk)
     return 1 if findings else 0
 
 

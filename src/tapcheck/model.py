@@ -275,7 +275,10 @@ class RuleSet:
     """A validated bundle of rules plus the registry they refer to.
 
     Rule ids are unique, and every threshold is a finite number, so each
-    comparator holds on a slice of the sorted thresholds.
+    comparator holds on a slice of the sorted thresholds. ``day_length`` is
+    an integer >= 2, and a schedule a tuple of two integers with
+    0 <= start < end <= ``day_length``, so every scheduled rule is active at
+    some tick of day.
     """
 
     registry: Registry
@@ -283,6 +286,10 @@ class RuleSet:
     day_length: int = DEFAULT_DAY_LENGTH
 
     def __post_init__(self):
+        day = self.day_length
+        if isinstance(day, bool) or not isinstance(day, int) or day < 2:
+            raise InvalidConfigError(
+                f"day_length must be an integer >= 2, not {day!r}")
         seen: set[str] = set()
         for rule in self.rules:
             if rule.id in seen:
@@ -295,6 +302,16 @@ class RuleSet:
                 raise InvalidConfigError(
                     f"rule {rule.id!r} threshold must be a finite number, "
                     f"not {threshold!r}")
+            schedule = rule.trigger.schedule
+            if schedule is not None and not (
+                    isinstance(schedule, tuple) and len(schedule) == 2
+                    and all(isinstance(v, int) and not isinstance(v, bool)
+                            for v in schedule)
+                    and 0 <= schedule[0] < schedule[1] <= day):
+                raise InvalidConfigError(
+                    f"rule {rule.id!r} schedule must be a pair of integers "
+                    f"with 0 <= start < end <= {day}, "
+                    f"not {schedule!r}")
 
     @cached_property
     def trigger_index(self) -> dict[str, tuple[tuple[

@@ -26,33 +26,91 @@ Co-satisfiability facts used throughout:
 """
 
 import math
-from dataclasses import dataclass, field
-from operator import attrgetter
+from functools import total_ordering
 from typing import Iterator
 
 from .detector import ConflictKind, PolicyTable, RuleProfile
 from .model import (
     Cmp,
     DetectorConfig,
-    EventSignature,
     Rule,
     RuleSet,
     Sensor,
 )
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class PotentialConflict:
-    """A rule pair that could violate a policy if events line up."""
+    """A rule pair that could violate a policy if events line up: an
+    immutable record of ``kind``, ``rule_a`` and ``rule_b`` (the two rule
+    ids in string order), which alone make its identity (``==``, ``hash``
+    and the ``<`` order).
 
-    kind: ConflictKind
-    rule_a: str
-    rule_b: str
-    note: str = field(compare=False, default="")
+    ``rules`` holds the pair's two rules in declaration order, or None for
+    a record built from ids alone; ``note`` is derived from them when read,
+    and names the rules in that order.
+    """
+
+    __slots__ = ("kind", "rule_a", "rule_b", "rules", "__weakref__")
+
+    def __init__(self, kind: ConflictKind, rule_a: str, rule_b: str,
+                 rules: tuple[Rule, Rule] | None = None):
+        # The slot descriptors write past ``__setattr__``, which refuses.
+        _set_kind(self, kind)
+        _set_rule_a(self, rule_a)
+        _set_rule_b(self, rule_b)
+        _set_rules(self, rules)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"cannot assign to field {name!r} of PotentialConflict")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"cannot delete field {name!r} of PotentialConflict")
+
+    def _key(self) -> tuple:
+        return (self.kind, self.rule_a, self.rule_b)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() < other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return (PotentialConflict,
+                (self.kind, self.rule_a, self.rule_b, self.rules))
+
+    def __repr__(self):
+        return (f"PotentialConflict(kind={self.kind!r}, "
+                f"rule_a={self.rule_a!r}, rule_b={self.rule_b!r}, "
+                f"note={self.note!r})")
+
+    @property
+    def note(self) -> str:
+        """One line saying how the pair could conflict; empty when the
+        record holds no rules."""
+        if self.rules is None:
+            return ""
+        return _note(self.kind, *self.rules)
 
     @property
     def pair(self) -> tuple[str, str]:
         return (self.rule_a, self.rule_b)
+
+
+_set_kind = PotentialConflict.kind.__set__
+_set_rule_a = PotentialConflict.rule_a.__set__
+_set_rule_b = PotentialConflict.rule_b.__set__
+_set_rules = PotentialConflict.rules.__set__
 
 
 def _scope(rule: Rule, ruleset: RuleSet) -> tuple[Sensor, ...]:
@@ -117,17 +175,21 @@ def gap_achievable(r1: Rule, r2: Rule, dmin: int, dmax: int,
     return False
 
 
-def _sig_choice_exists(s1: Sensor, s2: Sensor, want_similar: bool,
-                       cfg: DetectorConfig) -> bool:
-    """Can two events from these sensors be given predicates making their
-    signatures similar (or dissimilar)?"""
-    for p1 in Cmp:
-        for p2 in Cmp:
-            sim = cfg.similar(EventSignature(s1.kind, p1, s1.location),
-                              EventSignature(s2.kind, p2, s2.location))
-            if sim == want_similar:
-                return True
-    return False
+def _similar_predicates(cfg: DetectorConfig) -> dict[tuple, set[tuple]]:
+    """Per place pair (kind1, location1, kind2, location2), the predicate
+    pairs (p1, p2) whose signatures the config's similarity classes make
+    similar. Equal signatures are similar too, which no entry lists."""
+    table: dict[tuple, set[tuple]] = {}
+    for a, similar in cfg.similar_signatures.items():
+        for b in similar:
+            table.setdefault(
+                (a.sensor_kind, a.location, b.sensor_kind, b.location),
+                set()).add((a.predicate, b.predicate))
+    return table
+
+
+_DIAGONAL = frozenset((p, p) for p in Cmp)
+_PREDICATE_PAIRS = len(Cmp) ** 2
 
 
 # Signature requirement on the firing event pair: no constraint, must be
@@ -139,12 +201,12 @@ _SHARED_SHAPE = (0, 0, _SHARED)
 
 class _Analysis:
     """State of one ``static_check`` call: each rule's scope and profile,
-    the policy table of the config, and the memos. The call drops it on
+    the policy table and similar-predicate table of the config, and the
+    memos. The call drops it on
     return, so nothing grows across calls."""
 
     def __init__(self, ruleset: RuleSet, cfg: DetectorConfig):
         self.rules = ruleset.rules
-        self.cfg = cfg
         self.day = ruleset.day_length
         registry = ruleset.registry
         # Pruning skips pairs whose tests would have rejected an undeclared
@@ -156,7 +218,8 @@ class _Analysis:
         self.scopes = [_scope(rule, ruleset) for rule in self.rules]
         self.scope_keys = [(r.trigger.sensor_kind, r.trigger.location_filter)
                            for r in self.rules]
-        self._sig_memo: dict[tuple, bool] = {}
+        self.similar_predicates = _similar_predicates(cfg)
+        self._sig_memo: dict[tuple, int] = {}
         self._scope_memo: dict[tuple, bool] = {}
         self.table = PolicyTable(cfg)
         # The shapes of each non-empty gap class: any events, similar
@@ -186,16 +249,21 @@ class _Analysis:
 
     def sig_ok(self, s1: Sensor, s2: Sensor, mode: str) -> bool:
         """Can events from the two sensors meet the signature requirement?
-        Memoised per (kind, location) pair."""
+        Each event's predicate is free, so similar events need one similar
+        predicate pair of the two places, and dissimilar events one that is
+        not. Memoised per place pair, as the count of similar pairs."""
         if mode == _ANY:
             return True
-        want_similar = mode == _SIMILAR
-        key = (s1.kind, s1.location, s2.kind, s2.location, want_similar)
-        ok = self._sig_memo.get(key)
-        if ok is None:
-            ok = self._sig_memo[key] = _sig_choice_exists(s1, s2, want_similar,
-                                                          self.cfg)
-        return ok
+        key = (s1.kind, s1.location, s2.kind, s2.location)
+        similar = self._sig_memo.get(key)
+        if similar is None:
+            pairs = self.similar_predicates.get(key, set())
+            if s1.kind == s2.kind and s1.location == s2.location:
+                pairs = pairs | _DIAGONAL
+            similar = self._sig_memo[key] = len(pairs)
+        if mode == _SIMILAR:
+            return similar > 0
+        return similar < _PREDICATE_PAIRS
 
     def scopes_meet(self, i: int, j: int, mode: str, distinct: bool) -> bool:
         """Can a sensor in each rule's scope (two different sensors when
@@ -272,15 +340,24 @@ def _note(kind: ConflictKind, r1: Rule, r2: Rule) -> str:
 def static_check(ruleset: RuleSet, cfg: DetectorConfig) -> list[PotentialConflict]:
     """Flag every unordered pair of distinct rules that could violate a
     policy, tagged with the policies it would violate. Only rules that
-    share an actuator or touch related features are paired."""
+    share an actuator or touch related features are paired. The findings
+    come in (kind, rule_a, rule_b) order."""
     analysis = _Analysis(ruleset, cfg)
-    out: list[PotentialConflict] = []
+    rules = ruleset.rules
+    # One bucket of (rule_a, rule_b, rules) rows per kind, in kind order.
+    buckets: dict[ConflictKind, list[tuple]] = {
+        kind: [] for kind in ConflictKind if kind is not ConflictKind.C7}
     for i, j in analysis.candidate_pairs():
-        r1, r2 = ruleset.rules[i], ruleset.rules[j]
-        a, b = sorted((r1.id, r2.id))
+        r1, r2 = rules[i], rules[j]
+        a, b = (r1.id, r2.id) if r1.id < r2.id else (r2.id, r1.id)
+        row = (a, b, (r1, r2))
         for kind in analysis.pair_kinds(i, j):
-            out.append(PotentialConflict(kind=kind, rule_a=a, rule_b=b,
-                                         note=_note(kind, r1, r2)))
-    # The dataclass order, compared as plain tuples.
-    out.sort(key=attrgetter("kind", "rule_a", "rule_b"))
+            buckets[kind].append(row)
+    out: list[PotentialConflict] = []
+    for kind, rows in buckets.items():
+        # Rule ids are unique and each pair meets once, so the id pair
+        # orders a bucket and the rules are never compared.
+        rows.sort()
+        out.extend([PotentialConflict(kind, a, b, pair)
+                    for a, b, pair in rows])
     return out

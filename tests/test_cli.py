@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 from gen import FIXTURES
 from tapcheck import cli, parsing, scenarios
 from tapcheck.cli import CONFLICT_HEADER, main
+from tapcheck.detector import ConflictKind
 from tapcheck.errors import ParseError, SimulationError, TapcheckError
 from tapcheck.parsing import load_document
 from tapcheck.scenarios import fixture_text
 from tapcheck.simulator import HouseModel, RoomState, Scenario, SourceSpec
+from tapcheck.static import static_check
 
 # YAML's indicators and whitespace, plus characters YAML forbids or treats
 # specially, for character-level mutations of a document.
@@ -129,6 +131,30 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "C1" in out
         assert "r_alarm_leak" in out and "r_alarm_smoke" in out
+
+    @pytest.mark.parametrize("per_write", [1, 7, 1024])
+    def test_report_is_the_same_whatever_lines_go_per_write(
+            self, tmp_path, capsys, monkeypatch, per_write):
+        # The report goes out a chunk of lines per write; no chunk edge may
+        # show in it.
+        path = tmp_path / "house.yaml"
+        path.write_text(fixture_text("house"), encoding="utf-8")
+        doc = load_document(fixture_text("house"))
+        findings = static_check(doc.ruleset, doc.config)
+        want = []
+        for kind in ConflictKind:
+            of_kind = [f for f in findings if f.kind is kind]
+            if of_kind:
+                want.append(f"{kind.value}: {len(of_kind)} potential "
+                            "conflict(s)")
+                want += [f"  {f.rule_a} + {f.rule_b}: {f.note}"
+                         for f in of_kind]
+        want.append(f"{len(findings)} potential conflict(s)")
+        assert len(want) > 7
+        monkeypatch.setattr(cli, "_CHECK_LINES_PER_WRITE", per_write)
+        assert main(["check", "--ruleset", str(path)]) == 1
+        assert capsys.readouterr().out == "".join(f"{line}\n"
+                                                  for line in want)
 
     def test_malformed_file_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

@@ -363,6 +363,47 @@ class TestRuleSet:
         whole = replace(rule, trigger=replace(rule.trigger, threshold=50))
         assert replace(rs, rules=(whole,)).rules == (whole,)
 
+    @pytest.mark.parametrize("schedule", [
+        (5, 2), (3, 3), (-1, 4), (0, 865), ("a", "b"), (0.0, 4), (False, 4),
+        (1, 2, 3), [1, 4], "14"])
+    def test_schedule_outside_the_day_or_not_two_integers_rejected(
+            self, alarm_home, schedule):
+        # Unchecked, (5, 2) never fired yet static_check tagged it, and
+        # ("a", "b") ended in a bare TypeError from active_at.
+        rs, _ = alarm_home
+        rule = rs.rules[2]
+        bad = replace(rule, trigger=replace(rule.trigger, schedule=schedule))
+        with pytest.raises(InvalidConfigError,
+                           match="^rule 'r_co' schedule must be a pair of "
+                                 "integers with 0 <= start < end <= 864, "
+                                 "not "):
+            replace(rs, rules=rs.rules[:2] + (bad,))
+
+    @pytest.mark.parametrize("schedule", [(0, 864), (863, 864), (0, 1)])
+    def test_schedule_within_the_day_accepted(self, alarm_home, schedule):
+        rs, _ = alarm_home
+        rule = rs.rules[2]
+        ok = replace(rule, trigger=replace(rule.trigger, schedule=schedule))
+        assert replace(rs, rules=(ok,)).rules == (ok,)
+
+    def test_schedule_checked_against_the_ruleset_day(self, alarm_home):
+        rs, _ = alarm_home
+        rule = rs.rules[2]
+        late = replace(rule, trigger=replace(rule.trigger,
+                                             schedule=(10, 20)))
+        with pytest.raises(InvalidConfigError, match="<= 12, not"):
+            replace(rs, rules=(late,), day_length=12)
+        assert replace(rs, rules=(late,), day_length=20).rules == (late,)
+
+    @pytest.mark.parametrize("day", [1, 0, -5, True, 48.0, "48", None])
+    def test_day_length_that_is_not_an_integer_of_two_or_more_rejected(
+            self, alarm_home, day):
+        rs, _ = alarm_home
+        with pytest.raises(InvalidConfigError,
+                           match="^day_length must be an integer >= 2, "
+                                 "not "):
+            replace(rs, day_length=day)
+
 
 class TestDetectorConfig:
     def test_invalid_windows_rejected(self):

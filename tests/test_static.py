@@ -1,6 +1,10 @@
 """Static misconfiguration analysis and its brute-force twin."""
 
+import copy
+import pickle
+import weakref
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,8 +17,14 @@ from tapcheck.errors import (
     UnknownActionError,
     UnknownFeatureError,
 )
-from tapcheck.oracle import oracle_static
-from tapcheck.static import _Analysis, gap_achievable, static_check
+from tapcheck.model import Cmp, EventSignature
+from tapcheck.oracle import _sig_witness, oracle_static
+from tapcheck.static import (
+    PotentialConflict,
+    _Analysis,
+    gap_achievable,
+    static_check,
+)
 
 
 def tags(findings):
@@ -288,3 +298,165 @@ class TestAgainstBruteForce:
             a, b = conflict.participants
             ra, rb = sorted((a.rule, b.rule))
             assert (conflict.kind.value, ra, rb) in static_pairs
+
+
+def _sig_mismatches(rs, cfg):
+    """Sensor pairs and modes on which the signature table disagrees with
+    the brute-force search over predicate pairs; every pair of the
+    registry's sensors, each sensor with itself included."""
+    analysis = _Analysis(rs, cfg)
+    sensors = list(rs.registry.sensors.values())
+    return [(s1.id, s2.id, mode)
+            for s1, s2 in product(sensors, repeat=2)
+            for mode in ("similar", "dissimilar")
+            if analysis.sig_ok(s1, s2, mode)
+            != _sig_witness(s1, s2, mode == "similar", cfg)]
+
+
+def _sig_home(classes):
+    """Three temperature sensors: two in room1, one in room2."""
+    return build_home(
+        sensors=[("t1", "temperature", "F", "room1"),
+                 ("t1b", "temperature", "F", "room1"),
+                 ("t2", "temperature", "F", "room2")],
+        actuators=[("a1", "alarm", "room1", ("sound",))],
+        controllers=["x"], features=["f@room1"],
+        classes=classes,
+        rules=[("r1", "x", ("temperature", ">", 50),
+                ("a1", "sound", ["f@room1"]))])
+
+
+class TestSignatureTable:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_brute_force_on_random_classes(self, seed):
+        # Up to three classes drawn over every (kind, predicate, location)
+        # of the registry, so classes overlap and similarity is often not
+        # transitive.
+        rng = np.random.default_rng(70_000 + seed)
+        rs, cfg = random_ruleset(rng)
+        places = sorted({(s.kind, s.location)
+                         for s in rs.registry.sensors.values()})
+        universe = [EventSignature(kind, p, loc)
+                    for kind, loc in places for p in Cmp]
+        classes = tuple(
+            frozenset(universe[k] for k in rng.choice(
+                len(universe), size=int(rng.integers(1, 5)), replace=True))
+            for _ in range(int(rng.integers(0, 4))))
+        assert _sig_mismatches(rs, cfg) == []
+        assert _sig_mismatches(
+            rs, replace(cfg, similarity_classes=classes)) == [], classes
+
+    def test_overlapping_classes_are_not_transitive(self):
+        # t1 '>' ~ t2 '>' and t2 '>' ~ t1 '<', but t1 '>' and t1 '<' stay
+        # dissimilar; t1b shares t1's place, so it reads alike.
+        rs, cfg = _sig_home([
+            [("temperature", ">", "room1"), ("temperature", ">", "room2")],
+            [("temperature", ">", "room2"), ("temperature", "<", "room1")]])
+        assert not cfg.similar(EventSignature("temperature", Cmp.GT, "room1"),
+                               EventSignature("temperature", Cmp.LT, "room1"))
+        assert _sig_mismatches(rs, cfg) == []
+        analysis = _Analysis(rs, cfg)
+        t1, t1b, t2 = rs.registry.sensors.values()
+        for a, b in ((t1, t2), (t2, t1), (t1, t1b), (t1, t1)):
+            assert analysis.sig_ok(a, b, "similar")
+            assert analysis.sig_ok(a, b, "dissimilar")
+
+    def test_place_with_itself_without_classes(self):
+        # Equal signatures are similar, so one place pairs with itself both
+        # ways, and two places with no class only dissimilarly.
+        rs, cfg = _sig_home([])
+        assert _sig_mismatches(rs, cfg) == []
+        analysis = _Analysis(rs, cfg)
+        t1, t1b, t2 = rs.registry.sensors.values()
+        assert analysis.sig_ok(t1, t1, "similar")
+        assert analysis.sig_ok(t1, t1b, "dissimilar")
+        assert not analysis.sig_ok(t1, t2, "similar")
+        assert analysis.sig_ok(t1, t2, "dissimilar")
+
+    def test_class_making_every_predicate_pair_similar(self):
+        # One class holds every predicate at both places, so all nine
+        # predicate pairs of any two of the sensors are similar and no
+        # choice of predicates makes their events dissimilar.
+        rs, cfg = _sig_home([[("temperature", c, loc)
+                              for c in (">", "<", "==")
+                              for loc in ("room1", "room2")]])
+        assert _sig_mismatches(rs, cfg) == []
+        analysis = _Analysis(rs, cfg)
+        for a, b in product(rs.registry.sensors.values(), repeat=2):
+            assert analysis.sig_ok(a, b, "similar")
+            assert not analysis.sig_ok(a, b, "dissimilar")
+
+
+def _crossed_home():
+    """Two rules on one alarm under two controllers, declared in the
+    reverse of their id order."""
+    return build_home(
+        sensors=[("t1", "temperature", "F", "room1"),
+                 ("h1", "humidity", "pct", "room1")],
+        actuators=[("a1", "alarm", "room1", ("sound", "flash"))],
+        controllers=["x", "y"],
+        features=["alert@room1"],
+        rules=[("r_z", "x", ("temperature", ">", 50),
+                ("a1", "sound", ["alert@room1"])),
+               ("r_a", "y", ("humidity", ">", 50),
+                ("a1", "flash", ["alert@room1"]))])
+
+
+class TestPotentialConflictRecord:
+    def test_immutable_and_weakly_referable(self, alarm_home):
+        rs, cfg = alarm_home
+        finding = static_check(rs, cfg)[0]
+        for name in ("kind", "rule_a", "rule_b", "rules", "note", "pair",
+                     "other"):
+            with pytest.raises(AttributeError):
+                setattr(finding, name, None)
+        for name in ("kind", "rule_a", "rules"):
+            with pytest.raises(AttributeError):
+                delattr(finding, name)
+        assert weakref.ref(finding)() is finding
+
+    def test_equal_and_hashed_by_kind_and_ids_alone(self, alarm_home):
+        rs, cfg = alarm_home
+        finding = static_check(rs, cfg)[0]
+        bare = PotentialConflict(kind=finding.kind, rule_a=finding.rule_a,
+                                 rule_b=finding.rule_b)
+        assert finding.note and bare.note == ""
+        assert bare == finding and hash(bare) == hash(finding)
+        assert bare in set(static_check(rs, cfg))
+        other = PotentialConflict(ConflictKind.C6, finding.rule_a,
+                                  finding.rule_b)
+        assert other != bare and bare < other and other > bare
+        assert bare != (bare.kind, bare.rule_a, bare.rule_b)
+
+    def test_copy_and_pickle_round_trip(self, alarm_home):
+        rs, cfg = alarm_home
+        for finding in static_check(rs, cfg):
+            for twin in (copy.copy(finding), copy.deepcopy(finding),
+                         pickle.loads(pickle.dumps(finding))):
+                assert twin == finding and hash(twin) == hash(finding)
+                assert twin.rules == finding.rules
+                assert twin.note == finding.note
+
+    def test_pair(self, alarm_home):
+        rs, cfg = alarm_home
+        assert [f.pair for f in static_check(rs, cfg)
+                if f.kind is ConflictKind.C1] == [
+            ("r_co", "r_leak"), ("r_co", "r_smoke"), ("r_leak", "r_smoke")]
+
+    def test_note_names_rules_in_declaration_order(self):
+        rs, cfg = _crossed_home()
+        by_kind = {f.kind: f for f in static_check(rs, cfg)}
+        c1 = by_kind[ConflictKind.C1]
+        assert c1.pair == ("r_a", "r_z")
+        assert [r.id for r in c1.rules] == ["r_z", "r_a"]
+        assert c1.note == "controllers x and y can drive a1 at the same time"
+        assert by_kind[ConflictKind.C5].note == (
+            "disjoint events can stack sound/flash on a1")
+
+    def test_findings_come_in_record_order(self):
+        for seed in range(20):
+            rng = np.random.default_rng(90_000 + seed)
+            rs, cfg = random_ruleset(rng, max_rules=12)
+            found = static_check(rs, cfg)
+            assert found == sorted(found), seed
+            assert len(set(found)) == len(found), seed
