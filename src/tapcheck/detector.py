@@ -20,17 +20,17 @@ events and the actions they triggered:
 the ruleset's trigger index, classifies every candidate pair of firings
 against C1 to C6 in one pass over the window, runs C7, and never stops at
 the first hit, so the returned list is exhaustive for the tick. Each rule
-is compiled once per stream, the first time it fires, into a
+is compiled once per stream, when the window binds its ruleset, into a
 ``RuleProfile``: what the policies read of it. ``policy_kinds`` is the one
 statement of C1 to C6, and one ``PolicyTable`` per config holds its
 answers per tuple of pair facts (read off two profiles) and gap class, so
 classifying a pair takes two profile reads and one table read.
 ``DetectionWindow.admit`` takes each batch in one step: it checks the
 events against the model's reading facts and the stream's invariants,
-matches them and compiles the profiles of rules firing for the first time,
-all before the window changes. ``DetectionWindow.firings_at`` hands a
-tick's firings on, so the simulator applies the detector's own firings
-and matches no event twice. Checks only consider pairs with an item from
+matches them and, at the stream's first batch, compiles every rule's
+profile, all before the window changes. ``DetectionWindow.firings_at``
+hands a tick's firings on, so the simulator applies the detector's own
+firings and matches no event twice. Checks only consider pairs with an item from
 the current call, so each violating pair is reported exactly once over
 the lifetime of a stream. The window keeps each item only while a policy
 can read it: firings for max(eps, W) ticks, filed by event signature,
@@ -217,8 +217,7 @@ _set_swapped = Conflict._swapped.__set__
 def match_rules(event: Event, ruleset: RuleSet) -> list[TriggeredAction]:
     """All rule firings for one event, in ruleset declaration order, read
     from the ruleset's trigger index. The event's sensor must be declared
-    with the event's kind, location and unit, and each firing rule's
-    actuator declared in the registry."""
+    with the event's kind, location and unit."""
     kind, location = event.signature.sensor_kind, event.signature.location
     sensor = ruleset.registry.reading_sensor(event.sensor, kind, location)
     if event.unit != sensor.unit:
@@ -253,7 +252,7 @@ def _fire(i: int, rule: Rule, event: Event,
         rule=rule.id,
         controller=rule.controller,
         action=rule.action,
-        actuator_kind=ruleset.registry.actuator_kind(rule.action.actuator),
+        actuator_kind=ruleset.registry.actuators[rule.action.actuator].kind,
         time=event.time,
         index=i,
     )
@@ -264,7 +263,7 @@ class RuleProfile:
     its actuator and controller, its action class (actuator kind, action)
     with that class's row of ``ActionRelationTable.classes``, and its
     affected features with the features equal or dependent to them.
-    Building one rejects an undeclared action or feature."""
+    Building one rejects a config that lacks its action or a feature."""
 
     __slots__ = ("actuator", "controller", "action_class", "relations",
                  "features", "near")
@@ -290,6 +289,15 @@ class RuleProfile:
                 self.controller != other.controller,
                 self.relations.get(other.action_class, Relation.DIFFERENT),
                 not self.near.isdisjoint(other.features))
+
+
+def rule_profiles(ruleset: RuleSet, cfg: DetectorConfig) -> list[RuleProfile]:
+    """Each rule's profile, at its index; a config that does not cover the
+    ruleset's actions and features raises."""
+    actuators = ruleset.registry.actuators
+    return [RuleProfile(r.controller, r.action,
+                        actuators[r.action.actuator].kind, cfg)
+            for r in ruleset.rules]
 
 
 _time = attrgetter("time")
@@ -319,16 +327,16 @@ class DetectionWindow:
 
     ``cfg`` is the stream's one detector config: the window's reach, its
     candidate pairs, C7 and every ``detect_at_tick`` call read it.
-    ``ruleset`` is the stream's one ruleset, set by the first ``admit``;
-    ``profiles`` holds a ``RuleProfile`` per rule that has fired, at the
-    rule's index, and ``table`` is the config's ``PolicyTable``.
+    ``ruleset`` is the stream's one ruleset, bound by the first ``admit``
+    with ``profiles``, the ``rule_profiles`` of its rules, and ``table`` is
+    the config's ``PolicyTable``.
     """
 
     def __init__(self, cfg: DetectorConfig):
         self.cfg = cfg
         self.table = PolicyTable(cfg)
         self.ruleset: RuleSet | None = None
-        self.profiles: list[RuleProfile | None] = []
+        self.profiles: list[RuleProfile] = []
         self.last_tick: Tick | None = None
         self._actions: list[TriggeredAction] = []  # in tick order
         self._by_signature = defaultdict(list)  # signature -> actions
@@ -349,9 +357,9 @@ class DetectionWindow:
         (ticks never decrease, one tick per batch, event ids unique in the
         window since pairs tell events apart by id, one reading per sensor
         per tick since C7 tells a sensor's readings apart by tick); each
-        event's sensor, kind, location and unit (``match_rules``); the
-        stream's ruleset; and the profile of each rule firing for the first
-        time. The batch's events join ``_events`` in id order, and with the
+        event's sensor, kind, location and unit (``match_rules``); and the
+        stream's ruleset, whose rule profiles the first call builds. The
+        batch's events join ``_events`` in id order, and with the
         events an earlier call admitted at this tick they are sorted
         again."""
         for event in events:
@@ -400,15 +408,11 @@ class DetectionWindow:
                    for ta in match_rules(event, ruleset)]
         if ruleset is not self.ruleset:
             if self.ruleset is None:
+                self.profiles = rule_profiles(ruleset, self.cfg)
                 self.ruleset = ruleset
-                self.profiles = [None] * len(ruleset.rules)
             elif ruleset != self.ruleset:
                 raise InvalidConfigError(
                     "detect_at_tick got a ruleset other than its window's")
-        profiles, cfg = self.profiles, self.cfg
-        for action in actions:
-            if profiles[action.index] is None:
-                profiles[action.index] = RuleProfile.of(action, cfg)
         self.last_tick = tick
         self._evict(tick)
         start = len(self._actions)
@@ -657,12 +661,11 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
     a no-op. ``cfg`` must be the window's config, or equal to it, and
     ``ruleset`` the ruleset of the window's first call, or equal to it: a
     stream has one config and one ruleset, and any other raises
-    ``InvalidConfigError``. A rule's profile is built the first time the
-    rule fires, before the window changes, so an undeclared action or
-    feature raises at that call whether or not the firing pairs. C1 to C6
-    are evaluated in one pass over the candidate pairs, then C7; findings
-    come back each (kind, pair) once, in the canonical order of
-    ``Conflict.key``.
+    ``InvalidConfigError``. The first call builds every rule's profile
+    before the window changes, so a config that does not cover the
+    ruleset's actions and features raises there. C1 to C6 are evaluated in
+    one pass over the candidate pairs, then C7; findings come back each
+    (kind, pair) once, in the canonical order of ``Conflict.key``.
 
     That order is reached without a ``Conflict.key`` tuple per finding.
     Every finding of one call has the call's tick, and the kind names sort

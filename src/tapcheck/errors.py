@@ -33,7 +33,8 @@ class ParseError(RulesetError):
 
 
 class ReferentialIntegrityError(RulesetError):
-    """A rule or table references an id that is not declared."""
+    """A rule or table references an id that is not declared, or a unit,
+    location or action vocabulary other than its declaration's."""
 
 
 class DuplicateIdError(RulesetError):

@@ -215,7 +215,10 @@ class Rule:
 
 @dataclass(frozen=True)
 class Registry:
-    """Declared device and feature universe of one installation."""
+    """Declared device and feature universe of one installation. Every
+    sensor and actuator sits in a declared location, the sensors of one kind
+    read in one unit, and the actuators of one kind share one vocabulary;
+    any other registry raises ``ReferentialIntegrityError``."""
 
     locations: tuple[str, ...]
     sensors: dict[str, Sensor]
@@ -223,9 +226,30 @@ class Registry:
     controllers: tuple[str, ...]
     features: frozenset[str]
 
-    @cached_property
-    def sensor_kinds(self) -> frozenset[str]:
-        return frozenset(s.kind for s in self.sensors.values())
+    def __post_init__(self):
+        locations = set(self.locations)
+        units: dict[str, str] = {}
+        for sensor in self.sensors.values():
+            if sensor.location not in locations:
+                raise ReferentialIntegrityError(
+                    f"sensor {sensor.id!r} placed in undeclared location "
+                    f"{sensor.location!r}")
+            unit = units.setdefault(sensor.kind, sensor.unit)
+            if unit != sensor.unit:
+                raise ReferentialIntegrityError(
+                    f"sensor kind {sensor.kind!r} declared with conflicting "
+                    f"units {unit!r} and {sensor.unit!r}")
+        vocabularies: dict[str, frozenset[str]] = {}
+        for actuator in self.actuators.values():
+            if actuator.location not in locations:
+                raise ReferentialIntegrityError(
+                    f"actuator {actuator.id!r} placed in undeclared location "
+                    f"{actuator.location!r}")
+            actions = frozenset(actuator.actions)
+            if vocabularies.setdefault(actuator.kind, actions) != actions:
+                raise ReferentialIntegrityError(
+                    f"actuator kind {actuator.kind!r} declared with "
+                    "differing action vocabularies")
 
     @cached_property
     def kind_unit(self) -> dict[str, str]:
@@ -260,15 +284,6 @@ class Registry:
                 f"not {location!r}")
         return sensor
 
-    def actuator_kind(self, actuator_id: str) -> str:
-        """The kind of a declared actuator; an undeclared one raises
-        ``ReferentialIntegrityError``."""
-        actuator = self.actuators.get(actuator_id)
-        if actuator is None:
-            raise ReferentialIntegrityError(
-                f"undeclared actuator {actuator_id!r}")
-        return actuator.kind
-
 
 @dataclass(frozen=True)
 class RuleSet:
@@ -278,7 +293,10 @@ class RuleSet:
     comparator holds on a slice of the sorted thresholds. ``day_length`` is
     an integer >= 2, and a schedule a tuple of two integers with
     0 <= start < end <= ``day_length``, so every scheduled rule is active at
-    some tick of day.
+    some tick of day. Every name a rule gives is the registry's: its
+    controller, sensor kind and the kind's unit, location filter, actuator
+    with one of its actions and its location, and affected features; any
+    other raises ``ReferentialIntegrityError``.
     """
 
     registry: Registry
@@ -290,28 +308,71 @@ class RuleSet:
         if isinstance(day, bool) or not isinstance(day, int) or day < 2:
             raise InvalidConfigError(
                 f"day_length must be an integer >= 2, not {day!r}")
+        registry = self.registry
+        controllers = set(registry.controllers)
+        kind_unit = registry.kind_unit
+        locations = set(registry.locations)
         seen: set[str] = set()
         for rule in self.rules:
-            if rule.id in seen:
-                raise DuplicateIdError(f"duplicate rule id {rule.id!r}")
-            seen.add(rule.id)
-            threshold = rule.trigger.threshold
+            rid, trigger, action = rule.id, rule.trigger, rule.action
+            if rid in seen:
+                raise DuplicateIdError(f"duplicate rule id {rid!r}")
+            seen.add(rid)
+            if rule.controller not in controllers:
+                raise ReferentialIntegrityError(
+                    f"rule {rid!r} references undeclared controller "
+                    f"{rule.controller!r}")
+            kind = trigger.sensor_kind
+            if kind not in kind_unit:
+                raise ReferentialIntegrityError(
+                    f"rule {rid!r} triggers on undeclared sensor kind "
+                    f"{kind!r}")
+            threshold = trigger.threshold
             if (isinstance(threshold, bool)
                     or not isinstance(threshold, (int, float))
                     or not -math.inf < threshold < math.inf):
                 raise InvalidConfigError(
-                    f"rule {rule.id!r} threshold must be a finite number, "
+                    f"rule {rid!r} threshold must be a finite number, "
                     f"not {threshold!r}")
-            schedule = rule.trigger.schedule
+            if trigger.unit != kind_unit[kind]:
+                raise ReferentialIntegrityError(
+                    f"rule {rid!r} threshold unit {trigger.unit!r} does not "
+                    f"match sensor kind {kind!r} unit {kind_unit[kind]!r}")
+            if (trigger.location_filter is not None
+                    and trigger.location_filter not in locations):
+                raise ReferentialIntegrityError(
+                    f"rule {rid!r} filters on undeclared location "
+                    f"{trigger.location_filter!r}")
+            schedule = trigger.schedule
             if schedule is not None and not (
                     isinstance(schedule, tuple) and len(schedule) == 2
                     and all(isinstance(v, int) and not isinstance(v, bool)
                             for v in schedule)
                     and 0 <= schedule[0] < schedule[1] <= day):
                 raise InvalidConfigError(
-                    f"rule {rule.id!r} schedule must be a pair of integers "
+                    f"rule {rid!r} schedule must be a pair of integers "
                     f"with 0 <= start < end <= {day}, "
                     f"not {schedule!r}")
+            actuator = registry.actuators.get(action.actuator)
+            if actuator is None:
+                raise ReferentialIntegrityError(
+                    f"rule {rid!r} references undeclared actuator "
+                    f"{action.actuator!r}")
+            if action.action not in actuator.actions:
+                raise ReferentialIntegrityError(
+                    f"rule {rid!r} uses action {action.action!r} not "
+                    f"declared for actuator {actuator.id!r}")
+            if action.location != actuator.location:
+                raise ReferentialIntegrityError(
+                    f"rule {rid!r} action location {action.location!r} does "
+                    f"not match actuator {actuator.id!r} location "
+                    f"{actuator.location!r}")
+            # Sorted, so the name does not hang on the hash seed.
+            for feature in sorted(action.affected_features, key=str):
+                if feature not in registry.features:
+                    raise ReferentialIntegrityError(
+                        f"rule {rid!r} affects undeclared feature "
+                        f"{feature!r}")
 
     @cached_property
     def trigger_index(self) -> dict[str, tuple[tuple[

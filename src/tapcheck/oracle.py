@@ -228,7 +228,7 @@ def oracle_static(ruleset: RuleSet,
     out: set[PotentialConflict] = set()
     eps = cfg.same_tick_epsilon
     win = cfg.overlap_window
-    registry = ruleset.registry
+    actuators = ruleset.registry.actuators
 
     for r1, r2 in combinations(ruleset.rules, 2):
         pair = _BruteforcePair(r1, r2, ruleset, cfg)
@@ -237,8 +237,8 @@ def oracle_static(ruleset: RuleSet,
         related = cfg.features_related(r1.action.affected_features,
                                        r2.action.affected_features)
         relation = cfg.action_relations.relation(
-            registry.actuator_kind(r1.action.actuator), r1.action.action,
-            registry.actuator_kind(r2.action.actuator), r2.action.action)
+            actuators[r1.action.actuator].kind, r1.action.action,
+            actuators[r2.action.actuator].kind, r2.action.action)
         repeat = relation is Relation.SAME
 
         simultaneous = (pair.same_tick("any", distinct_events=False)

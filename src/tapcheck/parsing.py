@@ -3,10 +3,10 @@
 A document is a single YAML file with sections ``registry``, ``rules``,
 ``feature_deps``, ``action_relations``, and ``detector``, plus an optional
 ``day_length`` and, for simulation fixtures, ``house`` and ``sources``
-sections that are validated by the simulator. Parsing enforces referential
-integrity: every id a rule mentions must be declared exactly once in the
-registry, and violations name the offending id. Every mapping of a document
-goes through ``_keys``, so a key it does not declare is an error.
+sections that are validated by the simulator. Parsing checks shape: every
+mapping goes through ``_keys``, so a key it does not declare is an error,
+then scalar types, tokens and that each id is declared once. ``Registry``
+and ``RuleSet`` check what the names refer to, as for a library caller.
 
 ``load_document``/``serialize_document`` round-trip through a canonical
 form: a serialized document loads back to an equal ruleset and detector
@@ -306,7 +306,6 @@ def _parse_registry(raw, path="registry") -> Registry:
         _unique(seen_ctrl, ctrl, "controller")
 
     sensors: dict[str, Sensor] = {}
-    kind_unit: dict[str, str] = {}
     for i, entry in enumerate(_section(raw, "sensors", list, path)):
         p = f"{path}.sensors[{i}]"
         _keys(entry, "sensor", p, required=("id", "kind", "unit", "location"),
@@ -317,14 +316,6 @@ def _parse_registry(raw, path="registry") -> Registry:
         kind = _as_str(entry["kind"], f"{p}.kind")
         unit = _as_str(entry["unit"], f"{p}.unit")
         location = _as_str(entry["location"], f"{p}.location")
-        if location not in seen_loc:
-            raise ReferentialIntegrityError(
-                f"sensor {sid!r} placed in undeclared location {location!r}")
-        if kind in kind_unit and kind_unit[kind] != unit:
-            raise ParseError(
-                f"sensor kind {kind!r} declared with conflicting units "
-                f"{kind_unit[kind]!r} and {unit!r}", path=p)
-        kind_unit[kind] = unit
         rng = entry.get("range", [0, 100])
         if (not isinstance(rng, list) or len(rng) != 2):
             raise ParseError("range must be [low, high]", path=f"{p}.range")
@@ -347,20 +338,12 @@ def _parse_registry(raw, path="registry") -> Registry:
             raise DuplicateIdError(f"duplicate actuator {aid!r}")
         kind = _as_str(entry["kind"], f"{p}.kind")
         location = _as_str(entry["location"], f"{p}.location")
-        if location not in seen_loc:
-            raise ReferentialIntegrityError(
-                f"actuator {aid!r} placed in undeclared location {location!r}")
         actions = tuple(_as_str(x, f"{p}.actions")
                         for x in _section(entry, "actions", list, p))
         if not actions:
             raise ParseError("actuator needs at least one action", path=p)
         if len(set(actions)) != len(actions):
             raise DuplicateIdError(f"duplicate action name on actuator {aid!r}")
-        other = next((a for a in actuators.values() if a.kind == kind), None)
-        if other is not None and set(other.actions) != set(actions):
-            raise ParseError(
-                f"actuator kind {kind!r} declared with differing action "
-                "vocabularies", path=p)
         actuators[aid] = Actuator(id=aid, kind=kind, location=location,
                                   actions=actions)
 
@@ -381,80 +364,41 @@ def _parse_cmp(token, path) -> Cmp:
     return cmp
 
 
-def _parse_rule(entry, i, registry: Registry, day_length: int) -> Rule:
+def _parse_rule(entry, i, registry: Registry) -> Rule:
+    # An undeclared kind or actuator gives a default None for RuleSet to name.
     p = f"rules[{i}]"
     _keys(entry, "rule", p, required=("id", "controller", "trigger", "action"))
     rid = _as_str(entry["id"], f"{p}.id")
     controller = _as_str(entry["controller"], f"{p}.controller")
-    if controller not in registry.controllers:
-        raise ReferentialIntegrityError(
-            f"rule {rid!r} references undeclared controller {controller!r}")
 
     tp = f"{p}.trigger"
     traw = _keys(entry["trigger"], "trigger", tp,
                  required=("sensor_kind", "comparator", "threshold"),
                  optional=("unit", "location_filter", "schedule"))
     kind = _as_str(traw["sensor_kind"], f"{tp}.sensor_kind")
-    if kind not in registry.sensor_kinds:
-        raise ReferentialIntegrityError(
-            f"rule {rid!r} triggers on undeclared sensor kind {kind!r}")
     comparator = _parse_cmp(traw["comparator"], f"{tp}.comparator")
     threshold = _as_number(traw["threshold"], f"{tp}.threshold")
-    unit = traw.get("unit")
-    kind_unit = registry.kind_unit[kind]
-    if unit is None:
-        unit = kind_unit
-    elif unit != kind_unit:
-        raise ParseError(
-            f"threshold unit {unit!r} does not match sensor kind "
-            f"{kind!r} unit {kind_unit!r}", path=tp)
+    unit = traw.get("unit", registry.kind_unit.get(kind))
     location_filter = traw.get("location_filter")
     if location_filter is not None:
         location_filter = _as_str(location_filter, f"{tp}.location_filter")
-        if location_filter not in registry.locations:
-            raise ReferentialIntegrityError(
-                f"rule {rid!r} filters on undeclared location "
-                f"{location_filter!r}")
     schedule = traw.get("schedule")
     if schedule is not None:
         if not isinstance(schedule, list) or len(schedule) != 2:
             raise ParseError("schedule must be [start, end]", path=tp)
-        start, end = (_as_int(v, f"{tp}.schedule") for v in schedule)
-        if not 0 <= start < end <= day_length:
-            raise ParseError(
-                f"schedule must satisfy 0 <= start < end <= {day_length}",
-                path=tp)
-        schedule = (start, end)
+        schedule = tuple(_as_int(v, f"{tp}.schedule") for v in schedule)
 
     ap = f"{p}.action"
     araw = _keys(entry["action"], "action", ap,
                  required=("actuator", "action", "affected_features"),
                  optional=("location",))
     actuator_id = _as_str(araw["actuator"], f"{ap}.actuator")
-    actuator = registry.actuators.get(actuator_id)
-    if actuator is None:
-        raise ReferentialIntegrityError(
-            f"rule {rid!r} references undeclared actuator {actuator_id!r}")
     action = _as_str(araw["action"], f"{ap}.action")
-    if action not in actuator.actions:
-        raise ReferentialIntegrityError(
-            f"rule {rid!r} uses action {action!r} not declared for "
-            f"actuator {actuator_id!r}")
-    location = araw.get("location", actuator.location)
-    if location != actuator.location:
-        raise ParseError(
-            f"action location {location!r} does not match actuator "
-            f"{actuator_id!r} location {actuator.location!r}", path=ap)
+    location = araw.get("location", getattr(
+        registry.actuators.get(actuator_id), "location", None))
     feats = _section(araw, "affected_features", list, ap)
     if not feats:
         raise ParseError("affected_features must be non-empty", path=ap)
-    affected = []
-    for f in feats:
-        f = _as_str(f, f"{ap}.affected_features")
-        if f not in registry.features:
-            raise ReferentialIntegrityError(
-                f"rule {rid!r} affects undeclared feature {f!r}")
-        affected.append(f)
 
     return Rule(
         id=rid,
@@ -463,8 +407,9 @@ def _parse_rule(entry, i, registry: Registry, day_length: int) -> Rule:
             sensor_kind=kind, comparator=comparator, threshold=threshold,
             unit=unit, location_filter=location_filter, schedule=schedule),
         action=ActionSpec(
-            actuator=actuator_id, action=action, location=actuator.location,
-            affected_features=frozenset(affected)),
+            actuator=actuator_id, action=action, location=location,
+            affected_features=frozenset(
+                _as_str(f, f"{ap}.affected_features") for f in feats)),
     )
 
 
@@ -538,7 +483,7 @@ def _parse_signature(token, registry: Registry, path) -> EventSignature:
         raise ParseError(
             "signature must be 'sensor_kind:comparator:location'", path=path)
     kind, pred, location = parts
-    if kind not in registry.sensor_kinds:
+    if kind not in registry.kind_unit:
         raise ReferentialIntegrityError(
             f"similarity class references undeclared sensor kind {kind!r}")
     if location not in registry.locations:
@@ -571,17 +516,11 @@ def load_document(text: str) -> Document:
     """Parse and validate a full configuration document."""
     raw = _keys(_load_yaml(text), "top-level", "document",
                 required=("registry",), optional=_SECTIONS)
-
-    day_length = raw.get("day_length", DEFAULT_DAY_LENGTH)
-    if not isinstance(day_length, int) or day_length < 2:
-        raise ParseError("day_length must be an integer >= 2",
-                         path="day_length")
-
     registry = _parse_registry(raw["registry"])
-
-    rules = tuple(_parse_rule(entry, i, registry, day_length) for i, entry
+    rules = tuple(_parse_rule(entry, i, registry) for i, entry
                   in enumerate(_section(raw, "rules", list, "rules")))
-    ruleset = RuleSet(registry=registry, rules=rules, day_length=day_length)
+    ruleset = RuleSet(registry=registry, rules=rules,
+                      day_length=raw.get("day_length", DEFAULT_DAY_LENGTH))
 
     graph = _parse_feature_deps(_section(raw, "feature_deps", list,
                                          "feature_deps"), registry)

@@ -649,11 +649,7 @@ class _Run:
         actuators = ruleset.registry.actuators
         self._targets: list[tuple[RoomState, str, str]] = []
         for rule in ruleset.rules:
-            actuator = actuators.get(rule.action.actuator)
-            if actuator is None:
-                raise SimulationError(
-                    f"rule {rule.id!r} drives undeclared actuator "
-                    f"{rule.action.actuator!r}")
+            actuator = actuators[rule.action.actuator]
             effects = DEVICE_ACTIONS.get(actuator.kind)
             if effects is None:
                 raise SimulationError(

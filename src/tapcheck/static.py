@@ -29,7 +29,7 @@ import math
 from functools import total_ordering
 from typing import Iterator
 
-from .detector import ConflictKind, PolicyTable, RuleProfile
+from .detector import ConflictKind, PolicyTable, rule_profiles
 from .model import (
     Cmp,
     DetectorConfig,
@@ -208,13 +208,9 @@ class _Analysis:
     def __init__(self, ruleset: RuleSet, cfg: DetectorConfig):
         self.rules = ruleset.rules
         self.day = ruleset.day_length
-        registry = ruleset.registry
-        # Pruning skips pairs whose tests would have rejected an undeclared
-        # action or feature; building every rule's profile rejects them.
-        self.profiles = [
-            RuleProfile(rule.controller, rule.action,
-                        registry.actuator_kind(rule.action.actuator), cfg)
-            for rule in self.rules]
+        # Built for every rule, so a config that does not cover a rule's
+        # action or features raises even when pruning leaves it no pair.
+        self.profiles = rule_profiles(ruleset, cfg)
         self.scopes = [_scope(rule, ruleset) for rule in self.rules]
         self.scope_keys = [(r.trigger.sensor_kind, r.trigger.location_filter)
                            for r in self.rules]

@@ -83,13 +83,8 @@ def build_home(*, sensors, actuators, controllers, features, rules,
 
     graph = FeatureDependencyGraph(nodes=frozenset(features),
                                    edges=frozenset(edges))
-    vocabulary = {}
-    for a in actuator_map.values():
-        actions = frozenset(a.actions)
-        # One vocabulary per actuator kind, as the document parser demands.
-        if vocabulary.setdefault(a.kind, actions) != actions:
-            raise ValueError(f"actuator kind {a.kind!r} declared with "
-                             "differing action vocabularies")
+    # ``Registry`` holds each actuator kind to one vocabulary.
+    vocabulary = {a.kind: frozenset(a.actions) for a in actuator_map.values()}
     entries = {}
     for key, triples in (relations or {}).items():
         kinds = key.split("|")

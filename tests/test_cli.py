@@ -231,6 +231,25 @@ class TestCheck:
         assert err.startswith("error: invalid YAML: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", [None, True, 2.5, "", "x", []],
+                             ids=["null", "true", "float", "empty", "text",
+                                  "list"])
+    def test_each_house_leaf_set_to_a_value_exits_cleanly(self, value,
+                                                          tmp_path):
+        # One leaf of house.yaml at a time takes the value: the check
+        # passes, finds conflicts, or reports an input error on one line.
+        doc = yaml.safe_load(fixture_text("house"))
+        leaves = [(parent, key) for parent, key, is_key
+                  in _mutation_spots(doc) if not is_key]
+        assert len(leaves) == 249
+        path = tmp_path / "leaf.yaml"
+        for parent, key in leaves:
+            leaf, parent[key] = parent[key], value
+            path.write_text(yaml.dump(doc, Dumper=parsing._DUMPER),
+                            encoding="utf-8")
+            parent[key] = leaf
+            exits_cleanly(["check", "--ruleset", str(path)])
+
     @pytest.mark.parametrize("loader", ["libyaml", "pure"])
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

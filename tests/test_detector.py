@@ -29,7 +29,12 @@ from tapcheck.errors import (
     UnknownFeatureError,
     UnknownSensorKindError,
 )
-from tapcheck.model import Cmp, EventSignature
+from tapcheck.model import (
+    ActionRelationTable,
+    Cmp,
+    EventSignature,
+    FeatureDependencyGraph,
+)
 
 
 def pairs_of(kind, rs, cfg, events):
@@ -772,48 +777,50 @@ class TestDetectAtTick:
                              window, cfg)
         assert kinds_of(out) == ["C1"]
 
-    @pytest.mark.parametrize("action,features,error", [
-        ("explode", ["alert@room1"], UnknownActionError),
-        ("sound", ["ghost"], UnknownFeatureError)])
-    @pytest.mark.parametrize("paired", [False, True])
-    def test_undeclared_name_raises_when_its_rule_first_fires(
-            self, action, features, error, paired):
-        # r_bad fires on CO readings only. A tick without one passes; the
-        # first CO reading raises before the window changes, whether or not
-        # another firing pairs with it.
+    @pytest.mark.parametrize("missing,error", [
+        ("action", UnknownActionError), ("feature", UnknownFeatureError)])
+    @pytest.mark.parametrize("fires", [False, True])
+    def test_config_missing_a_name_raises_at_first_call(
+            self, missing, error, fires):
+        # The registry declares r_fan's action and feature, and the config
+        # lacks one. The first call raises before the window changes,
+        # whether or not r_fan fires, and so does the next.
         rs, cfg = build_home(
             sensors=[("smoke1", "smoke", "bool", "room1"),
-                     ("leak1", "leak", "bool", "room1"),
                      ("co1", "co", "ppm", "room1")],
             actuators=[("alarm1", "alarm", "room1", ("sound", "off"))],
-            controllers=["fire_ctrl", "water_ctrl", "air_ctrl"],
-            features=["alert@room1"],
+            controllers=["fire_ctrl", "air_ctrl"],
+            features=["alert@room1", "fan@room1"],
             rules=[("r_smoke", "fire_ctrl", ("smoke", "==", 1),
                     ("alarm1", "sound", ["alert@room1"])),
-                   ("r_leak", "water_ctrl", ("leak", "==", 1),
-                    ("alarm1", "sound", ["alert@room1"])),
-                   ("r_bad", "air_ctrl", ("co", ">", 50),
-                    ("alarm1", action, features))])
+                   ("r_fan", "air_ctrl", ("co", ">", 50),
+                    ("alarm1", "off", ["fan@room1"]))])
+        if missing == "action":
+            cfg = replace(cfg, action_relations=ActionRelationTable(
+                vocabulary={"alarm": frozenset({"sound"})}))
+        else:
+            cfg = replace(cfg, dependency_graph=FeatureDependencyGraph(
+                nodes=frozenset({"alert@room1"}), edges=frozenset()))
         window = DetectionWindow(cfg)
-        detect_at_tick([ev(rs, "e1", "smoke1", 5, 1)], rs, window, cfg)
-        batch = [ev(rs, "e2", "co1", 9, 80)]
-        if paired:
-            batch.append(ev(rs, "e3", "leak1", 9, 1))
-        with pytest.raises(error):
-            detect_at_tick(batch, rs, window, cfg)
-        assert window.last_tick == 5
+        batch = [ev(rs, "e1", "co1" if fires else "smoke1", 5, 80)]
+        for _ in range(2):
+            with pytest.raises(error):
+                detect_at_tick(batch, rs, window, cfg)
+            assert window.last_tick is None and window.ruleset is None
 
     def test_undeclared_actuator_raises_before_the_window_changes(
             self, alarm_home):
+        # The ruleset rejects the rule as it is built, so no stream holds
+        # it.
         rs, cfg = alarm_home
-        rule = rs.rules[2]  # r_co
-        rs = replace(rs, rules=rs.rules[:2] + (replace(
-            rule, action=replace(rule.action, actuator="nope")),))
         window = DetectionWindow(cfg)
         detect_at_tick([ev(rs, "e1", "smoke1", 5, 1)], rs, window, cfg)
+        rule = rs.rules[2]  # r_co
         with pytest.raises(ReferentialIntegrityError,
-                           match="undeclared actuator 'nope'"):
-            detect_at_tick([ev(rs, "e2", "co1", 9, 80)], rs, window, cfg)
+                           match="^rule 'r_co' references undeclared "
+                                 "actuator 'nope'$"):
+            replace(rs, rules=rs.rules[:2] + (replace(
+                rule, action=replace(rule.action, actuator="nope")),))
         assert window.last_tick == 5
         assert window.firings_at(9) == []
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from gen import FIXTURES, random_ruleset
 from test_cli import MUTATION_ALPHABET, mutated
+from tapcheck.cli import main
 from tapcheck import parsing
 from tapcheck.errors import (
     DuplicateIdError,
@@ -23,6 +25,7 @@ from tapcheck.errors import (
     ParseError,
     ReferentialIntegrityError,
 )
+from tapcheck.model import Actuator, Sensor
 from tapcheck.parsing import _load_yaml, load_document, serialize_document
 from tapcheck.scenarios import fixture_text, load_scenario_bundle
 
@@ -101,7 +104,9 @@ class TestParseRuleset:
 
     def test_threshold_unit_mismatch(self):
         doc = MINIMAL.replace("threshold: 65", "threshold: 65, unit: C")
-        with pytest.raises(ParseError, match="unit"):
+        with pytest.raises(ReferentialIntegrityError,
+                           match="^rule 'r1' threshold unit 'C' does not "
+                                 "match sensor kind 'temperature' unit 'F'$"):
             load_document(doc)
 
     def test_action_outside_vocabulary(self):
@@ -114,7 +119,10 @@ class TestParseRuleset:
             "trigger: {sensor_kind: temperature, comparator: \"<\", threshold: 65}",
             "trigger: {sensor_kind: temperature, comparator: \"<\", "
             "threshold: 65, schedule: [900, 100]}")
-        with pytest.raises(ParseError, match="schedule"):
+        with pytest.raises(InvalidConfigError,
+                           match=r"^rule 'r1' schedule must be a pair of "
+                                 r"integers with 0 <= start < end <= 864, "
+                                 r"not \(900, 100\)$"):
             load_document(doc)
 
     def test_schedule_bounds_must_be_integers(self):
@@ -224,6 +232,100 @@ detector:
         with pytest.raises((ReferentialIntegrityError, ParseError),
                            match="ghost"):
             load_document(doc)
+
+
+def _rule(ruleset, trigger=(), action=(), **fields):
+    """``ruleset`` with its one rule given other field values."""
+    (rule,) = ruleset.rules
+    return replace(ruleset, rules=(replace(
+        rule, trigger=replace(rule.trigger, **dict(trigger)),
+        action=replace(rule.action, **dict(action)), **fields),))
+
+
+def _registry(ruleset, sensors=(), actuators=()):
+    """``ruleset``'s registry with sensors and actuators added or
+    replaced."""
+    registry = ruleset.registry
+    return replace(
+        registry, sensors={**registry.sensors, **{s.id: s for s in sensors}},
+        actuators={**registry.actuators, **{a.id: a for a in actuators}})
+
+
+class TestReferenceChecks:
+    """``RuleSet`` checks each name a rule gives, and ``Registry`` its own
+    cross-references, once: a library caller, a document and the CLI get
+    one error with the same text."""
+
+    @pytest.mark.parametrize("build,needle,bogus,message", [
+        (lambda rs: _rule(rs, controller="ghost"),
+         "controller: ctrl\n", "controller: ghost\n",
+         "rule 'r1' references undeclared controller 'ghost'"),
+        (lambda rs: _rule(rs, trigger={"sensor_kind": "ghost"}),
+         "sensor_kind: temperature", "sensor_kind: ghost",
+         "rule 'r1' triggers on undeclared sensor kind 'ghost'"),
+        (lambda rs: _rule(rs, trigger={"unit": "C"}),
+         "threshold: 65}", "threshold: 65, unit: C}",
+         "rule 'r1' threshold unit 'C' does not match sensor kind "
+         "'temperature' unit 'F'"),
+        (lambda rs: _rule(rs, trigger={"location_filter": "ghost"}),
+         "threshold: 65}", "threshold: 65, location_filter: ghost}",
+         "rule 'r1' filters on undeclared location 'ghost'"),
+        (lambda rs: _rule(rs, action={"actuator": "ghost"}),
+         "actuator: th1", "actuator: ghost",
+         "rule 'r1' references undeclared actuator 'ghost'"),
+        (lambda rs: _rule(rs, action={"action": "ghost"}),
+         "action: heat", "action: ghost",
+         "rule 'r1' uses action 'ghost' not declared for actuator 'th1'"),
+        (lambda rs: _rule(rs, action={"location": "ghost"}),
+         "{actuator: th1,", "{location: ghost, actuator: th1,",
+         "rule 'r1' action location 'ghost' does not match actuator 'th1' "
+         "location 'room1'"),
+        (lambda rs: _rule(rs, action={
+            "affected_features": frozenset({"ghost"})}),
+         "affected_features: [temperature@room1]",
+         "affected_features: [ghost]",
+         "rule 'r1' affects undeclared feature 'ghost'"),
+        (lambda rs: _registry(rs, sensors=[Sensor(
+            id="t1", kind="temperature", unit="F", location="ghost")]),
+         "unit: F, location: room1}", "unit: F, location: ghost}",
+         "sensor 't1' placed in undeclared location 'ghost'"),
+        (lambda rs: _registry(rs, actuators=[Actuator(
+            id="th1", kind="thermostat", location="ghost",
+            actions=("heat", "off"))]),
+         "thermostat, location: room1", "thermostat, location: ghost",
+         "actuator 'th1' placed in undeclared location 'ghost'"),
+        (lambda rs: _registry(rs, sensors=[Sensor(
+            id="t2", kind="temperature", unit="C", location="room1")]),
+         "  actuators:\n",
+         "    - {id: t2, kind: temperature, unit: C, location: room1}\n"
+         "  actuators:\n",
+         "sensor kind 'temperature' declared with conflicting units 'F' "
+         "and 'C'"),
+        (lambda rs: _registry(rs, actuators=[Actuator(
+            id="th2", kind="thermostat", location="room1",
+            actions=("heat",))]),
+         "  features:", "    - {id: th2, kind: thermostat, location: room1, "
+         "actions: [heat]}\n  features:",
+         "actuator kind 'thermostat' declared with differing action "
+         "vocabularies"),
+    ], ids=["controller", "sensor_kind", "unit", "location_filter",
+            "actuator", "action", "action_location", "affected_features",
+            "sensor_location", "actuator_location", "kind_unit",
+            "vocabulary"])
+    def test_library_and_document_share_one_error(self, build, needle, bogus,
+                                                  message, tmp_path, capsys):
+        ruleset = load_document(MINIMAL).ruleset
+        with pytest.raises(ReferentialIntegrityError) as built:
+            build(ruleset)
+        assert MINIMAL.count(needle) == 1
+        text = MINIMAL.replace(needle, bogus)
+        with pytest.raises(ReferentialIntegrityError) as loaded:
+            load_document(text)
+        assert str(built.value) == str(loaded.value) == message
+        path = tmp_path / "bad.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", "--ruleset", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 SCENARIO_TAIL = """

@@ -10,7 +10,11 @@ import pytest
 
 from tapcheck import detector, simulator
 from tapcheck.detector import match_rules
-from tapcheck.errors import SimulationError, UnknownScenarioError
+from tapcheck.errors import (
+    ReferentialIntegrityError,
+    SimulationError,
+    UnknownScenarioError,
+)
 from tapcheck.model import Cmp
 from tapcheck.scenarios import build, load_bundle, run_scenario, with_probability
 from tapcheck.simulator import (
@@ -421,17 +425,14 @@ class TestLibrarySetupChecks:
             run_arm(scenario, bundle.ruleset, bundle.config, house)
 
     def test_undeclared_rule_actuator_rejected(self):
-        bundle = load_bundle("s5_alarm")
-        rs = bundle.ruleset
+        # The ruleset rejects the rule as it is built, so no arm meets it.
+        rs = load_bundle("s5_alarm").ruleset
         rule = rs.rules[1]  # r_alarm_leak
-        rs = replace(rs, rules=(rs.rules[0], replace(
-            rule, action=replace(rule.action, actuator="nope"))))
-        scenario = Scenario(id="probe", ruleset="s5_alarm", sources=(),
-                            horizon=1)
-        with pytest.raises(SimulationError,
-                           match="rule 'r_alarm_leak' drives undeclared "
-                                 "actuator 'nope'"):
-            run_arm(scenario, rs, bundle.config, bundle.house)
+        with pytest.raises(ReferentialIntegrityError,
+                           match="^rule 'r_alarm_leak' references undeclared "
+                                 "actuator 'nope'$"):
+            replace(rs, rules=(rs.rules[0], replace(
+                rule, action=replace(rule.action, actuator="nope"))))
 
     @pytest.mark.parametrize("name,value", [
         ("horizon", 2.5), ("horizon", "10"), ("horizon", True),

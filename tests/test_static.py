@@ -17,7 +17,12 @@ from tapcheck.errors import (
     UnknownActionError,
     UnknownFeatureError,
 )
-from tapcheck.model import Cmp, EventSignature
+from tapcheck.model import (
+    ActionRelationTable,
+    Cmp,
+    EventSignature,
+    FeatureDependencyGraph,
+)
 from tapcheck.oracle import _sig_witness, oracle_static
 from tapcheck.static import (
     PotentialConflict,
@@ -172,29 +177,36 @@ class TestCandidatePruning:
     ])
     def test_undeclared_name_raises_without_a_partner(self, action, features,
                                                       error):
+        # The registry declares every name, and the config lacks r_bad's.
         # No other rule shares r_bad's actuator or features, so no candidate
-        # pair reaches it; the check must still reject it.
+        # pair reaches it; the check must still reject the config.
         rs, cfg = build_home(
             sensors=[("t1", "temperature", "F", "room1")],
-            actuators=[("a1", "siren", "room1", ("go", "stop")),
-                       ("a2", "siren", "room1", ("go", "stop"))],
+            actuators=[("a1", "siren", "room1", ("go", "stop", "explode")),
+                       ("a2", "siren", "room1", ("go", "stop", "explode"))],
             controllers=["x"],
-            features=["f1", "f2"],
+            features=["f1", "f2", "ghost"],
             rules=[("r_ok", "x", ("temperature", ">", 50),
                     ("a1", "go", ["f1"])),
                    ("r_bad", "x", ("temperature", ">", 50),
                     ("a2", action, features))])
+        cfg = replace(
+            cfg, action_relations=ActionRelationTable(
+                vocabulary={"siren": frozenset({"go", "stop"})}),
+            dependency_graph=FeatureDependencyGraph(
+                nodes=frozenset({"f1", "f2"}), edges=frozenset()))
         with pytest.raises(error):
             static_check(rs, cfg)
 
     def test_undeclared_actuator_raises(self, alarm_home):
-        rs, cfg = alarm_home
+        # The ruleset rejects the rule as it is built, so no check meets it.
+        rs, _ = alarm_home
         rule = rs.rules[2]  # r_co
-        rs = replace(rs, rules=rs.rules[:2] + (replace(
-            rule, action=replace(rule.action, actuator="nope")),))
         with pytest.raises(ReferentialIntegrityError,
-                           match="undeclared actuator 'nope'"):
-            static_check(rs, cfg)
+                           match="^rule 'r_co' references undeclared "
+                                 "actuator 'nope'$"):
+            replace(rs, rules=rs.rules[:2] + (replace(
+                rule, action=replace(rule.action, actuator="nope")),))
 
 
 class TestScheduleGaps:
@@ -427,6 +439,17 @@ class TestPotentialConflictRecord:
                                   finding.rule_b)
         assert other != bare and bare < other and other > bare
         assert bare != (bare.kind, bare.rule_a, bare.rule_b)
+
+    def test_order_is_irreflexive(self, alarm_home):
+        # ``total_ordering`` derives ``<=``, ``>`` and ``>=`` from ``<`` and
+        # ``==``, so each of them is wrong for equal records if ``<`` holds.
+        rs, cfg = alarm_home
+        finding = static_check(rs, cfg)[0]
+        twin = PotentialConflict(finding.kind, finding.rule_a, finding.rule_b)
+        for other in (finding, twin):
+            assert not finding < other and not finding > other
+            assert finding <= other and finding >= other
+            assert finding == other
 
     def test_copy_and_pickle_round_trip(self, alarm_home):
         rs, cfg = alarm_home
