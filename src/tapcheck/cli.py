@@ -350,8 +350,15 @@ def cmd_report(args) -> int:
     return 1 if sum(counts.values()) else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line, in any subcommand, is one ``error:`` line."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tapcheck",
         description="Conflict detection for trigger-action smart-home "
                     "rulesets.")

@@ -7,12 +7,14 @@ knobs. Every type here is immutable after construction, so instances can be
 shared across threads without coordination. Facts derived from a frozen
 object (the trigger index, the action-class table, each feature closure,
 the similar signatures, the config's pair reach and horizon) are cached on
-it at first use and never change afterwards.
+it at first use and never change afterwards. ``value_problem`` is the one
+statement of what a number, an integer and a name are: every reading,
+rule, sensor, detector config, document and simulation setup meets it.
 
 Time is a non-negative integer tick. Within one event stream ticks never
 decrease, and a single sensor emits at most one event per tick. Each
 reading meets two statements here, which the trace parser and the
-detector both call: ``check_reading`` (an ``int`` tick >= 0, a finite
+detector both call: ``check_reading`` (an integer tick, a number for its
 value) and ``Registry.reading_sensor`` (a declared sensor, named with its
 own kind and location).
 """
@@ -22,6 +24,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Collection, Sequence
 
 from .errors import (
@@ -118,19 +121,44 @@ class Event:
     signature: EventSignature
 
 
+def value_problem(value, kind) -> str | None:
+    """What ``value`` must be and is not, as a ``kind``, or None; each site
+    reports it as ``<what> must be <problem>``. A ``float`` is a number: an
+    ``int`` or ``float``, not a ``bool``, and finite (an ``int`` beyond the
+    float range is not). An ``int`` is an integer, not a ``bool``, >= 0 as
+    it counts ticks. A ``str`` is a name, non-empty. Any other kind, such
+    as ``bool`` or :class:`Cmp`, takes an instance of it."""
+    if kind is float:
+        # A float first: every reading takes this path.
+        if not isinstance(value, float) and (
+                isinstance(value, bool) or not isinstance(value, int)):
+            return f"a number, not {value!r}"
+        try:
+            return None if math.isfinite(value) else "finite"
+        except OverflowError:  # an int beyond the float range
+            return "finite"
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            return f"an integer >= 0, not {value!r}"
+        return None if value >= 0 else ">= 0"
+    if kind is str:
+        return None if isinstance(value, str) and value else (
+            f"a non-empty string, not {value!r}")
+    if kind is bool:
+        return None if isinstance(value, bool) else (
+            f"true or false, not {value!r}")
+    return None if isinstance(value, kind) else (
+        f"a {kind.__name__}, not {value!r}")
+
+
 def check_reading(time: Tick, value: float) -> None:
-    """Reject a reading outside the model's domain: its tick must be an
-    ``int`` (not a ``bool``) >= 0, and its value a finite number."""
-    try:
-        finite = math.isfinite(value)
-    except TypeError as exc:
-        raise InvalidEventError(f"value {value!r} is not a number") from exc
-    if not finite:
-        raise InvalidEventError(f"value {value!r} is not finite")
-    if not isinstance(time, int) or isinstance(time, bool):
-        raise InvalidEventError(f"tick {time!r} is not an integer")
-    if time < 0:
-        raise InvalidEventError("tick must be >= 0")
+    """Reject a reading whose value is not a number or tick an integer."""
+    problem = value_problem(value, float)
+    if problem:
+        raise InvalidEventError(f"value must be {problem}")
+    problem = value_problem(time, int)
+    if problem:
+        raise InvalidEventError(f"tick must be {problem}")
 
 
 @dataclass(frozen=True)
@@ -145,13 +173,12 @@ class Sensor:
     def __post_init__(self):
         # A negative or NaN tolerance holds no value gap, so C7 could
         # never fire for this sensor; an infinite one is no bound.
-        tolerance = self.tolerance
-        if (isinstance(tolerance, bool)
-                or not isinstance(tolerance, (int, float))
-                or not 0 <= tolerance < math.inf):
+        problem = value_problem(self.tolerance, float)
+        if problem is None and self.tolerance < 0:
+            problem = ">= 0"
+        if problem:
             raise InvalidConfigError(
-                f"sensor {self.id!r} tolerance must be a finite number "
-                f">= 0, not {tolerance!r}")
+                f"sensor {self.id!r} tolerance must be {problem}")
 
 
 @dataclass(frozen=True)
@@ -285,18 +312,31 @@ class Registry:
         return sensor
 
 
+# What ``RuleSet`` judges by ``value_problem``, each record before its
+# fields; the unit, location filter and action location equal declared names.
+_RULE_FIELDS = tuple((name, attrgetter(name), kind) for name, kind in (
+    ("id", str), ("controller", str), ("trigger", TriggerCondition),
+    ("action", ActionSpec), ("trigger.sensor_kind", str),
+    ("trigger.comparator", Cmp), ("trigger.threshold", float),
+    ("action.actuator", str), ("action.action", str),
+    ("action.affected_features", frozenset)))
+
+
 @dataclass(frozen=True)
 class RuleSet:
     """A validated bundle of rules plus the registry they refer to.
 
-    Rule ids are unique, and every threshold is a finite number, so each
-    comparator holds on a slice of the sorted thresholds. ``day_length`` is
-    an integer >= 2, and a schedule a tuple of two integers with
-    0 <= start < end <= ``day_length``, so every scheduled rule is active at
-    some tick of day. Every name a rule gives is the registry's: its
-    controller, sensor kind and the kind's unit, location filter, actuator
-    with one of its actions and its location, and affected features; any
-    other raises ``ReferentialIntegrityError``.
+    Each field of a rule holds its type before anything hashes it: names
+    are non-empty strings, the comparator a :class:`Cmp`, the affected
+    features a frozenset, and the threshold a finite number, so each
+    comparator holds on a slice of the sorted thresholds; any other raises
+    ``InvalidConfigError`` naming the rule and the field. Rule ids are
+    unique. ``day_length`` is an integer >= 2, and a schedule a tuple of
+    two integers with 0 <= start < end <= ``day_length``, so every
+    scheduled rule is active at some tick of day. Every name a rule gives
+    is the registry's: its controller, sensor kind and the kind's unit,
+    location filter, actuator with one of its actions and its location, and
+    affected features; any other raises ``ReferentialIntegrityError``.
     """
 
     registry: Registry
@@ -305,16 +345,20 @@ class RuleSet:
 
     def __post_init__(self):
         day = self.day_length
-        if isinstance(day, bool) or not isinstance(day, int) or day < 2:
+        if value_problem(day, int) or day < 2:
             raise InvalidConfigError(
                 f"day_length must be an integer >= 2, not {day!r}")
         registry = self.registry
         controllers = set(registry.controllers)
         kind_unit = registry.kind_unit
-        locations = set(registry.locations)
         seen: set[str] = set()
         for rule in self.rules:
             rid, trigger, action = rule.id, rule.trigger, rule.action
+            for what, get, kind in _RULE_FIELDS:
+                problem = value_problem(get(rule), kind)
+                if problem:
+                    raise InvalidConfigError(
+                        f"rule {rid!r} {what} must be {problem}")
             if rid in seen:
                 raise DuplicateIdError(f"duplicate rule id {rid!r}")
             seen.add(rid)
@@ -327,28 +371,20 @@ class RuleSet:
                 raise ReferentialIntegrityError(
                     f"rule {rid!r} triggers on undeclared sensor kind "
                     f"{kind!r}")
-            threshold = trigger.threshold
-            if (isinstance(threshold, bool)
-                    or not isinstance(threshold, (int, float))
-                    or not -math.inf < threshold < math.inf):
-                raise InvalidConfigError(
-                    f"rule {rid!r} threshold must be a finite number, "
-                    f"not {threshold!r}")
             if trigger.unit != kind_unit[kind]:
                 raise ReferentialIntegrityError(
                     f"rule {rid!r} threshold unit {trigger.unit!r} does not "
                     f"match sensor kind {kind!r} unit {kind_unit[kind]!r}")
             if (trigger.location_filter is not None
-                    and trigger.location_filter not in locations):
+                    and trigger.location_filter not in registry.locations):
                 raise ReferentialIntegrityError(
                     f"rule {rid!r} filters on undeclared location "
                     f"{trigger.location_filter!r}")
             schedule = trigger.schedule
             if schedule is not None and not (
                     isinstance(schedule, tuple) and len(schedule) == 2
-                    and all(isinstance(v, int) and not isinstance(v, bool)
-                            for v in schedule)
-                    and 0 <= schedule[0] < schedule[1] <= day):
+                    and not any(value_problem(v, int) for v in schedule)
+                    and schedule[0] < schedule[1] <= day):
                 raise InvalidConfigError(
                     f"rule {rid!r} schedule must be a pair of integers "
                     f"with 0 <= start < end <= {day}, "
@@ -540,18 +576,12 @@ class DetectorConfig:
     similarity_classes: tuple[frozenset[EventSignature], ...] = ()
 
     def __post_init__(self):
-        for name in ("overlap_window", "duplicate_window",
-                     "same_tick_epsilon"):
+        for name, least in (("overlap_window", 1), ("duplicate_window", 1),
+                            ("same_tick_epsilon", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if value_problem(value, int) or value < least:
                 raise InvalidConfigError(
-                    f"{name} must be an integer, not {value!r}")
-        if self.overlap_window < 1:
-            raise InvalidConfigError("overlap_window must be >= 1")
-        if self.duplicate_window < 1:
-            raise InvalidConfigError("duplicate_window must be >= 1")
-        if self.same_tick_epsilon < 0:
-            raise InvalidConfigError("same_tick_epsilon must be >= 0")
+                    f"{name} must be an integer >= {least}, not {value!r}")
         classes = self.similarity_classes
         if not isinstance(classes, tuple) or not all(
                 isinstance(group, frozenset)

@@ -34,7 +34,6 @@ A character YAML forbids, such as NUL, is reported on one line with its line
 and column.
 """
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,6 +70,7 @@ from .model import (
     RuleSet,
     Sensor,
     TriggerCondition,
+    value_problem,
 )
 
 _SECTIONS = ("rules", "feature_deps", "action_relations", "detector",
@@ -249,22 +249,13 @@ def _keys(raw, what, path, required=(), optional=()) -> dict:
     return raw
 
 
-def _as_number(value, path) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError("expected a number", path=path)
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ParseError("expected a finite number", path=path)
-    return number
-
-
-def _as_int(value, path) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError("expected an integer", path=path)
-    return value
+def _as(value, kind, path):
+    """``value`` once :func:`value_problem` finds it a ``kind``, a number
+    read as a float; otherwise a ``ParseError`` at ``path``."""
+    problem = value_problem(value, kind)
+    if problem:
+        raise ParseError(f"value must be {problem}", path=path)
+    return float(value) if kind is float else value
 
 
 def _section(raw: dict, key: str, kind: type, path: str):
@@ -278,12 +269,6 @@ def _section(raw: dict, key: str, kind: type, path: str):
     return value
 
 
-def _as_str(value, path) -> str:
-    if not isinstance(value, str) or not value:
-        raise ParseError("expected a non-empty string", path=path)
-    return value
-
-
 def _unique(seen: set, value: str, what: str):
     if value in seen:
         raise DuplicateIdError(f"duplicate {what} {value!r}")
@@ -293,13 +278,13 @@ def _unique(seen: set, value: str, what: str):
 def _parse_registry(raw, path="registry") -> Registry:
     _keys(raw, "registry", path, required=(
         "locations", "controllers", "sensors", "actuators", "features"))
-    locations = tuple(_as_str(x, f"{path}.locations")
+    locations = tuple(_as(x, str, f"{path}.locations")
                       for x in _section(raw, "locations", list, path))
     seen_loc: set[str] = set()
     for loc in locations:
         _unique(seen_loc, loc, "location")
 
-    controllers = tuple(_as_str(x, f"{path}.controllers")
+    controllers = tuple(_as(x, str, f"{path}.controllers")
                         for x in _section(raw, "controllers", list, path))
     seen_ctrl: set[str] = set()
     for ctrl in controllers:
@@ -310,19 +295,19 @@ def _parse_registry(raw, path="registry") -> Registry:
         p = f"{path}.sensors[{i}]"
         _keys(entry, "sensor", p, required=("id", "kind", "unit", "location"),
               optional=("range", "tolerance"))
-        sid = _as_str(entry["id"], f"{p}.id")
+        sid = _as(entry["id"], str, f"{p}.id")
         if sid in sensors:
             raise DuplicateIdError(f"duplicate sensor {sid!r}")
-        kind = _as_str(entry["kind"], f"{p}.kind")
-        unit = _as_str(entry["unit"], f"{p}.unit")
-        location = _as_str(entry["location"], f"{p}.location")
+        kind = _as(entry["kind"], str, f"{p}.kind")
+        unit = _as(entry["unit"], str, f"{p}.unit")
+        location = _as(entry["location"], str, f"{p}.location")
         rng = entry.get("range", [0, 100])
         if (not isinstance(rng, list) or len(rng) != 2):
             raise ParseError("range must be [low, high]", path=f"{p}.range")
-        low, high = (_as_number(v, f"{p}.range") for v in rng)
+        low, high = (_as(v, float, f"{p}.range") for v in rng)
         if not low < high:
             raise ParseError("range low must be < high", path=f"{p}.range")
-        tolerance = _as_number(entry.get("tolerance", 0), f"{p}.tolerance")
+        tolerance = _as(entry.get("tolerance", 0), float, f"{p}.tolerance")
         if tolerance < 0:
             raise ParseError("tolerance must be >= 0", path=f"{p}.tolerance")
         sensors[sid] = Sensor(id=sid, kind=kind, unit=unit, location=location,
@@ -333,12 +318,12 @@ def _parse_registry(raw, path="registry") -> Registry:
         p = f"{path}.actuators[{i}]"
         _keys(entry, "actuator", p,
               required=("id", "kind", "location", "actions"))
-        aid = _as_str(entry["id"], f"{p}.id")
+        aid = _as(entry["id"], str, f"{p}.id")
         if aid in actuators:
             raise DuplicateIdError(f"duplicate actuator {aid!r}")
-        kind = _as_str(entry["kind"], f"{p}.kind")
-        location = _as_str(entry["location"], f"{p}.location")
-        actions = tuple(_as_str(x, f"{p}.actions")
+        kind = _as(entry["kind"], str, f"{p}.kind")
+        location = _as(entry["location"], str, f"{p}.location")
+        actions = tuple(_as(x, str, f"{p}.actions")
                         for x in _section(entry, "actions", list, p))
         if not actions:
             raise ParseError("actuator needs at least one action", path=p)
@@ -349,7 +334,7 @@ def _parse_registry(raw, path="registry") -> Registry:
 
     seen_feat: set[str] = set()
     for f in _section(raw, "features", list, path):
-        _unique(seen_feat, _as_str(f, f"{path}.features"), "feature")
+        _unique(seen_feat, _as(f, str, f"{path}.features"), "feature")
 
     return Registry(locations=locations, sensors=sensors, actuators=actuators,
                     controllers=controllers, features=frozenset(seen_feat))
@@ -368,32 +353,32 @@ def _parse_rule(entry, i, registry: Registry) -> Rule:
     # An undeclared kind or actuator gives a default None for RuleSet to name.
     p = f"rules[{i}]"
     _keys(entry, "rule", p, required=("id", "controller", "trigger", "action"))
-    rid = _as_str(entry["id"], f"{p}.id")
-    controller = _as_str(entry["controller"], f"{p}.controller")
+    rid = _as(entry["id"], str, f"{p}.id")
+    controller = _as(entry["controller"], str, f"{p}.controller")
 
     tp = f"{p}.trigger"
     traw = _keys(entry["trigger"], "trigger", tp,
                  required=("sensor_kind", "comparator", "threshold"),
                  optional=("unit", "location_filter", "schedule"))
-    kind = _as_str(traw["sensor_kind"], f"{tp}.sensor_kind")
+    kind = _as(traw["sensor_kind"], str, f"{tp}.sensor_kind")
     comparator = _parse_cmp(traw["comparator"], f"{tp}.comparator")
-    threshold = _as_number(traw["threshold"], f"{tp}.threshold")
+    threshold = _as(traw["threshold"], float, f"{tp}.threshold")
     unit = traw.get("unit", registry.kind_unit.get(kind))
     location_filter = traw.get("location_filter")
     if location_filter is not None:
-        location_filter = _as_str(location_filter, f"{tp}.location_filter")
+        location_filter = _as(location_filter, str, f"{tp}.location_filter")
     schedule = traw.get("schedule")
     if schedule is not None:
         if not isinstance(schedule, list) or len(schedule) != 2:
             raise ParseError("schedule must be [start, end]", path=tp)
-        schedule = tuple(_as_int(v, f"{tp}.schedule") for v in schedule)
+        schedule = tuple(_as(v, int, f"{tp}.schedule") for v in schedule)
 
     ap = f"{p}.action"
     araw = _keys(entry["action"], "action", ap,
                  required=("actuator", "action", "affected_features"),
                  optional=("location",))
-    actuator_id = _as_str(araw["actuator"], f"{ap}.actuator")
-    action = _as_str(araw["action"], f"{ap}.action")
+    actuator_id = _as(araw["actuator"], str, f"{ap}.actuator")
+    action = _as(araw["action"], str, f"{ap}.action")
     location = araw.get("location", getattr(
         registry.actuators.get(actuator_id), "location", None))
     feats = _section(araw, "affected_features", list, ap)
@@ -409,7 +394,7 @@ def _parse_rule(entry, i, registry: Registry) -> Rule:
         action=ActionSpec(
             actuator=actuator_id, action=action, location=location,
             affected_features=frozenset(
-                _as_str(f, f"{ap}.affected_features") for f in feats)),
+                _as(f, str, f"{ap}.affected_features") for f in feats)),
     )
 
 
@@ -421,7 +406,7 @@ def _parse_feature_deps(raw, registry: Registry) -> FeatureDependencyGraph:
         p = f"feature_deps[{i}]"
         if not isinstance(entry, list) or len(entry) != 2:
             raise ParseError("dependency edge must be [from, to]", path=p)
-        edges.add(tuple(_as_str(x, p) for x in entry))
+        edges.add(tuple(_as(x, str, p) for x in entry))
     return FeatureDependencyGraph(nodes=registry.features,
                                   edges=frozenset(edges))
 
@@ -434,7 +419,7 @@ def _parse_action_relations(raw, registry: Registry) -> ActionRelationTable:
     entries: dict = {}
     for key in raw:
         p = f"action_relations.{key}"
-        kinds = _as_str(key, p).split("|")
+        kinds = _as(key, str, p).split("|")
         if len(kinds) == 1:
             kinds = [kinds[0], kinds[0]]
         if len(kinds) != 2:
@@ -451,7 +436,7 @@ def _parse_action_relations(raw, registry: Registry) -> ActionRelationTable:
             if not isinstance(triple, list) or len(triple) != 3:
                 raise ParseError("entry must be [action, action, relation]",
                                  path=tp)
-            n1, n2, rel = (_as_str(x, tp) for x in triple)
+            n1, n2, rel = (_as(x, str, tp) for x in triple)
             if rel not in _RELATION_TOKENS:
                 raise ParseError(
                     f"relation must be one of {sorted(_RELATION_TOKENS)}",
@@ -478,7 +463,7 @@ def _parse_action_relations(raw, registry: Registry) -> ActionRelationTable:
 
 
 def _parse_signature(token, registry: Registry, path) -> EventSignature:
-    parts = _as_str(token, path).split(":")
+    parts = _as(token, str, path).split(":")
     if len(parts) != 3:
         raise ParseError(
             "signature must be 'sensor_kind:comparator:location'", path=path)

@@ -36,7 +36,7 @@ from .errors import ParseError, SimulationError, UnknownScenarioError
 from .model import DetectorConfig, RuleSet
 from .parsing import (
     Document,
-    _as_str,
+    _as,
     _keys,
     _parse_cmp,
     _section,
@@ -96,7 +96,7 @@ def parse_house(raw: dict, registry) -> HouseModel:
                     "outdoor", "house.outdoor",
                     optional=("temperature", "daylight"))
     # Ids must be hashable to build the set.
-    momentary = frozenset(_as_str(a, "house.momentary") for a in _section(
+    momentary = frozenset(_as(a, str, "house.momentary") for a in _section(
         raw, "momentary", list, "house.momentary"))
     house = HouseModel(
         rooms=tuple(rooms), adjacency=adjacency, params=params,

@@ -27,9 +27,9 @@ Each setup value is checked once, by the type it sets, as that type is
 constructed: :class:`RoomState`, :class:`HouseParams`, :class:`HouseModel`,
 :class:`SourceSpec` and :class:`Scenario`. A field annotated ``float``,
 ``int``, ``bool``, ``str`` or ``Cmp`` (or one of them ``| None``) must hold
-a value of that type: a finite number that is not a bool, an integer >= 0,
-a bool, a non-empty string (empty only where the default is), or a
-comparator. Each type then checks its own ranges and its composite fields,
+a value of that type, as :func:`tapcheck.model.value_problem` states it for
+every value of the package (a text field may be empty where its default
+is). Each type then checks its own ranges and its composite fields,
 and house overrides meet the rules of the parameter or trace they replace.
 A scenario document is read into these same types, so a value built in code
 and one read from a document meet the same checks, and each failure is a
@@ -39,7 +39,6 @@ and momentary actuators) before tick 0.
 """
 
 import hashlib
-import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from types import UnionType
@@ -57,37 +56,16 @@ from .detector import (
 # patches ``simulator.match_rules`` by name.
 from .detector import match_rules  # noqa: F401
 from .errors import SimulationError
-from .model import Cmp, DetectorConfig, Event, EventSignature, RuleSet
+from .model import (
+    Cmp,
+    DetectorConfig,
+    Event,
+    EventSignature,
+    RuleSet,
+    value_problem,
+)
 
 THERMOSTAT_OFF, THERMOSTAT_HEAT, THERMOSTAT_COOL = "off", "heat", "cool"
-
-
-def _problem(value, kind) -> str | None:
-    """What ``value`` must be and is not, as a setup value of ``kind``, or
-    None when it is one. A bool is not a number, and an integer too large
-    for a float is not finite. Every integer of a setup counts ticks, so it
-    is >= 0."""
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return f"a number, not {value!r}"
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        return None if finite else "finite"
-    if kind is int:
-        if (isinstance(value, bool) or not isinstance(value, int)
-                or value < 0):
-            return f"an integer >= 0, not {value!r}"
-        return None
-    if kind is str:
-        return None if isinstance(value, str) and value else (
-            f"a non-empty string, not {value!r}")
-    if kind is bool:
-        return None if isinstance(value, bool) else (
-            f"true or false, not {value!r}")
-    return None if isinstance(value, kind) else (
-        f"a {kind.__name__}, not {value!r}")
 
 
 @cache
@@ -116,7 +94,7 @@ def _check_fields(record, prefix: str) -> None:
         value = getattr(record, name)
         if (value is None and optional) or (blank and isinstance(value, str)):
             continue
-        problem = _problem(value, kind)
+        problem = value_problem(value, kind)
         if problem:
             raise SimulationError(f"{prefix}{name} must be {problem}")
 
@@ -124,7 +102,7 @@ def _check_fields(record, prefix: str) -> None:
 def _check_param(value, what: str) -> None:
     """The rule of a house parameter, set in :class:`HouseParams` or in an
     override: a finite number >= 0."""
-    problem = _problem(value, float)
+    problem = value_problem(value, float)
     if problem is None and value < 0:
         problem = ">= 0"
     if problem:
@@ -135,7 +113,7 @@ def _check_trace(value, what: str) -> None:
     """The rule of an outdoor trace, set in :class:`HouseModel` or in an
     override: a finite number or a non-empty tuple of them."""
     values = value if isinstance(value, tuple) else (value,)
-    if not values or any(_problem(v, float) for v in values):
+    if not values or any(value_problem(v, float) for v in values):
         raise SimulationError(
             f"{what} must be a finite number or a non-empty tuple of them")
 
@@ -249,8 +227,8 @@ class HouseModel:
                 f"house params must be a HouseParams, not {self.params!r}")
         for name in OUTDOOR_TRACES:
             _check_trace(getattr(self, name), f"house {name}")
-        if not isinstance(self.momentary, frozenset) or not all(
-                isinstance(a, str) and a for a in self.momentary):
+        if not isinstance(self.momentary, frozenset) or any(
+                value_problem(a, str) for a in self.momentary):
             raise SimulationError(
                 f"house momentary must be a frozenset of actuator ids, not "
                 f"{self.momentary!r}")
@@ -382,7 +360,7 @@ class SourceSpec:
         choices = self.choices
         if choices is not None and (
                 not isinstance(choices, tuple) or not choices
-                or any(_problem(c, float) for c in choices)):
+                or any(value_problem(c, float) for c in choices)):
             raise SimulationError(
                 f"{what} choices must be None or a non-empty tuple of finite "
                 f"numbers, not {choices!r}")
@@ -396,7 +374,7 @@ class SourceSpec:
                 raise SimulationError(
                     f"{what} at entry {entry!r} is not a (tick, value) pair")
             tick, value = entry
-            if _problem(tick, int):
+            if value_problem(tick, int):
                 raise SimulationError(
                     f"script source {self.name!r} tick {tick!r} is not "
                     "an integer >= 0")
@@ -404,7 +382,7 @@ class SourceSpec:
                 raise SimulationError(
                     f"script source {self.name!r} lists tick {tick} twice")
             ticks.add(tick)
-            problem = _problem(value, float)
+            problem = value_problem(value, float)
             if problem:
                 raise SimulationError(
                     f"script source {self.name!r} tick {tick} value must be "

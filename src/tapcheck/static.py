@@ -25,7 +25,6 @@ Co-satisfiability facts used throughout:
   modulo the day length.
 """
 
-import math
 from functools import total_ordering
 from typing import Iterator
 
@@ -161,18 +160,14 @@ def gap_achievable(r1: Rule, r2: Rule, dmin: int, dmax: int,
         return True
     lo1, hi1 = sch1
     lo2, hi2 = sch2
-    # d1 - d2 over active ticks of day spans [a, b].
+    # d1 - d2 over active ticks of day spans [a, b], a <= b; some shift
+    # [a + k*day, b + k*day] meets [lo, hi] when the least k with
+    # b + k*day >= lo has a + k*day <= hi. Integer division keeps this
+    # exact for windows of any size.
     a = lo1 - (hi2 - 1)
     b = (hi1 - 1) - lo2
-    k_min = math.floor((-dmax - b) / day_length)
-    k_max = math.ceil((dmax - a) / day_length)
-    for k in range(k_min, k_max + 1):
-        lo, hi = a + k * day_length, b + k * day_length
-        if max(lo, dmin) <= min(hi, dmax):
-            return True
-        if max(lo, -dmax) <= min(hi, -dmin):
-            return True
-    return False
+    return any(-((b - lo) // day_length) <= (hi - a) // day_length
+               for lo, hi in ((dmin, dmax), (-dmax, -dmin)))
 
 
 def _similar_predicates(cfg: DetectorConfig) -> dict[tuple, set[tuple]]:

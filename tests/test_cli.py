@@ -746,8 +746,26 @@ class TestOverrides:
             main(["check", "--ruleset", str(clean_ruleset),
                   "--dup-window", "3"])
         assert exit_.value.code == 2
-        assert "unrecognized arguments: --dup-window 3" in (
-            capsys.readouterr().err)
+        assert capsys.readouterr().err == (
+            "error: unrecognized arguments: --dup-window 3\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--ruleset", "house.yaml", "--epsilon", "abc"],
+        ["monitor", "--ruleset", "house.yaml"],
+        ["simulate", "--scenario", "S5", "--out", "o", "--seeds", "two"],
+        ["report"], [], ["audit"]],
+        ids=["bad_int", "missing_flag", "bad_seeds", "missing_out",
+             "no_command", "unknown_command"])
+    def test_bad_command_line_is_one_error_line(self, argv, capsys):
+        # Usage errors end like every other input error: one line, exit 2.
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if argv[-1:] == ["abc"]:
+            assert err == "error: argument --epsilon: invalid int value: " \
+                          "'abc'\n"
 
 
 USER_SCENARIO = """

@@ -6,6 +6,7 @@ import pickle
 import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from conftest import build_home, ev
@@ -896,7 +897,13 @@ class TestDetectAtTick:
         ({"value": -math.inf}, InvalidEventError),
         ({"value": "1"}, InvalidEventError),
         ({"value": None}, InvalidEventError),
+        ({"value": True}, InvalidEventError),
+        ({"value": 10**400}, InvalidEventError),
+        ({"value": "5"}, InvalidEventError),
+        ({"value": np.int64(1)}, InvalidEventError),
         ({"time": "3"}, InvalidEventError),
+        ({"time": math.nan}, InvalidEventError),
+        ({"time": None}, InvalidEventError),
         ({"id": 5}, InvalidEventError),
         ({"id": ["e1"]}, InvalidEventError),
         ({"sensor": ["smoke1"]}, InvalidEventError),
@@ -906,7 +913,8 @@ class TestDetectAtTick:
         ({"unit": "F"}, InvalidEventError)],
         ids=["location", "kind", "undeclared", "negative", "fraction",
              "bool", "nan", "inf", "-inf", "str-value", "none-value",
-             "str-tick", "int-id", "list-id", "list-sensor",
+             "bool-value", "huge-int-value", "str5-value", "np-int-value",
+             "str-tick", "nan-tick", "none-tick", "int-id", "list-id", "list-sensor",
              "none-signature", "str-predicate", "unit"])
     def test_reading_off_its_sensor_or_domain_rejected(self, alarm_home,
                                                        fault, error):
@@ -921,6 +929,15 @@ class TestDetectAtTick:
         assert kinds_of(detect_at_tick([ev(rs, "e1", "smoke1", 0, 1),
                                         ev(rs, "e2", "leak1", 0, 1)],
                                        rs, window, cfg)) == ["C1"]
+
+    def test_numpy_float_reading_accepted(self, alarm_home):
+        # np.float64 is a float subclass, so it is a number; np.int64 is
+        # no int, and the table above rejects it.
+        rs, cfg = alarm_home
+        smoke = replace(ev(rs, "e1", "smoke1", 0, 1), value=np.float64(1.0))
+        assert kinds_of(detect_at_tick([smoke, ev(rs, "e2", "leak1", 0, 1)],
+                                       rs, DetectionWindow(cfg), cfg)) == [
+            "C1"]
 
     def test_each_event_dropped_exactly_past_the_horizon(self, alarm_home):
         # Sensors report on different ticks, so the oldest event often

@@ -341,10 +341,16 @@ class TestRuleSet:
                            match="^duplicate rule id 'r_smoke'$"):
             replace(rs, rules=rs.rules + (twin,))
 
-    @pytest.mark.parametrize("threshold", [
-        float("nan"), float("inf"), -float("inf"), "50", True, None])
+    @pytest.mark.parametrize("threshold,problem", [
+        pytest.param(float("nan"), "finite", id="nan"),
+        pytest.param(float("inf"), "finite", id="inf"),
+        pytest.param(-float("inf"), "finite", id="-inf"),
+        pytest.param(10**400, "finite", id="huge_int"),
+        pytest.param("50", "a number, not '50'", id="50"),
+        pytest.param(True, "a number, not True", id="True"),
+        pytest.param(None, "a number, not None", id="None")])
     def test_threshold_that_is_not_a_finite_number_rejected(
-            self, alarm_home, threshold):
+            self, alarm_home, threshold, problem):
         # Unchecked, a NaN threshold sorted anywhere in the trigger index,
         # so a '>' rule fired on values Cmp.GT.holds rejects, and "50"
         # ended in a bare TypeError.
@@ -352,10 +358,10 @@ class TestRuleSet:
         rule = rs.rules[2]
         bad = replace(rule, trigger=replace(rule.trigger,
                                             threshold=threshold))
-        with pytest.raises(InvalidConfigError,
-                           match="^rule 'r_co' threshold must be a finite "
-                                 "number, not "):
+        with pytest.raises(InvalidConfigError) as err:
             replace(rs, rules=rs.rules[:2] + (bad,))
+        assert str(err.value) == (
+            f"rule 'r_co' trigger.threshold must be {problem}")
 
     def test_integer_threshold_accepted(self, alarm_home):
         rs, _ = alarm_home
@@ -454,8 +460,9 @@ class TestDetectorConfig:
 
 
 class TestSensor:
-    @pytest.mark.parametrize("tolerance", [-1.0, -1, float("nan"),
-                                           float("inf"), "0.5", True])
+    @pytest.mark.parametrize("tolerance", [
+        -1.0, -1, float("nan"), float("inf"),
+        pytest.param(10**400, id="huge_int"), "0.5", True, None])
     def test_bad_tolerance_rejected(self, tolerance):
         # A negative or NaN tolerance holds no value gap, so C7 would
         # silently never fire for the sensor.

@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +24,15 @@ from tapcheck.errors import (
     InvalidConfigError,
     ParseError,
     ReferentialIntegrityError,
+    TapcheckError,
 )
-from tapcheck.model import Actuator, Sensor
+from tapcheck.model import (
+    ActionSpec,
+    Actuator,
+    Rule,
+    Sensor,
+    TriggerCondition,
+)
 from tapcheck.parsing import _load_yaml, load_document, serialize_document
 from tapcheck.scenarios import fixture_text, load_scenario_bundle
 
@@ -181,11 +188,12 @@ detector:
         assert (cfg.overlap_window, cfg.duplicate_window,
                 cfg.same_tick_epsilon) == windows
 
-    @pytest.mark.parametrize("value", ["abc", "2.5", "true", "null"])
+    @pytest.mark.parametrize("value", ["abc", "2.5", "true", "null", "-1"])
     def test_window_type_checked_by_the_config(self, value):
-        with pytest.raises(InvalidConfigError,
-                           match="^overlap_window must be an integer, not "):
+        with pytest.raises(InvalidConfigError) as err:
             load_document(f"{MINIMAL}detector: {{overlap_window: {value}}}\n")
+        assert str(err.value) == ("overlap_window must be an integer >= 1, "
+                                  f"not {yaml.safe_load(value)!r}")
 
     @pytest.mark.parametrize("needle,bogus", [
         ("threshold: 65", "threshold: .nan"),
@@ -203,6 +211,15 @@ detector:
         assert doc != MINIMAL
         with pytest.raises(ParseError, match="finite"):
             load_document(doc)
+
+    @pytest.mark.parametrize("leaf", ["true", "'5'", "null"])
+    def test_threshold_that_is_not_a_number_rejected(self, leaf):
+        doc = MINIMAL.replace("threshold: 65", f"threshold: {leaf}")
+        with pytest.raises(ParseError) as err:
+            load_document(doc)
+        assert str(err.value) == (
+            f"value must be a number, not {yaml.safe_load(leaf)!r} "
+            "(at rules[0].trigger.threshold)")
 
     def test_negative_tolerance_rejected(self):
         # With tolerance -1 no two readings are within tolerance, so the
@@ -326,6 +343,48 @@ class TestReferenceChecks:
         path.write_text(text, encoding="utf-8")
         assert main(["check", "--ruleset", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Wrong values for each field of a rule, its trigger and its action; the
+# few a field may hold are left out. The fields in ``_BY_REFERENCE`` must
+# equal a declared name, and that check judges them.
+_WRONG_FIELD = {"list": ["x"], "int": 5, "empty": "", "none": None}
+_FIELD_MAY_HOLD = {("threshold", "int"), ("location_filter", "none"),
+                   ("schedule", "none")}
+_BY_REFERENCE = {"unit", "location_filter", "location"}
+
+
+def _rule_field_cases():
+    for cls, part in ((Rule, None), (TriggerCondition, "trigger"),
+                      (ActionSpec, "action")):
+        for f in fields(cls):
+            for label, value in _WRONG_FIELD.items():
+                if (f.name, label) not in _FIELD_MAY_HOLD:
+                    yield pytest.param(part, f.name, value,
+                                       id=f"{cls.__name__}.{f.name}-{label}")
+
+
+class TestRuleFieldTypes:
+    """``RuleSet`` checks the type of each field of a rule before it hashes
+    any, so a library rule of the wrong shape ends in one error that names
+    the rule and the field, never in a bare ``TypeError``."""
+
+    @pytest.mark.parametrize("part,name,value", list(_rule_field_cases()))
+    def test_field_of_the_wrong_type_rejected(self, part, name, value):
+        ruleset = load_document(MINIMAL).ruleset
+        (rule,) = ruleset.rules
+        changes = {name: value}
+        if part is not None:
+            changes = {part: replace(getattr(rule, part), **changes)}
+        with pytest.raises(TapcheckError) as err:
+            replace(ruleset, rules=(replace(rule, **changes),))
+        message = str(err.value)
+        assert message.startswith("rule ") and "\n" not in message
+        if name in _BY_REFERENCE:
+            assert isinstance(err.value, ReferentialIntegrityError)
+        else:
+            assert isinstance(err.value, InvalidConfigError)
+            assert f"{name} must be " in message
 
 
 SCENARIO_TAIL = """

@@ -434,14 +434,24 @@ class TestLibrarySetupChecks:
             replace(rs, rules=(rs.rules[0], replace(
                 rule, action=replace(rule.action, actuator="nope"))))
 
-    @pytest.mark.parametrize("name,value", [
-        ("horizon", 2.5), ("horizon", "10"), ("horizon", True),
-        ("horizon", -1), ("seed", -1), ("seed", 1.5), ("seed", False)])
-    def test_bad_horizon_or_seed_rejected(self, name, value):
-        with pytest.raises(SimulationError,
-                           match=f"{name} must be an integer >= 0"):
+    @pytest.mark.parametrize("name,value,problem", [
+        pytest.param("horizon", 2.5, "an integer >= 0, not 2.5",
+                     id="horizon-2.5"),
+        pytest.param("horizon", "10", "an integer >= 0, not '10'",
+                     id="horizon-10"),
+        pytest.param("horizon", True, "an integer >= 0, not True",
+                     id="horizon-True"),
+        pytest.param("horizon", -1, ">= 0", id="horizon--1"),
+        pytest.param("seed", -1, ">= 0", id="seed--1"),
+        pytest.param("seed", 1.5, "an integer >= 0, not 1.5",
+                     id="seed-1.5"),
+        pytest.param("seed", False, "an integer >= 0, not False",
+                     id="seed-False")])
+    def test_bad_horizon_or_seed_rejected(self, name, value, problem):
+        with pytest.raises(SimulationError) as err:
             Scenario(id="probe", ruleset="s5_alarm", sources=(),
                      **{"horizon": 1, name: value})
+        assert str(err.value) == f"scenario 'probe' {name} must be {problem}"
 
     def test_built_scenario_owns_its_overrides(self):
         first = build("S7")

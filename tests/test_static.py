@@ -244,6 +244,18 @@ class TestScheduleGaps:
         r1, r2, expected = self.brute(s1, s2, dmin, dmax, day)
         assert gap_achievable(r1, r2, dmin, dmax, day) == expected
 
+    @pytest.mark.parametrize("s1,s2", [((0, 10), (20, 30)), ((5, 6), (5, 6)),
+                                       ((0, 5), (40, 48))])
+    def test_window_beyond_the_float_range(self, s1, s2):
+        # A window is any integer >= 0, so 10**400 is one. Gaps repeat
+        # every day, so a far window answers as its shift into the second
+        # day does; float division once overflowed on it.
+        day, far = 48, 10**400
+        for width in (0, 2, 40):
+            near = (far - width) % day + day
+            r1, r2, expected = self.brute(s1, s2, near, near + width, day)
+            assert gap_achievable(r1, r2, far - width, far, day) == expected
+
     def test_random_against_brute_force(self):
         rng = np.random.default_rng(7)
         day = 24
