@@ -42,7 +42,7 @@ class DuplicateIdError(RulesetError):
 
 
 class InvalidConfigError(TapcheckError):
-    """Detector tuning parameters violate their constraints."""
+    """A config record's field holds the wrong type or breaks its rules."""
 
 
 class UnknownFeatureError(TapcheckError):

@@ -10,6 +10,9 @@ the similar signatures, the config's pair reach and horizon) are cached on
 it at first use and never change afterwards. ``value_problem`` is the one
 statement of what a number, an integer and a name are: every reading,
 rule, sensor, detector config, document and simulation setup meets it.
+Each config record here, and each setup type of the simulator, checks its
+field types by one reader of its annotations, ``_check_fields``, for
+documents and library callers alike, then adds only its cross-field rules.
 
 Time is a non-negative integer tick. Within one event stream ticks never
 decrease, and a single sensor emits at most one event per tick. Each
@@ -21,11 +24,12 @@ own kind and location).
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from operator import attrgetter
-from typing import Callable, Collection, Sequence
+from types import UnionType
+from typing import Callable, Collection, Sequence, get_args, get_origin
 
 from .errors import (
     DuplicateIdError,
@@ -161,8 +165,74 @@ def check_reading(time: Tick, value: float) -> None:
         raise InvalidEventError(f"tick must be {problem}")
 
 
+# How a problem names the entries of a container, per scalar kind.
+_ENTRIES = {float: "numbers", int: "integers", str: "names", bool: "booleans"}
+
+
+def _kind_name(kind, entries: bool = False) -> str:
+    """An annotation as a problem names it: a class by its name, plural as
+    ``entries``, and a container by its class and what it holds."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is None:
+        return _ENTRIES.get(kind, kind.__name__) if entries else kind.__name__
+    name = origin.__name__ + ("s" if entries else "")
+    if origin is not tuple or args[-1] is ...:
+        name += f" of {_kind_name(args[0], True)}"
+    return f"{name} to {_kind_name(args[1], True)}" if origin is dict else name
+
+
+@cache
+def _holds(kind) -> Callable[[object], bool]:
+    """Whether a value holds the annotation ``kind``: a class as
+    :func:`value_problem` has it, or a ``tuple[X, ...]``, ``frozenset[X]``
+    or ``dict[K, V]`` of it; a fixed-length tuple need only be a tuple."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is None:
+        if kind in _ENTRIES:
+            return lambda value: value_problem(value, kind) is None
+        return lambda value: isinstance(value, kind)
+    if origin is tuple and args[-1] is not ...:
+        return lambda value: isinstance(value, tuple)
+    entry, item = _holds(args[0]), origin is dict and _holds(args[1])
+    return lambda value: isinstance(value, origin) and all(map(entry, value)) \
+        and (not item or all(map(item, value.values())))
+
+
+@cache
+def _annotated_fields(cls) -> tuple[tuple, ...]:
+    """(name, kind, its test, may be None, may be empty) of each field of
+    ``cls`` of one kind, or one ``| None``; a text field may be empty when
+    its default is. A record checks a field of two kinds itself."""
+    out = []
+    for f in fields(cls):
+        kinds = set(get_args(f.type) if isinstance(f.type, UnionType)
+                    else (f.type,))
+        optional = type(None) in kinds
+        kinds.discard(type(None))
+        if len(kinds) == 1:
+            (kind,) = kinds
+            out.append((f.name, kind, _holds(kind), optional, f.default == ""))
+    return tuple(out)
+
+
+def _check_fields(record, prefix: str, error: type) -> None:
+    """Check each field of ``record`` against its annotation, in field
+    order; a failure raises ``error``: ``<prefix><field> must be ...``."""
+    for name, kind, holds, optional, blank in _annotated_fields(
+            type(record)):
+        value = getattr(record, name)
+        if holds(value) or (value is None and optional) or (
+                blank and isinstance(value, str)):
+            continue
+        raise error(f"{prefix}{name} must be " + (
+            value_problem(value, kind) if get_origin(kind) is None
+            else f"a {_kind_name(kind)}, not {value!r}"))
+
+
 @dataclass(frozen=True)
 class Sensor:
+    """A declared sensor: its range two numbers, low < high."""
+
     id: str
     kind: str
     unit: str
@@ -171,22 +241,37 @@ class Sensor:
     tolerance: float = 0.0  # max value gap still treated as a repeat reading
 
     def __post_init__(self):
-        # A negative or NaN tolerance holds no value gap, so C7 could
-        # never fire for this sensor; an infinite one is no bound.
-        problem = value_problem(self.tolerance, float)
-        if problem is None and self.tolerance < 0:
-            problem = ">= 0"
-        if problem:
+        what = f"sensor {self.id!r}"
+        _check_fields(self, f"{what} ", InvalidConfigError)
+        # A negative tolerance holds no value gap, so C7 could never fire
+        # for this sensor.
+        if self.tolerance < 0:
+            raise InvalidConfigError(f"{what} tolerance must be >= 0")
+        rng = self.range
+        if len(rng) != 2 or any(value_problem(v, float) for v in rng) or (
+                not rng[0] < rng[1]):
             raise InvalidConfigError(
-                f"sensor {self.id!r} tolerance must be {problem}")
+                f"{what} range must be two finite numbers with low < high, "
+                f"not {rng!r}")
 
 
 @dataclass(frozen=True)
 class Actuator:
+    """A declared actuator, with at least one action and no action twice."""
+
     id: str
     kind: str
     location: str
     actions: tuple[str, ...]
+
+    def __post_init__(self):
+        what = f"actuator {self.id!r}"
+        _check_fields(self, f"{what} ", InvalidConfigError)
+        if not self.actions:
+            raise InvalidConfigError(
+                f"{what} actions must hold at least one action")
+        if len(set(self.actions)) != len(self.actions):
+            raise DuplicateIdError(f"duplicate action name on {what}")
 
 
 @dataclass(frozen=True)
@@ -242,10 +327,11 @@ class Rule:
 
 @dataclass(frozen=True)
 class Registry:
-    """Declared device and feature universe of one installation. Every
-    sensor and actuator sits in a declared location, the sensors of one kind
-    read in one unit, and the actuators of one kind share one vocabulary;
-    any other registry raises ``ReferentialIntegrityError``."""
+    """Declared device and feature universe of one installation: distinct
+    locations and controllers, each sensor and actuator keyed by its id.
+    Every sensor and actuator sits in a declared location, the sensors of
+    one kind read in one unit, and the actuators of one kind share one
+    vocabulary; any other registry raises ``ReferentialIntegrityError``."""
 
     locations: tuple[str, ...]
     sensors: dict[str, Sensor]
@@ -254,13 +340,26 @@ class Registry:
     features: frozenset[str]
 
     def __post_init__(self):
+        _check_fields(self, "registry ", InvalidConfigError)
+        for what, names in (("location", self.locations),
+                            ("controller", self.controllers)):
+            if len(set(names)) != len(names):
+                twice = next(n for i, n in enumerate(names) if n in names[:i])
+                raise DuplicateIdError(f"duplicate {what} {twice!r}")
         locations = set(self.locations)
+        for what, records in (("sensor", self.sensors),
+                              ("actuator", self.actuators)):
+            for key, record in records.items():
+                if key != record.id:
+                    raise InvalidConfigError(
+                        f"registry {what}s key {key!r} holds {what} "
+                        f"{record.id!r}")
+                if record.location not in locations:
+                    raise ReferentialIntegrityError(
+                        f"{what} {record.id!r} placed in undeclared location "
+                        f"{record.location!r}")
         units: dict[str, str] = {}
         for sensor in self.sensors.values():
-            if sensor.location not in locations:
-                raise ReferentialIntegrityError(
-                    f"sensor {sensor.id!r} placed in undeclared location "
-                    f"{sensor.location!r}")
             unit = units.setdefault(sensor.kind, sensor.unit)
             if unit != sensor.unit:
                 raise ReferentialIntegrityError(
@@ -268,10 +367,6 @@ class Registry:
                     f"units {unit!r} and {sensor.unit!r}")
         vocabularies: dict[str, frozenset[str]] = {}
         for actuator in self.actuators.values():
-            if actuator.location not in locations:
-                raise ReferentialIntegrityError(
-                    f"actuator {actuator.id!r} placed in undeclared location "
-                    f"{actuator.location!r}")
             actions = frozenset(actuator.actions)
             if vocabularies.setdefault(actuator.kind, actions) != actions:
                 raise ReferentialIntegrityError(
@@ -326,12 +421,13 @@ _RULE_FIELDS = tuple((name, attrgetter(name), kind) for name, kind in (
 class RuleSet:
     """A validated bundle of rules plus the registry they refer to.
 
-    Each field of a rule holds its type before anything hashes it: names
-    are non-empty strings, the comparator a :class:`Cmp`, the affected
-    features a frozenset, and the threshold a finite number, so each
-    comparator holds on a slice of the sorted thresholds; any other raises
-    ``InvalidConfigError`` naming the rule and the field. Rule ids are
-    unique. ``day_length`` is an integer >= 2, and a schedule a tuple of
+    Its registry is a :class:`Registry` and its rules a tuple of
+    :class:`Rule`. Each field of a rule holds its type before anything
+    hashes it: names are non-empty strings, the comparator a :class:`Cmp`,
+    the affected features a frozenset, and the threshold a finite number,
+    so each comparator holds on a slice of the sorted thresholds; any other
+    raises ``InvalidConfigError`` naming the rule and the field. Rule ids
+    are unique. ``day_length`` is an integer >= 2, and a schedule a tuple of
     two integers with 0 <= start < end <= ``day_length``, so every
     scheduled rule is active at some tick of day. Every name a rule gives
     is the registry's: its controller, sensor kind and the kind's unit,
@@ -348,6 +444,7 @@ class RuleSet:
         if value_problem(day, int) or day < 2:
             raise InvalidConfigError(
                 f"day_length must be an integer >= 2, not {day!r}")
+        _check_fields(self, "ruleset ", InvalidConfigError)
         registry = self.registry
         controllers = set(registry.controllers)
         kind_unit = registry.kind_unit
@@ -448,16 +545,21 @@ class FeatureDependencyGraph:
     edges: frozenset[tuple[str, str]]
 
     def __post_init__(self):
+        _check_fields(self, "dependency graph ", InvalidConfigError)
         # Sorted, so the first bad edge reported does not hang on the hash
         # seed.
-        for src, dst in sorted(self.edges):
-            for feature in (src, dst):
+        for edge in sorted(self.edges, key=str):
+            if len(edge) != 2:
+                raise InvalidConfigError(
+                    "dependency graph edges must be pairs of features, not "
+                    f"{edge!r}")
+            for feature in edge:
                 if feature not in self.nodes:
                     raise ReferentialIntegrityError(
                         "dependency edge references undeclared feature "
                         f"{feature!r}")
-            if src == dst:
-                raise InvalidConfigError(f"self-loop on feature {src!r}")
+            if edge[0] == edge[1]:
+                raise InvalidConfigError(f"self-loop on feature {edge[0]!r}")
 
     @cached_property
     def related(self) -> dict[str, frozenset[str]]:
@@ -507,7 +609,9 @@ class ActionRelationTable:
     relations and cross-kind relations (needed when two different device
     kinds can push one feature in opposing directions, e.g. a blind and a
     lamp) live in one table without ambiguity when kinds share action names.
-    An identical (kind, name) always maps to ``same``; any undeclared pair
+    Each entry is a sorted pair of action classes of the vocabulary
+    (``ReferentialIntegrityError``), and an identical (kind, name) maps
+    only to ``same`` (``InvalidConfigError``); any undeclared pair
     defaults to ``different``, which keeps lookups total over the vocabulary
     without forcing configs to spell out every combination.
 
@@ -518,6 +622,22 @@ class ActionRelationTable:
 
     vocabulary: dict[str, frozenset[str]]
     entries: dict[RelationKey, Relation] = field(default_factory=dict)
+
+    def __post_init__(self):
+        _check_fields(self, "action relations ", InvalidConfigError)
+        # Read from the vocabulary: ``classes`` trusts checked entries.
+        declared = {(kind, name) for kind, names in self.vocabulary.items()
+                    for name in names}
+        for pair, relation in self.entries.items():
+            if (len(pair) != 2 or not declared.issuperset(pair)
+                    or pair[0] > pair[1]):
+                raise ReferentialIntegrityError(
+                    "action relations entries must key sorted pairs of "
+                    f"action classes of the vocabulary, not {pair!r}")
+            if pair[0] == pair[1] and relation is not Relation.SAME:
+                raise InvalidConfigError(
+                    f"action relations entries must map {pair!r} to "
+                    f"'same', not {relation.value!r}")
 
     @staticmethod
     def key(kind1: str, n1: str, kind2: str, n2: str) -> RelationKey:
@@ -532,8 +652,7 @@ class ActionRelationTable:
         rows = {(kind, name): {} for kind, names in self.vocabulary.items()
                 for name in names}
         for (c1, c2), relation in self.entries.items():
-            if c1 in rows and c2 in rows:
-                rows[c1][c2] = rows[c2][c1] = relation
+            rows[c1][c2] = rows[c2][c1] = relation
         for cls, row in rows.items():
             row[cls] = Relation.SAME
         return rows
@@ -582,14 +701,7 @@ class DetectorConfig:
             if value_problem(value, int) or value < least:
                 raise InvalidConfigError(
                     f"{name} must be an integer >= {least}, not {value!r}")
-        classes = self.similarity_classes
-        if not isinstance(classes, tuple) or not all(
-                isinstance(group, frozenset)
-                and all(isinstance(s, EventSignature) for s in group)
-                for group in classes):
-            raise InvalidConfigError(
-                "similarity_classes must be a tuple of frozensets of "
-                f"EventSignature, not {classes!r}")
+        _check_fields(self, "detector ", InvalidConfigError)
 
     @cached_property
     def pair_reach(self) -> int:

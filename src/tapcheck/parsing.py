@@ -3,10 +3,12 @@
 A document is a single YAML file with sections ``registry``, ``rules``,
 ``feature_deps``, ``action_relations``, and ``detector``, plus an optional
 ``day_length`` and, for simulation fixtures, ``house`` and ``sources``
-sections that are validated by the simulator. Parsing checks shape: every
-mapping goes through ``_keys``, so a key it does not declare is an error,
-then scalar types, tokens and that each id is declared once. ``Registry``
-and ``RuleSet`` check what the names refer to, as for a library caller.
+sections that are validated by the simulator. Parsing checks only shape:
+every mapping goes through ``_keys``, so a key it does not declare is an
+error; then list shapes, tokens, and each sensor, actuator and feature id
+declared once. It reads a leaf's type only where it must hash the leaf
+before a record exists. The records (``Sensor``, ``Registry``, ``RuleSet``
+and the rest) check every value and name, as for a library caller.
 
 ``load_document``/``serialize_document`` round-trip through a canonical
 form: a serialized document loads back to an equal ruleset and detector
@@ -269,75 +271,41 @@ def _section(raw: dict, key: str, kind: type, path: str):
     return value
 
 
-def _unique(seen: set, value: str, what: str):
-    if value in seen:
-        raise DuplicateIdError(f"duplicate {what} {value!r}")
-    seen.add(value)
+def _sensor(entry, p: str) -> Sensor:
+    _keys(entry, "sensor", p, required=("id", "kind", "unit", "location"),
+          optional=("range", "tolerance"))
+    rng = entry.get("range", [0.0, 100.0])
+    if not isinstance(rng, list) or len(rng) != 2:
+        raise ParseError("range must be [low, high]", path=f"{p}.range")
+    return Sensor(**{**entry, "range": tuple(rng)})
+
+
+def _actuator(entry, p: str) -> Actuator:
+    _keys(entry, "actuator", p, required=("id", "kind", "location", "actions"))
+    return Actuator(**{**entry, "actions": tuple(
+        _section(entry, "actions", list, p))})
 
 
 def _parse_registry(raw, path="registry") -> Registry:
+    # Each record checks its values; this reads the document's shape.
     _keys(raw, "registry", path, required=(
         "locations", "controllers", "sensors", "actuators", "features"))
-    locations = tuple(_as(x, str, f"{path}.locations")
-                      for x in _section(raw, "locations", list, path))
-    seen_loc: set[str] = set()
-    for loc in locations:
-        _unique(seen_loc, loc, "location")
-
-    controllers = tuple(_as(x, str, f"{path}.controllers")
-                        for x in _section(raw, "controllers", list, path))
-    seen_ctrl: set[str] = set()
-    for ctrl in controllers:
-        _unique(seen_ctrl, ctrl, "controller")
-
-    sensors: dict[str, Sensor] = {}
-    for i, entry in enumerate(_section(raw, "sensors", list, path)):
-        p = f"{path}.sensors[{i}]"
-        _keys(entry, "sensor", p, required=("id", "kind", "unit", "location"),
-              optional=("range", "tolerance"))
-        sid = _as(entry["id"], str, f"{p}.id")
-        if sid in sensors:
-            raise DuplicateIdError(f"duplicate sensor {sid!r}")
-        kind = _as(entry["kind"], str, f"{p}.kind")
-        unit = _as(entry["unit"], str, f"{p}.unit")
-        location = _as(entry["location"], str, f"{p}.location")
-        rng = entry.get("range", [0, 100])
-        if (not isinstance(rng, list) or len(rng) != 2):
-            raise ParseError("range must be [low, high]", path=f"{p}.range")
-        low, high = (_as(v, float, f"{p}.range") for v in rng)
-        if not low < high:
-            raise ParseError("range low must be < high", path=f"{p}.range")
-        tolerance = _as(entry.get("tolerance", 0), float, f"{p}.tolerance")
-        if tolerance < 0:
-            raise ParseError("tolerance must be >= 0", path=f"{p}.tolerance")
-        sensors[sid] = Sensor(id=sid, kind=kind, unit=unit, location=location,
-                              range=(low, high), tolerance=tolerance)
-
-    actuators: dict[str, Actuator] = {}
-    for i, entry in enumerate(_section(raw, "actuators", list, path)):
-        p = f"{path}.actuators[{i}]"
-        _keys(entry, "actuator", p,
-              required=("id", "kind", "location", "actions"))
-        aid = _as(entry["id"], str, f"{p}.id")
-        if aid in actuators:
-            raise DuplicateIdError(f"duplicate actuator {aid!r}")
-        kind = _as(entry["kind"], str, f"{p}.kind")
-        location = _as(entry["location"], str, f"{p}.location")
-        actions = tuple(_as(x, str, f"{p}.actions")
-                        for x in _section(entry, "actions", list, p))
-        if not actions:
-            raise ParseError("actuator needs at least one action", path=p)
-        if len(set(actions)) != len(actions):
-            raise DuplicateIdError(f"duplicate action name on actuator {aid!r}")
-        actuators[aid] = Actuator(id=aid, kind=kind, location=location,
-                                  actions=actions)
-
-    seen_feat: set[str] = set()
+    devices: dict[str, dict] = {"sensors": {}, "actuators": {}}
+    for key, build in (("sensors", _sensor), ("actuators", _actuator)):
+        for i, entry in enumerate(_section(raw, key, list, path)):
+            record = build(entry, f"{path}.{key}[{i}]")
+            if record.id in devices[key]:
+                raise DuplicateIdError(f"duplicate {key[:-1]} {record.id!r}")
+            devices[key][record.id] = record
+    features: set[str] = set()
     for f in _section(raw, "features", list, path):
-        _unique(seen_feat, _as(f, str, f"{path}.features"), "feature")
-
-    return Registry(locations=locations, sensors=sensors, actuators=actuators,
-                    controllers=controllers, features=frozenset(seen_feat))
+        if _as(f, str, f"{path}.features") in features:
+            raise DuplicateIdError(f"duplicate feature {f!r}")
+        features.add(f)
+    return Registry(
+        locations=tuple(_section(raw, "locations", list, path)),
+        controllers=tuple(_section(raw, "controllers", list, path)),
+        features=frozenset(features), **devices)
 
 
 def _parse_cmp(token, path) -> Cmp:
@@ -412,25 +380,17 @@ def _parse_feature_deps(raw, registry: Registry) -> FeatureDependencyGraph:
 
 
 def _parse_action_relations(raw, registry: Registry) -> ActionRelationTable:
-    vocabulary: dict[str, frozenset[str]] = {}
-    for actuator in registry.actuators.values():
-        vocabulary[actuator.kind] = frozenset(actuator.actions)
-
+    # The table checks each entry against the vocabulary.
+    vocabulary = {a.kind: frozenset(a.actions)
+                  for a in registry.actuators.values()}
     entries: dict = {}
     for key in raw:
         p = f"action_relations.{key}"
-        kinds = _as(key, str, p).split("|")
-        if len(kinds) == 1:
-            kinds = [kinds[0], kinds[0]]
-        if len(kinds) != 2:
+        k1, bar, k2 = _as(key, str, p).partition("|")
+        if "|" in k2:
             raise ParseError(
                 "key must be an actuator kind or 'kindA|kindB'", path=p)
-        k1, k2 = kinds
-        for k in (k1, k2):
-            if k not in vocabulary:
-                raise ReferentialIntegrityError(
-                    f"action relations declared for undeclared actuator "
-                    f"kind {k!r}")
+        k2 = k2 if bar else k1
         for j, triple in enumerate(_section(raw, key, list, p)):
             tp = f"{p}[{j}]"
             if not isinstance(triple, list) or len(triple) != 3:
@@ -444,15 +404,6 @@ def _parse_action_relations(raw, registry: Registry) -> ActionRelationTable:
             relation = _RELATION_TOKENS[rel]
             # Names are positional in cross-kind sections: n1 belongs to
             # the kind left of the bar, n2 to the right one.
-            for name, k in ((n1, k1), (n2, k2)):
-                if name not in vocabulary[k]:
-                    raise ReferentialIntegrityError(
-                        f"action {name!r} is not in the vocabulary of "
-                        f"actuator kind {k!r}")
-            if k1 == k2 and n1 == n2 and relation is not Relation.SAME:
-                raise ParseError(
-                    f"identical action pair ({n1!r}, {n1!r}) must map to "
-                    "'same'", path=tp)
             pair = ActionRelationTable.key(k1, n1, k2, n2)
             if pair in entries and entries[pair] is not relation:
                 raise ParseError(

@@ -25,12 +25,15 @@ action is dropped as well.
 
 Each setup value is checked once, by the type it sets, as that type is
 constructed: :class:`RoomState`, :class:`HouseParams`, :class:`HouseModel`,
-:class:`SourceSpec` and :class:`Scenario`. A field annotated ``float``,
-``int``, ``bool``, ``str`` or ``Cmp`` (or one of them ``| None``) must hold
-a value of that type, as :func:`tapcheck.model.value_problem` states it for
-every value of the package (a text field may be empty where its default
-is). Each type then checks its own ranges and its composite fields,
-and house overrides meet the rules of the parameter or trace they replace.
+:class:`SourceSpec` and :class:`Scenario`. Each field must hold a value of
+its annotation, read by the package's one field checker in
+:mod:`tapcheck.model`, which also checks the config records: a number, an
+integer, a name, a bool or a ``Cmp`` as
+:func:`tapcheck.model.value_problem` states it (a text field may be empty
+where its default is), a record such as :class:`HouseParams`, and a tuple
+or frozenset of one of them, such as the rooms or the sources. Each type
+then checks its own ranges and the entries of its pairs and traces, and
+house overrides meet the rules of the parameter or trace they replace.
 A scenario document is read into these same types, so a value built in code
 and one read from a document meet the same checks, and each failure is a
 :class:`SimulationError` naming the record and the field. A run checks
@@ -40,9 +43,6 @@ and momentary actuators) before tick 0.
 
 import hashlib
 from dataclasses import dataclass, field, fields, replace
-from functools import cache
-from types import UnionType
-from typing import get_args
 
 import numpy as np
 
@@ -62,41 +62,11 @@ from .model import (
     Event,
     EventSignature,
     RuleSet,
+    _check_fields,
     value_problem,
 )
 
 THERMOSTAT_OFF, THERMOSTAT_HEAT, THERMOSTAT_COOL = "off", "heat", "cool"
-
-
-@cache
-def _scalar_fields(cls) -> tuple[tuple[str, type, bool, bool], ...]:
-    """(name, kind, may be None, may be empty) of each field of ``cls``
-    annotated with a scalar kind, or with one ``| None``. A text field may
-    be empty when its default is. The other fields are composite, and
-    their record checks them itself."""
-    out = []
-    for f in fields(cls):
-        kinds = set(get_args(f.type) if isinstance(f.type, UnionType)
-                    else (f.type,))
-        optional = type(None) in kinds
-        kinds.discard(type(None))
-        if len(kinds) == 1 and (kind := kinds.pop()) in (
-                float, int, bool, str, Cmp):
-            out.append((f.name, kind, optional, f.default == ""))
-    return tuple(out)
-
-
-def _check_fields(record, prefix: str) -> None:
-    """Check each scalar field of a setup ``record`` against its
-    annotation, in field order; a failure reads ``<prefix><field> must be
-    ...``."""
-    for name, kind, optional, blank in _scalar_fields(type(record)):
-        value = getattr(record, name)
-        if (value is None and optional) or (blank and isinstance(value, str)):
-            continue
-        problem = value_problem(value, kind)
-        if problem:
-            raise SimulationError(f"{prefix}{name} must be {problem}")
 
 
 def _check_param(value, what: str) -> None:
@@ -138,7 +108,7 @@ class RoomState:
     alarm: bool = False
 
     def __post_init__(self):
-        _check_fields(self, f"room {self.name!r} ")
+        _check_fields(self, f"room {self.name!r} ", SimulationError)
         if not 0.0 <= self.humidity <= 100.0:
             raise SimulationError(
                 f"room {self.name!r} humidity must start in [0, 100]")
@@ -181,9 +151,9 @@ class HouseModel:
 
     ``outdoor_temperature`` and ``daylight`` may be scalars or per-tick
     tuples (cycled when shorter than the horizon) of finite numbers.
-    ``momentary`` lists
-    actuators that spring back to their initial position at the end of each
-    tick, for devices modeled as pulses rather than latched state.
+    ``momentary`` lists actuators that spring back to their initial
+    position at the end of each tick, for devices modeled as pulses rather
+    than latched state.
     """
 
     rooms: tuple[RoomState, ...]
@@ -194,21 +164,13 @@ class HouseModel:
     momentary: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        if not isinstance(self.rooms, tuple) or not all(
-                isinstance(r, RoomState) for r in self.rooms):
-            raise SimulationError(
-                f"house rooms must be a tuple of RoomState, not "
-                f"{self.rooms!r}")
+        _check_fields(self, "house ", SimulationError)
         names = [r.name for r in self.rooms]
         if len(set(names)) != len(names):
             raise SimulationError("duplicate room name in house model")
-        if not isinstance(self.adjacency, tuple):
-            raise SimulationError(
-                f"house adjacency must be a tuple of (room, room) pairs, "
-                f"not {self.adjacency!r}")
         pairs = set()
         for pair in self.adjacency:
-            if not isinstance(pair, tuple) or len(pair) != 2:
+            if len(pair) != 2:
                 raise SimulationError(
                     f"house adjacency entry {pair!r} is not a (room, room) "
                     "pair")
@@ -222,16 +184,8 @@ class HouseModel:
             if frozenset((a, b)) in pairs:
                 raise SimulationError(f"adjacency lists ({a}, {b}) twice")
             pairs.add(frozenset((a, b)))
-        if not isinstance(self.params, HouseParams):
-            raise SimulationError(
-                f"house params must be a HouseParams, not {self.params!r}")
         for name in OUTDOOR_TRACES:
             _check_trace(getattr(self, name), f"house {name}")
-        if not isinstance(self.momentary, frozenset) or any(
-                value_problem(a, str) for a in self.momentary):
-            raise SimulationError(
-                f"house momentary must be a frozenset of actuator ids, not "
-                f"{self.momentary!r}")
 
     def neighbors(self, room: str) -> tuple[str, ...]:
         out = []
@@ -341,7 +295,7 @@ class SourceSpec:
     def __post_init__(self):
         # Every field is checked whatever the mode.
         what = f"source {self.name!r}"
-        _check_fields(self, f"{what} ")
+        _check_fields(self, f"{what} ", SimulationError)
         if self.mode not in ("bernoulli", "cov", "clock", "script"):
             raise SimulationError(
                 f"{what} mode must be bernoulli, cov, clock or script, not "
@@ -357,20 +311,13 @@ class SourceSpec:
                 f"luminance, not {self.feature!r}")
         if self.min_delta < 0:
             raise SimulationError(f"{what} min_delta must be >= 0")
-        choices = self.choices
-        if choices is not None and (
-                not isinstance(choices, tuple) or not choices
-                or any(value_problem(c, float) for c in choices)):
+        if self.choices == ():
             raise SimulationError(
                 f"{what} choices must be None or a non-empty tuple of finite "
-                f"numbers, not {choices!r}")
-        if not isinstance(self.at, tuple):
-            raise SimulationError(
-                f"{what} at must be a tuple of (tick, value) pairs, not "
-                f"{self.at!r}")
+                "numbers, not ()")
         ticks = set()
         for entry in self.at:
-            if not isinstance(entry, tuple) or len(entry) != 2:
+            if len(entry) != 2:
                 raise SimulationError(
                     f"{what} at entry {entry!r} is not a (tick, value) pair")
             tick, value = entry
@@ -412,22 +359,15 @@ class Scenario:
 
     def __post_init__(self):
         what = f"scenario {self.id!r}"
-        _check_fields(self, f"{what} ")
+        _check_fields(self, f"{what} ", SimulationError)
         if self.detector not in ("off", "on"):
             raise SimulationError(
                 f"{what} detector must be 'off' or 'on', not "
                 f"{self.detector!r}")
-        if not isinstance(self.sources, tuple):
-            raise SimulationError(
-                f"{what} sources must be a tuple of SourceSpec, not "
-                f"{self.sources!r}")
         # Each source checked itself when it was built; ``replace`` runs
         # this again for every seed and arm.
         names = set()
         for src in self.sources:
-            if not isinstance(src, SourceSpec):
-                raise SimulationError(
-                    f"{what} source {src!r} is not a SourceSpec")
             if src.name in names:
                 raise SimulationError(f"duplicate source name {src.name!r}")
             names.add(src.name)
@@ -438,11 +378,8 @@ class Scenario:
 
 
 def _check_overrides(overrides, what: str) -> None:
-    """House overrides: a dict whose physics parameters meet the rule of
-    :class:`HouseParams` and whose outdoor traces meet that of
-    :class:`HouseModel`."""
-    if not isinstance(overrides, dict):
-        raise SimulationError(f"{what} must be a dict, not {overrides!r}")
+    """House overrides, a dict: each physics parameter and outdoor trace
+    meets the rule of the one it replaces."""
     for key, value in overrides.items():
         if key in HOUSE_PARAMETERS:
             _check_param(value, f"{what} {key}")

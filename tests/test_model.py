@@ -288,11 +288,19 @@ class TestActionRelations:
         assert str(err.value) == (f"action {name!r} is not in the "
                                   f"vocabulary of actuator kind {kind!r}")
 
-    def test_identical_class_is_same_whatever_the_entries(self):
+    def test_identical_class_maps_only_to_same(self):
+        # Once read silently as SAME; a document gets the same error.
+        key = ActionRelationTable.key("door", "open", "door", "open")
+        with pytest.raises(InvalidConfigError) as err:
+            ActionRelationTable(
+                vocabulary={"door": frozenset({"open", "close"})},
+                entries={key: Relation.OPPOSITE})
+        assert str(err.value) == (
+            "action relations entries must map (('door', 'open'), ('door', "
+            "'open')) to 'same', not 'opposite'")
         t = ActionRelationTable(
             vocabulary={"door": frozenset({"open", "close"})},
-            entries={ActionRelationTable.key("door", "open", "door", "open"):
-                     Relation.OPPOSITE})
+            entries={key: Relation.SAME})
         assert t.relation("door", "open", "door", "open") is Relation.SAME
 
 

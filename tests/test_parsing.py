@@ -27,14 +27,20 @@ from tapcheck.errors import (
     TapcheckError,
 )
 from tapcheck.model import (
+    ActionRelationTable,
     ActionSpec,
     Actuator,
+    DetectorConfig,
+    FeatureDependencyGraph,
+    Registry,
+    Relation,
     Rule,
+    RuleSet,
     Sensor,
     TriggerCondition,
 )
 from tapcheck.parsing import _load_yaml, load_document, serialize_document
-from tapcheck.scenarios import fixture_text, load_scenario_bundle
+from tapcheck.scenarios import fixture_text, load_bundle, load_scenario_bundle
 
 GENERATED = [f"generated{seed}" for seed in range(10)]
 needs_libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
@@ -146,7 +152,11 @@ action_relations:
   thermostat:
     - [heat, heat, opposite]
 """
-        with pytest.raises(ParseError, match="same"):
+        with pytest.raises(InvalidConfigError,
+                           match=r"^action relations entries must map "
+                                 r"\(\('thermostat', 'heat'\), "
+                                 r"\('thermostat', 'heat'\)\) to 'same', "
+                                 r"not 'opposite'$"):
             load_document(doc)
 
     def test_similarity_class_checks_registry(self):
@@ -199,18 +209,30 @@ detector:
         ("threshold: 65", "threshold: .nan"),
         ("threshold: 65", "threshold: -.inf"),
         ("threshold: 65", "threshold: 1" + "0" * 400),
-        ("location: room1}\n  actuators",
-         "location: room1, range: [0, .inf]}\n  actuators"),
-        ("location: room1}\n  actuators",
-         "location: room1, tolerance: .nan}\n  actuators"),
     ])
     def test_non_finite_number_rejected(self, needle, bogus):
         # A NaN threshold compares false with every reading, so its rule
-        # could never fire; an infinite range or tolerance is no bound.
+        # could never fire.
         doc = MINIMAL.replace(needle, bogus)
         assert doc != MINIMAL
         with pytest.raises(ParseError, match="finite"):
             load_document(doc)
+
+    @pytest.mark.parametrize("bogus,message", [
+        ("range: [0, .inf]", "sensor 't1' range must be two finite numbers "
+         "with low < high, not (0, inf)"),
+        ("tolerance: .nan", "sensor 't1' tolerance must be finite"),
+    ])
+    def test_non_finite_sensor_value_rejected_by_the_sensor(self, bogus,
+                                                            message):
+        # An infinite range or tolerance is no bound.
+        needle = "location: room1}\n  actuators"
+        doc = MINIMAL.replace(
+            needle, f"location: room1, {bogus}}}\n  actuators")
+        assert doc != MINIMAL
+        with pytest.raises(InvalidConfigError) as err:
+            load_document(doc)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("leaf", ["true", "'5'", "null"])
     def test_threshold_that_is_not_a_number_rejected(self, leaf):
@@ -227,8 +249,8 @@ detector:
         text = fixture_text("c7_duplicate")
         needle = "location: room1, range: [30, 100]}"
         assert needle in text
-        with pytest.raises(ParseError, match=r"tolerance must be >= 0 "
-                           r"\(at registry\.sensors\[0\]\.tolerance\)"):
+        with pytest.raises(InvalidConfigError,
+                           match=r"^sensor 'temp1' tolerance must be >= 0$"):
             load_document(text.replace(
                 needle, "location: room1, range: [30, 100], tolerance: -1}"))
 
@@ -344,6 +366,45 @@ class TestReferenceChecks:
         assert main(["check", "--ruleset", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("build,needle,bogus,error,message", [
+        (lambda doc: replace(doc.ruleset.registry.sensors["t1"],
+                             range=(5, 1)),
+         "unit: F, location: room1}", "unit: F, location: room1, "
+         "range: [5, 1]}", InvalidConfigError,
+         "sensor 't1' range must be two finite numbers with low < high, "
+         "not (5, 1)"),
+        (lambda doc: replace(doc.ruleset.registry.sensors["t1"],
+                             tolerance=-1),
+         "unit: F, location: room1}", "unit: F, location: room1, "
+         "tolerance: -1}", InvalidConfigError,
+         "sensor 't1' tolerance must be >= 0"),
+        (lambda doc: replace(doc.ruleset.registry.actuators["th1"],
+                             actions=("heat", "heat")),
+         'actions: [heat, "off"]', "actions: [heat, heat]", DuplicateIdError,
+         "duplicate action name on actuator 'th1'"),
+        (lambda doc: replace(doc.config.action_relations, entries={
+            ActionRelationTable.key("thermostat", "heat", "thermostat",
+                                    "heat"): Relation.OPPOSITE}),
+         "rules:\n", "action_relations:\n  thermostat:\n"
+         "    - [heat, heat, opposite]\nrules:\n", InvalidConfigError,
+         "action relations entries must map (('thermostat', 'heat'), "
+         "('thermostat', 'heat')) to 'same', not 'opposite'"),
+    ], ids=["range", "tolerance", "actions", "identical_pair"])
+    def test_library_and_document_share_one_record_error(
+            self, build, needle, bogus, error, message, tmp_path, capsys):
+        # The records judge what the parser once did, with one text.
+        with pytest.raises(error) as built:
+            build(load_document(MINIMAL))
+        assert MINIMAL.count(needle) == 1
+        text = MINIMAL.replace(needle, bogus)
+        with pytest.raises(error) as loaded:
+            load_document(text)
+        assert str(built.value) == str(loaded.value) == message
+        path = tmp_path / "bad.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", "--ruleset", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 # Wrong values for each field of a rule, its trigger and its action; the
 # few a field may hold are left out. The fields in ``_BY_REFERENCE`` must
@@ -385,6 +446,112 @@ class TestRuleFieldTypes:
         else:
             assert isinstance(err.value, InvalidConfigError)
             assert f"{name} must be " in message
+
+
+# Each config record as S5's bundle holds it, and the words that start its
+# errors. The windows and ``day_length`` keep texts that start with the
+# field, a name no other record has.
+_RECORDS = {
+    Sensor: (lambda rs, cfg: rs.registry.sensors["smoke1"], "sensor "),
+    Actuator: (lambda rs, cfg: rs.registry.actuators["alarm1"], "actuator "),
+    Registry: (lambda rs, cfg: rs.registry, "registry "),
+    FeatureDependencyGraph: (lambda rs, cfg: cfg.dependency_graph,
+                             "dependency graph "),
+    ActionRelationTable: (lambda rs, cfg: cfg.action_relations,
+                          "action relations "),
+    DetectorConfig: (lambda rs, cfg: cfg, "detector "),
+    RuleSet: (lambda rs, cfg: rs, "ruleset "),
+}
+_OWN_TEXT = {"overlap_window", "duplicate_window", "same_tick_epsilon",
+             "day_length"}
+_RECORD_MAY_HOLD = {("tolerance", "int"), ("overlap_window", "int"),
+                    ("duplicate_window", "int"), ("same_tick_epsilon", "int"),
+                    ("day_length", "int")}
+
+
+def _record_field_cases():
+    for cls in _RECORDS:
+        for f in fields(cls):
+            for label, value in _WRONG_FIELD.items():
+                if (f.name, label) not in _RECORD_MAY_HOLD:
+                    yield pytest.param(cls, f.name, value, None,
+                                       id=f"{cls.__name__}.{f.name}-{label}")
+
+
+# Faults of one record that its type alone lets through; each once ended
+# in a bare TypeError, ValueError or AttributeError, or was accepted.
+_RECORD_FAULTS = [
+    pytest.param(Sensor, "range", (5.0, 1.0),
+                 "sensor 'smoke1' range must be two finite numbers with "
+                 "low < high, not (5.0, 1.0)", id="range_reversed"),
+    pytest.param(Sensor, "range", ("a", "b"),
+                 "sensor 'smoke1' range must be two finite numbers with "
+                 "low < high, not ('a', 'b')", id="range_text"),
+    pytest.param(Sensor, "range", (float("nan"), 1.0),
+                 "sensor 'smoke1' range must be two finite numbers with "
+                 "low < high, not (nan, 1.0)", id="range_nan"),
+    pytest.param(Actuator, "actions", (),
+                 "actuator 'alarm1' actions must hold at least one action",
+                 id="no_actions"),
+    pytest.param(Actuator, "actions", ("sound", "sound"),
+                 "duplicate action name on actuator 'alarm1'",
+                 id="action_twice"),
+    pytest.param(Registry, "locations", ("room1", ["x"]),
+                 "registry locations must be a tuple of names, not "
+                 "('room1', ['x'])", id="location_list"),
+    pytest.param(Registry, "sensors",
+                 lambda rs: {"zz": rs.registry.sensors["smoke1"]},
+                 "registry sensors key 'zz' holds sensor 'smoke1'",
+                 id="sensor_key"),
+    pytest.param(FeatureDependencyGraph, "edges",
+                 frozenset({("alert@room1", "a", "b")}),
+                 "dependency graph edges must be pairs of features, not "
+                 "('alert@room1', 'a', 'b')", id="edge_triple"),
+    pytest.param(FeatureDependencyGraph, "nodes", frozenset({5}),
+                 "dependency graph nodes must be a frozenset of names, not "
+                 "frozenset({5})", id="node_number"),
+    pytest.param(DetectorConfig, "dependency_graph", "x",
+                 "detector dependency_graph must be a "
+                 "FeatureDependencyGraph, not 'x'", id="graph_text"),
+    pytest.param(RuleSet, "rules", ("x",),
+                 "ruleset rules must be a tuple of Rule, not ('x',)",
+                 id="rule_text"),
+    pytest.param(ActionRelationTable, "entries", {ActionRelationTable.key(
+        "alarm", "sound", "alarm", "sound"): Relation.OPPOSITE},
+                 "action relations entries must map (('alarm', 'sound'), "
+                 "('alarm', 'sound')) to 'same', not 'opposite'",
+                 id="identical_pair_opposite"),
+    pytest.param(ActionRelationTable, "entries", {ActionRelationTable.key(
+        "alarm", "sound", "lamp", "on"): Relation.OPPOSITE},
+                 "action relations entries must key sorted pairs of action "
+                 "classes of the vocabulary, not (('alarm', 'sound'), "
+                 "('lamp', 'on'))", id="undeclared_class"),
+]
+
+
+class TestRecordFieldChecks:
+    """Each config record checks its own fields as it is built, so a
+    library record of the wrong shape ends in one error line that names
+    the record and the field, as a document's does."""
+
+    @pytest.mark.parametrize("cls,name,value,message",
+                             [*_record_field_cases(), *_RECORD_FAULTS])
+    def test_wrong_field_rejected(self, cls, name, value, message):
+        bundle = load_bundle("s5_alarm")
+        rs, cfg = bundle.ruleset, bundle.config
+        get, words = _RECORDS[cls]
+        if callable(value):
+            value = value(rs)
+        with pytest.raises(TapcheckError) as err:
+            replace(get(rs, cfg), **{name: value})
+        text = str(err.value)
+        assert "\n" not in text
+        if message is not None:
+            assert text == message
+        elif name in _OWN_TEXT:
+            assert text.startswith(f"{name} must be ")
+        else:
+            assert text.startswith(words) and f" {name} must be " in text
 
 
 SCENARIO_TAIL = """

@@ -555,7 +555,7 @@ class TestSetupValueTypes:
          r"source 'x' at entry \(1, 1.0, 2\) is not a \(tick, value\) "
          "pair"),
         (lambda: SourceSpec(name="x", sensor="s", at=5),
-         r"source 'x' at must be a tuple of \(tick, value\) pairs"),
+         r"^source 'x' at must be a tuple of tuples, not 5$"),
         (lambda: SourceSpec(name="x", sensor="s", at=((-1, 1.0),)),
          "script source 'x' tick -1 is not an integer >= 0"),
         (lambda: SourceSpec(name="x", sensor="s", mode="script",
@@ -567,7 +567,8 @@ class TestSetupValueTypes:
          "house rooms must be a tuple of RoomState"),
         (lambda: Scenario(id="p", ruleset="s5_alarm",
                           sources=({"name": "a"},), horizon=1),
-         r"scenario 'p' source \{'name': 'a'\} is not a SourceSpec"),
+         r"^scenario 'p' sources must be a tuple of SourceSpec, not "
+         r"\(\{'name': 'a'\},\)$"),
         (lambda: SourceSpec(name="x", sensor="s", predicate="=="),
          "source 'x' predicate must be a Cmp, not '=='"),
         (lambda: room(light="yes"),
@@ -575,7 +576,7 @@ class TestSetupValueTypes:
         (lambda: HouseModel(rooms=(room(),), outdoor_temperature=True),
          "house outdoor_temperature must be a finite number"),
         (lambda: HouseModel(rooms=(room(),), momentary=["x"]),
-         "house momentary must be a frozenset of actuator ids"),
+         r"^house momentary must be a frozenset of names, not \['x'\]$"),
         (lambda: SourceSpec(name="x", sensor="s", emit_event="no"),
          "source 'x' emit_event must be true or false, not 'no'"),
         (lambda: SourceSpec(name="x", sensor="s", value="1"),
@@ -585,7 +586,8 @@ class TestSetupValueTypes:
         (lambda: SourceSpec(name="x", sensor="s", choices=()),
          r"source 'x' choices must be None or a non-empty tuple"),
         (lambda: SourceSpec(name="x", sensor="s", choices=(1.0, math.inf)),
-         r"source 'x' choices must be None or a non-empty tuple"),
+         r"^source 'x' choices must be a tuple of numbers, not "
+         r"\(1.0, inf\)$"),
         (lambda: SourceSpec(name="x", sensor="s", mode="clock", p=2.0),
          r"source 'x' p must be in \[0, 1\], not 2.0"),
         (lambda: SourceSpec(name="x", sensor="s", feature="pressure"),
