@@ -190,9 +190,9 @@ def format_conflict_row(conflict: Conflict) -> str:
     note = conflict.note.replace(",", ";")
     kind = conflict.kind
     if kind is ConflictKind.C7:
-        e1, e2 = conflict.participants
+        e1, e2 = conflict.first, conflict.second
         return f"{conflict.tick},{KIND_TEXT[kind]},,,{e1.id},{e2.id},,{note}"
-    a, b = conflict.participants
+    a, b = conflict.first, conflict.second
     actuator = a.action.actuator
     if b.action.actuator != actuator:
         actuator = f"{actuator}/{b.action.actuator}"

@@ -23,8 +23,12 @@ the first hit, so the returned list is exhaustive for the tick. Each rule
 is compiled once per stream, when the window binds its ruleset, into a
 ``RuleProfile``: what the policies read of it. ``policy_kinds`` is the one
 statement of C1 to C6, and one ``PolicyTable`` per config holds its
-answers per tuple of pair facts (read off two profiles) and gap class, so
-classifying a pair takes two profile reads and one table read.
+answers per tuple of pair facts (read off two profiles) and gap class.
+Rules with equal profiles form one profile class, and the window keeps
+the table entry of each pair of classes that has met for the rest of the
+stream, so ``detect_at_tick`` classifies a pair inline with one memo
+read, its gap class and, where the rows differ, an overlap test.
+``classify_pair`` answers for one pair from ``policy_kinds`` directly.
 ``DetectionWindow.admit`` takes each batch in one step: it checks the
 events against the model's reading facts and the stream's invariants,
 matches them and, at the stream's first batch, compiles every rule's
@@ -42,11 +46,12 @@ flag. C7 walks the window's events once per call, in the order its
 findings are reported in, so they need no sort.
 
 A finding costs about what its output costs: a ``Conflict`` is a slotted,
-immutable record of its kind, tick and participants, and its ``note`` and
-``suppressible`` are derived from those when read, so a caller that only
-counts findings renders no text. Event signatures built once per trace
-kind (``cli.parse_trace``) or per source (the simulator) compare by
-identity before equality.
+immutable record of its kind, tick and two participants, which the
+detector fills slot by slot with no Python frame per finding. Its
+``participants`` pair, ``note`` and ``suppressible`` are derived from
+those when read, so a caller that only counts findings renders no text.
+Event signatures built once per trace kind (``cli.parse_trace``) or per
+source (the simulator) compare by identity before equality.
 
 Policies C1 to C6 relate firings of two distinct rules. A single rule fired
 twice by duplicate readings is the duplicate-event case and is covered by
@@ -125,20 +130,25 @@ class Conflict:
 
     ``participants`` holds the two triggered actions involved (two raw
     events for C7), stored in canonical order so a violation has a single
-    identity. ``note`` and ``suppressible`` are derived from them when
-    read. A pair's note names its firings in the order the detector met
-    them, which ``_swapped`` records: true when that order is the reverse
-    of ``participants``.
+    identity. The record keeps them in two slots, ``first`` and
+    ``second``, and builds the ``participants`` pair when it is read.
+    ``note`` and ``suppressible`` are derived from them when read. A
+    pair's note names its firings in the order the detector met them,
+    which ``_swapped`` records: true when that order is the reverse of
+    ``participants``.
     """
 
-    __slots__ = ("kind", "tick", "participants", "_swapped", "__weakref__")
+    __slots__ = ("kind", "tick", "first", "second", "_swapped",
+                 "__weakref__")
 
     def __init__(self, kind: ConflictKind, tick: Tick, participants: tuple,
                  _swapped: bool = False):
+        first, second = participants
         # The slot descriptors write past ``__setattr__``, which refuses.
         _set_kind(self, kind)
         _set_tick(self, tick)
-        _set_participants(self, participants)
+        _set_first(self, first)
+        _set_second(self, second)
         _set_swapped(self, _swapped)
 
     def __setattr__(self, name, value):
@@ -147,17 +157,22 @@ class Conflict:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of Conflict")
 
+    @property
+    def participants(self) -> tuple:
+        """``(first, second)``, built when read."""
+        return (self.first, self.second)
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.kind is other.kind and self.tick == other.tick
-                and self.participants == other.participants)
+                and (self.first, self.second) == (other.first, other.second))
 
     def __hash__(self):
-        return hash((self.kind, self.tick, self.participants))
+        return hash((self.kind, self.tick, (self.first, self.second)))
 
     def __reduce__(self):
-        return (Conflict, (self.kind, self.tick, self.participants,
+        return (Conflict, (self.kind, self.tick, (self.first, self.second),
                            self._swapped))
 
     def __repr__(self):
@@ -169,14 +184,14 @@ class Conflict:
         """Event ids whose actions a downstream enforcement point may drop:
         the later event of a C7, none for C1 to C6."""
         if self.kind is ConflictKind.C7:
-            return (self.participants[1].id,)
+            return (self.second.id,)
         return ()
 
     @property
     def note(self) -> str:
         """One line saying what the participants did."""
         kind = self.kind
-        a, b = self.participants
+        a, b = self.first, self.second
         if kind is ConflictKind.C7:
             return (f"sensor {b.sensor} repeated value {a.value:g} after "
                     f"{b.time - a.time} tick(s)")
@@ -201,16 +216,20 @@ class Conflict:
     def key(self) -> tuple:
         """Identity used to compare detector output against reference
         implementations: kind, detection tick, and participant keys."""
-        a, b = self.participants
+        a, b = self.first, self.second
         if self.kind is ConflictKind.C7:
             return (self.kind.value, self.tick,
                     ((a.time, a.id), (b.time, b.id)))
         return (self.kind.value, self.tick, (a._key, b._key))
 
 
+# The detector fills each record's slots through these, with no Python
+# frame per finding: ``_new_conflict(Conflict)``, then each setter.
+_new_conflict = object.__new__
 _set_kind = Conflict.kind.__set__
 _set_tick = Conflict.tick.__set__
-_set_participants = Conflict.participants.__set__
+_set_first = Conflict.first.__set__
+_set_second = Conflict.second.__set__
 _set_swapped = Conflict._swapped.__set__
 
 
@@ -329,7 +348,15 @@ class DetectionWindow:
     candidate pairs, C7 and every ``detect_at_tick`` call read it.
     ``ruleset`` is the stream's one ruleset, bound by the first ``admit``
     with ``profiles``, the ``rule_profiles`` of its rules, and ``table`` is
-    the config's ``PolicyTable``.
+    the config's ``PolicyTable``. Rules whose profiles hold the same
+    actuator, controller, action class and features are one profile class
+    (``classes`` numbers each rule's, ``width`` counts them), and every
+    pair of their firings has the same facts. ``memo`` keeps the table
+    entry of each ordered pair of classes that has met, keyed by
+    ``class_a * width + class_b``, or () when no row of the entry holds a
+    kind. The window binds one ruleset and one config, so an entry holds
+    for the whole stream, and the memo grows with the class pairs met,
+    never with ticks or findings.
     """
 
     def __init__(self, cfg: DetectorConfig):
@@ -337,6 +364,9 @@ class DetectionWindow:
         self.table = PolicyTable(cfg)
         self.ruleset: RuleSet | None = None
         self.profiles: list[RuleProfile] = []
+        self.classes: list[int] = []  # rule index -> profile class
+        self.width = 0
+        self.memo: dict[int, tuple] = {}
         self.last_tick: Tick | None = None
         self._actions: list[TriggeredAction] = []  # in tick order
         self._by_signature = defaultdict(list)  # signature -> actions
@@ -409,6 +439,11 @@ class DetectionWindow:
         if ruleset is not self.ruleset:
             if self.ruleset is None:
                 self.profiles = rule_profiles(ruleset, self.cfg)
+                numbers = {}
+                self.classes = [numbers.setdefault(
+                    (p.actuator, p.controller, p.action_class, p.features),
+                    len(numbers)) for p in self.profiles]
+                self.width = len(numbers)
                 self.ruleset = ruleset
             elif ruleset != self.ruleset:
                 raise InvalidConfigError(
@@ -427,6 +462,17 @@ class DetectionWindow:
         for event in events:
             self._event_times[event.id] = event.time
         return start
+
+    def policy_entry(self, i: int, j: int) -> tuple:
+        """The ``PolicyTable`` entry of a pair of firings of rules ``i`` and
+        ``j``, met in that order, or () when no row of it holds a kind;
+        filed in ``memo`` under the pair's profile classes."""
+        profiles = self.profiles
+        entry = self.table[profiles[i].facts(profiles[j])]
+        if not any(kinds for rows in entry if rows for kinds in rows):
+            entry = ()
+        self.memo[self.classes[i] * self.width + self.classes[j]] = entry
+        return entry
 
     def firings_at(self, tick: Tick) -> list[TriggeredAction]:
         """The firings admitted at ``tick``, in the order they were
@@ -563,46 +609,24 @@ class PolicyTable(dict):
         return overlapping, disjoint, kinds(False, False)
 
 
-def _classify(a: TriggeredAction, b: TriggeredAction, pa: RuleProfile,
-              pb: RuleProfile, table: PolicyTable) -> list[Conflict]:
-    """``classify_pair`` given the firings' rule profiles and the config's
-    policy table."""
+def classify_pair(a: TriggeredAction, b: TriggeredAction,
+                  cfg: DetectorConfig) -> list[Conflict]:
+    """Every conflict among C1 to C6 that one pair of firings forms, asked
+    of ``policy_kinds`` directly: the facts of the two rules, the pair's
+    gap, and its events (one shared event, or distinct events, overlapping
+    or not)."""
     if a.rule == b.rule:
         return []
     dt = abs(a.time - b.time)
-    if dt == 0:
-        gap_class = 0
-    elif dt <= table.lo:
-        gap_class = 1
-    elif dt <= table.hi:
-        gap_class = 2
-    else:
-        return []
-    overlapping, disjoint, shared = table[pa.facts(pb)][gap_class]
-    if dt == 0 and a.event.id == b.event.id:
-        kinds = shared
-    elif overlapping is disjoint or not overlapping_events(a.event, b.event,
-                                                           table.cfg):
-        kinds = disjoint
-    else:
-        kinds = overlapping
-    if not kinds:
-        return []
+    shared = dt == 0 and a.event.id == b.event.id
+    kinds = policy_kinds(
+        *RuleProfile.of(a, cfg).facts(RuleProfile.of(b, cfg)), dt,
+        not shared and overlapping_events(a.event, b.event, cfg),
+        not shared, cfg)
     tick = max(a.time, b.time)
     if b._key < a._key:
         return [Conflict(kind, tick, (b, a), True) for kind in kinds]
     return [Conflict(kind, tick, (a, b)) for kind in kinds]
-
-
-def classify_pair(a: TriggeredAction, b: TriggeredAction,
-                  cfg: DetectorConfig) -> list[Conflict]:
-    """Every conflict among C1 to C6 that one pair of firings forms: the
-    row of the config's ``PolicyTable`` for the facts of the two rules, the
-    gap class of the pair and its events (one shared event, or distinct
-    events, overlapping or not). The overlap test runs only when the
-    overlapping and disjoint rows differ."""
-    return _classify(a, b, RuleProfile.of(a, cfg), RuleProfile.of(b, cfg),
-                     PolicyTable(cfg))
 
 
 def check_c7(window: DetectionWindow, events: list[Event],
@@ -611,18 +635,19 @@ def check_c7(window: DetectionWindow, events: list[Event],
     window, up to the sensor's declared tolerance. The later event is
     marked suppressible so enforcement can drop its actions. ``events``,
     the batch the window last admitted, is compared in one walk over the
-    window's events: each meets the batch's reading of its sensor, if any.
-    One sensor emits once per tick, so the events at the batch's tick
-    never pair with each other. The walk visits the events in (tick, id)
-    order, so the findings come out in the canonical order of
-    ``Conflict.key``."""
+    window's events: each meets the batch's reading of its sensor, if any,
+    whose value, signature and tolerance are read once per batch. One
+    sensor emits once per tick, so the events at the batch's tick never
+    pair with each other. The walk visits the events in (tick, id) order,
+    so the findings come out in the canonical order of ``Conflict.key``."""
     if not events:
         return []
     tick = events[0].time
-    span = window.cfg.duplicate_window
+    since = tick - window.cfg.duplicate_window
     sensors = registry.sensors
-    fresh = {later.sensor: (later, sensors[later.sensor].tolerance)
-             for later in events}
+    fresh = {later.sensor: (later, later.value, later.signature,
+                            sensors[later.sensor].tolerance)
+             for later in events}.get
     c7 = ConflictKind.C7
     out = []
     # The events at this tick end the window: the walk leaves out as many
@@ -630,24 +655,28 @@ def check_c7(window: DetectionWindow, events: list[Event],
     # earlier call admitted at this tick).
     history = window._events
     for earlier in islice(history, len(history) - len(events)):
-        sensor = earlier.sensor
-        if sensor in fresh:
-            later, tolerance = fresh[sensor]
+        hit = fresh(earlier.sensor)
+        if hit is not None:
+            later, value, signature, tolerance = hit
             # On a chatty sensor most pairs fail the value test, the
             # cheapest. Interned signatures compare by identity.
-            if (abs(earlier.value - later.value) <= tolerance
-                    and 0 < tick - earlier.time <= span
-                    and (earlier.signature is later.signature
-                         or earlier.signature == later.signature)):
-                out.append(Conflict(c7, tick, (earlier, later)))
+            if (abs(earlier.value - value) <= tolerance
+                    and since <= earlier.time < tick
+                    and (earlier.signature is signature
+                         or earlier.signature == signature)):
+                finding = _new_conflict(Conflict)
+                _set_kind(finding, c7)
+                _set_tick(finding, tick)
+                _set_first(finding, earlier)
+                _set_second(finding, later)
+                _set_swapped(finding, False)
+                out.append(finding)
     return out
 
 
-def _pair_order(conflict: Conflict) -> tuple:
-    """The C1 to C6 order within one tick: the kind, then the participants'
-    keys. Kinds are strings, so the members compare as their names."""
-    a, b = conflict.participants
-    return (conflict.kind, a._key, b._key)
+# The C1 to C6 order within one tick: the kind, then the participants'
+# keys. Kinds are strings, so the members compare as their names.
+_pair_order = attrgetter("kind", "first._key", "second._key")
 
 
 def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
@@ -667,6 +696,14 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
     one pass over the candidate pairs, then C7; findings come back each
     (kind, pair) once, in the canonical order of ``Conflict.key``.
 
+    Each candidate pair is classified inline, as ``classify_pair`` would:
+    its policy rows come from one read of the window's ``memo`` (filled
+    from the ``PolicyTable`` the first time its profile classes meet),
+    and its gap class from ``b.time - a.time``, never negative as
+    ``candidate_pairs`` yields the older firing first. The rows depend on
+    the gap only through its class: 0, 1..min(eps, W) or up to
+    max(eps, W), the farthest a candidate pair reaches.
+
     That order is reached without a ``Conflict.key`` tuple per finding.
     Every finding of one call has the call's tick, and the kind names sort
     C7 after C1 to C6, so the C1 to C6 findings, sorted by kind and
@@ -684,12 +721,45 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
     if not new_events:
         return []
     start = window.admit(new_events, ruleset)
-    profiles, table = window.profiles, window.table
+    cfg = window.cfg
+    lo = window.table.lo
+    memo, classes, width = window.memo, window.classes, window.width
+    overlap = overlapping_events
     conflicts = []
+    append = conflicts.append
     for a, b in window.candidate_pairs(start):
-        conflicts.extend(_classify(a, b, profiles[a.index], profiles[b.index],
-                                   table))
+        i, j = a.index, b.index
+        if i == j:
+            continue
+        entry = memo.get(classes[i] * width + classes[j])
+        if entry is None:
+            entry = window.policy_entry(i, j)
+        if not entry:
+            continue
+        dt = b.time - a.time
+        overlapping, disjoint, shared = entry[
+            0 if dt == 0 else 1 if dt <= lo else 2]
+        # Ids are unique in the window, so firings at one tick share an
+        # event exactly when they hold the same one.
+        if dt == 0 and a.event is b.event:
+            kinds = shared
+        elif overlapping is disjoint or not overlap(a.event, b.event, cfg):
+            kinds = disjoint
+        else:
+            kinds = overlapping
+        if kinds:
+            tick = b.time
+            swapped = b._key < a._key
+            if swapped:
+                a, b = b, a
+            for kind in kinds:
+                finding = _new_conflict(Conflict)
+                _set_kind(finding, kind)
+                _set_tick(finding, tick)
+                _set_first(finding, a)
+                _set_second(finding, b)
+                _set_swapped(finding, swapped)
+                append(finding)
     conflicts.sort(key=_pair_order)
     conflicts += check_c7(window, new_events, ruleset.registry)
     return conflicts
-

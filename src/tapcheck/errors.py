@@ -59,8 +59,8 @@ class UnknownSensorKindError(TapcheckError):
 
 
 class InvalidEventError(TapcheckError):
-    """An event's tick is not an integer >= 0, or its value is not
-    finite."""
+    """An event's tick is not an integer >= 0, its value is not finite, or
+    a field of it or of its signature has the wrong type."""
 
 
 class OutOfOrderTickError(TapcheckError):

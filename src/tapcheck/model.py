@@ -99,11 +99,16 @@ class EventSignature:
 
     Two signatures are similar when they are equal or when an explicit
     equivalence class in :class:`DetectorConfig` groups them together.
+    Each field is checked from its annotation: a name, a :class:`Cmp`, a
+    name.
     """
 
     sensor_kind: str
     predicate: Cmp
     location: str
+
+    def __post_init__(self):
+        _check_fields(self, "event signature ", InvalidEventError)
 
     def compact(self) -> str:
         return f"{self.sensor_kind}:{self.predicate.value}:{self.location}"

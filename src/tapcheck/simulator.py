@@ -651,7 +651,7 @@ class _Run:
         for conflict in conflicts:
             drop_events.update(conflict.suppressible)
             if conflict.kind is not ConflictKind.C7:
-                drop_actions.add(conflict.participants[1].key())
+                drop_actions.add(conflict.second.key())
         return drop_events, drop_actions
 
     def step(self, tick: int) -> None:

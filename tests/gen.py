@@ -6,10 +6,12 @@ the sensor registry. Values are drawn from a small palette so repeated
 readings (the duplicate-event case) actually occur.
 """
 
+import sys
 from importlib import resources
 
 import numpy as np
 
+from tapcheck.cli import TRACE_HEADER, format_event_row
 from tapcheck.model import (
     ActionRelationTable,
     ActionSpec,
@@ -188,6 +190,19 @@ def random_trace(rng: np.random.Generator, ruleset: RuleSet,
     return events
 
 
+def dense_trace(ruleset: RuleSet, seed: int) -> list[Event]:
+    """A seeded trace in which most sensors report every tick, for up to
+    400 ticks: many firing pairs and repeated readings per tick."""
+    return random_trace(np.random.default_rng(seed), ruleset,
+                        max_ticks=400, p_event=0.9)
+
+
+def trace_text(events: list[Event]) -> str:
+    """``events`` as a trace CSV, the file ``tapcheck monitor`` reads."""
+    return "".join(f"{row}\n" for row in
+                   [TRACE_HEADER, *map(format_event_row, events)])
+
+
 def group_by_tick(events: list[Event]) -> list[list[Event]]:
     """Consecutive same-tick batches, preserving order."""
     batches: list[list[Event]] = []
@@ -197,3 +212,13 @@ def group_by_tick(events: list[Event]) -> list[list[Event]]:
         else:
             batches.append([event])
     return batches
+
+
+if __name__ == "__main__":
+    # python tests/gen.py RULESET SEED: the dense trace of a ruleset
+    # document, as CSV on stdout.
+    from tapcheck.parsing import load_document
+
+    with open(sys.argv[1], encoding="utf-8") as document:
+        ruleset = load_document(document.read()).ruleset
+    sys.stdout.write(trace_text(dense_trace(ruleset, int(sys.argv[2]))))

@@ -15,7 +15,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gen import FIXTURES
+from gen import FIXTURES, dense_trace, trace_text
 from tapcheck import cli, parsing, scenarios
 from tapcheck.cli import CONFLICT_HEADER, main
 from tapcheck.detector import ConflictKind
@@ -281,6 +281,19 @@ def alarm_trace(tmp_path):
     return path
 
 
+# sha256 of ``monitor``'s log on two streams, recorded before the detector
+# kept its policy rows per pair of rule classes: a pair-heavy one
+# (house.yaml under its dense trace at seed 2: 3,296 findings, 515 of them
+# C1 to C6) and one where C7 walks a full window every tick (S7's clock at
+# seed 1, whose log is the one ``simulate`` wrote, in
+# ``SIMULATE_DIGESTS``).
+MONITOR_DIGESTS = {
+    "house":
+        "4d62ce0d12587ec390b9a3aa16c16e7a1ccf6a108f55795f91f9cbb09598bbce",
+    "S7": "31b70fd6822a2888a9d3774e8da7aeb7727ba76bd912bfae1289ca425a1bf678",
+}
+
+
 class TestMonitor:
     def test_empty_trace_summary_of_zeros(self, alarm_ruleset, tmp_path,
                                           capsys):
@@ -425,6 +438,28 @@ class TestMonitor:
                         encoding="utf-8")
         exits_cleanly(["monitor", "--ruleset", str(run / "ruleset.yaml"),
                        "--trace", str(path)])
+
+    @pytest.mark.parametrize("stream", sorted(MONITOR_DIGESTS))
+    def test_monitor_log_matches_pinned_digest(self, stream, tmp_path):
+        if stream == "house":
+            ruleset = tmp_path / "house.yaml"
+            ruleset.write_text(fixture_text("house"), encoding="utf-8")
+            trace = tmp_path / "trace.csv"
+            trace.write_text(trace_text(dense_trace(
+                load_document(fixture_text("house")).ruleset, 2)),
+                encoding="utf-8")
+        else:
+            with redirect_stdout(io.StringIO()):
+                main(["simulate", "--scenario", stream, "--seed", "1",
+                      "--out", str(tmp_path / "sim")])
+            ruleset = tmp_path / "sim" / "ruleset.yaml"
+            trace = tmp_path / "sim" / "events_1.csv"
+        out = tmp_path / "out"
+        with redirect_stdout(io.StringIO()):
+            assert main(["monitor", "--ruleset", str(ruleset),
+                         "--trace", str(trace), "--out", str(out)]) == 1
+        assert hashlib.sha256((out / "conflicts.csv").read_bytes(
+        )).hexdigest() == MONITOR_DIGESTS[stream]
 
 
 # sha256 of each simulate output file, per built-in scenario at seed 1.

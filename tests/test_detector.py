@@ -4,18 +4,27 @@ import copy
 import math
 import pickle
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import build_home, ev
-from gen import group_by_tick
+from gen import (
+    FIXTURES,
+    group_by_tick,
+    random_ruleset,
+    random_trace,
+)
+from test_acceptance import _scaling_fixture
 from tapcheck.detector import (
     Conflict,
     ConflictKind,
     DetectionWindow,
+    RuleProfile,
     check_c7,
+    classify_pair,
     detect_at_tick,
     match_rules,
 )
@@ -30,12 +39,24 @@ from tapcheck.errors import (
     UnknownFeatureError,
     UnknownSensorKindError,
 )
+from tapcheck.parsing import load_document
+from tapcheck.scenarios import fixture_text
 from tapcheck.model import (
     ActionRelationTable,
     Cmp,
+    Event,
     EventSignature,
     FeatureDependencyGraph,
 )
+
+
+def unchecked_signature(*values):
+    """A signature built past its own field check, as unpickling one
+    does."""
+    signature = object.__new__(EventSignature)
+    for name, value in zip(("sensor_kind", "predicate", "location"), values):
+        object.__setattr__(signature, name, value)
+    return signature
 
 
 def pairs_of(kind, rs, cfg, events):
@@ -908,7 +929,7 @@ class TestDetectAtTick:
         ({"id": ["e1"]}, InvalidEventError),
         ({"sensor": ["smoke1"]}, InvalidEventError),
         ({"signature": None}, InvalidEventError),
-        ({"signature": EventSignature("smoke", "==", "room1")},
+        ({"signature": unchecked_signature("smoke", "==", "room1")},
          InvalidEventError),
         ({"unit": "F"}, InvalidEventError)],
         ids=["location", "kind", "undeclared", "negative", "fraction",
@@ -954,3 +975,112 @@ class TestDetectAtTick:
             fed += [(tick, weakref.ref(event)) for event in batch]
             assert all((ref() is None) == (time < tick - cfg.horizon)
                        for time, ref in fed)
+
+
+def scaling_trace(rng, ruleset, ticks=12):
+    """Every sensor of a small scaling fixture reports every tick, with a
+    value that fires a few of its kind's rules, so rules of one profile
+    class fire together."""
+    sensors = sorted(ruleset.registry.sensors.values(), key=lambda s: s.id)
+    return [Event(id=f"e{tick}_{sensor.id}", sensor=sensor.id, time=tick,
+                  value=100.5 + int(rng.integers(0, 12)), unit=sensor.unit,
+                  signature=EventSignature(sensor.kind, Cmp.EQ,
+                                           sensor.location))
+            for tick in range(ticks) for sensor in sensors]
+
+
+def memo_stream(name):
+    """(ruleset, config, events) of one stream the memo is tested on: a
+    seeded ``tests/gen.py`` ruleset, a bundled fixture, a small dense
+    house.yaml stream, or a scaling fixture whose rules share classes."""
+    rng = np.random.default_rng(
+        [29, int(name.removeprefix("gen-")) if name.startswith("gen-")
+         else len(name)])
+    if name.startswith("gen-"):
+        ruleset, cfg = random_ruleset(rng)
+        return ruleset, cfg, random_trace(rng, ruleset, p_event=0.5)
+    if name == "scaling":
+        ruleset, cfg = _scaling_fixture(n_kinds=2, rules_per_kind=12,
+                                        sensors_per_kind=3)
+        return ruleset, cfg, scaling_trace(rng, ruleset)
+    doc = load_document(fixture_text(name.removesuffix("-dense")))
+    if name.endswith("-dense"):
+        return doc.ruleset, doc.config, random_trace(
+            rng, doc.ruleset, max_ticks=60, p_event=0.9)
+    return doc.ruleset, doc.config, random_trace(rng, doc.ruleset,
+                                                 p_event=0.6)
+
+
+MEMO_STREAMS = ([f"gen-{seed}" for seed in range(12)] + FIXTURES
+                + ["house-dense", "scaling"])
+
+
+class TestPolicyMemo:
+    """``detect_at_tick`` classifies each pair inline from the window's
+    memo of ``PolicyTable`` entries per pair of profile classes."""
+
+    @pytest.mark.parametrize("name", MEMO_STREAMS)
+    def test_memo_classifies_every_pair_as_classify_pair(self, name,
+                                                         monkeypatch):
+        ruleset, cfg, events = memo_stream(name)
+        window = DetectionWindow(cfg)
+        formed = []
+        candidate_pairs = DetectionWindow.candidate_pairs
+
+        def recorded(self, start):
+            for pair in candidate_pairs(self, start):
+                formed.append(pair)
+                yield pair
+
+        facts_calls = []
+        facts = RuleProfile.facts
+
+        def counted(self, other):
+            facts_calls.append((self, other))
+            return facts(self, other)
+
+        monkeypatch.setattr(DetectionWindow, "candidate_pairs", recorded)
+        monkeypatch.setattr(RuleProfile, "facts", counted)
+        met, findings = set(), 0
+        for batch in group_by_tick(events):
+            formed.clear()
+            found = [c for c in detect_at_tick(batch, ruleset, window, cfg)
+                     if c.kind is not ConflictKind.C7]
+            want = sorted((c for a, b in formed
+                           for c in classify_pair(a, b, cfg)),
+                          key=Conflict.key)
+            assert [(c.key(), c.note) for c in found] == [
+                (c.key(), c.note) for c in want]
+            classes = window.classes
+            met.update((classes[a.index], classes[b.index])
+                       for a, b in formed if a.index != b.index)
+            # One entry per pair of classes met, filed when first met.
+            assert set(window.memo) == {
+                first * window.width + second for first, second in met}
+            findings += len(found)
+        if name in ("house-dense", "scaling"):
+            assert met and findings
+        # ``classify_pair`` builds its own profiles; the window's compute
+        # their facts once per memo key.
+        klass = {id(p): c for p, c in zip(window.profiles, window.classes)}
+        per_key = Counter((klass[id(p)], klass[id(q)])
+                          for p, q in facts_calls if id(p) in klass)
+        assert set(per_key) == met and max(per_key.values(), default=1) == 1
+        if name == "scaling":
+            assert window.width < len(ruleset.rules)
+
+    def test_memo_is_bounded_by_class_pairs_not_ticks(self):
+        # The same readings again, tick after tick, add no entry.
+        ruleset, cfg = _scaling_fixture(n_kinds=2, rules_per_kind=12,
+                                        sensors_per_kind=3)
+        window = DetectionWindow(cfg)
+        sizes = []
+        for tick in range(3 * cfg.horizon):
+            batch = [Event(f"e{tick}_{s}", s, tick, 105.5, "u",
+                           EventSignature(sensor.kind, Cmp.EQ,
+                                          sensor.location))
+                     for s, sensor in sorted(
+                         ruleset.registry.sensors.items())]
+            detect_at_tick(batch, ruleset, window, cfg)
+            sizes.append(len(window.memo))
+        assert window.width == 8 and sizes[0] == sizes[-1] <= 8 * 8

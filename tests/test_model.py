@@ -12,6 +12,7 @@ from conftest import build_home, ev
 from tapcheck.errors import (
     DuplicateIdError,
     InvalidConfigError,
+    InvalidEventError,
     ReferentialIntegrityError,
     UnknownActionError,
     UnknownFeatureError,
@@ -123,6 +124,29 @@ class TestDependentFeatures:
 
 def sig(kind="temperature", pred=">", loc="room1"):
     return EventSignature(kind, Cmp(pred), loc)
+
+
+class TestEventSignature:
+    @pytest.mark.parametrize("fields,message", [
+        (("leak", Cmp.EQ, 5),
+         "event signature location must be a non-empty string, not 5"),
+        (("leak", "==", "room1"),
+         "event signature predicate must be a Cmp, not '=='"),
+        ((["leak"], Cmp.EQ, "room1"),
+         "event signature sensor_kind must be a non-empty string, not "
+         "['leak']")],
+        ids=["int-location", "str-predicate", "list-kind"])
+    def test_bad_field_rejected(self, fields, message):
+        # Unchecked, a str predicate ended in a bare AttributeError when a
+        # similarity class was serialized, and a list field in a bare
+        # TypeError when a class's frozenset was built.
+        with pytest.raises(InvalidEventError) as err:
+            EventSignature(*fields)
+        assert str(err.value) == message
+
+    def test_replace_is_checked_too(self):
+        with pytest.raises(InvalidEventError, match="predicate"):
+            replace(sig(), predicate="==")
 
 
 def config(**kwargs):
