@@ -234,6 +234,19 @@ def _check_fields(record, prefix: str, error: type) -> None:
             else f"a {_kind_name(kind)}, not {value!r}"))
 
 
+# A comma, or any line boundary ``str.splitlines`` breaks at, would split
+# the CSV row of a trace, event log or conflict log that carries a name.
+_ROW_BREAKS = frozenset(",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _check_row_name(name: str, what: str) -> None:
+    """Reject a name that a CSV row carries if it holds a comma or a line
+    break."""
+    if not _ROW_BREAKS.isdisjoint(name):
+        raise InvalidConfigError(
+            f"{what} {name!r} must hold no comma or line break")
+
+
 @dataclass(frozen=True)
 class Sensor:
     """A declared sensor: its range two numbers, low < high."""
@@ -336,7 +349,9 @@ class Registry:
     locations and controllers, each sensor and actuator keyed by its id.
     Every sensor and actuator sits in a declared location, the sensors of
     one kind read in one unit, and the actuators of one kind share one
-    vocabulary; any other registry raises ``ReferentialIntegrityError``."""
+    vocabulary; any other registry raises ``ReferentialIntegrityError``.
+    The names a CSV row carries (locations, sensor and actuator ids, sensor
+    kinds) hold no comma or line break (``InvalidConfigError``)."""
 
     locations: tuple[str, ...]
     sensors: dict[str, Sensor]
@@ -351,6 +366,8 @@ class Registry:
             if len(set(names)) != len(names):
                 twice = next(n for i, n in enumerate(names) if n in names[:i])
                 raise DuplicateIdError(f"duplicate {what} {twice!r}")
+        for name in self.locations:
+            _check_row_name(name, "location")
         locations = set(self.locations)
         for what, records in (("sensor", self.sensors),
                               ("actuator", self.actuators)):
@@ -359,12 +376,14 @@ class Registry:
                     raise InvalidConfigError(
                         f"registry {what}s key {key!r} holds {what} "
                         f"{record.id!r}")
+                _check_row_name(record.id, what)
                 if record.location not in locations:
                     raise ReferentialIntegrityError(
                         f"{what} {record.id!r} placed in undeclared location "
                         f"{record.location!r}")
         units: dict[str, str] = {}
         for sensor in self.sensors.values():
+            _check_row_name(sensor.kind, "sensor kind")
             unit = units.setdefault(sensor.kind, sensor.unit)
             if unit != sensor.unit:
                 raise ReferentialIntegrityError(
@@ -432,12 +451,14 @@ class RuleSet:
     the affected features a frozenset, and the threshold a finite number,
     so each comparator holds on a slice of the sorted thresholds; any other
     raises ``InvalidConfigError`` naming the rule and the field. Rule ids
-    are unique. ``day_length`` is an integer >= 2, and a schedule a tuple of
-    two integers with 0 <= start < end <= ``day_length``, so every
-    scheduled rule is active at some tick of day. Every name a rule gives
-    is the registry's: its controller, sensor kind and the kind's unit,
-    location filter, actuator with one of its actions and its location, and
-    affected features; any other raises ``ReferentialIntegrityError``.
+    are unique and hold no comma or line break, as CSV rows carry them.
+    Every rule affects at least one feature. ``day_length`` is an integer
+    >= 2, and a schedule a tuple of two integers with 0 <= start < end <=
+    ``day_length``, so every scheduled rule is active at some tick of day.
+    Every name a rule gives is the registry's: its controller, sensor kind
+    and the kind's unit, location filter, actuator with one of its actions
+    and its location, and affected features; any other raises
+    ``ReferentialIntegrityError``.
     """
 
     registry: Registry
@@ -464,6 +485,11 @@ class RuleSet:
             if rid in seen:
                 raise DuplicateIdError(f"duplicate rule id {rid!r}")
             seen.add(rid)
+            _check_row_name(rid, "rule")
+            if not action.affected_features:
+                raise InvalidConfigError(
+                    f"rule {rid!r} action.affected_features must be "
+                    "non-empty")
             if rule.controller not in controllers:
                 raise ReferentialIntegrityError(
                     f"rule {rid!r} references undeclared controller "

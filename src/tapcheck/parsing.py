@@ -3,12 +3,15 @@
 A document is a single YAML file with sections ``registry``, ``rules``,
 ``feature_deps``, ``action_relations``, and ``detector``, plus an optional
 ``day_length`` and, for simulation fixtures, ``house`` and ``sources``
-sections that are validated by the simulator. Parsing checks only shape:
-every mapping goes through ``_keys``, so a key it does not declare is an
-error; then list shapes, tokens, and each sensor, actuator and feature id
-declared once. It reads a leaf's type only where it must hash the leaf
-before a record exists. The records (``Sensor``, ``Registry``, ``RuleSet``
-and the rest) check every value and name, as for a library caller.
+sections that are validated by the simulator; the house's momentary
+actuators are checked when a run starts. Parsing checks only shape: every
+mapping goes through ``_keys``, so a key it does not declare is an error;
+then list shapes, tokens, and each sensor, actuator and feature id declared
+once. It reads a leaf's type only where it must hash the leaf before a
+record exists, turns a list leaf into a tuple where a record holds one, and
+passes every other leaf on as it is. The records (``Sensor``, ``Registry``,
+``RuleSet`` and the rest) check every value and name, as for a library
+caller, so a document and a library caller get one error for each fault.
 
 ``load_document``/``serialize_document`` round-trip through a canonical
 form: a serialized document loads back to an equal ruleset and detector
@@ -252,12 +255,19 @@ def _keys(raw, what, path, required=(), optional=()) -> dict:
 
 
 def _as(value, kind, path):
-    """``value`` once :func:`value_problem` finds it a ``kind``, a number
-    read as a float; otherwise a ``ParseError`` at ``path``."""
+    """``value`` once :func:`value_problem` finds it a ``kind``; otherwise a
+    ``ParseError`` at ``path``. Only a leaf hashed before its record exists
+    is read so."""
     problem = value_problem(value, kind)
     if problem:
         raise ParseError(f"value must be {problem}", path=path)
-    return float(value) if kind is float else value
+    return value
+
+
+def _tuple(value):
+    """A document list as a tuple; any other value as it is, for the type
+    it sets to check."""
+    return tuple(value) if isinstance(value, list) else value
 
 
 def _section(raw: dict, key: str, kind: type, path: str):
@@ -274,10 +284,9 @@ def _section(raw: dict, key: str, kind: type, path: str):
 def _sensor(entry, p: str) -> Sensor:
     _keys(entry, "sensor", p, required=("id", "kind", "unit", "location"),
           optional=("range", "tolerance"))
-    rng = entry.get("range", [0.0, 100.0])
-    if not isinstance(rng, list) or len(rng) != 2:
-        raise ParseError("range must be [low, high]", path=f"{p}.range")
-    return Sensor(**{**entry, "range": tuple(rng)})
+    if "range" in entry:
+        entry = {**entry, "range": _tuple(entry["range"])}
+    return Sensor(**entry)
 
 
 def _actuator(entry, p: str) -> Actuator:
@@ -318,61 +327,48 @@ def _parse_cmp(token, path) -> Cmp:
 
 
 def _parse_rule(entry, i, registry: Registry) -> Rule:
-    # An undeclared kind or actuator gives a default None for RuleSet to name.
+    # The sensor kind, actuator and features are hashed here, before the
+    # rule exists; an undeclared kind or actuator gives a default None for
+    # RuleSet to name, and RuleSet checks every leaf.
     p = f"rules[{i}]"
     _keys(entry, "rule", p, required=("id", "controller", "trigger", "action"))
-    rid = _as(entry["id"], str, f"{p}.id")
-    controller = _as(entry["controller"], str, f"{p}.controller")
-
     tp = f"{p}.trigger"
     traw = _keys(entry["trigger"], "trigger", tp,
                  required=("sensor_kind", "comparator", "threshold"),
                  optional=("unit", "location_filter", "schedule"))
     kind = _as(traw["sensor_kind"], str, f"{tp}.sensor_kind")
-    comparator = _parse_cmp(traw["comparator"], f"{tp}.comparator")
-    threshold = _as(traw["threshold"], float, f"{tp}.threshold")
-    unit = traw.get("unit", registry.kind_unit.get(kind))
-    location_filter = traw.get("location_filter")
-    if location_filter is not None:
-        location_filter = _as(location_filter, str, f"{tp}.location_filter")
-    schedule = traw.get("schedule")
-    if schedule is not None:
-        if not isinstance(schedule, list) or len(schedule) != 2:
-            raise ParseError("schedule must be [start, end]", path=tp)
-        schedule = tuple(_as(v, int, f"{tp}.schedule") for v in schedule)
-
     ap = f"{p}.action"
     araw = _keys(entry["action"], "action", ap,
                  required=("actuator", "action", "affected_features"),
                  optional=("location",))
     actuator_id = _as(araw["actuator"], str, f"{ap}.actuator")
-    action = _as(araw["action"], str, f"{ap}.action")
-    location = araw.get("location", getattr(
-        registry.actuators.get(actuator_id), "location", None))
-    feats = _section(araw, "affected_features", list, ap)
-    if not feats:
-        raise ParseError("affected_features must be non-empty", path=ap)
-
     return Rule(
-        id=rid,
-        controller=controller,
+        id=entry["id"],
+        controller=entry["controller"],
         trigger=TriggerCondition(
-            sensor_kind=kind, comparator=comparator, threshold=threshold,
-            unit=unit, location_filter=location_filter, schedule=schedule),
+            sensor_kind=kind,
+            comparator=_parse_cmp(traw["comparator"], f"{tp}.comparator"),
+            threshold=traw["threshold"],
+            unit=traw.get("unit", registry.kind_unit.get(kind)),
+            location_filter=traw.get("location_filter"),
+            schedule=_tuple(traw.get("schedule"))),
         action=ActionSpec(
-            actuator=actuator_id, action=action, location=location,
+            actuator=actuator_id, action=araw["action"],
+            location=araw.get("location", getattr(
+                registry.actuators.get(actuator_id), "location", None)),
             affected_features=frozenset(
-                _as(f, str, f"{ap}.affected_features") for f in feats)),
+                _as(f, str, f"{ap}.affected_features")
+                for f in _section(araw, "affected_features", list, ap))),
     )
 
 
 def _parse_feature_deps(raw, registry: Registry) -> FeatureDependencyGraph:
-    # The graph checks that each edge joins two declared features and is no
+    # The graph checks that each edge is a pair of declared features and no
     # self-loop.
     edges: set[tuple[str, str]] = set()
     for i, entry in enumerate(raw):
         p = f"feature_deps[{i}]"
-        if not isinstance(entry, list) or len(entry) != 2:
+        if not isinstance(entry, list):
             raise ParseError("dependency edge must be [from, to]", path=p)
         edges.add(tuple(_as(x, str, p) for x in entry))
     return FeatureDependencyGraph(nodes=registry.features,

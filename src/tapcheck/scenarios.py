@@ -22,10 +22,11 @@ use :func:`with_probability` or ``dataclasses.replace`` to build sweeps.
 
 The document readers here (:func:`parse_house`, :func:`parse_sources`,
 :func:`load_scenario_bundle`) check only a document's shape: known keys,
-lists and mappings, comparator tokens, room ids among the declared
-locations, and momentary actuators. They turn lists into tuples and pass
-every value on as it is to the setup types of :mod:`tapcheck.simulator`,
-which check it as a value built in code is checked.
+lists and mappings, comparator tokens and room ids among the declared
+locations. They turn lists into tuples and pass every value on as it is to
+the setup types of :mod:`tapcheck.simulator`, which check it as a value
+built in code is checked. The house's momentary actuators are checked when
+a run starts, as for a house built in code.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -40,19 +41,18 @@ from .parsing import (
     _keys,
     _parse_cmp,
     _section,
+    _tuple,
     load_document,
     read_text,
 )
 from .simulator import (
     HOUSE_PARAMETERS,
-    OUTDOOR_TRACES,
     HouseModel,
     HouseParams,
     RoomState,
     Scenario,
     SourceSpec,
     TraceReport,
-    momentary_actuators,
     run_arm,
 )
 
@@ -63,15 +63,10 @@ _ROOM_FIELDS = {f.name for f in fields(RoomState)
                 if f.name not in ("name", "outdoor_exposed", "luminance")}
 
 
-def _tuple(value):
-    """A document list as a tuple; any other value as it is, for the type
-    it sets to check."""
-    return tuple(value) if isinstance(value, list) else value
-
-
 def parse_house(raw: dict, registry) -> HouseModel:
     """Read the ``house`` section of a fixture document; ``HouseModel`` and
-    the types it holds check the values."""
+    the types it holds check the values, and a run its momentary
+    actuators."""
     _keys(raw, "house", "house", optional=(
         "rooms", "params", "adjacency", "outdoor", "momentary"))
     rooms = []
@@ -98,16 +93,10 @@ def parse_house(raw: dict, registry) -> HouseModel:
     # Ids must be hashable to build the set.
     momentary = frozenset(_as(a, str, "house.momentary") for a in _section(
         raw, "momentary", list, "house.momentary"))
-    house = HouseModel(
+    return HouseModel(
         rooms=tuple(rooms), adjacency=adjacency, params=params,
         outdoor_temperature=_tuple(outdoor.get("temperature", 70.0)),
         daylight=_tuple(outdoor.get("daylight", 300.0)), momentary=momentary)
-    # Checked on load, even if no rule ever drives the actuator.
-    try:
-        momentary_actuators(house, registry.actuators)
-    except SimulationError as exc:
-        raise ParseError(str(exc), path="house.momentary") from exc
-    return house
 
 
 @dataclass(frozen=True)
@@ -146,13 +135,11 @@ def load_bundle(name: str) -> Bundle:
     return _bundle(doc, text)
 
 
-def _parse_overrides(raw, path: str) -> dict | None:
-    """House overrides read from a scenario file (None when absent): a
-    mapping of physics parameters and outdoor traces, whose values
-    ``Scenario`` checks."""
-    if raw is None:
-        return None
-    _keys(raw, "override", path, optional=HOUSE_PARAMETERS | {*OUTDOOR_TRACES})
+def _parse_overrides(raw):
+    """House overrides read from a scenario file, their lists as tuples;
+    ``Scenario`` checks the mapping, its keys and its values."""
+    if not isinstance(raw, dict):
+        return raw
     return {k: _tuple(v) for k, v in raw.items()}
 
 
@@ -242,8 +229,7 @@ def load_scenario_bundle(path: str) -> tuple[Scenario, Bundle]:
         horizon=meta["horizon"],
         seed=meta.get("seed", 0),
         detector=detector,
-        baseline_overrides=_parse_overrides(
-            meta.get("baseline_overrides"), "scenario.baseline_overrides"),
+        baseline_overrides=_parse_overrides(meta.get("baseline_overrides")),
         description=meta.get("description", ""),
     )
     return scenario, _bundle(doc, text)

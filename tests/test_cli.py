@@ -858,6 +858,34 @@ def _mutation_spots(node):
             yield node, key, False
 
 
+# Two rules of rival controllers fire on one tap reading and drive one
+# lamp, so each simulated log row carries the rule ids and the sensor.
+RIVAL_TAPS = """
+scenario: {id: rival_taps, horizon: 40}
+registry:
+  locations: [hall]
+  controllers: [app, "ctl,2"]
+  sensors:
+    - {id: tap1, kind: lamp_cmd, unit: cmd, location: hall, range: [0, 1]}
+  actuators:
+    - {id: lamp1, kind: light, location: hall, actions: ["on", "off"]}
+  features: [luminance@hall]
+rules:
+  - id: r_on
+    controller: app
+    trigger: {sensor_kind: lamp_cmd, comparator: "==", threshold: 1}
+    action: {actuator: lamp1, action: "on", affected_features: [luminance@hall]}
+  - id: r_off
+    controller: "ctl,2"
+    trigger: {sensor_kind: lamp_cmd, comparator: "==", threshold: 1}
+    action: {actuator: lamp1, action: "off", affected_features: [luminance@hall]}
+house:
+  rooms: [{id: hall}]
+sources:
+  - {name: taps, sensor: tap1, p: 0.3}
+"""
+
+
 class TestUserScenarioFiles:
     def test_simulate_accepts_scenario_file(self, tmp_path):
         doc = tmp_path / "race.yaml"
@@ -1029,9 +1057,39 @@ class TestUserScenarioFiles:
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_rival_taps_round_trip_through_report(self, tmp_path):
+        doc = tmp_path / "taps.yaml"
+        doc.write_text(RIVAL_TAPS, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(doc), "--out",
+                     str(out)]) == 1
+        assert main(["report", "--out", str(out)]) == 1
+
     @pytest.mark.parametrize("old,new,message", [
-        ("{id: lampB, kind: light,", "{id: lampB, kind: sprinkler,",
-         "which is not simulated"),
+        ("r_on", '"r,on"', "rule 'r,on'"),
+        ("r_on", '"r\\non"', "rule 'r\\non'"),
+        ("r_on", '"r\\u2028on"', "rule 'r\\u2028on'"),
+        ("tap1", '"tap,1"', "sensor 'tap,1'"),
+        ("lamp1", '"lamp,1"', "actuator 'lamp,1'"),
+        ("kind: lamp_cmd", 'kind: "lamp\\rcmd"', "sensor kind 'lamp\\rcmd'"),
+        ("locations: [hall]", 'locations: ["hall,1"]', "location 'hall,1'"),
+    ], ids=["rule_comma", "rule_newline", "rule_line_separator",
+            "sensor_comma", "actuator_comma", "kind_return",
+            "location_comma"])
+    def test_name_that_would_split_a_row_exits_two(self, old, new, message,
+                                                   tmp_path, capsys):
+        # A comma or line break in a name a log row carries would make
+        # simulate write rows that report and monitor reject.
+        doc = tmp_path / "taps.yaml"
+        doc.write_text(RIVAL_TAPS.replace(old, new), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(doc), "--out",
+                     str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {message} must hold no comma or line break\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old,new,message", [
         ("temperature: 70,", "temprature: 10,",
          "unknown room key 'temprature'"),
     ])
@@ -1177,19 +1235,18 @@ sources: []
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("overrides,error", [
-        ("{k_loss: abc}", SimulationError), ("[1]", ParseError),
-        ("0", ParseError), ("{k_los: 1}", ParseError)],
+    @pytest.mark.parametrize("overrides", [
+        "{k_loss: abc}", "[1]", "0", "{k_los: 1}"],
         ids=["{k_loss: abc}", "[1]", "0", "{k_los: 1}"])
-    def test_bad_baseline_overrides_rejected_on_load(self, overrides, error,
+    def test_bad_baseline_overrides_rejected_on_load(self, overrides,
                                                      tmp_path):
-        # Rejected as the file is read, before either arm simulates: the
-        # document's shape by the reader, a value by Scenario.
+        # Rejected as the file is read, before either arm simulates:
+        # Scenario judges the mapping, its keys and its values.
         doc = tmp_path / "bad.yaml"
         doc.write_text(USER_SCENARIO.replace(
             "  seed: 4\n", f"  seed: 4\n  baseline_overrides: {overrides}\n"),
             encoding="utf-8")
-        with pytest.raises(error, match="baseline_overrides"):
+        with pytest.raises(SimulationError, match="baseline_overrides"):
             scenarios.load_scenario_bundle(str(doc))
 
     def test_two_readings_of_one_sensor_at_one_tick_exit_two(self, tmp_path,

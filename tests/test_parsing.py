@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen import FIXTURES, random_ruleset
-from test_cli import MUTATION_ALPHABET, mutated
+from test_cli import MUTATION_ALPHABET, USER_SCENARIO, mutated
 from tapcheck.cli import main
 from tapcheck import parsing
 from tapcheck.errors import (
@@ -24,6 +24,7 @@ from tapcheck.errors import (
     InvalidConfigError,
     ParseError,
     ReferentialIntegrityError,
+    SimulationError,
     TapcheckError,
 )
 from tapcheck.model import (
@@ -40,7 +41,13 @@ from tapcheck.model import (
     TriggerCondition,
 )
 from tapcheck.parsing import _load_yaml, load_document, serialize_document
-from tapcheck.scenarios import fixture_text, load_bundle, load_scenario_bundle
+from tapcheck.scenarios import (
+    fixture_text,
+    load_bundle,
+    load_scenario_bundle,
+    run_scenario,
+)
+from tapcheck.simulator import run_arm
 
 GENERATED = [f"generated{seed}" for seed in range(10)]
 needs_libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
@@ -138,14 +145,6 @@ class TestParseRuleset:
                                  r"not \(900, 100\)$"):
             load_document(doc)
 
-    def test_schedule_bounds_must_be_integers(self):
-        # A bool is an int to Python, so [false, true] once read as [0, 1).
-        doc = MINIMAL.replace("threshold: 65}",
-                              "threshold: 65, schedule: [false, true]}")
-        with pytest.raises(ParseError, match="integer") as err:
-            load_document(doc)
-        assert err.value.path == "rules[0].trigger.schedule"
-
     def test_identity_relation_must_be_same(self):
         doc = MINIMAL + """
 action_relations:
@@ -181,8 +180,7 @@ detector:
         with pytest.raises(error, match=f"^{message}$"):
             load_document(f"{MINIMAL}feature_deps: {deps}\n")
 
-    @pytest.mark.parametrize("deps", ["[[temperature@room1]]", "[temp]",
-                                      "[[temperature@room1, 5]]"])
+    @pytest.mark.parametrize("deps", ["[temp]", "[[temperature@room1, 5]]"])
     def test_malformed_dependency_edge_rejected(self, deps):
         with pytest.raises(ParseError, match=r"at feature_deps\[0\]"):
             load_document(f"{MINIMAL}feature_deps: {deps}\n")
@@ -215,8 +213,9 @@ detector:
         # could never fire.
         doc = MINIMAL.replace(needle, bogus)
         assert doc != MINIMAL
-        with pytest.raises(ParseError, match="finite"):
+        with pytest.raises(InvalidConfigError) as err:
             load_document(doc)
+        assert str(err.value) == "rule 'r1' trigger.threshold must be finite"
 
     @pytest.mark.parametrize("bogus,message", [
         ("range: [0, .inf]", "sensor 't1' range must be two finite numbers "
@@ -237,11 +236,11 @@ detector:
     @pytest.mark.parametrize("leaf", ["true", "'5'", "null"])
     def test_threshold_that_is_not_a_number_rejected(self, leaf):
         doc = MINIMAL.replace("threshold: 65", f"threshold: {leaf}")
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(InvalidConfigError) as err:
             load_document(doc)
         assert str(err.value) == (
-            f"value must be a number, not {yaml.safe_load(leaf)!r} "
-            "(at rules[0].trigger.threshold)")
+            "rule 'r1' trigger.threshold must be a number, not "
+            f"{yaml.safe_load(leaf)!r}")
 
     def test_negative_tolerance_rejected(self):
         # With tolerance -1 no two readings are within tolerance, so the
@@ -366,43 +365,107 @@ class TestReferenceChecks:
         assert main(["check", "--ruleset", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("build,needle,bogus,error,message", [
-        (lambda doc: replace(doc.ruleset.registry.sensors["t1"],
-                             range=(5, 1)),
+    @pytest.mark.parametrize("base,build,needle,bogus,error,message", [
+        (MINIMAL, lambda doc: replace(doc.ruleset.registry.sensors["t1"],
+                                      range=(5, 1)),
          "unit: F, location: room1}", "unit: F, location: room1, "
          "range: [5, 1]}", InvalidConfigError,
          "sensor 't1' range must be two finite numbers with low < high, "
          "not (5, 1)"),
-        (lambda doc: replace(doc.ruleset.registry.sensors["t1"],
-                             tolerance=-1),
+        (MINIMAL, lambda doc: replace(doc.ruleset.registry.sensors["t1"],
+                                      range=(1, 2, 3)),
+         "unit: F, location: room1}", "unit: F, location: room1, "
+         "range: [1, 2, 3]}", InvalidConfigError,
+         "sensor 't1' range must be two finite numbers with low < high, "
+         "not (1, 2, 3)"),
+        (MINIMAL, lambda doc: replace(doc.ruleset.registry.sensors["t1"],
+                                      tolerance=-1),
          "unit: F, location: room1}", "unit: F, location: room1, "
          "tolerance: -1}", InvalidConfigError,
          "sensor 't1' tolerance must be >= 0"),
-        (lambda doc: replace(doc.ruleset.registry.actuators["th1"],
-                             actions=("heat", "heat")),
+        (MINIMAL, lambda doc: replace(doc.ruleset.registry.actuators["th1"],
+                                      actions=("heat", "heat")),
          'actions: [heat, "off"]', "actions: [heat, heat]", DuplicateIdError,
          "duplicate action name on actuator 'th1'"),
-        (lambda doc: replace(doc.config.action_relations, entries={
+        (MINIMAL, lambda doc: replace(doc.config.action_relations, entries={
             ActionRelationTable.key("thermostat", "heat", "thermostat",
                                     "heat"): Relation.OPPOSITE}),
          "rules:\n", "action_relations:\n  thermostat:\n"
          "    - [heat, heat, opposite]\nrules:\n", InvalidConfigError,
          "action relations entries must map (('thermostat', 'heat'), "
          "('thermostat', 'heat')) to 'same', not 'opposite'"),
-    ], ids=["range", "tolerance", "actions", "identical_pair"])
+        (MINIMAL, lambda doc: replace(doc.config.dependency_graph,
+                                      edges=frozenset({("a", "b", "c")})),
+         "rules:\n", "feature_deps: [[a, b, c]]\nrules:\n",
+         InvalidConfigError, "dependency graph edges must be pairs of "
+         "features, not ('a', 'b', 'c')"),
+        (MINIMAL, lambda doc: _rule(doc.ruleset, trigger={"threshold": "abc"}),
+         "threshold: 65}", "threshold: abc}", InvalidConfigError,
+         "rule 'r1' trigger.threshold must be a number, not 'abc'"),
+        (MINIMAL, lambda doc: _rule(doc.ruleset, trigger={"threshold": True}),
+         "threshold: 65}", "threshold: true}", InvalidConfigError,
+         "rule 'r1' trigger.threshold must be a number, not True"),
+        (MINIMAL, lambda doc: _rule(doc.ruleset,
+                                    trigger={"schedule": (1, 2, 3)}),
+         "threshold: 65}", "threshold: 65, schedule: [1, 2, 3]}",
+         InvalidConfigError, "rule 'r1' schedule must be a pair of integers "
+         "with 0 <= start < end <= 864, not (1, 2, 3)"),
+        # A bool is an int to Python, so [false, true] once read as [0, 1).
+        (MINIMAL, lambda doc: _rule(doc.ruleset,
+                                    trigger={"schedule": (False, True)}),
+         "threshold: 65}", "threshold: 65, schedule: [false, true]}",
+         InvalidConfigError, "rule 'r1' schedule must be a pair of integers "
+         "with 0 <= start < end <= 864, not (False, True)"),
+        (MINIMAL, lambda doc: _rule(doc.ruleset,
+                                    trigger={"location_filter": 5}),
+         "threshold: 65}", "threshold: 65, location_filter: 5}",
+         ReferentialIntegrityError,
+         "rule 'r1' filters on undeclared location 5"),
+        (MINIMAL, lambda doc: _rule(doc.ruleset, action={
+            "affected_features": frozenset()}),
+         "affected_features: [temperature@room1]", "affected_features: []",
+         InvalidConfigError,
+         "rule 'r1' action.affected_features must be non-empty"),
+        (USER_SCENARIO, lambda scenario, bundle: replace(
+            scenario, baseline_overrides={"k_los": 1}),
+         "  seed: 4\n", "  seed: 4\n  baseline_overrides: {k_los: 1}\n",
+         SimulationError, "scenario 'night_light_race' baseline_overrides "
+         "has unknown key 'k_los'"),
+        (USER_SCENARIO, lambda scenario, bundle: run_arm(
+            scenario, bundle.ruleset, bundle.config,
+            replace(bundle.house, momentary=frozenset({"ghost"}))),
+         "momentary: [lampA, lampB]", "momentary: [ghost]", SimulationError,
+         "momentary actuator 'ghost' is not declared"),
+    ], ids=["range", "range_triple", "tolerance", "actions", "identical_pair",
+            "edge_triple", "threshold_text", "threshold_bool",
+            "schedule_triple", "schedule_bools", "location_filter_number",
+            "affected_features_empty", "override_key", "momentary_ghost"])
     def test_library_and_document_share_one_record_error(
-            self, build, needle, bogus, error, message, tmp_path, capsys):
-        # The records judge what the parser once did, with one text.
-        with pytest.raises(error) as built:
-            build(load_document(MINIMAL))
-        assert MINIMAL.count(needle) == 1
-        text = MINIMAL.replace(needle, bogus)
-        with pytest.raises(error) as loaded:
-            load_document(text)
-        assert str(built.value) == str(loaded.value) == message
+            self, base, build, needle, bogus, error, message, tmp_path,
+            capsys):
+        # The records judge what the parser once did, with one text. A
+        # scenario document is read and run, as ``simulate`` does.
         path = tmp_path / "bad.yaml"
-        path.write_text(text, encoding="utf-8")
-        assert main(["check", "--ruleset", str(path)]) == 2
+        path.write_text(base, encoding="utf-8")
+        ruleset = base is MINIMAL
+        if ruleset:
+            good = (load_document(base),)
+            argv = ["check", "--ruleset", str(path)]
+        else:
+            good = load_scenario_bundle(str(path))
+            argv = ["simulate", "--scenario", str(path),
+                    "--out", str(tmp_path / "out")]
+        with pytest.raises(error) as built:
+            build(*good)
+        assert base.count(needle) == 1
+        path.write_text(base.replace(needle, bogus), encoding="utf-8")
+        with pytest.raises(error) as loaded:
+            if ruleset:
+                load_document(base.replace(needle, bogus))
+            else:
+                run_scenario(*load_scenario_bundle(str(path)))
+        assert str(built.value) == str(loaded.value) == message
+        assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
@@ -649,6 +712,36 @@ class TestRoundTrip:
         assert doc.ruleset == rs
         assert doc.config == cfg
         assert serialize_document(doc.ruleset, doc.config) == text
+
+    def test_integer_threshold_kept(self):
+        # A threshold keeps the number its document gives, as a range does.
+        doc = load_document(MINIMAL)
+        threshold = doc.ruleset.rules[0].trigger.threshold
+        assert type(threshold) is int and threshold == 65
+        text = serialize_document(doc.ruleset, doc.config)
+        assert "    threshold: 65\n" in text
+        again = load_document(text)
+        assert serialize_document(again.ruleset, again.config) == text
+
+    def test_integer_threshold_outputs_match_its_float(self, tmp_path,
+                                                       capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("tick,sensor,kind,predicate,value,location\n"
+                         "0,t1,temperature,<,60.0,room1\n"
+                         "2,t1,temperature,<,60.0,room1\n"
+                         "3,t1,temperature,==,65.0,room1\n",
+                         encoding="utf-8")
+        outputs = []
+        for threshold in ("65", "65.0"):
+            path = tmp_path / f"threshold_{threshold}.yaml"
+            path.write_text(MINIMAL.replace(
+                "threshold: 65", f"threshold: {threshold}"), encoding="utf-8")
+            assert main(["check", "--ruleset", str(path)]) == 0
+            assert main(["monitor", "--ruleset", str(path),
+                         "--trace", str(trace)]) == 1
+            outputs.append(capsys.readouterr())
+        assert ",C7," in outputs[0].out
+        assert outputs[0] == outputs[1]
 
 
 def _source_text(source: str) -> str:

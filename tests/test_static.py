@@ -121,6 +121,29 @@ class TestStaticExamples:
         found = tags(static_check(rs, cfg))
         assert ("C1", "r_a", "r_b") in found
 
+    @pytest.mark.parametrize("cmp", [">", "<"])
+    @pytest.mark.parametrize("equal_first", [False, True],
+                             ids=["strict_first", "equal_first"])
+    def test_touching_interval_tips_share_no_reading(self, cmp, equal_first):
+        # ``temp > 50`` (or ``< 50``) and ``temp == 50`` meet only at 50,
+        # which the strict trigger leaves out, so no one reading fires both:
+        # the pair conflicts across readings (C3, C4), never on one (C1).
+        rules = [("r_strict", "x", ("temperature", cmp, 50),
+                  ("th1", "heat", ["temperature@room1"])),
+                 ("r_eq", "y", ("temperature", "==", 50),
+                  ("th1", "cool", ["temperature@room1"]))]
+        rs, cfg = build_home(
+            sensors=[("t1", "temperature", "F", "room1")],
+            actuators=[("th1", "thermostat", "room1", ("heat", "cool"))],
+            controllers=["x", "y"],
+            features=["temperature@room1"],
+            rules=rules[::-1] if equal_first else rules,
+            relations={"thermostat": [("heat", "cool", "opposite")]})
+        found = tags(static_check(rs, cfg))
+        assert found == {(p.kind.value, p.rule_a, p.rule_b)
+                         for p in oracle_static(rs, cfg)}
+        assert {kind for kind, *_ in found} == {"C3", "C4"}
+
 
 class TestSimilarEventsPastWindow:
     def test_one_similar_sensor_stacks_overlapping_and_disjoint(self):
