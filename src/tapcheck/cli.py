@@ -40,7 +40,13 @@ from typing import Iterator
 import numpy as np
 
 from . import scenarios as scen
-from .detector import Conflict, ConflictKind, DetectionWindow, detect_at_tick
+from .detector import (
+    NOTES,
+    Conflict,
+    ConflictKind,
+    DetectionWindow,
+    detect_at_tick,
+)
 from .errors import (
     InvalidEventError,
     TapcheckError,
@@ -186,16 +192,25 @@ def format_event_row(event: Event) -> str:
             f"{event.signature.location}")
 
 
+# Bound once: reading a member through its enum class costs more than the
+# rest of the kind test.
+_C7 = ConflictKind.C7
+
+
 def format_conflict_row(conflict: Conflict) -> str:
-    note = conflict.note.replace(",", ";")
+    """One conflict log row, its note column the finding's ``note``. A C7
+    row, most of a chatty stream's log, is one f-string holding the text of
+    ``NOTES[C7]``; a pair row calls its kind's ``NOTES`` entry."""
     kind = conflict.kind
-    if kind is ConflictKind.C7:
-        e1, e2 = conflict.first, conflict.second
-        return f"{conflict.tick},{KIND_TEXT[kind]},,,{e1.id},{e2.id},,{note}"
     a, b = conflict.first, conflict.second
+    if kind is _C7:
+        return (f"{conflict.tick},C7,,,{a.id},{b.id},,sensor {b.sensor} "
+                f"repeated value {a.value:g} after {b.time - a.time} "
+                "tick(s)")
     actuator = a.action.actuator
     if b.action.actuator != actuator:
         actuator = f"{actuator}/{b.action.actuator}"
+    note = NOTES[kind](b, a) if conflict._swapped else NOTES[kind](a, b)
     return (f"{conflict.tick},{KIND_TEXT[kind]},{a.rule},{b.rule},"
             f"{a.event.id},{b.event.id},{actuator},{note}")
 

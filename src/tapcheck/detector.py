@@ -75,7 +75,6 @@ from .errors import (
 )
 from .model import (
     ActionSpec,
-    Cmp,
     DetectorConfig,
     Event,
     EventSignature,
@@ -189,29 +188,12 @@ class Conflict:
 
     @property
     def note(self) -> str:
-        """One line saying what the participants did."""
+        """One line saying what the participants did (``NOTES``)."""
         kind = self.kind
         a, b = self.first, self.second
-        if kind is ConflictKind.C7:
-            return (f"sensor {b.sensor} repeated value {a.value:g} after "
-                    f"{b.time - a.time} tick(s)")
-        if self._swapped:
+        if self._swapped and kind is not ConflictKind.C7:
             a, b = b, a
-        if kind is ConflictKind.C1:
-            return (f"controllers {a.controller} and {b.controller} both "
-                    f"drive {a.action.actuator}")
-        if kind is ConflictKind.C2:
-            return (f"{a.action.actuator} and {b.action.actuator} touch "
-                    f"related features under controllers {a.controller} "
-                    f"and {b.controller}")
-        if kind is ConflictKind.C3 or kind is ConflictKind.C5:
-            how = "overlapping" if kind is ConflictKind.C3 else "disjoint"
-            return (f"{how} events {a.event.id} and {b.event.id} command "
-                    f"{a.action.actuator}: {a.action.action}/"
-                    f"{b.action.action}")
-        how = "overlapping" if kind is ConflictKind.C4 else "disjoint"
-        return (f"{how} events push opposite actions "
-                f"{a.action.action}/{b.action.action} on related features")
+        return NOTES[kind](a, b)
 
     def key(self) -> tuple:
         """Identity used to compare detector output against reference
@@ -221,6 +203,38 @@ class Conflict:
             return (self.kind.value, self.tick,
                     ((a.time, a.id), (b.time, b.id)))
         return (self.kind.value, self.tick, (a._key, b._key))
+
+
+# Each kind's note, one line saying what the participants did: the two
+# raw events of a C7, and the two firings of a pair in the order the
+# detector met them. ``Conflict.note`` reads every entry and
+# ``cli.format_conflict_row`` the pair kinds'; it writes the C7 text in
+# the f-string of its row, and a test holds every logged note to ``note``.
+# Every name a note carries is row-checked, so no note holds a comma or a
+# line break.
+NOTES = {
+    ConflictKind.C1: lambda a, b: (
+        f"controllers {a.controller} and {b.controller} both drive "
+        f"{a.action.actuator}"),
+    ConflictKind.C2: lambda a, b: (
+        f"{a.action.actuator} and {b.action.actuator} touch related "
+        f"features under controllers {a.controller} and {b.controller}"),
+    ConflictKind.C3: lambda a, b: (
+        f"overlapping events {a.event.id} and {b.event.id} command "
+        f"{a.action.actuator}: {a.action.action}/{b.action.action}"),
+    ConflictKind.C4: lambda a, b: (
+        f"overlapping events push opposite actions "
+        f"{a.action.action}/{b.action.action} on related features"),
+    ConflictKind.C5: lambda a, b: (
+        f"disjoint events {a.event.id} and {b.event.id} command "
+        f"{a.action.actuator}: {a.action.action}/{b.action.action}"),
+    ConflictKind.C6: lambda a, b: (
+        f"disjoint events push opposite actions "
+        f"{a.action.action}/{b.action.action} on related features"),
+    ConflictKind.C7: lambda a, b: (
+        f"sensor {b.sensor} repeated value {a.value:g} after "
+        f"{b.time - a.time} tick(s)"),
+}
 
 
 # The detector fills each record's slots through these, with no Python
@@ -382,7 +396,7 @@ class DetectionWindow:
         add events at this tick, never at an earlier one. Every check runs
         before the window changes, in this order: each event's tick and
         value (``check_reading``), and the types of its id and sensor (str)
-        and signature (an ``EventSignature`` with a ``Cmp`` predicate),
+        and signature (an ``EventSignature``, which checked its own fields),
         before anything hashes or compares them; the stream's invariants
         (ticks never decrease, one tick per batch, event ids unique in the
         window since pairs tell events apart by id, one reading per sensor
@@ -402,8 +416,7 @@ class DetectionWindow:
                     f"event {event.id!r} sensor {event.sensor!r} is not a "
                     "string")
             signature = event.signature
-            if not (isinstance(signature, EventSignature)
-                    and isinstance(signature.predicate, Cmp)):
+            if not isinstance(signature, EventSignature):
                 raise InvalidEventError(
                     f"event {event.id!r} signature {signature!r} is not an "
                     "EventSignature with a Cmp predicate")

@@ -275,7 +275,8 @@ class Sensor:
 
 @dataclass(frozen=True)
 class Actuator:
-    """A declared actuator, with at least one action and no action twice."""
+    """A declared actuator, with at least one action, no action twice and
+    no comma or line break in an action, as conflict notes carry them."""
 
     id: str
     kind: str
@@ -290,6 +291,8 @@ class Actuator:
                 f"{what} actions must hold at least one action")
         if len(set(self.actions)) != len(self.actions):
             raise DuplicateIdError(f"duplicate action name on {what}")
+        for action in self.actions:
+            _check_row_name(action, f"{what} action")
 
 
 @dataclass(frozen=True)
@@ -350,8 +353,10 @@ class Registry:
     Every sensor and actuator sits in a declared location, the sensors of
     one kind read in one unit, and the actuators of one kind share one
     vocabulary; any other registry raises ``ReferentialIntegrityError``.
-    The names a CSV row carries (locations, sensor and actuator ids, sensor
-    kinds) hold no comma or line break (``InvalidConfigError``)."""
+    The names a CSV row carries (locations, controllers, sensor and
+    actuator ids, sensor kinds, and each actuator's actions, which the
+    ``Actuator`` checks) hold no comma or line break
+    (``InvalidConfigError``)."""
 
     locations: tuple[str, ...]
     sensors: dict[str, Sensor]
@@ -366,8 +371,8 @@ class Registry:
             if len(set(names)) != len(names):
                 twice = next(n for i, n in enumerate(names) if n in names[:i])
                 raise DuplicateIdError(f"duplicate {what} {twice!r}")
-        for name in self.locations:
-            _check_row_name(name, "location")
+            for name in names:
+                _check_row_name(name, what)
         locations = set(self.locations)
         for what, records in (("sensor", self.sensors),
                               ("actuator", self.actuators)):

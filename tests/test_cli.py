@@ -7,7 +7,9 @@ import math
 import tempfile
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -318,6 +320,27 @@ class TestMonitor:
         out = capsys.readouterr().out
         assert out.count("C7") >= 1
         assert "C7=1" in out
+
+    def test_signed_zero_readings_keep_their_sign_in_c7_rows(self, tmp_path):
+        # -0.0 == 0.0, so each later reading repeats each earlier one, yet
+        # a note prints the earlier reading with its own sign: a note text
+        # kept per value would print one sign for both.
+        doc = tmp_path / "dup.yaml"
+        doc.write_text(fixture_text("c7_duplicate"), encoding="utf-8")
+        trace = tmp_path / "trace.csv"
+        trace.write_text(
+            "tick,sensor,kind,predicate,value,location\n"
+            "0,temp1,temperature,==,-0.0,room1\n"
+            "1,temp1,temperature,==,0.0,room1\n"
+            "2,temp1,temperature,==,0.0,room1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["monitor", "--ruleset", str(doc), "--trace", str(trace),
+                     "--out", str(out)]) == 1
+        assert (out / "conflicts.csv").read_text(encoding="utf-8") == (
+            f"{CONFLICT_HEADER}\n"
+            "1,C7,,,e1,e2,,sensor temp1 repeated value -0 after 1 tick(s)\n"
+            "2,C7,,,e1,e3,,sensor temp1 repeated value -0 after 2 tick(s)\n"
+            "2,C7,,,e2,e3,,sensor temp1 repeated value 0 after 1 tick(s)\n")
 
     def test_out_of_order_trace_names_line(self, alarm_ruleset, tmp_path,
                                            capsys):
@@ -700,6 +723,68 @@ class TestSimulate:
         assert "--seed" in err
 
 
+def pinned_arm(sid):
+    """The arm ``simulate --scenario <sid> --seed 1`` runs, with its
+    bundle."""
+    scenario = scenarios.build(sid)
+    bundle = scenarios.load_bundle(scenario.ruleset)
+    return scenarios.run_scenario(replace(scenario, seed=1), bundle), bundle
+
+
+def log_digest(rows):
+    return hashlib.sha256("".join(
+        f"{row}\n" for row in [CONFLICT_HEADER, *rows]).encode()).hexdigest()
+
+
+class TestConflictRows:
+    """Each column of a conflict log row is read off its finding, the note
+    column is the finding's ``note``, and no row splits, on the pinned
+    monitor streams and simulate arms."""
+
+    @staticmethod
+    def rows_read_off(findings):
+        rows = []
+        for c in findings:
+            row = cli.format_conflict_row(c)
+            a, b = c.first, c.second
+            if c.kind is ConflictKind.C7:
+                head = [str(c.tick), "C7", "", "", a.id, b.id, ""]
+            else:
+                actuator = a.action.actuator
+                if b.action.actuator != actuator:
+                    actuator += f"/{b.action.actuator}"
+                head = [str(c.tick), c.kind.value, a.rule, b.rule,
+                        a.event.id, b.event.id, actuator]
+            assert row.split(",", 7) == [*head, c.note]
+            assert len(row.split(",")) == 8 and row.splitlines() == [row]
+            rows.append(row)
+        return rows
+
+    @pytest.mark.parametrize("sid", sorted(SIMULATE_DIGESTS))
+    def test_simulate_arm(self, sid):
+        report, _ = pinned_arm(sid)
+        rows = self.rows_read_off(report.conflicts)
+        assert log_digest(rows) == SIMULATE_DIGESTS[sid][2]
+
+    @pytest.mark.parametrize("stream", sorted(MONITOR_DIGESTS))
+    def test_monitor_stream(self, stream):
+        if stream == "house":
+            doc = load_document(fixture_text("house"))
+            ruleset, cfg = doc.ruleset, doc.config
+            text = trace_text(dense_trace(ruleset, 2))
+        else:
+            report, bundle = pinned_arm(stream)
+            ruleset, cfg = bundle.ruleset, bundle.config
+            text = trace_text(report.events)
+        window = cli.DetectionWindow(cfg)
+        found = []
+        for _, batch in groupby(cli.parse_trace(text, ruleset),
+                                key=attrgetter("time")):
+            found += cli.detect_at_tick(list(batch), ruleset, window, cfg)
+        rows = self.rows_read_off(found)
+        assert log_digest(rows) == MONITOR_DIGESTS[stream]
+
+
 class TestMonitorReplaysSimulate:
     @pytest.mark.parametrize("sid", [f"S{i}" for i in range(1, 9)])
     def test_same_conflict_log(self, sid, tmp_path, capsys):
@@ -864,7 +949,7 @@ RIVAL_TAPS = """
 scenario: {id: rival_taps, horizon: 40}
 registry:
   locations: [hall]
-  controllers: [app, "ctl,2"]
+  controllers: [app, ctl2]
   sensors:
     - {id: tap1, kind: lamp_cmd, unit: cmd, location: hall, range: [0, 1]}
   actuators:
@@ -876,7 +961,7 @@ rules:
     trigger: {sensor_kind: lamp_cmd, comparator: "==", threshold: 1}
     action: {actuator: lamp1, action: "on", affected_features: [luminance@hall]}
   - id: r_off
-    controller: "ctl,2"
+    controller: ctl2
     trigger: {sensor_kind: lamp_cmd, comparator: "==", threshold: 1}
     action: {actuator: lamp1, action: "off", affected_features: [luminance@hall]}
 house:
@@ -1073,9 +1158,13 @@ class TestUserScenarioFiles:
         ("lamp1", '"lamp,1"', "actuator 'lamp,1'"),
         ("kind: lamp_cmd", 'kind: "lamp\\rcmd"', "sensor kind 'lamp\\rcmd'"),
         ("locations: [hall]", 'locations: ["hall,1"]', "location 'hall,1'"),
+        ("ctl2", '"ctl,2"', "controller 'ctl,2'"),
+        ("ctl2", '"ctl\\n2"', "controller 'ctl\\n2'"),
+        ('"off"', '"of,f"', "actuator 'lamp1' action 'of,f'"),
     ], ids=["rule_comma", "rule_newline", "rule_line_separator",
             "sensor_comma", "actuator_comma", "kind_return",
-            "location_comma"])
+            "location_comma", "controller_comma", "controller_newline",
+            "action_comma"])
     def test_name_that_would_split_a_row_exits_two(self, old, new, message,
                                                    tmp_path, capsys):
         # A comma or line break in a name a log row carries would make

@@ -50,15 +50,6 @@ from tapcheck.model import (
 )
 
 
-def unchecked_signature(*values):
-    """A signature built past its own field check, as unpickling one
-    does."""
-    signature = object.__new__(EventSignature)
-    for name, value in zip(("sensor_kind", "predicate", "location"), values):
-        object.__setattr__(signature, name, value)
-    return signature
-
-
 def pairs_of(kind, rs, cfg, events):
     """The findings of one policy over a stream of tick-sorted events, fed
     to ``detect_at_tick`` one tick per call."""
@@ -929,14 +920,13 @@ class TestDetectAtTick:
         ({"id": ["e1"]}, InvalidEventError),
         ({"sensor": ["smoke1"]}, InvalidEventError),
         ({"signature": None}, InvalidEventError),
-        ({"signature": unchecked_signature("smoke", "==", "room1")},
-         InvalidEventError),
+        ({"signature": ("smoke", Cmp.EQ, "room1")}, InvalidEventError),
         ({"unit": "F"}, InvalidEventError)],
         ids=["location", "kind", "undeclared", "negative", "fraction",
              "bool", "nan", "inf", "-inf", "str-value", "none-value",
              "bool-value", "huge-int-value", "str5-value", "np-int-value",
              "str-tick", "nan-tick", "none-tick", "int-id", "list-id", "list-sensor",
-             "none-signature", "str-predicate", "unit"])
+             "none-signature", "tuple-signature", "unit"])
     def test_reading_off_its_sensor_or_domain_rejected(self, alarm_home,
                                                        fault, error):
         # The same checks a trace file's rows meet: each raises before the
