@@ -42,12 +42,17 @@ and events for the config horizon, in (tick, id) order. Past
 the epsilon only similar events pair: C1, C2, C5 and C6 need a gap within
 the epsilon, and C3 and C4 need overlapping events, so
 ``DetectionWindow.candidate_pairs`` forms only the pairs some policy can
-flag. C7 walks the window's events once per call, in the order its
-findings are reported in, so they need no sort.
+flag. The window counts the readings its events hold, keyed by (sensor,
+float(value)). C7 walks the window's events once per call, in the order
+its findings are reported in, so they need no sort, and only for the
+batch readings that can repeat: those of a sensor with a tolerance above
+0, and those the count shows an earlier equal reading of. A batch with
+none makes no walk.
 
 A finding costs about what its output costs: a ``Conflict`` is a slotted,
 immutable record of its kind, tick and two participants, which the
-detector fills slot by slot with no Python frame per finding. Its
+detector fills slot by slot with no Python frame per finding, as
+``match_rules`` fills each ``TriggeredAction``. Its
 ``participants`` pair, ``note`` and ``suppressible`` are derived from
 those when read, so a caller that only counts findings renders no text.
 Event signatures built once per trace kind (``cli.parse_trace``) or per
@@ -83,6 +88,7 @@ from .model import (
     Rule,
     RuleSet,
     Tick,
+    _check_row_name,
     check_reading,
     overlapping_events,
 )
@@ -98,11 +104,19 @@ class ConflictKind(str, Enum):
     C7 = "C7"
 
 
-@dataclass(frozen=True)
-class TriggeredAction:
+class _WeaklyReferable:
+    """Gives the slotted ``TriggeredAction`` its ``__weakref__`` slot, which
+    ``dataclass(weakref_slot=True)`` would give it from Python 3.11 on."""
+
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(frozen=True, slots=True)
+class TriggeredAction(_WeaklyReferable):
     """One rule firing: the event, the rule that matched it, and the command
     the owning controller would issue. ``index`` is the rule's position in
-    its ruleset, where the detector finds the rule's profile."""
+    its ruleset, where the detector finds the rule's profile. A slotted,
+    immutable record, which ``match_rules`` fills slot by slot."""
 
     event: Event
     rule: str
@@ -278,17 +292,34 @@ def match_rules(event: Event, ruleset: RuleSet) -> list[TriggeredAction]:
     return [_fire(i, rules[i], event, ruleset) for i in hits]
 
 
+# ``_fire`` fills each firing's slots through these, past the frozen
+# ``__setattr__`` and with no ``__init__`` frame: ``_new_firing``, then each
+# setter.
+_new_firing = object.__new__
+_set_event = TriggeredAction.event.__set__
+_set_rule = TriggeredAction.rule.__set__
+_set_controller = TriggeredAction.controller.__set__
+_set_action = TriggeredAction.action.__set__
+_set_actuator_kind = TriggeredAction.actuator_kind.__set__
+_set_time = TriggeredAction.time.__set__
+_set_index = TriggeredAction.index.__set__
+_set_key = TriggeredAction._key.__set__
+
+
 def _fire(i: int, rule: Rule, event: Event,
           ruleset: RuleSet) -> TriggeredAction:
-    return TriggeredAction(
-        event=event,
-        rule=rule.id,
-        controller=rule.controller,
-        action=rule.action,
-        actuator_kind=ruleset.registry.actuators[rule.action.actuator].kind,
-        time=event.time,
-        index=i,
-    )
+    """The firing the public constructor would build, slot by slot."""
+    firing = _new_firing(TriggeredAction)
+    _set_event(firing, event)
+    _set_rule(firing, rule.id)
+    _set_controller(firing, rule.controller)
+    _set_action(firing, rule.action)
+    _set_actuator_kind(
+        firing, ruleset.registry.actuators[rule.action.actuator].kind)
+    _set_time(firing, event.time)
+    _set_index(firing, i)
+    _set_key(firing, (event.time, event.id, rule.id))
+    return firing
 
 
 class RuleProfile:
@@ -350,7 +381,8 @@ class DetectionWindow:
     """Sliding record of recent firings and raw events, sized by one
     detector config: firings are kept for its ``pair_reach`` (max(eps, W),
     the farthest a pair policy looks), events and their ids for its
-    ``horizon`` (C7 and the unique-id check). Each firing is listed in
+    ``horizon`` (C7 and the unique-id check), with a count of the events
+    per reading (``check_c7``'s test for a repeat). Each firing is listed in
     tick order with all firings and with the firings of its exact event
     signature, so ``candidate_pairs`` reaches the firings past the epsilon
     whose events are similar without visiting the rest. Buckets are keyed
@@ -388,6 +420,10 @@ class DetectionWindow:
         # id with its tick.
         self._events: deque[Event] = deque()
         self._event_times: dict[str, Tick] = {}  # id -> tick
+        # How many of ``_events`` hold each reading, keyed by (sensor,
+        # float(value)), so ``check_c7`` sees which readings repeat. Two
+        # values within tolerance 0 of each other are equal as floats.
+        self._readings: dict[tuple, int] = {}
 
     def admit(self, events: list[Event], ruleset: RuleSet) -> int:
         """Take in one tick's events, at least one, with the rule firings
@@ -397,20 +433,22 @@ class DetectionWindow:
         before the window changes, in this order: each event's tick and
         value (``check_reading``), and the types of its id and sensor (str)
         and signature (an ``EventSignature``, which checked its own fields),
-        before anything hashes or compares them; the stream's invariants
-        (ticks never decrease, one tick per batch, event ids unique in the
-        window since pairs tell events apart by id, one reading per sensor
-        per tick since C7 tells a sensor's readings apart by tick); each
-        event's sensor, kind, location and unit (``match_rules``); and the
-        stream's ruleset, whose rule profiles the first call builds. The
-        batch's events join ``_events`` in id order, and with the
-        events an earlier call admitted at this tick they are sorted
-        again."""
+        before anything hashes or compares them, and its id holds no comma
+        or line break, since a conflict row carries it; the stream's
+        invariants (ticks never decrease, one tick per batch, event ids
+        unique in the window since pairs tell events apart by id, one
+        reading per sensor per tick since C7 tells a sensor's readings apart
+        by tick); each event's sensor, kind, location and unit
+        (``match_rules``); and the stream's ruleset, whose rule profiles the
+        first call builds. The batch's events join ``_events`` in id order,
+        and with the events an earlier call admitted at this tick they are
+        sorted again; each joins the count of its reading."""
         for event in events:
             check_reading(event.time, event.value)
             if not isinstance(event.id, str):
                 raise InvalidEventError(
                     f"event id {event.id!r} is not a string")
+            _check_row_name(event.id, "event id", InvalidEventError)
             if not isinstance(event.sensor, str):
                 raise InvalidEventError(
                     f"event {event.id!r} sensor {event.sensor!r} is not a "
@@ -472,8 +510,11 @@ class DetectionWindow:
         fresh.extend(events)
         fresh.sort(key=_id)
         self._events.extend(fresh)
+        event_times, readings = self._event_times, self._readings
         for event in events:
-            self._event_times[event.id] = event.time
+            event_times[event.id] = event.time
+            reading = (event.sensor, float(event.value))
+            readings[reading] = readings.get(reading, 0) + 1
         return start
 
     def policy_entry(self, i: int, j: int) -> tuple:
@@ -508,8 +549,16 @@ class DetectionWindow:
         del self._actions[:expired]
         cutoff = now - self.cfg.horizon
         events = self._events
+        readings = self._readings
         while events and events[0].time < cutoff:
-            del self._event_times[events.popleft().id]
+            event = events.popleft()
+            del self._event_times[event.id]
+            reading = (event.sensor, float(event.value))
+            held = readings[reading] - 1
+            if held:
+                readings[reading] = held
+            else:
+                del readings[reading]
 
     def candidate_pairs(self, start: int) -> Iterator[tuple]:
         """Unordered action pairs with at least one new member, the actions
@@ -649,18 +698,27 @@ def check_c7(window: DetectionWindow, events: list[Event],
     marked suppressible so enforcement can drop its actions. ``events``,
     the batch the window last admitted, is compared in one walk over the
     window's events: each meets the batch's reading of its sensor, if any,
-    whose value, signature and tolerance are read once per batch. One
-    sensor emits once per tick, so the events at the batch's tick never
-    pair with each other. The walk visits the events in (tick, id) order,
-    so the findings come out in the canonical order of ``Conflict.key``."""
-    if not events:
+    whose value, signature and tolerance are read once per batch. A reading
+    joins the walk only if its sensor has a tolerance above 0 or the
+    window's count of readings shows an earlier equal one; with none, there
+    is no walk. One sensor emits once per tick, so the events at the
+    batch's tick never pair with each other. The walk visits the events in
+    (tick, id) order, so the findings come out in the canonical order of
+    ``Conflict.key``."""
+    sensors = registry.sensors
+    readings = window._readings
+    fresh = {}
+    for later in events:
+        tolerance = sensors[later.sensor].tolerance
+        # The count holds the batch's own reading too.
+        if tolerance > 0 or readings[later.sensor, float(later.value)] > 1:
+            fresh[later.sensor] = (later, later.value, later.signature,
+                                   tolerance)
+    if not fresh:
         return []
+    reading_of = fresh.get
     tick = events[0].time
     since = tick - window.cfg.duplicate_window
-    sensors = registry.sensors
-    fresh = {later.sensor: (later, later.value, later.signature,
-                            sensors[later.sensor].tolerance)
-             for later in events}.get
     c7 = ConflictKind.C7
     out = []
     # The events at this tick end the window: the walk leaves out as many
@@ -668,7 +726,7 @@ def check_c7(window: DetectionWindow, events: list[Event],
     # earlier call admitted at this tick).
     history = window._events
     for earlier in islice(history, len(history) - len(events)):
-        hit = fresh(earlier.sensor)
+        hit = reading_of(earlier.sensor)
         if hit is not None:
             later, value, signature, tolerance = hit
             # On a chatty sensor most pairs fail the value test, the

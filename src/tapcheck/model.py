@@ -239,12 +239,12 @@ def _check_fields(record, prefix: str, error: type) -> None:
 _ROW_BREAKS = frozenset(",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
-def _check_row_name(name: str, what: str) -> None:
+def _check_row_name(name: str, what: str,
+                    error: type = InvalidConfigError) -> None:
     """Reject a name that a CSV row carries if it holds a comma or a line
-    break."""
+    break, with ``error``."""
     if not _ROW_BREAKS.isdisjoint(name):
-        raise InvalidConfigError(
-            f"{what} {name!r} must hold no comma or line break")
+        raise error(f"{what} {name!r} must hold no comma or line break")
 
 
 @dataclass(frozen=True)

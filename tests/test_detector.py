@@ -5,7 +5,7 @@ import math
 import pickle
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from tapcheck.detector import (
     ConflictKind,
     DetectionWindow,
     RuleProfile,
+    TriggeredAction,
     check_c7,
     classify_pair,
     detect_at_tick,
@@ -39,6 +40,7 @@ from tapcheck.errors import (
     UnknownFeatureError,
     UnknownSensorKindError,
 )
+from tapcheck.oracle import oracle_detect
 from tapcheck.parsing import load_document
 from tapcheck.scenarios import fixture_text
 from tapcheck.model import (
@@ -522,10 +524,100 @@ class TestC7:
         assert [c.participants[0].id for c in found] == ["e10", "e100",
                                                          "e9"]
 
+    def c7_of(self, rs, cfg, events):
+        """The C7 findings of a stream, after holding every finding to
+        ``oracle_detect``."""
+        window = DetectionWindow(cfg)
+        found = [c for batch in group_by_tick(events)
+                 for c in detect_at_tick(batch, rs, window, cfg)]
+        assert sorted(c.key() for c in found) == sorted(
+            oracle_detect(events, rs, cfg))
+        return [c for c in found if c.kind is ConflictKind.C7]
+
+    def test_int_reading_repeats_as_its_float(self):
+        # 2**53 + 1 rounds to the float 2.0**53, and the value test
+        # subtracts as floats, so the two readings are equal. The window
+        # counts readings by float(value): by the raw int it would miss.
+        rs, cfg = self.home()
+        exact = replace(ev(rs, "e1", "t1", 0, 0), value=2**53 + 1)
+        assert type(exact.value) is int
+        rounded = ev(rs, "e2", "t1", 5, 2.0**53)
+        (repeat,) = self.c7_of(rs, cfg, [exact, rounded])
+        assert repeat.participants == (exact, rounded)
+
+    def test_negative_zero_repeats_zero(self):
+        rs, cfg = self.home()
+        negative = ev(rs, "e1", "t1", 0, -0.0)
+        assert math.copysign(1.0, negative.value) == -1.0
+        zero = ev(rs, "e2", "t1", 5, 0.0)
+        (repeat,) = self.c7_of(rs, cfg, [negative, zero])
+        assert repeat.participants == (negative, zero)
+
+    def test_tolerance_reaches_a_value_never_held(self):
+        # Each reading drifts by 0.3 under a tolerance of 0.5: no two are
+        # equal, so the count never holds the later value, and each repeats
+        # only its neighbour.
+        rs, cfg = self.home(tolerance=0.5)
+        events = [ev(rs, f"e{i}", "t1", 5 * i, 60 + 0.3 * i)
+                  for i in range(3)]
+        found = self.c7_of(rs, cfg, events)
+        assert [c.participants for c in found] == [
+            (events[0], events[1]), (events[1], events[2])]
+
+    def test_equal_reading_past_duplicate_window_inside_horizon(self):
+        # The horizon is the overlap window here, so the window still holds
+        # the first reading and counts the second as its repeat; the gap
+        # test rejects the pair.
+        rs, cfg = build_home(
+            sensors=[("t1", "temperature", "F", "room1")],
+            actuators=[("th1", "thermostat", "room1", ("increase",))],
+            controllers=["hvac"], features=["temperature@room1"], rules=[],
+            overlap_window=40, duplicate_window=10)
+        events = [ev(rs, "e1", "t1", 0, 60), ev(rs, "e2", "t1", 20, 60)]
+        assert cfg.duplicate_window < 20 <= cfg.horizon
+        assert self.c7_of(rs, cfg, events) == []
+        window = DetectionWindow(cfg)
+        for event in events:
+            detect_at_tick([event], rs, window, cfg)
+        assert window._readings == {("t1", 60.0): 2}
+
 
 def _notes_of(rs, cfg, events, kind):
     return [(c.note, c.suppressible)
             for c in pairs_of(kind, rs, cfg, events)]
+
+
+class TestFiringRecord:
+    def fired(self, alarm_home):
+        rs, _ = alarm_home
+        event = ev(rs, "e1", "smoke1", 4, 1)
+        (firing,) = match_rules(event, rs)
+        return rs, event, firing
+
+    def test_matched_equals_constructed(self, alarm_home):
+        rs, event, firing = self.fired(alarm_home)
+        built = TriggeredAction(event=event, rule="r_smoke",
+                                controller="fire_ctrl",
+                                action=rs.rules[0].action,
+                                actuator_kind="alarm", time=4, index=0)
+        assert firing == built and hash(firing) == hash(built)
+        assert repr(firing) == repr(built)
+        assert firing.key() == built.key() == (4, "e1", "r_smoke")
+
+    def test_immutable_copyable_picklable_weakly_referable(self,
+                                                           alarm_home):
+        _, _, firing = self.fired(alarm_home)
+        for f in fields(TriggeredAction):
+            with pytest.raises(AttributeError):
+                setattr(firing, f.name, None)
+            with pytest.raises(AttributeError):
+                delattr(firing, f.name)
+        assert firing.key() == (4, "e1", "r_smoke")
+        assert not hasattr(firing, "__dict__")
+        for twin in (copy.copy(firing), pickle.loads(pickle.dumps(firing))):
+            assert twin == firing and hash(twin) == hash(firing)
+            assert twin.key() == firing.key()
+        assert weakref.ref(firing)() is firing
 
 
 class TestFiringsAt:
@@ -940,6 +1032,24 @@ class TestDetectAtTick:
         assert kinds_of(detect_at_tick([ev(rs, "e1", "smoke1", 0, 1),
                                         ev(rs, "e2", "leak1", 0, 1)],
                                        rs, window, cfg)) == ["C1"]
+
+    @pytest.mark.parametrize("eid", ["a,1", "b\n2"])
+    def test_event_id_a_row_would_split_rejected(self, eid):
+        # A conflict row carries the id, so a comma or a line break in it
+        # would split the row; admit rejects it before the window changes.
+        doc = load_document(fixture_text("c7_duplicate"))
+        rs, cfg = doc.ruleset, doc.config
+        window = DetectionWindow(cfg)
+        bad = Event(eid, "temp1", 0, 60.0, "F",
+                    EventSignature("temperature", Cmp.EQ, "room1"))
+        with pytest.raises(InvalidEventError,
+                           match="must hold no comma or line break"):
+            detect_at_tick([bad], rs, window, cfg)
+        assert window.last_tick is None and not window._events
+        assert window._readings == {}
+        found = [c for i in range(2) for c in detect_at_tick(
+            [replace(bad, id=f"e{i}", time=i)], rs, window, cfg)]
+        assert [c.kind for c in found] == [ConflictKind.C7]
 
     def test_numpy_float_reading_accepted(self, alarm_home):
         # np.float64 is a float subclass, so it is a number; np.int64 is

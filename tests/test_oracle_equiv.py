@@ -1,5 +1,6 @@
 """Detector-versus-oracle equivalence and stream-level invariants."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,8 @@ from tapcheck.errors import (
 )
 from tapcheck.model import Cmp, Event, EventSignature, Relation
 from tapcheck.oracle import _pair_kinds, oracle_detect
+from tapcheck.scenarios import build, load_bundle
+from tapcheck.simulator import run_arm
 
 
 def run_detector(trace, rs, cfg):
@@ -141,6 +144,46 @@ class TestEquivalence:
         got = sorted(c.key() for c in run_detector(trace, rs, cfg))
         want = sorted(oracle_detect(trace, rs, cfg))
         assert got == want
+
+
+def _arm(name):
+    """The events, ruleset and config of one arm of a built-in scenario."""
+    scenario = build(name)
+    bundle = load_bundle(scenario.ruleset)
+    report = run_arm(scenario, bundle.ruleset, bundle.config, bundle.house)
+    return report.events, bundle.ruleset, bundle.config
+
+
+class TestReadingCount:
+    """The window's count of readings, which lets ``check_c7`` skip its
+    walk, holds exactly the readings of the window's events."""
+
+    def check_stream(self, trace, rs, cfg):
+        want = oracle_detect(trace, rs, cfg)
+        window = DetectionWindow(cfg)
+        for batch in group_by_tick(trace):
+            got = {c.key() for c in detect_at_tick(batch, rs, window, cfg)}
+            counts = window._readings
+            assert sum(counts.values()) == len(window._events)
+            assert all(held > 0 for held in counts.values())
+            assert counts == dict(Counter(
+                (e.sensor, float(e.value)) for e in window._events))
+            assert got == {key for key in want if key[1] == batch[0].time}
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_count_bound_on_random_streams(self, seed):
+        rng = np.random.default_rng(60_000 + seed)
+        rs, cfg = random_ruleset(rng)
+        self.check_stream(random_trace(rng, rs), rs, cfg)
+
+    @pytest.mark.parametrize("name,kinds", [
+        # S6's temperature sensor repeats; S7's clock never repeats within
+        # the window, so no C7 walk runs.
+        ("S6", {"C2", "C3", "C4", "C7"}), ("S7", set())])
+    def test_count_bound_on_a_scenario_arm(self, name, kinds):
+        trace, rs, cfg = _arm(name)
+        assert {key[0] for key in oracle_detect(trace, rs, cfg)} == kinds
+        self.check_stream(trace, rs, cfg)
 
 
 # The action of r_b that relates to r_a's "x" as each relation.
