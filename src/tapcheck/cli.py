@@ -126,7 +126,8 @@ def parse_trace(text: str, ruleset: RuleSet) -> list[Event]:
     """Parse and validate an event-trace CSV against a ruleset registry.
     Events with one (kind, predicate, location) share one signature
     object, so the detector compares their signatures by identity."""
-    lines = text.splitlines()
+    # A spreadsheet export starts with a byte-order mark.
+    lines = text.removeprefix("\ufeff").splitlines()
     if not lines or lines[0].strip() != TRACE_HEADER:
         raise TraceError(f"trace header must be {TRACE_HEADER!r}", line=1)
     events: list[Event] = []
@@ -187,8 +188,13 @@ def parse_trace(text: str, ruleset: RuleSet) -> list[Event]:
 
 
 def format_event_row(event: Event) -> str:
+    value = event.value
+    if type(value) is not float and type(value) is not int:
+        # A subclass is written as its base class: numpy's float64 writes
+        # ``np.float64(60.5)``, which ``parse_trace`` rejects.
+        value = (float if isinstance(value, float) else int)(value)
     return (f"{event.time},{event.sensor},{event.signature.sensor_kind},"
-            f"{event.signature.predicate.value},{event.value!r},"
+            f"{event.signature.predicate.value},{value!r},"
             f"{event.signature.location}")
 
 
@@ -306,16 +312,17 @@ def write_summary_csv(reports: list[TraceReport], out_dir: Path) -> None:
     lines = [",".join(header)]
     table = []
     for r in reports:
-        row = [float(r.conflict_counts[k.value]) for k in ConflictKind]
-        row.append(float(sum(r.conflict_counts.values())))
-        row.append(float(r.suppressed_actions))
-        row.append(float(r.suppressed_duplicates))
-        row += [float(r.actuations.get(a, 0)) for a in actuator_ids]
-        row += [float(r.extra_actuations.get(a, 0)) for a in extra_ids]
+        row = [r.conflict_counts[k.value] for k in ConflictKind]
+        row.append(sum(r.conflict_counts.values()))
+        row.append(r.suppressed_actions)
+        row.append(r.suppressed_duplicates)
+        row += [r.actuations.get(a, 0) for a in actuator_ids]
+        row += [r.extra_actuations.get(a, 0) for a in extra_ids]
         table.append(row)
-        lines.append(",".join([str(r.seed)] + [f"{v:g}" for v in row]))
+        # Each seed's counts exactly; the means keep 6 significant digits.
+        lines.append(",".join(map(str, [r.seed, *row])))
     if table:
-        means = np.asarray(table).mean(axis=0)
+        means = np.asarray(table, dtype=float).mean(axis=0)
         lines.append(",".join(["mean"] + [f"{v:g}" for v in means]))
     with _output_file(out_dir / "summary.csv") as out:
         _write_rows(out, lines)

@@ -19,35 +19,33 @@ events and the actions they triggered:
 ``detect_at_tick`` takes one tick's events per call, matches them against
 the ruleset's trigger index, classifies every candidate pair of firings
 against C1 to C6 in one pass over the window, runs C7, and never stops at
-the first hit, so the returned list is exhaustive for the tick. Each rule
-is compiled once per stream, when the window binds its ruleset, into a
-``RuleProfile``: what the policies read of it. ``policy_kinds`` is the one
-statement of C1 to C6, and one ``PolicyTable`` per config holds its
-answers per tuple of pair facts (read off two profiles) and gap class.
-Rules with equal profiles form one profile class, and the window keeps
-the table entry of each pair of classes that has met for the rest of the
-stream, so ``detect_at_tick`` classifies a pair inline with one memo
+the first hit, so the returned list is exhaustive for the tick.
+``policy_kinds`` is the one statement of C1 to C6, and ``PolicyTable`` is
+one ruleset compiled under one config: each rule's ``RuleProfile`` (what
+the policies read of it), its profile class, and ``policy_kinds``'
+answers per tuple of pair facts and gap class, memoised per pair of
+classes, so ``detect_at_tick`` classifies a pair inline with one memo
 read, its gap class and, where the rows differ, an overlap test.
-``classify_pair`` answers for one pair from ``policy_kinds`` directly.
-``DetectionWindow.admit`` takes each batch in one step: it checks the
-events against the model's reading facts and the stream's invariants,
-matches them and, at the stream's first batch, compiles every rule's
-profile, all before the window changes. ``DetectionWindow.firings_at``
-hands a tick's firings on, so the simulator applies the detector's own
-firings and matches no event twice. Checks only consider pairs with an item from
-the current call, so each violating pair is reported exactly once over
-the lifetime of a stream. The window keeps each item only while a policy
-can read it: firings for max(eps, W) ticks, filed by event signature,
-and events for the config horizon, in (tick, id) order. Past
-the epsilon only similar events pair: C1, C2, C5 and C6 need a gap within
-the epsilon, and C3 and C4 need overlapping events, so
-``DetectionWindow.candidate_pairs`` forms only the pairs some policy can
-flag. The window counts the readings its events hold, keyed by (sensor,
-float(value)). C7 walks the window's events once per call, in the order
-its findings are reported in, so they need no sort, and only for the
-batch readings that can repeat: those of a sensor with a tolerance above
-0, and those the count shows an earlier equal reading of. A batch with
-none makes no walk.
+``static_check`` builds the same table. ``classify_pair`` answers for one
+pair from ``policy_kinds`` directly. ``DetectionWindow.admit`` takes each
+batch in one step: it checks the events against the model's reading facts
+and the stream's invariants, matches them and, at the stream's first
+batch, builds the table, all before the window changes.
+``DetectionWindow.firings_at`` hands a tick's firings on, so the simulator
+applies the detector's own firings and matches no event twice. Checks
+only consider pairs with an item from the current call, so each
+violating pair is reported exactly once over the lifetime of a stream.
+The window keeps each item only while a policy can read it: firings for
+max(eps, W) ticks, filed by event signature, and events for the config
+horizon, in (tick, id) order. Past the epsilon only similar events pair:
+C1, C2, C5 and C6 need a gap within the epsilon, and C3 and C4 need
+overlapping events, so ``DetectionWindow.candidate_pairs`` forms only the
+pairs some policy can flag. The window counts the readings its events
+hold, keyed by (sensor, float(value)). C7 walks the window's events once
+per call, in the order its findings are reported in, so they need no
+sort, and only for the batch readings that can repeat: those of a sensor
+with a tolerance above 0, and those the count shows an earlier equal
+reading of. A batch with none makes no walk.
 
 A finding costs about what its output costs: a ``Conflict`` is a slotted,
 immutable record of its kind, tick and two participants, which the
@@ -355,15 +353,6 @@ class RuleProfile:
                 not self.near.isdisjoint(other.features))
 
 
-def rule_profiles(ruleset: RuleSet, cfg: DetectorConfig) -> list[RuleProfile]:
-    """Each rule's profile, at its index; a config that does not cover the
-    ruleset's actions and features raises."""
-    actuators = ruleset.registry.actuators
-    return [RuleProfile(r.controller, r.action,
-                        actuators[r.action.actuator].kind, cfg)
-            for r in ruleset.rules]
-
-
 _time = attrgetter("time")
 _id = attrgetter("id")
 
@@ -393,26 +382,14 @@ class DetectionWindow:
     ``cfg`` is the stream's one detector config: the window's reach, its
     candidate pairs, C7 and every ``detect_at_tick`` call read it.
     ``ruleset`` is the stream's one ruleset, bound by the first ``admit``
-    with ``profiles``, the ``rule_profiles`` of its rules, and ``table`` is
-    the config's ``PolicyTable``. Rules whose profiles hold the same
-    actuator, controller, action class and features are one profile class
-    (``classes`` numbers each rule's, ``width`` counts them), and every
-    pair of their firings has the same facts. ``memo`` keeps the table
-    entry of each ordered pair of classes that has met, keyed by
-    ``class_a * width + class_b``, or () when no row of the entry holds a
-    kind. The window binds one ruleset and one config, so an entry holds
-    for the whole stream, and the memo grows with the class pairs met,
-    never with ticks or findings.
+    with ``table``, its ``PolicyTable`` under ``cfg`` (None until then);
+    the window itself keeps only sliding state.
     """
 
     def __init__(self, cfg: DetectorConfig):
         self.cfg = cfg
-        self.table = PolicyTable(cfg)
         self.ruleset: RuleSet | None = None
-        self.profiles: list[RuleProfile] = []
-        self.classes: list[int] = []  # rule index -> profile class
-        self.width = 0
-        self.memo: dict[int, tuple] = {}
+        self.table: PolicyTable | None = None
         self.last_tick: Tick | None = None
         self._actions: list[TriggeredAction] = []  # in tick order
         self._by_signature = defaultdict(list)  # signature -> actions
@@ -439,10 +416,10 @@ class DetectionWindow:
         unique in the window since pairs tell events apart by id, one
         reading per sensor per tick since C7 tells a sensor's readings apart
         by tick); each event's sensor, kind, location and unit
-        (``match_rules``); and the stream's ruleset, whose rule profiles the
-        first call builds. The batch's events join ``_events`` in id order,
-        and with the events an earlier call admitted at this tick they are
-        sorted again; each joins the count of its reading."""
+        (``match_rules``); and the stream's ruleset, whose ``PolicyTable``
+        the first call builds. The batch's events join ``_events`` in id
+        order, and with the events an earlier call admitted at this tick
+        they are sorted again; each joins the count of its reading."""
         for event in events:
             check_reading(event.time, event.value)
             if not isinstance(event.id, str):
@@ -489,12 +466,7 @@ class DetectionWindow:
                    for ta in match_rules(event, ruleset)]
         if ruleset is not self.ruleset:
             if self.ruleset is None:
-                self.profiles = rule_profiles(ruleset, self.cfg)
-                numbers = {}
-                self.classes = [numbers.setdefault(
-                    (p.actuator, p.controller, p.action_class, p.features),
-                    len(numbers)) for p in self.profiles]
-                self.width = len(numbers)
+                self.table = PolicyTable(ruleset, self.cfg)
                 self.ruleset = ruleset
             elif ruleset != self.ruleset:
                 raise InvalidConfigError(
@@ -516,17 +488,6 @@ class DetectionWindow:
             reading = (event.sensor, float(event.value))
             readings[reading] = readings.get(reading, 0) + 1
         return start
-
-    def policy_entry(self, i: int, j: int) -> tuple:
-        """The ``PolicyTable`` entry of a pair of firings of rules ``i`` and
-        ``j``, met in that order, or () when no row of it holds a kind;
-        filed in ``memo`` under the pair's profile classes."""
-        profiles = self.profiles
-        entry = self.table[profiles[i].facts(profiles[j])]
-        if not any(kinds for rows in entry if rows for kinds in rows):
-            entry = ()
-        self.memo[self.classes[i] * self.width + self.classes[j]] = entry
-        return entry
 
     def firings_at(self, tick: Tick) -> list[TriggeredAction]:
         """The firings admitted at ``tick``, in the order they were
@@ -632,28 +593,59 @@ def policy_kinds(same_actuator: bool, rival_controllers: bool,
 
 
 class PolicyTable(dict):
-    """``policy_kinds`` compiled for one detector config, filled as pairs
-    ask for it: each fact tuple (``RuleProfile.facts``) maps to its rows.
+    """One ruleset compiled under one detector config, as the window and
+    ``static_check`` read it. ``profiles`` holds each rule's
+    ``RuleProfile``, at its index; building them rejects a config that
+    lacks a rule's action or feature. Rules whose profiles hold the same
+    actuator, controller, action class and features are one profile class
+    (``classes`` numbers each rule's, ``width`` counts them): every pair of
+    their rules has the same facts.
 
-    The policies read a tick gap only against the epsilon and the overlap
-    window W, so the gaps up to max(eps, W) fall into three classes inside
-    which every policy answers alike: 0, 1..min(eps, W) and
-    min+1..max(eps, W) (``gaps``; the second is empty at eps = 0, the third
-    at eps = W, and an empty class has no rows). Per gap class a fact tuple
-    has three rows of kinds: for overlapping events, for disjoint distinct
-    events, and for one event shared by both firings. Past W no events
-    overlap, so there the first row is the second. Where the two are equal
-    they are one object, and a pair needs no overlap test."""
+    Each fact tuple (``RuleProfile.facts``, at most 32) maps to its entry,
+    filled when first asked for. The policies read a tick gap only against
+    the epsilon and the overlap window W, so the gaps up to max(eps, W)
+    fall into three classes inside which every policy answers alike: 0,
+    1..min(eps, W) and min+1..max(eps, W) (``gaps``; the second is empty at
+    eps = 0, the third at eps = W, and an empty class has no rows). Per gap
+    class an entry has three rows of kinds: for overlapping events, for
+    disjoint distinct events, and for one event shared by both firings.
+    Past W no events overlap, so there the first row is the second. Where
+    the two are equal they are one object, and a pair needs no overlap
+    test. An entry in which no row holds a kind is ().
 
-    def __init__(self, cfg: DetectorConfig):
+    ``entry(i, j)`` files a rule pair's entry in ``memo`` under its class
+    pair, so the memo grows with the class pairs met, never with ticks."""
+
+    def __init__(self, ruleset: RuleSet, cfg: DetectorConfig):
         super().__init__()
         self.cfg = cfg
         self.lo, self.hi = sorted((cfg.same_tick_epsilon, cfg.overlap_window))
         self.gaps = ((0, 0), (1, self.lo), (self.lo + 1, self.hi))
+        actuators = ruleset.registry.actuators
+        self.profiles = [RuleProfile(r.controller, r.action,
+                                     actuators[r.action.actuator].kind, cfg)
+                         for r in ruleset.rules]
+        numbers = {}
+        self.classes = [numbers.setdefault(
+            (p.actuator, p.controller, p.action_class, p.features),
+            len(numbers)) for p in self.profiles]
+        self.width = len(numbers)
+        self.memo: dict[int, tuple] = {}
 
     def __missing__(self, facts: tuple) -> tuple:
-        entry = self[facts] = tuple(self._rows(facts, dmin) if dmin <= dmax
-                                    else None for dmin, dmax in self.gaps)
+        entry = tuple(self._rows(facts, dmin) if dmin <= dmax else None
+                      for dmin, dmax in self.gaps)
+        if not any(kinds for rows in entry if rows for kinds in rows):
+            entry = ()
+        self[facts] = entry
+        return entry
+
+    def entry(self, i: int, j: int) -> tuple:
+        """The entry of rules ``i`` and ``j``, met in that order, filed in
+        ``memo`` under ``classes[i] * width + classes[j]``."""
+        profiles, classes = self.profiles, self.classes
+        entry = self.memo[classes[i] * self.width + classes[j]] = self[
+            profiles[i].facts(profiles[j])]
         return entry
 
     def _rows(self, facts: tuple, dt: int) -> tuple:
@@ -761,19 +753,16 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
     a no-op. ``cfg`` must be the window's config, or equal to it, and
     ``ruleset`` the ruleset of the window's first call, or equal to it: a
     stream has one config and one ruleset, and any other raises
-    ``InvalidConfigError``. The first call builds every rule's profile
-    before the window changes, so a config that does not cover the
-    ruleset's actions and features raises there. C1 to C6 are evaluated in
-    one pass over the candidate pairs, then C7; findings come back each
-    (kind, pair) once, in the canonical order of ``Conflict.key``.
+    ``InvalidConfigError``. The first call builds the window's
+    ``PolicyTable``, so a config that lacks a rule's action or feature
+    raises there. C1 to C6 are evaluated in one pass over the candidate
+    pairs, then C7; findings come back each (kind, pair) once, in the
+    canonical order of ``Conflict.key``.
 
     Each candidate pair is classified inline, as ``classify_pair`` would:
-    its policy rows come from one read of the window's ``memo`` (filled
-    from the ``PolicyTable`` the first time its profile classes meet),
-    and its gap class from ``b.time - a.time``, never negative as
-    ``candidate_pairs`` yields the older firing first. The rows depend on
-    the gap only through its class: 0, 1..min(eps, W) or up to
-    max(eps, W), the farthest a candidate pair reaches.
+    one read of the table's ``memo`` (``PolicyTable.entry`` on a miss) for
+    its rows, and its gap class from ``b.time - a.time``, never negative
+    as ``candidate_pairs`` yields the older firing first.
 
     That order is reached without a ``Conflict.key`` tuple per finding.
     Every finding of one call has the call's tick, and the kind names sort
@@ -793,8 +782,8 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
         return []
     start = window.admit(new_events, ruleset)
     cfg = window.cfg
-    lo = window.table.lo
-    memo, classes, width = window.memo, window.classes, window.width
+    table = window.table
+    lo, memo, classes, width = table.lo, table.memo, table.classes, table.width
     overlap = overlapping_events
     conflicts = []
     append = conflicts.append
@@ -804,7 +793,7 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
             continue
         entry = memo.get(classes[i] * width + classes[j])
         if entry is None:
-            entry = window.policy_entry(i, j)
+            entry = table.entry(i, j)
         if not entry:
             continue
         dt = b.time - a.time

@@ -4,13 +4,12 @@ Without seeing a single event, ``static_check`` flags every pair of rules
 that could fire together in a way that violates one of the safety policies:
 it tags the pair with the union of the policy kinds over every shape its
 triggers can realise, so it over-approximates the dynamic checks. The
-kinds come from the detector itself: each rule's ``RuleProfile`` gives the
-facts of a pair, and the config's ``PolicyTable`` gives the kinds per gap
-class (the breakpoints 0 | 1..min(eps, W) | min+1..max(eps, W) cut the
-gaps into ranges inside which every policy answers alike, and past
-max(eps, W) none fires) for overlapping, disjoint and shared events. A
-shape is one such range with similar or dissimilar firing events, or one
-reading shared by both rules at tick 0.
+kinds come from the ruleset's ``PolicyTable``, which the detector builds
+too: per pair facts, read off two rules' profiles, the kinds per gap class
+(0 | 1..min(eps, W) | min+1..max(eps, W); past max(eps, W) none fires)
+for overlapping, disjoint and shared events. A shape is one gap class
+with similar or dissimilar firing events, or one reading shared by both
+rules at tick 0.
 
 Co-satisfiability facts used throughout:
 
@@ -28,7 +27,7 @@ Co-satisfiability facts used throughout:
 from functools import total_ordering
 from typing import Iterator
 
-from .detector import ConflictKind, PolicyTable, rule_profiles
+from .detector import ConflictKind, PolicyTable
 from .model import (
     Cmp,
     DetectorConfig,
@@ -195,24 +194,23 @@ _SHARED_SHAPE = (0, 0, _SHARED)
 
 
 class _Analysis:
-    """State of one ``static_check`` call: each rule's scope and profile,
-    the policy table and similar-predicate table of the config, and the
-    memos. The call drops it on
-    return, so nothing grows across calls."""
+    """State of one ``static_check`` call: the ruleset's ``PolicyTable``
+    with each rule's profile, each rule's scope, the similar-predicate
+    table, and the memos. The call drops it on return, so nothing grows."""
 
     def __init__(self, ruleset: RuleSet, cfg: DetectorConfig):
         self.rules = ruleset.rules
         self.day = ruleset.day_length
         # Built for every rule, so a config that does not cover a rule's
         # action or features raises even when pruning leaves it no pair.
-        self.profiles = rule_profiles(ruleset, cfg)
+        self.table = PolicyTable(ruleset, cfg)
+        self.profiles = self.table.profiles
         self.scopes = [_scope(rule, ruleset) for rule in self.rules]
         self.scope_keys = [(r.trigger.sensor_kind, r.trigger.location_filter)
                            for r in self.rules]
         self.similar_predicates = _similar_predicates(cfg)
         self._sig_memo: dict[tuple, int] = {}
         self._scope_memo: dict[tuple, bool] = {}
-        self.table = PolicyTable(cfg)
         # The shapes of each non-empty gap class: any events, similar
         # events, dissimilar events.
         self.gap_shapes = [
@@ -272,10 +270,13 @@ class _Analysis:
 
     def shapes(self, facts: tuple) -> Iterator[tuple[tuple, tuple]]:
         """(shape, kinds) for each shape of a pair with these facts, read
-        from the policy table. A gap range whose similar and dissimilar
-        events violate the same kinds is one shape, ``_ANY``; similar
-        events overlap up to W and are disjoint past it."""
+        from the policy table; none when no shape violates a policy. A gap
+        range whose similar and dissimilar events violate the same kinds is
+        one shape, ``_ANY``; similar events overlap up to W and are disjoint
+        past it."""
         entry = self.table[facts]
+        if not entry:
+            return
         for g, either, similar, dissimilar in self.gap_shapes:
             overlapping, disjoint, _ = entry[g]
             if overlapping is disjoint:

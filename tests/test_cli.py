@@ -12,6 +12,7 @@ from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -21,10 +22,21 @@ from gen import FIXTURES, dense_trace, trace_text
 from tapcheck import cli, parsing, scenarios
 from tapcheck.cli import CONFLICT_HEADER, main
 from tapcheck.detector import ConflictKind
-from tapcheck.errors import ParseError, SimulationError, TapcheckError
+from tapcheck.errors import (
+    ParseError,
+    SimulationError,
+    TapcheckError,
+    TraceError,
+)
 from tapcheck.parsing import load_document
 from tapcheck.scenarios import fixture_text
-from tapcheck.simulator import HouseModel, RoomState, Scenario, SourceSpec
+from tapcheck.simulator import (
+    HouseModel,
+    RoomState,
+    Scenario,
+    SourceSpec,
+    TraceReport,
+)
 from tapcheck.static import static_check
 
 # YAML's indicators and whitespace, plus characters YAML forbids or treats
@@ -341,6 +353,52 @@ class TestMonitor:
             "1,C7,,,e1,e2,,sensor temp1 repeated value -0 after 1 tick(s)\n"
             "2,C7,,,e1,e3,,sensor temp1 repeated value -0 after 2 tick(s)\n"
             "2,C7,,,e2,e3,,sensor temp1 repeated value 0 after 1 tick(s)\n")
+
+    def test_byte_order_mark_before_the_header_accepted(self, tmp_path,
+                                                         capsys):
+        # A spreadsheet export starts with a UTF-8 byte-order mark: the
+        # trace reads as without it, with the same line numbers.
+        doc = tmp_path / "dup.yaml"
+        doc.write_text(fixture_text("c7_duplicate"), encoding="utf-8")
+        rows = ("tick,sensor,kind,predicate,value,location\n"
+                "0,temp1,temperature,==,60.0,room1\n"
+                "20,temp1,temperature,==,60.0,room1\n")
+        for name, text in (("plain", rows), ("bom", "\ufeff" + rows)):
+            trace = tmp_path / f"{name}.csv"
+            trace.write_text(text, encoding="utf-8")
+            assert main(["monitor", "--ruleset", str(doc), "--trace",
+                         str(trace), "--out", str(tmp_path / name)]) == 1
+        assert (tmp_path / "bom.csv").read_bytes().startswith(
+            b"\xef\xbb\xbftick,")
+        assert ((tmp_path / "bom" / "conflicts.csv").read_bytes()
+                == (tmp_path / "plain" / "conflicts.csv").read_bytes())
+        capsys.readouterr()
+        trace = tmp_path / "bad.csv"
+        trace.write_text("\ufeff" + rows + "5,temp1,temperature,==,x,room1\n",
+                         encoding="utf-8")
+        assert main(["monitor", "--ruleset", str(doc),
+                     "--trace", str(trace)]) == 2
+        assert "(line 4)" in capsys.readouterr().err
+        # One mark is dropped, not two.
+        with pytest.raises(TraceError, match=r"trace header .*\(line 1\)"):
+            cli.parse_trace("\ufeff\ufeff" + rows,
+                            load_document(fixture_text("c7_duplicate")).ruleset)
+
+    def test_numpy_float_event_row_round_trips(self):
+        ruleset = load_document(fixture_text("c7_duplicate")).ruleset
+        [event] = cli.parse_trace(
+            f"{cli.TRACE_HEADER}\n0,temp1,temperature,==,60.0,room1\n",
+            ruleset)
+        numpy_row = cli.format_event_row(
+            replace(event, value=np.float64(60.5)))
+        assert numpy_row == "0,temp1,temperature,==,60.5,room1"
+        [back] = cli.parse_trace(f"{cli.TRACE_HEADER}\n{numpy_row}\n",
+                                 ruleset)
+        assert back.value == 60.5 and type(back.value) is float
+        # Plain floats and ints keep their bytes.
+        for value in (60.0, -0.0, 1e-05, 1e+16, 0.1 + 0.2, 60, -3):
+            assert cli.format_event_row(replace(event, value=value)) == (
+                f"0,temp1,temperature,==,{value!r},room1")
 
     def test_out_of_order_trace_names_line(self, alarm_ruleset, tmp_path,
                                            capsys):
@@ -695,6 +753,32 @@ class TestSimulate:
         mean = float(rows[-1][c1])
         assert mean == pytest.approx(sum(per_seed) / len(per_seed))
         assert 6.0 <= mean <= 8.0
+
+    def test_summary_counts_of_a_million_and_more_are_exact(self,
+                                                             tmp_path):
+        def report(seed, c1, heats):
+            counts = {k.value: 0 for k in ConflictKind}
+            counts["C1"] = c1
+            return TraceReport(
+                scenario="big", seed=seed, horizon=1, rooms=(), series={},
+                events=[], conflicts=[], conflict_counts=counts,
+                actuations={"th1": heats}, actuation_log=[],
+                suppressed_actions=10**6)
+
+        cli.write_summary_csv([report(0, 1_234_567, 10**6),
+                               report(1, 2**53 + 1, 999_999)], tmp_path)
+        lines = (tmp_path / "summary.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert [(r["seed"], r["C1"], r["total"], r["suppressed_actions"],
+                 r["actuations_th1"]) for r in rows[:2]] == [
+            ("0", "1234567", "1234567", "1000000", "1000000"),
+            ("1", "9007199254740993", "9007199254740993", "1000000",
+             "999999")]
+        # The means keep 6 significant digits.
+        assert rows[2]["seed"] == "mean"
+        assert rows[2]["actuations_th1"] == "1e+06"
+        assert rows[2]["C1"] == f"{(1_234_567 + 2.0**53 + 1) / 2:g}"
 
     def test_fixture_loaded_once_for_all_seeds(self, tmp_path,
                                                monkeypatch):

@@ -22,12 +22,14 @@ from tapcheck.detector import (
     Conflict,
     ConflictKind,
     DetectionWindow,
+    PolicyTable,
     RuleProfile,
     TriggeredAction,
     check_c7,
     classify_pair,
     detect_at_tick,
     match_rules,
+    policy_kinds,
 )
 from tapcheck.errors import (
     DuplicateEventIdError,
@@ -49,6 +51,7 @@ from tapcheck.model import (
     Event,
     EventSignature,
     FeatureDependencyGraph,
+    Relation,
 )
 
 
@@ -912,6 +915,7 @@ class TestDetectAtTick:
             with pytest.raises(error):
                 detect_at_tick(batch, rs, window, cfg)
             assert window.last_tick is None and window.ruleset is None
+            assert window.table is None
 
     def test_undeclared_actuator_raises_before_the_window_changes(
             self, alarm_home):
@@ -1117,7 +1121,7 @@ MEMO_STREAMS = ([f"gen-{seed}" for seed in range(12)] + FIXTURES
 
 class TestPolicyMemo:
     """``detect_at_tick`` classifies each pair inline from the window's
-    memo of ``PolicyTable`` entries per pair of profile classes."""
+    ``PolicyTable`` memo of entries per pair of profile classes."""
 
     @pytest.mark.parametrize("name", MEMO_STREAMS)
     def test_memo_classifies_every_pair_as_classify_pair(self, name,
@@ -1151,23 +1155,25 @@ class TestPolicyMemo:
                           key=Conflict.key)
             assert [(c.key(), c.note) for c in found] == [
                 (c.key(), c.note) for c in want]
-            classes = window.classes
+            classes = window.table.classes
             met.update((classes[a.index], classes[b.index])
                        for a, b in formed if a.index != b.index)
             # One entry per pair of classes met, filed when first met.
-            assert set(window.memo) == {
-                first * window.width + second for first, second in met}
+            assert set(window.table.memo) == {
+                first * window.table.width + second
+                for first, second in met}
             findings += len(found)
         if name in ("house-dense", "scaling"):
             assert met and findings
         # ``classify_pair`` builds its own profiles; the window's compute
         # their facts once per memo key.
-        klass = {id(p): c for p, c in zip(window.profiles, window.classes)}
+        klass = {id(p): c for p, c in zip(window.table.profiles,
+                                          window.table.classes)}
         per_key = Counter((klass[id(p)], klass[id(q)])
                           for p, q in facts_calls if id(p) in klass)
         assert set(per_key) == met and max(per_key.values(), default=1) == 1
         if name == "scaling":
-            assert window.width < len(ruleset.rules)
+            assert window.table.width < len(ruleset.rules)
 
     def test_memo_is_bounded_by_class_pairs_not_ticks(self):
         # The same readings again, tick after tick, add no entry.
@@ -1182,5 +1188,102 @@ class TestPolicyMemo:
                      for s, sensor in sorted(
                          ruleset.registry.sensors.items())]
             detect_at_tick(batch, ruleset, window, cfg)
-            sizes.append(len(window.memo))
-        assert window.width == 8 and sizes[0] == sizes[-1] <= 8 * 8
+            sizes.append(len(window.table.memo))
+        assert window.table.width == 8 and sizes[0] == sizes[-1] <= 8 * 8
+
+
+def _entry_cases(dt: int, cfg) -> list[tuple]:
+    """The (overlap, distinct events) shapes of a pair at gap ``dt``:
+    overlapping events only up to W, disjoint distinct events, and one
+    shared event."""
+    shapes = [(False, True), (False, False)]
+    if dt <= cfg.overlap_window:
+        shapes.insert(0, (True, True))
+    return shapes
+
+
+class TestPolicyTable:
+    """``PolicyTable(ruleset, cfg)`` is the one compiled form of a ruleset
+    under a config: the window and ``static_check`` read its profiles and
+    its entries."""
+
+    @pytest.mark.parametrize("eps", range(4))
+    @pytest.mark.parametrize("w", range(1, 4))
+    def test_entry_is_empty_exactly_when_no_shape_yields_a_kind(
+            self, eps, w, alarm_home):
+        rs, cfg = alarm_home
+        cfg = replace(cfg, same_tick_epsilon=eps, overlap_window=w)
+        table = PolicyTable(rs, cfg)
+        every = [(same_actuator, rival, relation, related)
+                 for same_actuator in (False, True)
+                 for rival in (False, True)
+                 for relation in Relation
+                 for related in (False, True)]
+        assert len(every) == 32
+        empty = 0
+        for facts in every:
+            entry = table[facts]
+            assert table[facts] is entry  # stored once per fact tuple
+            rows_at = {dt: [tuple(policy_kinds(*facts, dt, overlap,
+                                               distinct, cfg))
+                            for overlap, distinct in _entry_cases(dt, cfg)]
+                       for dt in range(max(eps, w) + 1)}
+            if not any(kinds for rows in rows_at.values() for kinds in rows):
+                assert entry == ()
+                empty += 1
+                continue
+            assert len(entry) == 3
+            for g, (lo, hi) in enumerate(table.gaps):
+                if lo > hi:
+                    assert entry[g] is None
+                    continue
+                overlapping, disjoint, shared = entry[g]
+                for dt in range(lo, hi + 1):
+                    rows = rows_at[dt]
+                    if dt > w:
+                        # Past W no events overlap: one row serves both.
+                        assert overlapping is disjoint
+                        rows = [rows[0]] + rows
+                    assert [overlapping, disjoint, shared] == rows, (
+                        facts, dt)
+        assert len(table) == 32 and 0 < empty < 32
+
+    @pytest.mark.parametrize("name", [f"gen-{seed}" for seed in range(40)]
+                             + FIXTURES)
+    def test_entry_is_symmetric_and_the_fact_entry(self, name):
+        if name.startswith("gen-"):
+            rs, cfg = random_ruleset(np.random.default_rng(
+                130_000 + int(name.removeprefix("gen-"))))
+        else:
+            doc = load_document(fixture_text(name))
+            rs, cfg = doc.ruleset, doc.config
+        table = PolicyTable(rs, cfg)
+        profiles, classes = table.profiles, table.classes
+        assert len(profiles) == len(classes) == len(rs.rules)
+        assert sorted(set(classes)) == list(range(table.width))
+        for i in range(len(profiles)):
+            for j in range(len(profiles)):
+                entry = table.entry(i, j)
+                assert entry == table.entry(j, i)
+                assert entry is table[profiles[i].facts(profiles[j])]
+                assert table.memo[classes[i] * table.width
+                                  + classes[j]] is entry
+
+    @pytest.mark.parametrize("missing,error", [
+        ("action", UnknownActionError), ("feature", UnknownFeatureError)])
+    def test_config_missing_a_name_raises_with_no_table(
+            self, missing, error, alarm_home):
+        rs, cfg = alarm_home
+        if missing == "action":
+            cfg = replace(cfg, action_relations=ActionRelationTable(
+                vocabulary={"alarm": frozenset({"sound", "beep", "off"})}))
+        else:
+            cfg = replace(cfg, dependency_graph=FeatureDependencyGraph(
+                nodes=frozenset({"fan@room1"}), edges=frozenset()))
+        with pytest.raises(error):
+            PolicyTable(rs, cfg)
+        window = DetectionWindow(cfg)
+        with pytest.raises(error):
+            detect_at_tick([ev(rs, "e1", "smoke1", 5, 1)], rs, window, cfg)
+        assert window.table is None and window.ruleset is None
+        assert window.last_tick is None

@@ -223,7 +223,7 @@ class TestPolicyRows:
         # shape: one shared event, overlapping events, and disjoint
         # distinct events (dissimilar, or similar past W).
         gap_classes = [(lo, hi) for lo, hi in PolicyTable(
-            fact_home(True, True, Relation.SAME, True, eps, w)[1]).gaps
+            *fact_home(True, True, Relation.SAME, True, eps, w)).gaps
             if lo <= hi]
         seen = set()
         for same_actuator in (False, True):
