@@ -70,6 +70,8 @@ CONFLICT_HEADER = "tick,kind,rule_a,rule_b,event_a,event_b,actuator,note"
 # Each kind's text, read per row without a call to the enum's ``value``
 # descriptor.
 KIND_TEXT = {kind: kind.value for kind in ConflictKind}
+# A recorded flag's cell, by its value in the series.
+_FLAG_TEXT = {0.0: "0", 1.0: "1"}
 # Lines of ``check``'s report joined into one write, which bounds the text
 # held at once.
 _CHECK_LINES_PER_WRITE = 1024
@@ -107,8 +109,12 @@ def _output_file(path: Path):
 
 
 def _write_rows(out, rows) -> None:
-    """Write each row as one LF-terminated line."""
-    out.write("".join([f"{row}\n" for row in rows]))
+    """Write each row, a string, as one LF-terminated line; no rows write
+    nothing."""
+    rows = list(rows)
+    if rows:
+        out.write("\n".join(rows))
+        out.write("\n")
 
 
 def _apply_overrides(cfg: DetectorConfig, args) -> DetectorConfig:
@@ -275,7 +281,7 @@ def _format_column(fieldname: str, values: list[float]) -> list[str]:
         return [THERMO_NAME[int(v)] for v in values]
     if RoomState.__dataclass_fields__[fieldname].type is float:
         return [f"{v:.4f}" for v in values]
-    return [str(int(v)) for v in values]
+    return list(map(_FLAG_TEXT.__getitem__, values))
 
 
 def write_report_csvs(report: TraceReport, out_dir: Path) -> None:

@@ -462,8 +462,9 @@ class DetectionWindow:
                 raise DuplicateSensorReadingError(
                     f"sensor {event.sensor!r} emits twice at tick {tick}")
             sensors.add(event.sensor)
-        actions = [ta for event in events
-                   for ta in match_rules(event, ruleset)]
+        actions = []
+        for event in events:
+            actions += match_rules(event, ruleset)
         if ruleset is not self.ruleset:
             if self.ruleset is None:
                 self.table = PolicyTable(ruleset, self.cfg)
@@ -478,10 +479,10 @@ class DetectionWindow:
         by_signature = self._by_signature
         for action in actions:
             by_signature[action.event.signature].append(action)
-        fresh = [self._events.pop() for _ in range(tail)]
-        fresh.extend(events)
-        fresh.sort(key=_id)
-        self._events.extend(fresh)
+        fresh = events
+        if tail:
+            fresh = [self._events.pop() for _ in range(tail)] + events
+        self._events.extend(sorted(fresh, key=_id))
         event_times, readings = self._event_times, self._readings
         for event in events:
             event_times[event.id] = event.time
@@ -497,17 +498,19 @@ class DetectionWindow:
         return _between(self._actions, tick, tick + 1)
 
     def _evict(self, now: Tick) -> None:
-        expired = bisect_left(self._actions, now - self.cfg.pair_reach,
-                              key=_time)
-        # Buckets keep the order of ``_actions``, so each expired action,
-        # taken oldest first, is at the head of its bucket.
-        by_signature = self._by_signature
-        for action in self._actions[:expired]:
-            bucket = by_signature[action.event.signature]
-            del bucket[0]
-            if not bucket:
-                del by_signature[action.event.signature]
-        del self._actions[:expired]
+        actions = self._actions
+        oldest = now - self.cfg.pair_reach
+        if actions and actions[0].time < oldest:
+            expired = bisect_left(actions, oldest, key=_time)
+            # Buckets keep the order of ``_actions``, so each expired
+            # action, taken oldest first, is at the head of its bucket.
+            by_signature = self._by_signature
+            for action in actions[:expired]:
+                bucket = by_signature[action.event.signature]
+                del bucket[0]
+                if not bucket:
+                    del by_signature[action.event.signature]
+            del actions[:expired]
         cutoff = now - self.cfg.horizon
         events = self._events
         readings = self._readings
@@ -787,7 +790,10 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
     overlap = overlapping_events
     conflicts = []
     append = conflicts.append
-    for a, b in window.candidate_pairs(start):
+    # A batch that fired nothing forms no pair.
+    pairs = (window.candidate_pairs(start)
+             if start < len(window._actions) else ())
+    for a, b in pairs:
         i, j = a.index, b.index
         if i == j:
             continue
@@ -820,6 +826,10 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
                 _set_second(finding, b)
                 _set_swapped(finding, swapped)
                 append(finding)
-    conflicts.sort(key=_pair_order)
-    conflicts += check_c7(window, new_events, ruleset.registry)
+    if len(conflicts) > 1:
+        conflicts.sort(key=_pair_order)
+    c7 = check_c7(window, new_events, ruleset.registry)
+    if not conflicts:
+        return c7
+    conflicts += c7
     return conflicts

@@ -100,7 +100,9 @@ class EventSignature:
     Two signatures are similar when they are equal or when an explicit
     equivalence class in :class:`DetectorConfig` groups them together.
     Each field is checked from its annotation: a name, a :class:`Cmp`, a
-    name.
+    name. The hash is the one the dataclass would generate, computed once
+    as the signature is built, since the detection window keys its buckets
+    by signature; it is no field, and unpickling builds it again.
     """
 
     sensor_kind: str
@@ -109,6 +111,15 @@ class EventSignature:
 
     def __post_init__(self):
         _check_fields(self, "event signature ", InvalidEventError)
+        object.__setattr__(self, "_hash", hash(
+            (self.sensor_kind, self.predicate, self.location)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), (self.sensor_kind, self.predicate,
+                             self.location))
 
     def compact(self) -> str:
         return f"{self.sensor_kind}:{self.predicate.value}:{self.location}"
@@ -161,13 +172,17 @@ def value_problem(value, kind) -> str | None:
 
 
 def check_reading(time: Tick, value: float) -> None:
-    """Reject a reading whose value is not a number or tick an integer."""
-    problem = value_problem(value, float)
-    if problem:
-        raise InvalidEventError(f"value must be {problem}")
-    problem = value_problem(time, int)
-    if problem:
-        raise InvalidEventError(f"tick must be {problem}")
+    """Reject a reading whose value is not a number or tick an integer. A
+    finite ``float`` value and an ``int`` tick >= 0, what every stream
+    carries, pass without asking ``value_problem``."""
+    if type(value) is not float or not math.isfinite(value):
+        problem = value_problem(value, float)
+        if problem:
+            raise InvalidEventError(f"value must be {problem}")
+    if type(time) is not int or time < 0:
+        problem = value_problem(time, int)
+        if problem:
+            raise InvalidEventError(f"tick must be {problem}")
 
 
 # How a problem names the entries of a container, per scalar kind.

@@ -43,6 +43,7 @@ and momentary actuators) before tick 0.
 
 import hashlib
 from dataclasses import dataclass, field, fields, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -207,6 +208,11 @@ def _trace_at(trace, tick: int) -> float:
     if isinstance(trace, (int, float)):
         return float(trace)
     return float(trace[tick % len(trace)])
+
+
+def _period(trace) -> int:
+    """The ticks after which an outdoor trace repeats."""
+    return len(trace) if isinstance(trace, tuple) else 1
 
 
 def thermal_step(room: RoomState, house: HouseModel, t_out: float,
@@ -422,8 +428,14 @@ class TraceReport:
 SERIES_FIELDS = tuple(f.name for f in fields(RoomState)
                       if f.name not in ("name", "outdoor_exposed"))
 
+# A room's row of SERIES_FIELDS, read from its attribute dict.
+_series_row = itemgetter(*SERIES_FIELDS)
+
 _THERMO_CODE = {THERMOSTAT_OFF: 0, THERMOSTAT_HEAT: 1, THERMOSTAT_COOL: 2}
 THERMO_NAME = {v: k for k, v in _THERMO_CODE.items()}
+
+# What a tick drops when it enforces nothing: no event ids, no action keys.
+_NO_DROPS = (frozenset(), frozenset())
 
 
 def _source_rng(seed: int, name: str) -> np.random.Generator:
@@ -501,7 +513,12 @@ def momentary_actuators(house: HouseModel, actuators: dict) -> list:
 
 
 class _Run:
-    """State of one simulation arm."""
+    """State of one simulation arm. Building it checks every reference of
+    the arm and works out once what each tick reads: the rooms with their
+    neighbours' positions, one cycle of each outdoor trace, each source's
+    readings and event fields, each rule's target and whether the arm
+    enforces. ``step`` records each room's state as one row of
+    ``SERIES_FIELDS``, and ``report`` writes the rows into the series."""
 
     def __init__(self, scenario: Scenario, ruleset: RuleSet,
                  cfg: DetectorConfig, house: HouseModel):
@@ -517,6 +534,7 @@ class _Run:
         self.actuation_log: list[tuple[int, str, str, str]] = []
         self.suppressed_actions = 0
         self.suppressed_duplicates = 0
+        self._enforce = scenario.detector == "on"
         self._event_seq = 0
         self._cov_last: dict[str, float] = {}
         horizon = scenario.horizon
@@ -529,18 +547,29 @@ class _Run:
             raise SimulationError(
                 f"scenario {scenario.id!r} horizon {horizon} is too long "
                 f"to simulate: {exc}") from exc
-        # Per room, its attribute dict and the columns read from it each tick.
-        self._records = [(room.__dict__, tuple(self.series[name].items()))
-                         for name, room in self.rooms.items()]
-        self._sensor = ruleset.registry.sensors
-        # Each source with its readings by tick (a cov source's, None,
-        # depend on the room and are taken as the run goes) and the one
-        # signature of its events.
-        self._sources: list[tuple[SourceSpec, dict[int, float] | None,
-                                  EventSignature]] = []
+        # Per room, in house order: its state, the positions of its
+        # neighbours in that order, and its rows, one per tick.
+        position = {name: k for k, name in enumerate(self.rooms)}
+        self._rows: list[list[tuple]] = [[] for _ in self.rooms]
+        self._cells = [
+            (room, tuple(position[n] for n in house.neighbors(name)),
+             rows.append)
+            for (name, room), rows in zip(self.rooms.items(), self._rows)]
+        # One cycle of each outdoor trace, read at ``tick % len``.
+        self._outdoor = [house.outdoor_at(tick) for tick in range(
+            _period(house.outdoor_temperature))]
+        self._daylight = [house.daylight_at(tick)
+                          for tick in range(_period(house.daylight))]
+        sensors = ruleset.registry.sensors
+        # Per source: its name, its readings by tick (a cov source's, None,
+        # depend on the room it watches and are taken as the run goes), the
+        # room and feature it watches and its min_delta, the room it marks
+        # occupied, and the sensor id (None if it emits no event), unit and
+        # one signature of its events.
+        self._sources: list[tuple] = []
         for src in scenario.sources:
             # Every reference of a source is checked here, before any tick.
-            sensor = self._sensor.get(src.sensor)
+            sensor = sensors.get(src.sensor)
             if sensor is None:
                 raise SimulationError(
                     f"source {src.name!r} uses undeclared sensor "
@@ -549,13 +578,19 @@ class _Run:
                 raise SimulationError(
                     f"source {src.name!r} marks {src.occupancy_room!r} "
                     f"occupied, which is not a simulated room")
-            if src.mode == "cov" and sensor.location not in self.rooms:
+            cov = src.mode == "cov"
+            if cov and sensor.location not in self.rooms:
                 raise SimulationError(
                     f"cov source {src.name!r} watches sensor {sensor.id!r} "
                     f"in {sensor.location!r}, which is not a simulated room")
             self._sources.append((
-                src,
-                None if src.mode == "cov" else self._schedule(src, horizon),
+                src.name,
+                None if cov else self._schedule(src, horizon),
+                self.rooms[sensor.location] if cov else None,
+                src.feature, src.min_delta,
+                self.rooms[src.occupancy_room] if src.occupancy_room
+                else None,
+                sensor.id if src.emit_event else None, sensor.unit,
                 EventSignature(sensor_kind=sensor.kind,
                                predicate=src.predicate,
                                location=sensor.location)))
@@ -603,40 +638,31 @@ class _Run:
         draws = rng.integers(0, len(src.choices), size=horizon)
         return {tick: src.choices[draws[tick]] for tick in ticks}
 
-    def _emit(self, src: SourceSpec, tick: int, value: float,
-              signature: EventSignature) -> Event:
-        sensor = self._sensor[src.sensor]
-        self._event_seq += 1
-        return Event(
-            id=f"e{self._event_seq}",
-            sensor=sensor.id,
-            time=tick,
-            value=float(value),
-            unit=sensor.unit,
-            signature=signature,
-        )
-
     def _sample_events(self, tick: int) -> list[Event]:
         out: list[Event] = []
-        for src, schedule, signature in self._sources:
+        for (name, schedule, watched, feature, min_delta, occupied, sensor,
+             unit, signature) in self._sources:
             if schedule is not None:
                 value = schedule.get(tick)
                 if value is None:
                     continue
             else:
-                value = getattr(self.rooms[self._sensor[src.sensor].location],
-                                src.feature)
-                last = self._cov_last.get(src.name)
-                if last is not None and not abs(value - last) > src.min_delta:
+                value = getattr(watched, feature)
+                last = self._cov_last.get(name)
+                if last is not None and not abs(value - last) > min_delta:
                     continue
-                self._cov_last[src.name] = value
-            if src.occupancy_room:
-                self.rooms[src.occupancy_room].occupancy = True
-            if src.emit_event:
-                out.append(self._emit(src, tick, value, signature))
+                self._cov_last[name] = value
+            if occupied is not None:
+                occupied.occupancy = True
+            if sensor is not None:
+                self._event_seq += 1
+                out.append(Event(id=f"e{self._event_seq}", sensor=sensor,
+                                 time=tick, value=float(value), unit=unit,
+                                 signature=signature))
         return out
 
-    def _suppressed_keys(self, conflicts: list[Conflict]) -> tuple[set, set]:
+    @staticmethod
+    def _suppressed_keys(conflicts: list[Conflict]) -> tuple[set, set]:
         """(event ids, action keys) to drop under enforcement, from among
         the tick's firings (``DetectionWindow.firings_at``). For a pair
         conflict the canonically later action is dropped. It is always a
@@ -646,8 +672,6 @@ class _Run:
         the later one carries the batch's tick."""
         drop_events: set[str] = set()
         drop_actions: set[tuple] = set()
-        if self.scenario.detector != "on":
-            return drop_events, drop_actions
         for conflict in conflicts:
             drop_events.update(conflict.suppressible)
             if conflict.kind is not ConflictKind.C7:
@@ -656,59 +680,61 @@ class _Run:
 
     def step(self, tick: int) -> None:
         house = self.house
-        rooms = self.rooms
-        for room in rooms.values():
+        for room in self.rooms.values():
             room.occupancy = False
 
         events = self._sample_events(tick)
-        self.events.extend(events)
-
         # The benchmark tracer's detect hook fails on an empty batch, so an
-        # idle tick skips the call; its ``firings_at`` is empty either way.
+        # idle tick skips the call; nothing fires at it.
         conflicts = detect_at_tick(events, self.ruleset, self.window,
                                    self.cfg) if events else []
-        self.conflicts.extend(conflicts)
+        if events:
+            self.events += events
+            self.conflicts += conflicts
+            drop_events, drop_actions = (
+                self._suppressed_keys(conflicts)
+                if conflicts and self._enforce else _NO_DROPS)
+            setpoint_step = house.params.setpoint_step
+            targets = self._targets
+            for ta in self.window.firings_at(tick):
+                if ta.event.id in drop_events:
+                    self.suppressed_actions += 1
+                    self.suppressed_duplicates += 1
+                    continue
+                if ta.key() in drop_actions:
+                    self.suppressed_actions += 1
+                    continue
+                room, actuator_id, kind = targets[ta.index]
+                apply_action(room, kind, ta.action.action, setpoint_step)
+                self.actuations[actuator_id] = self.actuations.get(
+                    actuator_id, 0) + 1
+                self.actuation_log.append(
+                    (tick, actuator_id, ta.action.action, ta.rule))
 
-        drop_events, drop_actions = self._suppressed_keys(conflicts)
-        setpoint_step = house.params.setpoint_step
-        targets = self._targets
-        for ta in self.window.firings_at(tick):
-            if ta.event.id in drop_events:
-                self.suppressed_actions += 1
-                self.suppressed_duplicates += 1
-                continue
-            if ta.key() in drop_actions:
-                self.suppressed_actions += 1
-                continue
-            room, actuator_id, kind = targets[ta.index]
-            apply_action(room, kind, ta.action.action, setpoint_step)
-            self.actuations[actuator_id] = self.actuations.get(
-                actuator_id, 0) + 1
-            self.actuation_log.append(
-                (tick, actuator_id, ta.action.action, ta.rule))
-
-        t_out = house.outdoor_at(tick)
-        daylight = house.daylight_at(tick)
-        old_temps = {name: room.temperature for name, room in rooms.items()}
-        for name, room in rooms.items():
-            neighbor_temps = tuple(old_temps[n]
-                                   for n in house.neighbors(name))
-            new_temp = thermal_step(room, house, t_out, neighbor_temps)
+        t_out = self._outdoor[tick % len(self._outdoor)]
+        daylight = self._daylight[tick % len(self._daylight)]
+        # Each room steps from its neighbours' temperatures of the tick
+        # before; its own row is final once it has stepped.
+        temps = [room.temperature for room, _, _ in self._cells]
+        for room, neighbors, record in self._cells:
+            new_temp = thermal_step(room, house, t_out, tuple(
+                [temps[k] for k in neighbors]) if neighbors else ())
             d_temp = new_temp - room.temperature
             room.temperature = new_temp
             room.humidity = humidity_step(room, house, d_temp)
             room.luminance = luminance_of(room, house, daylight)
-
-        for state, columns in self._records:
-            for name, column in columns:
-                value = state[name]
-                column[tick] = (_THERMO_CODE[value] if name == "thermostat"
-                                else value)
+            record(_series_row(room.__dict__))
 
         for room, name, value in self._resets:
             setattr(room, name, value)
 
     def report(self) -> TraceReport:
+        # Each room's rows, one per tick stepped, fill its series column by
+        # column; the thermostat's mode is written as its code.
+        for columns, rows in zip(self.series.values(), self._rows):
+            for (name, column), values in zip(columns.items(), zip(*rows)):
+                column[:len(values)] = ([_THERMO_CODE[v] for v in values]
+                                        if name == "thermostat" else values)
         counts = {kind.value: 0 for kind in ConflictKind}
         for conflict in self.conflicts:
             counts[conflict.kind.value] += 1

@@ -543,8 +543,9 @@ class TestMonitor:
         )).hexdigest() == MONITOR_DIGESTS[stream]
 
 
-# sha256 of each simulate output file, per built-in scenario at seed 1.
-SIMULATE_FILES = ("trace_1.csv", "events_1.csv", "conflicts_1.csv",
+# The simulate output files of one seed, and the sha256 of each per
+# built-in scenario at seed 1.
+SIMULATE_FILES = ("trace_{}.csv", "events_{}.csv", "conflicts_{}.csv",
                   "summary.csv")
 SIMULATE_DIGESTS = {
     "S1": (
@@ -594,6 +595,94 @@ SIMULATE_DIGESTS = {
         "148836570ace821d5cb3eea50efd12ba2299d0c5d2f207b9d9f835ff10fd8057",
         "eaffffe92327af61fee5764938b2160b0dc260c48a5750dc9874d554424966f4",
         "d0d63a371aaba49ea10039f4971d79e014ca2d3324963ec6b6d4b3522ef34fe6",
+    ),
+}
+
+
+# The same files at seed 2, the benchmark's second seed, which also runs
+# the paired baseline arms of S7 and S8.
+SIMULATE_SEED_2_DIGESTS = {
+    "S1": (
+        "6f83138dc4a79b8679a938f5013c2032473c0a0cbe63f1164537647df4f80039",
+        "e4552d20d9652028aecf52aec00443f4b63323b044a128947006f31122257bb1",
+        "df1633000a284f66e7886b4b111b095ba3bc4a1147dc202b3e4a61761cf41b12",
+        "6b7cc0e050659de30f8f1142c5e9ff7f943efa589c4a9a8b6c4456305a7c0955",
+    ),
+    "S2": (
+        "1ea41b80d6619ecfe6d5fa26f99ea57a41c2d8bf0b3b61b900f9dbd7e0853e32",
+        "d3e0cb0f63ad86dfc7029cb6d309550ca4994b003b73d0de72c3f91e67cbc619",
+        "744d6ca1d3b3d108f0f22e3a38579908088d825ec5bc80915e0d660d93b97c0c",
+        "f95679b810cd814d91a82838e9a2ce2e75ef66c7ae51873713ca48e6502c1df3",
+    ),
+    "S3": (
+        "d72c2d526b7649763c631ce59e05cb90ae04ee88610ab656aa9dcd5aa2afee85",
+        "0e0ff0bb6f87d3d61ad06b996b29c581ef3914d29fd3c7ab32234ef5d6f2621f",
+        "da97fd24ae323cf8618a8c7e8d5b4c0bb604a361a0e355d1e8eb6acb64b2304f",
+        "23a7bcd729c308b5ba702d140ccf65fb39e6657946a0aeaa7a4b8396ab68d63b",
+    ),
+    "S4": (
+        "f36545b760b14a4248d9b84860cddf9a0dc8a1fac9e20f39b7f918876853a28d",
+        "78eca95506d2337ff28a5f66f28320670613bdb99a03be2fca73718911902eb4",
+        "82051dfce10325459a130040a80daf92bfcd0516ac3f0acb4bcc4729bc379a0c",
+        "d292274328f22cc7e8c784b59add18255cbf822b2daad6038907391778b86ac3",
+    ),
+    "S5": (
+        "6e8b2e8b461f848247a7a98377eb74a9d394b5f8caa348ba82ae2a4060b709a6",
+        "8fd25994ba72ab8561d4aaa991b0ab1b5d86c4e6fc6b1d9dff442f57c30eb60c",
+        "08f659b058e6a7bbaba152cd3d87e19dae596e7d3c613209b7f8104f9e809a81",
+        "1260e7f21f99ed034bb427e57607b555ab0982634ca2e61d482255db6f7aefdf",
+    ),
+    "S6": (
+        "f15170af681b1149827c5a0408b4e5cc2abe6f79607bc1a739a87b1df0b89d15",
+        "2c6d480ea4d8f811317054f3cbc206411a5619bcd21b7ba16f896166698b48a6",
+        "065ae1312b33b9c58f46c7e055aa896902447c6be39f5317bff0cd191c72445d",
+        "dcf03b0dc5e14740788a3219fc45f37368a5476e1528b13164eebd5b9912e829",
+    ),
+    "S7": (
+        "82ae905d9f0a80e597be986e09f00f6084d22bcbbd3d7f856d14adb690906b51",
+        "cc5a22cda0c5183540aa26a8d09133d14b057219d42dc885f42cd1e619a854a3",
+        "7e8eeb3ffc0937521be81e24a3f23b6a32fa38f8d9a8f19824b77af2c868cc34",
+        "faa7523935511947c654313a16a1358daf2a52d865dbfb1c682a16e1c14e69e0",
+    ),
+    "S8": (
+        "989fce5866c369cc5cf919c173e4376fa78ec12e275196148b8c15236360dc8e",
+        "875eded9a4c2a64ee4550b61809d10b2613466a7838ced754292249644e74ed2",
+        "e072a30d8d9ffc90fddc931969c683ee90e78493954480b5113797affc52bbc5",
+        "200b12147e991444342da9d5c84ef0b8e61da6fc7a8b3381daf2031d760200ca",
+    ),
+}
+
+# S5 and S7 with enforcement on, per seed: the sha256 of the trace, events
+# and conflict logs and of a one-seed summary, then the suppressed actions
+# and those suppressed as duplicates. No built-in scenario enforces.
+ENFORCED_DIGESTS = {
+    ("S5", 1): (
+        "7b45f617144d8097cd646b58cb3b25e170a5a90b07f06aeaba034b9cb5be6b73",
+        "94ef73d89c4ba70da40681ea0028fd4e2ad3d38ce2ed2cf4c901f4c529c89b6b",
+        "055bfd1f0af2ae6aef2b36eb8b28569cb916aa84adde35cd702bb936156fe04d",
+        "40698024cdf73851035a670b8da52728cfcb21adfcb393eccc647e38b6a43ebb",
+        204, 203,
+    ),
+    ("S5", 2): (
+        "55aedea00555487f1be7120cf096311cb515920f4a4ae8d2cc54a5f303dcb376",
+        "8fd25994ba72ab8561d4aaa991b0ab1b5d86c4e6fc6b1d9dff442f57c30eb60c",
+        "08f659b058e6a7bbaba152cd3d87e19dae596e7d3c613209b7f8104f9e809a81",
+        "3b8ba29d9183af0878e0b0613423aa703a8beed46da5e92f252436f36852735c",
+        208, 208,
+    ),
+    ("S7", 1): (
+        "277a69af641ad515e64ca6e2d136f53327e517665e48594cf0e51690de6728a4",
+        "0dc825e6687b77a15418c4dd1e65af05643df8d3ab0e6dd3a51a285c6218a993",
+        "b0afcb1f4d8d0a45c8d6ffd1656f7c9432c240a747472755b563c97a74ce3d49",
+        "0cb77bc08423339826a233eb1d565cfce45bfacfd47bfa6f1e1ae61552be5054",
+        315, 0,
+    ),
+    ("S7", 2): (
+        "0ed984c93b301969e92db081e1a7c72b9136bb9fda02d8f5db3714c191f5a93a",
+        "226f5350f27ed7c561cee8c8c8302599961a8be6af23a0baf482e1808acf5f2d",
+        "928d19323cc623acdfe66bf8bc30f5898d7de81d0a776cb79ae0f7e76ff03c0d",
+        "db8bc1c3ec5f63ac1f49eb2deaabb3c115fc5ee6aaaa48d5aa08997900fb7734",
+        325, 0,
     ),
 }
 
@@ -695,6 +784,14 @@ class TestOutputFiles:
         log = (out / "conflicts.csv").read_bytes()
         assert log.count(b"\n") > 12 and printed == log + summary
 
+    @pytest.mark.parametrize("rows", [[], [""], ["a"], ["", ""],
+                                      ["a", "", "b,c"]])
+    def test_each_row_is_one_line(self, rows):
+        for given in (rows, iter(rows)):
+            out = io.StringIO()
+            cli._write_rows(out, given)
+            assert out.getvalue() == "".join(f"{row}\n" for row in rows)
+
 
 class TestSimulate:
     def test_s1_writes_expected_files(self, tmp_path, capsys):
@@ -721,14 +818,38 @@ class TestSimulate:
                      "summary.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @staticmethod
+    def file_digests(out, seed):
+        return tuple(hashlib.sha256((out / name.format(seed)).read_bytes(
+        )).hexdigest() for name in SIMULATE_FILES)
+
     @pytest.mark.parametrize("sid", sorted(SIMULATE_DIGESTS))
     def test_outputs_match_pinned_digests(self, sid, tmp_path):
         out = tmp_path / "out"
         main(["simulate", "--scenario", sid, "--seed", "1",
               "--out", str(out)])
-        got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
-                    for name in SIMULATE_FILES)
-        assert got == SIMULATE_DIGESTS[sid]
+        assert self.file_digests(out, 1) == SIMULATE_DIGESTS[sid]
+
+    @pytest.mark.parametrize("sid", sorted(SIMULATE_SEED_2_DIGESTS))
+    def test_seed_2_outputs_match_pinned_digests(self, sid, tmp_path):
+        out = tmp_path / "out"
+        main(["simulate", "--scenario", sid, "--seed", "2",
+              "--out", str(out)])
+        assert self.file_digests(out, 2) == SIMULATE_SEED_2_DIGESTS[sid]
+
+    @pytest.mark.parametrize("sid,seed", sorted(ENFORCED_DIGESTS))
+    def test_enforced_outputs_match_pinned_digests(self, sid, seed,
+                                                   tmp_path):
+        scenario = scenarios.build(sid)
+        report = scenarios.run_scenario(
+            replace(scenario, seed=seed, detector="on"),
+            scenarios.load_bundle(scenario.ruleset))
+        cli.write_report_csvs(report, tmp_path)
+        cli.write_summary_csv([report], tmp_path)
+        assert report.suppressed_actions > 0
+        assert sid != "S5" or report.suppressed_duplicates > 0
+        assert (*self.file_digests(tmp_path, seed), report.suppressed_actions,
+                report.suppressed_duplicates) == ENFORCED_DIGESTS[sid, seed]
 
     def test_summary_has_extra_actuations_column(self, tmp_path):
         out = tmp_path / "out"

@@ -1,7 +1,9 @@
 """Model-level predicates: feature dependency, overlap, action relations,
 trigger matching."""
 
-from dataclasses import replace
+import copy
+import pickle
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -147,6 +149,19 @@ class TestEventSignature:
     def test_replace_is_checked_too(self):
         with pytest.raises(InvalidEventError, match="predicate"):
             replace(sig(), predicate="==")
+
+    @pytest.mark.parametrize("remake", [
+        copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s)),
+        lambda s: replace(s, location="room2")],
+        ids=["copy", "deepcopy", "pickle", "replace"])
+    def test_hash_is_a_fresh_signatures(self, remake):
+        made = remake(sig())
+        fresh = EventSignature(made.sensor_kind, made.predicate,
+                               made.location)
+        assert made == fresh and hash(made) == hash(fresh) == hash(
+            (made.sensor_kind, made.predicate, made.location))
+        assert "_hash" not in {f.name for f in fields(made)}
+        assert b"_hash" not in pickle.dumps(made)
 
 
 def config(**kwargs):

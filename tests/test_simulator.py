@@ -20,6 +20,7 @@ from tapcheck.scenarios import build, load_bundle, run_scenario, with_probabilit
 from tapcheck.simulator import (
     HouseModel,
     HouseParams,
+    SERIES_FIELDS,
     RoomState,
     Scenario,
     SourceSpec,
@@ -621,6 +622,23 @@ class TestDeterminismAndBounds:
             for fieldname in a.series[roomname]:
                 assert np.array_equal(a.series[roomname][fieldname],
                                       b.series[roomname][fieldname])
+
+    def test_second_report_gives_equal_series(self):
+        scenario = build("S3", seed=2)
+        bundle = load_bundle(scenario.ruleset)
+        run = simulator._Run(scenario, bundle.ruleset, bundle.config,
+                             bundle.house)
+        for tick in range(scenario.horizon):
+            run.step(tick)
+        first = {room: {f: column.copy() for f, column in columns.items()}
+                 for room, columns in run.report().series.items()}
+        second = run.report().series
+        assert len(first) == 3 and first.keys() == second.keys()
+        for room, columns in first.items():
+            assert tuple(columns) == tuple(second[room]) == SERIES_FIELDS
+            for f, column in columns.items():
+                assert column.shape == (scenario.horizon,)
+                assert np.array_equal(column, second[room][f])
 
     def test_source_streams_independent_of_list_order(self):
         base = build("S5", seed=3)
