@@ -41,6 +41,7 @@ import numpy as np
 
 from . import scenarios as scen
 from .detector import (
+    KIND_TEXT,
     NOTES,
     Conflict,
     ConflictKind,
@@ -54,22 +55,20 @@ from .errors import (
     UnknownSensorKindError,
 )
 from .model import (
-    Cmp,
     DetectorConfig,
     Event,
     EventSignature,
     RuleSet,
     check_reading,
 )
-from .parsing import load_document, read_text
+from .parsing import _CMP_TOKENS, load_document, read_text
 from .simulator import SERIES_FIELDS, THERMO_NAME, RoomState, TraceReport
 from .static import static_check
 
 TRACE_HEADER = "tick,sensor,kind,predicate,value,location"
 CONFLICT_HEADER = "tick,kind,rule_a,rule_b,event_a,event_b,actuator,note"
-# Each kind's text, read per row without a call to the enum's ``value``
-# descriptor.
-KIND_TEXT = {kind: kind.value for kind in ConflictKind}
+# Each comparator's trace token, read per row without the enum's value.
+_CMP_TEXT = {cmp: token for token, cmp in _CMP_TOKENS.items()}
 # A recorded flag's cell, by its value in the series.
 _FLAG_TEXT = {0.0: "0", 1.0: "1"}
 # Lines of ``check``'s report joined into one write, which bounds the text
@@ -140,7 +139,6 @@ def parse_trace(text: str, ruleset: RuleSet) -> list[Event]:
     last_tick: int | None = None
     # Ticks never decrease, so only this tick's sensors can repeat.
     tick_sensors: set[str] = set()
-    cmp_tokens = {c.value: c for c in Cmp}
     signatures: dict[tuple[str, str, str], EventSignature] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -169,7 +167,7 @@ def parse_trace(text: str, ruleset: RuleSet) -> list[Event]:
                                                      location)
         except UnknownSensorKindError as exc:
             raise TraceError(str(exc), line=lineno) from exc
-        if predicate not in cmp_tokens:
+        if predicate not in _CMP_TOKENS:
             raise TraceError(f"bad predicate {predicate!r}", line=lineno)
         if sensor_id in tick_sensors:
             raise TraceError(
@@ -180,7 +178,7 @@ def parse_trace(text: str, ruleset: RuleSet) -> list[Event]:
         if signature is None:
             signature = signatures[kind, predicate, location] = (
                 EventSignature(sensor_kind=kind,
-                               predicate=cmp_tokens[predicate],
+                               predicate=_CMP_TOKENS[predicate],
                                location=location))
         events.append(Event(
             id=f"e{lineno - 1}",
@@ -200,7 +198,7 @@ def format_event_row(event: Event) -> str:
         # ``np.float64(60.5)``, which ``parse_trace`` rejects.
         value = (float if isinstance(value, float) else int)(value)
     return (f"{event.time},{event.sensor},{event.signature.sensor_kind},"
-            f"{event.signature.predicate.value},{value!r},"
+            f"{_CMP_TEXT[event.signature.predicate]},{value!r},"
             f"{event.signature.location}")
 
 

@@ -63,7 +63,7 @@ C7 alone.
 
 from bisect import bisect_left
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, takewhile
 from operator import attrgetter
@@ -102,19 +102,22 @@ class ConflictKind(str, Enum):
     C7 = "C7"
 
 
-class _WeaklyReferable:
-    """Gives the slotted ``TriggeredAction`` its ``__weakref__`` slot, which
-    ``dataclass(weakref_slot=True)`` would give it from Python 3.11 on."""
-
-    __slots__ = ("__weakref__",)
+# Each kind's text, read per finding without the enum's value descriptor.
+KIND_TEXT = {kind: kind.value for kind in ConflictKind}
 
 
-@dataclass(frozen=True, slots=True)
-class TriggeredAction(_WeaklyReferable):
+@dataclass(frozen=True)
+class TriggeredAction:
     """One rule firing: the event, the rule that matched it, and the command
     the owning controller would issue. ``index`` is the rule's position in
     its ruleset, where the detector finds the rule's profile. A slotted,
-    immutable record, which ``match_rules`` fills slot by slot."""
+    immutable record, which ``match_rules`` fills slot by slot. The slots
+    are declared by hand: ``dataclass(slots=True)`` rebuilds the class,
+    and its frozen ``__setattr__`` then raises ``TypeError`` for a name
+    that is no field, such as ``_key``, which ``__reduce__`` rebuilds."""
+
+    __slots__ = ("event", "rule", "controller", "action", "actuator_kind",
+                 "time", "index", "_key", "__weakref__")
 
     event: Event
     rule: str
@@ -123,10 +126,14 @@ class TriggeredAction(_WeaklyReferable):
     actuator_kind: str
     time: Tick
     index: int
-    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_key", (self.time, self.event.id, self.rule))
+        _set_key(self, (self.time, self.event.id, self.rule))
+
+    def __reduce__(self):
+        return (TriggeredAction, (self.event, self.rule, self.controller,
+                                  self.action, self.actuator_kind, self.time,
+                                  self.index))
 
     def key(self) -> tuple:
         """The firing's identity and canonical order: (time, event id, rule

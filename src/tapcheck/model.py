@@ -11,8 +11,9 @@ it at first use and never change afterwards. ``value_problem`` is the one
 statement of what a number, an integer and a name are: every reading,
 rule, sensor, detector config, document and simulation setup meets it.
 Each config record here, and each setup type of the simulator, checks its
-field types by one reader of its annotations, ``_check_fields``, for
-documents and library callers alike, then adds only its cross-field rules.
+fields by one reader of its annotations, ``_check_fields``, down to each
+entry of a fixed-length tuple and each choice of a ``Literal``, then adds
+only its cross-field rules.
 
 Time is a non-negative integer tick. Within one event stream ticks never
 decrease, and a single sensor emits at most one event per tick. Each
@@ -29,7 +30,8 @@ from enum import Enum
 from functools import cache, cached_property
 from operator import attrgetter
 from types import UnionType
-from typing import Callable, Collection, Sequence, get_args, get_origin
+from typing import Callable, Collection, Literal, Sequence, Union
+from typing import get_args, get_origin
 
 from .errors import (
     DuplicateIdError,
@@ -185,48 +187,91 @@ def check_reading(time: Tick, value: float) -> None:
             raise InvalidEventError(f"tick must be {problem}")
 
 
-# How a problem names the entries of a container, per scalar kind.
-_ENTRIES = {float: "numbers", int: "integers", str: "names", bool: "booleans"}
+# What a problem calls one entry of a scalar kind; entries add an "s".
+_NAMES = {float: "number", int: "integer", str: "name", bool: "boolean"}
 
 
 def _kind_name(kind, entries: bool = False) -> str:
     """An annotation as a problem names it: a class by its name, plural as
-    ``entries``, and a container by its class and what it holds."""
+    ``entries``, a ``Literal`` by its choices, a fixed-length tuple as a
+    pair (or n-tuple) of what it holds, and a container by its class and
+    what it holds."""
     origin, args = get_origin(kind), get_args(kind)
+    s = "s" if entries else ""
     if origin is None:
-        return _ENTRIES.get(kind, kind.__name__) if entries else kind.__name__
-    name = origin.__name__ + ("s" if entries else "")
-    if origin is not tuple or args[-1] is ...:
-        name += f" of {_kind_name(args[0], True)}"
+        return _NAMES[kind] + s if kind in _NAMES else kind.__name__
+    if origin is Literal:
+        return f"one of {args!r}"
+    if origin is tuple and args[-1] is not ...:
+        noun = ("pair" if len(args) == 2 else f"{len(args)}-tuple") + s
+        if len(set(args)) == 1:
+            return f"{noun} of {_kind_name(args[0], True)}"
+        return f"({', '.join(map(_kind_name, args))}) {noun}"
+    name = f"{origin.__name__}{s} of {_kind_name(args[0], True)}"
     return f"{name} to {_kind_name(args[1], True)}" if origin is dict else name
 
 
 @cache
 def _holds(kind) -> Callable[[object], bool]:
     """Whether a value holds the annotation ``kind``: a class as
-    :func:`value_problem` has it, or a ``tuple[X, ...]``, ``frozenset[X]``
-    or ``dict[K, V]`` of it; a fixed-length tuple need only be a tuple."""
+    :func:`value_problem` has it, a ``Literal``'s choice, a fixed-length
+    tuple each of whose entries holds the kind at its position, or a
+    ``tuple[X, ...]``, ``frozenset[X]`` or ``dict[K, V]`` of them."""
     origin, args = get_origin(kind), get_args(kind)
     if origin is None:
-        if kind in _ENTRIES:
+        if kind in _NAMES:
             return lambda value: value_problem(value, kind) is None
         return lambda value: isinstance(value, kind)
+    if origin is Literal:
+        return lambda value: value in args
     if origin is tuple and args[-1] is not ...:
-        return lambda value: isinstance(value, tuple)
+        tests = tuple(map(_holds, args))
+        return lambda value: isinstance(value, tuple) and len(value) == len(
+            tests) and all(test(v) for test, v in zip(tests, value))
     entry, item = _holds(args[0]), origin is dict and _holds(args[1])
     return lambda value: isinstance(value, origin) and all(map(entry, value)) \
         and (not item or all(map(item, value.values())))
 
 
+def _problem(value, kind) -> tuple[str, str]:
+    """The path to where ``value``, which does not hold ``kind``, first
+    fails it, and what the value there must be: ``[i]`` for a tuple's
+    entry, `` entry e`` for a frozenset's in ``sorted(key=str)`` order, so
+    the hash seed does not choose it, and `` key k`` or ``[k]`` for a
+    dict's."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is None:
+        return "", value_problem(value, kind)
+    if origin is Literal:
+        return "", f"{_kind_name(kind)}, not {value!r}"
+    fixed = origin is tuple and args[-1] is not ...
+    if not isinstance(value, origin) or fixed and len(value) != len(args):
+        return "", f"a {_kind_name(kind)}, not {value!r}"
+    if origin is dict:
+        parts = [part for k, v in value.items() for part in (
+            (f" key {k!r}", k, args[0]), (f"[{k!r}]", v, args[1]))]
+    elif origin is tuple:
+        parts = [(f"[{i}]", v, args[i] if fixed else args[0])
+                 for i, v in enumerate(value)]
+    else:
+        parts = [(f" entry {v!r}", v, args[0])
+                 for v in sorted(value, key=str)]
+    where, entry, entry_kind = next(
+        part for part in parts if not _holds(part[2])(part[1]))
+    inner, problem = _problem(entry, entry_kind)
+    return where + inner, problem
+
+
 @cache
 def _annotated_fields(cls) -> tuple[tuple, ...]:
     """(name, kind, its test, may be None, may be empty) of each field of
-    ``cls`` of one kind, or one ``| None``; a text field may be empty when
-    its default is. A record checks a field of two kinds itself."""
+    ``cls`` of one kind, or one ``| None`` (a ``typing.Union`` after a
+    ``Literal``); a text field may be empty when its default is. A record
+    checks a field of two kinds itself."""
     out = []
     for f in fields(cls):
-        kinds = set(get_args(f.type) if isinstance(f.type, UnionType)
-                    else (f.type,))
+        kinds = set(get_args(f.type) if get_origin(f.type) in (
+            Union, UnionType) else (f.type,))
         optional = type(None) in kinds
         kinds.discard(type(None))
         if len(kinds) == 1:
@@ -237,16 +282,16 @@ def _annotated_fields(cls) -> tuple[tuple, ...]:
 
 def _check_fields(record, prefix: str, error: type) -> None:
     """Check each field of ``record`` against its annotation, in field
-    order; a failure raises ``error``: ``<prefix><field> must be ...``."""
+    order; a failure raises ``error``: ``<prefix><field><path> must be
+    ...``, with the path ``_problem`` gives to the first offending entry."""
     for name, kind, holds, optional, blank in _annotated_fields(
             type(record)):
         value = getattr(record, name)
         if holds(value) or (value is None and optional) or (
                 blank and isinstance(value, str)):
             continue
-        raise error(f"{prefix}{name} must be " + (
-            value_problem(value, kind) if get_origin(kind) is None
-            else f"a {_kind_name(kind)}, not {value!r}"))
+        where, problem = _problem(value, kind)
+        raise error(f"{prefix}{name}{where} must be {problem}")
 
 
 # A comma, or any line boundary ``str.splitlines`` breaks at, would split
@@ -264,7 +309,7 @@ def _check_row_name(name: str, what: str,
 
 @dataclass(frozen=True)
 class Sensor:
-    """A declared sensor: its range two numbers, low < high."""
+    """A declared sensor: its range a pair of numbers, low < high."""
 
     id: str
     kind: str
@@ -280,12 +325,10 @@ class Sensor:
         # for this sensor.
         if self.tolerance < 0:
             raise InvalidConfigError(f"{what} tolerance must be >= 0")
-        rng = self.range
-        if len(rng) != 2 or any(value_problem(v, float) for v in rng) or (
-                not rng[0] < rng[1]):
+        if not self.range[0] < self.range[1]:
             raise InvalidConfigError(
                 f"{what} range must be two finite numbers with low < high, "
-                f"not {rng!r}")
+                f"not {self.range!r}")
 
 
 @dataclass(frozen=True)
@@ -530,8 +573,7 @@ class RuleSet:
                     f"{trigger.location_filter!r}")
             schedule = trigger.schedule
             if schedule is not None and not (
-                    isinstance(schedule, tuple) and len(schedule) == 2
-                    and not any(value_problem(v, int) for v in schedule)
+                    _holds(tuple[int, int])(schedule)
                     and schedule[0] < schedule[1] <= day):
                 raise InvalidConfigError(
                     f"rule {rid!r} schedule must be a pair of integers "
@@ -600,10 +642,6 @@ class FeatureDependencyGraph:
         # Sorted, so the first bad edge reported does not hang on the hash
         # seed.
         for edge in sorted(self.edges, key=str):
-            if len(edge) != 2:
-                raise InvalidConfigError(
-                    "dependency graph edges must be pairs of features, not "
-                    f"{edge!r}")
             for feature in edge:
                 if feature not in self.nodes:
                     raise ReferentialIntegrityError(
@@ -660,7 +698,8 @@ class ActionRelationTable:
     relations and cross-kind relations (needed when two different device
     kinds can push one feature in opposing directions, e.g. a blind and a
     lamp) live in one table without ambiguity when kinds share action names.
-    Each entry is a sorted pair of action classes of the vocabulary
+    Each key is a pair of action classes, as its annotation states
+    (``InvalidConfigError``), a sorted pair of classes of the vocabulary
     (``ReferentialIntegrityError``), and an identical (kind, name) maps
     only to ``same`` (``InvalidConfigError``); any undeclared pair
     defaults to ``different``, which keeps lookups total over the vocabulary
@@ -680,8 +719,7 @@ class ActionRelationTable:
         declared = {(kind, name) for kind, names in self.vocabulary.items()
                     for name in names}
         for pair, relation in self.entries.items():
-            if (len(pair) != 2 or not declared.issuperset(pair)
-                    or pair[0] > pair[1]):
+            if not declared.issuperset(pair) or pair[0] > pair[1]:
                 raise ReferentialIntegrityError(
                     "action relations entries must key sorted pairs of "
                     f"action classes of the vocabulary, not {pair!r}")

@@ -30,10 +30,11 @@ its annotation, read by the package's one field checker in
 :mod:`tapcheck.model`, which also checks the config records: a number, an
 integer, a name, a bool or a ``Cmp`` as
 :func:`tapcheck.model.value_problem` states it (a text field may be empty
-where its default is), a record such as :class:`HouseParams`, and a tuple
-or frozenset of one of them, such as the rooms or the sources. Each type
-then checks its own ranges and the entries of its pairs and traces, and
-house overrides meet the rules of the parameter or trace they replace.
+where its default is), a record such as :class:`HouseParams`, a
+``Literal``'s choice such as a source's mode, a fixed-length tuple such as
+an adjacency pair, and a tuple or frozenset of them. Each type then adds
+only its cross-field rules and its ranges and traces, and house overrides
+meet the rules of the parameter or trace they replace.
 A scenario document is read into these same types, so a value built in code
 and one read from a document meet the same checks, and each failure is a
 :class:`SimulationError` naming the record and the field. A run checks
@@ -44,10 +45,12 @@ and momentary actuators) before tick 0.
 import hashlib
 from dataclasses import dataclass, field, fields, replace
 from operator import itemgetter
+from typing import Literal, get_args
 
 import numpy as np
 
 from .detector import (
+    KIND_TEXT,
     Conflict,
     ConflictKind,
     DetectionWindow,
@@ -68,6 +71,8 @@ from .model import (
 )
 
 THERMOSTAT_OFF, THERMOSTAT_HEAT, THERMOSTAT_COOL = "off", "heat", "cool"
+# A thermostat's modes, in the order of their codes in a trace.
+ThermostatMode = Literal[THERMOSTAT_OFF, THERMOSTAT_HEAT, THERMOSTAT_COOL]
 
 
 def _check_param(value, what: str) -> None:
@@ -99,7 +104,7 @@ class RoomState:
     humidity: float = 50.0
     luminance: float = 0.0
     occupancy: bool = False
-    thermostat: str = THERMOSTAT_OFF
+    thermostat: ThermostatMode = THERMOSTAT_OFF
     setpoint: float = 70.0
     humidifier: bool = False
     light: bool = False
@@ -113,11 +118,6 @@ class RoomState:
         if not 0.0 <= self.humidity <= 100.0:
             raise SimulationError(
                 f"room {self.name!r} humidity must start in [0, 100]")
-        if self.thermostat not in (THERMOSTAT_OFF, THERMOSTAT_HEAT,
-                                   THERMOSTAT_COOL):
-            raise SimulationError(
-                f"room {self.name!r} thermostat must be off, heat or cool, "
-                f"not {self.thermostat!r}")
 
 
 @dataclass(frozen=True)
@@ -170,12 +170,7 @@ class HouseModel:
         if len(set(names)) != len(names):
             raise SimulationError("duplicate room name in house model")
         pairs = set()
-        for pair in self.adjacency:
-            if len(pair) != 2:
-                raise SimulationError(
-                    f"house adjacency entry {pair!r} is not a (room, room) "
-                    "pair")
-            a, b = pair
+        for a, b in self.adjacency:
             if a not in names or b not in names:
                 raise SimulationError(
                     f"adjacency references unknown room in ({a}, {b})")
@@ -197,22 +192,10 @@ class HouseModel:
                 out.append(a)
         return tuple(out)
 
-    def outdoor_at(self, tick: int) -> float:
-        return _trace_at(self.outdoor_temperature, tick)
 
-    def daylight_at(self, tick: int) -> float:
-        return _trace_at(self.daylight, tick)
-
-
-def _trace_at(trace, tick: int) -> float:
-    if isinstance(trace, (int, float)):
-        return float(trace)
-    return float(trace[tick % len(trace)])
-
-
-def _period(trace) -> int:
-    """The ticks after which an outdoor trace repeats."""
-    return len(trace) if isinstance(trace, tuple) else 1
+def _cycle(trace) -> list[float]:
+    """One cycle of an outdoor trace, as the floats read at ``tick % len``."""
+    return list(map(float, trace if isinstance(trace, tuple) else (trace,)))
 
 
 def thermal_step(room: RoomState, house: HouseModel, t_out: float,
@@ -287,12 +270,12 @@ class SourceSpec:
 
     name: str
     sensor: str
-    mode: str = "bernoulli"
+    mode: Literal["bernoulli", "cov", "clock", "script"] = "bernoulli"
     p: float = 0.0
     value: float = 1.0
     choices: tuple[float, ...] | None = None
     predicate: Cmp = Cmp.EQ
-    feature: str | None = None
+    feature: Literal["temperature", "humidity", "luminance"] | None = None
     min_delta: float = 1e-9
     at: tuple[tuple[int, float], ...] = ()
     occupancy_room: str | None = None
@@ -302,19 +285,11 @@ class SourceSpec:
         # Every field is checked whatever the mode.
         what = f"source {self.name!r}"
         _check_fields(self, f"{what} ", SimulationError)
-        if self.mode not in ("bernoulli", "cov", "clock", "script"):
-            raise SimulationError(
-                f"{what} mode must be bernoulli, cov, clock or script, not "
-                f"{self.mode!r}")
         if not 0.0 <= self.p <= 1.0:
             raise SimulationError(f"{what} p must be in [0, 1], not {self.p}")
         if self.mode == "cov" and self.feature is None:
             raise SimulationError(
                 f"cov source {self.name!r} needs a feature to watch")
-        if self.feature not in (None, "temperature", "humidity", "luminance"):
-            raise SimulationError(
-                f"{what} feature must be temperature, humidity or "
-                f"luminance, not {self.feature!r}")
         if self.min_delta < 0:
             raise SimulationError(f"{what} min_delta must be >= 0")
         if self.choices == ():
@@ -322,24 +297,11 @@ class SourceSpec:
                 f"{what} choices must be None or a non-empty tuple of finite "
                 "numbers, not ()")
         ticks = set()
-        for entry in self.at:
-            if len(entry) != 2:
-                raise SimulationError(
-                    f"{what} at entry {entry!r} is not a (tick, value) pair")
-            tick, value = entry
-            if value_problem(tick, int):
-                raise SimulationError(
-                    f"script source {self.name!r} tick {tick!r} is not "
-                    "an integer >= 0")
+        for tick, _ in self.at:
             if tick in ticks:
                 raise SimulationError(
                     f"script source {self.name!r} lists tick {tick} twice")
             ticks.add(tick)
-            problem = value_problem(value, float)
-            if problem:
-                raise SimulationError(
-                    f"script source {self.name!r} tick {tick} value must be "
-                    f"{problem}")
 
 
 @dataclass(frozen=True)
@@ -358,7 +320,7 @@ class Scenario:
     sources: tuple[SourceSpec, ...]
     horizon: int
     seed: int = 0
-    detector: str = "off"
+    detector: Literal["off", "on"] = "off"
     house_overrides: dict = field(default_factory=dict)
     baseline_overrides: dict | None = None
     description: str = ""
@@ -366,10 +328,6 @@ class Scenario:
     def __post_init__(self):
         what = f"scenario {self.id!r}"
         _check_fields(self, f"{what} ", SimulationError)
-        if self.detector not in ("off", "on"):
-            raise SimulationError(
-                f"{what} detector must be 'off' or 'on', not "
-                f"{self.detector!r}")
         # Each source checked itself when it was built; ``replace`` runs
         # this again for every seed and arm.
         names = set()
@@ -431,7 +389,8 @@ SERIES_FIELDS = tuple(f.name for f in fields(RoomState)
 # A room's row of SERIES_FIELDS, read from its attribute dict.
 _series_row = itemgetter(*SERIES_FIELDS)
 
-_THERMO_CODE = {THERMOSTAT_OFF: 0, THERMOSTAT_HEAT: 1, THERMOSTAT_COOL: 2}
+_THERMO_CODE = {mode: code for code, mode in enumerate(
+    get_args(ThermostatMode))}
 THERMO_NAME = {v: k for k, v in _THERMO_CODE.items()}
 
 # What a tick drops when it enforces nothing: no event ids, no action keys.
@@ -555,11 +514,8 @@ class _Run:
             (room, tuple(position[n] for n in house.neighbors(name)),
              rows.append)
             for (name, room), rows in zip(self.rooms.items(), self._rows)]
-        # One cycle of each outdoor trace, read at ``tick % len``.
-        self._outdoor = [house.outdoor_at(tick) for tick in range(
-            _period(house.outdoor_temperature))]
-        self._daylight = [house.daylight_at(tick)
-                          for tick in range(_period(house.daylight))]
+        self._outdoor = _cycle(house.outdoor_temperature)
+        self._daylight = _cycle(house.daylight)
         sensors = ruleset.registry.sensors
         # Per source: its name, its readings by tick (a cov source's, None,
         # depend on the room it watches and are taken as the run goes), the
@@ -735,9 +691,9 @@ class _Run:
             for (name, column), values in zip(columns.items(), zip(*rows)):
                 column[:len(values)] = ([_THERMO_CODE[v] for v in values]
                                         if name == "thermostat" else values)
-        counts = {kind.value: 0 for kind in ConflictKind}
+        counts = dict.fromkeys(KIND_TEXT.values(), 0)
         for conflict in self.conflicts:
-            counts[conflict.kind.value] += 1
+            counts[KIND_TEXT[conflict.kind]] += 1
         return TraceReport(
             scenario=self.scenario.id,
             seed=self.scenario.seed,

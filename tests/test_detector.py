@@ -5,7 +5,7 @@ import math
 import pickle
 import weakref
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -610,11 +610,12 @@ class TestFiringRecord:
     def test_immutable_copyable_picklable_weakly_referable(self,
                                                            alarm_home):
         _, _, firing = self.fired(alarm_home)
-        for f in fields(TriggeredAction):
-            with pytest.raises(AttributeError):
-                setattr(firing, f.name, None)
-            with pytest.raises(AttributeError):
-                delattr(firing, f.name)
+        for name in (*(f.name for f in fields(TriggeredAction)), "_key",
+                     "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(firing, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(firing, name)
         assert firing.key() == (4, "e1", "r_smoke")
         assert not hasattr(firing, "__dict__")
         for twin in (copy.copy(firing), pickle.loads(pickle.dumps(firing))):

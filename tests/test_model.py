@@ -2,8 +2,16 @@
 trigger matching."""
 
 import copy
+import dataclasses
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import fields, replace
+from enum import Enum
+from pathlib import Path
+from types import UnionType
+from typing import Literal, Union, get_args, get_origin
 
 import numpy as np
 import pytest
@@ -11,11 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_home, ev
+from tapcheck import model, simulator
 from tapcheck.errors import (
     DuplicateIdError,
     InvalidConfigError,
     InvalidEventError,
     ReferentialIntegrityError,
+    SimulationError,
     UnknownActionError,
     UnknownFeatureError,
 )
@@ -516,3 +526,183 @@ class TestSensor:
         with pytest.raises(InvalidConfigError,
                            match="sensor 't1' tolerance must be"):
             Sensor("t1", "temperature", "F", "room1", tolerance=tolerance)
+
+
+# A valid instance's arguments, the words its errors start with, and its
+# error class, for each record whose fields ``_check_fields`` reads.
+_SHAPED = {
+    model.Sensor: ({"id": "t1", "kind": "temperature", "unit": "F",
+                    "location": "room1"}, "sensor 't1' ", InvalidConfigError),
+    model.FeatureDependencyGraph: (
+        {"nodes": frozenset({"a", "b"}), "edges": frozenset()},
+        "dependency graph ", InvalidConfigError),
+    model.ActionRelationTable: (
+        {"vocabulary": {"door": frozenset({"open", "close"})}},
+        "action relations ", InvalidConfigError),
+    simulator.RoomState: ({"name": "room1"}, "room 'room1' ",
+                          SimulationError),
+    simulator.HouseModel: ({"rooms": (simulator.RoomState(name="r"),)},
+                           "house ", SimulationError),
+    simulator.SourceSpec: ({"name": "x", "sensor": "s"}, "source 'x' ",
+                           SimulationError),
+    simulator.Scenario: ({"id": "p", "ruleset": "s5_alarm", "sources": (),
+                          "horizon": 1}, "scenario 'p' ", SimulationError),
+}
+# No kind of the package's annotations holds it, and it hashes, so it can
+# stand in a frozenset or as a dict key.
+_BAD = 1j
+
+
+def _field_kind(f):
+    """A field's one kind, without its ``| None``; None for two kinds."""
+    kinds = set(get_args(f.type) if get_origin(f.type) in (Union, UnionType)
+                else (f.type,))
+    kinds.discard(type(None))
+    return kinds.pop() if len(kinds) == 1 else None
+
+
+def _fixed(kind) -> bool:
+    return get_origin(kind) is tuple and get_args(kind)[-1] is not ...
+
+
+def _sample(kind):
+    """A value that holds ``kind``."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Literal:
+        return args[0]
+    if origin is None:
+        return next(iter(kind)) if issubclass(kind, Enum) else {
+            float: 1.5, int: 3, str: "a", bool: True}[kind]
+    if _fixed(kind):
+        return tuple(map(_sample, args))
+    entry = _sample(args[0])
+    if origin is dict:
+        return {entry: _sample(args[1])}
+    return origin((entry,))
+
+
+def _shape_cases(kind):
+    """(label, value, path, shown) per way to break a fixed-length tuple
+    inside ``kind``: its length, or one entry made ``_BAD``. ``path`` is
+    where the error finds the fault, and ``shown`` the value it prints."""
+    origin, args = get_origin(kind), get_args(kind)
+    if _fixed(kind):
+        good = _sample(kind)
+        yield "length", good + good[:1], "", good + good[:1]
+        for i, arg in enumerate(args):
+            yield f"{i}", good[:i] + (_BAD,) + good[i + 1:], f"[{i}]", _BAD
+            for label, value, where, shown in _shape_cases(arg):
+                yield (f"{i}.{label}", good[:i] + (value,) + good[i + 1:],
+                       f"[{i}]{where}", shown)
+    elif origin is tuple:
+        for label, value, where, shown in _shape_cases(args[0]):
+            yield label, (value,), f"[0]{where}", shown
+    elif origin is frozenset:
+        for label, value, where, shown in _shape_cases(args[0]):
+            yield label, frozenset({value}), f" entry {value!r}{where}", shown
+    elif origin is dict:
+        key, item = _sample(args[0]), _sample(args[1])
+        for label, value, where, shown in _shape_cases(args[0]):
+            yield (f"key.{label}", {value: item}, f" key {value!r}{where}",
+                   shown)
+        for label, value, where, shown in _shape_cases(args[1]):
+            yield f"value.{label}", {key: value}, f"[{key!r}]{where}", shown
+
+
+def _holds_shape(kind) -> bool:
+    """Whether ``kind`` is or holds a fixed-length tuple."""
+    return _fixed(kind) or any(map(_holds_shape, get_args(kind)))
+
+
+def _annotated(test):
+    """(record, field, kind) of each field of a ``_SHAPED`` record whose
+    kind passes ``test``."""
+    return [(cls, f.name, kind) for cls in _SHAPED for f in fields(cls)
+            if (kind := _field_kind(f)) is not None and test(kind)]
+
+
+def _literal(kind) -> bool:
+    return get_origin(kind) is Literal
+
+
+class TestAnnotatedShapes:
+    """A fixed-length tuple and a ``Literal`` are checked from the
+    annotation alone, at any depth, and each failure is one line that
+    names the record, the field and the offending entry."""
+
+    def test_every_shaped_record_is_listed(self):
+        # ``RuleSet`` judges a trigger's schedule and names the rule; a
+        # trace report is output, not input.
+        unchecked = (model.TriggerCondition, simulator.TraceReport)
+        for module in (model, simulator):
+            for cls in vars(module).values():
+                if (dataclasses.is_dataclass(cls) and cls not in _SHAPED
+                        and cls not in unchecked):
+                    kinds = [_field_kind(f) for f in fields(cls)]
+                    assert not any(k is not None and (
+                        _holds_shape(k) or _literal(k)) for k in kinds), cls
+
+    def test_cases_cover_every_shape_and_choice(self):
+        assert {(c.__name__, n) for c, n, _ in _annotated(_holds_shape)} == {
+            ("Sensor", "range"), ("FeatureDependencyGraph", "edges"),
+            ("ActionRelationTable", "entries"), ("HouseModel", "adjacency"),
+            ("SourceSpec", "at")}
+        assert {(c.__name__, n) for c, n, _ in _annotated(_literal)} == {
+            ("RoomState", "thermostat"), ("SourceSpec", "mode"),
+            ("SourceSpec", "feature"), ("Scenario", "detector")}
+        labels = {label for _, _, kind in _annotated(_holds_shape)
+                  for label, *_ in _shape_cases(kind)}
+        # Relation keys: the key, each action class and each name in it.
+        assert {"key.length", "key.0", "key.0.length", "key.1.1"} <= labels
+
+    @pytest.mark.parametrize("cls,name,value,where,shown", [
+        pytest.param(cls, name, value, where, shown,
+                     id=f"{cls.__name__}.{name}-{label}")
+        for cls, name, kind in _annotated(_holds_shape)
+        for label, value, where, shown in _shape_cases(kind)])
+    def test_broken_fixed_tuple_rejected(self, cls, name, value, where,
+                                         shown):
+        kwargs, words, error = _SHAPED[cls]
+        with pytest.raises(error) as err:
+            cls(**{**kwargs, name: value})
+        text = str(err.value)
+        assert type(err.value) is error and "\n" not in text
+        assert text.startswith(f"{words}{name}{where} must be a")
+        assert text.endswith(f", not {shown!r}")
+
+    @pytest.mark.parametrize("cls,name,choices", [
+        pytest.param(cls, name, get_args(kind), id=f"{cls.__name__}.{name}")
+        for cls, name, kind in _annotated(_literal)])
+    def test_unknown_choice_rejected(self, cls, name, choices):
+        kwargs, words, error = _SHAPED[cls]
+        with pytest.raises(error) as err:
+            cls(**{**kwargs, name: "nope"})
+        assert str(err.value) == (f"{words}{name} must be one of "
+                                  f"{choices!r}, not 'nope'")
+
+    def test_thermostat_modes_are_their_codes(self):
+        assert simulator.THERMO_NAME == dict(enumerate((
+            simulator.THERMOSTAT_OFF, simulator.THERMOSTAT_HEAT,
+            simulator.THERMOSTAT_COOL)))
+
+    def test_frozenset_entry_named_alike_under_any_hash_seed(self):
+        # Two three-name edges: the set's order hangs on the hash seed, the
+        # entry the error names does not.
+        script = ("from tapcheck.model import FeatureDependencyGraph as G\n"
+                  "try:\n"
+                  "    G(nodes=frozenset('abc'), edges=frozenset({\n"
+                  "        ('a', 'b', 'c'), ('b', 'c', 'a')}))\n"
+                  "except Exception as exc:\n"
+                  "    print(type(exc).__name__, exc)\n")
+        src = str(Path(model.__file__).resolve().parents[1])
+        out = set()
+        for seed in ("0", "12345"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True,
+                text=True, timeout=60,
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+            assert proc.returncode == 0, proc.stderr
+            out.add(proc.stdout)
+        assert out == {
+            "InvalidConfigError dependency graph edges entry ('a', 'b', "
+            "'c') must be a pair of names, not ('a', 'b', 'c')\n"}

@@ -218,8 +218,8 @@ detector:
         assert str(err.value) == "rule 'r1' trigger.threshold must be finite"
 
     @pytest.mark.parametrize("bogus,message", [
-        ("range: [0, .inf]", "sensor 't1' range must be two finite numbers "
-         "with low < high, not (0, inf)"),
+        pytest.param("range: [0, .inf]", "sensor 't1' range[1] must be finite",
+                     id="range"),
         ("tolerance: .nan", "sensor 't1' tolerance must be finite"),
     ])
     def test_non_finite_sensor_value_rejected_by_the_sensor(self, bogus,
@@ -376,8 +376,7 @@ class TestReferenceChecks:
                                       range=(1, 2, 3)),
          "unit: F, location: room1}", "unit: F, location: room1, "
          "range: [1, 2, 3]}", InvalidConfigError,
-         "sensor 't1' range must be two finite numbers with low < high, "
-         "not (1, 2, 3)"),
+         "sensor 't1' range must be a pair of numbers, not (1, 2, 3)"),
         (MINIMAL, lambda doc: replace(doc.ruleset.registry.sensors["t1"],
                                       tolerance=-1),
          "unit: F, location: room1}", "unit: F, location: room1, "
@@ -397,8 +396,8 @@ class TestReferenceChecks:
         (MINIMAL, lambda doc: replace(doc.config.dependency_graph,
                                       edges=frozenset({("a", "b", "c")})),
          "rules:\n", "feature_deps: [[a, b, c]]\nrules:\n",
-         InvalidConfigError, "dependency graph edges must be pairs of "
-         "features, not ('a', 'b', 'c')"),
+         InvalidConfigError, "dependency graph edges entry ('a', 'b', 'c') "
+         "must be a pair of names, not ('a', 'b', 'c')"),
         (MINIMAL, lambda doc: _rule(doc.ruleset, trigger={"threshold": "abc"}),
          "threshold: 65}", "threshold: abc}", InvalidConfigError,
          "rule 'r1' trigger.threshold must be a number, not 'abc'"),
@@ -548,11 +547,10 @@ _RECORD_FAULTS = [
                  "sensor 'smoke1' range must be two finite numbers with "
                  "low < high, not (5.0, 1.0)", id="range_reversed"),
     pytest.param(Sensor, "range", ("a", "b"),
-                 "sensor 'smoke1' range must be two finite numbers with "
-                 "low < high, not ('a', 'b')", id="range_text"),
+                 "sensor 'smoke1' range[0] must be a number, not 'a'",
+                 id="range_text"),
     pytest.param(Sensor, "range", (float("nan"), 1.0),
-                 "sensor 'smoke1' range must be two finite numbers with "
-                 "low < high, not (nan, 1.0)", id="range_nan"),
+                 "sensor 'smoke1' range[0] must be finite", id="range_nan"),
     pytest.param(Actuator, "actions", (),
                  "actuator 'alarm1' actions must hold at least one action",
                  id="no_actions"),
@@ -560,25 +558,25 @@ _RECORD_FAULTS = [
                  "duplicate action name on actuator 'alarm1'",
                  id="action_twice"),
     pytest.param(Registry, "locations", ("room1", ["x"]),
-                 "registry locations must be a tuple of names, not "
-                 "('room1', ['x'])", id="location_list"),
+                 "registry locations[1] must be a non-empty string, not "
+                 "['x']", id="location_list"),
     pytest.param(Registry, "sensors",
                  lambda rs: {"zz": rs.registry.sensors["smoke1"]},
                  "registry sensors key 'zz' holds sensor 'smoke1'",
                  id="sensor_key"),
     pytest.param(FeatureDependencyGraph, "edges",
                  frozenset({("alert@room1", "a", "b")}),
-                 "dependency graph edges must be pairs of features, not "
-                 "('alert@room1', 'a', 'b')", id="edge_triple"),
+                 "dependency graph edges entry ('alert@room1', 'a', 'b') must "
+                 "be a pair of names, not ('alert@room1', 'a', 'b')",
+                 id="edge_triple"),
     pytest.param(FeatureDependencyGraph, "nodes", frozenset({5}),
-                 "dependency graph nodes must be a frozenset of names, not "
-                 "frozenset({5})", id="node_number"),
+                 "dependency graph nodes entry 5 must be a non-empty string, "
+                 "not 5", id="node_number"),
     pytest.param(DetectorConfig, "dependency_graph", "x",
                  "detector dependency_graph must be a "
                  "FeatureDependencyGraph, not 'x'", id="graph_text"),
     pytest.param(RuleSet, "rules", ("x",),
-                 "ruleset rules must be a tuple of Rule, not ('x',)",
-                 id="rule_text"),
+                 "ruleset rules[0] must be a Rule, not 'x'", id="rule_text"),
     pytest.param(ActionRelationTable, "entries", {ActionRelationTable.key(
         "alarm", "sound", "alarm", "sound"): Relation.OPPOSITE},
                  "action relations entries must map (('alarm', 'sound'), "

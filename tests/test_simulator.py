@@ -3,7 +3,7 @@
 import math
 from dataclasses import asdict, fields, replace
 from types import UnionType
-from typing import get_args
+from typing import Literal, Union, get_args, get_origin
 
 import numpy as np
 import pytest
@@ -359,15 +359,19 @@ class TestLibrarySetupChecks:
                            match="duplicate source name 'smoke'"):
             replace(s5, sources=(*s5.sources, twin))
 
-    @pytest.mark.parametrize("at,problem", [
-        (((3, 1.0), (-1, 0.0)), "tick -1 is not an integer >= 0"),
-        ((("3", 1.0),), "tick '3' is not an integer >= 0"),
-        (((True, 1.0),), "tick True is not an integer >= 0"),
-        (((3, 1.0), (5, 1.0), (3, 0.0)), "lists tick 3 twice")])
-    def test_bad_script_tick_rejected(self, at, problem):
-        with pytest.raises(SimulationError,
-                           match=f"script source 'x' {problem}"):
+    @pytest.mark.parametrize("at,message", [
+        (((3, 1.0), (-1, 0.0)), "source 'x' at[1][0] must be >= 0"),
+        ((("3", 1.0),),
+         "source 'x' at[0][0] must be an integer >= 0, not '3'"),
+        (((True, 1.0),),
+         "source 'x' at[0][0] must be an integer >= 0, not True"),
+        (((3, 1.0), (5, 1.0), (3, 0.0)),
+         "script source 'x' lists tick 3 twice")],
+        ids=["negative", "text", "bool", "twice"])
+    def test_bad_script_tick_rejected(self, at, message):
+        with pytest.raises(SimulationError) as err:
             SourceSpec(name="x", sensor="s", mode="script", at=at)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("adjacency,problem", [
         ((("a", "b"), ("a", "a")), r"joins room a to itself"),
@@ -379,10 +383,10 @@ class TestLibrarySetupChecks:
                        adjacency=adjacency)
 
     def test_unknown_thermostat_mode_rejected(self):
-        with pytest.raises(SimulationError,
-                           match="room 'room1' thermostat must be off, "
-                                 "heat or cool, not 'hot'"):
+        with pytest.raises(SimulationError) as err:
             room(thermostat="hot")
+        assert str(err.value) == ("room 'room1' thermostat must be one of "
+                                  "('off', 'heat', 'cool'), not 'hot'")
 
     @pytest.mark.parametrize("name,value", [("occupant_heat", -1.0),
                                             ("setpoint_step", -10.0)])
@@ -480,7 +484,8 @@ _COMPOSITE = {
     "SourceSpec": {"choices", "at"},
     "Scenario": {"sources", "house_overrides", "baseline_overrides"},
 }
-# Values of the wrong type for each scalar kind, with a label each.
+# Values of the wrong type for each scalar kind, and for the choices of a
+# ``Literal``, with a label each.
 _WRONG = {
     float: {"text": "x", "list": [1], "none": None, "bool": True,
             "nan": math.nan, "huge_int": 10**400},
@@ -490,6 +495,8 @@ _WRONG = {
     str: {"empty": "", "list": [1], "none": None, "number": 5,
           "bool": True},
     Cmp: {"token": "==", "list": [1], "none": None},
+    Literal: {"unknown": "nope", "empty": "", "list": [1], "none": None,
+              "number": 5, "bool": True},
 }
 
 
@@ -499,15 +506,16 @@ def _scalar_field_cases():
     kind. A field of no scalar kind must be listed in ``_COMPOSITE``."""
     for cls in _SETUP:
         for f in fields(cls):
-            kinds = set(get_args(f.type) if isinstance(f.type, UnionType)
-                        else (f.type,))
+            kinds = set(get_args(f.type) if get_origin(f.type) in (
+                Union, UnionType) else (f.type,))
             optional = type(None) in kinds
             kinds.discard(type(None))
             kind = kinds.pop() if len(kinds) == 1 else None
-            if kind not in _WRONG:
+            wrong = _WRONG.get(get_origin(kind) or kind)
+            if wrong is None:
                 assert f.name in _COMPOSITE.get(cls.__name__, ()), f.name
                 continue
-            for label, value in _WRONG[kind].items():
+            for label, value in wrong.items():
                 if (label == "none" and optional
                         or label == "empty" and f.default == ""):
                     continue
@@ -553,23 +561,24 @@ class TestSetupValueTypes:
          r"source 'x' sensor must be a non-empty string, not \['smoke1'\]"),
         (lambda: SourceSpec(name="x", sensor="s", mode="script",
                             at=((1, 1.0, 2),)),
-         r"source 'x' at entry \(1, 1.0, 2\) is not a \(tick, value\) "
-         "pair"),
+         r"^source 'x' at\[0\] must be a \(integer, number\) pair, not "
+         r"\(1, 1.0, 2\)$"),
         (lambda: SourceSpec(name="x", sensor="s", at=5),
-         r"^source 'x' at must be a tuple of tuples, not 5$"),
+         r"^source 'x' at must be a tuple of \(integer, number\) pairs, "
+         r"not 5$"),
         (lambda: SourceSpec(name="x", sensor="s", at=((-1, 1.0),)),
-         "script source 'x' tick -1 is not an integer >= 0"),
+         r"^source 'x' at\[0\]\[0\] must be >= 0$"),
         (lambda: SourceSpec(name="x", sensor="s", mode="script",
                             at=((1, "x"),)),
-         "script source 'x' tick 1 value must be a number, not 'x'"),
+         r"^source 'x' at\[0\]\[1\] must be a number, not 'x'$"),
         (lambda: HouseModel(rooms=(room(name="r"),), adjacency=(("r",),)),
-         r"house adjacency entry \('r',\) is not a \(room, room\) pair"),
+         r"^house adjacency\[0\] must be a pair of names, not \('r',\)$"),
         (lambda: HouseModel(rooms=({"name": "r"},)),
-         "house rooms must be a tuple of RoomState"),
+         r"^house rooms\[0\] must be a RoomState, not \{'name': 'r'\}$"),
         (lambda: Scenario(id="p", ruleset="s5_alarm",
                           sources=({"name": "a"},), horizon=1),
-         r"^scenario 'p' sources must be a tuple of SourceSpec, not "
-         r"\(\{'name': 'a'\},\)$"),
+         r"^scenario 'p' sources\[0\] must be a SourceSpec, not "
+         r"\{'name': 'a'\}$"),
         (lambda: SourceSpec(name="x", sensor="s", predicate="=="),
          "source 'x' predicate must be a Cmp, not '=='"),
         (lambda: room(light="yes"),
@@ -587,14 +596,15 @@ class TestSetupValueTypes:
         (lambda: SourceSpec(name="x", sensor="s", choices=()),
          r"source 'x' choices must be None or a non-empty tuple"),
         (lambda: SourceSpec(name="x", sensor="s", choices=(1.0, math.inf)),
-         r"^source 'x' choices must be a tuple of numbers, not "
-         r"\(1.0, inf\)$"),
+         r"^source 'x' choices\[1\] must be finite$"),
         (lambda: SourceSpec(name="x", sensor="s", mode="clock", p=2.0),
          r"source 'x' p must be in \[0, 1\], not 2.0"),
         (lambda: SourceSpec(name="x", sensor="s", feature="pressure"),
-         "source 'x' feature must be temperature, humidity or luminance"),
+         r"^source 'x' feature must be one of \('temperature', 'humidity', "
+         r"'luminance'\), not 'pressure'$"),
         (lambda: SourceSpec(name="x", sensor="s", mode="poll"),
-         "source 'x' mode must be bernoulli, cov, clock or script"),
+         r"^source 'x' mode must be one of \('bernoulli', 'cov', 'clock', "
+         r"'script'\), not 'poll'$"),
     ], ids=["source_p_text", "room_humidity_text", "param_text",
             "outdoor_text", "override_unknown_key", "override_text",
             "baseline_negative", "override_trace_list", "overrides_pairs",
