@@ -28,9 +28,10 @@ classes, so ``detect_at_tick`` classifies a pair inline with one memo
 read, its gap class and, where the rows differ, an overlap test.
 ``static_check`` builds the same table. ``classify_pair`` answers for one
 pair from ``policy_kinds`` directly. ``DetectionWindow.admit`` takes each
-batch in one step: it checks the events against the model's reading facts
-and the stream's invariants, matches them and, at the stream's first
-batch, builds the table, all before the window changes.
+batch in one step: it checks the events, each of which checked itself as
+it was built, against the stream's invariants and the registry, matches
+them and, at the stream's first batch, builds the table, all before the
+window changes.
 ``DetectionWindow.firings_at`` hands a tick's firings on, so the simulator
 applies the detector's own firings and matches no event twice. Checks
 only consider pairs with an item from the current call, so each
@@ -47,8 +48,8 @@ sort, and only for the batch readings that can repeat: those of a sensor
 with a tolerance above 0, and those the count shows an earlier equal
 reading of. A batch with none makes no walk.
 
-A finding costs about what its output costs: a ``Conflict`` is a slotted,
-immutable record of its kind, tick and two participants, which the
+A finding costs about what its output costs: a ``Conflict`` is a
+``model.Record`` of its kind, tick and two participants, which the
 detector fills slot by slot with no Python frame per finding, as
 ``match_rules`` fills each ``TriggeredAction``. Its
 ``participants`` pair, ``note`` and ``suppressible`` are derived from
@@ -80,14 +81,12 @@ from .model import (
     ActionSpec,
     DetectorConfig,
     Event,
-    EventSignature,
+    Record,
     Registry,
     Relation,
     Rule,
     RuleSet,
     Tick,
-    _check_row_name,
-    check_reading,
     overlapping_events,
 )
 
@@ -106,18 +105,17 @@ class ConflictKind(str, Enum):
 KIND_TEXT = {kind: kind.value for kind in ConflictKind}
 
 
-@dataclass(frozen=True)
-class TriggeredAction:
+@dataclass(eq=False)
+class TriggeredAction(Record, identity=("event", "rule", "controller",
+                                        "action", "actuator_kind", "time",
+                                        "index")):
     """One rule firing: the event, the rule that matched it, and the command
     the owning controller would issue. ``index`` is the rule's position in
-    its ruleset, where the detector finds the rule's profile. A slotted,
-    immutable record, which ``match_rules`` fills slot by slot. The slots
-    are declared by hand: ``dataclass(slots=True)`` rebuilds the class,
-    and its frozen ``__setattr__`` then raises ``TypeError`` for a name
-    that is no field, such as ``_key``, which ``__reduce__`` rebuilds."""
+    its ruleset, where the detector finds the rule's profile. A ``Record``,
+    which ``match_rules`` fills slot by slot."""
 
     __slots__ = ("event", "rule", "controller", "action", "actuator_kind",
-                 "time", "index", "_key", "__weakref__")
+                 "time", "index", "_key")
 
     event: Event
     rule: str
@@ -127,13 +125,11 @@ class TriggeredAction:
     time: Tick
     index: int
 
-    def __post_init__(self):
-        _set_key(self, (self.time, self.event.id, self.rule))
-
-    def __reduce__(self):
-        return (TriggeredAction, (self.event, self.rule, self.controller,
-                                  self.action, self.actuator_kind, self.time,
-                                  self.index))
+    def __init__(self, event: Event, rule: str, controller: str,
+                 action: ActionSpec, actuator_kind: str, time: Tick,
+                 index: int):
+        self._fill(event, rule, controller, action, actuator_kind, time,
+                   index, (time, event.id, rule))
 
     def key(self) -> tuple:
         """The firing's identity and canonical order: (time, event id, rule
@@ -141,10 +137,16 @@ class TriggeredAction:
         return self._key
 
 
-class Conflict:
-    """A detected policy violation: an immutable record of ``kind``,
-    ``tick`` and ``participants``, which alone make its identity
-    (``==`` and ``hash``).
+# ``_fire`` fills each firing's slots through these, with no ``__init__``
+# frame: ``_new_firing(TriggeredAction)``, then each setter.
+_new_firing = object.__new__
+(_set_event, _set_rule, _set_controller, _set_action, _set_actuator_kind,
+ _set_time, _set_index, _set_key) = TriggeredAction.setters
+
+
+class Conflict(Record, identity=("kind", "tick", "first", "second")):
+    """A detected policy violation: a ``Record`` of ``kind``, ``tick`` and
+    ``participants``, which alone make its identity (``==`` and ``hash``).
 
     ``participants`` holds the two triggered actions involved (two raw
     events for C7), stored in canonical order so a violation has a single
@@ -156,42 +158,17 @@ class Conflict:
     ``participants``.
     """
 
-    __slots__ = ("kind", "tick", "first", "second", "_swapped",
-                 "__weakref__")
+    __slots__ = ("kind", "tick", "first", "second", "_swapped")
 
     def __init__(self, kind: ConflictKind, tick: Tick, participants: tuple,
                  _swapped: bool = False):
         first, second = participants
-        # The slot descriptors write past ``__setattr__``, which refuses.
-        _set_kind(self, kind)
-        _set_tick(self, tick)
-        _set_first(self, first)
-        _set_second(self, second)
-        _set_swapped(self, _swapped)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of Conflict")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of Conflict")
+        self._fill(kind, tick, first, second, _swapped)
 
     @property
     def participants(self) -> tuple:
         """``(first, second)``, built when read."""
         return (self.first, self.second)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind is other.kind and self.tick == other.tick
-                and (self.first, self.second) == (other.first, other.second))
-
-    def __hash__(self):
-        return hash((self.kind, self.tick, (self.first, self.second)))
-
-    def __reduce__(self):
-        return (Conflict, (self.kind, self.tick, (self.first, self.second),
-                           self._swapped))
 
     def __repr__(self):
         return (f"Conflict(kind={self.kind!r}, tick={self.tick!r}, "
@@ -259,11 +236,8 @@ NOTES = {
 # The detector fills each record's slots through these, with no Python
 # frame per finding: ``_new_conflict(Conflict)``, then each setter.
 _new_conflict = object.__new__
-_set_kind = Conflict.kind.__set__
-_set_tick = Conflict.tick.__set__
-_set_first = Conflict.first.__set__
-_set_second = Conflict.second.__set__
-_set_swapped = Conflict._swapped.__set__
+_set_kind, _set_tick, _set_first, _set_second, _set_swapped = (
+    Conflict.setters)
 
 
 def match_rules(event: Event, ruleset: RuleSet) -> list[TriggeredAction]:
@@ -296,19 +270,6 @@ def match_rules(event: Event, ruleset: RuleSet) -> list[TriggeredAction]:
     hits.sort()
     return [_fire(i, rules[i], event, ruleset) for i in hits]
 
-
-# ``_fire`` fills each firing's slots through these, past the frozen
-# ``__setattr__`` and with no ``__init__`` frame: ``_new_firing``, then each
-# setter.
-_new_firing = object.__new__
-_set_event = TriggeredAction.event.__set__
-_set_rule = TriggeredAction.rule.__set__
-_set_controller = TriggeredAction.controller.__set__
-_set_action = TriggeredAction.action.__set__
-_set_actuator_kind = TriggeredAction.actuator_kind.__set__
-_set_time = TriggeredAction.time.__set__
-_set_index = TriggeredAction.index.__set__
-_set_key = TriggeredAction._key.__set__
 
 
 def _fire(i: int, rule: Rule, event: Event,
@@ -413,35 +374,17 @@ class DetectionWindow:
         """Take in one tick's events, at least one, with the rule firings
         they trigger, after dropping the items past their reach; return the
         position in ``_actions`` of the first new firing. A later call may
-        add events at this tick, never at an earlier one. Every check runs
-        before the window changes, in this order: each event's tick and
-        value (``check_reading``), and the types of its id and sensor (str)
-        and signature (an ``EventSignature``, which checked its own fields),
-        before anything hashes or compares them, and its id holds no comma
-        or line break, since a conflict row carries it; the stream's
-        invariants (ticks never decrease, one tick per batch, event ids
-        unique in the window since pairs tell events apart by id, one
-        reading per sensor per tick since C7 tells a sensor's readings apart
-        by tick); each event's sensor, kind, location and unit
-        (``match_rules``); and the stream's ruleset, whose ``PolicyTable``
-        the first call builds. The batch's events join ``_events`` in id
-        order, and with the events an earlier call admitted at this tick
-        they are sorted again; each joins the count of its reading."""
-        for event in events:
-            check_reading(event.time, event.value)
-            if not isinstance(event.id, str):
-                raise InvalidEventError(
-                    f"event id {event.id!r} is not a string")
-            _check_row_name(event.id, "event id", InvalidEventError)
-            if not isinstance(event.sensor, str):
-                raise InvalidEventError(
-                    f"event {event.id!r} sensor {event.sensor!r} is not a "
-                    "string")
-            signature = event.signature
-            if not isinstance(signature, EventSignature):
-                raise InvalidEventError(
-                    f"event {event.id!r} signature {signature!r} is not an "
-                    "EventSignature with a Cmp predicate")
+        add events at this tick, never at an earlier one. Each ``Event``
+        checked itself as it was built; what a stream adds is checked here,
+        before the window changes, in this order: the stream's invariants
+        (ticks never decrease, one tick per batch, event ids unique in the
+        window since pairs tell events apart by id, one reading per sensor
+        per tick since C7 tells a sensor's readings apart by tick); each
+        event's sensor, kind, location and unit (``match_rules``); and the
+        stream's ruleset, whose ``PolicyTable`` the first call builds. The
+        batch's events join ``_events`` in id order, and with the events an
+        earlier call admitted at this tick they are sorted again; each joins
+        the count of its reading."""
         tick = events[0].time
         if self.last_tick is not None and tick < self.last_tick:
             raise OutOfOrderTickError(

@@ -13,19 +13,21 @@ rule, sensor, detector config, document and simulation setup meets it.
 Each config record here, and each setup type of the simulator, checks its
 fields by one reader of its annotations, ``_check_fields``, down to each
 entry of a fixed-length tuple and each choice of a ``Literal``, then adds
-only its cross-field rules.
+only its cross-field rules. The records built per reading, firing or
+finding share one idiom, ``Record``.
 
 Time is a non-negative integer tick. Within one event stream ticks never
 decrease, and a single sensor emits at most one event per tick. Each
-reading meets two statements here, which the trace parser and the
-detector both call: ``check_reading`` (an integer tick, a number for its
-value) and ``Registry.reading_sensor`` (a declared sensor, named with its
-own kind and location).
+reading meets two statements here: ``check_reading`` (an integer tick, a
+number for its value), which an ``Event`` runs as it is built and the
+trace parser before it, and ``Registry.reading_sensor`` (a declared
+sensor, named with its own kind and location), which the parser and
+``match_rules`` call.
 """
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from enum import Enum
 from functools import cache, cached_property
 from operator import attrgetter
@@ -95,45 +97,101 @@ class Relation(str, Enum):
     DEPENDENT = "dependent"
 
 
-@dataclass(frozen=True)
-class EventSignature:
+class Record:
+    """The one idiom of the hot records: slotted (this base adds
+    ``__weakref__``), immutable (``FrozenInstanceError``), and equal and
+    hashed by the identity fields a subclass names, ``class R(Record,
+    identity=(...))``, only to a record of its class. A constructor fills
+    the slots with ``_fill``, or one by one through ``setters`` (in
+    ``__slots__`` order) where it is hot; a hot path fills
+    ``object.__new__(R)`` through them with no Python frame. Each
+    positional constructor parameter reads back as the attribute of its
+    name, so ``__reduce__`` (copy, pickle) calls the constructor again. A
+    dataclass record takes ``eq=False`` and keeps its own ``__init__``.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls, identity: tuple[str, ...], **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._identity = attrgetter(*identity)
+        code = cls.__init__.__code__
+        cls._arguments = code.co_varnames[1:code.co_argcount]
+        cls.setters = tuple(getattr(cls, name).__set__
+                            for name in cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._identity(self) == self._identity(other)
+
+    def __hash__(self):
+        return hash(self._identity(self))
+
+    def __reduce__(self):
+        return (self.__class__,
+                tuple(getattr(self, name) for name in self._arguments))
+
+    def _fill(self, *values):
+        for set_slot, value in zip(self.setters, values):
+            set_slot(self, value)
+
+
+@dataclass(eq=False)
+class EventSignature(Record,
+                     identity=("sensor_kind", "predicate", "location")):
     """The comparable identity of an event: what was sensed, how, and where.
 
     Two signatures are similar when they are equal or when an explicit
     equivalence class in :class:`DetectorConfig` groups them together.
     Each field is checked from its annotation: a name, a :class:`Cmp`, a
-    name. The hash is the one the dataclass would generate, computed once
-    as the signature is built, since the detection window keys its buckets
-    by signature; it is no field, and unpickling builds it again.
+    name. The hash is computed once as the signature is built, since the
+    detection window keys its buckets by signature; it is no field, and
+    unpickling builds it again.
     """
+
+    __slots__ = ("sensor_kind", "predicate", "location", "_hash")
 
     sensor_kind: str
     predicate: Cmp
     location: str
 
-    def __post_init__(self):
+    def __init__(self, sensor_kind: str, predicate: Cmp, location: str):
+        self._fill(sensor_kind, predicate, location)
         _check_fields(self, "event signature ", InvalidEventError)
-        object.__setattr__(self, "_hash", hash(
-            (self.sensor_kind, self.predicate, self.location)))
+        _set_hash(self, hash((sensor_kind, predicate, location)))
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        return (type(self), (self.sensor_kind, self.predicate,
-                             self.location))
 
     def compact(self) -> str:
         return f"{self.sensor_kind}:{self.predicate.value}:{self.location}"
 
 
-@dataclass(frozen=True)
-class Event:
-    """A timestamped sensor reading.
+_set_hash = EventSignature.setters[-1]
+
+
+@dataclass(eq=False)
+class Event(Record, identity=("id", "sensor", "time", "value", "unit",
+                              "signature")):
+    """A timestamped sensor reading, checked as it is built: its tick and
+    value (``check_reading``), its id a non-empty string with no comma or
+    line break (a conflict row carries it), its sensor a string and its
+    signature an :class:`EventSignature`; any other raises
+    ``InvalidEventError``.
 
     ``id`` must be unique within a stream; ``unit`` is the emitting sensor's
-    declared unit.
+    declared unit. Whether the sensor is declared, with this kind, location
+    and unit, is the registry's to say (``match_rules``).
     """
+
+    __slots__ = ("id", "sensor", "time", "value", "unit", "signature")
 
     id: str
     sensor: str
@@ -141,6 +199,33 @@ class Event:
     value: float
     unit: str
     signature: EventSignature
+
+    def __init__(self, id: str, sensor: str, time: Tick, value: float,
+                 unit: str, signature: EventSignature):
+        check_reading(time, value)
+        if not isinstance(id, str):
+            raise InvalidEventError(f"event id {id!r} is not a string")
+        if not id:
+            raise InvalidEventError(
+                f"event id must be {value_problem(id, str)}")
+        _check_row_name(id, "event id", InvalidEventError)
+        if not isinstance(sensor, str):
+            raise InvalidEventError(
+                f"event {id!r} sensor {sensor!r} is not a sensor id")
+        if not isinstance(signature, EventSignature):
+            raise InvalidEventError(
+                f"event {id!r} signature {signature!r} is not an "
+                "EventSignature with a Cmp predicate")
+        _set_id(self, id)
+        _set_sensor(self, sensor)
+        _set_time(self, time)
+        _set_value(self, value)
+        _set_unit(self, unit)
+        _set_signature(self, signature)
+
+
+_set_id, _set_sensor, _set_time, _set_value, _set_unit, _set_signature = (
+    Event.setters)
 
 
 def value_problem(value, kind) -> str | None:
@@ -475,13 +560,8 @@ class Registry:
                        location: str) -> Sensor:
         """The sensor of a reading that names ``sensor_id``, ``kind`` and
         ``location``, after checking that the sensor is declared, of that
-        kind and at that location. An id that cannot be looked up (a list,
-        say) raises ``InvalidEventError``."""
-        try:
-            sensor = self.sensors.get(sensor_id)
-        except TypeError as exc:
-            raise InvalidEventError(
-                f"sensor {sensor_id!r} is not a sensor id") from exc
+        kind and at that location."""
+        sensor = self.sensors.get(sensor_id)
         if sensor is None:
             raise UnknownSensorKindError(f"undeclared sensor {sensor_id!r}")
         if kind != sensor.kind:

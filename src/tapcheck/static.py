@@ -31,6 +31,7 @@ from .detector import ConflictKind, PolicyTable
 from .model import (
     Cmp,
     DetectorConfig,
+    Record,
     Rule,
     RuleSet,
     Sensor,
@@ -38,54 +39,30 @@ from .model import (
 
 
 @total_ordering
-class PotentialConflict:
-    """A rule pair that could violate a policy if events line up: an
-    immutable record of ``kind``, ``rule_a`` and ``rule_b`` (the two rule
-    ids in string order), which alone make its identity (``==``, ``hash``
-    and the ``<`` order).
+class PotentialConflict(Record, identity=("kind", "rule_a", "rule_b")):
+    """A rule pair that could violate a policy if events line up: a
+    ``Record`` of ``kind``, ``rule_a`` and ``rule_b`` (the two rule ids in
+    string order), which alone make its identity (``==``, ``hash`` and the
+    ``<`` order).
 
     ``rules`` holds the pair's two rules in declaration order, or None for
     a record built from ids alone; ``note`` is derived from them when read,
     and names the rules in that order.
     """
 
-    __slots__ = ("kind", "rule_a", "rule_b", "rules", "__weakref__")
+    __slots__ = ("kind", "rule_a", "rule_b", "rules")
 
     def __init__(self, kind: ConflictKind, rule_a: str, rule_b: str,
                  rules: tuple[Rule, Rule] | None = None):
-        # The slot descriptors write past ``__setattr__``, which refuses.
         _set_kind(self, kind)
         _set_rule_a(self, rule_a)
         _set_rule_b(self, rule_b)
         _set_rules(self, rules)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(
-            f"cannot assign to field {name!r} of PotentialConflict")
-
-    def __delattr__(self, name):
-        raise AttributeError(
-            f"cannot delete field {name!r} of PotentialConflict")
-
-    def _key(self) -> tuple:
-        return (self.kind, self.rule_a, self.rule_b)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() < other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __reduce__(self):
-        return (PotentialConflict,
-                (self.kind, self.rule_a, self.rule_b, self.rules))
+        return self._identity(self) < self._identity(other)
 
     def __repr__(self):
         return (f"PotentialConflict(kind={self.kind!r}, "
@@ -105,10 +82,7 @@ class PotentialConflict:
         return (self.rule_a, self.rule_b)
 
 
-_set_kind = PotentialConflict.kind.__set__
-_set_rule_a = PotentialConflict.rule_a.__set__
-_set_rule_b = PotentialConflict.rule_b.__set__
-_set_rules = PotentialConflict.rules.__set__
+_set_kind, _set_rule_a, _set_rule_b, _set_rules = PotentialConflict.setters
 
 
 def _scope(rule: Rule, ruleset: RuleSet) -> tuple[Sensor, ...]:

@@ -129,9 +129,30 @@ class TestMatchRules:
 
     def test_unhashable_sensor_raises_tapcheck_error(self, alarm_home):
         rs, _ = alarm_home
-        bad = replace(ev(rs, "e1", "smoke1", 0, 1), sensor=["smoke1"])
         with pytest.raises(InvalidEventError, match="not a sensor id"):
-            match_rules(bad, rs)
+            replace(ev(rs, "e1", "smoke1", 0, 1), sensor=["smoke1"])
+
+    @pytest.mark.parametrize("fault,message", [
+        ({"signature": "x"}, "event 'e1' signature 'x' is not an "
+         "EventSignature with a Cmp predicate"),
+        ({"value": "60"}, "value must be a number, not '60'"),
+        ({"time": -1}, "tick must be >= 0"),
+        ({"id": 5}, "event id 5 is not a string"),
+        ({"value": math.nan}, "value must be finite"),
+        ({"id": ""}, "event id must be a non-empty string, not ''")],
+        ids=["str-signature", "str-value", "negative-tick", "int-id",
+             "nan-value", "empty-id"])
+    def test_malformed_event_never_reaches_match_rules(self, fault, message):
+        # Unchecked, these ended in a bare AttributeError or TypeError in
+        # match_rules, or fired (or not) on a reading no stream can carry;
+        # an empty id left its C7 row an empty event column.
+        doc = load_document(fixture_text("c7_duplicate"))
+        good = Event("e1", "temp1", 0, 60.0, "F",
+                     EventSignature("temperature", Cmp.EQ, "room1"))
+        assert [f.rule for f in match_rules(good, doc.ruleset)]
+        with pytest.raises(InvalidEventError) as err:
+            replace(good, **fault)
+        assert str(err.value) == message
 
 
 class TestC1:
@@ -609,19 +630,23 @@ class TestFiringRecord:
 
     def test_immutable_copyable_picklable_weakly_referable(self,
                                                            alarm_home):
-        _, _, firing = self.fired(alarm_home)
-        for name in (*(f.name for f in fields(TriggeredAction)), "_key",
-                     "other"):
-            with pytest.raises(FrozenInstanceError):
-                setattr(firing, name, None)
-            with pytest.raises(FrozenInstanceError):
-                delattr(firing, name)
+        # The firing and its event, both records.
+        _, event, firing = self.fired(alarm_home)
+        for record in (firing, event):
+            for name in (*(f.name for f in fields(record)), "_key", "other"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(record, name, None)
+                with pytest.raises(FrozenInstanceError):
+                    delattr(record, name)
+            assert not hasattr(record, "__dict__")
+            for twin in (copy.copy(record), copy.deepcopy(record),
+                         pickle.loads(pickle.dumps(record)), replace(record)):
+                assert twin is not record
+                assert twin == record and hash(twin) == hash(record)
+                assert repr(twin) == repr(record)
+            assert weakref.ref(record)() is record
         assert firing.key() == (4, "e1", "r_smoke")
-        assert not hasattr(firing, "__dict__")
-        for twin in (copy.copy(firing), pickle.loads(pickle.dumps(firing))):
-            assert twin == firing and hash(twin) == hash(firing)
-            assert twin.key() == firing.key()
-        assert weakref.ref(firing)() is firing
+        assert copy.copy(firing).key() == firing.key()
 
 
 class TestFiringsAt:
@@ -992,68 +1017,74 @@ class TestDetectAtTick:
         detect_at_tick([ev(rs, "e1", "leak1", 6 + cfg.horizon, 1)], rs,
                        window, cfg)
 
-    @pytest.mark.parametrize("fault,error", [
+    @pytest.mark.parametrize("fault,error,built", [
         ({"signature": EventSignature("smoke", Cmp.EQ, "room2")},
-         UnknownSensorKindError),
+         UnknownSensorKindError, False),
         ({"signature": EventSignature("leak", Cmp.EQ, "room1")},
-         UnknownSensorKindError),
-        ({"sensor": "ghost"}, UnknownSensorKindError),
-        ({"time": -5}, InvalidEventError),
-        ({"time": 2.5}, InvalidEventError),
-        ({"time": True}, InvalidEventError),
-        ({"value": math.nan}, InvalidEventError),
-        ({"value": math.inf}, InvalidEventError),
-        ({"value": -math.inf}, InvalidEventError),
-        ({"value": "1"}, InvalidEventError),
-        ({"value": None}, InvalidEventError),
-        ({"value": True}, InvalidEventError),
-        ({"value": 10**400}, InvalidEventError),
-        ({"value": "5"}, InvalidEventError),
-        ({"value": np.int64(1)}, InvalidEventError),
-        ({"time": "3"}, InvalidEventError),
-        ({"time": math.nan}, InvalidEventError),
-        ({"time": None}, InvalidEventError),
-        ({"id": 5}, InvalidEventError),
-        ({"id": ["e1"]}, InvalidEventError),
-        ({"sensor": ["smoke1"]}, InvalidEventError),
-        ({"signature": None}, InvalidEventError),
-        ({"signature": ("smoke", Cmp.EQ, "room1")}, InvalidEventError),
-        ({"unit": "F"}, InvalidEventError)],
+         UnknownSensorKindError, False),
+        ({"sensor": "ghost"}, UnknownSensorKindError, False),
+        ({"time": -5}, InvalidEventError, True),
+        ({"time": 2.5}, InvalidEventError, True),
+        ({"time": True}, InvalidEventError, True),
+        ({"value": math.nan}, InvalidEventError, True),
+        ({"value": math.inf}, InvalidEventError, True),
+        ({"value": -math.inf}, InvalidEventError, True),
+        ({"value": "1"}, InvalidEventError, True),
+        ({"value": None}, InvalidEventError, True),
+        ({"value": True}, InvalidEventError, True),
+        ({"value": 10**400}, InvalidEventError, True),
+        ({"value": "5"}, InvalidEventError, True),
+        ({"value": np.int64(1)}, InvalidEventError, True),
+        ({"time": "3"}, InvalidEventError, True),
+        ({"time": math.nan}, InvalidEventError, True),
+        ({"time": None}, InvalidEventError, True),
+        ({"id": 5}, InvalidEventError, True),
+        ({"id": ["e1"]}, InvalidEventError, True),
+        ({"id": ""}, InvalidEventError, True),
+        ({"sensor": ["smoke1"]}, InvalidEventError, True),
+        ({"signature": None}, InvalidEventError, True),
+        ({"signature": ("smoke", Cmp.EQ, "room1")}, InvalidEventError, True),
+        ({"unit": "F"}, InvalidEventError, False)],
         ids=["location", "kind", "undeclared", "negative", "fraction",
              "bool", "nan", "inf", "-inf", "str-value", "none-value",
              "bool-value", "huge-int-value", "str5-value", "np-int-value",
-             "str-tick", "nan-tick", "none-tick", "int-id", "list-id", "list-sensor",
-             "none-signature", "tuple-signature", "unit"])
+             "str-tick", "nan-tick", "none-tick", "int-id", "list-id",
+             "empty-id", "list-sensor", "none-signature", "tuple-signature",
+             "unit"])
     def test_reading_off_its_sensor_or_domain_rejected(self, alarm_home,
-                                                       fault, error):
-        # The same checks a trace file's rows meet: each raises before the
-        # window changes, so the stream goes on as if the batch never came.
+                                                       fault, error, built):
+        # The same checks a trace file's rows meet. A fault of the event
+        # itself raises as the event is built; one of its sensor (declared,
+        # with this kind, location and unit) raises in the window before
+        # it changes, so the stream goes on as if the batch never came.
         rs, cfg = alarm_home
         window = DetectionWindow(cfg)
-        bad = replace(ev(rs, "e1", "smoke1", 0, 1), **fault)
-        with pytest.raises(error):
-            detect_at_tick([bad], rs, window, cfg)
+        good = ev(rs, "e1", "smoke1", 0, 1)
+        if built:
+            with pytest.raises(error):
+                replace(good, **fault)
+        else:
+            bad = replace(good, **fault)
+            with pytest.raises(error):
+                detect_at_tick([bad], rs, window, cfg)
         assert window.last_tick is None
-        assert kinds_of(detect_at_tick([ev(rs, "e1", "smoke1", 0, 1),
-                                        ev(rs, "e2", "leak1", 0, 1)],
+        assert kinds_of(detect_at_tick([good, ev(rs, "e2", "leak1", 0, 1)],
                                        rs, window, cfg)) == ["C1"]
 
     @pytest.mark.parametrize("eid", ["a,1", "b\n2"])
     def test_event_id_a_row_would_split_rejected(self, eid):
         # A conflict row carries the id, so a comma or a line break in it
-        # would split the row; admit rejects it before the window changes.
+        # would split the row; the event refuses it as it is built.
         doc = load_document(fixture_text("c7_duplicate"))
         rs, cfg = doc.ruleset, doc.config
-        window = DetectionWindow(cfg)
-        bad = Event(eid, "temp1", 0, 60.0, "F",
-                    EventSignature("temperature", Cmp.EQ, "room1"))
+        good = Event("e0", "temp1", 0, 60.0, "F",
+                     EventSignature("temperature", Cmp.EQ, "room1"))
         with pytest.raises(InvalidEventError,
                            match="must hold no comma or line break"):
-            detect_at_tick([bad], rs, window, cfg)
-        assert window.last_tick is None and not window._events
-        assert window._readings == {}
+            replace(good, id=eid)
+        window = DetectionWindow(cfg)
         found = [c for i in range(2) for c in detect_at_tick(
-            [replace(bad, id=f"e{i}", time=i)], rs, window, cfg)]
+            [replace(good, id=f"e{i}", time=i)], rs, window, cfg)]
         assert [c.kind for c in found] == [ConflictKind.C7]
 
     def test_numpy_float_reading_accepted(self, alarm_home):

@@ -1,6 +1,7 @@
 """Model-level predicates: feature dependency, overlap, action relations,
 trigger matching."""
 
+import ast
 import copy
 import dataclasses
 import os
@@ -172,6 +173,26 @@ class TestEventSignature:
             (made.sensor_kind, made.predicate, made.location))
         assert "_hash" not in {f.name for f in fields(made)}
         assert b"_hash" not in pickle.dumps(made)
+
+
+# What the record idiom alone defines, so it cannot fork again.
+_RECORD_METHODS = {"__setattr__", "__delattr__", "__reduce__"}
+
+
+def test_record_idiom_has_one_home():
+    # Scanned from the source: a hand-written refusal of assignment or
+    # deletion, or a hand-written pickle, anywhere but ``Record``.
+    found = []
+    for path in sorted(Path(model.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = {id(node): cls.name for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) for node in cls.body}
+        found += [(path.name, owners.get(id(node)), node.name)
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name in _RECORD_METHODS]
+    assert sorted(found) == [("model.py", "Record", name)
+                             for name in sorted(_RECORD_METHODS)]
 
 
 def config(**kwargs):

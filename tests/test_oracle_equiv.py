@@ -346,8 +346,8 @@ class TestPairIndex:
 
 class TestTriggerIndex:
     def test_match_rules_equals_linear_scan(self):
-        # Readings on, next to and far from every threshold, with NaN and
-        # infinities, against a linear scan in declaration order.
+        # Readings on, next to and far from every threshold, against a
+        # linear scan in declaration order.
         seen = set()
         for seed in range(30):
             rng = np.random.default_rng(97_000 + seed)
@@ -355,9 +355,13 @@ class TestTriggerIndex:
             trace = random_trace(rng, rs, max_ticks=100)
             thresholds = sorted({r.trigger.threshold for r in rs.rules})
             values = [v + d for v in thresholds for d in (-0.5, 0.0, 0.5)]
-            values += [-1.0, 101.0, float("nan"), float("inf"),
-                       -float("inf")]
+            values += [-1.0, 101.0]
             for event in trace[:40]:
+                for value in (float("nan"), float("inf"), -float("inf")):
+                    # No event holds a reading that is not finite.
+                    with pytest.raises(InvalidEventError,
+                                       match="value must be finite"):
+                        replace(event, value=value)
                 for value in values:
                     e = replace(event, value=value)
                     want = [r for r in rs.rules
@@ -515,10 +519,6 @@ def bad_batch(fault, batches, cut, cfg):
     fault sits in the batch's last event, after the good ones."""
     batch, last = batches[cut], batches[cut - 1][-1]
     *good, event = batch
-    if fault == "str value":
-        return good + [replace(event, value="1")]
-    if fault == "nan value":
-        return good + [replace(event, value=float("nan"))]
     if fault == "undeclared sensor":
         return good + [replace(event, sensor="ghost")]
     if fault == "live id":
@@ -533,9 +533,21 @@ def bad_batch(fault, batches, cut, cfg):
 
 
 class TestRejectedBatches:
+    @pytest.mark.parametrize("value,message", [
+        ("1", "value must be a number, not '1'"),
+        (float("nan"), "value must be finite")],
+        ids=["str value", "nan value"])
+    def test_malformed_reading_rejected_when_built(self, value, message):
+        # No batch can hold such a reading: its event refuses it as it is
+        # built, before any window sees it.
+        rng = np.random.default_rng(180_000)
+        rs, _ = random_ruleset(rng)
+        for event in random_trace(rng, rs)[:20]:
+            with pytest.raises(InvalidEventError) as err:
+                replace(event, value=value)
+            assert str(err.value) == message
+
     @pytest.mark.parametrize("fault,error", [
-        ("str value", InvalidEventError),
-        ("nan value", InvalidEventError),
         ("undeclared sensor", UnknownSensorKindError),
         ("live id", DuplicateEventIdError),
         ("second reading", DuplicateSensorReadingError),
