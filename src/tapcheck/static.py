@@ -75,7 +75,7 @@ class PotentialConflict(Record, identity=("kind", "rule_a", "rule_b")):
         record holds no rules."""
         if self.rules is None:
             return ""
-        return _note(self.kind, *self.rules)
+        return NOTES[self.kind](*self.rules)
 
     @property
     def pair(self) -> tuple[str, str]:
@@ -83,6 +83,28 @@ class PotentialConflict(Record, identity=("kind", "rule_a", "rule_b")):
 
 
 _set_kind, _set_rule_a, _set_rule_b, _set_rules = PotentialConflict.setters
+
+
+# Each kind's note, one line saying how the pair's two rules, in
+# declaration order, could conflict. ``PotentialConflict.note`` reads it.
+NOTES = {
+    ConflictKind.C1: lambda a, b: (
+        f"controllers {a.controller} and {b.controller} can drive "
+        f"{a.action.actuator} at the same time"),
+    ConflictKind.C2: lambda a, b: (
+        f"{a.action.actuator} and {b.action.actuator} can touch related "
+        "features at the same time"),
+    ConflictKind.C3: lambda a, b: (
+        f"overlapping events can stack {a.action.action}/{b.action.action} "
+        f"on {a.action.actuator}"),
+    ConflictKind.C4: lambda a, b: (
+        "overlapping events can push opposite actions on related features"),
+    ConflictKind.C5: lambda a, b: (
+        f"disjoint events can stack {a.action.action}/{b.action.action} "
+        f"on {a.action.actuator}"),
+    ConflictKind.C6: lambda a, b: (
+        "disjoint events can push opposite actions on related features"),
+}
 
 
 def _scope(rule: Rule, ruleset: RuleSet) -> tuple[Sensor, ...]:
@@ -285,22 +307,6 @@ class _Analysis:
                     and self.realisable(i, j, shape)):
                 found.update(kinds)
         return found
-
-
-def _note(kind: ConflictKind, r1: Rule, r2: Rule) -> str:
-    if kind is ConflictKind.C1:
-        return (f"controllers {r1.controller} and {r2.controller} "
-                f"can drive {r1.action.actuator} at the same time")
-    if kind is ConflictKind.C2:
-        return (f"{r1.action.actuator} and {r2.action.actuator} can "
-                "touch related features at the same time")
-    how = ("overlapping" if kind in (ConflictKind.C3, ConflictKind.C4)
-           else "disjoint")
-    if kind in (ConflictKind.C3, ConflictKind.C5):
-        return (f"{how} events can stack "
-                f"{r1.action.action}/{r2.action.action} on "
-                f"{r1.action.actuator}")
-    return f"{how} events can push opposite actions on related features"
 
 
 def static_check(ruleset: RuleSet, cfg: DetectorConfig) -> list[PotentialConflict]:
