@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Four subcommands share one exit-code contract: 0 when no conflicts were
-found, 1 when any were, 2 on usage or input errors.
+found, 1 when any were, 2 on usage or input errors. A bad command line is
+a ``TapcheckError`` like any other input error, so ``main`` returns 2 and
+prints one ``error:`` line for it too; only ``--help`` exits, with 0.
 
 * ``check``: static misconfiguration analysis of a ruleset document.
 * ``monitor``: stream an event-trace CSV through the online detector.
@@ -36,8 +38,6 @@ from itertools import groupby, islice, takewhile
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterator
-
-import numpy as np
 
 from . import scenarios as scen
 from .detector import (
@@ -326,7 +326,8 @@ def write_summary_csv(reports: list[TraceReport], out_dir: Path) -> None:
         # Each seed's counts exactly; the means keep 6 significant digits.
         lines.append(",".join(map(str, [r.seed, *row])))
     if table:
-        means = np.asarray(table, dtype=float).mean(axis=0)
+        # Exact integer sums, so the one rounding is the division's.
+        means = [sum(column) / len(table) for column in zip(*table)]
         lines.append(",".join(["mean"] + [f"{v:g}" for v in means]))
     with _output_file(out_dir / "summary.csv") as out:
         _write_rows(out, lines)
@@ -377,10 +378,10 @@ def cmd_report(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A bad command line, in any subcommand, is one ``error:`` line."""
+    """A bad command line, in any subcommand, is a ``TapcheckError``."""
 
     def error(self, message):
-        self.exit(2, f"error: {message}\n")
+        raise TapcheckError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,15 +433,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "seeds", 1) < 1:
-        print("error: --seeds must be >= 1", file=sys.stderr)
-        return 2
-    if getattr(args, "seed", None) is not None and args.seed < 0:
-        print("error: --seed must be >= 0", file=sys.stderr)
-        return 2
     try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "seeds", 1) < 1:
+            raise TapcheckError("--seeds must be >= 1")
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise TapcheckError("--seed must be >= 0")
         return args.func(args)
     except TapcheckError as exc:
         print(f"error: {exc}", file=sys.stderr)

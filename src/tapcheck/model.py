@@ -11,10 +11,11 @@ it at first use and never change afterwards. ``value_problem`` is the one
 statement of what a number, an integer and a name are: every reading,
 rule, sensor, detector config, document and simulation setup meets it.
 Each config record here, and each setup type of the simulator, checks its
-fields by one reader of its annotations, ``_check_fields``, down to each
-entry of a fixed-length tuple and each choice of a ``Literal``, then adds
-only its cross-field rules. The records built per reading, firing or
-finding share one idiom, ``Record``.
+fields from their annotations (``_check_fields``), down to each entry of a
+fixed-length tuple and each choice of a ``Literal``, then adds only its
+cross-field rules. One checker per annotation, ``_checker``, both tests a
+value and names the path to its first fault. The records built per
+reading, firing or finding share one idiom, ``Record``.
 
 Time is a non-negative integer tick. Within one event stream ticks never
 decrease, and a single sensor emits at most one event per tick. Each
@@ -297,60 +298,59 @@ def _kind_name(kind, entries: bool = False) -> str:
 
 
 @cache
-def _holds(kind) -> Callable[[object], bool]:
-    """Whether a value holds the annotation ``kind``: a class as
-    :func:`value_problem` has it, a ``Literal``'s choice, a fixed-length
-    tuple each of whose entries holds the kind at its position, or a
-    ``tuple[X, ...]``, ``frozenset[X]`` or ``dict[K, V]`` of them."""
+def _checker(kind) -> Callable[[object], tuple[str, str] | None]:
+    """The one test of the annotation ``kind``: None when a value holds
+    it, or else the path to where the value first fails it and what the
+    value there must be. A class holds as :func:`value_problem` has it, a
+    ``Literal`` by its choices, a fixed-length tuple by its length and then
+    each entry by the kind at its position, and a ``tuple[X, ...]``,
+    ``frozenset[X]`` or ``dict[K, V]`` entry by entry. The path is ``[i]``
+    for a tuple's entry, `` entry e`` for a frozenset's first in
+    ``sorted(key=str)`` order, so the hash seed does not choose it, and
+    `` key k`` or ``[k]`` for a dict's, each key before its value. A value
+    that holds builds no path text."""
     origin, args = get_origin(kind), get_args(kind)
     if origin is None:
-        if kind in _NAMES:
-            return lambda value: value_problem(value, kind) is None
-        return lambda value: isinstance(value, kind)
+        return lambda value: (problem := value_problem(value, kind)) and (
+            "", problem)
     if origin is Literal:
-        return lambda value: value in args
-    if origin is tuple and args[-1] is not ...:
-        tests = tuple(map(_holds, args))
-        return lambda value: isinstance(value, tuple) and len(value) == len(
-            tests) and all(test(v) for test, v in zip(tests, value))
-    entry, item = _holds(args[0]), origin is dict and _holds(args[1])
-    return lambda value: isinstance(value, origin) and all(map(entry, value)) \
-        and (not item or all(map(item, value.values())))
-
-
-def _problem(value, kind) -> tuple[str, str]:
-    """The path to where ``value``, which does not hold ``kind``, first
-    fails it, and what the value there must be: ``[i]`` for a tuple's
-    entry, `` entry e`` for a frozenset's in ``sorted(key=str)`` order, so
-    the hash seed does not choose it, and `` key k`` or ``[k]`` for a
-    dict's."""
-    origin, args = get_origin(kind), get_args(kind)
-    if origin is None:
-        return "", value_problem(value, kind)
-    if origin is Literal:
-        return "", f"{_kind_name(kind)}, not {value!r}"
+        return lambda value: None if value in args else (
+            "", f"{_kind_name(kind)}, not {value!r}")
     fixed = origin is tuple and args[-1] is not ...
-    if not isinstance(value, origin) or fixed and len(value) != len(args):
-        return "", f"a {_kind_name(kind)}, not {value!r}"
-    if origin is dict:
-        parts = [part for k, v in value.items() for part in (
-            (f" key {k!r}", k, args[0]), (f"[{k!r}]", v, args[1]))]
-    elif origin is tuple:
-        parts = [(f"[{i}]", v, args[i] if fixed else args[0])
-                 for i, v in enumerate(value)]
-    else:
-        parts = [(f" entry {v!r}", v, args[0])
-                 for v in sorted(value, key=str)]
-    where, entry, entry_kind = next(
-        part for part in parts if not _holds(part[2])(part[1]))
-    inner, problem = _problem(entry, entry_kind)
-    return where + inner, problem
+    tests = tuple(_checker(arg) for arg in args if arg is not ...)
+
+    def entries(value):
+        """(test, entry, path format, its argument) of each entry, in the
+        order a fault is sought."""
+        if origin is dict:
+            for k, v in value.items():
+                yield tests[0], k, " key {!r}", k
+                yield tests[1], v, "[{!r}]", k
+        elif origin is tuple:
+            for i, v in enumerate(value):
+                yield tests[i if fixed else 0], v, "[{}]", i
+        else:
+            for v in value:
+                yield tests[0], v, " entry {!r}", v
+
+    def check(value):
+        if not isinstance(value, origin) or fixed and len(value) != len(args):
+            return "", f"a {_kind_name(kind)}, not {value!r}"
+        for test, entry, where, key in entries(value):
+            fault = test(entry)
+            if fault:
+                if origin is frozenset:
+                    key = entry = min(filter(test, value), key=str)
+                    fault = test(entry)
+                return where.format(key) + fault[0], fault[1]
+        return None
+    return check
 
 
 @cache
 def _annotated_fields(cls) -> tuple[tuple, ...]:
-    """(name, kind, its test, may be None, may be empty) of each field of
-    ``cls`` of one kind, or one ``| None`` (a ``typing.Union`` after a
+    """(name, its kind's checker, may be None, may be empty) of each field
+    of ``cls`` of one kind, or one ``| None`` (a ``typing.Union`` after a
     ``Literal``); a text field may be empty when its default is. A record
     checks a field of two kinds itself."""
     out = []
@@ -361,22 +361,21 @@ def _annotated_fields(cls) -> tuple[tuple, ...]:
         kinds.discard(type(None))
         if len(kinds) == 1:
             (kind,) = kinds
-            out.append((f.name, kind, _holds(kind), optional, f.default == ""))
+            out.append((f.name, _checker(kind), optional, f.default == ""))
     return tuple(out)
 
 
 def _check_fields(record, prefix: str, error: type) -> None:
     """Check each field of ``record`` against its annotation, in field
     order; a failure raises ``error``: ``<prefix><field><path> must be
-    ...``, with the path ``_problem`` gives to the first offending entry."""
-    for name, kind, holds, optional, blank in _annotated_fields(
-            type(record)):
+    ...``, with the path ``_checker`` gives to the first offending entry."""
+    for name, check, optional, blank in _annotated_fields(type(record)):
         value = getattr(record, name)
-        if holds(value) or (value is None and optional) or (
-                blank and isinstance(value, str)):
+        if (value is None and optional) or (blank and isinstance(value, str)):
             continue
-        where, problem = _problem(value, kind)
-        raise error(f"{prefix}{name}{where} must be {problem}")
+        fault = check(value)
+        if fault:
+            raise error(f"{prefix}{name}{fault[0]} must be {fault[1]}")
 
 
 # A comma, or any line boundary ``str.splitlines`` breaks at, would split
@@ -652,9 +651,9 @@ class RuleSet:
                     f"rule {rid!r} filters on undeclared location "
                     f"{trigger.location_filter!r}")
             schedule = trigger.schedule
-            if schedule is not None and not (
-                    _holds(tuple[int, int])(schedule)
-                    and schedule[0] < schedule[1] <= day):
+            if schedule is not None and (
+                    _checker(tuple[int, int])(schedule)
+                    or not schedule[0] < schedule[1] <= day):
                 raise InvalidConfigError(
                     f"rule {rid!r} schedule must be a pair of integers "
                     f"with 0 <= start < end <= {day}, "

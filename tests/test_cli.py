@@ -901,6 +901,34 @@ class TestSimulate:
         assert rows[2]["actuations_th1"] == "1e+06"
         assert rows[2]["C1"] == f"{(1_234_567 + 2.0**53 + 1) / 2:g}"
 
+    def test_summary_means_read_as_numpy_means(self, tmp_path):
+        # Every column is an integer count, summed exactly before its one
+        # division, so each mean reads as numpy's float mean, negative
+        # columns (extra actuations) included.
+        rng = np.random.default_rng(38)
+
+        def count():
+            return int(rng.integers(-10**9, 10**9, endpoint=True))
+
+        def report(seed):
+            return TraceReport(
+                scenario="t", seed=seed, horizon=1, rooms=(), series={},
+                events=[], conflicts=[], actuation_log=[],
+                conflict_counts={k.value: count() for k in ConflictKind},
+                actuations={"a": count(), "b": count()},
+                baseline_actuations={"a": count(), "c": count()},
+                suppressed_actions=count(), suppressed_duplicates=count())
+
+        for _ in range(300):
+            reports = [report(seed)
+                       for seed in range(int(rng.integers(1, 61)))]
+            cli.write_summary_csv(reports, tmp_path)
+            *rows, mean = (tmp_path / "summary.csv").read_text(
+                encoding="utf-8").splitlines()[1:]
+            table = [list(map(int, row.split(",")[1:])) for row in rows]
+            assert mean == ",".join(["mean"] + [
+                f"{v:g}" for v in np.asarray(table, dtype=float).mean(axis=0)])
+
     def test_fixture_loaded_once_for_all_seeds(self, tmp_path,
                                                monkeypatch):
         calls = []
@@ -1067,10 +1095,8 @@ class TestOverrides:
     def test_check_takes_no_dup_window(self, clean_ruleset, capsys):
         # Static analysis never reads the duplicate-reading window, so
         # ``check`` has no flag to set it.
-        with pytest.raises(SystemExit) as exit_:
-            main(["check", "--ruleset", str(clean_ruleset),
-                  "--dup-window", "3"])
-        assert exit_.value.code == 2
+        assert main(["check", "--ruleset", str(clean_ruleset),
+                     "--dup-window", "3"]) == 2
         assert capsys.readouterr().err == (
             "error: unrecognized arguments: --dup-window 3\n")
 
@@ -1083,9 +1109,7 @@ class TestOverrides:
              "no_command", "unknown_command"])
     def test_bad_command_line_is_one_error_line(self, argv, capsys):
         # Usage errors end like every other input error: one line, exit 2.
-        with pytest.raises(SystemExit) as exit_:
-            main(argv)
-        assert exit_.value.code == 2
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         if argv[-1:] == ["abc"]:

@@ -1,6 +1,7 @@
 """The ``tapcheck`` command end to end, in process through ``cli.main``:
 exit codes, the one ``error:`` line of an input error, the files written
-or left absent. Outputs that must not hang on the hash seed are compared
+or left absent. The console entry, ``sys.exit(main())``, runs in a child
+interpreter. Outputs that must not hang on the hash seed are compared
 across two fresh interpreters, one per seed."""
 
 import io
@@ -180,6 +181,27 @@ class TestRuns:
         assert outputs[0] == outputs[1]
 
 
+def console(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m tapcheck.cli argv`` in a fresh interpreter, which ends
+    through ``sys.exit(main())`` as the installed console script does."""
+    return subprocess.run(
+        [sys.executable, "-m", "tapcheck.cli", *argv], capture_output=True,
+        text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
+
+
+class TestConsoleEntry:
+    def test_usage_error_exits_2_with_one_line(self):
+        proc = console("check")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: the following arguments are required: "
+                   "--ruleset\n")
+
+    def test_help_exits_0_with_nothing_on_stderr(self):
+        proc = console("--help")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: tapcheck ")
+
+
 @pytest.mark.parametrize("text,message", [
     (edited(HOUSE, "location_filter", "locaton_filter"),
      "unknown trigger key 'locaton_filter' (at rules[0].trigger)"),
@@ -354,3 +376,19 @@ class TestHashSeed:
         assert set(under_each_hash_seed(script)) == {
             "InvalidConfigError dependency graph edges entry ('a', 'b', "
             "'c') must be a pair of names, not ('a', 'b', 'c')\n"}
+
+    def test_first_of_many_frozenset_faults_named_alike(self):
+        # Bad lengths and a bad name inside a pair, among good edges: the
+        # error names the first bad edge as text sorts, nested path and
+        # all, whatever order the set holds them in.
+        script = ("from tapcheck.model import FeatureDependencyGraph as G\n"
+                  "edges = {(c, d) for c in 'pqrs' for d in 'tuvw'}\n"
+                  "edges |= {('b', 'c', 'a'), ('a', ''), ('c', 'a', 'b'),\n"
+                  "          ('n',), ('z', 'y', 'x', 'w')}\n"
+                  "try:\n"
+                  "    G(nodes=frozenset('abc'), edges=frozenset(edges))\n"
+                  "except Exception as exc:\n"
+                  "    print(type(exc).__name__, exc)\n")
+        assert set(under_each_hash_seed(script)) == {
+            "InvalidConfigError dependency graph edges entry ('a', '')[1] "
+            "must be a non-empty string, not ''\n"}

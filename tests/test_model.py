@@ -702,3 +702,53 @@ class TestAnnotatedShapes:
         assert simulator.THERMO_NAME == dict(enumerate((
             simulator.THERMOSTAT_OFF, simulator.THERMOSTAT_HEAT,
             simulator.THERMOSTAT_COOL)))
+
+
+class TestFirstFault:
+    """Where a container holds two bad entries, the error names one by a
+    fixed rule: a tuple's lower index, a frozenset's first in
+    ``sorted(key=str)`` order, a dict entry's key before its value, and
+    within a nested fixed-length tuple its lower position."""
+
+    @staticmethod
+    def message(build) -> str:
+        with pytest.raises(InvalidConfigError) as err:
+            build()
+        return str(err.value)
+
+    def test_tuple_names_lower_index(self):
+        assert self.message(lambda: model.Actuator(
+            id="a", kind="k", location="l", actions=("on", 2, ""))) == (
+            "actuator 'a' actions[1] must be a non-empty string, not 2")
+
+    def test_frozenset_names_first_in_str_order(self):
+        # 10 and 9 sort as text: "10" < "9" although 9 < 10.
+        assert self.message(lambda: graph_of({"a", 9, 10, "b"}, ())) == (
+            "dependency graph nodes entry 10 must be a non-empty string, "
+            "not 10")
+
+    def test_dict_names_key_before_its_value(self):
+        vocabulary = {"door": frozenset({"open"}), "": frozenset({3})}
+        assert self.message(lambda: ActionRelationTable(vocabulary)) == (
+            "action relations vocabulary key '' must be a non-empty "
+            "string, not ''")
+
+    def test_dict_names_earlier_value_before_later_key(self):
+        vocabulary = {"door": frozenset({"open", 3}), "": frozenset()}
+        assert self.message(lambda: ActionRelationTable(vocabulary)) == (
+            "action relations vocabulary['door'] entry 3 must be a "
+            "non-empty string, not 3")
+
+    def test_nested_fixed_tuple_names_lower_position(self):
+        key = (("door", 1), ("door", 2))
+        assert self.message(lambda: ActionRelationTable(
+            {"door": frozenset({"open"})},
+            {key: Relation.SAME})) == (
+            f"action relations entries key {key!r}[0][1] must be a "
+            "non-empty string, not 1")
+
+    def test_wrong_length_named_before_its_entries(self):
+        assert self.message(lambda: Sensor(
+            "t1", "temperature", "F", "room1", range=("a", "b", "c"))) == (
+            "sensor 't1' range must be a pair of numbers, "
+            "not ('a', 'b', 'c')")
