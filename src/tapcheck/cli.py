@@ -210,18 +210,19 @@ _C7 = ConflictKind.C7
 def format_conflict_row(conflict: Conflict) -> str:
     """One conflict log row, its note column the finding's ``note``. A C7
     row, most of a chatty stream's log, is one f-string holding the text of
-    ``NOTES[C7]``; a pair row calls its kind's ``NOTES`` entry."""
+    ``NOTES[C7]``; a pair row calls its kind's ``NOTES`` entry. The tick
+    column is ``second.time``, which the ``tick`` property returns."""
     kind = conflict.kind
     a, b = conflict.first, conflict.second
     if kind is _C7:
-        return (f"{conflict.tick},C7,,,{a.id},{b.id},,sensor {b.sensor} "
+        return (f"{b.time},C7,,,{a.id},{b.id},,sensor {b.sensor} "
                 f"repeated value {a.value:g} after {b.time - a.time} "
                 "tick(s)")
     actuator = a.action.actuator
     if b.action.actuator != actuator:
         actuator = f"{actuator}/{b.action.actuator}"
     note = NOTES[kind](b, a) if conflict._swapped else NOTES[kind](a, b)
-    return (f"{conflict.tick},{KIND_TEXT[kind]},{a.rule},{b.rule},"
+    return (f"{b.time},{KIND_TEXT[kind]},{a.rule},{b.rule},"
             f"{a.event.id},{b.event.id},{actuator},{note}")
 
 

@@ -49,11 +49,14 @@ with a tolerance above 0, and those the count shows an earlier equal
 reading of. A batch with none makes no walk.
 
 A finding costs about what its output costs: a ``Conflict`` is a
-``model.Record`` of its kind, tick and two participants, which the
-detector fills slot by slot with no Python frame per finding, as
-``match_rules`` fills each ``TriggeredAction``. Its
-``participants`` pair, ``note`` and ``suppressible`` are derived from
-those when read, so a caller that only counts findings renders no text.
+``model.Record`` of its kind and two participants, and its tick is the
+later participant's time. The pair pass and ``check_c7`` each collect
+their findings as columns, kinds, earlier and later participants and
+swap flags, and ``_findings`` fills a call's records column by column
+with no Python frame per finding; a call that finds nothing builds
+nothing. Its ``tick``, ``participants`` pair, ``note`` and
+``suppressible`` are derived when read, so a caller that only counts
+findings renders no text.
 Event signatures built once per trace kind (``cli.parse_trace``) or per
 source (the simulator) compare by identity before equality.
 
@@ -66,7 +69,7 @@ from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, takewhile
+from itertools import islice, repeat, takewhile
 from operator import attrgetter
 from typing import Iterator
 
@@ -144,26 +147,33 @@ _new_firing = object.__new__
  _set_time, _set_index, _set_key) = TriggeredAction.setters
 
 
-class Conflict(Record, identity=("kind", "tick", "first", "second")):
-    """A detected policy violation: a ``Record`` of ``kind``, ``tick`` and
+class Conflict(Record, identity=("kind", "first", "second")):
+    """A detected policy violation: a ``Record`` of ``kind`` and
     ``participants``, which alone make its identity (``==`` and ``hash``).
 
     ``participants`` holds the two triggered actions involved (two raw
     events for C7), stored in canonical order so a violation has a single
     identity. The record keeps them in two slots, ``first`` and
     ``second``, and builds the ``participants`` pair when it is read.
-    ``note`` and ``suppressible`` are derived from them when read. A
-    pair's note names its firings in the order the detector met them,
-    which ``_swapped`` records: true when that order is the reverse of
-    ``participants``.
+    ``tick``, the detection tick, is the later participant's time,
+    ``second.time``: every finding pairs an item of the call that found it
+    with one no later. ``note`` and ``suppressible`` are derived from the
+    participants when read too. A pair's note names its firings in the
+    order the detector met them, which ``_swapped`` records: true when that
+    order is the reverse of ``participants``.
     """
 
-    __slots__ = ("kind", "tick", "first", "second", "_swapped")
+    __slots__ = ("kind", "first", "second", "_swapped")
 
-    def __init__(self, kind: ConflictKind, tick: Tick, participants: tuple,
+    def __init__(self, kind: ConflictKind, participants: tuple,
                  _swapped: bool = False):
         first, second = participants
-        self._fill(kind, tick, first, second, _swapped)
+        self._fill(kind, first, second, _swapped)
+
+    @property
+    def tick(self) -> Tick:
+        """The detection tick: the later participant's time."""
+        return self.second.time
 
     @property
     def participants(self) -> tuple:
@@ -196,9 +206,9 @@ class Conflict(Record, identity=("kind", "tick", "first", "second")):
         implementations: kind, detection tick, and participant keys."""
         a, b = self.first, self.second
         if self.kind is ConflictKind.C7:
-            return (self.kind.value, self.tick,
+            return (self.kind.value, b.time,
                     ((a.time, a.id), (b.time, b.id)))
-        return (self.kind.value, self.tick, (a._key, b._key))
+        return (self.kind.value, b.time, (a._key, b._key))
 
 
 # Each kind's note, one line saying what the participants did: the two
@@ -233,11 +243,22 @@ NOTES = {
 }
 
 
-# The detector fills each record's slots through these, with no Python
-# frame per finding: ``_new_conflict(Conflict)``, then each setter.
-_new_conflict = object.__new__
-_set_kind, _set_tick, _set_first, _set_second, _set_swapped = (
-    Conflict.setters)
+_set_kind, _set_first, _set_second, _set_swapped = Conflict.setters
+# Drains an iterator at C level, keeping nothing.
+_drain = deque(maxlen=0).extend
+
+
+def _findings(count: int, kinds, firsts, seconds, swapped) -> list[Conflict]:
+    """``count`` records, the records ``Conflict(kind, (first, second),
+    swapped)`` would build from each position of the five columns, filled
+    column by column through ``Conflict.setters`` with no Python frame per
+    finding. A column may be longer than ``count``, or endless."""
+    records = list(map(object.__new__, repeat(Conflict, count)))
+    _drain(map(_set_kind, records, kinds))
+    _drain(map(_set_first, records, firsts))
+    _drain(map(_set_second, records, seconds))
+    _drain(map(_set_swapped, records, swapped))
+    return records
 
 
 def match_rules(event: Event, ruleset: RuleSet) -> list[TriggeredAction]:
@@ -334,6 +355,17 @@ def _between(actions: list[TriggeredAction] | None, start: Tick,
                    bisect_left(actions, stop, key=_time)]
 
 
+def _not_an_event(events: list) -> InvalidEventError:
+    """The error for a batch's first entry that is not an ``Event``.
+    ``admit`` tests each entry in its own loop over the batch: a separate
+    pass made ``simulate``, whose batches hold one or two events, slower."""
+    position, entry = next((position, entry)
+                           for position, entry in enumerate(events)
+                           if not isinstance(entry, Event))
+    return InvalidEventError(
+        f"batch entry {position} is not an Event: {entry!r}")
+
+
 class DetectionWindow:
     """Sliding record of recent firings and raw events, sized by one
     detector config: firings are kept for its ``pair_reach`` (max(eps, W),
@@ -384,7 +416,11 @@ class DetectionWindow:
         stream's ruleset, whose ``PolicyTable`` the first call builds. The
         batch's events join ``_events`` in id order, and with the events an
         earlier call admitted at this tick they are sorted again; each joins
-        the count of its reading."""
+        the count of its reading. An entry that is not an ``Event`` raises
+        ``InvalidEventError`` naming its position and repr, as the checks
+        of the stream's invariants reach it."""
+        if not isinstance(events[0], Event):
+            raise _not_an_event(events)
         tick = events[0].time
         if self.last_tick is not None and tick < self.last_tick:
             raise OutOfOrderTickError(
@@ -399,6 +435,8 @@ class DetectionWindow:
         tail = len(sensors)
         ids = set()
         for event in events:
+            if not isinstance(event, Event):
+                raise _not_an_event(events)
             if event.time != tick:
                 raise OutOfOrderTickError(
                     f"events in one batch span ticks {tick} and {event.time}")
@@ -630,10 +668,9 @@ def classify_pair(a: TriggeredAction, b: TriggeredAction,
         *RuleProfile.of(a, cfg).facts(RuleProfile.of(b, cfg)), dt,
         not shared and overlapping_events(a.event, b.event, cfg),
         not shared, cfg)
-    tick = max(a.time, b.time)
     if b._key < a._key:
-        return [Conflict(kind, tick, (b, a), True) for kind in kinds]
-    return [Conflict(kind, tick, (a, b)) for kind in kinds]
+        return [Conflict(kind, (b, a), True) for kind in kinds]
+    return [Conflict(kind, (a, b)) for kind in kinds]
 
 
 def check_c7(window: DetectionWindow, events: list[Event],
@@ -664,8 +701,7 @@ def check_c7(window: DetectionWindow, events: list[Event],
     reading_of = fresh.get
     tick = events[0].time
     since = tick - window.cfg.duplicate_window
-    c7 = ConflictKind.C7
-    out = []
+    firsts, seconds = [], []
     # The events at this tick end the window: the walk leaves out as many
     # as the batch holds, and the gap test rejects the others (those an
     # earlier call admitted at this tick).
@@ -680,14 +716,12 @@ def check_c7(window: DetectionWindow, events: list[Event],
                     and since <= earlier.time < tick
                     and (earlier.signature is signature
                          or earlier.signature == signature)):
-                finding = _new_conflict(Conflict)
-                _set_kind(finding, c7)
-                _set_tick(finding, tick)
-                _set_first(finding, earlier)
-                _set_second(finding, later)
-                _set_swapped(finding, False)
-                out.append(finding)
-    return out
+                firsts.append(earlier)
+                seconds.append(later)
+    if not firsts:
+        return []
+    return _findings(len(firsts), repeat(ConflictKind.C7), firsts, seconds,
+                     repeat(False))
 
 
 # The C1 to C6 order within one tick: the kind, then the participants'
@@ -738,8 +772,9 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
     table = window.table
     lo, memo, classes, width = table.lo, table.memo, table.classes, table.width
     overlap = overlapping_events
-    conflicts = []
-    append = conflicts.append
+    # The findings' columns, made by the first pair that yields kinds: most
+    # calls of a small stream find nothing, and they build nothing.
+    kinds_of = None
     # A batch that fired nothing forms no pair.
     pairs = (window.candidate_pairs(start)
              if start < len(window._actions) else ())
@@ -764,22 +799,21 @@ def detect_at_tick(new_events: list[Event], ruleset: RuleSet,
         else:
             kinds = overlapping
         if kinds:
-            tick = b.time
+            if kinds_of is None:
+                kinds_of, firsts, seconds, swaps = [], [], [], []
             swapped = b._key < a._key
             if swapped:
                 a, b = b, a
             for kind in kinds:
-                finding = _new_conflict(Conflict)
-                _set_kind(finding, kind)
-                _set_tick(finding, tick)
-                _set_first(finding, a)
-                _set_second(finding, b)
-                _set_swapped(finding, swapped)
-                append(finding)
+                kinds_of.append(kind)
+                firsts.append(a)
+                seconds.append(b)
+                swaps.append(swapped)
+    c7 = check_c7(window, new_events, ruleset.registry)
+    if kinds_of is None:
+        return c7
+    conflicts = _findings(len(kinds_of), kinds_of, firsts, seconds, swaps)
     if len(conflicts) > 1:
         conflicts.sort(key=_pair_order)
-    c7 = check_c7(window, new_events, ruleset.registry)
-    if not conflicts:
-        return c7
     conflicts += c7
     return conflicts

@@ -18,6 +18,7 @@ from gen import (
     random_trace,
 )
 from test_acceptance import _scaling_fixture
+from tapcheck import detector, simulator
 from tapcheck.detector import (
     Conflict,
     ConflictKind,
@@ -44,7 +45,12 @@ from tapcheck.errors import (
 )
 from tapcheck.oracle import oracle_detect
 from tapcheck.parsing import load_document
-from tapcheck.scenarios import fixture_text
+from tapcheck.scenarios import (
+    build,
+    builtin_scenarios,
+    fixture_text,
+    run_scenario,
+)
 from tapcheck.model import (
     ActionRelationTable,
     Cmp,
@@ -767,6 +773,125 @@ class TestConflictRecord:
             ("sensor t1 repeated value 60.5 after 20 tick(s)", ("e2",))]
 
 
+def _check_findings(found, tick, cfg):
+    """The findings of one call at ``tick``: each one's tick is its later
+    participant's time, the call's tick, and each is the record its
+    constructor builds, slot for slot. A pair's ``classify_pair`` findings,
+    asked in either order, hold it and have the later firing's time."""
+    for c in found:
+        assert c.tick == c.second.time == tick >= c.first.time
+        twin = Conflict(c.kind, c.participants, c._swapped)
+        assert (twin.kind is c.kind and twin.first is c.first
+                and twin.second is c.second and twin._swapped is c._swapped)
+        assert twin == c and hash(twin) == hash(c) and twin.key() == c.key()
+        assert (twin.note, twin.suppressible) == (c.note, c.suppressible)
+        assert copy.copy(c) == c
+        if c.kind is not ConflictKind.C7:
+            a, b = c.first, c.second
+            for pair in (classify_pair(a, b, cfg), classify_pair(b, a, cfg)):
+                assert c in pair
+                assert all(p.tick == max(a.time, b.time) for p in pair)
+    twins = pickle.loads(pickle.dumps(found))
+    assert twins == found
+    assert [t.note for t in twins] == [c.note for c in found]
+
+
+def acceptance_8_trace(rng, ruleset, ticks):
+    """The acceptance-8 stream: every sensor reports every tick, a fresh 4%
+    of them (at least one) hot enough to fire rules, the rest at one cold
+    reading that repeats."""
+    sensors = sorted(ruleset.registry.sensors.values(), key=lambda s: s.id)
+    events = []
+    for tick in range(ticks):
+        hot = set(rng.choice(len(sensors), size=max(1, len(sensors) // 25),
+                             replace=False).tolist())
+        events += [Event(id=f"e{tick}_{sensor.id}", sensor=sensor.id,
+                         time=tick, value=103.5 if i in hot else 50.0,
+                         unit=sensor.unit,
+                         signature=EventSignature(sensor.kind, Cmp.EQ,
+                                                  sensor.location))
+                   for i, sensor in enumerate(sensors)]
+    return events
+
+
+class TestFindingColumns:
+    """A call's findings are filled column by column (``_findings``); a
+    finding's tick is its later participant's time."""
+
+    @pytest.mark.parametrize("stream", [f"gen-{seed}" for seed in range(12)]
+                             + ["acceptance-8"])
+    def test_tick_is_later_time_and_records_match_constructor(self,
+                                                              stream):
+        if stream == "acceptance-8":
+            rs, cfg = _scaling_fixture(n_kinds=2)
+            events = acceptance_8_trace(np.random.default_rng(8), rs,
+                                        ticks=35)
+        else:
+            rng = np.random.default_rng(
+                43_000 + int(stream.removeprefix("gen-")))
+            rs, cfg = random_ruleset(rng)
+            events = random_trace(rng, rs, p_event=0.5)
+        window = DetectionWindow(cfg)
+        kinds = set()
+        for batch in group_by_tick(events):
+            found = detect_at_tick(batch, rs, window, cfg)
+            _check_findings(found, batch[0].time, cfg)
+            kinds.update(c.kind for c in found)
+        if stream == "acceptance-8":
+            assert kinds == {ConflictKind.C1, ConflictKind.C3,
+                             ConflictKind.C7}
+
+    def test_tick_is_later_time_on_s1_to_s8(self, monkeypatch):
+        kinds = set()
+
+        def checked(events, ruleset, window, cfg):
+            found = detect_at_tick(events, ruleset, window, cfg)
+            _check_findings(found, events[0].time, cfg)
+            kinds.update(c.kind for c in found)
+            return found
+
+        monkeypatch.setattr(simulator, "detect_at_tick", checked)
+        for scenario in builtin_scenarios(seed=1):
+            run_scenario(scenario)
+        assert kinds == set(ConflictKind) - {ConflictKind.C6}
+
+    def test_a_call_that_finds_nothing_builds_nothing(self, monkeypatch):
+        # Most calls of a small stream find nothing; building columns for
+        # them made ``simulate`` slower. Each call builds once per group
+        # of findings it returns, C1 to C6 and C7, and never for none. The
+        # seeded streams draw predicates at random, so a repeated reading
+        # can walk C7 and find no match.
+        builds = []
+        build_findings = detector._findings
+
+        def counted(count, *columns):
+            builds.append(count)
+            return build_findings(count, *columns)
+
+        calls = []
+
+        def recorded(events, ruleset, window, cfg):
+            before = len(builds)
+            found = detect_at_tick(events, ruleset, window, cfg)
+            groups = {c.kind is ConflictKind.C7 for c in found}
+            calls.append((len(builds) - before, len(groups), len(found)))
+            return found
+
+        monkeypatch.setattr(detector, "_findings", counted)
+        monkeypatch.setattr(simulator, "detect_at_tick", recorded)
+        for sid in ("S1", "S5"):
+            run_scenario(build(sid, seed=1))
+        for seed in range(4):
+            rs, cfg = random_ruleset(np.random.default_rng(47_000 + seed))
+            window = DetectionWindow(cfg)
+            for batch in group_by_tick(random_trace(
+                    np.random.default_rng(seed), rs, p_event=0.5)):
+                recorded(batch, rs, window, cfg)
+        assert all(built == groups for built, groups, _ in calls)
+        assert all(builds) and sum(builds) == sum(n for *_, n in calls)
+        assert any(not n for *_, n in calls)
+
+
 class TestDetectAtTick:
     def test_empty_batch_is_a_no_op(self, alarm_home):
         # An empty batch invents no tick, so a later batch at the last
@@ -1070,6 +1195,25 @@ class TestDetectAtTick:
         assert window.last_tick is None
         assert kinds_of(detect_at_tick([good, ev(rs, "e2", "leak1", 0, 1)],
                                        rs, window, cfg)) == ["C1"]
+
+    @pytest.mark.parametrize("position,entry", [
+        (0, {"id": "e1", "sensor": "smoke1", "time": 0, "value": 1}),
+        (1, None)], ids=["dict-first", "none-second"])
+    def test_batch_entry_that_is_no_event_rejected(self, alarm_home,
+                                                   position, entry):
+        # Unchecked, the entry ended in a bare AttributeError at its
+        # ``time``; it is named before the window changes.
+        rs, cfg = alarm_home
+        window = DetectionWindow(cfg)
+        good = [ev(rs, "e1", "smoke1", 0, 1), ev(rs, "e2", "leak1", 0, 1)]
+        batch = list(good)
+        batch[position] = entry
+        with pytest.raises(InvalidEventError) as err:
+            detect_at_tick(batch, rs, window, cfg)
+        assert str(err.value) == (
+            f"batch entry {position} is not an Event: {entry!r}")
+        assert window.last_tick is None and not window._events
+        assert kinds_of(detect_at_tick(good, rs, window, cfg)) == ["C1"]
 
     @pytest.mark.parametrize("eid", ["a,1", "b\n2"])
     def test_event_id_a_row_would_split_rejected(self, eid):
